@@ -193,14 +193,8 @@ pub fn setup_network_with(
     // connected graph that is the leader broadcasting `n`. Both go through the
     // engine's tree primitives, so the costs are the realized `depth` rounds /
     // `n - 1` messages of the obvious schedule.
-    let count = congest_engine::treeops::convergecast_with(
-        g,
-        &tree,
-        vec![1u64; g.n()],
-        |a, b| a + b,
-        None,
-        exec,
-    )?;
+    let count =
+        congest_engine::treeops::convergecast(g, &tree, vec![1u64; g.n()], |a, b| a + b, None)?;
     metrics.merge_sequential(&count.metrics);
     let payloads: Vec<(NodeId, u64)> = tree
         .roots()
@@ -208,7 +202,7 @@ pub fn setup_network_with(
         .copied()
         .zip(count.at_root.iter().copied())
         .collect();
-    let bcast = congest_engine::treeops::broadcast_with(g, &tree, payloads, None, exec)?;
+    let bcast = congest_engine::treeops::broadcast(g, &tree, payloads, None)?;
     metrics.merge_sequential(&bcast.metrics);
 
     Ok(NetworkSetup {

@@ -203,15 +203,13 @@ pub fn distributed_mst(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstRun, En
         }
         phases += 1;
 
-        // Fold per-node candidates to each fragment leader (through the
-        // configured delivery backend — per-fragment shard locality).
-        let cc = treeops::convergecast_with(
+        // Fold per-node candidates to each fragment leader.
+        let cc = treeops::convergecast(
             g,
             &forest,
             cands,
             MwoeMsg::min,
             remaining(cfg.message_budget, &metrics),
-            &cfg.exec,
         )?;
         metrics.merge_sequential(&cc.metrics);
 
@@ -264,12 +262,11 @@ pub fn distributed_mst(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstRun, En
             .filter(|r| grew[r.index()])
             .map(|&r| (r, u64::from(r.raw())))
             .collect();
-        let bc = treeops::broadcast_with(
+        let bc = treeops::broadcast(
             g,
             &forest,
             payloads,
             remaining(cfg.message_budget, &metrics),
-            &cfg.exec,
         )?;
         metrics.merge_sequential(&bc.metrics);
         fragment = new_fragment;

@@ -1,6 +1,5 @@
 //! The experiment suite: one function per paper claim (see DESIGN.md §4). Each
-//! returns a [`Table`] for EXPERIMENTS.md; the criterion benches reuse the same
-//! functions at fixed sizes.
+//! returns a [`Table`] for EXPERIMENTS.md.
 
 use crate::table::{f2, fit_exponent, Table};
 use apsp_core::simulate::{simulate_bcongest_via_ldc, LdcSimOptions};

@@ -21,26 +21,7 @@ use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Process-wide default for [`ExecutorConfig::default`]: `1` (sequential)
-/// unless overridden by [`set_default_threads`].
-static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// Overrides the thread count [`ExecutorConfig::default`] hands out (`0` means
-/// one thread per hardware thread). Intended for binary entry points — e.g.
-/// the experiments harness's `--threads` flag — so every run constructed with
-/// `..Default::default()` inherits the setting. Determinism is unaffected:
-/// outputs and metrics are identical at every thread count.
-pub fn set_default_threads(threads: usize) {
-    DEFAULT_THREADS.store(threads, Ordering::Relaxed);
-}
-
-/// The current process-wide default thread count (see [`set_default_threads`]).
-pub fn default_threads() -> usize {
-    DEFAULT_THREADS.load(Ordering::Relaxed)
-}
 
 /// How a runner's **delivery phase** moves messages from senders to inboxes.
 ///
@@ -79,7 +60,7 @@ pub enum DeliveryBackend {
     /// repeats and thread counts, and outputs/metrics stay byte-identical to
     /// every manual backend (each concrete backend is conformant).
     ///
-    /// Outside the runners' round loops (treeops, direct `deliver_phase`
+    /// Outside the runners' round loops (direct `deliver_phase`
     /// calls) no per-round volume exists; there [`ExecutorConfig::resolved_backend`]
     /// falls back to the [`DeliveryBackend::Chunked`] rule (sequential at one
     /// effective thread, chunk-parallel otherwise).
@@ -131,12 +112,11 @@ pub struct ExecutorConfig {
 }
 
 impl Default for ExecutorConfig {
-    /// The process-wide default (sequential unless [`set_default_threads`]
-    /// was called), with the [`DeliveryBackend::Chunked`] delivery backend
-    /// and the [`MessagePlane::Boxed`] message plane.
+    /// One thread (sequential), the [`DeliveryBackend::Chunked`] delivery
+    /// backend and the [`MessagePlane::Boxed`] message plane.
     fn default() -> Self {
         Self {
-            threads: default_threads(),
+            threads: 1,
             backend: DeliveryBackend::Chunked,
             message_plane: MessagePlane::Boxed,
         }
@@ -146,8 +126,8 @@ impl Default for ExecutorConfig {
 /// Fluent builder for [`ExecutorConfig`] —
 /// `ExecutorConfig::builder().threads(t).backend(b).plane(p).build()`.
 ///
-/// Starts from [`ExecutorConfig::default`] (the process-wide default thread
-/// count, chunked delivery, boxed plane); every setter overrides one knob.
+/// Starts from [`ExecutorConfig::default`] (one thread, chunked delivery,
+/// boxed plane); every setter overrides one knob.
 /// The shorthand constructors ([`ExecutorConfig::sequential`],
 /// [`ExecutorConfig::with_threads`], [`ExecutorConfig::sharded`]) and the
 /// `with_*` combinators remain as thin equivalents — existing call sites
@@ -288,7 +268,7 @@ impl ExecutorConfig {
                 shards: shards.max(1),
             },
             // Volume-blind fallback for contexts without a per-round volume
-            // hint (treeops, direct `deliver_phase` callers): same rule as
+            // hint (direct `deliver_phase` callers): same rule as
             // `Chunked`. The runners' round loops never hit this arm — they
             // resolve `Auto` through a `BackendChooser` before delivery.
             DeliveryBackend::Auto => {
@@ -313,10 +293,10 @@ impl ExecutorConfig {
 /// * tier 2, [`DeliveryBackend::Sharded`] — `volume ≥ sharded_min_volume` **and**
 ///   `volume ≥ sharded_min_density × n`. Heavy *and dense* rounds: the sharded
 ///   mailbox layout pays only when each node's inbox is touched several times
-///   per round (`BENCH_shard.json` wins come from dense small graphs at 4–12
-///   messages/node; `BENCH_scale.json` shows sharded **losing** ~30% on sparse
-///   10⁶-node workloads at ~3 messages/node, so absolute volume alone must not
-///   trigger this tier).
+///   per round (its ≤1.08× wins came from dense small graphs at 4–12
+///   messages/node, and it **lost** ~30% on sparse 10⁶-node workloads at ~3
+///   messages/node — the single-core readings in ROADMAP.md item 2 — so
+///   absolute volume alone must not trigger this tier).
 /// * tier 1, [`DeliveryBackend::Chunked`] — everything between. Chunked
 ///   collapses to the sequential path at one effective thread, so this tier
 ///   never costs more than sequential on a small host while fanning out on a
@@ -349,9 +329,8 @@ pub struct AutoCostModel {
 }
 
 impl AutoCostModel {
-    /// The calibrated defaults, fitted to the committed `BENCH_engine.json` /
-    /// `BENCH_shard.json` / `BENCH_scale.json` trajectories (methodology in
-    /// `docs/BENCHMARKING.md` § backend auto-selection).
+    /// The calibrated defaults, fitted to the single-core engine, shard and
+    /// scale sweep readings recorded in ROADMAP.md item 2.
     pub const fn calibrated() -> Self {
         Self {
             sequential_max_volume: 4096,
@@ -767,7 +746,7 @@ mod tests {
         );
         // Sparse 2^20-node graph at ~3 messages/node: volume is huge but the
         // density gate (4 per node) holds it on the chunked tier — the regime
-        // where BENCH_scale.json measured sharded losing to sequential.
+        // where sharded measured slower than sequential (ROADMAP.md item 2).
         let n = 1 << 20;
         let mut sparse = BackendChooser::new(model, n);
         assert_eq!(sparse.choose(3 * n as u64), DeliveryBackend::Chunked);

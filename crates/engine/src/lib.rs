@@ -98,9 +98,9 @@ pub use plane::{FlatPlane, RoundPlane};
 pub use shard::ShardPlan;
 pub use trace::TraceLog;
 pub use treeops::{
-    broadcast, broadcast_with, convergecast, convergecast_with, downcast, downcast_budgeted,
-    downcast_with, upcast, upcast_budgeted, upcast_with, BroadcastOutcome, ConvergecastOutcome,
-    Delivered, DowncastOutcome, Forest, UpcastOutcome,
+    broadcast, convergecast, downcast, downcast_budgeted, downcast_with, upcast, upcast_budgeted,
+    upcast_with, BroadcastOutcome, ConvergecastOutcome, Delivered, DowncastOutcome, Forest,
+    UpcastOutcome,
 };
 pub use view::LocalView;
 pub use wire::{Wire, WireDecode, WireEncode};

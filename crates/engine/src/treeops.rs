@@ -24,20 +24,16 @@
 //! [`EngineError::BudgetExceeded`] instead of silently overspending — the enforcement
 //! hook for "message-optimal" claims.
 //!
-//! Every primitive also has a `_with` form taking an
-//! [`ExecutorConfig`], threading the executor's delivery
-//! backend through the schedule: upcast/downcast hand it to the router's
-//! path precompute, and convergecast/broadcast under
-//! [`DeliveryBackend::Sharded`] run their level-synchronous schedule over
-//! per-shard batch queues (the MST phase loop's announce → convergecast →
-//! merge is the first workload). Outcomes and metrics are byte-identical for
-//! every backend — `tests/backend_conformance.rs` pins it.
+//! Upcast and downcast also have a `_with` form taking an
+//! [`ExecutorConfig`], which hands the executor to the router's path
+//! precompute; outcomes and metrics are byte-identical for every backend —
+//! `tests/backend_conformance.rs` pins it. Convergecast and broadcast do no
+//! per-node work worth fanning out and take no executor.
 
 use crate::error::EngineError;
-use crate::exec::{DeliveryBackend, ExecutorConfig};
+use crate::exec::ExecutorConfig;
 use crate::metrics::Metrics;
 use crate::router::{self, RouteTask};
-use crate::shard::ShardPlan;
 use crate::wire::Wire;
 use congest_graph::{EdgeId, Graph, NodeId};
 
@@ -405,52 +401,12 @@ pub struct ConvergecastOutcome<P> {
 /// # Panics
 ///
 /// Panics if `values.len() != g.n()` (one value per node).
-pub fn convergecast<P: Wire + Send>(
+pub fn convergecast<P: Wire>(
     g: &Graph,
     forest: &Forest,
     values: Vec<P>,
-    combine: impl Fn(P, P) -> P + Sync,
+    combine: impl Fn(P, P) -> P,
     budget: Option<u64>,
-) -> Result<ConvergecastOutcome<P>, EngineError> {
-    convergecast_with(
-        g,
-        forest,
-        values,
-        combine,
-        budget,
-        &ExecutorConfig::default(),
-    )
-}
-
-/// [`convergecast`] with an explicit executor. The sequential/chunked backends
-/// fold over a depth-sorted node order; the sharded backend runs the same
-/// level-synchronous schedule explicitly — level buckets instead of a sort,
-/// one batch queue per destination shard per level, drained in shard order —
-/// which is both the delivery structure of [`DeliveryBackend::Sharded`] and
-/// cheaper on deep forests (`O(n + depth)` bookkeeping instead of
-/// `O(n log n)` per call). With more than one effective worker thread, levels
-/// with enough queued senders (see `FAN_OUT_MIN_QUEUED`) drain their
-/// destination-shard queues **concurrently** on the executor's pool: every
-/// queue only touches parents inside its own shard's contiguous node range,
-/// so the folds are disjoint, and per-shard message charges are batched and
-/// merged in shard order. Children of one parent always fold in ascending
-/// node order, so outcomes and metrics are byte-identical across backends
-/// and thread counts.
-///
-/// # Errors
-///
-/// [`EngineError::BudgetExceeded`] if the realized message count exceeds `budget`.
-///
-/// # Panics
-///
-/// Panics if `values.len() != g.n()` (one value per node).
-pub fn convergecast_with<P: Wire + Send>(
-    g: &Graph,
-    forest: &Forest,
-    values: Vec<P>,
-    combine: impl Fn(P, P) -> P + Sync,
-    budget: Option<u64>,
-    cfg: &ExecutorConfig,
 ) -> Result<ConvergecastOutcome<P>, EngineError> {
     assert_eq!(values.len(), g.n(), "one value per node");
     let mut acc: Vec<Option<P>> = values.into_iter().map(Some).collect();
@@ -458,63 +414,18 @@ pub fn convergecast_with<P: Wire + Send>(
     let mut metrics = Metrics::new(g.m());
     let mut max_words = 0usize;
     let mut max_sender_depth = 0u32;
-    let mut note_sender = |v: NodeId, sent: &P| {
-        max_words = max_words.max(sent.words());
-        max_sender_depth = max_sender_depth.max(forest.depth_of(v));
-    };
-    match cfg.resolved_backend() {
-        DeliveryBackend::Sharded { shards } => {
-            // Level-synchronous over depth buckets: all children of one parent
-            // share a level (parent at depth d ⇒ children at d+1), so filling
-            // the per-destination-shard queues in sender order and draining
-            // them at the level barrier, shards in order, folds each parent's
-            // children in ascending node order — the sequential fold order.
-            let plan = ShardPlan::new(g.n(), shards);
-            let levels = level_order(g, forest);
-            let threads = cfg.effective_threads();
-            let mut queues: Vec<Vec<(NodeId, EdgeId, P)>> = vec![Vec::new(); plan.shards()];
-            for level in (1..levels.levels()).rev() {
-                for &v in levels.level(level) {
-                    if let (Some(p), Some(e)) = (forest.parent(v), forest.parent_edge(v)) {
-                        let sent = acc[v.index()].take().expect("each node sends once");
-                        note_sender(v, &sent);
-                        queues[plan.shard_of(p)].push((p, e, sent));
-                    }
-                }
-                let queued: usize = queues.iter().map(Vec::len).sum();
-                if threads > 1 && plan.shards() > 1 && queued >= FAN_OUT_MIN_QUEUED {
-                    drain_level_parallel(
-                        &plan,
-                        threads,
-                        &mut queues,
-                        &mut acc,
-                        &combine,
-                        &mut metrics,
-                    );
-                } else {
-                    for q in &mut queues {
-                        for (p, e, sent) in q.drain(..) {
-                            metrics.add_messages(e, sent.words() as u64);
-                            let own = acc[p.index()].take().expect("parent not yet sent");
-                            acc[p.index()] = Some(combine(own, sent));
-                        }
-                    }
-                }
-            }
-        }
-        _ => {
-            // Deepest nodes first; the sort is stable, so same-depth nodes (in
-            // particular all children of one parent) stay in ascending node order.
-            let mut order: Vec<NodeId> = g.nodes().collect();
-            order.sort_by_key(|v| std::cmp::Reverse(forest.depth_of(*v)));
-            for v in order {
-                if let (Some(p), Some(e)) = (forest.parent(v), forest.parent_edge(v)) {
-                    let sent = acc[v.index()].take().expect("each node sends once");
-                    note_sender(v, &sent);
-                    metrics.add_messages(e, sent.words() as u64);
-                    let own = acc[p.index()].take().expect("parent not yet sent");
-                    acc[p.index()] = Some(combine(own, sent));
-                }
+    // Deepest level first; within a level nodes are in ascending node order,
+    // so all children of one parent (they share a level) fold in that order.
+    let levels = level_order(g, forest);
+    for level in (1..levels.levels()).rev() {
+        for &v in levels.level(level) {
+            if let (Some(p), Some(e)) = (forest.parent(v), forest.parent_edge(v)) {
+                let sent = acc[v.index()].take().expect("each node sends once");
+                max_words = max_words.max(sent.words());
+                max_sender_depth = max_sender_depth.max(forest.depth_of(v));
+                metrics.add_messages(e, sent.words() as u64);
+                let own = acc[p.index()].take().expect("parent not yet sent");
+                acc[p.index()] = Some(combine(own, sent));
             }
         }
     }
@@ -528,67 +439,9 @@ pub fn convergecast_with<P: Wire + Send>(
     Ok(ConvergecastOutcome { at_root, metrics })
 }
 
-/// Minimum queued entries in one level before [`drain_level_parallel`] fans
-/// out. A pool scope + per-shard spawn costs microseconds; folding one entry
-/// costs nanoseconds — on deep forests with near-empty levels (the
-/// `mst/path-*` workloads: thousands of 1-node levels) fan-out would be pure
-/// dispatch overhead, so those levels stay on the caller-thread drain. Wide
-/// shallow forests (the fan-out's target) put hundreds of senders in one
-/// level and clear the threshold immediately.
-const FAN_OUT_MIN_QUEUED: usize = 128;
-
-/// Drains one level's destination-shard queues concurrently on the executor
-/// pool (the thread fan-out of the sharded convergecast schedule): shard `d`'s
-/// queue only folds into parents inside `plan.range(d)`, so splitting `acc` at
-/// the shard boundaries gives every task a disjoint mutable window. Message
-/// charges are collected per shard and merged in fixed shard order afterwards —
-/// in-shard charge order equals the inline drain's order and `u64` addition
-/// commutes across shards, so `metrics` (totals *and* the per-edge congestion
-/// vector) is byte-identical to the single-threaded drain.
-fn drain_level_parallel<P: Wire + Send>(
-    plan: &ShardPlan,
-    threads: usize,
-    queues: &mut [Vec<(NodeId, EdgeId, P)>],
-    acc: &mut [Option<P>],
-    combine: &(impl Fn(P, P) -> P + Sync),
-    metrics: &mut Metrics,
-) {
-    let mut charges: Vec<Option<Vec<(EdgeId, u64)>>> = (0..plan.shards()).map(|_| None).collect();
-    crate::exec::pool_for(threads).scope(|s| {
-        let mut rest_acc = acc;
-        let mut rest_q = &mut *queues;
-        let mut rest_c = charges.as_mut_slice();
-        for d in 0..plan.shards() {
-            let range = plan.range(d);
-            let (mine, acc_tail) = rest_acc.split_at_mut(range.len());
-            rest_acc = acc_tail;
-            let (q, q_tail) = rest_q.split_first_mut().expect("one queue per shard");
-            rest_q = q_tail;
-            let (slot, c_tail) = rest_c.split_first_mut().expect("one charge slot per shard");
-            rest_c = c_tail;
-            let start = range.start;
-            s.spawn(move |_| {
-                let mut charged = Vec::with_capacity(q.len());
-                for (p, e, sent) in q.drain(..) {
-                    charged.push((e, sent.words() as u64));
-                    let cell = &mut mine[p.index() - start];
-                    let own = cell.take().expect("parent not yet sent");
-                    *cell = Some(combine(own, sent));
-                }
-                *slot = Some(charged);
-            });
-        }
-    });
-    for charged in charges {
-        metrics.add_messages_batch(charged.expect("every shard drains"));
-    }
-}
-
 /// Nodes bucketed by forest depth in CSR form: one flat node array plus
-/// per-level offsets, built by a stable counting sort (`O(n + depth)`, two
-/// allocations total — the sharded backends' substitute for depth sorting).
-/// Within each level nodes are in ascending node order, exactly like the
-/// nested-`Vec` bucketing this replaces.
+/// per-level offsets, built by a stable counting sort (`O(n + depth)`), so
+/// within each level nodes are in ascending node order.
 struct LevelOrder {
     order: Vec<NodeId>,
     offsets: Vec<usize>,
@@ -652,26 +505,6 @@ pub fn broadcast<P: Wire>(
     payloads: Vec<(NodeId, P)>,
     budget: Option<u64>,
 ) -> Result<BroadcastOutcome<P>, EngineError> {
-    broadcast_with(g, forest, payloads, budget, &ExecutorConfig::default())
-}
-
-/// [`broadcast`] with an explicit executor. The sequential/chunked backends
-/// flood over a depth-sorted node order; the sharded backend walks the same
-/// level-synchronous schedule over depth buckets (`O(n + depth)` instead of a
-/// sort) — per-node writes are independent and accounting commutes, so
-/// outcomes and metrics are byte-identical across backends.
-///
-/// # Errors
-///
-/// [`EngineError::InvalidForest`] if a payload's source node is not a root;
-/// [`EngineError::BudgetExceeded`] if the realized message count exceeds `budget`.
-pub fn broadcast_with<P: Wire>(
-    g: &Graph,
-    forest: &Forest,
-    payloads: Vec<(NodeId, P)>,
-    budget: Option<u64>,
-    cfg: &ExecutorConfig,
-) -> Result<BroadcastOutcome<P>, EngineError> {
     let mut at_root: Vec<Option<P>> = vec![None; g.n()];
     for (r, p) in payloads {
         if forest.parent(r).is_some() {
@@ -685,13 +518,11 @@ pub fn broadcast_with<P: Wire>(
     let mut at_node: Vec<Option<P>> = vec![None; g.n()];
     let mut max_words = 0usize;
     let mut max_depth = 0u32;
-    // Nodes in ascending depth order: each node's payload (if its root broadcasts) is
-    // its root's, and its parent edge carries it once. The sharded backend
-    // iterates the level buckets directly; the others sort (stably, so both
-    // orders are level-by-level in ascending node order — identical).
-    let mut flood = |v: NodeId| {
+    // Level by level from the roots: each node's payload (if its root
+    // broadcasts) is its root's, and its parent edge carries it once.
+    for &v in &level_order(g, forest).order {
         let Some(p) = at_root[forest.root_of(v).index()].as_ref() else {
-            return;
+            continue;
         };
         let p = p.clone();
         if let Some(e) = forest.parent_edge(v) {
@@ -701,20 +532,6 @@ pub fn broadcast_with<P: Wire>(
             max_depth = max_depth.max(forest.depth_of(v));
         }
         at_node[v.index()] = Some(p);
-    };
-    if let DeliveryBackend::Sharded { .. } = cfg.resolved_backend() {
-        let levels = level_order(g, forest);
-        for l in 0..levels.levels() {
-            for &v in levels.level(l) {
-                flood(v);
-            }
-        }
-    } else {
-        let mut order: Vec<NodeId> = g.nodes().collect();
-        order.sort_by_key(|v| forest.depth_of(*v));
-        for v in order {
-            flood(v);
-        }
     }
     metrics.rounds = u64::from(max_depth) * max_words as u64;
     ensure_budget("broadcast", metrics.messages, budget)?;
@@ -900,68 +717,6 @@ mod tests {
                 budget: 3
             }
         ));
-    }
-
-    #[test]
-    fn sharded_convergecast_parallel_drain_matches_inline() {
-        // Four wide trees, one rooted in each quarter of the node range, so a
-        // 4-shard plan puts every root in a different shard: level 1 queues
-        // 4 × 108 = 432 entries ≥ FAN_OUT_MIN_QUEUED across four *non-empty*
-        // destination-shard queues (the concurrent split_at_mut windows all
-        // work at once), and the one-node tails under each hub add a second,
-        // sub-threshold level that takes the inline path — both drains and
-        // the level scheduling are exercised in one run.
-        let n = 440;
-        let hub = |i: usize| (i / 110) * 110;
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-        let mut parent: Vec<Option<NodeId>> = vec![None; n];
-        for (i, slot) in parent.iter_mut().enumerate() {
-            match i % 110 {
-                0 => {}
-                109 => {
-                    edges.push((i - 1, i));
-                    *slot = Some(NodeId::new(i - 1));
-                }
-                _ => {
-                    edges.push((hub(i), i));
-                    *slot = Some(NodeId::new(hub(i)));
-                }
-            }
-        }
-        let g = Graph::from_edges(n, &edges);
-        let f = Forest::from_parents(&g, parent).expect("valid parent pointers");
-        assert_eq!(f.roots().len(), 4);
-        assert_eq!(f.depth(), 2);
-        let values: Vec<Vec<u64>> = (0..n).map(|i| vec![i as u64]).collect();
-        let combine = |mut a: Vec<u64>, b: Vec<u64>| {
-            a.extend(b);
-            a
-        };
-        let base = convergecast_with(
-            &g,
-            &f,
-            values.clone(),
-            combine,
-            None,
-            &ExecutorConfig::sequential(),
-        )
-        .expect("sequential convergecast");
-        for shards in [2usize, 4, 8] {
-            for threads in [1usize, 2, 4] {
-                let cfg = ExecutorConfig::with_threads(threads)
-                    .with_backend(DeliveryBackend::Sharded { shards });
-                let out = convergecast_with(&g, &f, values.clone(), combine, None, &cfg)
-                    .expect("sharded convergecast");
-                assert_eq!(
-                    base.at_root, out.at_root,
-                    "{shards} shards / {threads} threads"
-                );
-                assert_eq!(
-                    base.metrics, out.metrics,
-                    "{shards} shards / {threads} threads"
-                );
-            }
-        }
     }
 
     #[test]

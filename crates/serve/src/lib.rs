@@ -13,8 +13,7 @@
 //! load generator** that sweeps request rate Internet-Computer-scalability
 //! style (`initial_rps` → `target_rps` ramp) over scenario mixes (uniform,
 //! hot-key skew, k-NN, batches; cold vs warmed cache), reporting p50/p95/p99
-//! latency and achieved rps — `congest_bench::serve_bench` wraps it into the
-//! committed `BENCH_serve.json`.
+//! latency and achieved rps.
 //!
 //! Correctness is differential all the way down: every answer an oracle
 //! serves is the source's answer (the cache can only change wall-clock and

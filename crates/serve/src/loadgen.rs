@@ -9,8 +9,7 @@
 //! rps (which falls below the target once the oracle saturates), and cache
 //! hit rates. The query *streams* are pure functions of the seed — reruns
 //! issue byte-identical requests in byte-identical order — while latencies
-//! are machine-dependent wall-clock, exactly like every other bench in the
-//! workspace.
+//! are machine-dependent wall-clock.
 //!
 //! Every answer is checked against an [`AnswerCheck`] (the sequential
 //! reference) **outside** the per-request latency window, so a divergence

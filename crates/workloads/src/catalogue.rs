@@ -2,7 +2,7 @@
 //! [`Workload`] entries over the shared graph families.
 //!
 //! Families and seeds are fixed here, once — the conformance suites, the
-//! determinism pins, the invariant tests and the registry bench all consume
+//! determinism pins, the invariant tests and the benchmark all consume
 //! these exact entries, so "the workload list" has a single definition.
 
 use crate::adapter::{BuildFn, FnWorkload};

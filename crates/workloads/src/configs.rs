@@ -1,7 +1,7 @@
 //! The executor-configuration matrices the suites sweep. Previously these
 //! lived in `tests/common/mod.rs`; they are part of the registry crate so the
-//! root test suites, the benches, and downstream consumers sweep the *same*
-//! configurations and cannot drift apart.
+//! root test suites and downstream consumers sweep the *same* configurations
+//! and cannot drift apart.
 
 use congest_engine::{DeliveryBackend, ExecutorConfig, MessagePlane};
 
@@ -62,51 +62,13 @@ pub fn plane_matrix() -> Vec<(String, ExecutorConfig)> {
         .collect()
 }
 
-/// The backend sweep of the delivery-backend bench (`BENCH_shard.json`):
-/// sequential baseline, chunked at hardware threads, and each sharded count
-/// single-threaded (pure layout) — the honest comparison on any core count,
-/// since the sharded schedule does not depend on thread fan-out. Returns
-/// `(backend label, shards, config)` triples; `shards` is 0 for the
-/// non-sharded entries.
-pub fn shard_bench_matrix(shard_counts: &[usize]) -> Vec<(&'static str, usize, ExecutorConfig)> {
-    let mut cfgs = vec![
-        ("sequential", 0usize, ExecutorConfig::sequential()),
-        ("chunked", 0usize, ExecutorConfig::with_threads(0)),
-    ];
-    for &s in shard_counts {
-        cfgs.push((
-            "sharded",
-            s,
-            ExecutorConfig::with_threads(1).with_backend(DeliveryBackend::Sharded { shards: s }),
-        ));
-    }
-    cfgs
-}
-
-/// The wall-clock sweep of the registry bench (`BENCH_suite.json`): the
-/// sequential baseline, the chunked backend at hardware threads, the sharded
-/// backend at 2/4/8 shards (one worker per shard), and the cost-model auto
-/// backend at hardware threads. Narrower than [`backend_matrix`] — the bench
-/// measures layout/fan-out, the tests prove conformance.
-pub fn bench_matrix() -> Vec<(String, ExecutorConfig)> {
-    let mut cfgs = vec![
-        ("sequential".to_string(), ExecutorConfig::sequential()),
-        ("chunked/hw".to_string(), ExecutorConfig::with_threads(0)),
-    ];
-    for s in [2usize, 4, 8] {
-        cfgs.push((format!("sharded/{s}"), ExecutorConfig::sharded(s)));
-    }
-    cfgs.push(("auto/hw".to_string(), ExecutorConfig::auto(0)));
-    cfgs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn matrices_are_labelled_uniquely() {
-        for matrix in [thread_matrix(), backend_matrix(), bench_matrix()] {
+        for matrix in [thread_matrix(), backend_matrix()] {
             let mut labels: Vec<&str> = matrix.iter().map(|(l, _)| l.as_str()).collect();
             labels.sort_unstable();
             labels.dedup();
@@ -139,23 +101,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_bench_matrix_stays_in_sync_with_bench_sweep() {
-        let m = shard_bench_matrix(&[2, 4, 8]);
-        assert_eq!(m.len(), 2 + 3);
-        assert_eq!(m[0].0, "sequential");
-        assert_eq!(m[0].2, ExecutorConfig::sequential());
-        assert_eq!(m[1].0, "chunked");
-        assert_eq!(m[1].2.backend, DeliveryBackend::Chunked);
-        for (i, &s) in [2usize, 4, 8].iter().enumerate() {
-            let (backend, shards, ref cfg) = m[2 + i];
-            assert_eq!(backend, "sharded");
-            assert_eq!(shards, s);
-            assert_eq!(cfg.backend, DeliveryBackend::Sharded { shards: s });
-            assert_eq!(cfg.threads, 1, "sharded bench cells are pure layout");
-        }
-    }
-
-    #[test]
     fn backend_matrix_covers_all_backends() {
         let m = backend_matrix();
         assert!(m
@@ -179,12 +124,5 @@ mod tests {
             assert_eq!(cfg.backend, DeliveryBackend::Auto);
             assert_eq!(cfg.threads, t);
         }
-        let bench = bench_matrix();
-        let (_, auto_hw) = bench
-            .iter()
-            .find(|(l, _)| l == "auto/hw")
-            .expect("auto bench cell");
-        assert_eq!(auto_hw.backend, DeliveryBackend::Auto);
-        assert_eq!(auto_hw.threads, 0, "bench auto runs at hardware threads");
     }
 }

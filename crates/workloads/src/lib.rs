@@ -13,8 +13,8 @@
 //! * the **oracle/invariant suite** (`tests/workload_registry.rs` checks
 //!   unique names, deterministic builds, oracle validity, and envelope
 //!   compliance);
-//! * the **registry bench** (`congest_bench::suite_bench` times every entry
-//!   under every backend into `BENCH_suite.json` with exact counts).
+//! * the **registry sweep** of the benchmark (`bench/`, workload
+//!   `registry_sweep`, times every entry and verifies it).
 //!
 //! The paper frames APSP, MST, matchings and "beyond" as one family with
 //! shared primitives; the registry mirrors that framing in code. Adding an
@@ -227,8 +227,8 @@ pub trait Workload: Send + Sync {
     }
 
     /// Runs the workload under `cfg` on an already-built input (callers must
-    /// pass this entry's own [`build`](Workload::build) output). The benches
-    /// time this form, so graph/weight construction stays outside the timed
+    /// pass this entry's own [`build`](Workload::build) output). The benchmark
+    /// times this form, so graph/weight construction stays outside the timed
     /// section.
     ///
     /// # Errors

@@ -1,10 +1,9 @@
 //! Parameterized workload constructors.
 //!
 //! [`crate::registry`] instantiates these at the catalogue's canonical sizes;
-//! the benches instantiate them at their own sizes (`congest_bench`'s shard
-//! sweep runs a 4096-node deep path, for example). Either way the runner,
-//! oracle and envelope come from here — workload setup has exactly one
-//! definition per algorithm.
+//! the benchmark (`bench/`) instantiates them at its own sizes (a 32768-node
+//! deep path, for example). Either way the runner, oracle and envelope come
+//! from here — workload setup has exactly one definition per algorithm.
 
 use crate::catalogue::{bcongest_entry, check_bfs_shape, composite_entry, congest_entry};
 use crate::{BuiltInput, MetricsEnvelope, Workload};
@@ -395,35 +394,10 @@ pub fn serve_knn(
     )
 }
 
-// --- bench-sized conveniences -------------------------------------------------
-
-/// [`weighted_apsp`] on a `G(n, p)` graph with weights in `1..=9`.
-pub fn weighted_apsp_gnp(n: usize, p: f64, seed: u64) -> Box<dyn Workload> {
-    weighted_apsp(
-        format!("gnp-{n}"),
-        move || {
-            let g = generators::gnp_connected(n, p, seed);
-            BuiltInput::weighted(WeightedGraph::random_weights(&g, 1..=9, seed))
-        },
-        seed,
-    )
-}
-
-/// [`mst`] on a `G(n, p)` graph with unique permutation weights.
-pub fn mst_gnp(n: usize, p: f64, seed: u64) -> Box<dyn Workload> {
-    mst(
-        format!("gnp-{n}"),
-        move || {
-            let g = generators::gnp_connected(n, p, seed);
-            BuiltInput::weighted(WeightedGraph::random_unique_weights(&g, seed))
-        },
-        seed,
-    )
-}
+// --- sized conveniences -------------------------------------------------------
 
 /// [`mst`] on an `n`-node path — fragment forests thousands of levels deep,
-/// where the sharded level-bucketed treeops schedule differs most from the
-/// depth-sorted sequential one.
+/// the worst case for the level-synchronous treeops schedule.
 pub fn mst_deep_path(n: usize, seed: u64) -> Box<dyn Workload> {
     mst(
         format!("path-{n}"),
@@ -448,8 +422,8 @@ pub fn mst_tradeoff_gnp(n: usize, p: f64, k: usize, seed: u64) -> Box<dyn Worklo
     )
 }
 
-/// [`bfs_collection`] on a `G(n, p)` graph — the engine bench's sized variant
-/// of the registry's canonical per-family entries.
+/// [`bfs_collection`] on a `G(n, p)` graph — the sized variant of the
+/// registry's canonical per-family entries.
 pub fn bfs_collection_gnp(n: usize, p: f64, seed: u64) -> Box<dyn Workload> {
     bfs_collection(
         format!("gnp-{n}"),
@@ -458,11 +432,11 @@ pub fn bfs_collection_gnp(n: usize, p: f64, seed: u64) -> Box<dyn Workload> {
     )
 }
 
-// --- scale-bench conveniences (sparse_connected: O(n + extra) build, low
+// --- scale conveniences (sparse_connected: O(n + extra) build, low
 // --- diameter — the only family that reaches 10⁶ nodes) ----------------------
 
-/// [`bfs`] on a [`generators::sparse_connected`] graph — the scale bench's
-/// million-node single-source BFS.
+/// [`bfs`] on a [`generators::sparse_connected`] graph — single-source BFS
+/// at up to a million nodes.
 pub fn bfs_sparse(n: usize, extra_edges: usize, seed: u64) -> Box<dyn Workload> {
     bfs(
         format!("sparse-{n}"),
@@ -471,8 +445,8 @@ pub fn bfs_sparse(n: usize, extra_edges: usize, seed: u64) -> Box<dyn Workload> 
     )
 }
 
-/// [`gossip`] on a [`generators::sparse_connected`] graph — the scale bench's
-/// million-node one-shot point-to-point probe.
+/// [`gossip`] on a [`generators::sparse_connected`] graph — the one-shot
+/// point-to-point probe at up to a million nodes.
 pub fn gossip_sparse(n: usize, extra_edges: usize, seed: u64) -> Box<dyn Workload> {
     gossip(
         format!("sparse-{n}"),
@@ -482,7 +456,7 @@ pub fn gossip_sparse(n: usize, extra_edges: usize, seed: u64) -> Box<dyn Workloa
 }
 
 /// [`mst`] on a [`generators::sparse_connected`] graph with unique permutation
-/// weights — the scale bench's 10⁵-node GHS run.
+/// weights — GHS on wide, shallow fragment forests.
 pub fn mst_sparse(n: usize, extra_edges: usize, seed: u64) -> Box<dyn Workload> {
     mst(
         format!("sparse-{n}"),

@@ -4,8 +4,8 @@
 //! declared cost envelope — runs each one sequentially, checks its
 //! differential oracle, and shows the realized (rounds, messages, broadcasts)
 //! against the envelope. This is the catalogue the conformance suites, the
-//! determinism pins, and `--bench-suite` all iterate; registering a new
-//! workload makes it appear here with no further wiring.
+//! determinism pins, and the benchmark's `registry_sweep` all iterate;
+//! registering a new workload makes it appear here with no further wiring.
 //!
 //! Run: `cargo run --release --example workload_tour`
 

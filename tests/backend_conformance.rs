@@ -11,7 +11,7 @@
 //!
 //! Registering a workload (see `congest_workloads::registry`) is what enrols
 //! it here — this suite has no workload list of its own, so it can never drift
-//! from `tests/parallel_determinism.rs` or the benches. The cost-model
+//! from `tests/parallel_determinism.rs` or the benchmark. The cost-model
 //! `Auto` backend is part of the matrix (at 1/2/4/8 threads) and additionally
 //! pinned explicitly: its outcome must match every manual backend and its
 //! per-round decision log must name only concrete backends, identically

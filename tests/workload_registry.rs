@@ -169,7 +169,7 @@ fn find_resolves_registered_names() {
 #[test]
 fn runs_are_repeatable() {
     // Same entry, same config, two executions: byte-identical outcome (the
-    // benches rely on this to time repetitions).
+    // benchmark relies on this to time repetitions).
     let w = find("mst/gnp").expect("registered workload");
     let cfg = ExecutorConfig::sequential();
     assert_eq!(w.run(&cfg).unwrap(), w.run(&cfg).unwrap());
