@@ -3,9 +3,9 @@
 //!
 //! Every node sends its ID to each neighbor once and folds everything it hears
 //! into a non-commutative checksum, so the output depends on the exact inbox
-//! order the engine delivers. Any backend that reorders, drops, or duplicates a
-//! message changes some node's checksum — which is why the workload registry
-//! runs this over the full delivery-backend matrix.
+//! order the engine delivers. A delivery path that reorders, drops, or
+//! duplicates a message changes some node's checksum — which is why the
+//! workload registry runs this at every thread count.
 //!
 //! Unlike the broadcast algorithms, gossip has a closed-form local oracle:
 //! the engine contract delivers round-`r` inboxes in ascending sender order,

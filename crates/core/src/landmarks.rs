@@ -37,9 +37,8 @@ pub fn landmark_distances(g: &Graph, p: f64, seed: u64) -> Result<LandmarkResult
 }
 
 /// [`landmark_distances`] with the BFS runs' per-node phases executed under
-/// `exec` — distances and metrics are identical at every thread count, backend
-/// and message plane (the engine's conformance contract), so the executor is a
-/// wall-clock knob only.
+/// `exec` — distances and metrics are identical at every thread count (the
+/// engine's determinism contract), so the executor is a wall-clock knob only.
 ///
 /// # Errors
 ///

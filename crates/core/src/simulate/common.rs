@@ -72,7 +72,7 @@ where
             algo,
             states,
             broadcasts: 0,
-            exec: ExecutorConfig::sequential(),
+            exec: ExecutorConfig::default(),
         }
     }
 

@@ -65,8 +65,8 @@ pub fn build_ldc(g: &Graph, seed: u64) -> Result<LdcDecomposition, EngineError> 
 }
 
 /// [`build_ldc`] with an explicit executor for the distributed MPX run (the
-/// workload registry's LDC entry routes the full delivery-backend matrix
-/// through here). Decomposition and metrics are identical for every backend.
+/// workload registry's LDC entry routes the thread matrix through here).
+/// Decomposition and metrics are identical at every thread count.
 ///
 /// # Errors
 ///

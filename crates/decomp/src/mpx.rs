@@ -406,8 +406,7 @@ pub fn run_mpx(g: &Graph, beta: f64, seed: u64) -> Result<MpxRun, congest_engine
 
 /// [`run_mpx`] with an explicit executor: the underlying BCONGEST run honors
 /// `exec`, and — like every runner in the workspace — produces identical
-/// clusterings and [`congest_engine::Metrics`] under every backend and thread
-/// count.
+/// clusterings and [`congest_engine::Metrics`] at every thread count.
 ///
 /// # Errors
 ///

@@ -18,8 +18,7 @@ use crate::error::EngineError;
 use crate::exec::{self, ExecutorConfig};
 use crate::faults::{FaultEvent, FaultPlan, FaultResponse, FaultState};
 use crate::metrics::Metrics;
-use crate::plane::RoundPlane;
-use crate::shard;
+use crate::plane::FlatPlane;
 use crate::view::LocalView;
 use crate::wire::{Wire, WireDecode};
 use congest_graph::{rng, EdgeId, Graph, NodeId};
@@ -43,8 +42,8 @@ pub trait BcongestAlgorithm {
     /// Per-node state.
     type State: Clone + std::fmt::Debug;
     /// The broadcast message type; must fit in one word (one `O(log n)`-bit
-    /// message). The [`WireDecode`] bound gives every message a fixed-width
-    /// packed codec so any algorithm can run on either message plane.
+    /// message). The [`WireDecode`] bound gives every message the fixed-width
+    /// packed codec the round buffer ([`crate::plane`]) stores it in.
     type Msg: WireDecode;
     /// Per-node output.
     type Output: Clone + std::fmt::Debug + PartialEq;
@@ -134,8 +133,8 @@ pub struct RunOptions {
     /// sequential path.
     pub exec: ExecutorConfig,
     /// Optional fault-injection schedule (see [`crate::faults`]). `None`
-    /// (the default) runs fault-free. Faulty runs stay byte-identical across
-    /// every backend × plane configuration.
+    /// (the default) runs fault-free. Faulty runs stay byte-identical at
+    /// every thread count.
     pub faults: Option<FaultPlan>,
 }
 
@@ -157,7 +156,8 @@ pub struct BcongestRun<O> {
 /// # Errors
 ///
 /// Returns [`EngineError::RoundLimitExceeded`] if the algorithm does not quiesce within
-/// the round limit.
+/// the round limit, and [`EngineError::InvalidFaultPlan`] if `opts.faults` fails
+/// [`FaultPlan::validate`] against `g`.
 pub fn run_bcongest<A>(
     algo: &A,
     g: &Graph,
@@ -223,9 +223,8 @@ where
             .collect();
 
     if let Some(plan) = &opts.faults {
-        if let Err(e) = plan.validate(g) {
-            panic!("invalid FaultPlan: {e}");
-        }
+        plan.validate(g)
+            .map_err(|reason| EngineError::InvalidFaultPlan { reason })?;
     }
     let mut fault_rt: Option<FaultState<'_>> =
         opts.faults.as_ref().map(|plan| FaultState::new(plan, g));
@@ -240,12 +239,7 @@ where
         None => base_limit,
     });
 
-    let mut plane: RoundPlane<A::Msg> = RoundPlane::new(cfg, n);
-    // One chooser per Auto run: resolves the delivery backend per round from
-    // the round's measured message volume (never the thread count, so the
-    // decision log stays byte-identical across thread counts).
-    let mut chooser = (cfg.backend == exec::DeliveryBackend::Auto)
-        .then(|| exec::BackendChooser::new(exec::AutoCostModel::calibrated(), n));
+    let mut plane: FlatPlane<A::Msg> = FlatPlane::new(n);
     let mut round: usize = 0;
     let mut rounds_used: u64 = 0;
 
@@ -259,7 +253,7 @@ where
 
         // 0. Apply fault events due this round, then the response policy.
         //    This runs sequentially before any phase fans out, so faulty runs
-        //    stay byte-identical across the whole backend × plane matrix.
+        //    stay byte-identical at every thread count.
         if let Some(fs) = fault_rt.as_mut() {
             let fired = fs.apply_due(round);
             if !fired.is_empty() {
@@ -291,7 +285,7 @@ where
         //    per-chunk batches in chunk order reproduces the sequential node
         //    order exactly), then apply send transitions. Crashed nodes send
         //    nothing.
-        let broadcasters: Vec<(NodeId, A::Msg)> = shard::collect_sends(cfg, &states, |i, st| {
+        let broadcasters: Vec<(NodeId, A::Msg)> = exec::collect_sends(cfg, &states, |i, st| {
             if let Some(fs) = &fault_rt {
                 if !fs.mask.node_up[i] {
                     return None;
@@ -311,30 +305,13 @@ where
             algo.on_broadcast_sent(&mut states[v.index()], round);
         }
 
-        // 2. Deliver: each broadcast crosses every incident edge, through the
-        //    configured backend — inline pushes, chunk-order-merged outboxes,
-        //    or sharded mailboxes with batched cross-shard queues. Each inbox
-        //    receives messages in broadcaster order under every backend, so
-        //    the paths are indistinguishable. Messages over down edges or to
-        //    crashed receivers are dropped at the single expansion point both
-        //    planes share — never delivered, never charged, only counted
-        //    (`u64` addition commutes, so the count is thread-order-free).
+        // 2. Deliver: each broadcast crosses every incident edge. Each inbox
+        //    receives messages in broadcaster order at every thread count.
+        //    Messages over down edges or to crashed receivers are dropped
+        //    here, at the single expansion point — never delivered, never
+        //    charged, only counted (`u64` addition commutes, so the count is
+        //    thread-order-free).
         metrics.broadcasts += broadcasters.len() as u64;
-        // Auto backend: resolve this round's delivery backend from its
-        // pre-fault message volume (Σ deg over broadcasters — what delivery
-        // is about to move) and log the decision. The volume is a pure
-        // function of the states, so the log is deterministic.
-        let round_cfg = chooser.as_mut().map(|ch| {
-            let volume: u64 = broadcasters.iter().map(|(v, _)| g.degree(*v) as u64).sum();
-            let chosen = ch.choose(volume);
-            metrics.record_backend_decision(exec::BackendDecision {
-                round: round as u64,
-                volume,
-                backend: chosen,
-            });
-            cfg.clone().with_backend(chosen)
-        });
-        let deliver_cfg = round_cfg.as_ref().unwrap_or(cfg);
         let dropped = AtomicU64::new(0);
         let fault_mask = fault_rt.as_ref().map(|fs| &fs.mask);
         let expand = |v: NodeId, msg: &A::Msg, sink: &mut dyn FnMut(NodeId, EdgeId, A::Msg)| {
@@ -348,7 +325,7 @@ where
                 sink(u, e, msg.clone());
             }
         };
-        plane.deliver(deliver_cfg, &broadcasters, &expand, &mut metrics);
+        plane.deliver(cfg, &broadcasters, &expand, &mut metrics);
         metrics.dropped_messages += dropped.load(Ordering::Relaxed);
 
         // 3. Receive: per-node state transitions, sharded with their inboxes.
@@ -536,7 +513,6 @@ mod tests {
 
     #[test]
     fn faults_freeze_crashed_nodes_and_restart_the_rest() {
-        use crate::exec::MessagePlane;
         use crate::faults::{FaultEvent, FaultPlan, FaultResponse};
 
         // Path 0-1-2-3-4: node 2 crashes at round 1, cutting the path in two.
@@ -557,24 +533,19 @@ mod tests {
         // Neighbors of the corpse keep talking into the void at the restart.
         assert!(run.metrics.dropped_messages > 0);
 
-        // The faulty run is conformant across backends and planes.
-        for exec in [
-            ExecutorConfig::with_threads(4),
-            ExecutorConfig::sharded(2),
-            ExecutorConfig::sequential().with_plane(MessagePlane::Flat),
-            ExecutorConfig::sharded(3).with_plane(MessagePlane::Flat),
-        ] {
+        // The faulty run is identical at every thread count.
+        for threads in [2, 4] {
             let alt = run_bcongest(
                 &MinFlood,
                 &g,
                 None,
                 &RunOptions {
                     faults: Some(plan.clone()),
-                    exec,
+                    exec: ExecutorConfig::with_threads(threads),
                     ..Default::default()
                 },
             )
-            .expect("faulty run (alt config)");
+            .expect("faulty run (alt threads)");
             assert_eq!(alt.outputs, run.outputs);
             assert_eq!(alt.metrics, run.metrics);
         }
@@ -601,6 +572,26 @@ mod tests {
         .expect("churned run");
         assert!(run.outputs.iter().all(|&o| o == 0));
         assert!(run.metrics.dropped_messages > 0);
+    }
+
+    #[test]
+    fn invalid_fault_plans_are_errors_not_panics() {
+        use crate::faults::{FaultEvent, FaultPlan, FaultResponse};
+
+        let g = generators::path(4);
+        for plan in [
+            FaultPlan::new(FaultResponse::Restart).at(1, FaultEvent::Recover(NodeId::new(2))),
+            FaultPlan::new(FaultResponse::Restart).at(0, FaultEvent::EdgeDown(EdgeId::new(g.m()))),
+        ] {
+            let opts = RunOptions {
+                faults: Some(plan),
+                ..Default::default()
+            };
+            let err = run_bcongest(&MinFlood, &g, None, &opts).unwrap_err();
+            assert!(matches!(err, EngineError::InvalidFaultPlan { .. }), "{err}");
+            let recorded = crate::trace::record_bcongest(&MinFlood, &g, None, &opts, "t");
+            assert_eq!(recorded.map(|_| ()).unwrap_err(), err);
+        }
     }
 
     #[test]

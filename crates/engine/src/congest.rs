@@ -11,8 +11,7 @@ use crate::error::EngineError;
 use crate::exec;
 use crate::faults::{FaultEvent, FaultResponse, FaultState};
 use crate::metrics::Metrics;
-use crate::plane::RoundPlane;
-use crate::shard;
+use crate::plane::FlatPlane;
 use crate::view::LocalView;
 use crate::wire::{Wire, WireDecode};
 use congest_graph::{rng, EdgeId, Graph, NodeId};
@@ -28,8 +27,8 @@ pub trait CongestAlgorithm {
     /// Per-node state.
     type State: Clone + std::fmt::Debug;
     /// Message type; at most one per edge per round, one word each. The
-    /// [`WireDecode`] bound gives every message a fixed-width packed codec so
-    /// any algorithm can run on either message plane.
+    /// [`WireDecode`] bound gives every message the fixed-width packed codec
+    /// the round buffer ([`crate::plane`]) stores it in.
     type Msg: WireDecode;
     /// Per-node output.
     type Output: Clone + std::fmt::Debug + PartialEq;
@@ -79,6 +78,8 @@ pub struct CongestRun<O> {
 /// # Errors
 ///
 /// [`EngineError::RoundLimitExceeded`] if the algorithm does not quiesce in time;
+/// [`EngineError::InvalidFaultPlan`] if `opts.faults` fails
+/// [`FaultPlan::validate`](crate::FaultPlan::validate) against `g`;
 /// [`EngineError::InvalidPath`] never occurs (sends to non-neighbors panic in debug
 /// builds and are dropped in release builds).
 pub fn run_congest<A>(
@@ -145,9 +146,8 @@ where
             .collect();
 
     if let Some(plan) = &opts.faults {
-        if let Err(e) = plan.validate(g) {
-            panic!("invalid FaultPlan: {e}");
-        }
+        plan.validate(g)
+            .map_err(|reason| EngineError::InvalidFaultPlan { reason })?;
     }
     let mut fault_rt: Option<FaultState<'_>> =
         opts.faults.as_ref().map(|plan| FaultState::new(plan, g));
@@ -160,11 +160,7 @@ where
         None => base_limit,
     });
 
-    let mut plane: RoundPlane<A::Msg> = RoundPlane::new(cfg, n);
-    // One chooser per Auto run (mirrors the BCONGEST runner): per-round
-    // backend resolution from measured volume only, never the thread count.
-    let mut chooser = (cfg.backend == exec::DeliveryBackend::Auto)
-        .then(|| exec::BackendChooser::new(exec::AutoCostModel::calibrated(), n));
+    let mut plane: FlatPlane<A::Msg> = FlatPlane::new(n);
     let mut round = 0usize;
     let mut rounds_used = 0u64;
     loop {
@@ -207,7 +203,7 @@ where
         // per-chunk batches in chunk order reproduces the sequential order.
         // Crashed nodes send nothing.
         let all_sends: Vec<(NodeId, SendBatch<A::Msg>)> =
-            shard::collect_sends(cfg, &states, |i, st| {
+            exec::collect_sends(cfg, &states, |i, st| {
                 if let Some(fs) = &fault_rt {
                     if !fs.mask.node_up[i] {
                         return None;
@@ -220,37 +216,26 @@ where
         for (v, _) in &all_sends {
             algo.on_sent(&mut states[v.index()], round);
         }
-        // Auto backend: resolve this round's delivery backend from its
-        // pre-fault message volume (Σ send-batch lengths) and log it.
-        let round_cfg = chooser.as_mut().map(|ch| {
-            let volume: u64 = all_sends.iter().map(|(_, b)| b.len() as u64).sum();
-            let chosen = ch.choose(volume);
-            metrics.record_backend_decision(exec::BackendDecision {
-                round: round as u64,
-                volume,
-                backend: chosen,
-            });
-            cfg.clone().with_backend(chosen)
-        });
-        let deliver_cfg = round_cfg.as_ref().unwrap_or(cfg);
-        // Edge resolution and delivery through the configured backend (the
-        // `edge_between` lookups are the hot part of the expansion): inline
-        // pushes, chunk-order-merged outboxes, or sharded mailboxes with
-        // batched cross-shard queues — inbox order is sender order either way.
-        // Messages over down edges or to crashed receivers drop here, at the
-        // single expansion point both planes share.
+        // Edge resolution and delivery (the `edge_between` lookups are the
+        // hot part of the expansion); inbox order is sender order at every
+        // thread count. Messages over down edges or to crashed receivers drop
+        // here, at the single expansion point.
         let dropped = AtomicU64::new(0);
         let fault_mask = fault_rt.as_ref().map(|fs| &fs.mask);
         let expand = |v: NodeId,
                       sends: &Vec<(NodeId, A::Msg)>,
                       sink: &mut dyn FnMut(NodeId, EdgeId, A::Msg)| {
+            #[cfg(debug_assertions)]
             let mut used: Vec<EdgeId> = Vec::with_capacity(sends.len());
             for (u, m) in sends {
                 let e = g
                     .edge_between(v, *u)
                     .unwrap_or_else(|| panic!("{v:?} sent to non-neighbor {u:?}"));
-                debug_assert!(!used.contains(&e), "two messages on one edge in one round");
-                used.push(e);
+                #[cfg(debug_assertions)]
+                {
+                    assert!(!used.contains(&e), "two messages on one edge in one round");
+                    used.push(e);
+                }
                 debug_assert_eq!(m.words(), 1, "CONGEST messages are single words");
                 if let Some(mask) = fault_mask {
                     if !mask.edge_up[e.index()] || !mask.node_up[u.index()] {
@@ -261,7 +246,7 @@ where
                 sink(*u, e, m.clone());
             }
         };
-        plane.deliver(deliver_cfg, &all_sends, &expand, &mut metrics);
+        plane.deliver(cfg, &all_sends, &expand, &mut metrics);
         metrics.dropped_messages += dropped.load(Ordering::Relaxed);
         // Per-node receive transitions, sharded with their inboxes. With an
         // observer attached the phase stays sequential so the callback sees
@@ -423,6 +408,27 @@ mod tests {
         assert_eq!(run.outputs[0], 1, "restarted token completes its lap");
         assert_eq!(run.metrics.dropped_messages, 1, "the first hop was lost");
         assert_eq!(run.metrics.messages, 6, "drops are not charged");
+    }
+
+    #[test]
+    fn invalid_fault_plans_are_errors_not_panics() {
+        use crate::faults::{FaultEvent, FaultPlan, FaultResponse};
+
+        let g = generators::cycle(6);
+        for plan in [
+            FaultPlan::new(FaultResponse::Restart).at(1, FaultEvent::Recover(NodeId::new(2))),
+            FaultPlan::new(FaultResponse::Restart).at(0, FaultEvent::EdgeDown(EdgeId::new(g.m()))),
+        ] {
+            let opts = crate::RunOptions {
+                faults: Some(plan),
+                ..Default::default()
+            };
+            let err = run_congest(&RingToken { laps: 1 }, &g, None, &opts).unwrap_err();
+            assert!(matches!(err, EngineError::InvalidFaultPlan { .. }), "{err}");
+            let recorded =
+                crate::trace::record_congest(&RingToken { laps: 1 }, &g, None, &opts, "t");
+            assert_eq!(recorded.map(|_| ()).unwrap_err(), err);
+        }
     }
 
     #[test]

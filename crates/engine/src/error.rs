@@ -32,6 +32,12 @@ pub enum EngineError {
         /// The budget it was given.
         budget: u64,
     },
+    /// A run was given a [`crate::FaultPlan`] that fails
+    /// [`validate`](crate::FaultPlan::validate) against its graph.
+    InvalidFaultPlan {
+        /// The first structural violation found.
+        reason: String,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -53,6 +59,7 @@ impl fmt::Display for EngineError {
             EngineError::BudgetExceeded { op, used, budget } => {
                 write!(f, "{op} exceeded its message budget: {used} > {budget}")
             }
+            EngineError::InvalidFaultPlan { reason } => write!(f, "invalid FaultPlan: {reason}"),
         }
     }
 }
@@ -85,5 +92,10 @@ mod tests {
         }
         .to_string()
         .contains("10 > 4"));
+        assert!(EngineError::InvalidFaultPlan {
+            reason: "recover before crash".into()
+        }
+        .to_string()
+        .contains("recover before crash"));
     }
 }

@@ -16,10 +16,10 @@
 //!   freshly recovered nodes and notifies every other live node through the
 //!   algorithm's `on_fault` hook.
 //!
-//! Fault application, drop filtering and the response policy all run at the
-//! same points under every [`crate::DeliveryBackend`] and
-//! [`crate::MessagePlane`], so faulty runs stay byte-identical across the
-//! whole executor matrix — `tests/fault_conformance.rs` pins this.
+//! Fault application and the response policy run sequentially before any
+//! phase fans out, and drop filtering sits at the single expansion point of
+//! each runner, so faulty runs stay byte-identical at every thread count —
+//! `tests/fault_conformance.rs` pins this.
 
 use congest_graph::{rng, EdgeId, Graph, NodeId};
 use rand::seq::SliceRandom;

@@ -14,23 +14,21 @@
 //! * [`treeops`] — the upcast/downcast primitives of Lemmas 1.5/1.6 over [`Forest`]s,
 //!   plus budget-enforcing convergecast/broadcast passes;
 //! * [`exec`] / [`ExecutorConfig`] — deterministic chunked-parallel execution of the
-//!   per-node phases (outputs and metrics are byte-identical at every thread count);
-//! * [`shard`] / [`DeliveryBackend`] — pluggable message-delivery backends
-//!   (sequential, chunk-parallel, sharded mailboxes with batched cross-shard
-//!   queues), all byte-identical to the sequential path;
-//! * [`plane`] / [`MessagePlane`] — pluggable round-buffer representations
-//!   (boxed per-node mailboxes vs the flat packed-arena plane whose
-//!   steady-state rounds are allocation-free), also byte-identical;
+//!   per-node phases; `threads` is the only setting (outputs and metrics are
+//!   byte-identical at every thread count);
+//! * [`plane`] / [`FlatPlane`] — the round buffer both runners deliver through:
+//!   packed `u32` arenas scattered by a stable counting sort, allocation-free
+//!   in steady state;
 //! * [`faults`] / [`FaultPlan`] — seeded, deterministic fault injection (edge
 //!   churn, node crash/recovery with message-drop semantics) threaded through
-//!   both runners under every backend × plane combination;
+//!   both runners;
 //! * [`trace`] / [`TraceLog`] — per-round execution recording (sends,
 //!   deliveries, fault events, metric deltas) with JSONL/DOT export and a
 //!   replay path that re-executes a recorded run and checks byte equality;
 //! * [`Metrics`] — composable cost accounting;
 //! * [`Wire`] — message sizes in `O(log n)`-bit words, with
 //!   [`WireEncode`]/[`WireDecode`] packing fixed-width payloads into `u32`
-//!   lanes for the flat plane.
+//!   lanes for the plane.
 //!
 //! ## Example: running a BCONGEST algorithm directly
 //!
@@ -76,7 +74,6 @@ pub mod faults;
 mod metrics;
 pub mod plane;
 pub mod router;
-pub mod shard;
 pub mod trace;
 pub mod treeops;
 mod view;
@@ -88,14 +85,10 @@ pub use bcongest::{
 };
 pub use congest::{run_congest, run_congest_observed, CongestAlgorithm, CongestRun};
 pub use error::EngineError;
-pub use exec::{
-    AutoCostModel, BackendChooser, BackendDecision, DeliveryBackend, ExecutorConfig,
-    ExecutorConfigBuilder, MessagePlane,
-};
+pub use exec::ExecutorConfig;
 pub use faults::{FaultEvent, FaultPlan, FaultResponse, SurvivorMask};
 pub use metrics::Metrics;
-pub use plane::{FlatPlane, RoundPlane};
-pub use shard::ShardPlan;
+pub use plane::FlatPlane;
 pub use trace::TraceLog;
 pub use treeops::{
     broadcast, convergecast, downcast, downcast_budgeted, downcast_with, upcast, upcast_budgeted,

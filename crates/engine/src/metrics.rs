@@ -1,6 +1,5 @@
 //! Round, message, broadcast and per-edge congestion accounting.
 
-use crate::exec::BackendDecision;
 use congest_graph::EdgeId;
 
 /// Complexity measures of one (partial) distributed execution.
@@ -16,15 +15,9 @@ use congest_graph::EdgeId;
 /// other, [`Metrics::merge_parallel`] for operations on disjoint edges that run at the
 /// same time (rounds take the max, messages add).
 ///
-/// Equality (`PartialEq`) and the `Debug` rendering cover every *model-level*
-/// field — rounds, messages, broadcasts, payload bytes, dropped messages, and
-/// the full congestion vector — but **not** [`Metrics::backend_decisions`]:
-/// the decision log is an execution-level diagnostic of
-/// [`crate::DeliveryBackend::Auto`] runs, so an `Auto` run compares equal
-/// (and renders identically in canonical workload outputs) to the
-/// manual-backend runs it conforms to. The determinism suite compares
-/// decision logs explicitly through the accessor.
-#[derive(Clone)]
+/// Canonical workload outputs embed the derived `Debug` rendering, so adding,
+/// renaming or reordering a field changes every golden hash.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Metrics {
     /// Number of synchronous rounds.
     pub rounds: u64,
@@ -38,9 +31,7 @@ pub struct Metrics {
     /// the memory-envelope side of the ledger — `payload_bytes / messages` is
     /// the measured bytes-per-message a workload's envelope bounds. Charges
     /// default to 8 bytes per word ([`Metrics::add_messages`]); the runners
-    /// charge the exact packed width (`4 × LANES` bytes per message) on both
-    /// message planes, so the field is plane-independent and participates in
-    /// conformance equality.
+    /// charge the exact packed width (`4 × LANES` bytes per message).
     pub payload_bytes: u64,
     /// Messages suppressed by fault injection (down edges / crashed
     /// endpoints): a send the expansion produced but the network dropped.
@@ -50,37 +41,6 @@ pub struct Metrics {
     /// like every other field. Always 0 for fault-free runs.
     pub dropped_messages: u64,
     congestion: Vec<u64>,
-    backend_decisions: Vec<BackendDecision>,
-}
-
-impl PartialEq for Metrics {
-    fn eq(&self, other: &Self) -> bool {
-        // `backend_decisions` is deliberately excluded — see the type docs.
-        self.rounds == other.rounds
-            && self.messages == other.messages
-            && self.broadcasts == other.broadcasts
-            && self.payload_bytes == other.payload_bytes
-            && self.dropped_messages == other.dropped_messages
-            && self.congestion == other.congestion
-    }
-}
-
-impl Eq for Metrics {}
-
-impl std::fmt::Debug for Metrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // `backend_decisions` is deliberately omitted — canonical workload
-        // outputs embed this rendering, and they must stay byte-identical
-        // between `Auto` and manual-backend runs (see the type docs).
-        f.debug_struct("Metrics")
-            .field("rounds", &self.rounds)
-            .field("messages", &self.messages)
-            .field("broadcasts", &self.broadcasts)
-            .field("payload_bytes", &self.payload_bytes)
-            .field("dropped_messages", &self.dropped_messages)
-            .field("congestion", &self.congestion)
-            .finish()
-    }
 }
 
 impl Metrics {
@@ -93,21 +53,7 @@ impl Metrics {
             payload_bytes: 0,
             dropped_messages: 0,
             congestion: vec![0; m],
-            backend_decisions: Vec::new(),
         }
-    }
-
-    /// The per-round [`crate::DeliveryBackend::Auto`] decision log: one entry
-    /// per executed round, in round order. Empty for manual-backend runs.
-    /// Excluded from `PartialEq` (see the type docs); the decision sequence is
-    /// itself deterministic — byte-identical across repeats and thread counts.
-    pub fn backend_decisions(&self) -> &[BackendDecision] {
-        &self.backend_decisions
-    }
-
-    /// Appends one `Auto` resolution to the decision log.
-    pub(crate) fn record_backend_decision(&mut self, decision: BackendDecision) {
-        self.backend_decisions.push(decision);
     }
 
     /// Records `words` messages crossing edge `e` (either direction), at the
@@ -119,8 +65,7 @@ impl Metrics {
 
     /// Records `words` messages crossing edge `e` carrying exactly `bytes`
     /// payload bytes in total. The runners use this with the packed wire
-    /// width (`4 × LANES` bytes per message) so both message planes charge
-    /// identically.
+    /// width (`4 × LANES` bytes per message).
     #[inline]
     pub fn add_messages_sized(&mut self, e: EdgeId, words: u64, bytes: u64) {
         self.messages += words;
@@ -185,8 +130,6 @@ impl Metrics {
         for (a, b) in self.congestion.iter_mut().zip(&other.congestion) {
             *a += b;
         }
-        self.backend_decisions
-            .extend_from_slice(&other.backend_decisions);
     }
 
     /// Composes with an operation that ran *concurrently* (on edges disjoint in time or
@@ -205,8 +148,6 @@ impl Metrics {
         for (a, b) in self.congestion.iter_mut().zip(&other.congestion) {
             *a += b;
         }
-        self.backend_decisions
-            .extend_from_slice(&other.backend_decisions);
     }
 
     /// Adds `r` rounds with no traffic (idle/padding rounds, e.g. `strict_phase_budget`).

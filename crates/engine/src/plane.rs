@@ -1,42 +1,35 @@
-//! The flat struct-of-arrays message plane: packed round arenas in place of
-//! per-node `Vec` mailboxes.
+//! The flat struct-of-arrays message plane: packed round arenas, the one
+//! round buffer both runners deliver through.
 //!
-//! The boxed plane (the legacy path in [`crate::shard`]) allocates a typed
-//! tuple per in-flight message and pushes it into its receiver's `Vec` inbox —
-//! at n = 10⁵–10⁶ the per-round allocator traffic dominates the round loop.
+//! Pushing a typed tuple per in-flight message into its receiver's `Vec`
+//! inbox makes allocator traffic dominate the round loop at n = 10⁵–10⁶.
 //! [`FlatPlane`] instead stages every emission of a round as a fixed-width
 //! record of `u32` lanes (ids packed directly, payloads via
 //! [`WireEncode`](crate::WireEncode)) in per-partition arenas, then scatters
 //! the records to receivers with a **stable counting sort**:
 //!
-//! 1. *stage* — senders are partitioned contiguously (mirroring the resolved
-//!    [`DeliveryBackend`]'s batching) and each partition appends its records to
-//!    its own arena, in sender order. Concatenating arenas in partition order
-//!    therefore reproduces the global sender order — the same order every
-//!    boxed backend delivers in.
+//! 1. *stage* — senders are cut into one contiguous chunk per effective
+//!    thread and each chunk appends its records to its own arena, in sender
+//!    order. Concatenating arenas in chunk order therefore reproduces the
+//!    global sender order at every thread count.
 //! 2. *count + charge* — one sequential pass over the arenas bumps the
-//!    per-receiver counts and charges [`Metrics`] per record, in the same
-//!    global order as the sequential boxed path (and `u64` addition commutes,
-//!    so any order gives identical totals).
+//!    per-receiver counts and charges [`Metrics`] per record, in global
+//!    sender order (and `u64` addition commutes, so any order gives identical
+//!    totals).
 //! 3. *scatter* — a prefix sum turns counts into receiver offsets; a second
 //!    pass moves each record to its receiver's slice of one flat inbox arena.
 //!    The scatter is stable, so each receiver sees its messages in global
-//!    sender order — byte-identical to every boxed backend. The root
-//!    `tests/plane_conformance.rs` suite pins this differentially over the
-//!    whole workload registry.
+//!    sender order — exactly what pushing `(sender, msg)` into per-node
+//!    inboxes sender by sender would give (the reference this module's unit
+//!    tests compare against).
 //!
 //! All buffers — arenas, counts, offsets, cursors, inbox, per-chunk decode
 //! scratch — live in the [`FlatPlane`] and are reused across rounds via
 //! `clear()`, so once warm a steady-state round performs **zero heap
 //! allocations** (pinned by `crates/engine/tests/alloc_regression.rs`).
-//!
-//! [`RoundPlane`] is the runner-facing switch: the
-//! [`ExecutorConfig::message_plane`] field picks boxed or flat, and both
-//! runners drive whichever variant through the same deliver/receive calls.
 
-use crate::exec::{self, DeliveryBackend, ExecutorConfig, MessagePlane};
+use crate::exec::{self, ExecutorConfig};
 use crate::metrics::Metrics;
-use crate::shard::{self, ShardPlan};
 use crate::wire::WireDecode;
 use congest_graph::{EdgeId, NodeId};
 use std::ops::Range;
@@ -99,46 +92,26 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
         1 + M::LANES
     }
 
-    /// Fills `self.parts` with contiguous sender partitions mirroring the
-    /// resolved backend's batching. Any contiguous in-order partition
-    /// preserves conformance (the scatter is stable over the concatenation);
-    /// matching the backend keeps the parallel grain identical to the boxed
-    /// path's. The table is reused across rounds — no allocation once warm.
-    fn partition<S>(&mut self, cfg: &ExecutorConfig, senders: &[(NodeId, S)]) {
-        let n = self.n();
+    /// Fills `self.parts` with one contiguous sender chunk per effective
+    /// thread (a single part at `threads = 1`). Any contiguous in-order
+    /// partition gives the same inboxes — the scatter is stable over the
+    /// concatenation. The table is reused across rounds — no allocation once
+    /// warm.
+    fn partition(&mut self, cfg: &ExecutorConfig, senders: usize) {
+        let size = exec::chunk_size_for(senders, cfg.effective_threads());
         self.parts.clear();
-        match cfg.resolved_backend() {
-            DeliveryBackend::Sequential => self.parts.push(0..senders.len()),
-            DeliveryBackend::Chunked => {
-                let size = exec::chunk_size_for(senders.len(), cfg.effective_threads());
-                for c in 0..senders.len().div_ceil(size).max(1) {
-                    self.parts
-                        .push(c * size..((c + 1) * size).min(senders.len()));
-                }
-            }
-            DeliveryBackend::Sharded { shards } => {
-                let plan = ShardPlan::new(n, shards);
-                let mut lo = 0usize;
-                for s in 0..plan.shards() {
-                    let end = plan.range(s).end;
-                    let hi = lo + senders[lo..].partition_point(|(v, _)| v.index() < end);
-                    self.parts.push(lo..hi);
-                    lo = hi;
-                }
-                debug_assert_eq!(lo, senders.len(), "every sender belongs to a shard");
-            }
-            // `resolved_backend` maps `Auto` to a concrete backend (the
-            // runners resolve it per round before delivery).
-            DeliveryBackend::Auto => unreachable!("Auto resolves to a concrete backend"),
+        for c in 0..senders.div_ceil(size).max(1) {
+            self.parts.push(c * size..((c + 1) * size).min(senders));
         }
     }
 
     /// Stages, charges and scatters one round of messages.
     ///
-    /// Same contract as the boxed `shard::deliver_phase`: `senders` in node
-    /// order, `expand` emitting `(receiver, edge, msg)` per message in the
-    /// sender's emission order; charges `msg.words()` words and the packed
-    /// wire width (`4 × LANES` bytes) per message.
+    /// `senders` lists the round's senders **in node order** with their
+    /// per-sender payloads; `expand` turns one sender's payload into
+    /// `(receiver, edge, msg)` emissions (calling the sink once per message,
+    /// in the sender's emission order). Charges `msg.words()` words and the
+    /// packed wire width (`4 × LANES` bytes) per message to `metrics`.
     pub fn deliver<S, F>(
         &mut self,
         cfg: &ExecutorConfig,
@@ -151,7 +124,7 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
     {
         debug_assert_eq!(self.delivered, 0, "deliver twice without receive");
         let stride = Self::rec_stride();
-        self.partition(cfg, senders);
+        self.partition(cfg, senders.len());
         let n_parts = self.parts.len();
         while self.stages.len() < n_parts {
             self.stages.push(Vec::new());
@@ -228,8 +201,8 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
     }
 
     /// Decodes each non-empty inbox and applies `f(state, inbox)`, chunked
-    /// over nodes like the boxed `shard::receive_phase`. Returns whether any
-    /// node received.
+    /// over nodes like [`exec::map_chunks_mut2`]. Returns whether any node
+    /// received.
     pub fn receive<St, F>(&mut self, cfg: &ExecutorConfig, states: &mut [St], f: F) -> bool
     where
         St: Send,
@@ -341,155 +314,85 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
     }
 }
 
-/// The runner-facing plane switch: boxed per-node mailboxes or the flat
-/// arena plane, selected by [`ExecutorConfig::message_plane`]. Both variants
-/// expose the same deliver/receive cycle and produce byte-identical inbox
-/// sequences and [`Metrics`].
-#[derive(Debug)]
-pub enum RoundPlane<M: WireDecode> {
-    /// Legacy typed mailboxes, delivered through [`crate::shard`].
-    Boxed(Vec<Vec<(NodeId, M)>>),
-    /// The packed arena plane.
-    Flat(FlatPlane<M>),
-}
-
-impl<M: WireDecode + Send + Sync> RoundPlane<M> {
-    /// A plane for an `n`-node graph, picked by `cfg.message_plane`.
-    pub fn new(cfg: &ExecutorConfig, n: usize) -> Self {
-        match cfg.message_plane {
-            MessagePlane::Boxed => RoundPlane::Boxed(vec![Vec::new(); n]),
-            MessagePlane::Flat => RoundPlane::Flat(FlatPlane::new(n)),
-        }
-    }
-
-    /// Delivers one round of messages (see `shard::deliver_phase` /
-    /// [`FlatPlane::deliver`] for the shared contract).
-    pub fn deliver<S, F>(
-        &mut self,
-        cfg: &ExecutorConfig,
-        senders: &[(NodeId, S)],
-        expand: &F,
-        metrics: &mut Metrics,
-    ) where
-        S: Sync,
-        F: Fn(NodeId, &S, &mut dyn FnMut(NodeId, EdgeId, M)) + Sync,
-    {
-        match self {
-            RoundPlane::Boxed(inboxes) => {
-                shard::deliver_phase(cfg, senders, expand, metrics, inboxes);
-            }
-            RoundPlane::Flat(plane) => plane.deliver(cfg, senders, expand, metrics),
-        }
-    }
-
-    /// Applies `f(state, inbox)` to every node with a non-empty inbox.
-    /// Returns whether any node received.
-    pub fn receive<St, F>(&mut self, cfg: &ExecutorConfig, states: &mut [St], f: F) -> bool
-    where
-        St: Send,
-        F: Fn(&mut St, &[(NodeId, M)]) + Sync,
-    {
-        match self {
-            RoundPlane::Boxed(inboxes) => {
-                shard::receive_phase(cfg, states, inboxes, |st, inbox| f(st, &inbox))
-            }
-            RoundPlane::Flat(plane) => plane.receive(cfg, states, f),
-        }
-    }
-
-    /// Sequential receive passing the node index (observer hooks — the
-    /// callback sees inboxes in node order regardless of backend).
-    pub fn receive_each_seq<St, F>(&mut self, states: &mut [St], mut f: F) -> bool
-    where
-        F: FnMut(usize, &mut St, &[(NodeId, M)]),
-    {
-        match self {
-            RoundPlane::Boxed(inboxes) => {
-                let mut any = false;
-                for (i, st) in states.iter_mut().enumerate() {
-                    if !inboxes[i].is_empty() {
-                        any = true;
-                        let inbox = std::mem::take(&mut inboxes[i]);
-                        f(i, st, &inbox);
-                    }
-                }
-                any
-            }
-            RoundPlane::Flat(plane) => plane.receive_each_seq(states, f),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{Wire, WireEncode};
     use congest_graph::{generators, Graph};
 
-    fn configs() -> Vec<ExecutorConfig> {
-        vec![
-            ExecutorConfig::sequential(),
-            ExecutorConfig::with_threads(4),
-            ExecutorConfig::sharded(3),
-            ExecutorConfig::sequential().with_backend(DeliveryBackend::Sharded { shards: 4 }),
-        ]
-    }
+    /// `receiver → [(sender, msg)]`, rounds concatenated.
+    type Transcript = Vec<Vec<(NodeId, u64)>>;
 
-    /// Every third node floods its ID; returns metrics plus the received
-    /// `(receiver → [(sender, msg)])` transcript.
-    fn run_round(
-        g: &Graph,
-        cfg: &ExecutorConfig,
-        rounds: usize,
-    ) -> (Metrics, Vec<Vec<(NodeId, u64)>>) {
-        let senders: Vec<(NodeId, u64)> = g
-            .nodes()
+    /// Every third node floods its ID over each incident edge.
+    fn flood_senders(g: &Graph) -> Vec<(NodeId, u64)> {
+        g.nodes()
             .filter(|v| v.index() % 3 == 0)
             .map(|v| (v, v.index() as u64))
-            .collect();
-        let expand = |v: NodeId, payload: &u64, sink: &mut dyn FnMut(NodeId, EdgeId, u64)| {
+            .collect()
+    }
+
+    fn flood(g: &Graph) -> impl Fn(NodeId, &u64, &mut dyn FnMut(NodeId, EdgeId, u64)) + Sync + '_ {
+        |v, payload, sink| {
             for (e, u) in g.incident(v) {
                 sink(u, e, *payload);
             }
-        };
+        }
+    }
+
+    /// The reference the plane is pinned against: expand sender by sender and
+    /// push each message straight into its receiver's `Vec` inbox.
+    fn reference_rounds(g: &Graph, rounds: usize) -> (Metrics, Transcript) {
+        let senders = flood_senders(g);
+        let expand = flood(g);
+        let bytes = 4 * <u64 as WireEncode>::LANES as u64;
         let mut metrics = Metrics::new(g.m());
-        let mut plane: RoundPlane<u64> = RoundPlane::new(cfg, g.n());
-        let mut transcript: Vec<Vec<(NodeId, u64)>> = vec![Vec::new(); g.n()];
+        let mut inboxes: Transcript = vec![Vec::new(); g.n()];
+        for _ in 0..rounds {
+            for (v, p) in &senders {
+                expand(*v, p, &mut |u, e, m| {
+                    metrics.add_messages_sized(e, m.words() as u64, bytes);
+                    inboxes[u.index()].push((*v, m));
+                });
+            }
+        }
+        (metrics, inboxes)
+    }
+
+    fn flat_rounds(g: &Graph, cfg: &ExecutorConfig, rounds: usize) -> (Metrics, Transcript) {
+        let senders = flood_senders(g);
+        let expand = flood(g);
+        let mut metrics = Metrics::new(g.m());
+        let mut plane: FlatPlane<u64> = FlatPlane::new(g.n());
+        let mut transcript: Transcript = vec![Vec::new(); g.n()];
         for _ in 0..rounds {
             plane.deliver(cfg, &senders, &expand, &mut metrics);
-            let mut sink: Vec<Vec<(NodeId, u64)>> = vec![Vec::new(); g.n()];
-            plane.receive(cfg, &mut sink, |slot, inbox| {
+            plane.receive(cfg, &mut transcript, |slot, inbox| {
                 slot.extend_from_slice(inbox);
             });
-            for (t, s) in transcript.iter_mut().zip(sink) {
-                t.extend(s);
-            }
         }
         (metrics, transcript)
     }
 
     #[test]
-    fn flat_matches_boxed_for_every_backend() {
+    fn flat_matches_the_push_loop_at_every_thread_count() {
         for g in [
             generators::gnp_connected(30, 0.2, 5),
             generators::star(17),
             generators::path(23),
         ] {
-            let (base_m, base_t) = run_round(&g, &ExecutorConfig::sequential(), 2);
-            for cfg in configs() {
-                for plane in [MessagePlane::Boxed, MessagePlane::Flat] {
-                    let cfg = cfg.clone().with_plane(plane);
-                    let (m, t) = run_round(&g, &cfg, 2);
-                    assert_eq!(base_m, m, "metrics under {cfg:?}");
-                    assert_eq!(base_t, t, "inbox order under {cfg:?}");
-                }
+            let (base_m, base_t) = reference_rounds(&g, 2);
+            for threads in [1, 2, 4, 7] {
+                let (m, t) = flat_rounds(&g, &ExecutorConfig::with_threads(threads), 2);
+                assert_eq!(base_m, m, "metrics at {threads} threads");
+                assert_eq!(base_t, t, "inbox order at {threads} threads");
             }
         }
     }
 
     #[test]
     fn empty_round_is_free_and_receive_reports_false() {
-        let cfg = ExecutorConfig::sequential().with_plane(MessagePlane::Flat);
-        let mut plane: RoundPlane<u32> = RoundPlane::new(&cfg, 4);
+        let cfg = ExecutorConfig::default();
+        let mut plane: FlatPlane<u32> = FlatPlane::new(4);
         let expand = |_v: NodeId, _p: &u32, _s: &mut dyn FnMut(NodeId, EdgeId, u32)| {
             panic!("no senders, no expansion")
         };

@@ -19,8 +19,8 @@
 use crate::faults::{FaultEvent, FaultPlan, SurvivorMask};
 use crate::metrics::Metrics;
 use crate::{
-    BcongestAlgorithm, BcongestRun, CongestAlgorithm, CongestRun, DeliveryBackend, EngineError,
-    ExecutorConfig, MessagePlane, RunOptions, WireEncode,
+    BcongestAlgorithm, BcongestRun, CongestAlgorithm, CongestRun, EngineError, ExecutorConfig,
+    RunOptions, WireEncode,
 };
 use congest_graph::dot::{self, DotOptions, EdgeStyle};
 use congest_graph::{EdgeId, Graph, NodeId};
@@ -100,10 +100,6 @@ pub struct TraceLog {
     pub seed: u64,
     /// Executor threads.
     pub threads: usize,
-    /// Delivery backend label — see [`backend_label`].
-    pub backend: String,
-    /// Message plane label — see [`plane_label`].
-    pub plane: String,
     /// `u32` lanes per message of the run's message type.
     pub lanes: usize,
     /// Fault-response label: `"none"`, `"restart"` or `"self-heal"`.
@@ -134,8 +130,6 @@ impl TraceLog {
             m: g.m(),
             seed,
             threads: cfg.threads,
-            backend: backend_label(&cfg.backend),
-            plane: plane_label(&cfg.message_plane).to_string(),
             lanes: 0,
             response: "none".to_string(),
             rounds: Vec::new(),
@@ -145,12 +139,8 @@ impl TraceLog {
     }
 
     /// Reconstructs the executor configuration the trace was recorded under.
-    pub fn exec_config(&self) -> Result<ExecutorConfig, String> {
-        Ok(ExecutorConfig {
-            threads: self.threads,
-            backend: parse_backend(&self.backend)?,
-            message_plane: parse_plane(&self.plane)?,
-        })
+    pub fn exec_config(&self) -> ExecutorConfig {
+        ExecutorConfig::with_threads(self.threads)
     }
 
     /// Serializes to JSONL: a header line, one line per recorded round, and a
@@ -160,15 +150,13 @@ impl TraceLog {
         let mut out = String::new();
         out.push_str(&format!(
             "{{\"workload\":{},\"kind\":{},\"n\":{},\"m\":{},\"seed\":{},\"threads\":{},\
-             \"backend\":{},\"plane\":{},\"lanes\":{},\"response\":{}}}\n",
+             \"lanes\":{},\"response\":{}}}\n",
             json_str(&self.workload),
             json_str(&self.kind),
             self.n,
             self.m,
             self.seed,
             self.threads,
-            json_str(&self.backend),
-            json_str(&self.plane),
             self.lanes,
             json_str(&self.response),
         ));
@@ -205,7 +193,9 @@ impl TraceLog {
         out
     }
 
-    /// Parses a trace serialized by [`TraceLog::to_jsonl`].
+    /// Parses a trace serialized by [`TraceLog::to_jsonl`]. Keys the header
+    /// does not need are ignored, so traces written when the header also
+    /// named a delivery backend and a message plane still load.
     pub fn from_jsonl(s: &str) -> Result<Self, String> {
         let mut lines = s.lines().filter(|l| !l.trim().is_empty());
         let header = parse_object(lines.next().ok_or("empty trace")?)?;
@@ -257,8 +247,6 @@ impl TraceLog {
             m: get_u64(&header, "m")? as usize,
             seed: get_u64(&header, "seed")?,
             threads: get_u64(&header, "threads")? as usize,
-            backend: get_str(&header, "backend")?,
-            plane: get_str(&header, "plane")?,
             lanes,
             response: get_str(&header, "response")?,
             rounds,
@@ -331,8 +319,6 @@ impl TraceLog {
                 t.m,
                 t.seed,
                 t.threads,
-                t.backend.clone(),
-                t.plane.clone(),
                 t.lanes,
                 t.response.clone(),
             )
@@ -366,50 +352,6 @@ impl TraceLog {
             "metrics mismatch: {:?} vs {:?}",
             self.metrics, other.metrics
         ))
-    }
-}
-
-/// Stable string form of a delivery backend (`"sequential"`, `"chunked"`,
-/// `"sharded:N"`, `"auto"`); [`parse_backend`] is the inverse.
-pub fn backend_label(b: &DeliveryBackend) -> String {
-    match b {
-        DeliveryBackend::Sequential => "sequential".to_string(),
-        DeliveryBackend::Chunked => "chunked".to_string(),
-        DeliveryBackend::Sharded { shards } => format!("sharded:{shards}"),
-        DeliveryBackend::Auto => "auto".to_string(),
-    }
-}
-
-/// Parses a [`backend_label`] string.
-pub fn parse_backend(s: &str) -> Result<DeliveryBackend, String> {
-    match s {
-        "sequential" => Ok(DeliveryBackend::Sequential),
-        "chunked" => Ok(DeliveryBackend::Chunked),
-        "auto" => Ok(DeliveryBackend::Auto),
-        _ => match s.strip_prefix("sharded:") {
-            Some(n) => n
-                .parse::<usize>()
-                .map(|shards| DeliveryBackend::Sharded { shards })
-                .map_err(|e| format!("bad shard count in {s:?}: {e}")),
-            None => Err(format!("unknown backend label {s:?}")),
-        },
-    }
-}
-
-/// Stable string form of a message plane; [`parse_plane`] is the inverse.
-pub fn plane_label(p: &MessagePlane) -> &'static str {
-    match p {
-        MessagePlane::Boxed => "boxed",
-        MessagePlane::Flat => "flat",
-    }
-}
-
-/// Parses a [`plane_label`] string.
-pub fn parse_plane(s: &str) -> Result<MessagePlane, String> {
-    match s {
-        "boxed" => Ok(MessagePlane::Boxed),
-        "flat" => Ok(MessagePlane::Flat),
-        _ => Err(format!("unknown plane label {s:?}")),
     }
 }
 
@@ -528,8 +470,6 @@ where
         m: g.m(),
         seed: opts.seed,
         threads: opts.exec.threads,
-        backend: backend_label(&opts.exec.backend),
-        plane: plane_label(&opts.exec.message_plane).to_string(),
         lanes: A::Msg::LANES,
         response: response_label(opts.faults.as_ref()),
         rounds: assemble_rounds(captured, opts.faults.as_ref(), run.metrics.rounds),
@@ -564,8 +504,6 @@ where
         m: g.m(),
         seed: opts.seed,
         threads: opts.exec.threads,
-        backend: backend_label(&opts.exec.backend),
-        plane: plane_label(&opts.exec.message_plane).to_string(),
         lanes: A::Msg::LANES,
         response: response_label(opts.faults.as_ref()),
         rounds: assemble_rounds(captured, opts.faults.as_ref(), run.metrics.rounds),
@@ -887,12 +825,12 @@ mod tests {
         let err = trace.conforms(&mutated).unwrap_err();
         assert!(err.contains("metrics mismatch"), "got {err}");
         let mut relabeled = trace.clone();
-        relabeled.backend = "sharded:9".to_string();
+        relabeled.threads = 9;
         assert!(trace.conforms(&relabeled).unwrap_err().contains("header"));
     }
 
     #[test]
-    fn event_and_config_labels_roundtrip() {
+    fn event_labels_roundtrip() {
         for ev in [
             FaultEvent::EdgeDown(EdgeId::new(3)),
             FaultEvent::EdgeUp(EdgeId::new(0)),
@@ -901,32 +839,18 @@ mod tests {
         ] {
             assert_eq!(parse_event(&event_label(&ev)).unwrap(), ev);
         }
-        for b in [
-            DeliveryBackend::Sequential,
-            DeliveryBackend::Chunked,
-            DeliveryBackend::Sharded { shards: 4 },
-            DeliveryBackend::Auto,
-        ] {
-            assert_eq!(parse_backend(&backend_label(&b)).unwrap(), b);
-        }
-        for p in [MessagePlane::Boxed, MessagePlane::Flat] {
-            assert_eq!(parse_plane(plane_label(&p)).unwrap(), p);
-        }
         assert!(parse_event("frobnicate:1").is_err());
-        assert!(parse_backend("postal").is_err());
     }
 
     #[test]
-    fn exec_config_reconstructs_the_recorded_matrix_cell() {
+    fn exec_config_reconstructs_the_recorded_thread_count() {
         let g = generators::cycle(5);
         let opts = RunOptions {
-            exec: ExecutorConfig::sharded(2).with_plane(MessagePlane::Flat),
+            exec: ExecutorConfig::with_threads(2),
             ..RunOptions::default()
         };
         let (_, trace) = record_bcongest(&MinNeighbor, &g, None, &opts, "test/cell").unwrap();
-        assert_eq!(trace.backend, "sharded:2");
-        assert_eq!(trace.plane, "flat");
-        assert_eq!(trace.exec_config().unwrap(), opts.exec);
+        assert_eq!(trace.exec_config(), opts.exec);
     }
 
     #[test]

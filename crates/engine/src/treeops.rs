@@ -26,8 +26,8 @@
 //!
 //! Upcast and downcast also have a `_with` form taking an
 //! [`ExecutorConfig`], which hands the executor to the router's path
-//! precompute; outcomes and metrics are byte-identical for every backend —
-//! `tests/backend_conformance.rs` pins it. Convergecast and broadcast do no
+//! precompute; outcomes and metrics are byte-identical at every thread count —
+//! `tests/parallel_determinism.rs` pins it. Convergecast and broadcast do no
 //! per-node work worth fanning out and take no executor.
 
 use crate::error::EngineError;
@@ -221,7 +221,7 @@ pub fn upcast<P: Wire>(
 
 /// [`upcast`] with an explicit executor: the per-task path→edge precompute of
 /// the realized schedule runs through `cfg` (see [`router::route_with`]).
-/// Outcomes and metrics are identical for every backend and thread count.
+/// Outcomes and metrics are identical at every thread count.
 ///
 /// # Errors
 ///
@@ -288,7 +288,7 @@ pub fn downcast<P: Wire>(
 }
 
 /// [`downcast`] with an explicit executor (see [`upcast_with`]). Outcomes and
-/// metrics are identical for every backend and thread count.
+/// metrics are identical at every thread count.
 ///
 /// # Errors
 ///

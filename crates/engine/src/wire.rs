@@ -24,9 +24,9 @@ pub trait Wire: Clone + fmt::Debug + PartialEq {
 ///
 /// `LANES` is a per-type constant: every value of the type occupies exactly
 /// `LANES` consecutive `u32` lanes in a round arena. This is what makes the
-/// flat plane a struct-of-arrays with O(1) indexing — variable-width payloads
-/// (`Vec<T>`, padding probes) stay on the boxed plane and implement only
-/// [`Wire`].
+/// flat plane a struct-of-arrays with O(1) indexing. Variable-width payloads
+/// (`Vec<T>`, padding probes) never cross a runner's plane (treeops and the
+/// router move them) and implement only [`Wire`].
 ///
 /// The packed size is an *implementation* byte count; the model-level cost in
 /// CONGEST words is still [`Wire::words`] and the two are accounted

@@ -1,8 +1,8 @@
 //! Allocation regression guard for the flat message plane: once warm, a
 //! steady-state deliver/receive round performs **zero heap allocations** —
 //! every arena, offset table, cursor table and decode scratch buffer is
-//! reused via `clear()`. This is the property that makes `MessagePlane::Flat`
-//! viable at n = 10⁵–10⁶, and it can rot silently (one stray `Vec::new()` in
+//! reused via `clear()`. This is the property that makes the plane viable at
+//! n = 10⁵–10⁶, and it can rot silently (one stray `Vec::new()` in
 //! the round path brings the allocator back); this harness pins it with a
 //! counting `#[global_allocator]` wrapper.
 //!
@@ -18,7 +18,7 @@
 //! run on the test's thread, and the measured phase is sequential, so other
 //! harness threads are quiescent (this binary has exactly one `#[test]`).
 
-use congest_engine::{ExecutorConfig, FlatPlane, MessagePlane, Metrics};
+use congest_engine::{ExecutorConfig, FlatPlane, Metrics};
 use congest_graph::{generators, EdgeId, NodeId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,7 +50,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 #[test]
 fn steady_state_flat_rounds_allocate_nothing() {
     let g = generators::gnp_connected(200, 0.05, 11);
-    let cfg = ExecutorConfig::sequential().with_plane(MessagePlane::Flat);
+    let cfg = ExecutorConfig::default();
     let mut plane: FlatPlane<(u32, u32)> = FlatPlane::new(g.n());
     let mut metrics = Metrics::new(g.m());
     let mut states: Vec<u64> = vec![0; g.n()];

@@ -111,8 +111,6 @@ fn synthetic_log(seed: u64, lanes: usize, nrounds: usize) -> TraceLog {
         m: (next() % 300) as usize,
         seed,
         threads: (next() % 8) as usize,
-        backend: "sharded:3".to_string(),
-        plane: "flat".to_string(),
         lanes,
         response: "self-heal".to_string(),
         rounds,

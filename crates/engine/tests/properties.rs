@@ -1,26 +1,25 @@
 //! Property-based tests for the execution engine: routing always delivers, tree
 //! operations deliver everything exactly once, capacity is respected, the
-//! accounting invariants hold for arbitrary inputs, the sharded delivery
-//! backend is indistinguishable from the sequential one — outputs and
-//! [`Metrics`] — and the packed wire codec of the flat message plane
-//! round-trips every primitive payload.
+//! accounting invariants hold for arbitrary inputs, a run is identical —
+//! outputs and `Metrics` — at every thread count, and the packed wire codec
+//! of the message plane round-trips every primitive payload.
 
 use congest_engine::{
-    downcast, router, run_bcongest, treeops::Forest, upcast, BcongestAlgorithm, DeliveryBackend,
-    ExecutorConfig, LocalView, MessagePlane, RunOptions, ShardPlan, WireDecode,
+    downcast, router, run_bcongest, treeops::Forest, upcast, BcongestAlgorithm, ExecutorConfig,
+    LocalView, RunOptions, WireDecode,
 };
 use congest_graph::{generators, reference, EdgeId, NodeId};
 use proptest::prelude::*;
 
-/// Encode → decode round-trip, plus the flat/boxed accounting agreement: the
-/// packed width is the constant `LANES` while the model-level cost `words()`
-/// is whatever the boxed plane charges — both planes must see the same value.
+/// Encode → decode round-trip, plus the accounting agreement: the packed
+/// width is the constant `LANES` while the model-level cost `words()` must
+/// survive the codec unchanged.
 fn codec_roundtrip<T: WireDecode>(v: T) -> Result<(), TestCaseError> {
     let mut lanes = vec![0u32; T::LANES];
     v.encode(&mut lanes);
     let back = T::decode(&lanes);
     prop_assert_eq!(&back, &v, "decode ∘ encode = id");
-    prop_assert_eq!(back.words(), v.words(), "flat and boxed words() agree");
+    prop_assert_eq!(back.words(), v.words(), "words() survives the codec");
     Ok(())
 }
 
@@ -37,7 +36,7 @@ fn opts(seed: u64, exec: ExecutorConfig) -> RunOptions {
     }
 }
 
-/// Minimal BCONGEST workload for backend-equivalence properties: flood the
+/// Minimal BCONGEST workload for thread-equivalence properties: flood the
 /// minimum ID, re-broadcasting only on improvement.
 struct MinFlood;
 
@@ -163,45 +162,6 @@ proptest! {
     }
 
     #[test]
-    fn shard_plan_partitions_every_node_exactly_once(n in 0usize..300, shards in 0usize..40) {
-        let plan = ShardPlan::new(n, shards);
-        // The ranges cover 0..n exactly once, in order — so merging per-shard
-        // results in shard order is a total, stable order over nodes.
-        let covered: Vec<usize> = plan.ranges().flatten().collect();
-        prop_assert_eq!(covered, (0..n).collect::<Vec<_>>());
-        // `shard_of` agrees with the ranges, and is monotone in the node ID.
-        let mut last = 0usize;
-        for v in 0..n {
-            let s = plan.shard_of(NodeId::new(v));
-            prop_assert!(plan.range(s).contains(&v));
-            prop_assert!(s >= last, "shard_of is monotone over node IDs");
-            last = s;
-        }
-        prop_assert!(plan.shards() >= 1);
-        prop_assert!(plan.shards() <= n.max(1));
-    }
-
-    #[test]
-    fn sharded_delivery_preserves_metrics_exactly(seed in 0u64..80, shards in 1usize..10) {
-        // A random BCONGEST workload (min-flood over G(n,p)) under the sharded
-        // backend must reproduce the sequential run bit for bit: outputs,
-        // rounds, messages, broadcasts, and the per-edge congestion vector.
-        let g = generators::gnp_connected(24 + (seed as usize % 17), 0.15, seed);
-        let base = run_bcongest(&MinFlood, &g, None, &opts(seed, ExecutorConfig::sequential()))
-            .expect("sequential run");
-        let cfgs = [
-            ExecutorConfig::sharded(shards),
-            ExecutorConfig::sequential().with_backend(DeliveryBackend::Sharded { shards }),
-        ];
-        for cfg in cfgs {
-            let run = run_bcongest(&MinFlood, &g, None, &opts(seed, cfg.clone()))
-                .expect("sharded run");
-            prop_assert_eq!(&base.outputs, &run.outputs, "outputs under {:?}", &cfg);
-            prop_assert_eq!(&base.metrics, &run.metrics, "metrics under {:?}", &cfg);
-        }
-    }
-
-    #[test]
     fn primitive_codecs_roundtrip(a in 0u32..=u32::MAX, b in 0u64..=u64::MAX,
                                   d in 0usize..=usize::MAX, p0 in 0u32..=u32::MAX,
                                   p1 in 0u32..=u32::MAX, q0 in 0u64..=u64::MAX,
@@ -219,25 +179,17 @@ proptest! {
     }
 
     #[test]
-    fn flat_plane_reproduces_boxed_runs_exactly(seed in 0u64..60, shards in 1usize..8) {
-        // The flat packed-arena plane must be indistinguishable from the boxed
-        // mailboxes for a full run under every backend: outputs, rounds,
-        // messages, broadcasts, payload bytes, per-edge congestion.
-        let g = generators::gnp_connected(20 + (seed as usize % 13), 0.2, seed);
-        let base = run_bcongest(&MinFlood, &g, None, &opts(seed, ExecutorConfig::sequential()))
-            .expect("boxed sequential run");
-        let cfgs = [
-            ExecutorConfig::sequential(),
-            ExecutorConfig::with_threads(4),
-            ExecutorConfig::sharded(shards),
-        ];
-        for cfg in cfgs {
-            let flat = cfg.with_plane(MessagePlane::Flat);
-            let run = run_bcongest(&MinFlood, &g, None, &opts(seed, flat.clone()))
-                .expect("flat run");
-            prop_assert_eq!(&base.outputs, &run.outputs, "outputs under {:?}", &flat);
-            prop_assert_eq!(&base.metrics, &run.metrics, "metrics under {:?}", &flat);
-        }
+    fn runs_are_identical_at_every_thread_count(seed in 0u64..60, threads in 2usize..9) {
+        // A random BCONGEST workload (min-flood over G(n,p)) must reproduce
+        // the one-thread run bit for bit: outputs, rounds, messages,
+        // broadcasts, payload bytes, and the per-edge congestion vector.
+        let g = generators::gnp_connected(20 + (seed as usize % 17), 0.2, seed);
+        let base = run_bcongest(&MinFlood, &g, None, &opts(seed, ExecutorConfig::default()))
+            .expect("one-thread run");
+        let run = run_bcongest(&MinFlood, &g, None, &opts(seed, ExecutorConfig::with_threads(threads)))
+            .expect("multi-thread run");
+        prop_assert_eq!(&base.outputs, &run.outputs, "outputs at {} threads", threads);
+        prop_assert_eq!(&base.metrics, &run.metrics, "metrics at {} threads", threads);
     }
 
     #[test]

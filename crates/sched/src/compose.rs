@@ -380,26 +380,26 @@ mod tests {
     }
 
     #[test]
-    fn recorded_traces_identical_under_sharded_delivery() {
+    fn recorded_traces_identical_at_every_thread_count() {
         // Trace recording observes inboxes; the Theorem 1.3 accounting built
-        // on those traces must therefore be invariant under the delivery
-        // backend, exactly like run outputs and metrics.
+        // on those traces must therefore be invariant under the thread
+        // count, exactly like run outputs and metrics.
         let g = generators::gnp_connected(22, 0.18, 7);
         let algo = Bfs::new(NodeId::new(0));
         let (base_run, base_trace) = record_bcongest_trace(&algo, &g, None, &RunOptions::default())
-            .expect("sequential trace");
-        for shards in [1usize, 2, 4, 8] {
+            .expect("one-thread trace");
+        for threads in [2usize, 4, 8] {
             let opts = RunOptions {
-                exec: congest_engine::ExecutorConfig::sharded(shards),
+                exec: congest_engine::ExecutorConfig::with_threads(threads),
                 ..Default::default()
             };
             let (run, trace) =
-                record_bcongest_trace(&algo, &g, None, &opts).expect("sharded trace");
-            assert_eq!(base_run.outputs, run.outputs, "outputs @ {shards} shards");
-            assert_eq!(base_run.metrics, run.metrics, "metrics @ {shards} shards");
+                record_bcongest_trace(&algo, &g, None, &opts).expect("multi-thread trace");
+            assert_eq!(base_run.outputs, run.outputs, "outputs @ {threads} threads");
+            assert_eq!(base_run.metrics, run.metrics, "metrics @ {threads} threads");
             assert_eq!(
                 base_trace.rounds, trace.rounds,
-                "trace rounds @ {shards} shards"
+                "trace rounds @ {threads} threads"
             );
         }
     }

@@ -88,7 +88,7 @@ impl<T: fmt::Debug> Workload for FnWorkload<T> {
 
     fn oracle(&self) -> Result<(), String> {
         let input = (self.build)();
-        let (value, _metrics) = (self.exec)(&input, &ExecutorConfig::sequential())
+        let (value, _metrics) = (self.exec)(&input, &ExecutorConfig::default())
             .map_err(|e| format!("{}: sequential run failed: {e}", self.name()))?;
         (self.oracle)(&input, &value).map_err(|e| format!("{}: {e}", self.name()))
     }

@@ -589,8 +589,8 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
     // the engine runner and validates against a *surviving-graph* oracle:
     // masked BFS, per-component minima, or the masked gossip fold. Because the
     // plan closure also feeds the trace recorder, these scenarios are fully
-    // replayable (`tests/fault_conformance.rs` pins them across the whole
-    // backend × plane matrix).
+    // replayable (`tests/fault_conformance.rs` pins them across the thread
+    // matrix).
 
     // BFS under 3 crashes at round 1 (source protected), Restart semantics:
     // live nodes must report masked-BFS distances on the surviving graph.

@@ -5,11 +5,10 @@
 //! executor-parameterized runner, a differential oracle, and a declared cost
 //! envelope. Registering a workload here automatically buys it:
 //!
-//! * the **backend-conformance matrix** (`tests/backend_conformance.rs` runs
-//!   every registry entry under every [`DeliveryBackend`] and asserts
-//!   byte-identical [`RunOutcome`]s);
-//! * the **thread-determinism pins** (`tests/parallel_determinism.rs`, same
-//!   contract across worker counts);
+//! * the **thread-determinism pins** (`tests/parallel_determinism.rs` runs
+//!   every registry entry at 1/2/4/8 worker threads and asserts
+//!   byte-identical [`RunOutcome`]s, and pins the one-thread outcome to
+//!   `tests/golden/registry_outcomes.txt`);
 //! * the **oracle/invariant suite** (`tests/workload_registry.rs` checks
 //!   unique names, deterministic builds, oracle validity, and envelope
 //!   compliance);
@@ -28,14 +27,12 @@
 //! use congest_engine::ExecutorConfig;
 //!
 //! let w = find("gossip/path").expect("registered workload");
-//! let seq = w.run(&ExecutorConfig::sequential()).unwrap();
-//! let sharded = w.run(&ExecutorConfig::sharded(4)).unwrap();
-//! assert_eq!(seq, sharded);            // the conformance contract
+//! let one = w.run(&ExecutorConfig::default()).unwrap();
+//! let four = w.run(&ExecutorConfig::with_threads(4)).unwrap();
+//! assert_eq!(one, four);               // the determinism contract
 //! w.oracle().unwrap();                 // the differential check
 //! assert!(registry().len() >= 10);
 //! ```
-//!
-//! [`DeliveryBackend`]: congest_engine::DeliveryBackend
 
 mod adapter;
 mod catalogue;
@@ -116,7 +113,7 @@ pub struct MetricsEnvelope {
     /// The **memory envelope**: a hard upper bound on the *average* wire size
     /// of a delivered message, in bytes — the check is
     /// `payload_bytes ≤ max_message_bytes × messages` against the exact
-    /// [`Metrics::payload_bytes`] both message planes charge identically.
+    /// [`Metrics::payload_bytes`].
     /// Engine-runner entries get this auto-filled with the packed codec width
     /// (`4 × LANES`); composite entries declare a bound on their mix.
     pub max_message_bytes: Option<u64>,
@@ -298,7 +295,7 @@ pub fn find(name: &str) -> Option<Box<dyn Workload>> {
 pub fn replay(trace: &TraceLog) -> Result<(), String> {
     let w = find(&trace.workload)
         .ok_or_else(|| format!("no registry entry named {:?}", trace.workload))?;
-    let cfg = trace.exec_config()?;
+    let cfg = trace.exec_config();
     let (_, fresh) = w
         .run_traced(&cfg)
         .map_err(|e| format!("{}: replay run failed: {e}", trace.workload))?;

@@ -1,8 +1,8 @@
 //! Serving tour: from a CONGEST build to a query-serving distance oracle.
 //!
-//! Builds Theorem 1.1 weighted APSP once (under an executor assembled with
-//! the fluent `ExecutorConfig::builder()`), wraps the result in a
-//! `congest_serve::DistanceOracle`, exercises all three query paths — point
+//! Builds Theorem 1.1 weighted APSP once (on every hardware thread), wraps
+//! the result in a `congest_serve::DistanceOracle`, exercises all three query
+//! paths — point
 //! lookup, batched lookup, k-nearest-by-distance — and then drives the
 //! oracle with the deterministic closed-loop load generator: a request-rate
 //! ramp over four scenario mixes, every served answer differential-checked
@@ -15,16 +15,13 @@ use congest_apsp::apsp_core::weighted_apsp::{weighted_apsp, WeightedApspConfig};
 use congest_apsp::graph::{generators, NodeId, WeightedGraph};
 use congest_apsp::serve::loadgen::{run_scenario, ExactReference, QueryMix, RampConfig, Scenario};
 use congest_apsp::serve::DistanceOracle;
-use congest_apsp::{ExecutorConfig, MessagePlane};
+use congest_apsp::ExecutorConfig;
 
 fn main() {
-    // 1. Build the source once, under a builder-assembled executor.
+    // 1. Build the source once, one worker per hardware thread.
     let g = generators::gnp_connected(64, 0.12, 11);
     let wg = WeightedGraph::random_weights(&g, 1..=9, 11);
-    let exec = ExecutorConfig::builder()
-        .threads(0)
-        .plane(MessagePlane::Flat)
-        .build();
+    let exec = ExecutorConfig::with_threads(0);
     let run = weighted_apsp(
         &wg,
         &WeightedApspConfig {

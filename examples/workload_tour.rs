@@ -27,7 +27,7 @@ fn main() {
     for w in &reg {
         let input = w.build();
         let run = w
-            .run(&ExecutorConfig::sequential())
+            .run(&ExecutorConfig::default())
             .unwrap_or_else(|e| panic!("{}: run failed: {e}", w.name()));
         let envelope = w.envelope();
         let env_str = envelope

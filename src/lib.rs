@@ -42,6 +42,6 @@ pub use congest_sched as sched;
 pub use congest_serve as serve;
 pub use congest_workloads as workloads;
 
-// The executor surface, importable without spelling out the engine path:
-// `congest_apsp::ExecutorConfig::builder().threads(8).backend(..).plane(..)`.
-pub use congest_engine::{DeliveryBackend, ExecutorConfig, ExecutorConfigBuilder, MessagePlane};
+// The executor setting, importable without spelling out the engine path:
+// `congest_apsp::ExecutorConfig::with_threads(8)`.
+pub use congest_engine::ExecutorConfig;

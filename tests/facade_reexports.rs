@@ -70,7 +70,7 @@ fn all_documented_reexport_paths_resolve() {
     // workloads (congest_workloads)
     let w = congest_apsp::workloads::find("gossip/path").expect("registered workload");
     let outcome = w
-        .run(&congest_apsp::engine::ExecutorConfig::sequential())
+        .run(&congest_apsp::engine::ExecutorConfig::default())
         .expect("gossip run");
     assert!(outcome.metrics.messages > 0);
     assert!(congest_apsp::workloads::registry().len() >= 10);
@@ -98,21 +98,12 @@ fn all_documented_reexport_paths_resolve() {
     assert_eq!(oracle.metrics().misses, 1);
 }
 
-/// The executor surface is importable from the facade root — the documented
-/// `congest_apsp::ExecutorConfig::builder()` path — and the builder agrees
-/// with the shorthand constructors it wraps.
+/// The executor setting is importable from the facade root, and it is the
+/// engine's own type: one field, `Default` and `with_threads`.
 #[test]
 fn executor_surface_resolves_at_the_facade_root() {
-    use congest_apsp::{DeliveryBackend, ExecutorConfig, MessagePlane};
-
-    let built: ExecutorConfig = ExecutorConfig::builder()
-        .threads(4)
-        .backend(DeliveryBackend::Sharded { shards: 4 })
-        .plane(MessagePlane::Flat)
-        .build();
-    assert_eq!(
-        built,
-        ExecutorConfig::sharded(4).with_plane(MessagePlane::Flat)
-    );
-    let _: congest_apsp::ExecutorConfigBuilder = ExecutorConfig::builder();
+    let cfg: congest_apsp::engine::ExecutorConfig = congest_apsp::ExecutorConfig::with_threads(4);
+    let congest_apsp::ExecutorConfig { threads } = cfg;
+    assert_eq!(threads, 4);
+    assert_eq!(congest_apsp::ExecutorConfig::default().threads, 1);
 }

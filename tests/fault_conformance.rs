@@ -1,13 +1,12 @@
 //! The fault-injection conformance contract, enforced over every `faulty-*`
 //! registry scenario: deterministic seeded fault plans (edge churn, crashes,
 //! crash/recovery) must produce **byte-identical**
-//! [`RunOutcome`](congest_apsp::workloads::RunOutcome)s across the entire
-//! delivery-backend × message-plane matrix — Sequential, Chunked at 1/2/4/8
-//! threads, Sharded at 1/2/4/8 shards, on both the boxed and the flat
-//! zero-copy plane. Fault injection is part of the execution semantics, not a
-//! perturbation: which messages drop, which nodes freeze, and when restarts
-//! fire is a pure function of `(plan, seed, round)`, so no matrix cell may
-//! disagree on a single byte of output or a single metrics counter.
+//! [`RunOutcome`](congest_apsp::workloads::RunOutcome)s across the thread
+//! matrix — 2, 4 and 8 workers against the one-thread run. Fault injection is
+//! part of the execution semantics, not a perturbation: which messages drop,
+//! which nodes freeze, and when restarts fire is a pure function of
+//! `(plan, seed, round)`, so no thread count may disagree on a single byte of
+//! output or a single metrics counter.
 //!
 //! On top of raw conformance, the suite pins the **replayable-trace closure
 //! property**: recording a run yields a [`TraceLog`] that (a) survives the
@@ -20,7 +19,7 @@
 //! [`replay`]: congest_apsp::workloads::replay
 
 use congest_apsp::engine::ExecutorConfig;
-use congest_apsp::workloads::{configs::plane_matrix, find, registry, replay, TraceLog, Workload};
+use congest_apsp::workloads::{configs::thread_matrix, find, registry, replay, TraceLog, Workload};
 
 /// All `faulty-*` scenario entries (crash, churn, and heal axes).
 fn faulty_entries() -> Vec<Box<dyn Workload>> {
@@ -32,7 +31,7 @@ fn faulty_entries() -> Vec<Box<dyn Workload>> {
 
 #[test]
 fn faulty_entries_identical_across_the_full_matrix() {
-    let configs = plane_matrix();
+    let configs = thread_matrix();
     let list = faulty_entries();
     assert!(
         list.len() >= 6,
@@ -42,8 +41,8 @@ fn faulty_entries_identical_across_the_full_matrix() {
     for w in list {
         let input = w.build();
         let base = w
-            .run_built(&input, &ExecutorConfig::sequential())
-            .unwrap_or_else(|e| panic!("{}: sequential run failed: {e}", w.name()));
+            .run_built(&input, &ExecutorConfig::default())
+            .unwrap_or_else(|e| panic!("{}: one-thread run failed: {e}", w.name()));
         for (label, cfg) in &configs {
             let run = w
                 .run_built(&input, cfg)
@@ -66,7 +65,7 @@ fn engine_faulted_scenarios_actually_drop_messages() {
         "faulty-gossip/gnp-churn",
     ] {
         let w = find(name).expect("registered faulty scenario");
-        let run = w.run(&ExecutorConfig::sequential()).expect("faulted run");
+        let run = w.run(&ExecutorConfig::default()).expect("faulted run");
         assert!(
             run.metrics.dropped_messages > 0,
             "{name}: plan dropped no messages"
@@ -76,13 +75,14 @@ fn engine_faulted_scenarios_actually_drop_messages() {
 
 #[test]
 fn replay_reproduces_every_cell_of_the_matrix() {
-    // Record → encode → decode → replay, for every faulty scenario under
-    // every (backend, plane) cell. `replay` re-executes from scratch and
-    // demands the fresh trace equal the recorded one — outputs, per-round
-    // deliveries and fault events, and the exact metrics including the
-    // per-edge congestion vector.
+    // Record → encode → decode → replay, for every faulty scenario at one
+    // thread and at every thread-matrix cell. `replay` re-executes from
+    // scratch and demands the fresh trace equal the recorded one — outputs,
+    // per-round deliveries and fault events, and the exact metrics including
+    // the per-edge congestion vector.
     for w in faulty_entries() {
-        for (label, cfg) in &plane_matrix() {
+        let one = ("1-thread".to_string(), ExecutorConfig::default());
+        for (label, cfg) in std::iter::once(&one).chain(&thread_matrix()) {
             let (outcome, trace) = w
                 .run_traced(cfg)
                 .unwrap_or_else(|e| panic!("{} @ {label}: traced run failed: {e}", w.name()));
@@ -107,6 +107,25 @@ fn replay_reproduces_every_cell_of_the_matrix() {
     }
 }
 
+/// Traces written before the header lost its `backend` and `plane` keys must
+/// keep loading and replaying: the parser ignores keys it does not need.
+#[test]
+fn headers_with_retired_keys_still_decode_and_replay() {
+    let w = find("faulty-gossip/gnp-churn").expect("registered workload");
+    let (_, trace) = w
+        .run_traced(&ExecutorConfig::with_threads(2))
+        .expect("traced run");
+    let old = trace.to_jsonl().replacen(
+        "\"threads\":2,",
+        "\"threads\":2,\"backend\":\"sharded:2\",\"plane\":\"flat\",",
+        1,
+    );
+    assert!(old.contains("sharded:2"), "header rewritten");
+    let decoded = TraceLog::from_jsonl(&old).expect("old header decodes");
+    assert_eq!(decoded, trace);
+    replay(&decoded).expect("old header replays");
+}
+
 #[test]
 fn traced_runs_match_untraced_runs() {
     // Observation must be free: the trace recorder's outcome is the same
@@ -118,7 +137,7 @@ fn traced_runs_match_untraced_runs() {
         "gossip/hub-spoke",
     ] {
         let w = find(name).expect("registered workload");
-        for cfg in [ExecutorConfig::sequential(), ExecutorConfig::sharded(4)] {
+        for cfg in [ExecutorConfig::default(), ExecutorConfig::with_threads(4)] {
             let plain = w.run(&cfg).expect("plain run");
             let (traced, _) = w.run_traced(&cfg).expect("traced run");
             assert_eq!(plain, traced, "{name}: tracing changed the outcome");
@@ -136,7 +155,7 @@ fn skewed_axes_are_registered_and_composite_traces_replay() {
     // outcome-level traces — here the workload-level crash-restart MST.
     let w = find("faulty-mst/gnp-crash").expect("registered workload");
     let (_, trace) = w
-        .run_traced(&ExecutorConfig::sharded(2))
+        .run_traced(&ExecutorConfig::with_threads(2))
         .expect("traced run");
     assert_eq!(trace.kind, "composite");
     replay(&trace).expect("composite replay");
@@ -146,7 +165,7 @@ fn skewed_axes_are_registered_and_composite_traces_replay() {
 fn recorded_traces_render_the_faulted_topology_as_dot() {
     let w = find("faulty-gossip/gnp-crash").expect("registered workload");
     let (_, trace) = w
-        .run_traced(&ExecutorConfig::sequential())
+        .run_traced(&ExecutorConfig::default())
         .expect("traced run");
     let dot = trace.to_dot(&w.build().graph);
     assert!(dot.contains("subgraph cluster_1"), "crashed nodes grouped");

@@ -1,66 +1,56 @@
 //! The parallel executor's contract, enforced over the **entire workload
 //! registry**: every `congest_workloads` entry run at 2, 4 and 8 executor
 //! threads produces a [`RunOutcome`](congest_apsp::workloads::RunOutcome)
-//! **identical** to the sequential run (`threads = 1`). Equality is structural
-//! — the canonical output rendering plus rounds, messages, broadcasts, and the
-//! full per-edge congestion vector — so any scheduling-order leak in the chunk
+//! **identical** to the one-thread run. Equality is structural — the
+//! canonical output rendering plus rounds, messages, broadcasts, and the full
+//! per-edge congestion vector — so any scheduling-order leak in the chunk
 //! merge shows up as a hard failure, not a statistical blip.
 //!
-//! The workload list and the configuration matrices live in
-//! `congest_workloads` (shared with `tests/backend_conformance.rs`, which runs
-//! the same entries across the full delivery-backend matrix), so the two
-//! suites cannot drift apart.
+//! The one-thread run is itself pinned to `tests/golden/registry_outcomes.txt`,
+//! generated from the per-node-`Vec`-inbox sequential delivery loop the flat
+//! plane replaced, so the reference that loop provided outlives it as data.
+//!
+//! The workload list and the thread matrix live in `congest_workloads` (shared
+//! with the fault and serve suites), so the suites cannot drift apart.
 
 use congest_apsp::algos::bfs::Bfs;
 use congest_apsp::engine::{run_bcongest, ExecutorConfig, RunOptions};
 use congest_apsp::graph::{generators, NodeId};
-use congest_apsp::workloads::{configs::thread_matrix, registry};
+use congest_apsp::workloads::{configs::thread_matrix, find, registry};
 
-/// The [`DeliveryBackend::Auto`](congest_apsp::engine::DeliveryBackend::Auto)
-/// decision log is a pure function of per-round message volume — never of the
-/// thread count — so the sequence recorded in
-/// [`Metrics::backend_decisions`](congest_apsp::engine::Metrics::backend_decisions)
-/// must be byte-identical across repeats **and** across every executor thread
-/// count, on every registry entry.
+/// 64-bit FNV-1a (hand-rolled: `DefaultHasher`'s output is not stable across
+/// Rust releases, and the golden file must be).
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every registry entry at `threads = 1` against the golden file: one
+/// `name fnv1a64-hex` line per entry, hashed over the canonical output
+/// followed by the `Debug` rendering of the metrics. A failure prints the
+/// computed line; if the change in outcome is intended, paste it over the
+/// stale one.
 #[test]
-fn auto_decision_log_identical_across_repeats_and_threads() {
-    // Workloads that execute through the round-loop runners log decisions;
-    // treeops-based entries (the MST family) use the volume-blind fallback
-    // and log nothing — the registry must contain plenty of the former.
-    let mut logged = 0usize;
-    for w in registry() {
-        let input = w.build();
-        let run_at = |threads: usize| {
-            w.run_built(&input, &ExecutorConfig::auto(threads))
-                .unwrap_or_else(|e| panic!("{}: auto @ {threads} threads failed: {e}", w.name()))
-                .metrics
-        };
-        let base = run_at(1);
-        let log = base.backend_decisions();
-        if !log.is_empty() {
-            logged += 1;
-        }
-        let repeat = run_at(1);
+fn one_thread_outcomes_match_the_golden_reference() {
+    let golden: Vec<&str> = include_str!("golden/registry_outcomes.txt")
+        .lines()
+        .collect();
+    let entries = registry();
+    for (i, w) in entries.iter().enumerate() {
+        let run = w
+            .run(&ExecutorConfig::default())
+            .unwrap_or_else(|e| panic!("{}: one-thread run failed: {e}", w.name()));
+        let text = format!("{}{:?}", run.output, run.metrics);
+        let line = format!("{} {:016x}", w.name(), fnv1a64(text.as_bytes()));
         assert_eq!(
-            log,
-            repeat.backend_decisions(),
-            "{}: decision log differs across repeats",
-            w.name()
+            golden.get(i).copied(),
+            Some(line.as_str()),
+            "tests/golden/registry_outcomes.txt line {}; computed: {line}",
+            i + 1
         );
-        for threads in [2usize, 4, 8] {
-            let alt = run_at(threads);
-            assert_eq!(
-                log,
-                alt.backend_decisions(),
-                "{}: decision log differs at {threads} threads",
-                w.name()
-            );
-        }
     }
-    assert!(
-        logged > 0,
-        "no registry entry logged auto decisions — runner wiring broken"
-    );
+    assert_eq!(golden.len(), entries.len(), "golden file has extra lines");
 }
 
 #[test]
@@ -70,14 +60,29 @@ fn registry_identical_across_thread_counts() {
         // Build once per workload; every configuration runs the same input.
         let input = w.build();
         let base = w
-            .run_built(&input, &ExecutorConfig::sequential())
-            .unwrap_or_else(|e| panic!("{}: sequential run failed: {e}", w.name()));
+            .run_built(&input, &ExecutorConfig::default())
+            .unwrap_or_else(|e| panic!("{}: one-thread run failed: {e}", w.name()));
         for (label, cfg) in &configs {
             let run = w
                 .run_built(&input, cfg)
                 .unwrap_or_else(|e| panic!("{}: run under {label} failed: {e}", w.name()));
             assert_eq!(base, run, "{} @ {label}", w.name());
         }
+    }
+}
+
+/// The fast tripwire CI's clippy job runs by name: one BCONGEST and one MST
+/// workload, 1 vs 2 threads. Red here means chunked delivery regressed — no
+/// need to wait for the full matrix.
+#[test]
+fn two_thread_smoke() {
+    for name in ["bfs/gnp", "mst/gnp"] {
+        let w = find(name).expect("registered workload");
+        let base = w.run(&ExecutorConfig::default()).expect("one-thread run");
+        let run = w
+            .run(&ExecutorConfig::with_threads(2))
+            .expect("two-thread run");
+        assert_eq!(base, run, "{name}: 1 vs 2 threads");
     }
 }
 
@@ -93,16 +98,16 @@ fn zero_threads_resolves_to_hardware_and_stays_deterministic() {
         &Bfs::new(NodeId::new(3)),
         &g,
         None,
-        &opts(ExecutorConfig::sequential()),
+        &opts(ExecutorConfig::default()),
     )
-    .expect("sequential run");
-    let auto = run_bcongest(
+    .expect("one-thread run");
+    let hw = run_bcongest(
         &Bfs::new(NodeId::new(3)),
         &g,
         None,
         &opts(ExecutorConfig::with_threads(0)),
     )
     .expect("hardware-thread run");
-    assert_eq!(base.outputs, auto.outputs);
-    assert_eq!(base.metrics, auto.metrics);
+    assert_eq!(base.outputs, hw.outputs);
+    assert_eq!(base.metrics, hw.metrics);
 }

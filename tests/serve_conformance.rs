@@ -8,8 +8,8 @@
 //!    identical streams — the cache moves wall-clock and counters, never
 //!    bytes;
 //! 3. the `serve::*` registry entries (answers **plus** the oracle's
-//!    deterministic hit/miss accounting) are identical across the full
-//!    delivery-backend matrix, sequential baseline first;
+//!    deterministic hit/miss accounting) are identical across the thread
+//!    matrix, one-thread baseline first;
 //! 4. (proptest) k-nearest answers are exactly the reference's
 //!    `(distance, node id)` total order, including tie-heavy weights.
 
@@ -17,7 +17,7 @@ use congest_apsp::apsp_core::weighted_apsp::{weighted_apsp, WeightedApspConfig};
 use congest_apsp::graph::{generators, reference, NodeId, WeightedGraph};
 use congest_apsp::serve::loadgen::{AnswerCheck, ExactReference};
 use congest_apsp::serve::{Distance, DistanceOracle};
-use congest_apsp::workloads::{configs::backend_matrix, find};
+use congest_apsp::workloads::{configs::thread_matrix, find};
 use congest_apsp::ExecutorConfig;
 use proptest::prelude::*;
 
@@ -86,16 +86,16 @@ fn cached_and_uncached_oracles_serve_identical_streams() {
 
 /// The named CI tripwire (`serve-conformance` step): the three `serve::*`
 /// registry entries — served answers plus deterministic cache accounting —
-/// are byte-identical across the whole delivery-backend matrix.
+/// are byte-identical across the thread matrix.
 #[test]
-fn serve_registry_entries_identical_across_backend_matrix() {
-    let configs = backend_matrix();
+fn serve_registry_entries_identical_across_thread_matrix() {
+    let configs = thread_matrix();
     for name in ["serve-apsp/gnp", "serve-landmarks/gnp", "serve-knn/gnp"] {
         let w = find(name).expect("registered serve workload");
         let input = w.build();
         let base = w
-            .run_built(&input, &ExecutorConfig::sequential())
-            .unwrap_or_else(|e| panic!("{name}: sequential run failed: {e}"));
+            .run_built(&input, &ExecutorConfig::default())
+            .unwrap_or_else(|e| panic!("{name}: one-thread run failed: {e}"));
         for (label, cfg) in &configs {
             let run = w
                 .run_built(&input, cfg)

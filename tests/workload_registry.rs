@@ -123,8 +123,8 @@ fn every_entry_passes_its_oracle() {
 fn metrics_stay_inside_declared_envelopes() {
     for w in registry() {
         let run = w
-            .run(&ExecutorConfig::sequential())
-            .unwrap_or_else(|e| panic!("{}: sequential run failed: {e}", w.name()));
+            .run(&ExecutorConfig::default())
+            .unwrap_or_else(|e| panic!("{}: run failed: {e}", w.name()));
         w.envelope()
             .check(&run.metrics)
             .unwrap_or_else(|e| panic!("{}: {e}", w.name()));
@@ -144,8 +144,8 @@ fn every_entry_declares_and_meets_its_memory_envelope() {
             w.name()
         );
         let run = w
-            .run(&ExecutorConfig::sequential())
-            .unwrap_or_else(|e| panic!("{}: sequential run failed: {e}", w.name()));
+            .run(&ExecutorConfig::default())
+            .unwrap_or_else(|e| panic!("{}: run failed: {e}", w.name()));
         assert!(
             run.metrics.payload_bytes <= bytes * run.metrics.messages,
             "{}: {} payload bytes over {} messages break the {bytes}-byte/message envelope",
@@ -171,6 +171,6 @@ fn runs_are_repeatable() {
     // Same entry, same config, two executions: byte-identical outcome (the
     // benchmark relies on this to time repetitions).
     let w = find("mst/gnp").expect("registered workload");
-    let cfg = ExecutorConfig::sequential();
+    let cfg = ExecutorConfig::default();
     assert_eq!(w.run(&cfg).unwrap(), w.run(&cfg).unwrap());
 }
