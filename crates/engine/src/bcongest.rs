@@ -14,6 +14,7 @@
 //! outputs — which is exactly the correctness statement of Lemmas 2.5/3.14/3.20, and is
 //! asserted wholesale by the integration tests.
 
+use crate::agenda::Agenda;
 use crate::error::EngineError;
 use crate::exec::{self, ExecutorConfig};
 use crate::faults::{FaultEvent, FaultPlan, FaultResponse, FaultState};
@@ -35,9 +36,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// * [`receive`](Self::receive) is invoked only on rounds where the node receives at
 ///   least one message — state machines must not rely on empty-inbox ticks (use the
 ///   `round` argument instead);
-/// * [`next_activity`](Self::next_activity) lets the runner skip provably-idle rounds
-///   (they are still counted); return the earliest future round at which the node might
-///   broadcast *absent further input*.
+/// * [`next_activity`](Self::next_activity) is what the runner schedules by: a node is
+///   polled for a broadcast only in rounds its last answer named, so the answer must never
+///   be later than the first round [`broadcast`](Self::broadcast) would fire *absent
+///   further input* (rounds nobody is scheduled for are skipped, but still counted).
 pub trait BcongestAlgorithm {
     /// Per-node state.
     type State: Clone + std::fmt::Debug;
@@ -73,7 +75,18 @@ pub trait BcongestAlgorithm {
     /// Earliest round `>= after` at which this node might broadcast, assuming it
     /// receives nothing further. `None` if it will stay silent forever absent input.
     ///
-    /// The default is conservative: active every round until done.
+    /// The runner is event-driven and relies on this per node: it asks once after
+    /// every round in which the node was polled or received (and after a fault
+    /// round), and then evaluates [`broadcast`](Self::broadcast) on the node only
+    /// from the named round on — never before, and never at all after `None` —
+    /// until the node receives again. So the answer must be **no later** than the
+    /// first round `broadcast` would return `Some` with no further input. Answering
+    /// earlier (even a round `< after`) is always legal and only costs a poll.
+    /// Debug builds check the rule every round and panic with "`{name}: node {i}
+    /// would broadcast in round {r} but was not scheduled`" on a late answer;
+    /// release builds would silently drop that send.
+    ///
+    /// The default is conservative: polled every round until done.
     fn next_activity(&self, state: &Self::State, after: usize) -> Option<usize> {
         if self.is_done(state) {
             None
@@ -193,9 +206,12 @@ where
     run_bcongest_inner(algo, g, weights, opts, Some(&mut observe))
 }
 
-/// The round loop behind both entry points. Every phase shards nodes into
-/// contiguous chunks via [`exec`] and merges per-chunk results in fixed node
-/// order, so outputs and metrics are byte-identical at every thread count.
+/// The round loop behind both entry points. It is event-driven: the agenda
+/// (`agenda.rs`) names the nodes to poll each round and the plane the nodes
+/// that received, so a round costs what it sends, not `Θ(n)`. Every phase
+/// shards its ascending node list into contiguous chunks via [`exec`] and
+/// merges per-chunk results in fixed node order, so outputs and metrics are
+/// byte-identical at every thread count.
 #[allow(clippy::type_complexity)]
 fn run_bcongest_inner<A>(
     algo: &A,
@@ -240,6 +256,8 @@ where
     });
 
     let mut plane: FlatPlane<A::Msg> = FlatPlane::new(n);
+    let mut agenda = Agenda::new(n);
+    let mut broadcasters: Vec<(NodeId, A::Msg)> = Vec::new();
     let mut round: usize = 0;
     let mut rounds_used: u64 = 0;
 
@@ -253,10 +271,12 @@ where
 
         // 0. Apply fault events due this round, then the response policy.
         //    This runs sequentially before any phase fans out, so faulty runs
-        //    stay byte-identical at every thread count.
+        //    stay byte-identical at every thread count. Either response may
+        //    have rewritten any state, so every node is polled again.
         if let Some(fs) = fault_rt.as_mut() {
             let fired = fs.apply_due(round);
             if !fired.is_empty() {
+                agenda.wake_all();
                 match fs.response() {
                     FaultResponse::Restart => {
                         for (i, st) in states.iter_mut().enumerate() {
@@ -281,15 +301,16 @@ where
             }
         }
 
-        // 1. Collect broadcasts (pure reads, chunked over nodes; concatenating
+        // 1. Collect broadcasts from the nodes scheduled for this round (pure
+        //    reads, chunked over the ascending poll list; concatenating
         //    per-chunk batches in chunk order reproduces the sequential node
         //    order exactly), then apply send transitions. Crashed nodes send
         //    nothing.
-        let broadcasters: Vec<(NodeId, A::Msg)> = exec::collect_sends(cfg, &states, |i, st| {
-            if let Some(fs) = &fault_rt {
-                if !fs.mask.node_up[i] {
-                    return None;
-                }
+        agenda.begin(round);
+        let live = |i: usize| fault_rt.as_ref().is_none_or(|fs| fs.mask.node_up[i]);
+        exec::collect_sends(cfg, agenda.poll(), &states, &mut broadcasters, |i, st| {
+            if !live(i) {
+                return None;
             }
             let msg = algo.broadcast(st, round);
             if let Some(m) = &msg {
@@ -301,6 +322,16 @@ where
             }
             msg
         });
+        // The scheduler's soundness rests on `next_activity` never answering
+        // late; debug builds check the whole contract every round.
+        #[cfg(debug_assertions)]
+        for i in agenda.unpolled().filter(|&i| live(i)) {
+            assert!(
+                algo.broadcast(&states[i], round).is_none(),
+                "{}: node {i} would broadcast in round {round} but was not scheduled",
+                algo.name()
+            );
+        }
         for (v, _) in &broadcasters {
             algo.on_broadcast_sent(&mut states[v.index()], round);
         }
@@ -342,41 +373,29 @@ where
             })
         };
 
-        // 4. Termination / idle-round skipping. Only rounds up to the last activity
+        // 4. Reschedule every node something happened to: one
+        //    `next_activity` question each. Crashed nodes claim no activity
+        //    (their frozen state may still be "dirty").
+        agenda.settle(round, plane.receivers(), |i| {
+            live(i)
+                .then(|| algo.next_activity(&states[i], round + 1))
+                .flatten()
+        });
+
+        // 5. Termination / idle-round skipping. Only rounds up to the last activity
         // count: a real execution halts after its final message.
         if !broadcasters.is_empty() || any_received {
             rounds_used = round as u64 + 1;
             round += 1;
             continue;
         }
-        // Crashed nodes claim no activity (their frozen state may still be
-        // "dirty"), so with faults active the min runs sequentially with node
-        // indices — a pure min, identical at every thread count. The idle
-        // skip also never jumps past a scheduled fault round.
-        let next_alg = if let Some(fs) = &fault_rt {
-            states
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| fs.mask.node_up[i])
-                .filter_map(|(_, st)| algo.next_activity(st, round + 1))
-                .min()
-        } else {
-            exec::min_chunks(cfg, &states, |st| algo.next_activity(st, round + 1))
-        };
+        // The idle skip never jumps past a scheduled fault round.
         let next_fault = fault_rt
             .as_ref()
             .and_then(|fs| fs.next_fault_round())
             .map(|r| r.max(round + 1));
-        let next = match (next_alg, next_fault) {
-            (Some(a), Some(f)) => Some(a.min(f)),
-            (a, None) => a,
-            (None, f) => f,
-        };
-        match next {
-            Some(r) => {
-                debug_assert!(r > round, "next_activity must move forward");
-                round = r;
-            }
+        match agenda.next_round(round).into_iter().chain(next_fault).min() {
+            Some(r) => round = r,
             None => break,
         }
     }
@@ -509,6 +528,111 @@ mod tests {
         let g = generators::path(3);
         let err = run_bcongest(&Chatter, &g, None, &RunOptions::default()).unwrap_err();
         assert!(matches!(err, EngineError::RoundLimitExceeded { .. }));
+    }
+
+    /// Node 0 speaks once, in round 0. Every other node holds a timer for
+    /// round `wake` that hearing anything cancels; with `stuck` set it never
+    /// speaks and answers `next_activity` with round 0 forever instead.
+    struct Sleeper {
+        wake: usize,
+        stuck: bool,
+    }
+
+    #[derive(Clone, Debug)]
+    struct SleeperState {
+        me: u32,
+        heard: bool,
+        sent: bool,
+    }
+
+    impl BcongestAlgorithm for Sleeper {
+        type State = SleeperState;
+        type Msg = u32;
+        type Output = bool;
+
+        fn name(&self) -> &'static str {
+            "sleeper"
+        }
+        fn init(&self, view: &LocalView<'_>) -> SleeperState {
+            SleeperState {
+                me: view.node().raw(),
+                heard: false,
+                sent: false,
+            }
+        }
+        fn broadcast(&self, s: &SleeperState, round: usize) -> Option<u32> {
+            let armed = !s.sent && !s.heard && !self.stuck;
+            (armed && (s.me == 0 || round >= self.wake)).then_some(s.me)
+        }
+        fn on_broadcast_sent(&self, s: &mut SleeperState, _round: usize) {
+            s.sent = true;
+        }
+        fn receive(&self, s: &mut SleeperState, _round: usize, _msgs: &[(NodeId, u32)]) {
+            s.heard = true;
+        }
+        fn is_done(&self, s: &SleeperState) -> bool {
+            s.sent || s.heard
+        }
+        fn output(&self, s: &SleeperState) -> bool {
+            s.heard
+        }
+        fn next_activity(&self, s: &SleeperState, after: usize) -> Option<usize> {
+            if self.stuck {
+                return Some(0);
+            }
+            let wake = if s.me == 0 { 0 } else { self.wake };
+            (!self.is_done(s)).then_some(after.max(wake))
+        }
+        fn round_bound(&self, _n: usize, _m: usize) -> usize {
+            4
+        }
+        fn output_words(&self, _out: &bool) -> usize {
+            1
+        }
+    }
+
+    #[test]
+    fn next_activity_in_the_past_hits_the_round_limit() {
+        // Used to spin at round 0 forever (release) or trip a debug assertion.
+        let g = generators::path(3);
+        let stuck = Sleeper {
+            wake: 0,
+            stuck: true,
+        };
+        let err = run_bcongest(&stuck, &g, None, &RunOptions::default()).unwrap_err();
+        assert!(
+            matches!(err, EngineError::RoundLimitExceeded { .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_timer_cancelled_by_a_receive_does_not_outlive_the_run() {
+        // The leaves' timers name a round far beyond the limit (80); the hub's
+        // round-0 broadcast cancels them all, so the run is quiescent after
+        // one round — their stale heap entries must not drag it to round 10⁶.
+        let g = generators::star(6);
+        let algo = Sleeper {
+            wake: 1_000_000,
+            stuck: false,
+        };
+        for threads in [1, 2] {
+            let opts = RunOptions {
+                exec: ExecutorConfig::with_threads(threads),
+                ..Default::default()
+            };
+            let run = run_bcongest(&algo, &g, None, &opts).expect("quiescent after round 0");
+            assert_eq!(run.metrics.rounds, 1);
+            assert_eq!(run.metrics.broadcasts, 1);
+            assert_eq!(run.outputs, [false, true, true, true, true, true]);
+        }
+        // A timer nobody cancels is still honoured: on a path the far end
+        // never hears node 0, and its wake-up round is past the limit.
+        let err = run_bcongest(&algo, &generators::path(3), None, &RunOptions::default());
+        assert!(matches!(
+            err.unwrap_err(),
+            EngineError::RoundLimitExceeded { .. }
+        ));
     }
 
     #[test]

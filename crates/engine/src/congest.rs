@@ -7,6 +7,7 @@
 //! protocols), and is used by tests as an independent cross-check of the
 //! accounting.
 
+use crate::agenda::Agenda;
 use crate::error::EngineError;
 use crate::exec;
 use crate::faults::{FaultEvent, FaultResponse, FaultState};
@@ -21,8 +22,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// Mirrors [`crate::BcongestAlgorithm`]'s contract: [`sends`](Self::sends) is pure;
 /// [`on_sent`](Self::on_sent) is the post-send mutation point; [`receive`](Self::receive)
-/// fires only on non-empty inboxes; [`next_activity`](Self::next_activity) drives
-/// idle-round skipping.
+/// fires only on non-empty inboxes; [`next_activity`](Self::next_activity) is what
+/// the runner schedules by — a node is polled for sends only in rounds its last
+/// answer named.
 pub trait CongestAlgorithm {
     /// Per-node state.
     type State: Clone + std::fmt::Debug;
@@ -48,7 +50,18 @@ pub trait CongestAlgorithm {
     fn is_done(&self, state: &Self::State) -> bool;
     /// Final output.
     fn output(&self, state: &Self::State) -> Self::Output;
-    /// Earliest future activity absent input (idle skipping).
+    /// Earliest round `>= after` at which this node might send, assuming it
+    /// receives nothing further; `None` if it stays silent forever absent input.
+    ///
+    /// The same per-node rule as
+    /// [`BcongestAlgorithm::next_activity`](crate::BcongestAlgorithm::next_activity):
+    /// the runner asks once after every round in which the node was polled or
+    /// received (and after a fault round) and evaluates [`sends`](Self::sends) on
+    /// the node only from the named round on, so the answer must be **no later**
+    /// than the first round `sends` would be non-empty with no further input.
+    /// Earlier is always legal and only costs a poll. Debug builds panic with
+    /// "`{name}: node {i} would send in round {r} but was not scheduled`" on a
+    /// late answer. The default is conservative: polled every round until done.
     fn next_activity(&self, state: &Self::State, after: usize) -> Option<usize> {
         if self.is_done(state) {
             None
@@ -79,9 +92,14 @@ pub struct CongestRun<O> {
 ///
 /// [`EngineError::RoundLimitExceeded`] if the algorithm does not quiesce in time;
 /// [`EngineError::InvalidFaultPlan`] if `opts.faults` fails
-/// [`FaultPlan::validate`](crate::FaultPlan::validate) against `g`;
-/// [`EngineError::InvalidPath`] never occurs (sends to non-neighbors panic in debug
-/// builds and are dropped in release builds).
+/// [`FaultPlan::validate`](crate::FaultPlan::validate) against `g`.
+///
+/// # Panics
+///
+/// If a node sends to a non-neighbor (in every build — there is no
+/// [`EngineError`] for it). Debug builds also panic on two messages over one
+/// edge in one round, on a multi-word message, and on a
+/// [`next_activity`](CongestAlgorithm::next_activity) that answered late.
 pub fn run_congest<A>(
     algo: &A,
     g: &Graph,
@@ -118,7 +136,8 @@ where
 }
 
 /// The round loop behind both entry points; mirrors `run_bcongest_inner`
-/// phase for phase (including fault application — see [`crate::faults`]).
+/// phase for phase (including the agenda and fault application — see
+/// [`crate::faults`]).
 #[allow(clippy::type_complexity)]
 fn run_congest_inner<A>(
     algo: &A,
@@ -161,6 +180,8 @@ where
     });
 
     let mut plane: FlatPlane<A::Msg> = FlatPlane::new(n);
+    let mut agenda = Agenda::new(n);
+    let mut all_sends: Vec<(NodeId, Vec<(NodeId, A::Msg)>)> = Vec::new();
     let mut round = 0usize;
     let mut rounds_used = 0u64;
     loop {
@@ -175,6 +196,7 @@ where
         if let Some(fs) = fault_rt.as_mut() {
             let fired = fs.apply_due(round);
             if !fired.is_empty() {
+                agenda.wake_all();
                 match fs.response() {
                     FaultResponse::Restart => {
                         for (i, st) in states.iter_mut().enumerate() {
@@ -198,20 +220,29 @@ where
                 }
             }
         }
-        type SendBatch<M> = Vec<(NodeId, M)>;
-        // Pure per-node send scans, chunked over nodes; concatenating the
-        // per-chunk batches in chunk order reproduces the sequential order.
-        // Crashed nodes send nothing.
-        let all_sends: Vec<(NodeId, SendBatch<A::Msg>)> =
-            exec::collect_sends(cfg, &states, |i, st| {
-                if let Some(fs) = &fault_rt {
-                    if !fs.mask.node_up[i] {
-                        return None;
-                    }
-                }
-                let sends = algo.sends(st, round);
-                (!sends.is_empty()).then_some(sends)
-            });
+        // Pure per-node send polls over the nodes scheduled for this round,
+        // chunked over the ascending poll list; concatenating the per-chunk
+        // batches in chunk order reproduces the sequential order. Crashed
+        // nodes send nothing.
+        agenda.begin(round);
+        let live = |i: usize| fault_rt.as_ref().is_none_or(|fs| fs.mask.node_up[i]);
+        exec::collect_sends(cfg, agenda.poll(), &states, &mut all_sends, |i, st| {
+            if !live(i) {
+                return None;
+            }
+            let sends = algo.sends(st, round);
+            (!sends.is_empty()).then_some(sends)
+        });
+        // The scheduler's soundness rests on `next_activity` never answering
+        // late; debug builds check the whole contract every round.
+        #[cfg(debug_assertions)]
+        for i in agenda.unpolled().filter(|&i| live(i)) {
+            assert!(
+                algo.sends(&states[i], round).is_empty(),
+                "{}: node {i} would send in round {round} but was not scheduled",
+                algo.name()
+            );
+        }
         let any_sent = !all_sends.is_empty();
         for (v, _) in &all_sends {
             algo.on_sent(&mut states[v.index()], round);
@@ -261,31 +292,23 @@ where
                 algo.receive(st, round, inbox);
             })
         };
+        // Reschedule every node something happened to; crashed nodes claim
+        // no activity.
+        agenda.settle(round, plane.receivers(), |i| {
+            live(i)
+                .then(|| algo.next_activity(&states[i], round + 1))
+                .flatten()
+        });
         if any_sent || any_received {
             rounds_used = round as u64 + 1;
             round += 1;
             continue;
         }
-        let next_alg = if let Some(fs) = &fault_rt {
-            states
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| fs.mask.node_up[i])
-                .filter_map(|(_, st)| algo.next_activity(st, round + 1))
-                .min()
-        } else {
-            exec::min_chunks(cfg, &states, |st| algo.next_activity(st, round + 1))
-        };
         let next_fault = fault_rt
             .as_ref()
             .and_then(|fs| fs.next_fault_round())
             .map(|r| r.max(round + 1));
-        let next = match (next_alg, next_fault) {
-            (Some(a), Some(f)) => Some(a.min(f)),
-            (a, None) => a,
-            (None, f) => f,
-        };
-        match next {
+        match agenda.next_round(round).into_iter().chain(next_fault).min() {
             Some(r) => round = r,
             None => break,
         }
@@ -450,6 +473,120 @@ mod tests {
         // One delivery per hop, five hops.
         assert_eq!(seen.len(), 5);
         assert_eq!(seen[0], (1, 0), "first hop lands at node 1 in round 0");
+    }
+
+    /// Node 0 sends one word to each neighbor in round 0. Every other node
+    /// holds a timer for round `wake` that hearing anything cancels; with
+    /// `stuck` set it never sends and answers `next_activity` with round 0
+    /// forever instead.
+    struct Sleeper {
+        wake: usize,
+        stuck: bool,
+    }
+
+    #[derive(Clone, Debug)]
+    struct SleeperState {
+        me: u32,
+        neighbors: Vec<NodeId>,
+        heard: bool,
+        sent: bool,
+    }
+
+    impl CongestAlgorithm for Sleeper {
+        type State = SleeperState;
+        type Msg = u32;
+        type Output = bool;
+
+        fn name(&self) -> &'static str {
+            "sleeper"
+        }
+        fn init(&self, view: &LocalView<'_>) -> SleeperState {
+            SleeperState {
+                me: view.node().raw(),
+                neighbors: view.neighbors().to_vec(),
+                heard: false,
+                sent: false,
+            }
+        }
+        fn sends(&self, s: &SleeperState, round: usize) -> Vec<(NodeId, u32)> {
+            let armed = !s.sent && !s.heard && !self.stuck;
+            if armed && (s.me == 0 || round >= self.wake) {
+                s.neighbors.iter().map(|&u| (u, s.me)).collect()
+            } else {
+                Vec::new()
+            }
+        }
+        fn on_sent(&self, s: &mut SleeperState, _round: usize) {
+            s.sent = true;
+        }
+        fn receive(&self, s: &mut SleeperState, _round: usize, _msgs: &[(NodeId, u32)]) {
+            s.heard = true;
+        }
+        fn is_done(&self, s: &SleeperState) -> bool {
+            s.sent || s.heard
+        }
+        fn output(&self, s: &SleeperState) -> bool {
+            s.heard
+        }
+        fn next_activity(&self, s: &SleeperState, after: usize) -> Option<usize> {
+            if self.stuck {
+                return Some(0);
+            }
+            let wake = if s.me == 0 { 0 } else { self.wake };
+            (!self.is_done(s)).then_some(after.max(wake))
+        }
+        fn round_bound(&self, _n: usize, _m: usize) -> usize {
+            4
+        }
+    }
+
+    #[test]
+    fn next_activity_in_the_past_hits_the_round_limit() {
+        // Used to spin at round 0 forever: the idle skip set `round = 0`.
+        let g = generators::path(3);
+        let stuck = Sleeper {
+            wake: 0,
+            stuck: true,
+        };
+        let err = run_congest(&stuck, &g, None, &crate::RunOptions::default()).unwrap_err();
+        assert!(
+            matches!(err, EngineError::RoundLimitExceeded { .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_timer_cancelled_by_a_receive_does_not_outlive_the_run() {
+        // The leaves' timers name a round far beyond the limit (80); the hub's
+        // round-0 sends cancel them all, so the run is quiescent after one
+        // round — their stale heap entries must not drag it to round 10⁶.
+        let g = generators::star(6);
+        let algo = Sleeper {
+            wake: 1_000_000,
+            stuck: false,
+        };
+        for threads in [1, 2] {
+            let opts = crate::RunOptions {
+                exec: exec::ExecutorConfig::with_threads(threads),
+                ..Default::default()
+            };
+            let run = run_congest(&algo, &g, None, &opts).expect("quiescent after round 0");
+            assert_eq!(run.metrics.rounds, 1);
+            assert_eq!(run.metrics.messages, 5);
+            assert_eq!(run.outputs, [false, true, true, true, true, true]);
+        }
+        // A timer nobody cancels is still honoured: on a path the far end
+        // never hears node 0, and its wake-up round is past the limit.
+        let err = run_congest(
+            &algo,
+            &generators::path(3),
+            None,
+            &crate::RunOptions::default(),
+        );
+        assert!(matches!(
+            err.unwrap_err(),
+            EngineError::RoundLimitExceeded { .. }
+        ));
     }
 
     #[test]

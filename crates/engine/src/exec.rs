@@ -1,16 +1,18 @@
 //! Deterministic chunked-parallel execution of per-node phases.
 //!
-//! The CONGEST/BCONGEST runners step every node once per round, and the
-//! expensive parts of a round — the pure [`sends`](crate::CongestAlgorithm::sends)
-//! / [`broadcast`](crate::BcongestAlgorithm::broadcast) scans and the per-node
+//! Each round the CONGEST/BCONGEST runners poll the nodes their agenda
+//! scheduled (`agenda.rs`: the nodes that might send, not every node) and
+//! step the nodes that received, and the expensive parts of a round — the pure
+//! [`sends`](crate::CongestAlgorithm::sends) /
+//! [`broadcast`](crate::BcongestAlgorithm::broadcast) polls and the per-node
 //! [`receive`](crate::BcongestAlgorithm::receive) transitions — are
 //! embarrassingly parallel: node `i`'s contribution depends only on node `i`'s
-//! state. This module shards the node range into **contiguous chunks**, runs
-//! the chunks on a cached thread pool (the vendored `rayon` shim), and merges
-//! per-chunk results **in fixed chunk order**, so every quantity the engine
-//! reports — outputs, rounds, message counts, per-edge congestion — is
-//! byte-identical at any thread count. The `tests/parallel_determinism.rs`
-//! suite enforces this.
+//! state. This module shards an ascending node list or range into **contiguous
+//! chunks**, runs the chunks on a cached thread pool (the vendored `rayon`
+//! shim), and merges per-chunk results **in fixed chunk order**, so every
+//! quantity the engine reports — outputs, rounds, message counts, per-edge
+//! congestion — is byte-identical at any thread count. The
+//! `tests/parallel_determinism.rs` suite enforces this.
 //!
 //! [`ExecutorConfig::threads`] is the only execution setting. At `threads = 1`
 //! (the default) the pool is bypassed entirely: the chunk helpers degenerate
@@ -133,27 +135,36 @@ where
         .collect()
 }
 
-/// Collects per-node send decisions in node order: `f(node_index, state)`
-/// returning `Some(payload)` marks the node a sender this round. Chunked over
-/// nodes via [`map_chunks`]; concatenating per-chunk batches in chunk order
-/// reproduces the sequential node order exactly, so the result is identical
-/// at every thread count.
-pub(crate) fn collect_sends<St, X, F>(cfg: &ExecutorConfig, states: &[St], f: F) -> Vec<(NodeId, X)>
-where
+/// Polls the nodes on `poll` (ascending) for their send decision and fills
+/// `out` — cleared first, reused by the runners across rounds — with the
+/// senders in poll order: `f(node_index, state)` returning `Some(payload)`
+/// marks the node a sender this round. At one thread this is a single pass
+/// into `out`; in parallel the poll list is cut into contiguous chunks via
+/// [`map_chunks`] and the per-chunk batches are appended in chunk order, which
+/// reproduces the sequential order exactly.
+pub(crate) fn collect_sends<St, X, F>(
+    cfg: &ExecutorConfig,
+    poll: &[u32],
+    states: &[St],
+    out: &mut Vec<(NodeId, X)>,
+    f: F,
+) where
     St: Sync,
     X: Send,
     F: Fn(usize, &St) -> Option<X> + Sync,
 {
-    map_chunks(cfg, states, |start, chunk| {
-        chunk
-            .iter()
-            .enumerate()
-            .filter_map(|(off, st)| f(start + off, st).map(|x| (NodeId::new(start + off), x)))
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    let poll_one = |&i: &u32| f(i as usize, &states[i as usize]).map(|x| (NodeId::from(i), x));
+    out.clear();
+    if cfg.effective_threads() <= 1 || poll.len() <= 1 {
+        out.extend(poll.iter().filter_map(poll_one));
+        return;
+    }
+    let batches = map_chunks(cfg, poll, |_, chunk| {
+        chunk.iter().filter_map(poll_one).collect::<Vec<_>>()
+    });
+    for mut batch in batches {
+        out.append(&mut batch);
+    }
 }
 
 /// Mutable two-slice variant: chunks `a` and `b` (equal length) with the same

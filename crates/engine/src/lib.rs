@@ -17,8 +17,12 @@
 //!   per-node phases; `threads` is the only setting (outputs and metrics are
 //!   byte-identical at every thread count);
 //! * [`plane`] / [`FlatPlane`] — the round buffer both runners deliver through:
-//!   packed `u32` arenas scattered by a stable counting sort, allocation-free
-//!   in steady state;
+//!   packed `u32` arenas scattered by a stable counting sort over the round's
+//!   receivers only, allocation-free in steady state;
+//! * the agenda (`agenda.rs`, crate-private) — the event-driven schedule of
+//!   both runners: a hot set plus a timer heap fed by `next_activity`, so a
+//!   round polls the nodes that might send and costs `O(polled + received +
+//!   n/64)`, not `Θ(n)`;
 //! * [`faults`] / [`FaultPlan`] — seeded, deterministic fault injection (edge
 //!   churn, node crash/recovery with message-drop semantics) threaded through
 //!   both runners;
@@ -66,6 +70,7 @@
 //! assert_eq!(run.outputs[0], 1);              // node 0's neighbors are 1 and 4
 //! ```
 
+mod agenda;
 mod bcongest;
 mod congest;
 mod error;

@@ -15,19 +15,27 @@
 //! 2. *count + charge* — one sequential pass over the arenas bumps the
 //!    per-receiver counts and charges [`Metrics`] per record, in global
 //!    sender order (and `u64` addition commutes, so any order gives identical
-//!    totals).
-//! 3. *scatter* — a prefix sum turns counts into receiver offsets; a second
-//!    pass moves each record to its receiver's slice of one flat inbox arena.
-//!    The scatter is stable, so each receiver sees its messages in global
-//!    sender order — exactly what pushing `(sender, msg)` into per-node
-//!    inboxes sender by sender would give (the reference this module's unit
-//!    tests compare against).
+//!    totals). A receiver's first record also enters it into a bitset, which
+//!    is then drained into the round's ascending `receivers` list.
+//! 3. *scatter* — a running sum over `receivers` gives each its slice of one
+//!    flat inbox arena, and a second pass over the arenas moves each record to
+//!    its receiver's slice. The scatter is stable, so each receiver sees its
+//!    messages in global sender order — exactly what pushing `(sender, msg)`
+//!    into per-node inboxes sender by sender would give (the reference this
+//!    module's unit tests compare against).
 //!
-//! All buffers — arenas, counts, offsets, cursors, inbox, per-chunk decode
-//! scratch — live in the [`FlatPlane`] and are reused across rounds via
+//! Only the round's receivers are ever touched: offsets are assigned over
+//! `receivers`, [`FlatPlane::receive`] visits `receivers`, and their counts
+//! are zeroed again afterwards, so a round costs `O(messages + n/64)` — not
+//! `Θ(n)` — and the inbox arena is laid out exactly as a prefix sum over all
+//! `n` counts would lay it out.
+//!
+//! All buffers — arenas, counts, cursors, the receiver list, inbox, per-chunk
+//! decode scratch — live in the [`FlatPlane`] and are reused across rounds via
 //! `clear()`, so once warm a steady-state round performs **zero heap
 //! allocations** (pinned by `crates/engine/tests/alloc_regression.rs`).
 
+use crate::agenda::NodeSet;
 use crate::exec::{self, ExecutorConfig};
 use crate::metrics::Metrics;
 use crate::wire::WireDecode;
@@ -44,14 +52,19 @@ pub struct FlatPlane<M: WireDecode> {
     /// Per-partition staging arenas; records of `4 + LANES` lanes:
     /// `[receiver, sender, edge, words, payload...]`.
     stages: Vec<Vec<u32>>,
-    /// Per-receiver record counts for the round in flight (`n` entries).
+    /// Per-receiver record counts (`n` entries): non-zero exactly for the
+    /// receivers of a delivered, not yet received round.
     counts: Vec<u32>,
-    /// Prefix offsets into the inbox arena, in record units (`n + 1` entries).
-    starts: Vec<u32>,
-    /// Scatter cursors, reset from `starts` each round (`n` entries).
+    /// Scatter cursors into the inbox arena, in record units (`n` entries,
+    /// meaningful for the round's receivers only): a receiver's first slot
+    /// before the scatter, one past its last after it.
     cursors: Vec<u32>,
+    /// Receivers seen by the count pass, until drained into `receivers`.
+    touched: NodeSet,
+    /// The receivers of the last delivered round, ascending.
+    receivers: Vec<u32>,
     /// The scattered inbox arena; records of `1 + LANES` lanes:
-    /// `[sender, payload...]`, grouped by receiver in `starts` order.
+    /// `[sender, payload...]`, grouped by receiver in `receivers` order.
     inbox: Vec<u32>,
     /// Per-chunk decode buffers for the receive phase.
     scratch: Vec<Vec<(NodeId, M)>>,
@@ -61,6 +74,29 @@ pub struct FlatPlane<M: WireDecode> {
     delivered: usize,
 }
 
+/// Read-only view of one scattered round, shared by the receive tasks.
+struct Scattered<'a> {
+    counts: &'a [u32],
+    cursors: &'a [u32],
+    inbox: &'a [u32],
+}
+
+impl Scattered<'_> {
+    /// Decodes receiver `u`'s inbox into `out` (cleared first), in sender order.
+    fn decode<M: WireDecode + Send + Sync>(&self, u: usize, out: &mut Vec<(NodeId, M)>) {
+        let istride = FlatPlane::<M>::inbox_stride();
+        let end = self.cursors[u] as usize;
+        out.clear();
+        for slot in end - self.counts[u] as usize..end {
+            let base = slot * istride;
+            out.push((
+                NodeId::from(self.inbox[base]),
+                M::decode(&self.inbox[base + 1..base + istride]),
+            ));
+        }
+    }
+}
+
 impl<M: WireDecode + Send + Sync> FlatPlane<M> {
     /// An empty plane for an `n`-node graph. The fixed-size tables are
     /// allocated up front; arenas grow on first use and are reused after.
@@ -68,8 +104,9 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
         Self {
             stages: Vec::new(),
             counts: vec![0; n],
-            starts: vec![0; n + 1],
-            cursors: Vec::with_capacity(n),
+            cursors: vec![0; n],
+            touched: NodeSet::new(n),
+            receivers: Vec::new(),
             inbox: Vec::new(),
             scratch: Vec::new(),
             parts: Vec::new(),
@@ -80,6 +117,13 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
     /// Nodes the plane was sized for.
     pub fn n(&self) -> usize {
         self.counts.len()
+    }
+
+    /// The nodes the last [`deliver`](Self::deliver) addressed at least one
+    /// message to, ascending. Stays valid through the round's receive, until
+    /// the next `deliver`.
+    pub fn receivers(&self) -> &[u32] {
+        &self.receivers
     }
 
     /// Stage-record stride in `u32` lanes.
@@ -163,27 +207,31 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
             });
         }
 
-        // 2. Count receivers and charge metrics, in global sender order.
-        self.counts.fill(0);
+        // 2. Count receivers and charge metrics, in global sender order. The
+        //    counts are all zero on entry: the last receive zeroed its own.
         let bytes = 4 * M::LANES as u64;
         let mut total = 0usize;
         for arena in &self.stages[..n_parts] {
             for rec in arena.chunks_exact(stride) {
                 metrics.add_messages_sized(EdgeId::from(rec[2]), u64::from(rec[3]), bytes);
-                self.counts[rec[0] as usize] += 1;
+                let u = rec[0] as usize;
+                if self.counts[u] == 0 {
+                    self.touched.insert(u);
+                }
+                self.counts[u] += 1;
                 total += 1;
             }
         }
 
-        // 3. Prefix offsets, then stable scatter into the inbox arena.
+        // 3. Offsets over the ascending receiver list, then stable scatter
+        //    into the inbox arena.
+        self.receivers.clear();
+        self.touched.drain_into(&mut self.receivers);
         let mut acc = 0u32;
-        self.starts[0] = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            acc += c;
-            self.starts[i + 1] = acc;
+        for &u in &self.receivers {
+            self.cursors[u as usize] = acc;
+            acc += self.counts[u as usize];
         }
-        self.cursors.clear();
-        self.cursors.extend_from_slice(&self.starts[..self.n()]);
         let istride = Self::inbox_stride();
         self.inbox.clear();
         self.inbox.resize(total * istride, 0);
@@ -200,9 +248,10 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
         self.delivered = total;
     }
 
-    /// Decodes each non-empty inbox and applies `f(state, inbox)`, chunked
-    /// over nodes like [`exec::map_chunks_mut2`]. Returns whether any node
-    /// received.
+    /// Decodes each receiver's inbox and applies `f(state, inbox)`; in
+    /// parallel the receiver list is cut at the bounds of one contiguous node
+    /// range per thread, so each task owns its slice of `states`. Returns
+    /// whether any node received.
     pub fn receive<St, F>(&mut self, cfg: &ExecutorConfig, states: &mut [St], f: F) -> bool
     where
         St: Send,
@@ -212,70 +261,56 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
         if self.delivered == 0 {
             return false;
         }
-        self.delivered = 0;
-        let istride = Self::inbox_stride();
-        let decode_range = |start: usize,
-                            sts: &mut [St],
-                            scratch: &mut Vec<(NodeId, M)>,
-                            counts: &[u32],
-                            starts: &[u32],
-                            inbox: &[u32]| {
-            for (off, st) in sts.iter_mut().enumerate() {
-                let i = start + off;
-                if counts[i] == 0 {
-                    continue;
-                }
-                scratch.clear();
-                for k in 0..counts[i] as usize {
-                    let base = (starts[i] as usize + k) * istride;
-                    scratch.push((
-                        NodeId::from(inbox[base]),
-                        M::decode(&inbox[base + 1..base + istride]),
-                    ));
-                }
-                f(st, scratch);
-            }
+        let round = Scattered {
+            counts: &self.counts,
+            cursors: &self.cursors,
+            inbox: &self.inbox,
         };
+        // `sts` is the node range starting at `start`; `mine` its receivers.
+        let receive_range =
+            |start: usize, sts: &mut [St], mine: &[u32], scratch: &mut Vec<(NodeId, M)>| {
+                for &u in mine {
+                    round.decode(u as usize, scratch);
+                    f(&mut sts[u as usize - start], scratch);
+                }
+            };
         let threads = cfg.effective_threads();
         let n = states.len();
-        if threads <= 1 || n <= 1 {
-            if self.scratch.is_empty() {
-                self.scratch.push(Vec::new());
-            }
-            decode_range(
-                0,
-                states,
-                &mut self.scratch[0],
-                &self.counts,
-                &self.starts,
-                &self.inbox,
-            );
+        let chunk_count = if threads <= 1 { 1 } else { threads.min(n) };
+        while self.scratch.len() < chunk_count {
+            self.scratch.push(Vec::new());
+        }
+        if chunk_count == 1 {
+            receive_range(0, states, &self.receivers, &mut self.scratch[0]);
         } else {
             let size = exec::chunk_size_for(n, threads);
-            let chunk_count = n.div_ceil(size);
-            while self.scratch.len() < chunk_count {
-                self.scratch.push(Vec::new());
-            }
-            let (counts, starts, inbox) = (&self.counts, &self.starts, &self.inbox);
             exec::pool_for(threads).scope(|sc| {
                 let mut rest_states = states;
+                let mut rest_receivers = self.receivers.as_slice();
                 let mut rest_scratch = self.scratch.as_mut_slice();
                 let mut start = 0usize;
-                while !rest_states.is_empty() {
+                while !rest_receivers.is_empty() {
                     let take = size.min(rest_states.len());
                     let (chunk, tail) = rest_states.split_at_mut(take);
                     rest_states = tail;
+                    let cut = rest_receivers.partition_point(|&u| (u as usize) < start + take);
+                    let (mine, later) = rest_receivers.split_at(cut);
+                    rest_receivers = later;
+                    let chunk_start = start;
+                    start += take;
+                    if mine.is_empty() {
+                        continue;
+                    }
                     let (scr, scr_tail) = rest_scratch
                         .split_first_mut()
                         .expect("one scratch per chunk");
                     rest_scratch = scr_tail;
-                    let decode_range = &decode_range;
-                    let chunk_start = start;
-                    sc.spawn(move |_| decode_range(chunk_start, chunk, scr, counts, starts, inbox));
-                    start += take;
+                    let receive_range = &receive_range;
+                    sc.spawn(move |_| receive_range(chunk_start, chunk, mine, scr));
                 }
             });
         }
+        self.finish_round();
         true
     }
 
@@ -290,27 +325,30 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
         if self.delivered == 0 {
             return false;
         }
-        self.delivered = 0;
         if self.scratch.is_empty() {
             self.scratch.push(Vec::new());
         }
-        let istride = Self::inbox_stride();
+        let round = Scattered {
+            counts: &self.counts,
+            cursors: &self.cursors,
+            inbox: &self.inbox,
+        };
         let scratch = &mut self.scratch[0];
-        for (i, st) in states.iter_mut().enumerate() {
-            if self.counts[i] == 0 {
-                continue;
-            }
-            scratch.clear();
-            for k in 0..self.counts[i] as usize {
-                let base = (self.starts[i] as usize + k) * istride;
-                scratch.push((
-                    NodeId::from(self.inbox[base]),
-                    M::decode(&self.inbox[base + 1..base + istride]),
-                ));
-            }
-            f(i, st, scratch);
+        for &u in &self.receivers {
+            round.decode(u as usize, scratch);
+            f(u as usize, &mut states[u as usize], scratch);
         }
+        self.finish_round();
         true
+    }
+
+    /// Marks the round received: zeroes the receivers' counts — and only
+    /// theirs — so the next count pass starts from an all-zero table.
+    fn finish_round(&mut self) {
+        for &u in &self.receivers {
+            self.counts[u as usize] = 0;
+        }
+        self.delivered = 0;
     }
 }
 
@@ -339,15 +377,23 @@ mod tests {
         }
     }
 
+    /// Dense, sparse (one sender), dense: the middle round leaves most counts
+    /// and cursors untouched, and the last one runs over tables the sparse
+    /// round zeroed receiver by receiver.
+    fn sender_sets(g: &Graph) -> [Vec<(NodeId, u64)>; 3] {
+        let dense = flood_senders(g);
+        let lone = NodeId::new(g.n() / 2);
+        [dense.clone(), vec![(lone, 99)], dense]
+    }
+
     /// The reference the plane is pinned against: expand sender by sender and
     /// push each message straight into its receiver's `Vec` inbox.
-    fn reference_rounds(g: &Graph, rounds: usize) -> (Metrics, Transcript) {
-        let senders = flood_senders(g);
+    fn reference_rounds(g: &Graph) -> (Metrics, Transcript) {
         let expand = flood(g);
         let bytes = 4 * <u64 as WireEncode>::LANES as u64;
         let mut metrics = Metrics::new(g.m());
         let mut inboxes: Transcript = vec![Vec::new(); g.n()];
-        for _ in 0..rounds {
+        for senders in sender_sets(g) {
             for (v, p) in &senders {
                 expand(*v, p, &mut |u, e, m| {
                     metrics.add_messages_sized(e, m.words() as u64, bytes);
@@ -358,14 +404,20 @@ mod tests {
         (metrics, inboxes)
     }
 
-    fn flat_rounds(g: &Graph, cfg: &ExecutorConfig, rounds: usize) -> (Metrics, Transcript) {
-        let senders = flood_senders(g);
+    fn flat_rounds(g: &Graph, cfg: &ExecutorConfig) -> (Metrics, Transcript) {
         let expand = flood(g);
         let mut metrics = Metrics::new(g.m());
         let mut plane: FlatPlane<u64> = FlatPlane::new(g.n());
         let mut transcript: Transcript = vec![Vec::new(); g.n()];
-        for _ in 0..rounds {
+        for senders in sender_sets(g) {
             plane.deliver(cfg, &senders, &expand, &mut metrics);
+            let mut addressed: Vec<u32> = senders
+                .iter()
+                .flat_map(|(v, _)| g.incident(*v).map(|(_, u)| u.raw()))
+                .collect();
+            addressed.sort_unstable();
+            addressed.dedup();
+            assert_eq!(plane.receivers(), addressed, "receivers, ascending");
             plane.receive(cfg, &mut transcript, |slot, inbox| {
                 slot.extend_from_slice(inbox);
             });
@@ -380,9 +432,9 @@ mod tests {
             generators::star(17),
             generators::path(23),
         ] {
-            let (base_m, base_t) = reference_rounds(&g, 2);
+            let (base_m, base_t) = reference_rounds(&g);
             for threads in [1, 2, 4, 7] {
-                let (m, t) = flat_rounds(&g, &ExecutorConfig::with_threads(threads), 2);
+                let (m, t) = flat_rounds(&g, &ExecutorConfig::with_threads(threads));
                 assert_eq!(base_m, m, "metrics at {threads} threads");
                 assert_eq!(base_t, t, "inbox order at {threads} threads");
             }

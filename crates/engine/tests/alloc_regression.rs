@@ -1,24 +1,30 @@
-//! Allocation regression guard for the flat message plane: once warm, a
-//! steady-state deliver/receive round performs **zero heap allocations** —
-//! every arena, offset table, cursor table and decode scratch buffer is
-//! reused via `clear()`. This is the property that makes the plane viable at
-//! n = 10⁵–10⁶, and it can rot silently (one stray `Vec::new()` in
-//! the round path brings the allocator back); this harness pins it with a
-//! counting `#[global_allocator]` wrapper.
+//! Allocation regression guard for the round path: once warm, a steady-state
+//! deliver/receive round of the flat message plane performs **zero heap
+//! allocations** — every arena, count and cursor table, the receiver list and
+//! every decode scratch buffer is reused via `clear()` — whether the round is
+//! dense, sparse, or dense again after a sparse one; and a whole
+//! `run_bcongest` round adds none on top: the agenda's poll list, timer heap
+//! and `due` table and the runner's sender buffer are reused the same way.
+//! This is the property that makes the engine viable at n = 10⁵–10⁶, and it
+//! can rot silently (one stray `Vec::new()` in the round path brings the
+//! allocator back); this harness pins it with a counting
+//! `#[global_allocator]` wrapper.
 //!
-//! The assertion is scoped to the plane's deliver/receive cycle, not a whole
-//! runner round: the algorithm-facing trait API returns per-round send `Vec`s
-//! by design, so a full-run zero-allocation claim is unattainable without
-//! changing the public contract. The plane is the hot path the tentpole
-//! optimizes, and the plane is what this test isolates.
+//! The plane is measured directly. The agenda is crate-private, so it is
+//! measured through the runner: a BCONGEST run whose state machine allocates
+//! nothing per round must cost the same number of allocations however many
+//! rounds it takes. (A CONGEST run cannot: `sends` returns a `Vec` by
+//! contract.)
 //!
 //! This lives in its own integration-test binary because a global allocator
 //! is process-wide: sharing a binary with other tests would make the counter
 //! racy across the libtest harness's threads. Warm-up and measurement below
-//! run on the test's thread, and the measured phase is sequential, so other
+//! run on the test's thread, and the measured phases are sequential, so other
 //! harness threads are quiescent (this binary has exactly one `#[test]`).
 
-use congest_engine::{ExecutorConfig, FlatPlane, Metrics};
+use congest_engine::{
+    run_bcongest, BcongestAlgorithm, ExecutorConfig, FlatPlane, LocalView, Metrics, RunOptions,
+};
 use congest_graph::{generators, EdgeId, NodeId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,8 +53,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+fn allocs() -> u64 {
+    ALLOCS.load(Ordering::SeqCst)
+}
+
 #[test]
-fn steady_state_flat_rounds_allocate_nothing() {
+fn steady_state_rounds_allocate_nothing() {
+    flat_rounds_allocate_nothing();
+    runner_rounds_allocate_nothing();
+}
+
+fn flat_rounds_allocate_nothing() {
     let g = generators::gnp_connected(200, 0.05, 11);
     let cfg = ExecutorConfig::default();
     let mut plane: FlatPlane<(u32, u32)> = FlatPlane::new(g.n());
@@ -78,18 +93,150 @@ fn steady_state_flat_rounds_allocate_nothing() {
         assert!(plane.receive(&cfg, &mut states, receive));
     }
 
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     for _ in 0..5 {
         plane.deliver(&cfg, &senders, &expand, &mut metrics);
         assert!(plane.receive(&cfg, &mut states, receive));
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
-        after - before,
+        allocs() - before,
         0,
         "steady-state flat rounds must not touch the heap"
     );
 
-    // Sanity: the rounds really moved messages (2 directed per edge per round).
-    assert_eq!(metrics.messages, 8 * 2 * g.m() as u64);
+    // Sparse rounds on the warm plane: two senders, so almost every count and
+    // cursor stays untouched, and the receiver list is exactly the addressed
+    // nodes, ascending.
+    let pair = [senders[17], senders[150]];
+    let mut addressed: Vec<u32> = pair
+        .iter()
+        .flat_map(|(v, _)| g.incident(*v).map(|(_, u)| u.raw()))
+        .collect();
+    addressed.sort_unstable();
+    addressed.dedup();
+    let before = allocs();
+    for _ in 0..5 {
+        plane.deliver(&cfg, &pair, &expand, &mut metrics);
+        assert_eq!(plane.receivers(), addressed);
+        assert!(plane.receive(&cfg, &mut states, receive));
+    }
+    assert_eq!(
+        allocs() - before,
+        0,
+        "sparse rounds must not touch the heap"
+    );
+
+    // Dense again: the sparse rounds zeroed only their own receivers' counts,
+    // and a stale count would corrupt this round's offsets. Checked against
+    // the push-loop reference, inbox by inbox (the transcript's capacity is
+    // reserved up front, so the round itself still may not allocate).
+    let mut want: Vec<Vec<(NodeId, (u32, u32))>> = vec![Vec::new(); g.n()];
+    for (v, payload) in &senders {
+        expand(*v, payload, &mut |u, _e, m| want[u.index()].push((*v, m)));
+    }
+    let mut got: Vec<Vec<(NodeId, (u32, u32))>> =
+        want.iter().map(|w| Vec::with_capacity(w.len())).collect();
+    let before = allocs();
+    plane.deliver(&cfg, &senders, &expand, &mut metrics);
+    assert!(plane.receive(&cfg, &mut got, |slot, inbox| {
+        slot.extend_from_slice(inbox);
+    }));
+    assert_eq!(
+        allocs() - before,
+        0,
+        "a dense round after sparse ones must not touch the heap"
+    );
+    assert_eq!(got, want, "dense round after sparse rounds");
+
+    // Sanity: the rounds really moved messages (2 directed per edge per dense
+    // round, one per incident edge of each sparse sender).
+    let sparse: u64 = pair.iter().map(|(v, _)| g.degree(*v) as u64).sum();
+    assert_eq!(metrics.messages, 9 * 2 * g.m() as u64 + 5 * sparse);
+}
+
+/// A pulse bouncing between the ends of a path: whoever hears a new pulse
+/// re-broadcasts it two rounds later (a timer, not a hot poll), and each end
+/// answers with the next pulse until `bounces` are spent. One or two senders a
+/// round, thousands of rounds, and nothing in the state machine allocates.
+struct Pulse {
+    bounces: u32,
+}
+
+#[derive(Clone, Debug)]
+struct PulseState {
+    is_end: bool,
+    seen: u32,
+    /// `(round, pulse)` of the pending broadcast.
+    pending: Option<(usize, u32)>,
+}
+
+impl BcongestAlgorithm for Pulse {
+    type State = PulseState;
+    type Msg = u32;
+    type Output = u32;
+
+    fn name(&self) -> &'static str {
+        "pulse"
+    }
+    fn init(&self, view: &LocalView<'_>) -> PulseState {
+        PulseState {
+            is_end: view.degree() == 1,
+            seen: 0,
+            pending: (view.node().index() == 0).then_some((0, 1)),
+        }
+    }
+    fn broadcast(&self, s: &PulseState, round: usize) -> Option<u32> {
+        s.pending
+            .and_then(|(at, pulse)| (round >= at).then_some(pulse))
+    }
+    fn on_broadcast_sent(&self, s: &mut PulseState, _round: usize) {
+        if let Some((_, pulse)) = s.pending.take() {
+            s.seen = s.seen.max(pulse); // its echo from the next hop is not news
+        }
+    }
+    fn receive(&self, s: &mut PulseState, round: usize, msgs: &[(NodeId, u32)]) {
+        for &(_, pulse) in msgs {
+            if pulse > s.seen {
+                s.seen = pulse;
+                let next = pulse + u32::from(s.is_end);
+                s.pending = (next <= self.bounces).then_some((round + 2, next));
+            }
+        }
+    }
+    fn is_done(&self, s: &PulseState) -> bool {
+        s.pending.is_none()
+    }
+    fn output(&self, s: &PulseState) -> u32 {
+        s.seen
+    }
+    fn next_activity(&self, s: &PulseState, after: usize) -> Option<usize> {
+        s.pending.map(|(at, _)| after.max(at))
+    }
+    fn round_bound(&self, n: usize, _m: usize) -> usize {
+        2 * n * (self.bounces as usize + 1)
+    }
+    fn output_words(&self, _out: &u32) -> usize {
+        1
+    }
+}
+
+/// The agenda's `begin`/`settle`/`next_round` cycle, the plane and the
+/// runner's sender buffer, all at once: a run three times as long costs not
+/// one allocation more.
+fn runner_rounds_allocate_nothing() {
+    let g = generators::path(40);
+    let measure = |bounces: u32| {
+        let before = allocs();
+        let run =
+            run_bcongest(&Pulse { bounces }, &g, None, &RunOptions::default()).expect("pulse run");
+        (allocs() - before, run.metrics.rounds)
+    };
+    measure(2); // first use of anything process-wide
+    let (short_allocs, short_rounds) = measure(4);
+    let (long_allocs, long_rounds) = measure(12);
+    assert!(long_rounds > 2 * short_rounds && short_rounds > 100);
+    assert_eq!(
+        long_allocs, short_allocs,
+        "{short_rounds} vs {long_rounds} rounds: a warm round must not touch the heap"
+    );
 }

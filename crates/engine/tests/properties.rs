@@ -1,14 +1,19 @@
 //! Property-based tests for the execution engine: routing always delivers, tree
 //! operations deliver everything exactly once, capacity is respected, the
 //! accounting invariants hold for arbitrary inputs, a run is identical —
-//! outputs and `Metrics` — at every thread count, and the packed wire codec
-//! of the message plane round-trips every primitive payload.
+//! outputs and `Metrics` — at every thread count, the event-driven runner
+//! equals a round loop that polls every node every round (with and without
+//! faults), and the packed wire codec of the message plane round-trips every
+//! primitive payload.
 
+use congest_algos::{bfs::Bfs, bfs_collection::BfsCollection};
+use congest_engine::faults::FaultState;
 use congest_engine::{
     downcast, router, run_bcongest, treeops::Forest, upcast, BcongestAlgorithm, ExecutorConfig,
-    LocalView, RunOptions, WireDecode,
+    FaultEvent, FaultPlan, FaultResponse, LocalView, Metrics, RunOptions, Wire, WireDecode,
+    WireEncode,
 };
-use congest_graph::{generators, reference, EdgeId, NodeId};
+use congest_graph::{generators, reference, rng, EdgeId, Graph, NodeId};
 use proptest::prelude::*;
 
 /// Encode → decode round-trip, plus the accounting agreement: the packed
@@ -86,6 +91,207 @@ impl BcongestAlgorithm for MinFlood {
     fn output_words(&self, _out: &u32) -> usize {
         1
     }
+}
+
+/// A min-flood whose sends genuinely depend on the round: every node waits
+/// out a start delay drawn from its seed before its first broadcast, rests
+/// `gap` rounds after each one, and re-broadcasts on improvement — which may
+/// well arrive while it is still waiting or resting, so timers are set,
+/// kept, moved and cancelled by receives.
+struct DelayedFlood;
+
+#[derive(Clone, Debug)]
+struct DelayedState {
+    best: u32,
+    dirty: bool,
+    /// Earliest round of the next broadcast.
+    ready: usize,
+    gap: usize,
+}
+
+impl DelayedFlood {
+    /// The start delay `init` draws for a node with this seed.
+    fn start_delay(node_seed: u64) -> usize {
+        (node_seed % 12) as usize
+    }
+}
+
+impl BcongestAlgorithm for DelayedFlood {
+    type State = DelayedState;
+    type Msg = u32;
+    type Output = u32;
+
+    fn name(&self) -> &'static str {
+        "prop-delayed-flood"
+    }
+    fn init(&self, view: &LocalView<'_>) -> DelayedState {
+        DelayedState {
+            best: view.node().raw(),
+            dirty: true,
+            ready: Self::start_delay(view.seed()),
+            gap: 1 + (view.seed() >> 8) as usize % 3,
+        }
+    }
+    fn broadcast(&self, s: &DelayedState, round: usize) -> Option<u32> {
+        (s.dirty && round >= s.ready).then_some(s.best)
+    }
+    fn on_broadcast_sent(&self, s: &mut DelayedState, round: usize) {
+        s.dirty = false;
+        s.ready = round + s.gap;
+    }
+    fn receive(&self, s: &mut DelayedState, _round: usize, msgs: &[(NodeId, u32)]) {
+        for &(_, m) in msgs {
+            if m < s.best {
+                s.best = m;
+                s.dirty = true;
+            }
+        }
+    }
+    fn is_done(&self, s: &DelayedState) -> bool {
+        !s.dirty
+    }
+    fn output(&self, s: &DelayedState) -> u32 {
+        s.best
+    }
+    fn next_activity(&self, s: &DelayedState, after: usize) -> Option<usize> {
+        s.dirty.then_some(after.max(s.ready))
+    }
+    fn round_bound(&self, n: usize, _m: usize) -> usize {
+        4 * n + 16
+    }
+    fn output_words(&self, _out: &u32) -> usize {
+        1
+    }
+    fn on_fault(&self, s: &mut DelayedState, _round: usize) {
+        s.dirty = true; // self-heal: everyone re-announces
+    }
+}
+
+/// The round loop the runners replaced, kept as the reference: poll **every**
+/// live node **every** round, push messages straight into `Vec` inboxes, and
+/// when a round is idle skip to the `min` over everyone's `next_activity`.
+fn full_scan_run<A: BcongestAlgorithm>(
+    algo: &A,
+    g: &Graph,
+    seed: u64,
+    faults: Option<&FaultPlan>,
+) -> (Vec<A::Output>, Metrics) {
+    let init = |i: usize| {
+        algo.init(&LocalView::new(
+            g,
+            None,
+            NodeId::new(i),
+            rng::node_seed(seed, i),
+        ))
+    };
+    let mut states: Vec<A::State> = (0..g.n()).map(init).collect();
+    let mut fs = faults.map(|plan| FaultState::new(plan, g));
+    let mut metrics = Metrics::new(g.m());
+    let bytes = 4 * <A::Msg as WireEncode>::LANES as u64;
+    let mut round = 0usize;
+    loop {
+        assert!(round < 100_000, "{} does not quiesce", algo.name());
+        if let Some(fs) = fs.as_mut() {
+            let fired = fs.apply_due(round);
+            let heal = fs.response() == FaultResponse::SelfHeal;
+            for i in (0..g.n()).filter(|&i| !fired.is_empty() && fs.mask.node_up[i]) {
+                if !heal || fired.contains(&FaultEvent::Recover(NodeId::new(i))) {
+                    states[i] = init(i);
+                }
+                if heal {
+                    algo.on_fault(&mut states[i], round);
+                }
+            }
+        }
+        let up = |i: usize| fs.as_ref().is_none_or(|fs| fs.mask.node_up[i]);
+        let mut inboxes: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); g.n()];
+        let mut sent = false;
+        for i in (0..g.n()).filter(|&i| up(i)) {
+            let Some(msg) = algo.broadcast(&states[i], round) else {
+                continue;
+            };
+            algo.on_broadcast_sent(&mut states[i], round);
+            sent = true;
+            metrics.broadcasts += 1;
+            for (e, u) in g.incident(NodeId::new(i)) {
+                if fs.as_ref().is_some_and(|fs| !fs.mask.edge_up[e.index()]) || !up(u.index()) {
+                    metrics.dropped_messages += 1;
+                } else {
+                    metrics.add_messages_sized(e, msg.words() as u64, bytes);
+                    inboxes[u.index()].push((NodeId::new(i), msg.clone()));
+                }
+            }
+        }
+        for (st, inbox) in states.iter_mut().zip(&inboxes) {
+            if !inbox.is_empty() {
+                algo.receive(st, round, inbox);
+            }
+        }
+        if sent {
+            metrics.rounds = round as u64 + 1;
+            round += 1;
+            continue;
+        }
+        let wake = (0..g.n())
+            .filter(|&i| up(i))
+            .filter_map(|i| algo.next_activity(&states[i], round + 1));
+        let fault = fs.as_ref().and_then(|fs| fs.next_fault_round());
+        match wake.chain(fault).min() {
+            Some(r) => round = r.max(round + 1),
+            None => return (states.iter().map(|s| algo.output(s)).collect(), metrics),
+        }
+    }
+}
+
+/// `run_bcongest` at 1, 2 and 4 threads against [`full_scan_run`]: outputs
+/// and every `Metrics` field (rounds and the congestion vector included).
+fn assert_matches_full_scan<A>(
+    algo: &A,
+    g: &Graph,
+    seed: u64,
+    faults: Option<&FaultPlan>,
+) -> Result<(), TestCaseError>
+where
+    A: BcongestAlgorithm + Sync,
+    A::State: Send + Sync,
+    A::Msg: Send + Sync,
+{
+    let (outputs, metrics) = full_scan_run(algo, g, seed, faults);
+    for threads in [1, 2, 4] {
+        let opts = RunOptions {
+            faults: faults.cloned(),
+            ..opts(seed, ExecutorConfig::with_threads(threads))
+        };
+        let run = run_bcongest(algo, g, None, &opts).expect("event-driven run");
+        prop_assert_eq!(&run.outputs, &outputs, "outputs at {} threads", threads);
+        prop_assert_eq!(&run.metrics, &metrics, "metrics at {} threads", threads);
+    }
+    Ok(())
+}
+
+/// Random `gnp`, path or star, by `shape`.
+fn shaped_graph(shape: usize, n: usize, seed: u64) -> Graph {
+    match shape % 3 {
+        0 => generators::gnp_connected(n, 0.15, seed),
+        1 => generators::path(n),
+        _ => generators::star(n),
+    }
+}
+
+/// A hostile schedule for [`DelayedFlood`]: churn in round 0, then the crash
+/// of the node with the longest start delay *while it still holds its timer*
+/// (round 1), the churned edge back up, and the node's recovery — late enough
+/// that the survivors may have gone quiet in between.
+fn hostile_plan(g: &Graph, seed: u64, response: FaultResponse, recover_at: usize) -> FaultPlan {
+    let sleeper = (0..g.n())
+        .max_by_key(|&i| DelayedFlood::start_delay(rng::node_seed(seed, i)))
+        .expect("non-empty graph");
+    let e = EdgeId::new(seed as usize % g.m());
+    FaultPlan::new(response)
+        .at(0, FaultEvent::EdgeDown(e))
+        .at(1, FaultEvent::Crash(NodeId::new(sleeper)))
+        .at(3, FaultEvent::EdgeUp(e))
+        .at(recover_at, FaultEvent::Recover(NodeId::new(sleeper)))
 }
 
 proptest! {
@@ -190,6 +396,33 @@ proptest! {
             .expect("multi-thread run");
         prop_assert_eq!(&base.outputs, &run.outputs, "outputs at {} threads", threads);
         prop_assert_eq!(&base.metrics, &run.metrics, "metrics at {} threads", threads);
+    }
+
+    #[test]
+    fn event_driven_rounds_match_the_full_scan(seed in 0u64..400, shape in 0usize..3,
+                                               n in 8usize..40) {
+        let g = shaped_graph(shape, n, seed);
+        assert_matches_full_scan(&DelayedFlood, &g, seed, None)?;
+        let start = seed as usize % 9;
+        assert_matches_full_scan(
+            &Bfs::new(NodeId::new(n / 3)).with_start_round(start), &g, seed, None)?;
+        let sources: Vec<NodeId> = g.nodes().step_by(3).collect();
+        assert_matches_full_scan(
+            &BfsCollection::new(sources).with_random_delays(seed), &g, seed, None)?;
+    }
+
+    #[test]
+    fn event_driven_rounds_match_the_full_scan_under_faults(seed in 0u64..400,
+                                                            shape in 0usize..3,
+                                                            n in 8usize..40,
+                                                            recover_at in 4usize..60) {
+        let g = shaped_graph(shape, n, seed);
+        for response in [FaultResponse::Restart, FaultResponse::SelfHeal] {
+            let plan = hostile_plan(&g, seed, response, recover_at);
+            assert_matches_full_scan(&DelayedFlood, &g, seed, Some(&plan))?;
+            assert_matches_full_scan(
+                &Bfs::new(NodeId::new(0)).with_start_round(2), &g, seed, Some(&plan))?;
+        }
     }
 
     #[test]
