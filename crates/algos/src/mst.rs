@@ -32,7 +32,7 @@
 //! [`MstConfig::message_budget`].
 
 use congest_engine::treeops::{self, Forest};
-use congest_engine::{exec, EngineError, ExecutorConfig, Metrics, Wire};
+use congest_engine::{exec, EngineError, ExecutorConfig, Metrics, Router, Wire};
 use congest_graph::{EdgeId, NodeId, WeightedGraph};
 
 /// Sentinel weight meaning "no outgoing edge".
@@ -141,6 +141,7 @@ pub fn distributed_mst(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstRun, En
     let mut metrics = Metrics::new(g.m());
     let mut fragment: Vec<NodeId> = g.nodes().collect();
     let mut forest = Forest::from_parents(g, vec![None; n])?;
+    let mut router = Router::new(g);
     let mut in_mst = vec![false; g.m()];
     let mut edges: Vec<EdgeId> = Vec::new();
 
@@ -225,7 +226,7 @@ pub fn distributed_mst(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstRun, En
             .iter()
             .map(|&(_, e)| EdgeId::new(e as usize))
             .collect();
-        let dc = treeops::downcast_with(g, &forest, decisions, &cfg.exec)?;
+        let dc = treeops::downcast(&mut router, &forest, decisions)?;
         metrics.merge_sequential(&dc.metrics);
         treeops::ensure_budget("ghs-mst", metrics.messages, cfg.message_budget)?;
 

@@ -7,7 +7,7 @@
 
 use congest_algos::bfs::{Bfs, BfsOutput};
 use congest_engine::{
-    run_bcongest, upcast, EngineError, ExecutorConfig, Forest, Metrics, RunOptions,
+    run_bcongest, upcast, EngineError, ExecutorConfig, Forest, Metrics, Router, RunOptions,
 };
 use congest_graph::{rng, Graph, NodeId};
 use rand::Rng;
@@ -57,6 +57,7 @@ pub fn landmark_distances_with(
         landmarks.push(NodeId::new(r.random_range(0..n)));
     }
 
+    let mut router = Router::new(g);
     let mut per_landmark_dist: Vec<Vec<Option<u32>>> = Vec::with_capacity(landmarks.len());
     for (i, &l) in landmarks.iter().enumerate() {
         // Plain BFS, run on the network (sequentially, as in the paper).
@@ -82,7 +83,7 @@ pub fn landmark_distances_with(
             .collect();
         let tree_words = items.len();
         if !items.is_empty() {
-            let up = upcast(g, &forest, items)?;
+            let up = upcast(&mut router, &forest, items)?;
             metrics.merge_sequential(&up.metrics);
         }
 
@@ -100,8 +101,7 @@ pub fn landmark_distances_with(
 
     // Local combination (free local computation in CONGEST).
     let mut through = vec![vec![None; n]; n];
-    for (li, dl) in per_landmark_dist.iter().enumerate() {
-        let _ = li;
+    for dl in &per_landmark_dist {
         for v in 0..n {
             let Some(dv) = dl[v] else { continue };
             for u in 0..n {

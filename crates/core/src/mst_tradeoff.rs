@@ -19,7 +19,7 @@
 
 use congest_algos::leader::setup_network_with;
 use congest_algos::mst::{distributed_mst, MstConfig, MstRun};
-use congest_engine::{treeops, EngineError, ExecutorConfig, Metrics};
+use congest_engine::{treeops, EngineError, ExecutorConfig, Metrics, Router};
 use congest_graph::{reference, EdgeId, NodeId, WeightedGraph};
 use std::collections::BTreeMap;
 
@@ -151,7 +151,8 @@ fn central_finish(
         }
         items.extend(best.into_values().map(|c| (v, c)));
     }
-    let up = treeops::upcast_with(g, &setup.tree, items, exec)?;
+    let mut router = Router::new(g);
+    let up = treeops::upcast(&mut router, &setup.tree, items)?;
     metrics.merge_sequential(&up.metrics);
 
     // Kruskal on the contracted fragment graph, over all collected candidates (the
@@ -180,7 +181,7 @@ fn central_finish(
         .iter()
         .map(|&e| (g.endpoints(e).0, e.index() as u64))
         .collect();
-    let down = treeops::downcast_with(g, &setup.tree, notify, exec)?;
+    let down = treeops::downcast(&mut router, &setup.tree, notify)?;
     metrics.merge_sequential(&down.metrics);
     let mut connect = Metrics::new(g.m());
     if !chosen.is_empty() {

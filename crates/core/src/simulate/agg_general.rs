@@ -24,7 +24,7 @@ use crate::simulate::common::{dedupe_msgs, input_words, Pad, SimulationRun, Step
 use congest_algos::leader::setup_network_with;
 use congest_decomp::{Hierarchy, Level};
 use congest_engine::{
-    downcast_with, upcast_with, AggregationAlgorithm, EngineError, Forest, Metrics, Wire,
+    downcast, upcast, AggregationAlgorithm, EngineError, Forest, Metrics, Router, Wire,
 };
 use congest_graph::{ClusterId, EdgeId, Graph, NodeId};
 
@@ -132,6 +132,7 @@ where
         metrics.merge_sequential(&h.metrics);
     }
     let rt = Runtime::build(g, h)?;
+    let mut router = Router::new(g);
     // Per-level upcast of member neighborhoods to cluster centers (§3.2.1 step 2).
     for (li, lvl) in h.levels.iter().enumerate().skip(1) {
         let forest = rt.forests[li].as_ref().expect("built for levels >= 1");
@@ -141,7 +142,7 @@ where
             .map(|v| (v, Pad(g.degree(v) + 1)))
             .collect();
         if !items.is_empty() {
-            let up = upcast_with(g, forest, items, &opts.exec)?;
+            let up = upcast(&mut router, forest, items)?;
             metrics.merge_sequential(&up.metrics);
         }
     }
@@ -196,7 +197,7 @@ where
                     .collect();
                 if !items.is_empty() {
                     let forest = rt.forests[li].as_ref().expect("level forest");
-                    let up = upcast_with(g, forest, items, &opts.exec)?;
+                    let up = upcast(&mut router, forest, items)?;
                     phase_cost.merge_sequential(&up.metrics);
                 }
             }
@@ -240,7 +241,7 @@ where
                 }
                 if !down_items.is_empty() {
                     let forest = rt.forests[lj].as_ref().expect("level forest");
-                    let down = downcast_with(g, forest, down_items, &opts.exec)?;
+                    let down = downcast(&mut router, forest, down_items)?;
                     phase_cost.merge_sequential(&down.metrics);
                 }
                 if !forwards.is_empty() {
@@ -282,7 +283,7 @@ where
                 }
                 if li >= 1 && !up_items.is_empty() {
                     let forest = rt.forests[li].as_ref().expect("level forest");
-                    let up = upcast_with(g, forest, up_items, &opts.exec)?;
+                    let up = upcast(&mut router, forest, up_items)?;
                     phase_cost.merge_sequential(&up.metrics);
                 }
                 let mut down_items: Vec<(NodeId, Pad)> = Vec::new();
@@ -290,7 +291,6 @@ where
                     if msgs.is_empty() {
                         continue;
                     }
-                    let cid = ClusterId::new(ci);
                     for &u in &lvl.clusters[ci].1 {
                         let relevant: Vec<(NodeId, A::Msg)> = msgs
                             .iter()
@@ -309,12 +309,11 @@ where
                             down_items.push((u, Pad(words)));
                         }
                         receive_packets[u.index()].extend(agg);
-                        let _ = cid;
                     }
                 }
                 if li >= 1 && !down_items.is_empty() {
                     let forest = rt.forests[li].as_ref().expect("level forest");
-                    let down = downcast_with(g, forest, down_items, &opts.exec)?;
+                    let down = downcast(&mut router, forest, down_items)?;
                     phase_cost.merge_sequential(&down.metrics);
                 }
             }

@@ -22,7 +22,7 @@ use crate::simulate::common::{dedupe_msgs, input_words, Pad, SimulationRun, Step
 use congest_algos::leader::setup_network_with;
 use congest_decomp::Hierarchy;
 use congest_engine::{
-    downcast_with, upcast_with, AggregationAlgorithm, EngineError, Forest, Metrics, Wire,
+    downcast, upcast, AggregationAlgorithm, EngineError, Forest, Metrics, Router, Wire,
 };
 use congest_graph::{ClusterId, EdgeId, Graph, NodeId};
 
@@ -62,6 +62,7 @@ where
     if opts.charge_hierarchy {
         metrics.merge_sequential(&h.metrics);
     }
+    let mut router = Router::new(g);
     let star_level = (h.levels.len() > 1).then(|| &h.levels[1]);
     let star_forest: Option<Forest> = match star_level {
         Some(lvl) => Some(Forest::from_parents(g, lvl.parent.clone())?),
@@ -74,7 +75,7 @@ where
             .map(|v| (v, Pad(g.degree(v) + 1)))
             .collect();
         if !items.is_empty() {
-            let up = upcast_with(g, forest, items, &opts.exec)?;
+            let up = upcast(&mut router, forest, items)?;
             metrics.merge_sequential(&up.metrics);
         }
     }
@@ -151,7 +152,7 @@ where
                     .map(|(v, _)| (*v, Pad(1)))
                     .collect();
                 if !to_center.is_empty() {
-                    let up = upcast_with(g, forest, to_center, &opts.exec)?;
+                    let up = upcast(&mut router, forest, to_center)?;
                     phase_cost.merge_sequential(&up.metrics);
                 }
 
@@ -214,7 +215,7 @@ where
                     }
                 }
                 if !down_items.is_empty() {
-                    let down = downcast_with(g, forest, down_items, &opts.exec)?;
+                    let down = downcast(&mut router, forest, down_items)?;
                     phase_cost.merge_sequential(&down.metrics);
                 }
                 if !forwards.is_empty() {
@@ -248,7 +249,7 @@ where
                     }
                 }
                 if !up_items.is_empty() {
-                    let up = upcast_with(g, forest, up_items, &opts.exec)?;
+                    let up = upcast(&mut router, forest, up_items)?;
                     phase_cost.merge_sequential(&up.metrics);
                 }
                 let mut down2: Vec<(NodeId, Pad)> = Vec::new();
@@ -275,7 +276,7 @@ where
                     }
                 }
                 if !down2.is_empty() {
-                    let down = downcast_with(g, forest, down2, &opts.exec)?;
+                    let down = downcast(&mut router, forest, down2)?;
                     phase_cost.merge_sequential(&down.metrics);
                 }
             }

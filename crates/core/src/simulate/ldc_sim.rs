@@ -20,7 +20,7 @@
 use crate::simulate::common::{input_words, Pad, SimulationRun, Stepper};
 use congest_algos::leader::setup_network_with;
 use congest_decomp::ldc::{build_ldc, LdcDecomposition};
-use congest_engine::{downcast_with, upcast_with, BcongestAlgorithm, EngineError, Forest, Metrics};
+use congest_engine::{downcast, upcast, BcongestAlgorithm, EngineError, Forest, Metrics, Router};
 use congest_graph::{Graph, NodeId};
 
 /// Options for the Theorem 2.1 simulation.
@@ -68,11 +68,11 @@ where
     let forest: Forest = ldc.clustering.forest(g)?;
 
     // Step 3: upcast every node's input (its incident edge list) to its center.
-    let up = upcast_with(
-        g,
+    let mut router = Router::new(g);
+    let up = upcast(
+        &mut router,
         &forest,
         g.nodes().map(|v| (v, Pad(g.degree(v) + 1))).collect(),
-        &opts.exec,
     )?;
     metrics.merge_sequential(&up.metrics);
     let preprocessing = metrics.clone();
@@ -119,7 +119,7 @@ where
                     up_items.push((f.other, Pad(1)));
                 }
             }
-            let down = downcast_with(g, &forest, down_items, &opts.exec)?;
+            let down = downcast(&mut router, &forest, down_items)?;
             phase_cost.merge_sequential(&down.metrics);
             let mut exchange = Metrics::new(g.m());
             exchange.rounds = 1;
@@ -129,7 +129,7 @@ where
                 }
             }
             phase_cost.merge_sequential(&exchange);
-            let upc = upcast_with(g, &forest, up_items, &opts.exec)?;
+            let upc = upcast(&mut router, &forest, up_items)?;
             phase_cost.merge_sequential(&upc.metrics);
         }
         if opts.strict_phase_budget {
@@ -156,7 +156,7 @@ where
         .zip(outputs.iter())
         .map(|(v, o)| (v, Pad(algo.output_words(o))))
         .collect();
-    let down = downcast_with(g, &forest, out_items, &opts.exec)?;
+    let down = downcast(&mut router, &forest, out_items)?;
     metrics.merge_sequential(&down.metrics);
 
     Ok(SimulationRun {

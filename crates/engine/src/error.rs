@@ -18,6 +18,12 @@ pub enum EngineError {
         /// Index of the offending task.
         task: usize,
     },
+    /// A routed batch has more tasks, task hops or words than the router's `u32`
+    /// index columns can address.
+    BatchTooLarge {
+        /// Which count overflowed (`"tasks"`, `"task hops"` or `"words"`).
+        what: &'static str,
+    },
     /// A forest description was not actually a forest (cycle or non-edge parent link).
     InvalidForest {
         /// Explanation.
@@ -54,6 +60,9 @@ impl fmt::Display for EngineError {
                     f,
                     "routing task {task} has a path that is not a walk in the graph"
                 )
+            }
+            EngineError::BatchTooLarge { what } => {
+                write!(f, "routed batch has too many {what} for the router")
             }
             EngineError::InvalidForest { reason } => write!(f, "invalid forest: {reason}"),
             EngineError::BudgetExceeded { op, used, budget } => {

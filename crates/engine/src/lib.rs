@@ -94,11 +94,11 @@ pub use exec::ExecutorConfig;
 pub use faults::{FaultEvent, FaultPlan, FaultResponse, SurvivorMask};
 pub use metrics::Metrics;
 pub use plane::FlatPlane;
+pub use router::Router;
 pub use trace::TraceLog;
 pub use treeops::{
-    broadcast, convergecast, downcast, downcast_budgeted, downcast_with, upcast, upcast_budgeted,
-    upcast_with, BroadcastOutcome, ConvergecastOutcome, Delivered, DowncastOutcome, Forest,
-    UpcastOutcome,
+    broadcast, convergecast, downcast, downcast_budgeted, upcast, upcast_budgeted,
+    BroadcastOutcome, ConvergecastOutcome, Delivered, DowncastOutcome, Forest, UpcastOutcome,
 };
 pub use view::LocalView;
 pub use wire::{Wire, WireDecode, WireEncode};

@@ -23,17 +23,10 @@
 //! [`upcast_budgeted`] / [`downcast_budgeted`]) and the call fails with
 //! [`EngineError::BudgetExceeded`] instead of silently overspending — the enforcement
 //! hook for "message-optimal" claims.
-//!
-//! Upcast and downcast also have a `_with` form taking an
-//! [`ExecutorConfig`], which hands the executor to the router's path
-//! precompute; outcomes and metrics are byte-identical at every thread count —
-//! `tests/parallel_determinism.rs` pins it. Convergecast and broadcast do no
-//! per-node work worth fanning out and take no executor.
 
 use crate::error::EngineError;
-use crate::exec::ExecutorConfig;
 use crate::metrics::Metrics;
-use crate::router::{self, RouteTask};
+use crate::router::{self, Router};
 use crate::wire::Wire;
 use congest_graph::{EdgeId, Graph, NodeId};
 
@@ -157,7 +150,7 @@ impl Forest {
         self.depth
     }
 
-    /// All roots (nodes without parents).
+    /// All roots (nodes without parents), in ascending node order.
     pub fn roots(&self) -> &[NodeId] {
         &self.roots
     }
@@ -206,62 +199,49 @@ pub struct UpcastOutcome<P> {
     pub metrics: Metrics,
 }
 
-/// Upcasts `items` (at their origin nodes) to their tree roots (Lemma 1.5).
+/// Upcasts `items` (at their origin nodes) to their tree roots (Lemma 1.5), as one
+/// routed batch on `router` (the workspace of the graph `forest` spans).
 ///
 /// # Errors
 ///
-/// Propagates routing errors (cannot occur for a validated forest).
+/// [`EngineError::BatchTooLarge`] if the items total more words than the router
+/// addresses.
 pub fn upcast<P: Wire>(
-    g: &Graph,
+    router: &mut Router<'_>,
     forest: &Forest,
     items: Vec<(NodeId, P)>,
 ) -> Result<UpcastOutcome<P>, EngineError> {
-    upcast_with(g, forest, items, &ExecutorConfig::default())
-}
+    let report =
+        router.route_tree_paths(forest, items.iter().map(|(v, p)| (*v, p.words())), false)?;
 
-/// [`upcast`] with an explicit executor: the per-task path→edge precompute of
-/// the realized schedule runs through `cfg` (see [`router::route_with`]).
-/// Outcomes and metrics are identical at every thread count.
-///
-/// # Errors
-///
-/// Propagates routing errors (cannot occur for a validated forest).
-pub fn upcast_with<P: Wire>(
-    g: &Graph,
-    forest: &Forest,
-    items: Vec<(NodeId, P)>,
-    cfg: &ExecutorConfig,
-) -> Result<UpcastOutcome<P>, EngineError> {
-    let tasks: Vec<RouteTask> = items
-        .iter()
-        .map(|(v, p)| RouteTask {
-            path: forest.path_to_root(*v),
-            words: p.words(),
-        })
-        .collect();
-    let report = router::route_with(g, &tasks, cfg)?;
-
-    let mut root_slot = vec![usize::MAX; g.n()];
-    for (i, &r) in forest.roots().iter().enumerate() {
-        root_slot[r.index()] = i;
-    }
+    // `Forest::roots` is in ascending node order, so a root's slot is a search away.
     let mut at_root: Vec<Vec<Delivered<P>>> = vec![Vec::new(); forest.roots().len()];
-    // Delivery order: by completion round, ties by insertion order (matches the
-    // realized schedule).
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by_key(|&i| report.completion_round[i]);
-    for i in order {
-        let (v, p) = &items[i];
-        let root = forest.root_of(*v);
-        at_root[root_slot[root.index()]].push(Delivered {
-            origin: *v,
-            payload: p.clone(),
-        });
+    for (origin, payload) in in_completion_order(items, &report.completion_round) {
+        let slot = forest
+            .roots()
+            .binary_search(&forest.root_of(origin))
+            .expect("every node's root is a root");
+        at_root[slot].push(Delivered { origin, payload });
     }
     Ok(UpcastOutcome {
         at_root,
         metrics: report.metrics,
     })
+}
+
+/// `items` in delivery order: by completion round, ties by insertion order (matches
+/// the realized schedule).
+fn in_completion_order<P>(
+    items: Vec<(NodeId, P)>,
+    completion_round: &[u64],
+) -> impl Iterator<Item = (NodeId, P)> {
+    let mut keyed: Vec<((u64, usize), (NodeId, P))> = items
+        .into_iter()
+        .enumerate()
+        .map(|(i, item)| ((completion_round[i], i), item))
+        .collect();
+    keyed.sort_unstable_by_key(|&(key, _)| key);
+    keyed.into_iter().map(|(_, item)| item)
 }
 
 /// Result of a [`downcast`] run.
@@ -274,50 +254,24 @@ pub struct DowncastOutcome<P> {
 }
 
 /// Downcasts addressed `items` from each destination's tree root to the destination
-/// (Lemma 1.6). Items destined to a root are delivered locally for free.
+/// (Lemma 1.6), as one routed batch on `router`. Items destined to a root are
+/// delivered locally for free.
 ///
 /// # Errors
 ///
-/// Propagates routing errors (cannot occur for a validated forest).
+/// [`EngineError::BatchTooLarge`] if the items total more words than the router
+/// addresses.
 pub fn downcast<P: Wire>(
-    g: &Graph,
+    router: &mut Router<'_>,
     forest: &Forest,
     items: Vec<(NodeId, P)>,
 ) -> Result<DowncastOutcome<P>, EngineError> {
-    downcast_with(g, forest, items, &ExecutorConfig::default())
-}
+    let report =
+        router.route_tree_paths(forest, items.iter().map(|(v, p)| (*v, p.words())), true)?;
 
-/// [`downcast`] with an explicit executor (see [`upcast_with`]). Outcomes and
-/// metrics are identical at every thread count.
-///
-/// # Errors
-///
-/// Propagates routing errors (cannot occur for a validated forest).
-pub fn downcast_with<P: Wire>(
-    g: &Graph,
-    forest: &Forest,
-    items: Vec<(NodeId, P)>,
-    cfg: &ExecutorConfig,
-) -> Result<DowncastOutcome<P>, EngineError> {
-    let tasks: Vec<RouteTask> = items
-        .iter()
-        .map(|(dest, p)| {
-            let mut path = forest.path_to_root(*dest);
-            path.reverse();
-            RouteTask {
-                path,
-                words: p.words(),
-            }
-        })
-        .collect();
-    let report = router::route_with(g, &tasks, cfg)?;
-
-    let mut at_node: Vec<Vec<P>> = vec![Vec::new(); g.n()];
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by_key(|&i| report.completion_round[i]);
-    for i in order {
-        let (dest, p) = &items[i];
-        at_node[dest.index()].push(p.clone());
+    let mut at_node: Vec<Vec<P>> = vec![Vec::new(); router.graph().n()];
+    for (dest, payload) in in_completion_order(items, &report.completion_round) {
+        at_node[dest.index()].push(payload);
     }
     Ok(DowncastOutcome {
         at_node,
@@ -347,12 +301,12 @@ pub fn ensure_budget(op: &'static str, used: u64, budget: Option<u64>) -> Result
 /// [`EngineError::BudgetExceeded`] if the realized schedule needs more than `budget`
 /// messages; otherwise like [`upcast`].
 pub fn upcast_budgeted<P: Wire>(
-    g: &Graph,
+    router: &mut Router<'_>,
     forest: &Forest,
     items: Vec<(NodeId, P)>,
     budget: u64,
 ) -> Result<UpcastOutcome<P>, EngineError> {
-    let out = upcast(g, forest, items)?;
+    let out = upcast(router, forest, items)?;
     ensure_budget("upcast", out.metrics.messages, Some(budget))?;
     Ok(out)
 }
@@ -364,12 +318,12 @@ pub fn upcast_budgeted<P: Wire>(
 /// [`EngineError::BudgetExceeded`] if the realized schedule needs more than `budget`
 /// messages; otherwise like [`downcast`].
 pub fn downcast_budgeted<P: Wire>(
-    g: &Graph,
+    router: &mut Router<'_>,
     forest: &Forest,
     items: Vec<(NodeId, P)>,
     budget: u64,
 ) -> Result<DowncastOutcome<P>, EngineError> {
-    let out = downcast(g, forest, items)?;
+    let out = downcast(router, forest, items)?;
     ensure_budget("downcast", out.metrics.messages, Some(budget))?;
     Ok(out)
 }
@@ -595,7 +549,7 @@ mod tests {
     fn upcast_delivers_all_items() {
         let (g, f) = path_forest(5);
         let items: Vec<(NodeId, u64)> = (0..5).map(|i| (NodeId::new(i), i as u64 * 10)).collect();
-        let out = upcast(&g, &f, items).expect("upcast over a valid forest");
+        let out = upcast(&mut Router::new(&g), &f, items).expect("upcast over a valid forest");
         assert_eq!(out.at_root.len(), 1);
         let got: Vec<u64> = out.at_root[0].iter().map(|d| d.payload).collect();
         let mut sorted = got.clone();
@@ -619,7 +573,7 @@ mod tests {
         let f = Forest::from_parents(&g, parent).expect("valid parent pointers");
         let items: Vec<(NodeId, Vec<u64>)> =
             (1..6).map(|i| (NodeId::new(i), vec![7u64; 3])).collect();
-        let out = upcast(&g, &f, items).expect("upcast over a valid forest");
+        let out = upcast(&mut Router::new(&g), &f, items).expect("upcast over a valid forest");
         assert_eq!(out.metrics.messages, 15);
         assert_eq!(out.metrics.rounds, 3); // 3 words pipelined on disjoint edges
         assert_eq!(out.at_root[0].len(), 5);
@@ -630,7 +584,7 @@ mod tests {
         let (g, f) = path_forest(5);
         // Root sends one item to each node.
         let items: Vec<(NodeId, u64)> = (1..5).map(|i| (NodeId::new(i), i as u64)).collect();
-        let out = downcast(&g, &f, items).expect("downcast over a valid forest");
+        let out = downcast(&mut Router::new(&g), &f, items).expect("downcast over a valid forest");
         for i in 1..5 {
             assert_eq!(out.at_node[i], vec![i as u64]);
         }
@@ -643,7 +597,8 @@ mod tests {
     #[test]
     fn downcast_to_root_is_free() {
         let (g, f) = path_forest(3);
-        let out = downcast(&g, &f, vec![(NodeId::new(0), 42u64)]).expect("local downcast");
+        let out = downcast(&mut Router::new(&g), &f, vec![(NodeId::new(0), 42u64)])
+            .expect("local downcast");
         assert_eq!(out.at_node[0], vec![42]);
         assert_eq!(out.metrics.messages, 0);
         assert_eq!(out.metrics.rounds, 0);
@@ -663,7 +618,7 @@ mod tests {
         ];
         let f = Forest::from_parents(&g, parent).expect("valid parent pointers");
         let items = vec![(NodeId::new(2), 1u64), (NodeId::new(5), 2u64)];
-        let out = upcast(&g, &f, items).expect("upcast over a valid forest");
+        let out = upcast(&mut Router::new(&g), &f, items).expect("upcast over a valid forest");
         assert_eq!(out.metrics.rounds, 2);
         assert_eq!(out.metrics.messages, 4);
         assert_eq!(out.at_root[0][0].payload, 1);
@@ -761,15 +716,15 @@ mod tests {
         let (g, f) = path_forest(5);
         let items: Vec<(NodeId, u64)> = (0..5).map(|i| (NodeId::new(i), i as u64)).collect();
         // Realized upcast cost is 10 (sum of depths) — a budget of 10 passes, 9 fails.
-        assert!(upcast_budgeted(&g, &f, items.clone(), 10).is_ok());
-        let err = upcast_budgeted(&g, &f, items, 9).unwrap_err();
+        assert!(upcast_budgeted(&mut Router::new(&g), &f, items.clone(), 10).is_ok());
+        let err = upcast_budgeted(&mut Router::new(&g), &f, items, 9).unwrap_err();
         assert!(matches!(
             err,
             EngineError::BudgetExceeded { op: "upcast", .. }
         ));
         let down: Vec<(NodeId, u64)> = (1..5).map(|i| (NodeId::new(i), i as u64)).collect();
-        assert!(downcast_budgeted(&g, &f, down.clone(), 10).is_ok());
-        assert!(downcast_budgeted(&g, &f, down, 9).is_err());
+        assert!(downcast_budgeted(&mut Router::new(&g), &f, down.clone(), 10).is_ok());
+        assert!(downcast_budgeted(&mut Router::new(&g), &f, down, 9).is_err());
     }
 
     use congest_graph::Graph;

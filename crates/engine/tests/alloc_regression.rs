@@ -5,6 +5,10 @@
 //! dense, sparse, or dense again after a sparse one; and a whole
 //! `run_bcongest` round adds none on top: the agenda's poll list, timer heap
 //! and `due` table and the runner's sender buffer are reused the same way.
+//! The routing workspace keeps the same promise one level up: a warm
+//! [`Router`] allocates only the report and outcome it returns, so an
+//! `upcast` / `downcast` costs the same number of allocations on a 20 000-edge
+//! graph as on a 1 000-edge one, however many rounds the schedule takes.
 //! This is the property that makes the engine viable at n = 10⁵–10⁶, and it
 //! can rot silently (one stray `Vec::new()` in the round path brings the
 //! allocator back); this harness pins it with a counting
@@ -23,9 +27,10 @@
 //! harness threads are quiescent (this binary has exactly one `#[test]`).
 
 use congest_engine::{
-    run_bcongest, BcongestAlgorithm, ExecutorConfig, FlatPlane, LocalView, Metrics, RunOptions,
+    downcast, run_bcongest, upcast, BcongestAlgorithm, ExecutorConfig, FlatPlane, Forest,
+    LocalView, Metrics, Router, RunOptions, Wire,
 };
-use congest_graph::{generators, EdgeId, NodeId};
+use congest_graph::{generators, reference, EdgeId, Graph, NodeId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -61,6 +66,7 @@ fn allocs() -> u64 {
 fn steady_state_rounds_allocate_nothing() {
     flat_rounds_allocate_nothing();
     runner_rounds_allocate_nothing();
+    warm_tree_casts_allocate_only_what_they_return();
 }
 
 fn flat_rounds_allocate_nothing() {
@@ -238,5 +244,68 @@ fn runner_rounds_allocate_nothing() {
     assert_eq!(
         long_allocs, short_allocs,
         "{short_rounds} vs {long_rounds} rounds: a warm round must not touch the heap"
+    );
+}
+
+/// A payload of a chosen size in words: more words, more routed rounds.
+#[derive(Clone, Debug, PartialEq)]
+struct Words(usize);
+
+impl Wire for Words {
+    fn words(&self) -> usize {
+        self.0
+    }
+}
+
+/// Allocations and routed rounds of one `upcast` plus one `downcast` of the
+/// same 32 items (nodes 1..=32 of `g`'s BFS tree from node 0, `words` words
+/// each) on a `Router` that has already run that very batch.
+fn warm_cast_allocs(g: &Graph, words: usize) -> (u64, u64) {
+    let forest = Forest::from_parents(g, reference::bfs_tree(g, NodeId::new(0))).expect("BFS tree");
+    let items: Vec<(NodeId, Words)> = (1..=32).map(|v| (NodeId::new(v), Words(words))).collect();
+    let mut router = Router::new(g);
+    let mut cast = |up_items, down_items| {
+        let before = allocs();
+        let up = upcast(&mut router, &forest, up_items).expect("upcast");
+        let down = downcast(&mut router, &forest, down_items).expect("downcast");
+        let spent = allocs() - before;
+        assert_eq!(up.at_root[0].len(), 32);
+        assert_eq!(up.metrics.messages, down.metrics.messages);
+        (spent, up.metrics.rounds + down.metrics.rounds)
+    };
+    cast(items.clone(), items.clone());
+    cast(items.clone(), items)
+}
+
+/// What a warm cast may allocate is what it hands back: the report's
+/// congestion vector and completion rounds, the delivery-order table, the
+/// outcome's outer `Vec` and the per-place `Vec`s the 32 items land in (one
+/// root's, grown four times; 32 destinations', grown once each) — 44 in all,
+/// whatever `m` is and however long the schedule runs. The scheduler the
+/// `Router` replaced paid two tables of `2m` entries, a `VecDeque` per touched
+/// edge, two `Vec`s per task and two per routed round on top.
+fn warm_tree_casts_allocate_only_what_they_return() {
+    let small = generators::gnp_connected(200, 0.05, 11);
+    let large = generators::sparse_connected(5_000, 15_050, 11);
+    assert!(small.m() < 1_200 && large.m() > 20_000);
+
+    let (small_allocs, _) = warm_cast_allocs(&small, 1);
+    let (large_allocs, short_rounds) = warm_cast_allocs(&large, 1);
+    let (long_allocs, long_rounds) = warm_cast_allocs(&large, 9);
+    assert!(long_rounds > 4 * short_rounds);
+    assert!(
+        small_allocs <= 48,
+        "{small_allocs} allocations per warm cast pair"
+    );
+    assert_eq!(
+        small_allocs,
+        large_allocs,
+        "{} vs {} edges",
+        small.m(),
+        large.m()
+    );
+    assert_eq!(
+        large_allocs, long_allocs,
+        "{short_rounds} vs {long_rounds} rounds"
     );
 }

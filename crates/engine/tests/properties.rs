@@ -1,5 +1,7 @@
 //! Property-based tests for the execution engine: routing always delivers, tree
 //! operations deliver everything exactly once, capacity is respected, the
+//! arena `Router` reproduces the `VecDeque` scheduler it replaced report for
+//! report (fresh, reused, over forests, and after a rejected batch), the
 //! accounting invariants hold for arbitrary inputs, a run is identical —
 //! outputs and `Metrics` — at every thread count, the event-driven runner
 //! equals a round loop that polls every node every round (with and without
@@ -8,13 +10,16 @@
 
 use congest_algos::{bfs::Bfs, bfs_collection::BfsCollection};
 use congest_engine::faults::FaultState;
+use congest_engine::router::{RouteReport, RouteTask};
 use congest_engine::{
-    downcast, router, run_bcongest, treeops::Forest, upcast, BcongestAlgorithm, ExecutorConfig,
-    FaultEvent, FaultPlan, FaultResponse, LocalView, Metrics, RunOptions, Wire, WireDecode,
-    WireEncode,
+    downcast, router, run_bcongest, treeops::Forest, upcast, BcongestAlgorithm, EngineError,
+    ExecutorConfig, FaultEvent, FaultPlan, FaultResponse, LocalView, Metrics, Router, RunOptions,
+    Wire, WireDecode, WireEncode,
 };
 use congest_graph::{generators, reference, rng, EdgeId, Graph, NodeId};
 use proptest::prelude::*;
+use rand::Rng;
+use std::collections::VecDeque;
 
 /// Encode → decode round-trip, plus the accounting agreement: the packed
 /// width is the constant `LANES` while the model-level cost `words()` must
@@ -31,6 +36,178 @@ fn codec_roundtrip<T: WireDecode>(v: T) -> Result<(), TestCaseError> {
 fn bfs_forest(g: &congest_graph::Graph, root: usize) -> Forest {
     let parents = reference::bfs_tree(g, NodeId::new(root));
     Forest::from_parents(g, parents).expect("BFS tree is a forest")
+}
+
+/// The scheduler [`Router`] replaced, kept as its reference: one `VecDeque` per
+/// directed edge, every table rebuilt per call, each hop an `edge_between`
+/// search. Packets are injected in task order one per word; a round sends the
+/// head of every active queue in `active` order, keeps the still-non-empty
+/// edges first, then enqueues the arrivals in send order.
+fn reference_route(g: &Graph, tasks: &[RouteTask]) -> Result<RouteReport, EngineError> {
+    // Directed edge index: 2*e for canonical u->v, 2*e+1 for v->u.
+    let mut seqs: Vec<Vec<usize>> = Vec::with_capacity(tasks.len());
+    for (task, t) in tasks.iter().enumerate() {
+        let mut seq = Vec::new();
+        for w in t.path.windows(2) {
+            let e = g
+                .edge_between(w[0], w[1])
+                .ok_or(EngineError::InvalidPath { task })?;
+            seq.push(2 * e.index() + usize::from(g.endpoints(e).0 != w[0]));
+        }
+        seqs.push(seq);
+    }
+
+    let mut metrics = Metrics::new(g.m());
+    let mut completion = vec![0u64; tasks.len()];
+    let dilation = seqs.iter().map(Vec::len).max().unwrap_or(0);
+
+    let mut planned = vec![0u64; 2 * g.m()];
+    for (t, seq) in tasks.iter().zip(&seqs) {
+        for &d in seq {
+            planned[d] += t.words as u64;
+        }
+    }
+    let congestion = planned.iter().copied().max().unwrap_or(0);
+
+    // Packet = (task, hop index next to traverse). Each word is its own packet.
+    let mut queues: Vec<VecDeque<(usize, usize)>> = vec![VecDeque::new(); 2 * g.m()];
+    let mut is_active = vec![false; 2 * g.m()];
+    let mut active: Vec<usize> = Vec::new();
+    let mut outstanding: Vec<usize> = tasks.iter().map(|t| t.words).collect();
+    let mut remaining_packets = 0usize;
+    for (i, (t, seq)) in tasks.iter().zip(&seqs).enumerate() {
+        if seq.is_empty() || t.words == 0 {
+            outstanding[i] = 0;
+            continue;
+        }
+        for _ in 0..t.words {
+            queues[seq[0]].push_back((i, 0));
+            remaining_packets += 1;
+        }
+        if !is_active[seq[0]] {
+            is_active[seq[0]] = true;
+            active.push(seq[0]);
+        }
+    }
+
+    let mut round: u64 = 0;
+    while remaining_packets > 0 {
+        round += 1;
+        let mut arrivals: Vec<(usize, usize)> = Vec::with_capacity(active.len());
+        let mut survivors: Vec<usize> = Vec::with_capacity(active.len());
+        for &d in &active {
+            let (task, hop) = queues[d].pop_front().expect("active queues are non-empty");
+            metrics.add_messages(EdgeId::new(d / 2), 1);
+            arrivals.push((task, hop + 1));
+            if queues[d].is_empty() {
+                is_active[d] = false;
+            } else {
+                survivors.push(d);
+            }
+        }
+        active = survivors;
+        for (task, hop) in arrivals {
+            if hop == seqs[task].len() {
+                outstanding[task] -= 1;
+                remaining_packets -= 1;
+                if outstanding[task] == 0 {
+                    completion[task] = round;
+                }
+            } else {
+                let d = seqs[task][hop];
+                queues[d].push_back((task, hop));
+                if !is_active[d] {
+                    is_active[d] = true;
+                    active.push(d);
+                }
+            }
+        }
+    }
+    metrics.rounds = round;
+
+    Ok(RouteReport {
+        metrics,
+        completion_round: completion,
+        dilation,
+        congestion,
+    })
+}
+
+/// Every field of the two reports, the per-edge congestion vector included
+/// (`Metrics: PartialEq` compares it).
+fn assert_same_report(got: &RouteReport, want: &RouteReport) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&got.metrics, &want.metrics);
+    prop_assert_eq!(&got.completion_round, &want.completion_round);
+    prop_assert_eq!(got.dilation, want.dilation);
+    prop_assert_eq!(got.congestion, want.congestion);
+    Ok(())
+}
+
+/// A random walk of `hops` hops from `from` (it may revisit nodes and edges).
+fn random_walk(g: &Graph, r: &mut impl Rng, from: NodeId, hops: usize) -> Vec<NodeId> {
+    let mut path = vec![from];
+    for _ in 0..hops {
+        let nbrs = g.neighbors(*path.last().expect("non-empty"));
+        path.push(nbrs[r.random_range(0..nbrs.len())]);
+    }
+    path
+}
+
+/// `k` random tasks over connected `g` (n ≥ 2), words in `0..=5`: random walks
+/// of 0..=7 hops (0 hops = a single-node path), mixed with the shapes the FIFO
+/// order is sensitive to — walks that all start across one shared edge, and
+/// the same edge crossed in the opposite direction.
+fn random_batch(g: &Graph, r: &mut impl Rng, k: usize) -> Vec<RouteTask> {
+    let (a, b) = g.endpoints(EdgeId::new(r.random_range(0..g.m())));
+    (0..k)
+        .map(|_| {
+            let hops = r.random_range(0..=7usize);
+            let path = match r.random_range(0..4u32) {
+                0 => {
+                    let mut p = vec![a];
+                    p.extend(random_walk(g, r, b, hops));
+                    p
+                }
+                1 => {
+                    let mut p = vec![b];
+                    p.extend(random_walk(g, r, a, hops));
+                    p
+                }
+                _ => {
+                    let from = NodeId::new(r.random_range(0..g.n()));
+                    random_walk(g, r, from, hops)
+                }
+            };
+            RouteTask {
+                path,
+                words: r.random_range(0..=5usize),
+            }
+        })
+        .collect()
+}
+
+/// A payload of a chosen size in words (zero included), told apart by `tag`.
+#[derive(Clone, Debug, PartialEq)]
+struct Tagged {
+    tag: usize,
+    words: usize,
+}
+
+impl Wire for Tagged {
+    fn words(&self) -> usize {
+        self.words
+    }
+}
+
+/// A random forest over connected `g`: a BFS tree from a random root with each
+/// parent link cut with probability 1/4 (every cut node roots its subtree).
+fn random_forest(g: &Graph, r: &mut impl Rng) -> Forest {
+    let root = NodeId::new(r.random_range(0..g.n()));
+    let parents = reference::bfs_tree(g, root)
+        .into_iter()
+        .map(|p| p.filter(|_| r.random_range(0..4u32) != 0))
+        .collect();
+    Forest::from_parents(g, parents).expect("a BFS tree with links cut is a forest")
 }
 
 fn opts(seed: u64, exec: ExecutorConfig) -> RunOptions {
@@ -308,9 +485,9 @@ proptest! {
             let target = NodeId::new((i * 5 + 3) % g.n());
             let mut path = router::path_to_root(&parents, target);
             path.reverse();
-            tasks.push(router::RouteTask { path, words: 1 + i % 3 });
+            tasks.push(RouteTask { path, words: 1 + i % 3 });
         }
-        let report = router::route(&g, &tasks).unwrap();
+        let report = Router::new(&g).route(&tasks).unwrap();
         // Everything arrives, messages = Σ words · pathlen.
         let want: usize = tasks
             .iter()
@@ -328,12 +505,12 @@ proptest! {
     fn router_respects_capacity_via_lower_bound(seed in 0u64..100, k in 2usize..10) {
         // k one-word packets over the same single edge must take >= k rounds.
         let g = generators::path(2);
-        let t = router::RouteTask {
+        let t = RouteTask {
             path: vec![NodeId::new(0), NodeId::new(1)],
             words: 1,
         };
         let tasks = vec![t; k];
-        let report = router::route(&g, &tasks).unwrap();
+        let report = Router::new(&g).route(&tasks).unwrap();
         prop_assert_eq!(report.metrics.rounds, k as u64);
         let _ = seed;
     }
@@ -343,7 +520,7 @@ proptest! {
         let g = generators::gnp_connected(20, 0.2, seed);
         let f = bfs_forest(&g, 0);
         let items: Vec<(NodeId, u64)> = g.nodes().map(|v| (v, v.index() as u64)).collect();
-        let out = upcast(&g, &f, items).unwrap();
+        let out = upcast(&mut Router::new(&g), &f, items).unwrap();
         let mut got: Vec<u64> = out.at_root[0].iter().map(|d| d.payload).collect();
         got.sort_unstable();
         let want: Vec<u64> = (0..g.n() as u64).collect();
@@ -359,7 +536,7 @@ proptest! {
         let f = bfs_forest(&g, 0);
         let items: Vec<(NodeId, u64)> =
             (0..k).map(|i| (NodeId::new((i * 7 + 1) % g.n()), i as u64)).collect();
-        let out = downcast(&g, &f, items.clone()).unwrap();
+        let out = downcast(&mut Router::new(&g), &f, items.clone()).unwrap();
         for (dest, payload) in items {
             prop_assert!(out.at_node[dest.index()].contains(&payload));
         }
@@ -431,8 +608,113 @@ proptest! {
         let g = generators::gnp_connected(16, 0.3, seed);
         let f = bfs_forest(&g, 0);
         let items: Vec<(NodeId, u64)> = g.nodes().map(|v| (v, 1u64)).collect();
-        let out = upcast(&g, &f, items).unwrap();
+        let out = upcast(&mut Router::new(&g), &f, items).unwrap();
         let in_words = g.n() as u64;
         prop_assert!(out.metrics.rounds <= in_words + u64::from(f.depth()));
+    }
+}
+
+// The arena `Router` against the `VecDeque` scheduler it replaced. FIFO order
+// is all-or-nothing — one misplaced packet moves a completion round — so these
+// run many more cases than the properties above.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn router_matches_the_reference_scheduler(seed in 0u64..4000, n in 2usize..24,
+                                              k in 0usize..40) {
+        let g = generators::gnp_connected(n, 0.2, seed);
+        let tasks = random_batch(&g, &mut rng::seeded(seed), k);
+        let got = Router::new(&g).route(&tasks).expect("walks are valid paths");
+        assert_same_report(&got, &reference_route(&g, &tasks).expect("reference"))?;
+    }
+
+    #[test]
+    fn tree_casts_match_the_reference_on_root_paths(seed in 0u64..4000, n in 2usize..24,
+                                                    k in 0usize..40) {
+        let g = generators::gnp_connected(n, 0.2, seed);
+        let mut r = rng::seeded(seed);
+        let f = random_forest(&g, &mut r);
+        let items: Vec<(NodeId, Tagged)> = (0..k)
+            .map(|tag| {
+                let words = r.random_range(0..=5usize);
+                (NodeId::new(r.random_range(0..n)), Tagged { tag, words })
+            })
+            .collect();
+        let tasks = |down: bool| -> Vec<RouteTask> {
+            items
+                .iter()
+                .map(|(v, p)| {
+                    let mut path = f.path_to_root(*v);
+                    if down {
+                        path.reverse();
+                    }
+                    RouteTask { path, words: p.words }
+                })
+                .collect()
+        };
+        // Delivery order at one place: by completion round, ties by insertion.
+        let delivery_order = |want: &RouteReport, place: &dyn Fn(NodeId) -> NodeId, at: NodeId| {
+            let mut idx: Vec<usize> = (0..k).filter(|&i| place(items[i].0) == at).collect();
+            idx.sort_by_key(|&i| want.completion_round[i]);
+            idx
+        };
+        let mut router = Router::new(&g);
+
+        let want = reference_route(&g, &tasks(false)).expect("root paths are walks");
+        let up = upcast(&mut router, &f, items.clone()).expect("upcast");
+        prop_assert_eq!(&up.metrics, &want.metrics);
+        for (slot, &root) in f.roots().iter().enumerate() {
+            let order = delivery_order(&want, &|v| f.root_of(v), root);
+            prop_assert_eq!(up.at_root[slot].len(), order.len());
+            for (d, i) in up.at_root[slot].iter().zip(order) {
+                prop_assert_eq!((d.origin, &d.payload), (items[i].0, &items[i].1));
+            }
+        }
+
+        let want = reference_route(&g, &tasks(true)).expect("root paths are walks");
+        let down = downcast(&mut router, &f, items.clone()).expect("downcast");
+        prop_assert_eq!(&down.metrics, &want.metrics);
+        for v in g.nodes() {
+            let got: Vec<&Tagged> = down.at_node[v.index()].iter().collect();
+            let order = delivery_order(&want, &|v| v, v);
+            prop_assert_eq!(got, order.iter().map(|&i| &items[i].1).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_reused_router_equals_fresh_ones(seed in 0u64..4000, n in 2usize..20) {
+        let g = generators::gnp_connected(n, 0.25, seed);
+        let mut r = rng::seeded(seed);
+        let mut reused = Router::new(&g);
+        for _ in 0..50 {
+            let k = r.random_range(0..24usize);
+            let tasks = random_batch(&g, &mut r, k);
+            let got = reused.route(&tasks).expect("walks are valid paths");
+            assert_same_report(&got, &Router::new(&g).route(&tasks).expect("fresh"))?;
+        }
+    }
+
+    #[test]
+    fn a_rejected_batch_leaves_the_router_clean(seed in 0u64..4000, n in 4usize..20,
+                                                k in 2usize..24) {
+        // The path graph has no chords, so jumping two nodes is never an edge.
+        let g = generators::path(n);
+        let mut r = rng::seeded(seed);
+        let jump = RouteTask { path: vec![NodeId::new(0), NodeId::new(2)], words: 3 };
+        let mut bad = random_batch(&g, &mut r, k);
+        let first = r.random_range(0..k - 1);
+        bad[first] = jump.clone();
+        bad[r.random_range(first + 1..k)] = jump;
+
+        let mut router = Router::new(&g);
+        let warm = random_batch(&g, &mut r, k);
+        router.route(&warm).expect("walks are valid paths");
+        prop_assert_eq!(router.route(&bad).unwrap_err(), EngineError::InvalidPath { task: first });
+        prop_assert_eq!(reference_route(&g, &bad).unwrap_err(),
+                        EngineError::InvalidPath { task: first });
+        let next = random_batch(&g, &mut r, k);
+        let got = router.route(&next).expect("walks are valid paths");
+        assert_same_report(&got, &Router::new(&g).route(&next).expect("fresh"))?;
     }
 }

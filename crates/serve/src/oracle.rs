@@ -242,11 +242,18 @@ impl<S: DistanceSource> DistanceOracle<S> {
                 d.value().map(|v| (v, t, d))
             })
             .collect();
-        reached.sort_unstable_by_key(|&(v, t, _)| (v, t));
+        let by_distance_then_id = |&(v, t, _): &(u64, usize, Distance)| (v, t);
+        if k < reached.len() {
+            reached.select_nth_unstable_by_key(k, by_distance_then_id);
+            reached.truncate(k);
+        }
+        reached.sort_unstable_by_key(by_distance_then_id);
+        // Collected from a borrow, so the answer is a fresh `Vec` of its own size:
+        // `into_iter().collect()` would reuse `reached` in place and hand the caller
+        // the whole `n − 1`-candidate scan buffer to keep alive.
         reached
-            .into_iter()
-            .take(k)
-            .map(|(_, t, d)| (NodeId::new(t), d))
+            .iter()
+            .map(|&(_, t, d)| (NodeId::new(t), d))
             .collect()
     }
 }
@@ -300,6 +307,36 @@ mod tests {
         );
         assert_eq!(oracle.metrics().knn_queries, 1);
         assert_eq!(oracle.metrics().lookups, 0); // bypasses the point paths
+    }
+
+    #[test]
+    fn knn_selects_the_full_sort_prefix_and_keeps_no_scan_buffer() {
+        // A 41-cycle: every distance from node 7 is shared by two nodes, so every
+        // cut through the ranking lands on or next to a tie.
+        let n = 41usize;
+        let dist: Vec<Vec<Option<u64>>> = (0..n)
+            .map(|t| {
+                let ring = |s: usize| s.abs_diff(t).min(n - s.abs_diff(t)) as u64;
+                (0..n).map(|s| Some(ring(s))).collect()
+            })
+            .collect();
+        let s = NodeId::new(7);
+        let mut ranked: Vec<(u64, usize)> = (0..n)
+            .filter(|&t| t != s.index())
+            .map(|t| (dist[t][s.index()].expect("connected"), t))
+            .collect();
+        ranked.sort_unstable();
+        let mut oracle = DistanceOracle::builder(MatrixSource::new(&dist)).build();
+        for k in [0, 1, 2, 3, 8, n - 2, n - 1, n, 10 * n] {
+            let near = oracle.k_nearest(s, k);
+            let want: Vec<(NodeId, Distance)> = ranked
+                .iter()
+                .take(k)
+                .map(|&(d, t)| (NodeId::new(t), Distance::Exact(d)))
+                .collect();
+            assert_eq!(near, want, "k = {k}");
+            assert!(near.capacity() <= k.max(near.len()), "k = {k}");
+        }
     }
 
     #[test]
