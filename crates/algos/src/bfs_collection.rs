@@ -95,17 +95,6 @@ impl BfsCollection {
         self
     }
 
-    /// Explicit delays (must be one per source).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delays.len() != sources.len()`.
-    pub fn with_delays(mut self, delays: Vec<usize>) -> Self {
-        assert_eq!(delays.len(), self.sources.len());
-        self.delays = delays;
-        self
-    }
-
     /// Truncates every BFS at `limit` hops (the partial BFS of Lemma 3.23).
     pub fn with_depth_limit(mut self, limit: u32) -> Self {
         self.depth_limit = limit;
@@ -304,11 +293,6 @@ impl AggregationAlgorithm for BfsCollection {
         let log = (usize::BITS - n.max(2).leading_zeros()) as usize;
         (8 * log).min(self.sources.len().max(1))
     }
-}
-
-/// Extracts, for BFS `j`, the parent vector over all nodes from a run's outputs.
-pub fn parents_of_bfs(outputs: &[CollectionOutput], j: usize) -> Vec<Option<NodeId>> {
-    outputs.iter().map(|o| o.entries[j].parent).collect()
 }
 
 /// Extracts, for BFS `j`, the distance vector over all nodes.

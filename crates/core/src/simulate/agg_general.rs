@@ -20,11 +20,12 @@
 //! one seed the simulated outputs equal a direct run's (Lemma 3.14; asserted by the
 //! integration tests).
 
-use crate::simulate::common::{dedupe_msgs, input_words, Pad, SimulationRun, Stepper};
+use crate::simulate::common::{dedupe_msgs, payload_options, Pad, SimulationRun};
 use congest_algos::leader::setup_network_with;
 use congest_decomp::{Hierarchy, Level};
 use congest_engine::{
-    downcast, upcast, AggregationAlgorithm, EngineError, Forest, Metrics, Router, Wire,
+    downcast, run_bcongest_over, upcast, AggregationAlgorithm, EngineError, Forest, Metrics,
+    Router, Wire,
 };
 use congest_graph::{ClusterId, EdgeId, Graph, NodeId};
 
@@ -110,18 +111,13 @@ impl Runtime {
 ///
 /// Returns [`EngineError::RoundLimitExceeded`] on a diverging payload; propagates
 /// preprocessing errors.
-pub fn simulate_aggregation_general<A>(
+pub fn simulate_aggregation_general<A: AggregationAlgorithm>(
     algo: &A,
     g: &Graph,
     weights: Option<&[u64]>,
     h: &Hierarchy,
     opts: &AggSimOptions,
-) -> Result<SimulationRun<A::Output>, EngineError>
-where
-    A: AggregationAlgorithm + Sync,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
-{
+) -> Result<SimulationRun<A::Output>, EngineError> {
     let n = g.n();
     let mut metrics = Metrics::new(g.m());
 
@@ -148,28 +144,19 @@ where
     }
     let preprocessing = metrics.clone();
 
-    let mut stepper = Stepper::new(algo, g, weights, opts.seed).with_exec(opts.exec.clone());
-    let limit = opts
-        .max_phases
-        .unwrap_or_else(|| 4 * algo.round_bound(n, g.m()) + 64);
-
-    let mut phase = 0usize;
-    let mut simulated_rounds = 0usize;
-    loop {
-        if phase > limit {
-            return Err(EngineError::RoundLimitExceeded {
-                algorithm: algo.name(),
-                limit,
-            });
-        }
-        let broadcasters = stepper.collect_broadcasts(phase);
+    // Nodes keep their own states: phase `p` is round `p` of the payload's own
+    // execution, delivered by the transport below.
+    let transport = |phase: usize,
+                     broadcasters: &[(NodeId, A::Msg)],
+                     inboxes: &mut [Vec<(NodeId, A::Msg)>]|
+     -> Result<(), EngineError> {
         let mut phase_cost = Metrics::new(g.m());
         let mut direct_packets: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
         let mut receive_packets: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
 
         if !broadcasters.is_empty() {
             let mut bp: Vec<Option<A::Msg>> = vec![None; n];
-            for (v, m) in &broadcasters {
+            for (v, m) in broadcasters {
                 bp[v.index()] = Some(m.clone());
             }
 
@@ -178,7 +165,7 @@ where
             {
                 let mut step = Metrics::new(g.m());
                 step.rounds = 1;
-                for (v, m) in &broadcasters {
+                for (v, m) in broadcasters {
                     for &(edge, other, _, _) in &rt.f_of[v.index()] {
                         step.add_messages(edge, 1);
                         indirect_at[other.index()].push((*v, m.clone()));
@@ -321,7 +308,6 @@ where
         metrics.merge_sequential(&phase_cost);
 
         // ---- Compute ----
-        let mut inboxes: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
         for u in 0..n {
             let mut all = std::mem::take(&mut direct_packets[u]);
             all.extend(std::mem::take(&mut receive_packets[u]));
@@ -330,28 +316,11 @@ where
             }
             inboxes[u] = dedupe_msgs(all);
         }
-        let any = stepper.deliver(phase, inboxes);
-        if !broadcasters.is_empty() || any {
-            simulated_rounds = phase + 1;
-            phase += 1;
-            continue;
-        }
-        match stepper.next_activity(phase + 1) {
-            Some(next) => phase = next,
-            None => break,
-        }
-    }
-
-    let (outputs, output_words) = stepper.outputs();
-    Ok(SimulationRun {
-        outputs,
-        metrics,
-        preprocessing,
-        simulated_rounds,
-        simulated_broadcasts: stepper.broadcasts,
-        input_words: input_words(g),
-        output_words,
-    })
+        Ok(())
+    };
+    let payload_opts = payload_options(opts.seed, opts.max_phases, &opts.exec);
+    let payload = run_bcongest_over(algo, g, weights, &payload_opts, transport)?;
+    Ok(SimulationRun::assemble(payload, metrics, preprocessing))
 }
 
 /// Convenience view: which levels an ℓ-node belongs to (used by tests).

@@ -18,11 +18,12 @@
 //! edges per phase is `Õ(n^{1-ε})` (Lemma 3.18), which is what buys the faster
 //! phases and, through Lemma 3.22, the round-optimal end of the trade-off.
 
-use crate::simulate::common::{dedupe_msgs, input_words, Pad, SimulationRun, Stepper};
+use crate::simulate::common::{dedupe_msgs, payload_options, Pad, SimulationRun};
 use congest_algos::leader::setup_network_with;
 use congest_decomp::Hierarchy;
 use congest_engine::{
-    downcast, upcast, AggregationAlgorithm, EngineError, Forest, Metrics, Router, Wire,
+    downcast, run_bcongest_over, upcast, AggregationAlgorithm, EngineError, Forest, Metrics,
+    Router, Wire,
 };
 use congest_graph::{ClusterId, EdgeId, Graph, NodeId};
 
@@ -36,18 +37,13 @@ pub use super::agg_general::AggSimOptions;
 /// Returns [`EngineError::RoundLimitExceeded`] on a diverging payload; propagates
 /// preprocessing errors. Panics if the hierarchy has more than three levels (use
 /// [`super::agg_general::simulate_aggregation_general`] for smaller ε).
-pub fn simulate_aggregation_star<A>(
+pub fn simulate_aggregation_star<A: AggregationAlgorithm>(
     algo: &A,
     g: &Graph,
     weights: Option<&[u64]>,
     h: &Hierarchy,
     opts: &AggSimOptions,
-) -> Result<SimulationRun<A::Output>, EngineError>
-where
-    A: AggregationAlgorithm + Sync,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
-{
+) -> Result<SimulationRun<A::Output>, EngineError> {
     assert!(
         h.kappa <= 2,
         "the star simulation needs ε ≥ 1/2 (κ ≤ 2); got κ = {}",
@@ -89,21 +85,12 @@ where
     let in_l1: Vec<bool> = (0..n).map(|v| h.dropout[v] == 1).collect();
     let preprocessing = metrics.clone();
 
-    let mut stepper = Stepper::new(algo, g, weights, opts.seed).with_exec(opts.exec.clone());
-    let limit = opts
-        .max_phases
-        .unwrap_or_else(|| 4 * algo.round_bound(n, g.m()) + 64);
-
-    let mut phase = 0usize;
-    let mut simulated_rounds = 0usize;
-    loop {
-        if phase > limit {
-            return Err(EngineError::RoundLimitExceeded {
-                algorithm: algo.name(),
-                limit,
-            });
-        }
-        let broadcasters = stepper.collect_broadcasts(phase);
+    // Nodes keep their own states: phase `p` is round `p` of the payload's own
+    // execution, delivered by the transport below.
+    let transport = |phase: usize,
+                     broadcasters: &[(NodeId, A::Msg)],
+                     inboxes: &mut [Vec<(NodeId, A::Msg)>]|
+     -> Result<(), EngineError> {
         let mut phase_cost = Metrics::new(g.m());
         let mut raw_packets: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
         let mut direct_packets: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
@@ -112,7 +99,7 @@ where
 
         if !broadcasters.is_empty() {
             let mut bp: Vec<Option<A::Msg>> = vec![None; n];
-            for (v, m) in &broadcasters {
+            for (v, m) in broadcasters {
                 bp[v.index()] = Some(m.clone());
             }
 
@@ -121,7 +108,7 @@ where
             {
                 let mut step = Metrics::new(g.m());
                 step.rounds = 1;
-                for (v, m) in &broadcasters {
+                for (v, m) in broadcasters {
                     if in_l1[v.index()] {
                         for (e, u) in g.incident(*v) {
                             step.add_messages(e, 1);
@@ -284,7 +271,6 @@ where
         metrics.merge_sequential(&phase_cost);
 
         // ---- Compute ----
-        let mut inboxes: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
         for u in 0..n {
             let mut all = std::mem::take(&mut raw_packets[u]);
             all.extend(std::mem::take(&mut direct_packets[u]));
@@ -294,28 +280,11 @@ where
             }
             inboxes[u] = dedupe_msgs(all);
         }
-        let any = stepper.deliver(phase, inboxes);
-        if !broadcasters.is_empty() || any {
-            simulated_rounds = phase + 1;
-            phase += 1;
-            continue;
-        }
-        match stepper.next_activity(phase + 1) {
-            Some(next) => phase = next,
-            None => break,
-        }
-    }
-
-    let (outputs, output_words) = stepper.outputs();
-    Ok(SimulationRun {
-        outputs,
-        metrics,
-        preprocessing,
-        simulated_rounds,
-        simulated_broadcasts: stepper.broadcasts,
-        input_words: input_words(g),
-        output_words,
-    })
+        Ok(())
+    };
+    let payload_opts = payload_options(opts.seed, opts.max_phases, &opts.exec);
+    let payload = run_bcongest_over(algo, g, weights, &payload_opts, transport)?;
+    Ok(SimulationRun::assemble(payload, metrics, preprocessing))
 }
 
 #[cfg(test)]

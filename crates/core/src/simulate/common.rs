@@ -1,10 +1,10 @@
-//! Shared plumbing for the three simulation theorems: the simulated-algorithm
-//! stepper (state array + broadcast collection + idle-skipping, mirroring the
-//! direct runner's semantics exactly) and the padding payload used to account
-//! multi-word transfers.
+//! Shared plumbing for the three simulation theorems: the outcome type, how
+//! the payload's run over a simulation's transport
+//! ([`congest_engine::run_bcongest_over`]) is configured and folded into it,
+//! and the padding payload used to account multi-word transfers.
 
-use congest_engine::{exec, BcongestAlgorithm, ExecutorConfig, LocalView, Metrics, Wire};
-use congest_graph::{rng, Graph, NodeId};
+use congest_engine::{BcongestRun, ExecutorConfig, Metrics, RunOptions, Wire};
+use congest_graph::NodeId;
 
 /// An opaque payload of a known size in words — used when the *content* of a
 /// transfer is tracked separately (e.g. cluster centers already hold the data) but
@@ -37,109 +37,39 @@ pub struct SimulationRun<O> {
     pub output_words: usize,
 }
 
-/// Steps the states of a simulated BCONGEST algorithm, phase by phase, with exactly
-/// the direct runner's semantics (so simulated outputs are bit-identical).
-///
-/// The per-node phases honor an [`ExecutorConfig`] (see [`Stepper::with_exec`]):
-/// the pure broadcast scan, the receive transitions, and the idle scan shard
-/// nodes into contiguous chunks and merge in fixed node order, exactly like the
-/// direct runner — so simulated outputs stay bit-identical at every thread count.
-pub struct Stepper<'a, A: BcongestAlgorithm> {
-    algo: &'a A,
-    /// Simulated per-node states.
-    pub states: Vec<A::State>,
-    /// Broadcast count so far.
-    pub broadcasts: u64,
-    /// How the per-node phases execute (sequential by default).
-    exec: ExecutorConfig,
+impl<O> SimulationRun<O> {
+    /// Assembles the outcome from the payload's execution over the simulation's
+    /// transport (`payload`, whose rounds are the simulated phases), the
+    /// simulation's own total account and its preprocessing share.
+    pub(crate) fn assemble(
+        payload: BcongestRun<O>,
+        metrics: Metrics,
+        preprocessing: Metrics,
+    ) -> Self {
+        Self {
+            outputs: payload.outputs,
+            metrics,
+            preprocessing,
+            simulated_rounds: payload.metrics.rounds as usize,
+            simulated_broadcasts: payload.metrics.broadcasts,
+            input_words: payload.input_words,
+            output_words: payload.output_words,
+        }
+    }
 }
 
-impl<'a, A> Stepper<'a, A>
-where
-    A: BcongestAlgorithm + Sync,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
-{
-    /// Initializes states with the same per-node seeds the direct runner would use.
-    pub fn new(algo: &'a A, g: &Graph, weights: Option<&[u64]>, seed: u64) -> Self {
-        let states = (0..g.n())
-            .map(|i| {
-                let view = LocalView::new(g, weights, NodeId::new(i), rng::node_seed(seed, i));
-                algo.init(&view)
-            })
-            .collect();
-        Self {
-            algo,
-            states,
-            broadcasts: 0,
-            exec: ExecutorConfig::default(),
-        }
-    }
-
-    /// Sets the executor used for the per-node phases.
-    #[must_use]
-    pub fn with_exec(mut self, exec: ExecutorConfig) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// Collects this phase's broadcasts and applies the send transitions.
-    pub fn collect_broadcasts(&mut self, round: usize) -> Vec<(NodeId, A::Msg)> {
-        let algo = self.algo;
-        let out: Vec<(NodeId, A::Msg)> = exec::map_chunks(&self.exec, &self.states, {
-            |start, chunk| {
-                let mut batch = Vec::new();
-                for (off, st) in chunk.iter().enumerate() {
-                    if let Some(m) = algo.broadcast(st, round) {
-                        batch.push((NodeId::new(start + off), m));
-                    }
-                }
-                batch
-            }
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        for (v, _) in &out {
-            self.algo
-                .on_broadcast_sent(&mut self.states[v.index()], round);
-        }
-        self.broadcasts += out.len() as u64;
-        out
-    }
-
-    /// Delivers per-node inboxes (only non-empty ones, like the direct runner).
-    /// Returns whether anything was delivered.
-    pub fn deliver(&mut self, round: usize, mut inboxes: Vec<Vec<(NodeId, A::Msg)>>) -> bool {
-        assert_eq!(inboxes.len(), self.states.len(), "one inbox per node");
-        let algo = self.algo;
-        exec::map_chunks_mut2(&self.exec, &mut self.states, &mut inboxes, {
-            |_start, sts, inbs| {
-                let mut any = false;
-                for (st, inbox) in sts.iter_mut().zip(inbs.iter_mut()) {
-                    if !inbox.is_empty() {
-                        any = true;
-                        algo.receive(st, round, inbox);
-                    }
-                }
-                any
-            }
-        })
-        .into_iter()
-        .any(|b| b)
-    }
-
-    /// The next simulated round at which anything can happen, absent further input.
-    pub fn next_activity(&self, after: usize) -> Option<usize> {
-        let algo = self.algo;
-        exec::min_chunks(&self.exec, &self.states, |st| algo.next_activity(st, after))
-    }
-
-    /// Finalizes outputs and the `Out` word count.
-    pub fn outputs(&self) -> (Vec<A::Output>, usize) {
-        let outputs: Vec<A::Output> = self.states.iter().map(|s| self.algo.output(s)).collect();
-        let words = outputs.iter().map(|o| self.algo.output_words(o)).sum();
-        (outputs, words)
+/// The payload's [`RunOptions`] under a simulation: same seed as a direct run,
+/// the phase guard as its round limit, no faults.
+pub(crate) fn payload_options(
+    seed: u64,
+    max_phases: Option<usize>,
+    exec: &ExecutorConfig,
+) -> RunOptions {
+    RunOptions {
+        max_rounds: max_phases,
+        seed,
+        exec: exec.clone(),
+        faults: None,
     }
 }
 
@@ -153,11 +83,6 @@ pub fn dedupe_msgs<M: Wire>(mut msgs: Vec<(NodeId, M)>) -> Vec<(NodeId, M)> {
         }
     }
     out
-}
-
-/// Total input words over all nodes (the paper's `In`, in words).
-pub fn input_words(g: &Graph) -> usize {
-    g.nodes().map(|v| g.degree(v) + 1).sum()
 }
 
 #[cfg(test)]
@@ -180,11 +105,5 @@ mod tests {
         ];
         let out = dedupe_msgs(msgs);
         assert_eq!(out.len(), 3);
-    }
-
-    #[test]
-    fn input_words_is_2m_plus_n() {
-        let g = congest_graph::generators::cycle(5);
-        assert_eq!(input_words(&g), 2 * 5 + 5);
     }
 }

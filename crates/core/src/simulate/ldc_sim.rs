@@ -17,10 +17,12 @@
 //! Correctness (Lemma 2.5) is checked in the strongest possible way: with the same
 //! seed, outputs are asserted equal to a direct run's (see the integration tests).
 
-use crate::simulate::common::{input_words, Pad, SimulationRun, Stepper};
+use crate::simulate::common::{payload_options, Pad, SimulationRun};
 use congest_algos::leader::setup_network_with;
 use congest_decomp::ldc::{build_ldc, LdcDecomposition};
-use congest_engine::{downcast, upcast, BcongestAlgorithm, EngineError, Forest, Metrics, Router};
+use congest_engine::{
+    downcast, run_bcongest_over, upcast, BcongestAlgorithm, EngineError, Forest, Metrics, Router,
+};
 use congest_graph::{Graph, NodeId};
 
 /// Options for the Theorem 2.1 simulation.
@@ -45,17 +47,12 @@ pub struct LdcSimOptions {
 ///
 /// Returns [`EngineError::RoundLimitExceeded`] if the payload does not quiesce
 /// within the phase guard; propagates preprocessing errors.
-pub fn simulate_bcongest_via_ldc<A>(
+pub fn simulate_bcongest_via_ldc<A: BcongestAlgorithm>(
     algo: &A,
     g: &Graph,
     weights: Option<&[u64]>,
     opts: &LdcSimOptions,
-) -> Result<SimulationRun<A::Output>, EngineError>
-where
-    A: BcongestAlgorithm + Sync,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
-{
+) -> Result<SimulationRun<A::Output>, EngineError> {
     let n = g.n();
     let mut metrics = Metrics::new(g.m());
 
@@ -77,31 +74,19 @@ where
     metrics.merge_sequential(&up.metrics);
     let preprocessing = metrics.clone();
 
-    // Centers now (conceptually) hold all member inputs; replicate member states.
-    let mut stepper = Stepper::new(algo, g, weights, opts.seed).with_exec(opts.exec.clone());
-
-    let limit = opts
-        .max_phases
-        .unwrap_or_else(|| 4 * algo.round_bound(n, g.m()) + 64);
+    // Centers now (conceptually) hold all member inputs and replicate member
+    // states: phase `p` is round `p` of the payload's own execution, delivered
+    // by the transport below.
     let phase_budget = phase_budget_rounds(n);
-
-    let mut phase = 0usize;
-    let mut simulated_rounds = 0usize;
-    loop {
-        if phase > limit {
-            return Err(EngineError::RoundLimitExceeded {
-                algorithm: algo.name(),
-                limit,
-            });
-        }
-        let broadcasters = stepper.collect_broadcasts(phase);
-
+    let transport = |_phase: usize,
+                     broadcasters: &[(NodeId, A::Msg)],
+                     inboxes: &mut [Vec<(NodeId, A::Msg)>]|
+     -> Result<(), EngineError> {
         // Inboxes are exactly the direct run's: every broadcast reaches all
         // neighbors. The LDC decomposition guarantees every (broadcaster, receiving
         // cluster) pair is served by an F-edge (validated at construction), so the
         // transport below pays for precisely this information flow.
-        let mut inboxes: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
-        for (v, m) in &broadcasters {
+        for (v, m) in broadcasters {
             for &u in g.neighbors(*v) {
                 inboxes[u.index()].push((*v, m.clone()));
             }
@@ -113,7 +98,7 @@ where
         if !broadcasters.is_empty() {
             let mut down_items = Vec::new();
             let mut up_items = Vec::new();
-            for (v, _) in &broadcasters {
+            for (v, _) in broadcasters {
                 for f in &ldc.f_edges[v.index()] {
                     down_items.push((*v, Pad(1)));
                     up_items.push((f.other, Pad(1)));
@@ -123,7 +108,7 @@ where
             phase_cost.merge_sequential(&down.metrics);
             let mut exchange = Metrics::new(g.m());
             exchange.rounds = 1;
-            for (v, _) in &broadcasters {
+            for (v, _) in broadcasters {
                 for f in &ldc.f_edges[v.index()] {
                     exchange.add_messages(f.edge, 1);
                 }
@@ -136,38 +121,21 @@ where
             phase_cost.pad_rounds(phase_budget.saturating_sub(phase_cost.rounds));
         }
         metrics.merge_sequential(&phase_cost);
-
-        let any_received = stepper.deliver(phase, inboxes);
-        if !broadcasters.is_empty() || any_received {
-            simulated_rounds = phase + 1;
-            phase += 1;
-            continue;
-        }
-        match stepper.next_activity(phase + 1) {
-            Some(next) => phase = next,
-            None => break,
-        }
-    }
+        Ok(())
+    };
+    let payload_opts = payload_options(opts.seed, opts.max_phases, &opts.exec);
+    let payload = run_bcongest_over(algo, g, weights, &payload_opts, transport)?;
 
     // Final phase: downcast outputs to their nodes.
-    let (outputs, output_words) = stepper.outputs();
     let out_items: Vec<(NodeId, Pad)> = g
         .nodes()
-        .zip(outputs.iter())
+        .zip(payload.outputs.iter())
         .map(|(v, o)| (v, Pad(algo.output_words(o))))
         .collect();
     let down = downcast(&mut router, &forest, out_items)?;
     metrics.merge_sequential(&down.metrics);
 
-    Ok(SimulationRun {
-        outputs,
-        metrics,
-        preprocessing,
-        simulated_rounds,
-        simulated_broadcasts: stepper.broadcasts,
-        input_words: input_words(g),
-        output_words,
-    })
+    Ok(SimulationRun::assemble(payload, metrics, preprocessing))
 }
 
 /// The §2.2 worst-case phase budget `Θ(n log n)`.

@@ -16,5 +16,5 @@ pub mod ldc_sim;
 
 pub use agg_general::{simulate_aggregation_general, AggSimOptions};
 pub use agg_star::simulate_aggregation_star;
-pub use common::{SimulationRun, Stepper};
+pub use common::SimulationRun;
 pub use ldc_sim::{simulate_bcongest_via_ldc, LdcSimOptions};

@@ -49,11 +49,6 @@ impl Level {
     pub fn center(&self, c: ClusterId) -> NodeId {
         self.clusters[c.index()].0
     }
-
-    /// F-edges owned by `v` at this level.
-    pub fn f_edges_of(&self, v: NodeId) -> impl Iterator<Item = &FEdge> {
-        self.f_edges.iter().filter(move |f| f.owner == v)
-    }
 }
 
 /// A (possibly pruned) Baswana–Sen cluster hierarchy.
@@ -218,13 +213,6 @@ impl Hierarchy {
             cluster_edge,
             metrics,
         }
-    }
-
-    /// The clusters containing `v`: `(level, cluster)` for levels `0..dropout(v)`.
-    pub fn clusters_of(&self, v: NodeId) -> impl Iterator<Item = (usize, ClusterId)> + '_ {
-        self.levels
-            .iter()
-            .filter_map(move |lvl| lvl.cluster_of[v.index()].map(|c| (lvl.index, c)))
     }
 
     /// All F-edges across levels.

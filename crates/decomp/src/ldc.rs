@@ -46,12 +46,6 @@ impl LdcDecomposition {
     pub fn strong_radius(&self, g: &Graph) -> u32 {
         self.clustering.strong_radius(g)
     }
-
-    /// Whether `e` is a cluster-tree edge.
-    pub fn is_tree_edge(&self, g: &Graph, e: EdgeId) -> bool {
-        let (u, v) = g.endpoints(e);
-        self.clustering.parent[u.index()] == Some(v) || self.clustering.parent[v.index()] == Some(u)
-    }
 }
 
 /// Builds an `(O(log n), O(log n))`-LDC decomposition (Lemma 2.4): runs distributed

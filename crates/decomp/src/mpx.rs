@@ -367,20 +367,6 @@ impl Clustering {
         }
         worst
     }
-
-    /// The number of distinct *other* clusters adjacent to `v`.
-    pub fn neighboring_clusters(&self, g: &Graph, v: NodeId) -> usize {
-        let mine = self.cluster_of[v.index()];
-        let mut seen: Vec<ClusterId> = g
-            .neighbors(v)
-            .iter()
-            .map(|&u| self.cluster_of[u.index()])
-            .filter(|&c| c != mine)
-            .collect();
-        seen.sort_unstable();
-        seen.dedup();
-        seen.len()
-    }
 }
 
 /// Result of running MPX: the clustering plus the per-node neighbor-center lists and

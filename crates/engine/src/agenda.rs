@@ -1,6 +1,6 @@
 //! The round agenda: which nodes a runner polls in which round.
 //!
-//! Both runners are event-driven. A node's
+//! The round loop (`rounds.rs`) is event-driven. A node's
 //! [`broadcast`](crate::BcongestAlgorithm::broadcast) /
 //! [`sends`](crate::CongestAlgorithm::sends) is evaluated in a round only if
 //! the node is *scheduled* for it, and a node is rescheduled only when
@@ -148,7 +148,7 @@ impl Agenda {
     }
 
     /// Debug builds only: the nodes of `0..n` *not* on the poll list,
-    /// ascending — the ones the runners assert would have stayed silent.
+    /// ascending — the ones the round loop asserts would have stayed silent.
     #[cfg(debug_assertions)]
     pub(crate) fn unpolled(&self) -> impl Iterator<Item = usize> + '_ {
         let mut polled = self.poll.iter().peekable();

@@ -14,16 +14,14 @@
 //! outputs — which is exactly the correctness statement of Lemmas 2.5/3.14/3.20, and is
 //! asserted wholesale by the integration tests.
 
-use crate::agenda::Agenda;
 use crate::error::EngineError;
-use crate::exec::{self, ExecutorConfig};
-use crate::faults::{FaultEvent, FaultPlan, FaultResponse, FaultState};
+use crate::exec::ExecutorConfig;
+use crate::faults::FaultPlan;
 use crate::metrics::Metrics;
-use crate::plane::FlatPlane;
+use crate::rounds::{self, Delivery, Model, Observer, OverPlane, Transport};
 use crate::view::LocalView;
 use crate::wire::{Wire, WireDecode};
-use congest_graph::{rng, EdgeId, Graph, NodeId};
-use std::sync::atomic::{AtomicU64, Ordering};
+use congest_graph::{EdgeId, Graph, NodeId};
 
 /// A BCONGEST algorithm as a pure per-node state machine.
 ///
@@ -40,13 +38,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///   polled for a broadcast only in rounds its last answer named, so the answer must never
 ///   be later than the first round [`broadcast`](Self::broadcast) would fire *absent
 ///   further input* (rounds nobody is scheduled for are skipped, but still counted).
-pub trait BcongestAlgorithm {
-    /// Per-node state.
-    type State: Clone + std::fmt::Debug;
+pub trait BcongestAlgorithm: Sync {
+    /// Per-node state. `Send + Sync` here, on [`Msg`](Self::Msg) and on the
+    /// algorithm itself because the per-node phases may run on worker threads
+    /// ([`RunOptions::exec`]).
+    type State: Clone + std::fmt::Debug + Send + Sync;
     /// The broadcast message type; must fit in one word (one `O(log n)`-bit
     /// message). The [`WireDecode`] bound gives every message the fixed-width
     /// packed codec the round buffer ([`crate::plane`]) stores it in.
-    type Msg: WireDecode;
+    type Msg: WireDecode + Send + Sync;
     /// Per-node output.
     type Output: Clone + std::fmt::Debug + PartialEq;
 
@@ -103,7 +103,7 @@ pub trait BcongestAlgorithm {
     /// Size of one node's output in words (`Out = Σ_v output_words`).
     fn output_words(&self, out: &Self::Output) -> usize;
 
-    /// Fault-response hook for [`FaultResponse::SelfHeal`] plans: called on
+    /// Fault-response hook for [`crate::FaultResponse::SelfHeal`] plans: called on
     /// every live node at the start of a fault round, right after the round's
     /// events applied (freshly recovered nodes are re-initialized instead).
     /// Default: no-op — only algorithms that actually self-stabilize (e.g.
@@ -171,18 +171,14 @@ pub struct BcongestRun<O> {
 /// Returns [`EngineError::RoundLimitExceeded`] if the algorithm does not quiesce within
 /// the round limit, and [`EngineError::InvalidFaultPlan`] if `opts.faults` fails
 /// [`FaultPlan::validate`] against `g`.
-pub fn run_bcongest<A>(
+pub fn run_bcongest<A: BcongestAlgorithm>(
     algo: &A,
     g: &Graph,
     weights: Option<&[u64]>,
     opts: &RunOptions,
-) -> Result<BcongestRun<A::Output>, EngineError>
-where
-    A: BcongestAlgorithm + Sync,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
-{
-    run_bcongest_inner(algo, g, weights, opts, None)
+) -> Result<BcongestRun<A::Output>, EngineError> {
+    let mut plane = OverPlane::new(g, &opts.exec);
+    run_on(algo, g, weights, opts, &mut plane, None)
 }
 
 /// Like [`run_bcongest`], but invokes `observe(node, round, inbox)` for every non-empty
@@ -198,222 +194,124 @@ pub fn run_bcongest_observed<A, F>(
     mut observe: F,
 ) -> Result<BcongestRun<A::Output>, EngineError>
 where
-    A: BcongestAlgorithm + Sync,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
+    A: BcongestAlgorithm,
     F: FnMut(NodeId, usize, &[(NodeId, A::Msg)]),
 {
-    run_bcongest_inner(algo, g, weights, opts, Some(&mut observe))
+    let mut plane = OverPlane::new(g, &opts.exec);
+    run_on(algo, g, weights, opts, &mut plane, Some(&mut observe))
 }
 
-/// The round loop behind both entry points. It is event-driven: the agenda
-/// (`agenda.rs`) names the nodes to poll each round and the plane the nodes
-/// that received, so a round costs what it sends, not `Θ(n)`. Every phase
-/// shards its ascending node list into contiguous chunks via [`exec`] and
-/// merges per-chunk results in fixed node order, so outputs and metrics are
-/// byte-identical at every thread count.
-#[allow(clippy::type_complexity)]
-fn run_bcongest_inner<A>(
+/// Runs `algo`'s BCONGEST execution with its delivery replaced by `transport` —
+/// which is what the paper's simulation theorems are. In every executed round,
+/// empty ones included, `transport(round, broadcasters, inboxes)` is called
+/// once with the round's broadcasters in ascending node order and one inbox
+/// per node, all empty: it pushes `(sender, msg)` into `inboxes[receiver]` for
+/// whatever it delivers and keeps its own account of what moving it cost, so
+/// the returned [`Metrics`] carry the execution's `rounds` and `broadcasts`
+/// only. Scheduling, the round guard and [`RunOptions::max_rounds`] are
+/// [`run_bcongest`]'s; the receive phase is sequential.
+///
+/// # Errors
+///
+/// [`EngineError::RoundLimitExceeded`] as for [`run_bcongest`]; whatever
+/// `transport` returns; and [`EngineError::InvalidFaultPlan`] for any
+/// `opts.faults: Some(_)` — the transport owns the topology.
+pub fn run_bcongest_over<A, T>(
     algo: &A,
     g: &Graph,
     weights: Option<&[u64]>,
     opts: &RunOptions,
-    mut observer: Option<&mut dyn FnMut(NodeId, usize, &[(NodeId, A::Msg)])>,
+    transport: T,
 ) -> Result<BcongestRun<A::Output>, EngineError>
 where
-    A: BcongestAlgorithm + Sync,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
+    A: BcongestAlgorithm,
+    T: FnMut(usize, &[(NodeId, A::Msg)], &mut [Vec<(NodeId, A::Msg)>]) -> Result<(), EngineError>,
 {
-    let n = g.n();
-    let cfg = &opts.exec;
-    let mut metrics = Metrics::new(g.m());
-    let init_node = |i: usize| {
-        let view = LocalView::new(g, weights, NodeId::new(i), rng::node_seed(opts.seed, i));
-        algo.init(&view)
-    };
-    let mut states: Vec<A::State> =
-        exec::map_ranges(cfg, n, |range| range.map(init_node).collect::<Vec<_>>())
-            .into_iter()
-            .flatten()
-            .collect();
-
-    if let Some(plan) = &opts.faults {
-        plan.validate(g)
-            .map_err(|reason| EngineError::InvalidFaultPlan { reason })?;
-    }
-    let mut fault_rt: Option<FaultState<'_>> =
-        opts.faults.as_ref().map(|plan| FaultState::new(plan, g));
-
-    let base_limit = 4 * algo.round_bound(n, g.m()) + 64;
-    let limit = opts.max_rounds.unwrap_or_else(|| match &opts.faults {
-        // Every fault round can restart the algorithm from scratch, so the
-        // guard scales with the number of fault rounds.
-        Some(plan) => {
-            (plan.fault_rounds().len() + 1) * base_limit + plan.last_fault_round().unwrap_or(0)
-        }
-        None => base_limit,
-    });
-
-    let mut plane: FlatPlane<A::Msg> = FlatPlane::new(n);
-    let mut agenda = Agenda::new(n);
-    let mut broadcasters: Vec<(NodeId, A::Msg)> = Vec::new();
-    let mut round: usize = 0;
-    let mut rounds_used: u64 = 0;
-
-    loop {
-        if round > limit {
-            return Err(EngineError::RoundLimitExceeded {
-                algorithm: algo.name(),
-                limit,
-            });
-        }
-
-        // 0. Apply fault events due this round, then the response policy.
-        //    This runs sequentially before any phase fans out, so faulty runs
-        //    stay byte-identical at every thread count. Either response may
-        //    have rewritten any state, so every node is polled again.
-        if let Some(fs) = fault_rt.as_mut() {
-            let fired = fs.apply_due(round);
-            if !fired.is_empty() {
-                agenda.wake_all();
-                match fs.response() {
-                    FaultResponse::Restart => {
-                        for (i, st) in states.iter_mut().enumerate() {
-                            if fs.mask.node_up[i] {
-                                *st = init_node(i);
-                            }
-                        }
-                    }
-                    FaultResponse::SelfHeal => {
-                        for ev in &fired {
-                            if let FaultEvent::Recover(v) = ev {
-                                states[v.index()] = init_node(v.index());
-                            }
-                        }
-                        for (i, st) in states.iter_mut().enumerate() {
-                            if fs.mask.node_up[i] {
-                                algo.on_fault(st, round);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // 1. Collect broadcasts from the nodes scheduled for this round (pure
-        //    reads, chunked over the ascending poll list; concatenating
-        //    per-chunk batches in chunk order reproduces the sequential node
-        //    order exactly), then apply send transitions. Crashed nodes send
-        //    nothing.
-        agenda.begin(round);
-        let live = |i: usize| fault_rt.as_ref().is_none_or(|fs| fs.mask.node_up[i]);
-        exec::collect_sends(cfg, agenda.poll(), &states, &mut broadcasters, |i, st| {
-            if !live(i) {
-                return None;
-            }
-            let msg = algo.broadcast(st, round);
-            if let Some(m) = &msg {
-                debug_assert_eq!(
-                    m.words(),
-                    1,
-                    "BCONGEST broadcasts must be single O(log n)-bit messages"
-                );
-            }
-            msg
+    if opts.faults.is_some() {
+        return Err(EngineError::InvalidFaultPlan {
+            reason: "a run over a caller-supplied transport takes no fault plan".to_string(),
         });
-        // The scheduler's soundness rests on `next_activity` never answering
-        // late; debug builds check the whole contract every round.
-        #[cfg(debug_assertions)]
-        for i in agenda.unpolled().filter(|&i| live(i)) {
-            assert!(
-                algo.broadcast(&states[i], round).is_none(),
-                "{}: node {i} would broadcast in round {round} but was not scheduled",
-                algo.name()
-            );
-        }
-        for (v, _) in &broadcasters {
-            algo.on_broadcast_sent(&mut states[v.index()], round);
-        }
-
-        // 2. Deliver: each broadcast crosses every incident edge. Each inbox
-        //    receives messages in broadcaster order at every thread count.
-        //    Messages over down edges or to crashed receivers are dropped
-        //    here, at the single expansion point — never delivered, never
-        //    charged, only counted (`u64` addition commutes, so the count is
-        //    thread-order-free).
-        metrics.broadcasts += broadcasters.len() as u64;
-        let dropped = AtomicU64::new(0);
-        let fault_mask = fault_rt.as_ref().map(|fs| &fs.mask);
-        let expand = |v: NodeId, msg: &A::Msg, sink: &mut dyn FnMut(NodeId, EdgeId, A::Msg)| {
-            for (e, u) in g.incident(v) {
-                if let Some(mask) = fault_mask {
-                    if !mask.edge_up[e.index()] || !mask.node_up[u.index()] {
-                        dropped.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                }
-                sink(u, e, msg.clone());
-            }
-        };
-        plane.deliver(cfg, &broadcasters, &expand, &mut metrics);
-        metrics.dropped_messages += dropped.load(Ordering::Relaxed);
-
-        // 3. Receive: per-node state transitions, sharded with their inboxes.
-        //    With an observer attached the phase stays sequential so the
-        //    callback sees inboxes in node order.
-        let any_received = if let Some(obs) = observer.as_mut() {
-            plane.receive_each_seq(&mut states, |i, st, inbox| {
-                obs(NodeId::new(i), round, inbox);
-                algo.receive(st, round, inbox);
-            })
-        } else {
-            plane.receive(cfg, &mut states, |st, inbox| {
-                algo.receive(st, round, inbox);
-            })
-        };
-
-        // 4. Reschedule every node something happened to: one
-        //    `next_activity` question each. Crashed nodes claim no activity
-        //    (their frozen state may still be "dirty").
-        agenda.settle(round, plane.receivers(), |i| {
-            live(i)
-                .then(|| algo.next_activity(&states[i], round + 1))
-                .flatten()
-        });
-
-        // 5. Termination / idle-round skipping. Only rounds up to the last activity
-        // count: a real execution halts after its final message.
-        if !broadcasters.is_empty() || any_received {
-            rounds_used = round as u64 + 1;
-            round += 1;
-            continue;
-        }
-        // The idle skip never jumps past a scheduled fault round.
-        let next_fault = fault_rt
-            .as_ref()
-            .and_then(|fs| fs.next_fault_round())
-            .map(|r| r.max(round + 1));
-        match agenda.next_round(round).into_iter().chain(next_fault).min() {
-            Some(r) => round = r,
-            None => break,
-        }
     }
+    let mut transport = Transport::new(g.n(), transport);
+    run_on(algo, g, weights, opts, &mut transport, None)
+}
 
-    metrics.rounds = rounds_used;
-
+/// The shared loop under the three entry points, plus a [`BcongestRun`]'s
+/// output and word accounting.
+fn run_on<'a, A, D>(
+    algo: &'a A,
+    g: &Graph,
+    weights: Option<&[u64]>,
+    opts: &RunOptions,
+    delivery: &mut D,
+    observer: Option<Observer<'_, A::Msg>>,
+) -> Result<BcongestRun<A::Output>, EngineError>
+where
+    A: BcongestAlgorithm,
+    D: Delivery<Broadcast<'a, A>>,
+{
+    let (states, metrics) = rounds::run(&Broadcast(algo), g, weights, opts, delivery, observer)?;
     let outputs: Vec<A::Output> = states.iter().map(|s| algo.output(s)).collect();
     let output_words = outputs.iter().map(|o| algo.output_words(o)).sum();
-    let input_words = (0..n)
-        .map(|i| LocalView::new(g, weights, NodeId::new(i), 0).input_words())
-        .sum();
-
     Ok(BcongestRun {
         outputs,
         metrics,
-        input_words,
+        input_words: g.input_words(),
         output_words,
     })
+}
+
+/// [`BcongestAlgorithm`] as the round loop sees it: a polled node hands over
+/// one message, which crosses every incident edge.
+struct Broadcast<'a, A>(&'a A);
+
+impl<A: BcongestAlgorithm> Model for Broadcast<'_, A> {
+    type State = A::State;
+    type Msg = A::Msg;
+    type Sent = A::Msg;
+
+    const BROADCASTS: bool = true;
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn round_bound(&self, n: usize, m: usize) -> usize {
+        self.0.round_bound(n, m)
+    }
+    fn init(&self, view: &LocalView<'_>) -> A::State {
+        self.0.init(view)
+    }
+    fn poll(&self, state: &A::State, round: usize) -> Option<A::Msg> {
+        let msg = self.0.broadcast(state, round);
+        debug_assert!(
+            msg.as_ref().is_none_or(|m| m.words() == 1),
+            "BCONGEST broadcasts must be single O(log n)-bit messages"
+        );
+        msg
+    }
+    fn on_sent(&self, state: &mut A::State, round: usize) {
+        self.0.on_broadcast_sent(state, round);
+    }
+    fn expand(
+        &self,
+        g: &Graph,
+        v: NodeId,
+        msg: &A::Msg,
+        mut emit: impl FnMut(EdgeId, NodeId, &A::Msg),
+    ) {
+        for (e, u) in g.incident(v) {
+            emit(e, u, msg);
+        }
+    }
+    fn receive(&self, state: &mut A::State, round: usize, inbox: &[(NodeId, A::Msg)]) {
+        self.0.receive(state, round, inbox);
+    }
+    fn next_activity(&self, state: &A::State, after: usize) -> Option<usize> {
+        self.0.next_activity(state, after)
+    }
+    fn on_fault(&self, state: &mut A::State, round: usize) {
+        self.0.on_fault(state, round);
+    }
 }
 
 #[cfg(test)]
@@ -632,6 +530,66 @@ mod tests {
         assert!(matches!(
             err.unwrap_err(),
             EngineError::RoundLimitExceeded { .. }
+        ));
+    }
+
+    #[test]
+    fn a_flooding_transport_reproduces_the_direct_execution() {
+        let g = generators::gnp_connected(30, 0.1, 3);
+        let opts = RunOptions::default();
+        let direct = run_bcongest(&MinFlood, &g, None, &opts).expect("direct run");
+        let over = run_bcongest_over(&MinFlood, &g, None, &opts, |_, senders, inboxes| {
+            for (v, m) in senders {
+                for &u in g.neighbors(*v) {
+                    inboxes[u.index()].push((*v, *m));
+                }
+            }
+            Ok(())
+        })
+        .expect("run over a transport");
+        assert_eq!(over.outputs, direct.outputs);
+        assert_eq!(over.metrics.rounds, direct.metrics.rounds);
+        assert_eq!(over.metrics.broadcasts, direct.metrics.broadcasts);
+        assert_eq!(over.metrics.messages, 0, "the transport keeps the books");
+        assert_eq!(over.input_words, direct.input_words);
+        assert_eq!(over.output_words, direct.output_words);
+    }
+
+    #[test]
+    fn the_transport_sees_every_executed_round_and_owns_the_topology() {
+        // Path 0-1-2: node 0 speaks in round 0; nothing reaches node 2 (the
+        // transport delivers nothing), whose timer fires in round 3. Rounds 1
+        // and 4 follow an active round and are executed empty; 2 is skipped.
+        let g = generators::path(3);
+        let algo = Sleeper {
+            wake: 3,
+            stuck: false,
+        };
+        let mut seen: Vec<(usize, Vec<NodeId>)> = Vec::new();
+        let run = run_bcongest_over(&algo, &g, None, &RunOptions::default(), |r, senders, _| {
+            seen.push((r, senders.iter().map(|(v, _)| *v).collect()));
+            Ok(())
+        })
+        .expect("quiescent after round 3");
+        let (n0, n1, n2) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        let want = [(0, vec![n0]), (1, vec![]), (3, vec![n1, n2]), (4, vec![])];
+        assert_eq!(seen, want);
+        assert_eq!(run.metrics.rounds, 4);
+        assert_eq!(run.outputs, [false, false, false]);
+
+        // A transport's error ends the run, and a fault plan is refused.
+        let failing = run_bcongest_over(&algo, &g, None, &RunOptions::default(), |_, _, _| {
+            Err(EngineError::InvalidPath { task: 7 })
+        });
+        assert_eq!(failing.unwrap_err(), EngineError::InvalidPath { task: 7 });
+        let faulty = RunOptions {
+            faults: Some(crate::FaultPlan::new(crate::FaultResponse::Restart)),
+            ..Default::default()
+        };
+        let refused = run_bcongest_over(&algo, &g, None, &faulty, |_, _, _| Ok(()));
+        assert!(matches!(
+            refused.unwrap_err(),
+            EngineError::InvalidFaultPlan { .. }
         ));
     }
 

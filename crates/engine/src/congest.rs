@@ -7,16 +7,12 @@
 //! protocols), and is used by tests as an independent cross-check of the
 //! accounting.
 
-use crate::agenda::Agenda;
 use crate::error::EngineError;
-use crate::exec;
-use crate::faults::{FaultEvent, FaultResponse, FaultState};
 use crate::metrics::Metrics;
-use crate::plane::FlatPlane;
+use crate::rounds::{self, Model, Observer, OverPlane};
 use crate::view::LocalView;
 use crate::wire::{Wire, WireDecode};
-use congest_graph::{rng, EdgeId, Graph, NodeId};
-use std::sync::atomic::{AtomicU64, Ordering};
+use congest_graph::{EdgeId, Graph, NodeId};
 
 /// A CONGEST algorithm as a pure per-node state machine with per-edge sends.
 ///
@@ -25,13 +21,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// fires only on non-empty inboxes; [`next_activity`](Self::next_activity) is what
 /// the runner schedules by — a node is polled for sends only in rounds its last
 /// answer named.
-pub trait CongestAlgorithm {
-    /// Per-node state.
-    type State: Clone + std::fmt::Debug;
+pub trait CongestAlgorithm: Sync {
+    /// Per-node state (`Send + Sync` for the same reason as
+    /// [`BcongestAlgorithm::State`](crate::BcongestAlgorithm::State)).
+    type State: Clone + std::fmt::Debug + Send + Sync;
     /// Message type; at most one per edge per round, one word each. The
     /// [`WireDecode`] bound gives every message the fixed-width packed codec
     /// the round buffer ([`crate::plane`]) stores it in.
-    type Msg: WireDecode;
+    type Msg: WireDecode + Send + Sync;
     /// Per-node output.
     type Output: Clone + std::fmt::Debug + PartialEq;
 
@@ -100,18 +97,13 @@ pub struct CongestRun<O> {
 /// [`EngineError`] for it). Debug builds also panic on two messages over one
 /// edge in one round, on a multi-word message, and on a
 /// [`next_activity`](CongestAlgorithm::next_activity) that answered late.
-pub fn run_congest<A>(
+pub fn run_congest<A: CongestAlgorithm>(
     algo: &A,
     g: &Graph,
     weights: Option<&[u64]>,
     opts: &crate::RunOptions,
-) -> Result<CongestRun<A::Output>, EngineError>
-where
-    A: CongestAlgorithm + Sync,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
-{
-    run_congest_inner(algo, g, weights, opts, None)
+) -> Result<CongestRun<A::Output>, EngineError> {
+    run_on(algo, g, weights, opts, None)
 }
 
 /// Like [`run_congest`], but invokes `observe(node, round, inbox)` for every
@@ -127,195 +119,87 @@ pub fn run_congest_observed<A, F>(
     mut observe: F,
 ) -> Result<CongestRun<A::Output>, EngineError>
 where
-    A: CongestAlgorithm + Sync,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
+    A: CongestAlgorithm,
     F: FnMut(NodeId, usize, &[(NodeId, A::Msg)]),
 {
-    run_congest_inner(algo, g, weights, opts, Some(&mut observe))
+    run_on(algo, g, weights, opts, Some(&mut observe))
 }
 
-/// The round loop behind both entry points; mirrors `run_bcongest_inner`
-/// phase for phase (including the agenda and fault application — see
-/// [`crate::faults`]).
-#[allow(clippy::type_complexity)]
-fn run_congest_inner<A>(
+/// The shared loop under both entry points, over the flat plane.
+fn run_on<A: CongestAlgorithm>(
     algo: &A,
     g: &Graph,
     weights: Option<&[u64]>,
     opts: &crate::RunOptions,
-    mut observer: Option<&mut dyn FnMut(NodeId, usize, &[(NodeId, A::Msg)])>,
-) -> Result<CongestRun<A::Output>, EngineError>
-where
-    A: CongestAlgorithm + Sync,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
-{
-    let n = g.n();
-    let cfg = &opts.exec;
-    let mut metrics = Metrics::new(g.m());
-    let init_node = |i: usize| {
-        let view = LocalView::new(g, weights, NodeId::new(i), rng::node_seed(opts.seed, i));
-        algo.init(&view)
-    };
-    let mut states: Vec<A::State> =
-        exec::map_ranges(cfg, n, |range| range.map(init_node).collect::<Vec<_>>())
-            .into_iter()
-            .flatten()
-            .collect();
-
-    if let Some(plan) = &opts.faults {
-        plan.validate(g)
-            .map_err(|reason| EngineError::InvalidFaultPlan { reason })?;
-    }
-    let mut fault_rt: Option<FaultState<'_>> =
-        opts.faults.as_ref().map(|plan| FaultState::new(plan, g));
-
-    let base_limit = 4 * algo.round_bound(n, g.m()) + 64;
-    let limit = opts.max_rounds.unwrap_or_else(|| match &opts.faults {
-        Some(plan) => {
-            (plan.fault_rounds().len() + 1) * base_limit + plan.last_fault_round().unwrap_or(0)
-        }
-        None => base_limit,
-    });
-
-    let mut plane: FlatPlane<A::Msg> = FlatPlane::new(n);
-    let mut agenda = Agenda::new(n);
-    let mut all_sends: Vec<(NodeId, Vec<(NodeId, A::Msg)>)> = Vec::new();
-    let mut round = 0usize;
-    let mut rounds_used = 0u64;
-    loop {
-        if round > limit {
-            return Err(EngineError::RoundLimitExceeded {
-                algorithm: algo.name(),
-                limit,
-            });
-        }
-        // 0. Fault events due this round, then the response policy (mirrors
-        //    the BCONGEST runner exactly).
-        if let Some(fs) = fault_rt.as_mut() {
-            let fired = fs.apply_due(round);
-            if !fired.is_empty() {
-                agenda.wake_all();
-                match fs.response() {
-                    FaultResponse::Restart => {
-                        for (i, st) in states.iter_mut().enumerate() {
-                            if fs.mask.node_up[i] {
-                                *st = init_node(i);
-                            }
-                        }
-                    }
-                    FaultResponse::SelfHeal => {
-                        for ev in &fired {
-                            if let FaultEvent::Recover(v) = ev {
-                                states[v.index()] = init_node(v.index());
-                            }
-                        }
-                        for (i, st) in states.iter_mut().enumerate() {
-                            if fs.mask.node_up[i] {
-                                algo.on_fault(st, round);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Pure per-node send polls over the nodes scheduled for this round,
-        // chunked over the ascending poll list; concatenating the per-chunk
-        // batches in chunk order reproduces the sequential order. Crashed
-        // nodes send nothing.
-        agenda.begin(round);
-        let live = |i: usize| fault_rt.as_ref().is_none_or(|fs| fs.mask.node_up[i]);
-        exec::collect_sends(cfg, agenda.poll(), &states, &mut all_sends, |i, st| {
-            if !live(i) {
-                return None;
-            }
-            let sends = algo.sends(st, round);
-            (!sends.is_empty()).then_some(sends)
-        });
-        // The scheduler's soundness rests on `next_activity` never answering
-        // late; debug builds check the whole contract every round.
-        #[cfg(debug_assertions)]
-        for i in agenda.unpolled().filter(|&i| live(i)) {
-            assert!(
-                algo.sends(&states[i], round).is_empty(),
-                "{}: node {i} would send in round {round} but was not scheduled",
-                algo.name()
-            );
-        }
-        let any_sent = !all_sends.is_empty();
-        for (v, _) in &all_sends {
-            algo.on_sent(&mut states[v.index()], round);
-        }
-        // Edge resolution and delivery (the `edge_between` lookups are the
-        // hot part of the expansion); inbox order is sender order at every
-        // thread count. Messages over down edges or to crashed receivers drop
-        // here, at the single expansion point.
-        let dropped = AtomicU64::new(0);
-        let fault_mask = fault_rt.as_ref().map(|fs| &fs.mask);
-        let expand = |v: NodeId,
-                      sends: &Vec<(NodeId, A::Msg)>,
-                      sink: &mut dyn FnMut(NodeId, EdgeId, A::Msg)| {
-            #[cfg(debug_assertions)]
-            let mut used: Vec<EdgeId> = Vec::with_capacity(sends.len());
-            for (u, m) in sends {
-                let e = g
-                    .edge_between(v, *u)
-                    .unwrap_or_else(|| panic!("{v:?} sent to non-neighbor {u:?}"));
-                #[cfg(debug_assertions)]
-                {
-                    assert!(!used.contains(&e), "two messages on one edge in one round");
-                    used.push(e);
-                }
-                debug_assert_eq!(m.words(), 1, "CONGEST messages are single words");
-                if let Some(mask) = fault_mask {
-                    if !mask.edge_up[e.index()] || !mask.node_up[u.index()] {
-                        dropped.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                }
-                sink(*u, e, m.clone());
-            }
-        };
-        plane.deliver(cfg, &all_sends, &expand, &mut metrics);
-        metrics.dropped_messages += dropped.load(Ordering::Relaxed);
-        // Per-node receive transitions, sharded with their inboxes. With an
-        // observer attached the phase stays sequential so the callback sees
-        // inboxes in node order.
-        let any_received = if let Some(obs) = observer.as_mut() {
-            plane.receive_each_seq(&mut states, |i, st, inbox| {
-                obs(NodeId::new(i), round, inbox);
-                algo.receive(st, round, inbox);
-            })
-        } else {
-            plane.receive(cfg, &mut states, |st, inbox| {
-                algo.receive(st, round, inbox);
-            })
-        };
-        // Reschedule every node something happened to; crashed nodes claim
-        // no activity.
-        agenda.settle(round, plane.receivers(), |i| {
-            live(i)
-                .then(|| algo.next_activity(&states[i], round + 1))
-                .flatten()
-        });
-        if any_sent || any_received {
-            rounds_used = round as u64 + 1;
-            round += 1;
-            continue;
-        }
-        let next_fault = fault_rt
-            .as_ref()
-            .and_then(|fs| fs.next_fault_round())
-            .map(|r| r.max(round + 1));
-        match agenda.next_round(round).into_iter().chain(next_fault).min() {
-            Some(r) => round = r,
-            None => break,
-        }
-    }
-    metrics.rounds = rounds_used;
+    observer: Option<Observer<'_, A::Msg>>,
+) -> Result<CongestRun<A::Output>, EngineError> {
+    let mut plane = OverPlane::new(g, &opts.exec);
+    let (states, metrics) =
+        rounds::run(&PointToPoint(algo), g, weights, opts, &mut plane, observer)?;
     let outputs = states.iter().map(|s| algo.output(s)).collect();
     Ok(CongestRun { outputs, metrics })
+}
+
+/// [`CongestAlgorithm`] as the round loop sees it: a polled node hands over
+/// its `(neighbor, msg)` list, each entry crossing the edge to that neighbor.
+struct PointToPoint<'a, A>(&'a A);
+
+impl<A: CongestAlgorithm> Model for PointToPoint<'_, A> {
+    type State = A::State;
+    type Msg = A::Msg;
+    type Sent = Vec<(NodeId, A::Msg)>;
+
+    const BROADCASTS: bool = false;
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn round_bound(&self, n: usize, m: usize) -> usize {
+        self.0.round_bound(n, m)
+    }
+    fn init(&self, view: &LocalView<'_>) -> A::State {
+        self.0.init(view)
+    }
+    fn poll(&self, state: &A::State, round: usize) -> Option<Self::Sent> {
+        let sends = self.0.sends(state, round);
+        (!sends.is_empty()).then_some(sends)
+    }
+    fn on_sent(&self, state: &mut A::State, round: usize) {
+        self.0.on_sent(state, round);
+    }
+    /// Edge resolution: the `edge_between` lookups are the hot part of the
+    /// expansion.
+    fn expand(
+        &self,
+        g: &Graph,
+        v: NodeId,
+        sends: &Self::Sent,
+        mut emit: impl FnMut(EdgeId, NodeId, &A::Msg),
+    ) {
+        #[cfg(debug_assertions)]
+        let mut used: Vec<EdgeId> = Vec::with_capacity(sends.len());
+        for (u, m) in sends {
+            let e = g
+                .edge_between(v, *u)
+                .unwrap_or_else(|| panic!("{v:?} sent to non-neighbor {u:?}"));
+            #[cfg(debug_assertions)]
+            {
+                assert!(!used.contains(&e), "two messages on one edge in one round");
+                used.push(e);
+            }
+            debug_assert_eq!(m.words(), 1, "CONGEST messages are single words");
+            emit(e, *u, m);
+        }
+    }
+    fn receive(&self, state: &mut A::State, round: usize, inbox: &[(NodeId, A::Msg)]) {
+        self.0.receive(state, round, inbox);
+    }
+    fn next_activity(&self, state: &A::State, after: usize) -> Option<usize> {
+        self.0.next_activity(state, after)
+    }
+    fn on_fault(&self, state: &mut A::State, round: usize) {
+        self.0.on_fault(state, round);
+    }
 }
 
 #[cfg(test)]
@@ -567,7 +451,7 @@ mod tests {
         };
         for threads in [1, 2] {
             let opts = crate::RunOptions {
-                exec: exec::ExecutorConfig::with_threads(threads),
+                exec: crate::ExecutorConfig::with_threads(threads),
                 ..Default::default()
             };
             let run = run_congest(&algo, &g, None, &opts).expect("quiescent after round 0");

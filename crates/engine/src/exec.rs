@@ -20,7 +20,6 @@
 //! special case of the parallel one, not a separate code path.
 
 use congest_graph::NodeId;
-use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -167,73 +166,6 @@ pub(crate) fn collect_sends<St, X, F>(
     }
 }
 
-/// Mutable two-slice variant: chunks `a` and `b` (equal length) with the same
-/// boundaries, applies `f(start, a_chunk, b_chunk)` per chunk, and returns
-/// per-chunk results in chunk order. This is the receive phase's shape: states
-/// and inboxes, sharded together.
-pub fn map_chunks_mut2<T, U, R, F>(cfg: &ExecutorConfig, a: &mut [T], b: &mut [U], f: F) -> Vec<R>
-where
-    T: Send,
-    U: Send,
-    R: Send,
-    F: Fn(usize, &mut [T], &mut [U]) -> R + Sync,
-{
-    assert_eq!(a.len(), b.len(), "slices must shard together");
-    let threads = cfg.effective_threads();
-    if threads <= 1 || a.len() <= 1 {
-        return vec![f(0, a, b)];
-    }
-    let size = chunk_size_for(a.len(), threads);
-    let chunk_count = a.len().div_ceil(size);
-    let mut results: Vec<Option<R>> = (0..chunk_count).map(|_| None).collect();
-    pool_for(threads).scope(|s| {
-        let mut rest = results.as_mut_slice();
-        let mut ra = a;
-        let mut rb = b;
-        let mut start = 0usize;
-        while !ra.is_empty() {
-            let take = size.min(ra.len());
-            let (ca, ta) = ra.split_at_mut(take);
-            let (cb, tb) = rb.split_at_mut(take);
-            ra = ta;
-            rb = tb;
-            let (slot, tail) = rest.split_first_mut().expect("one slot per chunk");
-            rest = tail;
-            let f = &f;
-            let chunk_start = start;
-            s.spawn(move |_| *slot = Some(f(chunk_start, ca, cb)));
-            start += take;
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every chunk completes"))
-        .collect()
-}
-
-/// Minimum of `f` over `items`, computed chunk-wise (via the shim's
-/// `par_chunks`) when parallel. Identical to
-/// `items.iter().filter_map(f).min()` at every thread count.
-pub fn min_chunks<T, K, F>(cfg: &ExecutorConfig, items: &[T], f: F) -> Option<K>
-where
-    T: Sync,
-    K: Ord + Send,
-    F: Fn(&T) -> Option<K> + Sync,
-{
-    let threads = cfg.effective_threads();
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().filter_map(f).min();
-    }
-    let size = chunk_size_for(items.len(), threads);
-    let mins: Vec<Option<K>> = pool_for(threads).install(|| {
-        items
-            .par_chunks(size)
-            .map(|chunk| chunk.iter().filter_map(&f).min())
-            .collect()
-    });
-    mins.into_iter().flatten().min()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,37 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn map_chunks_mut2_shards_together() {
-        for cfg in cfgs() {
-            let mut a: Vec<u32> = (0..41).collect();
-            let mut b: Vec<u32> = (0..41).rev().collect();
-            let chunk_sums = map_chunks_mut2(&cfg, &mut a, &mut b, |start, ca, cb| {
-                assert_eq!(ca.len(), cb.len());
-                for (off, (x, y)) in ca.iter_mut().zip(cb.iter_mut()).enumerate() {
-                    assert_eq!(*x as usize, start + off);
-                    *x += *y;
-                    *y = 0;
-                }
-                ca.iter().map(|&v| u64::from(v)).sum::<u64>()
-            });
-            assert!(a.iter().all(|&v| v == 40), "threads = {}", cfg.threads);
-            assert!(b.iter().all(|&v| v == 0));
-            assert_eq!(chunk_sums.iter().sum::<u64>(), 40 * 41);
-        }
-    }
-
-    #[test]
-    fn min_chunks_matches_sequential() {
-        let items: Vec<i64> = vec![9, 4, 7, 4, 12, -3, 8, 40, 2];
-        for cfg in cfgs() {
-            let got = min_chunks(&cfg, &items, |&x| (x > 0).then_some(x));
-            assert_eq!(got, Some(2));
-            let none = min_chunks(&cfg, &items, |&x| (x > 100).then_some(x));
-            assert_eq!(none, None);
-        }
-    }
-
-    #[test]
     fn zero_threads_means_hardware() {
         let cfg = ExecutorConfig::with_threads(0);
         assert!(cfg.effective_threads() >= 1);
@@ -322,7 +223,6 @@ mod tests {
         for cfg in cfgs() {
             let r: Vec<Vec<u32>> = map_chunks(&cfg, &[] as &[u32], |_, c| c.to_vec());
             assert_eq!(r.into_iter().flatten().count(), 0);
-            assert_eq!(min_chunks(&cfg, &[] as &[u32], |&x| Some(x)), None);
         }
     }
 }

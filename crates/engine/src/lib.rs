@@ -8,7 +8,12 @@
 //! * [`BcongestAlgorithm`] / [`AggregationAlgorithm`] — algorithms as pure per-node
 //!   state machines (the workspace's central abstraction; see module docs);
 //! * [`run_bcongest`] — direct BCONGEST execution (counts the paper's broadcast
-//!   complexity `B` and the `Σ deg` message cost);
+//!   complexity `B` and the `Σ deg` message cost); [`run_congest`] — its
+//!   point-to-point counterpart; [`run_bcongest_over`] — the same execution
+//!   with its delivery replaced by a caller's transport, which is what the
+//!   simulation theorems are. All three are thin wrappers over one
+//!   crate-private round loop (`rounds.rs`), generic over the model and the
+//!   delivery;
 //! * [`router`] — store-and-forward packet routing under per-edge capacity (real
 //!   schedules, LMR/Theorem-1.3 style);
 //! * [`treeops`] — the upcast/downcast primitives of Lemmas 1.5/1.6 over [`Forest`]s,
@@ -16,11 +21,11 @@
 //! * [`exec`] / [`ExecutorConfig`] — deterministic chunked-parallel execution of the
 //!   per-node phases; `threads` is the only setting (outputs and metrics are
 //!   byte-identical at every thread count);
-//! * [`plane`] / [`FlatPlane`] — the round buffer both runners deliver through:
+//! * [`plane`] / [`FlatPlane`] — the round buffer both direct runners deliver through:
 //!   packed `u32` arenas scattered by a stable counting sort over the round's
 //!   receivers only, allocation-free in steady state;
 //! * the agenda (`agenda.rs`, crate-private) — the event-driven schedule of
-//!   both runners: a hot set plus a timer heap fed by `next_activity`, so a
+//!   that loop: a hot set plus a timer heap fed by `next_activity`, so a
 //!   round polls the nodes that might send and costs `O(polled + received +
 //!   n/64)`, not `Θ(n)`;
 //! * [`faults`] / [`FaultPlan`] — seeded, deterministic fault injection (edge
@@ -78,6 +83,7 @@ pub mod exec;
 pub mod faults;
 mod metrics;
 pub mod plane;
+mod rounds;
 pub mod router;
 pub mod trace;
 pub mod treeops;
@@ -85,8 +91,8 @@ mod view;
 mod wire;
 
 pub use bcongest::{
-    run_bcongest, run_bcongest_observed, AggregationAlgorithm, BcongestAlgorithm, BcongestRun,
-    RunOptions,
+    run_bcongest, run_bcongest_observed, run_bcongest_over, AggregationAlgorithm,
+    BcongestAlgorithm, BcongestRun, RunOptions,
 };
 pub use congest::{run_congest, run_congest_observed, CongestAlgorithm, CongestRun};
 pub use error::EngineError;

@@ -1,0 +1,394 @@
+//! The round loop, written once: guard → fault events → poll → `on_sent` →
+//! deliver → `receive` → ask `next_activity` → idle-skip.
+//!
+//! Every execution in the workspace is this loop — the two direct runners and,
+//! through [`run_bcongest_over`](crate::run_bcongest_over), the paper's three
+//! simulation theorems, which *are* the payload's BCONGEST execution with its
+//! delivery replaced by a cheaper transport. It is generic, and monomorphised,
+//! over the only two things that vary:
+//!
+//! * the [`Model`] — what a polled node hands over and how that expands onto
+//!   edges (one message over every incident edge, or a list of per-neighbour
+//!   messages), implemented by a delegating wrapper next to each algorithm
+//!   trait;
+//! * the [`Delivery`] — how a round's sends become inboxes: [`OverPlane`]
+//!   (the [`FlatPlane`], charging [`Metrics`] per message and dropping what
+//!   the fault mask forbids) or [`Transport`] (a caller's closure, handed the
+//!   round's ascending sender list and the inboxes to fill).
+//!
+//! The loop is event-driven: the agenda (`agenda.rs`) names the nodes to poll
+//! each round and the delivery the nodes that received, so a round costs what
+//! it sends, not `Θ(n)`. Every phase shards its ascending node list into
+//! contiguous chunks via [`exec`] and merges per-chunk results in fixed node
+//! order, so outputs and metrics are byte-identical at every thread count.
+
+use crate::agenda::Agenda;
+use crate::error::EngineError;
+use crate::exec::{self, ExecutorConfig};
+use crate::faults::{FaultEvent, FaultResponse, FaultState, SurvivorMask};
+use crate::metrics::Metrics;
+use crate::plane::FlatPlane;
+use crate::view::LocalView;
+use crate::wire::WireDecode;
+use crate::RunOptions;
+use congest_graph::{rng, EdgeId, Graph, NodeId};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// An inbox observer: `observe(node, round, inbox)` for every non-empty inbox.
+pub(crate) type Observer<'a, Msg> = &'a mut dyn FnMut(NodeId, usize, &[(NodeId, Msg)]);
+
+/// A communication model: an algorithm trait as the loop sees it.
+pub(crate) trait Model: Sync {
+    /// Per-node state.
+    type State: Send + Sync;
+    /// One message on one edge.
+    type Msg: WireDecode + Send + Sync;
+    /// What a polled node hands over in a round it sends in.
+    type Sent: Send + Sync;
+
+    /// Whether a sender broadcasts: each one of a round then counts as one
+    /// [`Metrics::broadcasts`], and the debug "was not scheduled" panic says
+    /// "broadcast" instead of "send".
+    const BROADCASTS: bool;
+
+    fn name(&self) -> &'static str;
+    fn round_bound(&self, n: usize, m: usize) -> usize;
+    fn init(&self, view: &LocalView<'_>) -> Self::State;
+    /// The node's send decision for `round`. Pure.
+    fn poll(&self, state: &Self::State, round: usize) -> Option<Self::Sent>;
+    fn on_sent(&self, state: &mut Self::State, round: usize);
+    /// Expands what `v` handed over onto edges: one `emit(edge, receiver,
+    /// msg)` per message, in the sender's emission order.
+    fn expand(
+        &self,
+        g: &Graph,
+        v: NodeId,
+        sent: &Self::Sent,
+        emit: impl FnMut(EdgeId, NodeId, &Self::Msg),
+    );
+    fn receive(&self, state: &mut Self::State, round: usize, inbox: &[(NodeId, Self::Msg)]);
+    fn next_activity(&self, state: &Self::State, after: usize) -> Option<usize>;
+    fn on_fault(&self, state: &mut Self::State, round: usize);
+}
+
+/// How one round's sends reach the inboxes.
+pub(crate) trait Delivery<M: Model> {
+    /// Takes the round's senders — ascending, possibly none — and fills the
+    /// inboxes. Called once per executed round, empty ones included.
+    fn deliver(
+        &mut self,
+        model: &M,
+        round: usize,
+        senders: &[(NodeId, M::Sent)],
+        mask: Option<&SurvivorMask>,
+        metrics: &mut Metrics,
+    ) -> Result<(), EngineError>;
+
+    /// The nodes the last [`deliver`](Self::deliver) filled an inbox of,
+    /// ascending; valid through the round's receive, until the next `deliver`.
+    fn receivers(&self) -> &[u32];
+
+    /// Applies `f(node, state, inbox)` to every receiver, in node order, and
+    /// empties the inboxes. Returns whether any node received.
+    fn receive_in_order(
+        &mut self,
+        states: &mut [M::State],
+        f: impl FnMut(usize, &mut M::State, &[(NodeId, M::Msg)]),
+    ) -> bool;
+
+    /// [`receive_in_order`](Self::receive_in_order) without the order
+    /// promise, so an implementation may shard the receivers over threads.
+    fn receive(
+        &mut self,
+        states: &mut [M::State],
+        f: impl Fn(&mut M::State, &[(NodeId, M::Msg)]) + Sync,
+    ) -> bool {
+        self.receive_in_order(states, |_, st, inbox| f(st, inbox))
+    }
+}
+
+/// Delivery over the graph's own edges, through the flat message plane.
+pub(crate) struct OverPlane<'a, Msg: WireDecode> {
+    g: &'a Graph,
+    cfg: &'a ExecutorConfig,
+    plane: FlatPlane<Msg>,
+}
+
+impl<'a, Msg: WireDecode + Send + Sync> OverPlane<'a, Msg> {
+    pub(crate) fn new(g: &'a Graph, cfg: &'a ExecutorConfig) -> Self {
+        Self {
+            g,
+            cfg,
+            plane: FlatPlane::new(g.n()),
+        }
+    }
+}
+
+impl<M: Model> Delivery<M> for OverPlane<'_, M::Msg> {
+    /// Each inbox receives its messages in sender order at every thread
+    /// count. Messages over down edges or to crashed receivers are dropped
+    /// here, at the single expansion point — never delivered, never charged,
+    /// only counted (`u64` addition commutes, so the count is
+    /// thread-order-free).
+    fn deliver(
+        &mut self,
+        model: &M,
+        _round: usize,
+        senders: &[(NodeId, M::Sent)],
+        mask: Option<&SurvivorMask>,
+        metrics: &mut Metrics,
+    ) -> Result<(), EngineError> {
+        let g = self.g;
+        let dropped = AtomicU64::new(0);
+        let expand = |v: NodeId, sent: &M::Sent, sink: &mut dyn FnMut(NodeId, EdgeId, M::Msg)| {
+            model.expand(g, v, sent, |e, u, msg| {
+                if mask.is_some_and(|m| !m.edge_up[e.index()] || !m.node_up[u.index()]) {
+                    dropped.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    sink(u, e, msg.clone());
+                }
+            });
+        };
+        self.plane.deliver(self.cfg, senders, &expand, metrics);
+        metrics.dropped_messages += dropped.load(Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn receivers(&self) -> &[u32] {
+        self.plane.receivers()
+    }
+
+    fn receive_in_order(
+        &mut self,
+        states: &mut [M::State],
+        f: impl FnMut(usize, &mut M::State, &[(NodeId, M::Msg)]),
+    ) -> bool {
+        self.plane.receive_each_seq(states, f)
+    }
+
+    fn receive(
+        &mut self,
+        states: &mut [M::State],
+        f: impl Fn(&mut M::State, &[(NodeId, M::Msg)]) + Sync,
+    ) -> bool {
+        self.plane.receive(self.cfg, states, f)
+    }
+}
+
+/// Delivery by a caller-supplied transport: `carry(round, senders, inboxes)`
+/// pushes `(sender, msg)` pairs into `inboxes[receiver]` (one per node, all
+/// empty on entry) and accounts for what moving them cost in its own books.
+pub(crate) struct Transport<F, Msg> {
+    carry: F,
+    inboxes: Vec<Vec<(NodeId, Msg)>>,
+    receivers: Vec<u32>,
+}
+
+impl<F, Msg> Transport<F, Msg> {
+    pub(crate) fn new(n: usize, carry: F) -> Self {
+        Self {
+            carry,
+            inboxes: std::iter::repeat_with(Vec::new).take(n).collect(),
+            receivers: Vec::new(),
+        }
+    }
+}
+
+impl<M, F> Delivery<M> for Transport<F, M::Msg>
+where
+    M: Model,
+    F: FnMut(usize, &[(NodeId, M::Sent)], &mut [Vec<(NodeId, M::Msg)>]) -> Result<(), EngineError>,
+{
+    fn deliver(
+        &mut self,
+        _model: &M,
+        round: usize,
+        senders: &[(NodeId, M::Sent)],
+        _mask: Option<&SurvivorMask>,
+        _metrics: &mut Metrics,
+    ) -> Result<(), EngineError> {
+        (self.carry)(round, senders, &mut self.inboxes)?;
+        self.receivers.clear();
+        let filled = self.inboxes.iter().enumerate();
+        self.receivers
+            .extend(filled.filter_map(|(u, inbox)| (!inbox.is_empty()).then_some(u as u32)));
+        Ok(())
+    }
+
+    fn receivers(&self) -> &[u32] {
+        &self.receivers
+    }
+
+    fn receive_in_order(
+        &mut self,
+        states: &mut [M::State],
+        mut f: impl FnMut(usize, &mut M::State, &[(NodeId, M::Msg)]),
+    ) -> bool {
+        for &u in &self.receivers {
+            let u = u as usize;
+            f(u, &mut states[u], &self.inboxes[u]);
+            self.inboxes[u].clear();
+        }
+        !self.receivers.is_empty()
+    }
+}
+
+/// Runs `model` on `g` until it quiesces, delivering through `delivery`;
+/// returns the final states and the run's [`Metrics`] (`rounds`, `broadcasts`
+/// and whatever the delivery charged).
+pub(crate) fn run<M: Model, D: Delivery<M>>(
+    model: &M,
+    g: &Graph,
+    weights: Option<&[u64]>,
+    opts: &RunOptions,
+    delivery: &mut D,
+    mut observer: Option<Observer<'_, M::Msg>>,
+) -> Result<(Vec<M::State>, Metrics), EngineError> {
+    let n = g.n();
+    let cfg = &opts.exec;
+    let mut metrics = Metrics::new(g.m());
+    let init_node = |i: usize| {
+        let view = LocalView::new(g, weights, NodeId::new(i), rng::node_seed(opts.seed, i));
+        model.init(&view)
+    };
+    let mut states: Vec<M::State> =
+        exec::map_ranges(cfg, n, |range| range.map(init_node).collect::<Vec<_>>())
+            .into_iter()
+            .flatten()
+            .collect();
+
+    if let Some(plan) = &opts.faults {
+        plan.validate(g)
+            .map_err(|reason| EngineError::InvalidFaultPlan { reason })?;
+    }
+    let mut fault_rt: Option<FaultState<'_>> =
+        opts.faults.as_ref().map(|plan| FaultState::new(plan, g));
+
+    let base_limit = 4 * model.round_bound(n, g.m()) + 64;
+    let limit = opts.max_rounds.unwrap_or_else(|| match &opts.faults {
+        // Every fault round can restart the algorithm from scratch, so the
+        // guard scales with the number of fault rounds.
+        Some(plan) => {
+            (plan.fault_rounds().len() + 1) * base_limit + plan.last_fault_round().unwrap_or(0)
+        }
+        None => base_limit,
+    });
+
+    let mut agenda = Agenda::new(n);
+    let mut senders: Vec<(NodeId, M::Sent)> = Vec::new();
+    let mut round: usize = 0;
+    let mut rounds_used: u64 = 0;
+
+    loop {
+        if round > limit {
+            return Err(EngineError::RoundLimitExceeded {
+                algorithm: model.name(),
+                limit,
+            });
+        }
+
+        // 0. Apply fault events due this round, then the response policy.
+        //    This runs sequentially before any phase fans out, so faulty runs
+        //    stay byte-identical at every thread count. Either response may
+        //    have rewritten any state, so every node is polled again.
+        if let Some(fs) = fault_rt.as_mut() {
+            let fired = fs.apply_due(round);
+            if !fired.is_empty() {
+                agenda.wake_all();
+                match fs.response() {
+                    FaultResponse::Restart => {
+                        for (i, st) in states.iter_mut().enumerate() {
+                            if fs.mask.node_up[i] {
+                                *st = init_node(i);
+                            }
+                        }
+                    }
+                    FaultResponse::SelfHeal => {
+                        for ev in &fired {
+                            if let FaultEvent::Recover(v) = ev {
+                                states[v.index()] = init_node(v.index());
+                            }
+                        }
+                        for (i, st) in states.iter_mut().enumerate() {
+                            if fs.mask.node_up[i] {
+                                model.on_fault(st, round);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        // 1. Collect the sends of the nodes scheduled for this round (pure
+        //    reads, chunked over the ascending poll list; concatenating
+        //    per-chunk batches in chunk order reproduces the sequential node
+        //    order exactly), then apply send transitions. Crashed nodes send
+        //    nothing.
+        agenda.begin(round);
+        let live = |i: usize| fault_rt.as_ref().is_none_or(|fs| fs.mask.node_up[i]);
+        exec::collect_sends(cfg, agenda.poll(), &states, &mut senders, |i, st| {
+            live(i).then(|| model.poll(st, round)).flatten()
+        });
+        // The scheduler's soundness rests on `next_activity` never answering
+        // late; debug builds check the whole contract every round.
+        #[cfg(debug_assertions)]
+        for i in agenda.unpolled().filter(|&i| live(i)) {
+            assert!(
+                model.poll(&states[i], round).is_none(),
+                "{}: node {i} would {} in round {round} but was not scheduled",
+                model.name(),
+                if M::BROADCASTS { "broadcast" } else { "send" }
+            );
+        }
+        for (v, _) in &senders {
+            model.on_sent(&mut states[v.index()], round);
+        }
+        if M::BROADCASTS {
+            metrics.broadcasts += senders.len() as u64;
+        }
+
+        // 2. Deliver, then 3. receive: per-node state transitions, sharded
+        //    with their inboxes. With an observer attached the phase stays
+        //    sequential so the callback sees inboxes in node order.
+        let mask = fault_rt.as_ref().map(|fs| &fs.mask);
+        delivery.deliver(model, round, &senders, mask, &mut metrics)?;
+        let any_received = if let Some(obs) = observer.as_mut() {
+            delivery.receive_in_order(&mut states, |i, st, inbox| {
+                obs(NodeId::new(i), round, inbox);
+                model.receive(st, round, inbox);
+            })
+        } else {
+            delivery.receive(&mut states, |st, inbox| model.receive(st, round, inbox))
+        };
+
+        // 4. Reschedule every node something happened to: one
+        //    `next_activity` question each. Crashed nodes claim no activity
+        //    (their frozen state may still be "dirty").
+        agenda.settle(round, delivery.receivers(), |i| {
+            live(i)
+                .then(|| model.next_activity(&states[i], round + 1))
+                .flatten()
+        });
+
+        // 5. Termination / idle-round skipping. Only rounds up to the last
+        //    activity count: a real execution halts after its final message.
+        if !senders.is_empty() || any_received {
+            rounds_used = round as u64 + 1;
+            round += 1;
+            continue;
+        }
+        // The idle skip never goes backwards (the agenda clamps a past-round
+        // `next_activity`) and never jumps past a scheduled fault round.
+        let next_fault = fault_rt
+            .as_ref()
+            .and_then(|fs| fs.next_fault_round())
+            .map(|r| r.max(round + 1));
+        match agenda.next_round(round).into_iter().chain(next_fault).min() {
+            Some(r) => round = r,
+            None => break,
+        }
+    }
+
+    metrics.rounds = rounds_used;
+    Ok((states, metrics))
+}

@@ -18,6 +18,7 @@
 
 use crate::faults::{FaultEvent, FaultPlan, SurvivorMask};
 use crate::metrics::Metrics;
+use crate::rounds::Observer;
 use crate::{
     BcongestAlgorithm, BcongestRun, CongestAlgorithm, CongestRun, EngineError, ExecutorConfig,
     RunOptions, WireEncode,
@@ -445,72 +446,67 @@ fn encode_inbox<M: WireEncode>(
     }
 }
 
-/// Runs `algo` via [`crate::run_bcongest_observed`] and records the full
-/// trace alongside the run result.
-pub fn record_bcongest<A>(
-    algo: &A,
+/// The recorder behind [`record_bcongest`] and [`record_congest`]: `run` is an
+/// observed runner, `parts` reads the outputs and metrics off what it returns.
+fn record<M: WireEncode, R, O: std::fmt::Debug>(
+    kind: &str,
     g: &Graph,
-    weights: Option<&[u64]>,
     opts: &RunOptions,
     workload: &str,
-) -> Result<(BcongestRun<A::Output>, TraceLog), EngineError>
-where
-    A: BcongestAlgorithm + Sync,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync + WireEncode,
-{
+    run: impl FnOnce(Observer<'_, M>) -> Result<R, EngineError>,
+    parts: impl FnOnce(&R) -> (&[O], &Metrics),
+) -> Result<(R, TraceLog), EngineError> {
     let mut captured: Vec<(usize, TraceDelivery)> = Vec::new();
-    let run = crate::run_bcongest_observed(algo, g, weights, opts, |to, round, inbox| {
-        encode_inbox(&mut captured, to, round, inbox);
-    })?;
+    let run = run(&mut |to, round, inbox| encode_inbox(&mut captured, to, round, inbox))?;
+    let (outputs, metrics) = parts(&run);
     let trace = TraceLog {
         workload: workload.to_string(),
-        kind: "bcongest".to_string(),
+        kind: kind.to_string(),
         n: g.n(),
         m: g.m(),
         seed: opts.seed,
         threads: opts.exec.threads,
-        lanes: A::Msg::LANES,
+        lanes: M::LANES,
         response: response_label(opts.faults.as_ref()),
-        rounds: assemble_rounds(captured, opts.faults.as_ref(), run.metrics.rounds),
-        output: format!("{:?}", run.outputs),
-        metrics: TraceMetrics::from(&run.metrics),
+        rounds: assemble_rounds(captured, opts.faults.as_ref(), metrics.rounds),
+        output: format!("{outputs:?}"),
+        metrics: TraceMetrics::from(metrics),
     };
     Ok((run, trace))
 }
 
-/// Runs `algo` via [`crate::run_congest_observed`] and records the full trace
-/// alongside the run result.
-pub fn record_congest<A>(
+/// Runs `algo` via [`crate::run_bcongest_observed`] and records the full
+/// trace alongside the run result.
+pub fn record_bcongest<A: BcongestAlgorithm>(
     algo: &A,
     g: &Graph,
     weights: Option<&[u64]>,
     opts: &RunOptions,
     workload: &str,
-) -> Result<(CongestRun<A::Output>, TraceLog), EngineError>
-where
-    A: CongestAlgorithm + Sync,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync + WireEncode,
-{
-    let mut captured: Vec<(usize, TraceDelivery)> = Vec::new();
-    let run = crate::run_congest_observed(algo, g, weights, opts, |to, round, inbox| {
-        encode_inbox(&mut captured, to, round, inbox);
-    })?;
-    let trace = TraceLog {
-        workload: workload.to_string(),
-        kind: "congest".to_string(),
-        n: g.n(),
-        m: g.m(),
-        seed: opts.seed,
-        threads: opts.exec.threads,
-        lanes: A::Msg::LANES,
-        response: response_label(opts.faults.as_ref()),
-        rounds: assemble_rounds(captured, opts.faults.as_ref(), run.metrics.rounds),
-        output: format!("{:?}", run.outputs),
-        metrics: TraceMetrics::from(&run.metrics),
+) -> Result<(BcongestRun<A::Output>, TraceLog), EngineError> {
+    let run = |observe: Observer<'_, A::Msg>| {
+        crate::run_bcongest_observed(algo, g, weights, opts, observe)
     };
-    Ok((run, trace))
+    record("bcongest", g, opts, workload, run, |r| {
+        (&r.outputs, &r.metrics)
+    })
+}
+
+/// Runs `algo` via [`crate::run_congest_observed`] and records the full trace
+/// alongside the run result.
+pub fn record_congest<A: CongestAlgorithm>(
+    algo: &A,
+    g: &Graph,
+    weights: Option<&[u64]>,
+    opts: &RunOptions,
+    workload: &str,
+) -> Result<(CongestRun<A::Output>, TraceLog), EngineError> {
+    let run = |observe: Observer<'_, A::Msg>| {
+        crate::run_congest_observed(algo, g, weights, opts, observe)
+    };
+    record("congest", g, opts, workload, run, |r| {
+        (&r.outputs, &r.metrics)
+    })
 }
 
 // ---------------------------------------------------------------------------

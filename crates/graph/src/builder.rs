@@ -1,6 +1,6 @@
 //! Incremental construction of [`Graph`] values.
 
-use crate::{Graph, NodeId};
+use crate::Graph;
 
 /// Incremental builder for [`Graph`].
 ///
@@ -120,16 +120,6 @@ pub fn induced_subgraph_same_ids(g: &Graph, in_set: &[bool]) -> Graph {
         .map(|(_, u, v)| (u.index(), v.index()))
         .collect();
     Graph::from_edges(g.n(), &edges)
-}
-
-/// Returns the nodes of `g` for which `in_set` is true, as `NodeId`s.
-pub fn nodes_in_set(in_set: &[bool]) -> Vec<NodeId> {
-    in_set
-        .iter()
-        .enumerate()
-        .filter(|&(_, &b)| b)
-        .map(|(i, _)| NodeId::new(i))
-        .collect()
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ pub mod reference;
 pub mod rng;
 mod weighted;
 
-pub use builder::{edge_subgraph, induced_subgraph_same_ids, nodes_in_set, GraphBuilder};
+pub use builder::{edge_subgraph, induced_subgraph_same_ids, GraphBuilder};
 pub use graph::Graph;
 pub use ids::{ClusterId, EdgeId, NodeId};
 pub use weighted::{WeightCountError, WeightedGraph};

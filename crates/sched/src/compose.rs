@@ -190,17 +190,12 @@ pub fn compose_measured(g: &Graph, parts: &[Metrics]) -> Composed {
 /// # Errors
 ///
 /// Propagates engine errors from the run.
-pub fn record_bcongest_trace<A>(
+pub fn record_bcongest_trace<A: congest_engine::BcongestAlgorithm>(
     algo: &A,
     g: &Graph,
     weights: Option<&[u64]>,
     opts: &congest_engine::RunOptions,
-) -> Result<(congest_engine::BcongestRun<A::Output>, Trace), congest_engine::EngineError>
-where
-    A: congest_engine::BcongestAlgorithm + Sync,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
-{
+) -> Result<(congest_engine::BcongestRun<A::Output>, Trace), congest_engine::EngineError> {
     use std::cell::RefCell;
     let cells: RefCell<Vec<Vec<(EdgeId, bool)>>> = RefCell::new(Vec::new());
     let run =

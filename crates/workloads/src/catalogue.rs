@@ -63,11 +63,6 @@ pub fn family_graph(family: &str) -> Graph {
     }
 }
 
-/// All `(family, graph)` pairs of [`FAMILIES`].
-pub fn graph_families() -> Vec<(&'static str, Graph)> {
-    FAMILIES.iter().map(|&f| (f, family_graph(f))).collect()
-}
-
 /// The typed value of a BCONGEST run: outputs plus the word counts the
 /// conformance contract pins alongside them.
 #[derive(Debug)]
@@ -94,8 +89,6 @@ pub(crate) fn bcongest_entry<A>(
 ) -> Box<dyn Workload>
 where
     A: BcongestAlgorithm + Send + Sync + 'static,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
     A::Output: 'static,
 {
     bcongest_entry_faulty(
@@ -126,8 +119,6 @@ pub(crate) fn bcongest_entry_faulty<A>(
 ) -> Box<dyn Workload>
 where
     A: BcongestAlgorithm + Send + Sync + 'static,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
     A::Output: 'static,
 {
     // Every message of an engine-runner entry travels the plane at the packed
@@ -205,8 +196,6 @@ pub(crate) fn congest_entry<A>(
 ) -> Box<dyn Workload>
 where
     A: CongestAlgorithm + Send + Sync + 'static,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
     A::Output: 'static,
 {
     congest_entry_faulty(
@@ -236,8 +225,6 @@ pub(crate) fn congest_entry_faulty<A>(
 ) -> Box<dyn Workload>
 where
     A: CongestAlgorithm + Send + Sync + 'static,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
     A::Output: 'static,
 {
     let msg_bytes = 4 * <A::Msg as WireEncode>::LANES as u64;

@@ -14,15 +14,19 @@ use congest_apsp::apsp_core::simulate::{
 };
 use congest_apsp::decomp::pruning::prune;
 use congest_apsp::decomp::Hierarchy;
-use congest_apsp::engine::{run_bcongest, BcongestAlgorithm, RunOptions};
+use congest_apsp::engine::{
+    run_bcongest, AggregationAlgorithm, BcongestAlgorithm, EngineError, LocalView, RunOptions,
+};
 use congest_apsp::graph::{generators, Graph, NodeId, WeightedGraph};
+use std::sync::mpsc;
+use std::time::Duration;
 
-fn direct<A>(algo: &A, g: &Graph, weights: Option<&[u64]>, seed: u64) -> Vec<A::Output>
-where
-    A: BcongestAlgorithm + Sync,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
-{
+fn direct<A: BcongestAlgorithm>(
+    algo: &A,
+    g: &Graph,
+    weights: Option<&[u64]>,
+    seed: u64,
+) -> Vec<A::Output> {
     run_bcongest(
         algo,
         g,
@@ -36,12 +40,12 @@ where
     .outputs
 }
 
-fn via_ldc<A>(algo: &A, g: &Graph, weights: Option<&[u64]>, seed: u64) -> Vec<A::Output>
-where
-    A: BcongestAlgorithm + Sync,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
-{
+fn via_ldc<A: BcongestAlgorithm>(
+    algo: &A,
+    g: &Graph,
+    weights: Option<&[u64]>,
+    seed: u64,
+) -> Vec<A::Output> {
     simulate_bcongest_via_ldc(
         algo,
         g,
@@ -198,4 +202,108 @@ fn all_three_simulations_agree_with_each_other() {
     .outputs;
     assert_eq!(a, b);
     assert_eq!(b, c);
+}
+
+/// Never sends, never finishes, and names a round in the past whenever asked —
+/// legal per the `next_activity` docs ("even a round `< after`").
+struct Stuck;
+
+impl BcongestAlgorithm for Stuck {
+    type State = ();
+    type Msg = u32;
+    type Output = ();
+
+    fn name(&self) -> &'static str {
+        "stuck"
+    }
+    fn init(&self, _: &LocalView<'_>) {}
+    fn broadcast(&self, _: &(), _: usize) -> Option<u32> {
+        None
+    }
+    fn on_broadcast_sent(&self, _: &mut (), _: usize) {}
+    fn receive(&self, _: &mut (), _: usize, _: &[(NodeId, u32)]) {}
+    fn is_done(&self, _: &()) -> bool {
+        false
+    }
+    fn output(&self, _: &()) {}
+    fn next_activity(&self, _: &(), _after: usize) -> Option<usize> {
+        Some(0)
+    }
+    fn round_bound(&self, _: usize, _: usize) -> usize {
+        4
+    }
+    fn output_words(&self, _: &()) -> usize {
+        0
+    }
+}
+
+impl AggregationAlgorithm for Stuck {
+    fn aggregate(&self, _: NodeId, _: usize, msgs: Vec<(NodeId, u32)>) -> Vec<(NodeId, u32)> {
+        msgs
+    }
+    fn aggregate_budget(&self, n: usize) -> usize {
+        n
+    }
+}
+
+/// What `run` fails with, or `None` if it is still running after ten seconds:
+/// it runs on a helper thread, so a loop that never ends fails the test
+/// instead of hanging the suite (that thread cannot be joined and is left to
+/// die with the process).
+fn error_within_deadline<T>(
+    run: impl FnOnce(&Graph, &Hierarchy) -> Result<T, EngineError> + Send + 'static,
+) -> Option<Option<EngineError>> {
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let g = generators::gnp_connected(12, 0.3, 1);
+        let h = prune(&g, &Hierarchy::build(&g, 0.5, 1));
+        tx.send(run(&g, &h).err()).expect("the test is listening");
+    });
+    match rx.recv_timeout(Duration::from_secs(10)) {
+        Ok(err) => {
+            worker.join().expect("the worker has sent its verdict");
+            Some(err)
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => None,
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().expect_err("the worker died before sending"))
+        }
+    }
+}
+
+#[test]
+fn a_payload_stuck_in_the_past_hits_the_round_limit_everywhere() {
+    // The direct runner and the three simulations drive one round loop, whose
+    // idle skip never goes backwards.
+    let agg = AggSimOptions::default;
+    let verdicts = [
+        (
+            "run_bcongest",
+            error_within_deadline(|g, _| run_bcongest(&Stuck, g, None, &RunOptions::default())),
+        ),
+        (
+            "simulate_bcongest_via_ldc",
+            error_within_deadline(|g, _| {
+                simulate_bcongest_via_ldc(&Stuck, g, None, &LdcSimOptions::default())
+            }),
+        ),
+        (
+            "simulate_aggregation_general",
+            error_within_deadline(move |g, h| {
+                simulate_aggregation_general(&Stuck, g, None, h, &agg())
+            }),
+        ),
+        (
+            "simulate_aggregation_star",
+            error_within_deadline(move |g, h| {
+                simulate_aggregation_star(&Stuck, g, None, h, &agg())
+            }),
+        ),
+    ];
+    for (what, verdict) in &verdicts {
+        assert!(
+            matches!(verdict, Some(Some(EngineError::RoundLimitExceeded { .. }))),
+            "{what}: {verdict:?} (None = still spinning after the deadline)\nall: {verdicts:?}"
+        );
+    }
 }
