@@ -203,12 +203,7 @@ impl BcongestAlgorithm for WeightedApsp {
 }
 
 impl AggregationAlgorithm for WeightedApsp {
-    fn aggregate(
-        &self,
-        _receiver: NodeId,
-        _round: usize,
-        msgs: Vec<(NodeId, WApspMsg)>,
-    ) -> Vec<(NodeId, WApspMsg)> {
+    fn aggregate(&self, _receiver: NodeId, _round: usize, msgs: &mut Vec<(NodeId, WApspMsg)>) {
         // Keep, per source, the message minimizing (dist, sender).
         //
         // Note: because different neighbors sit at different edge weights from the
@@ -217,16 +212,8 @@ impl AggregationAlgorithm for WeightedApsp {
         // weights are equal (unit-weight runs) or as a lossy heuristic. The exact
         // weighted algorithm is exercised through Theorem 2.1 (which needs no
         // aggregation); see DESIGN.md.
-        let mut best: BTreeMap<u32, (u64, NodeId)> = BTreeMap::new();
-        for (from, m) in msgs {
-            let e = best.entry(m.source).or_insert((m.dist, from));
-            if (m.dist, from) < *e {
-                *e = (m.dist, from);
-            }
-        }
-        best.into_iter()
-            .map(|(source, (dist, from))| (from, WApspMsg { source, dist }))
-            .collect()
+        msgs.sort_unstable_by_key(|&(from, m)| (m.source, m.dist, from));
+        msgs.dedup_by_key(|(_, m)| m.source);
     }
 
     fn aggregate_budget(&self, n: usize) -> usize {
@@ -239,6 +226,41 @@ mod tests {
     use super::*;
     use congest_engine::{run_bcongest, RunOptions};
     use congest_graph::{generators, reference, WeightedGraph};
+    use proptest::prelude::*;
+
+    /// The `Vec`-in / `Vec`-out aggregate the in-place one replaced.
+    fn aggregate_reference(msgs: Vec<(NodeId, WApspMsg)>) -> Vec<(NodeId, WApspMsg)> {
+        let mut best: BTreeMap<u32, (u64, NodeId)> = BTreeMap::new();
+        for (from, m) in msgs {
+            let e = best.entry(m.source).or_insert((m.dist, from));
+            if (m.dist, from) < *e {
+                *e = (m.dist, from);
+            }
+        }
+        best.into_iter()
+            .map(|(source, (dist, from))| (from, WApspMsg { source, dist }))
+            .collect()
+    }
+
+    proptest! {
+        /// Same pairs in the same order as the reference, on batches with
+        /// repeated senders, ties on `(dist, sender)` and several sources, and
+        /// on the empty batch.
+        #[test]
+        fn aggregate_matches_its_reference(
+            batch in prop::collection::vec((0usize..6, 0u32..4, 0u64..5), 0..40),
+        ) {
+            let msgs: Vec<(NodeId, WApspMsg)> = batch
+                .into_iter()
+                .map(|(from, source, dist)| (NodeId::new(from), WApspMsg { source, dist }))
+                .collect();
+            for msgs in [msgs, Vec::new()] {
+                let mut got = msgs.clone();
+                WeightedApsp::new(1).aggregate(NodeId::new(9), 0, &mut got);
+                prop_assert_eq!(got, aggregate_reference(msgs));
+            }
+        }
+    }
 
     fn check_against_dijkstra(g: &congest_graph::Graph, wg: &WeightedGraph) {
         let algo = WeightedApsp::new(wg.max_weight());

@@ -15,7 +15,6 @@ use congest_engine::{
     AggregationAlgorithm, BcongestAlgorithm, LocalView, Wire, WireDecode, WireEncode,
 };
 use congest_graph::{rng, NodeId};
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
 /// One BFS exploration message: which BFS, and the sender's distance in it.
@@ -268,24 +267,11 @@ impl BcongestAlgorithm for BfsCollection {
 }
 
 impl AggregationAlgorithm for BfsCollection {
-    fn aggregate(
-        &self,
-        _receiver: NodeId,
-        _round: usize,
-        msgs: Vec<(NodeId, BfsMsg)>,
-    ) -> Vec<(NodeId, BfsMsg)> {
+    fn aggregate(&self, _receiver: NodeId, _round: usize, msgs: &mut Vec<(NodeId, BfsMsg)>) {
         // Per BFS instance, only the minimum distance matters; ties broken by sender ID
         // so that simulated and direct runs pick identical parents.
-        let mut best: BTreeMap<u32, (u32, NodeId)> = BTreeMap::new();
-        for (from, m) in msgs {
-            let entry = best.entry(m.bfs).or_insert((m.dist, from));
-            if (m.dist, from) < *entry {
-                *entry = (m.dist, from);
-            }
-        }
-        best.into_iter()
-            .map(|(bfs, (dist, from))| (from, BfsMsg { bfs, dist }))
-            .collect()
+        msgs.sort_unstable_by_key(|&(from, m)| (m.bfs, m.dist, from));
+        msgs.dedup_by_key(|(_, m)| m.bfs);
     }
 
     fn aggregate_budget(&self, n: usize) -> usize {
@@ -305,6 +291,8 @@ mod tests {
     use super::*;
     use congest_engine::{run_bcongest, run_bcongest_observed, RunOptions};
     use congest_graph::{generators, reference};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn all_sources_match_reference() {
@@ -399,45 +387,55 @@ mod tests {
     #[test]
     fn aggregation_keeps_min_per_bfs() {
         let algo = BfsCollection::new(vec![NodeId::new(0), NodeId::new(1)]);
-        let msgs = vec![
+        let mut agg = vec![
             (NodeId::new(3), BfsMsg { bfs: 0, dist: 5 }),
             (NodeId::new(2), BfsMsg { bfs: 0, dist: 3 }),
             (NodeId::new(4), BfsMsg { bfs: 1, dist: 1 }),
             (NodeId::new(5), BfsMsg { bfs: 0, dist: 3 }),
         ];
-        let agg = algo.aggregate(NodeId::new(9), 0, msgs);
-        assert_eq!(agg.len(), 2);
-        assert!(agg.contains(&(NodeId::new(2), BfsMsg { bfs: 0, dist: 3 })));
-        assert!(agg.contains(&(NodeId::new(4), BfsMsg { bfs: 1, dist: 1 })));
+        algo.aggregate(NodeId::new(9), 0, &mut agg);
+        assert_eq!(
+            agg,
+            vec![
+                (NodeId::new(2), BfsMsg { bfs: 0, dist: 3 }),
+                (NodeId::new(4), BfsMsg { bfs: 1, dist: 1 }),
+            ]
+        );
     }
 
-    #[test]
-    fn aggregation_is_partition_invariant() {
-        // Definition 3.1: receive(M) == receive(∪ agg(M_i)) for any partition.
-        let g = generators::gnp_connected(20, 0.2, 23);
-        let algo = BfsCollection::new(g.nodes().collect());
-        let msgs: Vec<(NodeId, BfsMsg)> = (0..10)
-            .map(|i| {
-                (
-                    NodeId::new(i + 1),
-                    BfsMsg {
-                        bfs: (i % 3) as u32,
-                        dist: (10 - i) as u32,
-                    },
-                )
-            })
-            .collect();
-        let view = congest_engine::LocalView::new(&g, None, NodeId::new(0), 1);
-        let mut direct = algo.init(&view);
-        algo.receive(&mut direct, 4, &msgs);
+    /// The `Vec`-in / `Vec`-out aggregate the in-place one replaced.
+    fn aggregate_reference(msgs: Vec<(NodeId, BfsMsg)>) -> Vec<(NodeId, BfsMsg)> {
+        let mut best: BTreeMap<u32, (u32, NodeId)> = BTreeMap::new();
+        for (from, m) in msgs {
+            let entry = best.entry(m.bfs).or_insert((m.dist, from));
+            if (m.dist, from) < *entry {
+                *entry = (m.dist, from);
+            }
+        }
+        best.into_iter()
+            .map(|(bfs, (dist, from))| (from, BfsMsg { bfs, dist }))
+            .collect()
+    }
 
-        let mut parts = algo.init(&view);
-        let (a, b) = msgs.split_at(4);
-        let mut union: Vec<(NodeId, BfsMsg)> = algo.aggregate(NodeId::new(0), 4, a.to_vec());
-        union.extend(algo.aggregate(NodeId::new(0), 4, b.to_vec()));
-        algo.receive(&mut parts, 4, &union);
-
-        assert_eq!(algo.output(&direct), algo.output(&parts));
+    proptest! {
+        /// Same pairs in the same order as the reference, on batches with
+        /// repeated senders, ties on `(dist, sender)` and several instances,
+        /// and on the empty batch.
+        #[test]
+        fn aggregate_matches_its_reference(
+            batch in prop::collection::vec((0usize..6, 0u32..4, 0u32..5), 0..40),
+        ) {
+            let algo = BfsCollection::new((0..4).map(NodeId::new).collect());
+            let msgs: Vec<(NodeId, BfsMsg)> = batch
+                .into_iter()
+                .map(|(from, bfs, dist)| (NodeId::new(from), BfsMsg { bfs, dist }))
+                .collect();
+            for msgs in [msgs, Vec::new()] {
+                let mut got = msgs.clone();
+                algo.aggregate(NodeId::new(9), 0, &mut got);
+                prop_assert_eq!(got, aggregate_reference(msgs));
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@ use congest_engine::{EngineError, Metrics};
 use congest_graph::{Graph, NodeId};
 use congest_sched::{compose_measured, paper_shared_words, shared_randomness};
 
+use crate::ensure_epsilon;
 use crate::simulate::{simulate_aggregation_general, simulate_aggregation_star, AggSimOptions};
 
 /// Result of a many-BFS computation.
@@ -37,12 +38,10 @@ pub struct BfsForestResult {
 ///
 /// # Errors
 ///
-/// Propagates engine errors.
+/// [`EngineError::InvalidParameter`] if `epsilon` is outside `[1/2, 1]`;
+/// propagates engine errors.
 pub fn all_bfs_star(g: &Graph, epsilon: f64, seed: u64) -> Result<BfsForestResult, EngineError> {
-    assert!(
-        (0.5..=1.0).contains(&epsilon),
-        "Lemma 3.22 needs ε ∈ [1/2, 1]"
-    );
+    ensure_epsilon(epsilon, (0.5..=1.0).contains(&epsilon), "[1/2, 1]")?;
     let mut metrics = Metrics::new(g.m());
 
     // Shared randomness for the random delays (Theorem 1.4).
@@ -81,17 +80,15 @@ pub fn all_bfs_star(g: &Graph, epsilon: f64, seed: u64) -> Result<BfsForestResul
 ///
 /// # Errors
 ///
-/// Propagates engine errors.
+/// [`EngineError::InvalidParameter`] if `epsilon` is outside `(0, 1/2]`;
+/// propagates engine errors.
 pub fn all_bfs_batched(
     g: &Graph,
     epsilon: f64,
     depth_limit: u32,
     seed: u64,
 ) -> Result<BfsForestResult, EngineError> {
-    assert!(
-        epsilon > 0.0 && epsilon <= 0.5,
-        "Lemma 3.23 needs ε ∈ (0, 1/2]"
-    );
+    ensure_epsilon(epsilon, epsilon > 0.0 && epsilon <= 0.5, "(0, 1/2]")?;
     let n = g.n();
     let mut metrics = Metrics::new(g.m());
 
@@ -192,9 +189,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Lemma 3.22")]
-    fn star_route_rejects_small_epsilon() {
+    fn routes_reject_epsilon_outside_their_lemma() {
         let g = generators::path(4);
-        let _ = all_bfs_star(&g, 0.3, 1);
+        let rejected = [
+            all_bfs_star(&g, 0.3, 1),
+            all_bfs_batched(&g, 0.75, 3, 1),
+            all_bfs_batched(&g, 0.0, 3, 1),
+        ];
+        for res in rejected {
+            assert!(matches!(
+                res,
+                Err(EngineError::InvalidParameter {
+                    what: "epsilon",
+                    ..
+                })
+            ));
+        }
     }
 }

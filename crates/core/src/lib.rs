@@ -36,6 +36,8 @@
 //! println!("rounds = {}, messages = {}", res.metrics.rounds, res.metrics.messages);
 //! ```
 
+use congest_engine::EngineError;
+
 pub mod bfs_trees;
 pub mod cover;
 pub mod distance;
@@ -47,3 +49,14 @@ pub mod tradeoff;
 pub mod verify;
 pub mod weighted_apsp;
 pub mod weighted_tradeoff;
+
+/// `Ok` if `in_domain`, else the [`EngineError::InvalidParameter`] naming `domain`
+/// and the offending `epsilon` (a NaN lies in no domain).
+fn ensure_epsilon(epsilon: f64, in_domain: bool, domain: &str) -> Result<(), EngineError> {
+    in_domain
+        .then_some(())
+        .ok_or_else(|| EngineError::InvalidParameter {
+            what: "epsilon",
+            reason: format!("must be in {domain}, got {epsilon}"),
+        })
+}

@@ -19,15 +19,22 @@
 //! partition-invariance makes this equal to receiving every raw message), so with
 //! one seed the simulated outputs equal a direct run's (Lemma 3.14; asserted by the
 //! integration tests).
+//!
+//! This file owns the two send steps and what they read off the hierarchy
+//! (`Runtime`: each in-edge's adjacent members are found once, not per phase). The
+//! receive and compute steps, shared with Theorem 3.10, and every per-phase table
+//! belong to the crate-private phase workspace (`phase.rs`), created once per
+//! simulation.
 
-use crate::simulate::common::{dedupe_msgs, payload_options, Pad, SimulationRun};
+use crate::simulate::common::{payload_options, Pad, SimulationRun};
+use crate::simulate::phase::{batch_words, PhaseWorkspace};
 use congest_algos::leader::setup_network_with;
 use congest_decomp::{Hierarchy, Level};
 use congest_engine::{
-    downcast, run_bcongest_over, upcast, AggregationAlgorithm, EngineError, Forest, Metrics,
-    Router, Wire,
+    downcast, run_bcongest_over, upcast, AggregationAlgorithm, EngineError, Forest, Metrics, Router,
 };
-use congest_graph::{ClusterId, EdgeId, Graph, NodeId};
+use congest_graph::{EdgeId, Graph, NodeId};
+use std::ops::Range;
 
 /// Options for the Theorem 3.9 / 3.10 simulations.
 #[derive(Clone, Debug)]
@@ -40,8 +47,9 @@ pub struct AggSimOptions {
     pub charge_hierarchy: bool,
     /// Phase guard; defaults to `4 × round_bound + 64`.
     pub max_phases: Option<usize>,
-    /// How per-node phases execute (stepper and preprocessing runs). Outputs
-    /// and metrics are identical at every thread count.
+    /// How per-node phases execute (the payload's round loop and the
+    /// preprocessing runs). Outputs and metrics are identical at every thread
+    /// count.
     pub exec: congest_engine::ExecutorConfig,
 }
 
@@ -58,11 +66,14 @@ impl Default for AggSimOptions {
 
 /// An inter-communication edge pointing into a cluster: `(outside owner, inside
 /// endpoint, edge)`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 struct InEdge {
     owner: NodeId,
     endpoint: NodeId,
     edge: EdgeId,
+    /// The owner's neighbours inside the target cluster — whose broadcasts the
+    /// center aggregates for the owner — as a range into [`Runtime::adjacent`].
+    adjacent: Range<usize>,
 }
 
 /// Preprocessed hierarchy structures reused across phases.
@@ -71,8 +82,10 @@ struct Runtime {
     forests: Vec<Option<Forest>>,
     /// Per level `j`, per cluster: the `F*_{j+1}` edges pointing into it.
     r_in: Vec<Vec<Vec<InEdge>>>,
+    /// Every in-edge's adjacent members, in the owner's adjacency order.
+    adjacent: Vec<NodeId>,
     /// Per node: its `F*` edges (at its drop-out level).
-    f_of: Vec<Vec<(EdgeId, NodeId, usize, ClusterId)>>, // (edge, other, target level, target)
+    f_of: Vec<Vec<(EdgeId, NodeId)>>, // (edge, other)
 }
 
 impl Runtime {
@@ -84,21 +97,29 @@ impl Runtime {
         let mut r_in: Vec<Vec<Vec<InEdge>>> = h
             .levels
             .iter()
-            .map(|lvl| vec![Vec::new(); lvl.clusters.len().max(g.n())])
+            .map(|lvl| vec![Vec::new(); lvl.clusters.len()])
             .collect();
-        let mut f_of: Vec<Vec<(EdgeId, NodeId, usize, ClusterId)>> = vec![Vec::new(); g.n()];
+        let mut adjacent = Vec::new();
+        let mut f_of: Vec<Vec<(EdgeId, NodeId)>> = vec![Vec::new(); g.n()];
         for (li, f) in h.all_f_edges() {
             // F*_li points into clusters of level li-1.
+            let lvl = &h.levels[li - 1];
+            debug_assert!(f.target.index() < lvl.clusters.len(), "compact ids");
+            let start = adjacent.len();
+            let inside = |x: &&NodeId| lvl.cluster_of[x.index()] == Some(f.target);
+            adjacent.extend(g.neighbors(f.owner).iter().filter(inside));
             r_in[li - 1][f.target.index()].push(InEdge {
                 owner: f.owner,
                 endpoint: f.other,
                 edge: f.edge,
+                adjacent: start..adjacent.len(),
             });
-            f_of[f.owner.index()].push((f.edge, f.other, li - 1, f.target));
+            f_of[f.owner.index()].push((f.edge, f.other));
         }
         Ok(Self {
             forests,
             r_in,
+            adjacent,
             f_of,
         })
     }
@@ -146,176 +167,78 @@ pub fn simulate_aggregation_general<A: AggregationAlgorithm>(
 
     // Nodes keep their own states: phase `p` is round `p` of the payload's own
     // execution, delivered by the transport below.
+    let mut ws: PhaseWorkspace<A::Msg> = PhaseWorkspace::new(n);
     let transport = |phase: usize,
                      broadcasters: &[(NodeId, A::Msg)],
                      inboxes: &mut [Vec<(NodeId, A::Msg)>]|
      -> Result<(), EngineError> {
-        let mut phase_cost = Metrics::new(g.m());
-        let mut direct_packets: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
-        let mut receive_packets: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
+        if broadcasters.is_empty() {
+            return Ok(());
+        }
+        ws.begin(broadcasters);
 
-        if !broadcasters.is_empty() {
-            let mut bp: Vec<Option<A::Msg>> = vec![None; n];
-            for (v, m) in broadcasters {
-                bp[v.index()] = Some(m.clone());
-            }
-
-            // ---- Indirect send over F* edges ----
-            let mut indirect_at: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
-            {
-                let mut step = Metrics::new(g.m());
-                step.rounds = 1;
-                for (v, m) in broadcasters {
-                    for &(edge, other, _, _) in &rt.f_of[v.index()] {
-                        step.add_messages(edge, 1);
-                        indirect_at[other.index()].push((*v, m.clone()));
-                    }
-                }
-                phase_cost.merge_sequential(&step);
-            }
-
-            // ---- Direct (aggregate) send ----
-            // (a) broadcasters upcast their message in every containing cluster tree.
-            for (li, lvl) in h.levels.iter().enumerate().skip(1) {
-                let items: Vec<(NodeId, Pad)> = broadcasters
-                    .iter()
-                    .filter(|(v, _)| lvl.cluster_of[v.index()].is_some())
-                    .map(|(v, _)| (*v, Pad(1)))
-                    .collect();
-                if !items.is_empty() {
-                    let forest = rt.forests[li].as_ref().expect("level forest");
-                    let up = upcast(&mut router, forest, items)?;
-                    phase_cost.merge_sequential(&up.metrics);
-                }
-            }
-            // (b) per level, centers aggregate for R(C) and route packets.
-            for (lj, lvl) in h.levels.iter().enumerate() {
-                if lj >= rt.r_in.len() {
-                    break;
-                }
-                let mut down_items: Vec<(NodeId, Pad)> = Vec::new();
-                let mut forwards: Vec<(EdgeId, usize)> = Vec::new();
-                for (ci, ins) in rt.r_in[lj].iter().enumerate() {
-                    if ins.is_empty() {
-                        continue;
-                    }
-                    let cid = ClusterId::new(ci);
-                    for ie in ins {
-                        let msgs: Vec<(NodeId, A::Msg)> = g
-                            .neighbors(ie.owner)
-                            .iter()
-                            .filter(|x| lvl.cluster_of[x.index()] == Some(cid))
-                            .filter_map(|x| bp[x.index()].clone().map(|m| (*x, m)))
-                            .collect();
-                        if msgs.is_empty() {
-                            continue;
-                        }
-                        let agg = algo.aggregate(ie.owner, phase, msgs);
-                        if agg.is_empty() {
-                            continue;
-                        }
-                        let words: usize = agg.iter().map(|(_, m)| m.words().max(1)).sum();
-                        debug_assert!(
-                            words <= algo.aggregate_budget(n),
-                            "aggregate exceeded its budget"
-                        );
-                        if lj >= 1 {
-                            down_items.push((ie.endpoint, Pad(words)));
-                        }
-                        forwards.push((ie.edge, words));
-                        direct_packets[ie.owner.index()].extend(agg);
-                    }
-                }
-                if !down_items.is_empty() {
-                    let forest = rt.forests[lj].as_ref().expect("level forest");
-                    let down = downcast(&mut router, forest, down_items)?;
-                    phase_cost.merge_sequential(&down.metrics);
-                }
-                if !forwards.is_empty() {
-                    let mut step = Metrics::new(g.m());
-                    step.rounds = 1;
-                    for (e, w) in forwards {
-                        step.add_messages(e, w as u64);
-                    }
-                    phase_cost.merge_sequential(&step);
-                }
-            }
-
-            // ---- Receive step ----
-            // Members upcast indirect arrivals and their own broadcasts; centers
-            // downcast one aggregate per member. Level 0 degenerates to local work.
-            for (li, lvl) in h.levels.iter().enumerate() {
-                if li == h.levels.len() - 1 && lvl.clusters.is_empty() {
-                    break;
-                }
-                // Cluster-local available messages.
-                let mut avail: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); lvl.clusters.len()];
-                let mut up_items: Vec<(NodeId, Pad)> = Vec::new();
-                for v in g.nodes() {
-                    let Some(c) = lvl.cluster_of[v.index()] else {
-                        continue;
-                    };
-                    let mut words = 0usize;
-                    if let Some(m) = &bp[v.index()] {
-                        avail[c.index()].push((v, m.clone()));
-                        words += 1;
-                    }
-                    if !indirect_at[v.index()].is_empty() {
-                        avail[c.index()].extend(indirect_at[v.index()].iter().cloned());
-                        words += indirect_at[v.index()].len();
-                    }
-                    if words > 0 && li >= 1 {
-                        up_items.push((v, Pad(words)));
-                    }
-                }
-                if li >= 1 && !up_items.is_empty() {
-                    let forest = rt.forests[li].as_ref().expect("level forest");
-                    let up = upcast(&mut router, forest, up_items)?;
-                    phase_cost.merge_sequential(&up.metrics);
-                }
-                let mut down_items: Vec<(NodeId, Pad)> = Vec::new();
-                for (ci, msgs) in avail.iter().enumerate() {
-                    if msgs.is_empty() {
-                        continue;
-                    }
-                    for &u in &lvl.clusters[ci].1 {
-                        let relevant: Vec<(NodeId, A::Msg)> = msgs
-                            .iter()
-                            .filter(|(v, _)| *v != u && g.has_edge(*v, u))
-                            .cloned()
-                            .collect();
-                        if relevant.is_empty() {
-                            continue;
-                        }
-                        let agg = algo.aggregate(u, phase, relevant);
-                        if agg.is_empty() {
-                            continue;
-                        }
-                        let words: usize = agg.iter().map(|(_, m)| m.words().max(1)).sum();
-                        if li >= 1 {
-                            down_items.push((u, Pad(words)));
-                        }
-                        receive_packets[u.index()].extend(agg);
-                    }
-                }
-                if li >= 1 && !down_items.is_empty() {
-                    let forest = rt.forests[li].as_ref().expect("level forest");
-                    let down = downcast(&mut router, forest, down_items)?;
-                    phase_cost.merge_sequential(&down.metrics);
-                }
+        // ---- Indirect send over F* edges ----
+        metrics.rounds += 1;
+        for (v, m) in broadcasters {
+            for &(edge, other) in &rt.f_of[v.index()] {
+                metrics.add_messages(edge, 1);
+                ws.arrivals[other.index()].push((*v, m.clone()));
             }
         }
-        metrics.merge_sequential(&phase_cost);
+
+        // ---- Direct (aggregate) send ----
+        // (a) broadcasters upcast their message in every containing cluster tree.
+        for (li, lvl) in h.levels.iter().enumerate().skip(1) {
+            let items: Vec<(NodeId, Pad)> = broadcasters
+                .iter()
+                .filter(|(v, _)| lvl.cluster_of[v.index()].is_some())
+                .map(|(v, _)| (*v, Pad(1)))
+                .collect();
+            if !items.is_empty() {
+                let forest = rt.forests[li].as_ref().expect("level forest");
+                metrics.merge_sequential(&upcast(&mut router, forest, items)?.metrics);
+            }
+        }
+        // (b) per level, centers aggregate for R(C), downcast the packets to the
+        // in-edges' endpoints, and those forward them in one round.
+        for (lj, ins) in rt.r_in.iter().enumerate() {
+            let mut down_items: Vec<(NodeId, Pad)> = Vec::new();
+            let mut forwarded = false;
+            for ie in ins.iter().flatten() {
+                ws.gather(rt.adjacent[ie.adjacent.clone()].iter().copied());
+                if ws.msgs.is_empty() {
+                    continue;
+                }
+                algo.aggregate(ie.owner, phase, &mut ws.msgs);
+                if ws.msgs.is_empty() {
+                    continue;
+                }
+                let words = batch_words(&ws.msgs);
+                debug_assert!(
+                    words <= algo.aggregate_budget(n),
+                    "aggregate exceeded its budget"
+                );
+                if lj >= 1 {
+                    down_items.push((ie.endpoint, Pad(words)));
+                }
+                metrics.add_messages(ie.edge, words as u64);
+                forwarded = true;
+                ws.direct[ie.owner.index()].append(&mut ws.msgs);
+            }
+            if !down_items.is_empty() {
+                let forest = rt.forests[lj].as_ref().expect("level forest");
+                metrics.merge_sequential(&downcast(&mut router, forest, down_items)?.metrics);
+            }
+            metrics.rounds += u64::from(forwarded);
+        }
+
+        // ---- Receive step, level by level ----
+        for (lvl, forest) in h.levels.iter().zip(&rt.forests) {
+            ws.receive_level(algo, phase, lvl, forest.as_ref(), &mut router, &mut metrics)?;
+        }
 
         // ---- Compute ----
-        for u in 0..n {
-            let mut all = std::mem::take(&mut direct_packets[u]);
-            all.extend(std::mem::take(&mut receive_packets[u]));
-            if all.is_empty() {
-                continue;
-            }
-            inboxes[u] = dedupe_msgs(all);
-        }
+        ws.compute(broadcasters, inboxes);
         Ok(())
     };
     let payload_opts = payload_options(opts.seed, opts.max_phases, &opts.exec);

@@ -14,16 +14,18 @@
 //!   receive the broadcast of their star endpoint directly — the level-0 duty of the
 //!   general simulation — closing the star→`L₁` gap the paper's prose leaves open.
 //!
-//! The receive and compute steps match the general simulation. Congestion over star
-//! edges per phase is `Õ(n^{1-ε})` (Lemma 3.18), which is what buys the faster
-//! phases and, through Lemma 3.22, the round-optimal end of the trade-off.
+//! The receive and compute steps are the general simulation's — one copy, owned
+//! with every per-phase table by the crate-private phase workspace (`phase.rs`);
+//! this file owns the send step above. Congestion over star edges per phase is
+//! `Õ(n^{1-ε})` (Lemma 3.18), which is what buys the faster phases and, through
+//! Lemma 3.22, the round-optimal end of the trade-off.
 
-use crate::simulate::common::{dedupe_msgs, payload_options, Pad, SimulationRun};
+use crate::simulate::common::{payload_options, Pad, SimulationRun};
+use crate::simulate::phase::{batch_words, PhaseWorkspace};
 use congest_algos::leader::setup_network_with;
 use congest_decomp::Hierarchy;
 use congest_engine::{
-    downcast, run_bcongest_over, upcast, AggregationAlgorithm, EngineError, Forest, Metrics,
-    Router, Wire,
+    downcast, run_bcongest_over, upcast, AggregationAlgorithm, EngineError, Forest, Metrics, Router,
 };
 use congest_graph::{ClusterId, EdgeId, Graph, NodeId};
 
@@ -34,9 +36,10 @@ pub use super::agg_general::AggSimOptions;
 ///
 /// # Errors
 ///
-/// Returns [`EngineError::RoundLimitExceeded`] on a diverging payload; propagates
-/// preprocessing errors. Panics if the hierarchy has more than three levels (use
-/// [`super::agg_general::simulate_aggregation_general`] for smaller ε).
+/// Returns [`EngineError::InvalidParameter`] if the hierarchy has more than three
+/// levels (κ > 2; use [`super::agg_general::simulate_aggregation_general`] for
+/// smaller ε) and [`EngineError::RoundLimitExceeded`] on a diverging payload;
+/// propagates preprocessing errors.
 pub fn simulate_aggregation_star<A: AggregationAlgorithm>(
     algo: &A,
     g: &Graph,
@@ -44,11 +47,15 @@ pub fn simulate_aggregation_star<A: AggregationAlgorithm>(
     h: &Hierarchy,
     opts: &AggSimOptions,
 ) -> Result<SimulationRun<A::Output>, EngineError> {
-    assert!(
-        h.kappa <= 2,
-        "the star simulation needs ε ≥ 1/2 (κ ≤ 2); got κ = {}",
-        h.kappa
-    );
+    if h.kappa > 2 {
+        return Err(EngineError::InvalidParameter {
+            what: "hierarchy",
+            reason: format!(
+                "the star simulation needs ε ≥ 1/2 (κ ≤ 2), got κ = {}",
+                h.kappa
+            ),
+        });
+    }
     let n = g.n();
     let mut metrics = Metrics::new(g.m());
 
@@ -87,199 +94,116 @@ pub fn simulate_aggregation_star<A: AggregationAlgorithm>(
 
     // Nodes keep their own states: phase `p` is round `p` of the payload's own
     // execution, delivered by the transport below.
+    let mut ws: PhaseWorkspace<A::Msg> = PhaseWorkspace::new(n);
     let transport = |phase: usize,
                      broadcasters: &[(NodeId, A::Msg)],
                      inboxes: &mut [Vec<(NodeId, A::Msg)>]|
      -> Result<(), EngineError> {
-        let mut phase_cost = Metrics::new(g.m());
-        let mut raw_packets: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
-        let mut direct_packets: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
-        let mut receive_packets: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
-        let mut star_arrivals: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); n];
+        if broadcasters.is_empty() {
+            return Ok(());
+        }
+        ws.begin(broadcasters);
 
-        if !broadcasters.is_empty() {
-            let mut bp: Vec<Option<A::Msg>> = vec![None; n];
-            for (v, m) in broadcasters {
-                bp[v.index()] = Some(m.clone());
-            }
-
-            // ---- Send: L₁ broadcasters use all incident edges; star-endpoint
-            //      duty edges deliver their endpoint's broadcast. One round. ----
-            {
-                let mut step = Metrics::new(g.m());
-                step.rounds = 1;
-                for (v, m) in broadcasters {
-                    if in_l1[v.index()] {
-                        for (e, u) in g.incident(*v) {
-                            step.add_messages(e, 1);
-                            raw_packets[u.index()].push((*v, m.clone()));
-                        }
-                    }
-                }
-                for (w, duties) in duty_of.iter().enumerate() {
-                    if in_l1[w] {
-                        continue; // L₁ endpoints already broadcast everywhere
-                    }
-                    if let Some(m) = &bp[w] {
-                        for &(owner, e) in duties {
-                            step.add_messages(e, 1);
-                            raw_packets[owner.index()].push((NodeId::new(w), m.clone()));
-                        }
-                    }
-                }
-                phase_cost.merge_sequential(&step);
-            }
-
-            // ---- Star-cluster machinery ----
-            if let (Some(lvl), Some(forest)) = (star_level, star_forest.as_ref()) {
-                // Broadcasting members send to their center (upcast: depth ≤ 1).
-                let to_center: Vec<(NodeId, Pad)> = broadcasters
-                    .iter()
-                    .filter(|(v, _)| lvl.cluster_of[v.index()].is_some())
-                    .map(|(v, _)| (*v, Pad(1)))
-                    .collect();
-                if !to_center.is_empty() {
-                    let up = upcast(&mut router, forest, to_center)?;
-                    phase_cost.merge_sequential(&up.metrics);
-                }
-
-                // Per cluster: matchings to every neighboring star cluster.
-                let mut down_items: Vec<(NodeId, Pad)> = Vec::new();
-                let mut forwards: Vec<(EdgeId, usize)> = Vec::new();
-                for (ci, (_center, members)) in lvl.clusters.iter().enumerate() {
-                    let cid = ClusterId::new(ci);
-                    let senders: Vec<NodeId> = members
-                        .iter()
-                        .copied()
-                        .filter(|v| bp[v.index()].is_some())
-                        .collect();
-                    if senders.is_empty() {
-                        continue;
-                    }
-                    // Candidate matching edges, grouped by neighboring cluster.
-                    let mut by_target: Vec<(ClusterId, Vec<(NodeId, NodeId)>)> = Vec::new();
-                    for &w in &senders {
-                        for &u in g.neighbors(w) {
-                            let Some(cu) = lvl.cluster_of[u.index()] else {
-                                continue;
-                            };
-                            if cu == cid {
-                                continue;
-                            }
-                            match by_target.iter_mut().find(|(c, _)| *c == cu) {
-                                Some((_, v)) => v.push((w, u)),
-                                None => by_target.push((cu, vec![(w, u)])),
-                            }
-                        }
-                    }
-                    for (_, mut cand) in by_target {
-                        cand.sort_unstable();
-                        let mut used_w = vec![];
-                        let mut used_u = vec![];
-                        for (w, u) in cand {
-                            if used_w.contains(&w) || used_u.contains(&u) {
-                                continue;
-                            }
-                            used_w.push(w);
-                            used_u.push(u);
-                            // m₁: identity packet; m₂: aggregate for u over C.
-                            let msgs: Vec<(NodeId, A::Msg)> = g
-                                .neighbors(u)
-                                .iter()
-                                .filter(|x| lvl.cluster_of[x.index()] == Some(cid))
-                                .filter_map(|x| bp[x.index()].clone().map(|m| (*x, m)))
-                                .collect();
-                            let agg = algo.aggregate(u, phase, msgs);
-                            let m1 = bp[w.index()].clone().expect("w is a sender");
-                            let words =
-                                1 + agg.iter().map(|(_, m)| m.words().max(1)).sum::<usize>();
-                            down_items.push((w, Pad(words)));
-                            let e = g.edge_between(w, u).expect("matched pairs are edges");
-                            forwards.push((e, words));
-                            star_arrivals[u.index()].push((w, m1));
-                            direct_packets[u.index()].extend(agg);
-                        }
-                    }
-                }
-                if !down_items.is_empty() {
-                    let down = downcast(&mut router, forest, down_items)?;
-                    phase_cost.merge_sequential(&down.metrics);
-                }
-                if !forwards.is_empty() {
-                    let mut step = Metrics::new(g.m());
-                    step.rounds = 1;
-                    for (e, w) in forwards {
-                        step.add_messages(e, w as u64);
-                    }
-                    phase_cost.merge_sequential(&step);
-                }
-
-                // ---- Receive step: members upcast m₁ arrivals + own broadcasts;
-                //      centers downcast per-member aggregates. ----
-                let mut avail: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); lvl.clusters.len()];
-                let mut up_items: Vec<(NodeId, Pad)> = Vec::new();
-                for v in g.nodes() {
-                    let Some(c) = lvl.cluster_of[v.index()] else {
-                        continue;
-                    };
-                    let mut words = 0usize;
-                    if let Some(m) = &bp[v.index()] {
-                        avail[c.index()].push((v, m.clone()));
-                        words += 1;
-                    }
-                    if !star_arrivals[v.index()].is_empty() {
-                        avail[c.index()].extend(star_arrivals[v.index()].iter().cloned());
-                        words += star_arrivals[v.index()].len();
-                    }
-                    if words > 0 {
-                        up_items.push((v, Pad(words)));
-                    }
-                }
-                if !up_items.is_empty() {
-                    let up = upcast(&mut router, forest, up_items)?;
-                    phase_cost.merge_sequential(&up.metrics);
-                }
-                let mut down2: Vec<(NodeId, Pad)> = Vec::new();
-                for (ci, msgs) in avail.iter().enumerate() {
-                    if msgs.is_empty() {
-                        continue;
-                    }
-                    for &u in &lvl.clusters[ci].1 {
-                        let relevant: Vec<(NodeId, A::Msg)> = msgs
-                            .iter()
-                            .filter(|(v, _)| *v != u && g.has_edge(*v, u))
-                            .cloned()
-                            .collect();
-                        if relevant.is_empty() {
-                            continue;
-                        }
-                        let agg = algo.aggregate(u, phase, relevant);
-                        if agg.is_empty() {
-                            continue;
-                        }
-                        let words: usize = agg.iter().map(|(_, m)| m.words().max(1)).sum();
-                        down2.push((u, Pad(words)));
-                        receive_packets[u.index()].extend(agg);
-                    }
-                }
-                if !down2.is_empty() {
-                    let down = downcast(&mut router, forest, down2)?;
-                    phase_cost.merge_sequential(&down.metrics);
+        // ---- Send: L₁ broadcasters use all incident edges; star-endpoint
+        //      duty edges deliver their endpoint's broadcast. One round. ----
+        metrics.rounds += 1;
+        for (v, m) in broadcasters {
+            if in_l1[v.index()] {
+                for (e, u) in g.incident(*v) {
+                    metrics.add_messages(e, 1);
+                    ws.raw[u.index()].push((*v, m.clone()));
                 }
             }
         }
-        metrics.merge_sequential(&phase_cost);
+        for (w, duties) in duty_of.iter().enumerate() {
+            if in_l1[w] {
+                continue; // L₁ endpoints already broadcast everywhere
+            }
+            if let Some(m) = &ws.bp[w] {
+                for &(owner, e) in duties {
+                    metrics.add_messages(e, 1);
+                    ws.raw[owner.index()].push((NodeId::new(w), m.clone()));
+                }
+            }
+        }
+
+        // ---- Star-cluster machinery ----
+        if let (Some(lvl), Some(forest)) = (star_level, star_forest.as_ref()) {
+            // Broadcasting members send to their center (upcast: depth ≤ 1).
+            let to_center: Vec<(NodeId, Pad)> = broadcasters
+                .iter()
+                .filter(|(v, _)| lvl.cluster_of[v.index()].is_some())
+                .map(|(v, _)| (*v, Pad(1)))
+                .collect();
+            if !to_center.is_empty() {
+                metrics.merge_sequential(&upcast(&mut router, forest, to_center)?.metrics);
+            }
+
+            // Per cluster: matchings to every neighboring star cluster.
+            let mut down_items: Vec<(NodeId, Pad)> = Vec::new();
+            for (ci, (_center, members)) in lvl.clusters.iter().enumerate() {
+                let cid = ClusterId::new(ci);
+                let senders: Vec<NodeId> = members
+                    .iter()
+                    .copied()
+                    .filter(|v| ws.bp[v.index()].is_some())
+                    .collect();
+                if senders.is_empty() {
+                    continue;
+                }
+                // Candidate matching edges, grouped by neighboring cluster.
+                let mut by_target: Vec<(ClusterId, Vec<(NodeId, NodeId)>)> = Vec::new();
+                for &w in &senders {
+                    for &u in g.neighbors(w) {
+                        let Some(cu) = lvl.cluster_of[u.index()] else {
+                            continue;
+                        };
+                        if cu == cid {
+                            continue;
+                        }
+                        match by_target.iter_mut().find(|(c, _)| *c == cu) {
+                            Some((_, v)) => v.push((w, u)),
+                            None => by_target.push((cu, vec![(w, u)])),
+                        }
+                    }
+                }
+                for (_, mut cand) in by_target {
+                    cand.sort_unstable();
+                    let mut used_w = vec![];
+                    let mut used_u = vec![];
+                    for (w, u) in cand {
+                        if used_w.contains(&w) || used_u.contains(&u) {
+                            continue;
+                        }
+                        used_w.push(w);
+                        used_u.push(u);
+                        // m₁: identity packet; m₂: aggregate for u over C.
+                        let in_c = |x: &NodeId| lvl.cluster_of[x.index()] == Some(cid);
+                        ws.gather(g.neighbors(u).iter().copied().filter(in_c));
+                        algo.aggregate(u, phase, &mut ws.msgs);
+                        let m1 = ws.bp[w.index()].clone().expect("w is a sender");
+                        let words = 1 + batch_words(&ws.msgs);
+                        down_items.push((w, Pad(words)));
+                        let e = g.edge_between(w, u).expect("matched pairs are edges");
+                        metrics.add_messages(e, words as u64);
+                        ws.arrivals[u.index()].push((w, m1));
+                        ws.direct[u.index()].append(&mut ws.msgs);
+                    }
+                }
+            }
+            // The matched senders forward their two packets in one round.
+            if !down_items.is_empty() {
+                metrics.merge_sequential(&downcast(&mut router, forest, down_items)?.metrics);
+                metrics.rounds += 1;
+            }
+
+            // ---- Receive step: members upcast m₁ arrivals + own broadcasts;
+            //      centers downcast per-member aggregates. ----
+            ws.receive_level(algo, phase, lvl, Some(forest), &mut router, &mut metrics)?;
+        }
 
         // ---- Compute ----
-        for u in 0..n {
-            let mut all = std::mem::take(&mut raw_packets[u]);
-            all.extend(std::mem::take(&mut direct_packets[u]));
-            all.extend(std::mem::take(&mut receive_packets[u]));
-            if all.is_empty() {
-                continue;
-            }
-            inboxes[u] = dedupe_msgs(all);
-        }
+        ws.compute(broadcasters, inboxes);
         Ok(())
     };
     let payload_opts = payload_options(opts.seed, opts.max_phases, &opts.exec);
@@ -369,11 +293,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "star simulation needs")]
     fn rejects_small_epsilon() {
         let g = generators::path(6);
         let h = pruned(&g, 0.25, 1);
         let algo = BfsCollection::new(vec![NodeId::new(0)]);
-        let _ = simulate_aggregation_star(&algo, &g, None, &h, &AggSimOptions::default());
+        let res = simulate_aggregation_star(&algo, &g, None, &h, &AggSimOptions::default());
+        assert!(matches!(
+            res,
+            Err(EngineError::InvalidParameter {
+                what: "hierarchy",
+                ..
+            })
+        ));
     }
 }

@@ -4,7 +4,6 @@
 //! and the padding payload used to account multi-word transfers.
 
 use congest_engine::{BcongestRun, ExecutorConfig, Metrics, RunOptions, Wire};
-use congest_graph::NodeId;
 
 /// An opaque payload of a known size in words — used when the *content* of a
 /// transfer is tracked separately (e.g. cluster centers already hold the data) but
@@ -73,18 +72,6 @@ pub(crate) fn payload_options(
     }
 }
 
-/// Deduplicates `(sender, message)` pairs — the union step of Definition 3.1 (a
-/// message may legitimately arrive through several routes).
-pub fn dedupe_msgs<M: Wire>(mut msgs: Vec<(NodeId, M)>) -> Vec<(NodeId, M)> {
-    let mut out: Vec<(NodeId, M)> = Vec::with_capacity(msgs.len());
-    for (from, m) in msgs.drain(..) {
-        if !out.iter().any(|(f, x)| *f == from && *x == m) {
-            out.push((from, m));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,17 +80,5 @@ mod tests {
     fn pad_words() {
         assert_eq!(Pad(0).words(), 1);
         assert_eq!(Pad(5).words(), 5);
-    }
-
-    #[test]
-    fn dedupe_removes_duplicates() {
-        let msgs = vec![
-            (NodeId::new(1), 7u64),
-            (NodeId::new(1), 7u64),
-            (NodeId::new(1), 8u64),
-            (NodeId::new(2), 7u64),
-        ];
-        let out = dedupe_msgs(msgs);
-        assert_eq!(out.len(), 3);
     }
 }

@@ -36,8 +36,9 @@ pub struct LdcSimOptions {
     pub strict_phase_budget: bool,
     /// Phase guard; defaults to `4 × round_bound + 64`.
     pub max_phases: Option<usize>,
-    /// How per-node phases execute (stepper and preprocessing runs). Outputs
-    /// and metrics are identical at every thread count.
+    /// How per-node phases execute (the payload's round loop and the
+    /// preprocessing runs). Outputs and metrics are identical at every thread
+    /// count.
     pub exec: congest_engine::ExecutorConfig,
 }
 

@@ -13,6 +13,7 @@ pub mod agg_general;
 pub mod agg_star;
 pub mod common;
 pub mod ldc_sim;
+mod phase;
 
 pub use agg_general::{simulate_aggregation_general, AggSimOptions};
 pub use agg_star::simulate_aggregation_star;

@@ -11,6 +11,7 @@
 //!   via Theorem 3.10 (Lemma 3.22).
 
 use crate::bfs_trees::{all_bfs_batched, all_bfs_star};
+use crate::ensure_epsilon;
 use crate::landmarks::{landmark_distances, sampling_probability};
 use crate::simulate::{simulate_bcongest_via_ldc, LdcSimOptions};
 use congest_algos::bfs_collection::BfsCollection;
@@ -45,13 +46,10 @@ pub struct TradeoffResult {
 ///
 /// # Errors
 ///
-/// Propagates engine errors.
-///
-/// # Panics
-///
-/// Panics if `epsilon` is outside `[0, 1]`.
+/// [`EngineError::InvalidParameter`] if `epsilon` is outside `[0, 1]` (or NaN);
+/// propagates engine errors.
 pub fn tradeoff_apsp(g: &Graph, epsilon: f64, seed: u64) -> Result<TradeoffResult, EngineError> {
-    assert!((0.0..=1.0).contains(&epsilon), "ε must be in [0, 1]");
+    ensure_epsilon(epsilon, (0.0..=1.0).contains(&epsilon), "[0, 1]")?;
     let n = g.n();
     let log_threshold = 1.0 / (n.max(4) as f64).log2();
 
@@ -171,9 +169,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "ε must be in [0, 1]")]
     fn rejects_bad_epsilon() {
         let g = generators::path(4);
-        let _ = tradeoff_apsp(&g, 1.5, 0);
+        for eps in [1.5, -0.1, f64::NAN] {
+            let err = tradeoff_apsp(&g, eps, 0).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    EngineError::InvalidParameter {
+                        what: "epsilon",
+                        ..
+                    }
+                ),
+                "eps = {eps}: {err}"
+            );
+        }
     }
 }

@@ -17,6 +17,7 @@
 //! the trade-off is weaker than in the unweighted case — matching the paper's
 //! intuition for why the weighted case is harder.
 
+use crate::ensure_epsilon;
 use crate::simulate::{
     simulate_aggregation_general, simulate_aggregation_star, AggSimOptions, SimulationRun,
 };
@@ -92,30 +93,15 @@ impl BcongestAlgorithm for WeightedApspOverHierarchy {
 }
 
 impl AggregationAlgorithm for WeightedApspOverHierarchy {
-    fn aggregate(
-        &self,
-        receiver: NodeId,
-        _round: usize,
-        msgs: Vec<(NodeId, WApspMsg)>,
-    ) -> Vec<(NodeId, WApspMsg)> {
+    fn aggregate(&self, receiver: NodeId, _round: usize, msgs: &mut Vec<(NodeId, WApspMsg)>) {
         // Per source, keep the message minimizing the *candidate distance at the
         // receiver* (dist + w(sender, receiver)), ties by sender — exactly the
-        // message the receiver's relaxation would pick from this batch.
+        // message the receiver's relaxation would pick from this batch. Only
+        // neighbors can deliver relaxations.
         let w = &self.weight_of[receiver.index()];
-        let mut best: BTreeMap<u32, (u64, NodeId, WApspMsg)> = BTreeMap::new();
-        for (from, m) in msgs {
-            let Some(&edge_w) = w.get(&from) else {
-                continue; // only neighbors can deliver relaxations
-            };
-            let cand = m.dist + edge_w;
-            match best.get(&m.source) {
-                Some(&(c, f, _)) if (c, f) <= (cand, from) => {}
-                _ => {
-                    best.insert(m.source, (cand, from, m));
-                }
-            }
-        }
-        best.into_values().map(|(_, from, m)| (from, m)).collect()
+        msgs.retain(|(from, _)| w.contains_key(from));
+        msgs.sort_unstable_by_key(|&(from, m)| (m.source, m.dist + w[&from], from));
+        msgs.dedup_by_key(|(_, m)| m.source);
     }
 
     fn aggregate_budget(&self, n: usize) -> usize {
@@ -138,19 +124,14 @@ pub struct WeightedTradeoffConfig {
 ///
 /// # Errors
 ///
-/// Propagates engine errors.
-///
-/// # Panics
-///
-/// Panics if `epsilon ∉ (0, 1]`.
+/// [`EngineError::InvalidParameter`] if `cfg.epsilon` is outside `(0, 1]`;
+/// propagates engine errors.
 pub fn weighted_apsp_tradeoff(
     wg: &WeightedGraph,
     cfg: &WeightedTradeoffConfig,
 ) -> Result<WeightedApspResult, EngineError> {
-    assert!(
-        cfg.epsilon > 0.0 && cfg.epsilon <= 1.0,
-        "ε must be in (0, 1]"
-    );
+    let in_domain = cfg.epsilon > 0.0 && cfg.epsilon <= 1.0;
+    ensure_epsilon(cfg.epsilon, in_domain, "(0, 1]")?;
     let g = wg.graph();
     let h = prune(g, &Hierarchy::build(g, cfg.epsilon, cfg.seed));
     let algo = WeightedApspOverHierarchy::new(wg);
@@ -177,6 +158,7 @@ mod tests {
     use super::*;
     use crate::verify::check_weighted_apsp;
     use congest_graph::generators;
+    use proptest::prelude::*;
 
     #[test]
     fn weighted_tradeoff_is_exact_across_epsilon() {
@@ -202,7 +184,7 @@ mod tests {
         let g = congest_graph::Graph::from_edges(3, &[(0, 1), (0, 2)]);
         let wg = WeightedGraph::from_weights(g, vec![1, 100]).unwrap();
         let algo = WeightedApspOverHierarchy::new(&wg);
-        let msgs = vec![
+        let mut agg = vec![
             (
                 NodeId::new(1),
                 WApspMsg {
@@ -212,7 +194,7 @@ mod tests {
             ),
             (NodeId::new(2), WApspMsg { source: 9, dist: 2 }),
         ];
-        let agg = algo.aggregate(NodeId::new(0), 0, msgs);
+        algo.aggregate(NodeId::new(0), 0, &mut agg);
         assert_eq!(
             agg,
             vec![(
@@ -223,6 +205,70 @@ mod tests {
                 }
             )]
         );
+    }
+
+    /// The `Vec`-in / `Vec`-out aggregate the in-place one replaced.
+    fn aggregate_reference(
+        algo: &WeightedApspOverHierarchy,
+        receiver: NodeId,
+        msgs: Vec<(NodeId, WApspMsg)>,
+    ) -> Vec<(NodeId, WApspMsg)> {
+        let w = &algo.weight_of[receiver.index()];
+        let mut best: BTreeMap<u32, (u64, NodeId, WApspMsg)> = BTreeMap::new();
+        for (from, m) in msgs {
+            let Some(&edge_w) = w.get(&from) else {
+                continue; // only neighbors can deliver relaxations
+            };
+            let cand = m.dist + edge_w;
+            match best.get(&m.source) {
+                Some(&(c, f, _)) if (c, f) <= (cand, from) => {}
+                _ => {
+                    best.insert(m.source, (cand, from, m));
+                }
+            }
+        }
+        best.into_values().map(|(_, from, m)| (from, m)).collect()
+    }
+
+    proptest! {
+        /// Same pairs in the same order as the reference, on batches with
+        /// repeated senders, ties on the candidate distance, several sources
+        /// and senders that are not neighbours of the receiver, and on the
+        /// empty batch.
+        #[test]
+        fn aggregate_matches_its_reference(
+            receiver in 0usize..8,
+            batch in prop::collection::vec((0usize..8, 0u32..4, 0u64..5), 0..40),
+        ) {
+            let g = generators::gnp_connected(8, 0.4, 3);
+            let wg = WeightedGraph::random_weights(&g, 1..=3, 3);
+            let algo = WeightedApspOverHierarchy::new(&wg);
+            let receiver = NodeId::new(receiver);
+            let msgs: Vec<(NodeId, WApspMsg)> = batch
+                .into_iter()
+                .map(|(from, source, dist)| (NodeId::new(from), WApspMsg { source, dist }))
+                .collect();
+            for msgs in [msgs, Vec::new()] {
+                let mut got = msgs.clone();
+                algo.aggregate(receiver, 0, &mut got);
+                prop_assert_eq!(got, aggregate_reference(&algo, receiver, msgs));
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_epsilon_outside_its_domain() {
+        let wg = WeightedGraph::unit(&generators::path(4));
+        for epsilon in [0.0, 1.5] {
+            let res = weighted_apsp_tradeoff(&wg, &WeightedTradeoffConfig { epsilon, seed: 1 });
+            assert!(matches!(
+                res,
+                Err(EngineError::InvalidParameter {
+                    what: "epsilon",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]

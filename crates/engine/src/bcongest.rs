@@ -113,21 +113,22 @@ pub trait BcongestAlgorithm: Sync {
 
 /// An aggregation-based BCONGEST algorithm (Definition 3.1).
 ///
-/// [`aggregate`](Self::aggregate) must return a *subset* of the input messages,
-/// representable in `Õ(1)` words, such that delivering the union of aggregates of any
-/// partition of a round's messages leaves [`BcongestAlgorithm::receive`] with the same
-/// effect as delivering all messages. (min/max/sum-style algorithms qualify; so do
-/// collections of BFS algorithms once only `O(log n)` of them are active per
-/// neighborhood per round — Theorem 1.4.)
+/// [`aggregate`](Self::aggregate) must keep a *subset* of the messages it is
+/// handed, representable in `Õ(1)` words, such that delivering the union of
+/// aggregates of any partition of a round's messages leaves
+/// [`BcongestAlgorithm::receive`] with the same effect as delivering all messages.
+/// (min/max/sum-style algorithms qualify; so do collections of BFS algorithms once
+/// only `O(log n)` of them are active per neighborhood per round — Theorem 1.4.)
 pub trait AggregationAlgorithm: BcongestAlgorithm {
-    /// Reduces a batch of same-round messages addressed to `receiver` to an equivalent
-    /// small subset.
-    fn aggregate(
-        &self,
-        receiver: NodeId,
-        round: usize,
-        msgs: Vec<(NodeId, Self::Msg)>,
-    ) -> Vec<(NodeId, Self::Msg)>;
+    /// Reduces, in place, a batch of same-round `(sender, message)` pairs addressed
+    /// to `receiver` to an equivalent small subset: on return `msgs` holds exactly
+    /// the kept pairs. The caller owns the buffer and reuses it across calls, so
+    /// reduce with `sort` / `dedup` / `retain` rather than building a replacement.
+    /// The order of the kept pairs is the implementer's and must be deterministic —
+    /// a function of the batch as handed over, never of addresses, hash seeds or
+    /// earlier calls: the simulations forward the pairs in that order, and their
+    /// whole account is pinned byte for byte.
+    fn aggregate(&self, receiver: NodeId, round: usize, msgs: &mut Vec<(NodeId, Self::Msg)>);
 
     /// Upper bound (in words) on the size of any aggregate this algorithm produces; the
     /// simulations assert it. `Õ(1)` for a faithful Definition-3.1 algorithm.

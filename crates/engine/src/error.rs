@@ -44,6 +44,14 @@ pub enum EngineError {
         /// The first structural violation found.
         reason: String,
     },
+    /// An entry point was called with a parameter outside its domain (a trade-off
+    /// `ε` out of range or NaN, a hierarchy too deep for the star simulation).
+    InvalidParameter {
+        /// The parameter (e.g. `"epsilon"`).
+        what: &'static str,
+        /// What was required and what was given.
+        reason: String,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -69,6 +77,9 @@ impl fmt::Display for EngineError {
                 write!(f, "{op} exceeded its message budget: {used} > {budget}")
             }
             EngineError::InvalidFaultPlan { reason } => write!(f, "invalid FaultPlan: {reason}"),
+            EngineError::InvalidParameter { what, reason } => {
+                write!(f, "invalid parameter {what}: {reason}")
+            }
         }
     }
 }
@@ -106,5 +117,11 @@ mod tests {
         }
         .to_string()
         .contains("recover before crash"));
+        assert!(EngineError::InvalidParameter {
+            what: "epsilon",
+            reason: "must be in [0, 1], got 1.5".into()
+        }
+        .to_string()
+        .contains("epsilon: must be in [0, 1], got 1.5"));
     }
 }

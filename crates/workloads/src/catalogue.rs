@@ -483,8 +483,8 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
     ));
 
     // Message-optimal weighted APSP through the Theorem 2.1 simulation:
-    // leader election, LDC build, upcasts/downcasts and the stepper all flow
-    // through the configured executor.
+    // leader election and the payload's round loop run under the configured
+    // executor.
     entries.push(crate::make::weighted_apsp(
         "gnp".to_string(),
         || {

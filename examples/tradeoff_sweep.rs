@@ -17,7 +17,6 @@ fn main() {
     println!("graph: n = {}, m = {}\n", g.n(), g.m());
     println!("  ε     route                    rounds    messages");
 
-    let mut prev: Option<(u64, u64)> = None;
     for eps in [0.0, 0.25, 0.5, 0.75, 1.0] {
         let res = tradeoff_apsp(&g, eps, seed).expect("tradeoff APSP");
         check_unweighted_apsp(&g, &res.dist).expect("exact");
@@ -28,9 +27,7 @@ fn main() {
             res.metrics.rounds,
             res.metrics.messages
         );
-        prev = Some((res.metrics.rounds, res.metrics.messages));
     }
-    let _ = prev;
 
     println!(
         "\nevery row solved the same exact APSP instance; moving down the table trades\n\

@@ -18,39 +18,24 @@ use congest_apsp::engine::{run_bcongest, ExecutorConfig, RunOptions};
 use congest_apsp::graph::{generators, NodeId};
 use congest_apsp::workloads::{configs::thread_matrix, find, registry};
 
-/// 64-bit FNV-1a (hand-rolled: `DefaultHasher`'s output is not stable across
-/// Rust releases, and the golden file must be).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+mod golden;
 
 /// Every registry entry at `threads = 1` against the golden file: one
 /// `name fnv1a64-hex` line per entry, hashed over the canonical output
-/// followed by the `Debug` rendering of the metrics. A failure prints the
-/// computed line; if the change in outcome is intended, paste it over the
-/// stale one.
+/// followed by the `Debug` rendering of the metrics.
 #[test]
 fn one_thread_outcomes_match_the_golden_reference() {
-    let golden: Vec<&str> = include_str!("golden/registry_outcomes.txt")
-        .lines()
-        .collect();
-    let entries = registry();
-    for (i, w) in entries.iter().enumerate() {
+    let outcomes = registry().into_iter().map(|w| {
         let run = w
             .run(&ExecutorConfig::default())
             .unwrap_or_else(|e| panic!("{}: one-thread run failed: {e}", w.name()));
-        let text = format!("{}{:?}", run.output, run.metrics);
-        let line = format!("{} {:016x}", w.name(), fnv1a64(text.as_bytes()));
-        assert_eq!(
-            golden.get(i).copied(),
-            Some(line.as_str()),
-            "tests/golden/registry_outcomes.txt line {}; computed: {line}",
-            i + 1
-        );
-    }
-    assert_eq!(golden.len(), entries.len(), "golden file has extra lines");
+        (w.name(), format!("{}{:?}", run.output, run.metrics))
+    });
+    golden::assert_matches(
+        "tests/golden/registry_outcomes.txt",
+        include_str!("golden/registry_outcomes.txt"),
+        outcomes,
+    );
 }
 
 #[test]

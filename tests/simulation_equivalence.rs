@@ -12,6 +12,8 @@ use congest_apsp::apsp_core::simulate::{
     simulate_aggregation_general, simulate_aggregation_star, simulate_bcongest_via_ldc,
     AggSimOptions, LdcSimOptions,
 };
+use congest_apsp::apsp_core::tradeoff::tradeoff_apsp;
+use congest_apsp::apsp_core::weighted_tradeoff::{weighted_apsp_tradeoff, WeightedTradeoffConfig};
 use congest_apsp::decomp::pruning::prune;
 use congest_apsp::decomp::Hierarchy;
 use congest_apsp::engine::{
@@ -20,6 +22,8 @@ use congest_apsp::engine::{
 use congest_apsp::graph::{generators, Graph, NodeId, WeightedGraph};
 use std::sync::mpsc;
 use std::time::Duration;
+
+mod golden;
 
 fn direct<A: BcongestAlgorithm>(
     algo: &A,
@@ -204,6 +208,71 @@ fn all_three_simulations_agree_with_each_other() {
     assert_eq!(b, c);
 }
 
+/// The whole account of Theorems 3.9 / 3.10, not only their outputs: the
+/// `Debug` rendering of every `SimulationRun` / `TradeoffResult` / weighted
+/// trade-off result (outputs, rounds, messages, per-edge congestion,
+/// preprocessing share) is pinned to `tests/golden/simulation_runs.txt`,
+/// generated from the code before PR 18 touched the simulators. Five graphs ×
+/// ε ∈ {0.25, 0.34, 0.5, 0.75, 1} (κ = 4, 3, 2, 2, 1) × an unlimited and a
+/// depth-3 collection through Theorem 3.9, the ε ≥ ½ cells through Theorem
+/// 3.10 too, all three routes of `tradeoff_apsp`, and the receiver-aware
+/// weighted payload through both simulators.
+#[test]
+fn simulated_accounts_match_the_golden_reference() {
+    let graphs = [
+        ("gnp", generators::gnp_connected(26, 0.18, 5)),
+        ("grid", generators::grid(5, 5)),
+        ("caveman", generators::caveman(4, 6)),
+        ("star", generators::star(20)),
+        ("barbell", generators::barbell(8, 5)),
+    ];
+    let mut cases: Vec<(String, String)> = Vec::new();
+    for (gi, (family, g)) in graphs.iter().enumerate() {
+        let opts = AggSimOptions {
+            seed: 19,
+            ..Default::default()
+        };
+        for eps in [0.25, 0.34, 0.5, 0.75, 1.0] {
+            let h = prune(g, &Hierarchy::build(g, eps, 40 + gi as u64));
+            for (depth_name, depth) in [("full", u32::MAX), ("depth3", 3)] {
+                let algo = BfsCollection::new(g.nodes().collect())
+                    .with_depth_limit(depth)
+                    .with_random_delays(8);
+                let run = simulate_aggregation_general(&algo, g, None, &h, &opts).expect("general");
+                cases.push((
+                    format!("general/{family}/eps{eps}/{depth_name}"),
+                    format!("{run:?}"),
+                ));
+                if eps >= 0.5 {
+                    let run = simulate_aggregation_star(&algo, g, None, &h, &opts).expect("star");
+                    cases.push((
+                        format!("star/{family}/eps{eps}/{depth_name}"),
+                        format!("{run:?}"),
+                    ));
+                }
+            }
+        }
+        for eps in [0.0, 0.25, 0.5, 0.75, 1.0] {
+            let res = tradeoff_apsp(g, eps, 31).expect("trade-off");
+            cases.push((format!("tradeoff/{family}/eps{eps}"), format!("{res:?}")));
+        }
+        let wg = WeightedGraph::random_weights(g, 1..=6, gi as u64);
+        for epsilon in [0.34, 0.5, 1.0] {
+            let res = weighted_apsp_tradeoff(&wg, &WeightedTradeoffConfig { epsilon, seed: 9 })
+                .expect("weighted trade-off");
+            cases.push((
+                format!("weighted/{family}/eps{epsilon}"),
+                format!("{res:?}"),
+            ));
+        }
+    }
+    golden::assert_matches(
+        "tests/golden/simulation_runs.txt",
+        include_str!("golden/simulation_runs.txt"),
+        cases,
+    );
+}
+
 /// Never sends, never finishes, and names a round in the past whenever asked —
 /// legal per the `next_activity` docs ("even a round `< after`").
 struct Stuck;
@@ -238,9 +307,7 @@ impl BcongestAlgorithm for Stuck {
 }
 
 impl AggregationAlgorithm for Stuck {
-    fn aggregate(&self, _: NodeId, _: usize, msgs: Vec<(NodeId, u32)>) -> Vec<(NodeId, u32)> {
-        msgs
-    }
+    fn aggregate(&self, _: NodeId, _: usize, _: &mut Vec<(NodeId, u32)>) {}
     fn aggregate_budget(&self, n: usize) -> usize {
         n
     }
