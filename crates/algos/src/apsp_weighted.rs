@@ -18,7 +18,7 @@ use congest_engine::{
     AggregationAlgorithm, BcongestAlgorithm, LocalView, Wire, WireDecode, WireEncode,
 };
 use congest_graph::NodeId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Message: the sender's (current) distance from `source`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,19 +92,47 @@ pub struct WApspOutput {
     pub parent: Vec<Option<NodeId>>,
 }
 
+/// "Unset" in a [`Slot`]'s `dist` and `sent_dist`.
+const UNSET: u64 = u64::MAX;
+/// "Unset" in a [`Slot`]'s `parent`.
+const NO_PARENT: u32 = u32::MAX;
+
+/// One source at one node (24 B, so a relaxation touches one cache line).
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    dist: u64,
+    /// Distance at which this source was last broadcast by this node.
+    sent_dist: u64,
+    parent: u32,
+    /// The `receive` call ([`WApspState::calls`]) that last lowered `dist`.
+    lowered: u32,
+}
+
 /// Per-node state.
 #[derive(Clone, Debug)]
 pub struct WApspState {
-    /// Incident weights, keyed by neighbor (each node knows its incident edges).
-    weight_to: BTreeMap<NodeId, u64>,
-    dist: Vec<Option<u64>>,
-    parent: Vec<Option<NodeId>>,
-    sent_dist: Vec<Option<u64>>,
+    /// Incident `(neighbor, weight)` pairs, ascending by neighbor (each node knows
+    /// its incident edges).
+    weight_to: Vec<(NodeId, u64)>,
+    /// Indexed by source.
+    slots: Vec<Slot>,
+    /// `receive` calls so far. A tie on the candidate distance may move a
+    /// parent only inside the call that set it, and `round` is the caller's
+    /// to choose, so the state counts its own calls.
+    calls: u32,
     /// Pending broadcasts: (ready round = distance, source). The round-gating is what
     /// makes broadcasts (almost always) final.
     queue: BTreeSet<(u64, u32)>,
     /// Statistics: broadcasts that were repeats after an improvement.
     pub rebroadcasts: u64,
+}
+
+/// The weight of the edge to `neighbor`.
+fn weight_to(weights: &[(NodeId, u64)], neighbor: NodeId) -> u64 {
+    let i = weights
+        .binary_search_by_key(&neighbor, |&(u, _)| u)
+        .expect("messages arrive only from neighbors");
+    weights[i].1
 }
 
 impl BcongestAlgorithm for WeightedApsp {
@@ -117,17 +145,22 @@ impl BcongestAlgorithm for WeightedApsp {
     }
 
     fn init(&self, view: &LocalView<'_>) -> WApspState {
-        let n = view.n();
+        let unset = Slot {
+            dist: UNSET,
+            sent_dist: UNSET,
+            parent: NO_PARENT,
+            lowered: 0,
+        };
         let mut s = WApspState {
+            // `incident` follows the adjacency, which is sorted by neighbor.
             weight_to: view.incident().map(|(_, u, w)| (u, w)).collect(),
-            dist: vec![None; n],
-            parent: vec![None; n],
-            sent_dist: vec![None; n],
+            slots: vec![unset; view.n()],
+            calls: 0,
             queue: BTreeSet::new(),
             rebroadcasts: 0,
         };
         let me = view.node();
-        s.dist[me.index()] = Some(0);
+        s.slots[me.index()].dist = 0;
         s.queue.insert((0, me.raw()));
         s
     }
@@ -136,39 +169,50 @@ impl BcongestAlgorithm for WeightedApsp {
         let &(ready, src) = s.queue.first()?;
         (ready <= round as u64).then(|| WApspMsg {
             source: src,
-            dist: s.dist[src as usize].expect("queued source has a distance"),
+            dist: s.slots[src as usize].dist,
         })
     }
 
     fn on_broadcast_sent(&self, s: &mut WApspState, _round: usize) {
         let (_, src) = s.queue.pop_first().expect("a broadcast was just collected");
-        if s.sent_dist[src as usize].is_some() {
+        let slot = &mut s.slots[src as usize];
+        if slot.sent_dist != UNSET {
             s.rebroadcasts += 1;
         }
-        s.sent_dist[src as usize] = s.dist[src as usize];
+        slot.sent_dist = slot.dist;
     }
 
     fn receive(&self, s: &mut WApspState, _round: usize, msgs: &[(NodeId, WApspMsg)]) {
-        let mut sorted: Vec<&(NodeId, WApspMsg)> = msgs.iter().collect();
-        sorted.sort_unstable_by_key(|(from, m)| (m.source, m.dist, *from));
-        for &&(from, m) in &sorted {
-            let w = *s
-                .weight_to
-                .get(&from)
-                .expect("messages arrive only from neighbors");
-            let cand = m.dist + w;
-            let j = m.source as usize;
-            let better = s.dist[j].is_none_or(|d| cand < d);
-            if !better {
+        // One pass, in whatever order the inbox arrives: the outcome is that of
+        // relaxing it in `(source, dist, sender)` order (DESIGN.md §3).
+        s.calls = s.calls.wrapping_add(1);
+        for &(from, m) in msgs {
+            // Lanes come straight off the wire: a distance that would overflow
+            // (or collide with `UNSET`) is ignored.
+            let cand = m.dist.saturating_add(weight_to(&s.weight_to, from));
+            if cand == UNSET {
                 continue;
             }
-            if let Some(old) = s.dist[j] {
-                s.queue.remove(&(old, m.source));
-            }
-            s.dist[j] = Some(cand);
-            s.parent[j] = Some(from);
-            if s.sent_dist[j] != Some(cand) {
-                s.queue.insert((cand, m.source));
+            let slot = &mut s.slots[m.source as usize];
+            if cand < slot.dist {
+                if slot.dist != UNSET {
+                    s.queue.remove(&(slot.dist, m.source));
+                }
+                slot.dist = cand;
+                slot.parent = from.raw();
+                slot.lowered = s.calls;
+                if slot.sent_dist != cand {
+                    s.queue.insert((cand, m.source));
+                }
+            } else if cand == slot.dist && slot.lowered == s.calls {
+                // A tie inside the call that lowered the slot: of two messages
+                // with this candidate, sorted order relaxes the smaller
+                // `(message dist, sender)` first, and that one keeps the parent.
+                let parent = NodeId::from(slot.parent);
+                let held = slot.dist - weight_to(&s.weight_to, parent);
+                if (m.dist, from) < (held, parent) {
+                    slot.parent = from.raw();
+                }
             }
         }
     }
@@ -178,9 +222,15 @@ impl BcongestAlgorithm for WeightedApsp {
     }
 
     fn output(&self, s: &WApspState) -> WApspOutput {
+        let slots = s.slots.iter();
         WApspOutput {
-            dist: s.dist.clone(),
-            parent: s.parent.clone(),
+            dist: slots
+                .clone()
+                .map(|x| (x.dist != UNSET).then_some(x.dist))
+                .collect(),
+            parent: slots
+                .map(|x| (x.parent != NO_PARENT).then(|| NodeId::from(x.parent)))
+                .collect(),
         }
     }
 
@@ -224,9 +274,11 @@ impl AggregationAlgorithm for WeightedApsp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::receive_order;
     use congest_engine::{run_bcongest, RunOptions};
     use congest_graph::{generators, reference, WeightedGraph};
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// The `Vec`-in / `Vec`-out aggregate the in-place one replaced.
     fn aggregate_reference(msgs: Vec<(NodeId, WApspMsg)>) -> Vec<(NodeId, WApspMsg)> {
@@ -259,6 +311,101 @@ mod tests {
                 WeightedApsp::new(1).aggregate(NodeId::new(9), 0, &mut got);
                 prop_assert_eq!(got, aggregate_reference(msgs));
             }
+        }
+    }
+
+    /// The sorted `receive` the one-pass one replaced.
+    fn receive_reference(s: &mut WApspState, msgs: &[(NodeId, WApspMsg)]) {
+        let mut sorted: Vec<&(NodeId, WApspMsg)> = msgs.iter().collect();
+        sorted.sort_unstable_by_key(|(from, m)| (m.source, m.dist, *from));
+        for &&(from, m) in &sorted {
+            let cand = m.dist + weight_to(&s.weight_to, from);
+            let slot = &mut s.slots[m.source as usize];
+            if cand >= slot.dist {
+                continue;
+            }
+            if slot.dist != UNSET {
+                s.queue.remove(&(slot.dist, m.source));
+            }
+            slot.dist = cand;
+            slot.parent = from.raw();
+            if slot.sent_dist != cand {
+                s.queue.insert((cand, m.source));
+            }
+        }
+    }
+
+    /// The receiver's view in the `receive` tests: node 7 of a weighted `K_8`.
+    fn receiver(k8: &WeightedGraph) -> LocalView<'_> {
+        LocalView::new(k8.graph(), Some(k8.weights()), NodeId::new(7), 1)
+    }
+
+    proptest! {
+        /// Same outputs, queue and broadcasts as the reference after every
+        /// call, whatever the order of the inbox: repeated senders, candidates
+        /// that tie across different `(dist, weight)` splits, several sources
+        /// (one of them the receiver itself), the empty inbox.
+        #[test]
+        fn receive_matches_its_reference_in_any_order(
+            steps in prop::collection::vec(
+                (prop::collection::vec((0usize..7, 0u32..8, 0u64..6), 0..12), 0u8..2),
+                1..=6,
+            ),
+            weight_seed in 0u64..8,
+            shuffle_seed in 0u64..1000,
+        ) {
+            let wg = WeightedGraph::random_weights(&generators::complete(8), 1..=6, weight_seed);
+            receive_order::check(
+                &WeightedApsp::new(6),
+                &receiver(&wg),
+                &steps,
+                |(from, source, dist)| (NodeId::new(from), WApspMsg { source, dist }),
+                shuffle_seed,
+                receive_reference,
+                |s| (s.queue.clone(), s.rebroadcasts),
+            )?;
+        }
+    }
+
+    #[test]
+    fn a_tie_moves_the_parent_only_inside_the_call_that_lowered_the_slot() {
+        // Candidate 6 three ways: 5 + w(1), 4 + w(3) and 4 + w(5).
+        let mut weights = vec![1; 28];
+        let g = generators::complete(8);
+        for (from, w) in [(1, 1), (3, 2), (5, 2)] {
+            let edge = g.edge_between(NodeId::new(from), NodeId::new(7)).unwrap();
+            weights[edge.index()] = w;
+        }
+        let wg = WeightedGraph::from_weights(g, weights).unwrap();
+        let algo = WeightedApsp::new(2);
+        let msg = |from: usize, dist| (NodeId::new(from), WApspMsg { source: 0, dist });
+        let parent = |s: &WApspState| algo.output(s).parent[0];
+        // Sorted order relaxes `(4, v3)` before `(4, v5)` before `(5, v1)`:
+        // the smallest `(message dist, sender)` takes the parent — not the
+        // smallest sender — wherever it sits in the inbox.
+        let mut s = algo.init(&receiver(&wg));
+        algo.receive(&mut s, 4, &[msg(5, 4), msg(1, 5), msg(3, 4)]);
+        assert_eq!(algo.output(&s).dist[0], Some(6));
+        assert_eq!(parent(&s), Some(NodeId::new(3)));
+        // `(4, v3)` arrives in a later call — of the same round, which a caller
+        // may well do — and the slot was not lowered there: the parent stays.
+        let mut s = algo.init(&receiver(&wg));
+        algo.receive(&mut s, 4, &[msg(1, 5), msg(5, 4)]);
+        assert_eq!(parent(&s), Some(NodeId::new(5)));
+        algo.receive(&mut s, 4, &[msg(3, 4)]);
+        assert_eq!(parent(&s), Some(NodeId::new(5)));
+    }
+
+    #[test]
+    fn a_distance_that_would_overflow_is_ignored() {
+        let wg = WeightedGraph::unit(&generators::complete(8));
+        let algo = WeightedApsp::new(1);
+        for dist in [u64::MAX, u64::MAX - 1] {
+            let mut s = algo.init(&receiver(&wg));
+            algo.receive(&mut s, 0, &[(NodeId::new(1), WApspMsg { source: 0, dist })]);
+            let out = algo.output(&s);
+            assert_eq!((out.dist[0], out.parent[0]), (None, None));
+            assert_eq!(s.queue.len(), 1, "only the node's own source is pending");
         }
     }
 

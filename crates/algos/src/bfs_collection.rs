@@ -138,32 +138,49 @@ pub struct CollectionOutput {
     pub entries: Vec<BfsEntry>,
 }
 
+/// "Unset" in a [`Slot`]: no distance yet, no parent, never broadcast.
+const UNSET: u32 = u32::MAX;
+
+/// One BFS instance at one node (16 B, so a relaxation touches one cache line).
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    dist: u32,
+    parent: u32,
+    /// Distance at which this BFS was last broadcast by this node.
+    sent_dist: u32,
+    /// The `receive` call ([`CollectionState::calls`]) that last lowered `dist`.
+    lowered: u32,
+}
+
 /// Per-node state.
 #[derive(Clone, Debug)]
 pub struct CollectionState {
-    dist: Vec<Option<u32>>,
-    parent: Vec<Option<NodeId>>,
-    /// Distance at which each BFS was last broadcast by this node.
-    sent_dist: Vec<Option<u32>>,
+    /// Indexed by BFS instance.
+    slots: Vec<Slot>,
+    /// `receive` calls so far. A tie on the candidate distance may move a
+    /// parent only inside the call that set it, and `round` is the caller's
+    /// to choose, so the state counts its own calls.
+    calls: u32,
     /// Pending broadcasts: (ideal round = delay + dist, bfs index).
-    /// Invariant: `(delay_j + dist[j], j)` is queued iff `dist[j]` is set and differs
-    /// from `sent_dist[j]` (and is below the depth limit).
+    /// Invariant: `(delay_j + dist, j)` is queued iff slot `j`'s `dist` is set and
+    /// differs from its `sent_dist` (and is below the depth limit).
     queue: BTreeSet<(usize, u32)>,
     /// Number of re-broadcasts caused by improvements after a send (statistics).
     pub rebroadcasts: u64,
 }
 
 impl BfsCollection {
-    fn enqueue(&self, s: &mut CollectionState, j: u32) {
-        let d = s.dist[j as usize].expect("enqueue requires a distance");
-        if d < self.depth_limit {
-            s.queue.insert((self.delays[j as usize] + d as usize, j));
-        }
+    /// The queue key of BFS `j` at distance `dist`.
+    fn key(&self, j: u32, dist: u32) -> (usize, u32) {
+        (self.delays[j as usize] + dist as usize, j)
     }
 
-    fn dequeue_if_present(&self, s: &mut CollectionState, j: u32, old_dist: u32) {
-        s.queue
-            .remove(&(self.delays[j as usize] + old_dist as usize, j));
+    /// Schedules BFS `j`'s broadcast of `dist`; a node at the depth limit does
+    /// not forward.
+    fn enqueue(&self, queue: &mut BTreeSet<(usize, u32)>, j: u32, dist: u32) {
+        if dist < self.depth_limit {
+            queue.insert(self.key(j, dist));
+        }
     }
 }
 
@@ -177,18 +194,22 @@ impl BcongestAlgorithm for BfsCollection {
     }
 
     fn init(&self, view: &LocalView<'_>) -> CollectionState {
-        let l = self.sources.len();
+        let unset = Slot {
+            dist: UNSET,
+            parent: UNSET,
+            sent_dist: UNSET,
+            lowered: 0,
+        };
         let mut s = CollectionState {
-            dist: vec![None; l],
-            parent: vec![None; l],
-            sent_dist: vec![None; l],
+            slots: vec![unset; self.sources.len()],
+            calls: 0,
             queue: BTreeSet::new(),
             rebroadcasts: 0,
         };
         for (j, &src) in self.sources.iter().enumerate() {
             if src == view.node() {
-                s.dist[j] = Some(0);
-                self.enqueue(&mut s, j as u32);
+                s.slots[j].dist = 0;
+                self.enqueue(&mut s.queue, j as u32, 0);
             }
         }
         s
@@ -198,40 +219,46 @@ impl BcongestAlgorithm for BfsCollection {
         let &(ready, j) = s.queue.first()?;
         (ready <= round).then(|| BfsMsg {
             bfs: j,
-            dist: s.dist[j as usize].expect("queued BFS has a distance"),
+            dist: s.slots[j as usize].dist,
         })
     }
 
     fn on_broadcast_sent(&self, s: &mut CollectionState, _round: usize) {
         let (_, j) = s.queue.pop_first().expect("a broadcast was just collected");
-        if s.sent_dist[j as usize].is_some() {
+        let slot = &mut s.slots[j as usize];
+        if slot.sent_dist != UNSET {
             s.rebroadcasts += 1;
         }
-        s.sent_dist[j as usize] = s.dist[j as usize];
+        slot.sent_dist = slot.dist;
     }
 
     fn receive(&self, s: &mut CollectionState, _round: usize, msgs: &[(NodeId, BfsMsg)]) {
-        // Deterministic processing order: by (bfs, dist, sender).
-        let mut sorted: Vec<&(NodeId, BfsMsg)> = msgs.iter().collect();
-        sorted.sort_unstable_by_key(|(from, m)| (m.bfs, m.dist, *from));
-        for &&(from, m) in &sorted {
-            let j = m.bfs as usize;
-            let cand = m.dist + 1;
-            if cand > self.depth_limit {
+        // One pass, in whatever order the inbox arrives: the outcome is that of
+        // relaxing it in `(bfs, dist, sender)` order (DESIGN.md §3).
+        s.calls = s.calls.wrapping_add(1);
+        for &(from, m) in msgs {
+            // Lanes come straight off the wire: a distance that would overflow
+            // (or collide with `UNSET`) is ignored.
+            let cand = m.dist.saturating_add(1);
+            if cand == UNSET || cand > self.depth_limit {
                 continue;
             }
-            let better = s.dist[j].is_none_or(|d| cand < d);
-            if !better {
-                continue;
-            }
-            if let Some(old) = s.dist[j] {
-                self.dequeue_if_present(s, m.bfs, old);
-            }
-            s.dist[j] = Some(cand);
-            s.parent[j] = Some(from);
-            // (Re-)schedule the broadcast unless this exact distance already went out.
-            if s.sent_dist[j] != Some(cand) {
-                self.enqueue(s, m.bfs);
+            let slot = &mut s.slots[m.bfs as usize];
+            if cand < slot.dist {
+                if slot.dist != UNSET {
+                    s.queue.remove(&self.key(m.bfs, slot.dist));
+                }
+                slot.dist = cand;
+                slot.parent = from.raw();
+                slot.lowered = s.calls;
+                // (Re-)schedule the broadcast unless this exact distance already went out.
+                if slot.sent_dist != cand {
+                    self.enqueue(&mut s.queue, m.bfs, cand);
+                }
+            } else if cand == slot.dist && slot.lowered == s.calls && from.raw() < slot.parent {
+                // A tie inside the call that lowered the slot: the smaller sender
+                // would have come first in sorted order.
+                slot.parent = from.raw();
             }
         }
     }
@@ -243,10 +270,12 @@ impl BcongestAlgorithm for BfsCollection {
     fn output(&self, s: &CollectionState) -> CollectionOutput {
         CollectionOutput {
             entries: s
-                .dist
+                .slots
                 .iter()
-                .zip(&s.parent)
-                .map(|(&dist, &parent)| BfsEntry { dist, parent })
+                .map(|slot| BfsEntry {
+                    dist: (slot.dist != UNSET).then_some(slot.dist),
+                    parent: (slot.parent != UNSET).then(|| NodeId::from(slot.parent)),
+                })
                 .collect(),
         }
     }
@@ -289,6 +318,7 @@ pub fn dists_of_bfs(outputs: &[CollectionOutput], j: usize) -> Vec<Option<u32>> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::receive_order;
     use congest_engine::{run_bcongest, run_bcongest_observed, RunOptions};
     use congest_graph::{generators, reference};
     use proptest::prelude::*;
@@ -435,6 +465,98 @@ mod tests {
                 algo.aggregate(NodeId::new(9), 0, &mut got);
                 prop_assert_eq!(got, aggregate_reference(msgs));
             }
+        }
+    }
+
+    /// The sorted `receive` the one-pass one replaced.
+    fn receive_reference(algo: &BfsCollection, s: &mut CollectionState, msgs: &[(NodeId, BfsMsg)]) {
+        let mut sorted: Vec<&(NodeId, BfsMsg)> = msgs.iter().collect();
+        sorted.sort_unstable_by_key(|(from, m)| (m.bfs, m.dist, *from));
+        for &&(from, m) in &sorted {
+            let cand = m.dist + 1;
+            let slot = &mut s.slots[m.bfs as usize];
+            if cand > algo.depth_limit || cand >= slot.dist {
+                continue;
+            }
+            if slot.dist != UNSET {
+                s.queue.remove(&algo.key(m.bfs, slot.dist));
+            }
+            slot.dist = cand;
+            slot.parent = from.raw();
+            if slot.sent_dist != cand {
+                algo.enqueue(&mut s.queue, m.bfs, cand);
+            }
+        }
+    }
+
+    /// The receiver's view in the `receive` tests: node 7 of `K_8`.
+    fn receiver(k8: &congest_graph::Graph) -> LocalView<'_> {
+        LocalView::new(k8, None, NodeId::new(7), 1)
+    }
+
+    proptest! {
+        /// Same outputs, queue and broadcasts as the reference after every
+        /// call, whatever the order of the inbox: repeated senders, ties on
+        /// `(dist, sender)`, several instances (one of them the receiver's
+        /// own), the empty inbox, with and without a depth limit and delays.
+        #[test]
+        fn receive_matches_its_reference_in_any_order(
+            steps in prop::collection::vec(
+                (prop::collection::vec((0usize..6, 0u32..4, 0u32..5), 0..12), 0u8..2),
+                1..=6,
+            ),
+            limited in 0u8..2,
+            delay_seed in 0u64..8,
+            shuffle_seed in 0u64..1000,
+        ) {
+            let sources = [0, 1, 2, 7].map(NodeId::new).to_vec();
+            let mut algo = BfsCollection::new(sources);
+            if limited == 1 {
+                algo = algo.with_depth_limit(3);
+            }
+            if delay_seed > 0 {
+                algo = algo.with_random_delays(delay_seed);
+            }
+            receive_order::check(
+                &algo,
+                &receiver(&generators::complete(8)),
+                &steps,
+                |(from, bfs, dist)| (NodeId::new(from), BfsMsg { bfs, dist }),
+                shuffle_seed,
+                |s, msgs| receive_reference(&algo, s, msgs),
+                |s| (s.queue.clone(), s.rebroadcasts),
+            )?;
+        }
+    }
+
+    #[test]
+    fn a_tie_moves_the_parent_only_inside_the_call_that_lowered_the_slot() {
+        let algo = BfsCollection::new(vec![NodeId::new(0)]);
+        let msg = |from| (NodeId::new(from), BfsMsg { bfs: 0, dist: 2 });
+        let parent = |s: &CollectionState| algo.output(s).entries[0].parent;
+        let mut s = algo.init(&receiver(&generators::complete(8)));
+        // The smaller sender arrives later in the same call: sorted order
+        // would have relaxed it first, so it takes the parent.
+        algo.receive(&mut s, 4, &[msg(5), msg(3)]);
+        assert_eq!(parent(&s), Some(NodeId::new(3)));
+        // It arrives in a later call — of the same round, which a caller may
+        // well do — and the slot was not lowered there: the parent stays.
+        algo.receive(&mut s, 4, &[msg(1)]);
+        assert_eq!(parent(&s), Some(NodeId::new(3)));
+    }
+
+    #[test]
+    fn a_distance_that_would_overflow_is_ignored() {
+        let algo = BfsCollection::new(vec![NodeId::new(0)]);
+        for dist in [u32::MAX, u32::MAX - 1] {
+            let mut s = algo.init(&receiver(&generators::complete(8)));
+            algo.receive(&mut s, 0, &[(NodeId::new(1), BfsMsg { bfs: 0, dist })]);
+            let unreached = BfsEntry {
+                dist: None,
+                parent: None,
+            };
+            assert_eq!(algo.output(&s).entries, [unreached]);
+            assert!(algo.is_done(&s));
         }
     }
 

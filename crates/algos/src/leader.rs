@@ -98,17 +98,21 @@ impl BcongestAlgorithm for LeaderElect {
 
     fn receive(&self, s: &mut LeaderState, _round: usize, msgs: &[(NodeId, LeaderMsg)]) {
         // Adopt lexicographically better (leader, dist+1); ties by sender ID keep the
-        // tree deterministic.
-        let mut sorted: Vec<&(NodeId, LeaderMsg)> = msgs.iter().collect();
-        sorted.sort_unstable_by_key(|(from, m)| (m.leader, m.dist, *from));
-        for &&(from, m) in &sorted {
-            let cand = (m.leader, m.dist + 1);
-            if cand < (s.best, s.dist) {
-                s.best = m.leader;
-                s.dist = m.dist + 1;
-                s.parent = Some(from);
-                s.dirty = true;
-            }
+        // tree deterministic. Only the minimum message can win: once it has been
+        // compared, no later one in `(leader, dist, sender)` order is strictly better.
+        let min = msgs
+            .iter()
+            // Lanes come straight off the wire: a distance that would overflow is ignored.
+            .filter(|(_, m)| m.dist < u32::MAX)
+            .min_by_key(|(from, m)| (m.leader, m.dist, *from));
+        let Some(&(from, m)) = min else {
+            return;
+        };
+        if (m.leader, m.dist + 1) < (s.best, s.dist) {
+            s.best = m.leader;
+            s.dist = m.dist + 1;
+            s.parent = Some(from);
+            s.dirty = true;
         }
     }
 
@@ -215,7 +219,68 @@ pub fn setup_network_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::receive_order;
     use congest_graph::{generators, reference};
+    use proptest::prelude::*;
+
+    /// The sorted `receive` the minimum-only one replaced.
+    fn receive_reference(s: &mut LeaderState, msgs: &[(NodeId, LeaderMsg)]) {
+        let mut sorted: Vec<&(NodeId, LeaderMsg)> = msgs.iter().collect();
+        sorted.sort_unstable_by_key(|(from, m)| (m.leader, m.dist, *from));
+        for &&(from, m) in &sorted {
+            let cand = (m.leader, m.dist + 1);
+            if cand < (s.best, s.dist) {
+                s.best = m.leader;
+                s.dist = m.dist + 1;
+                s.parent = Some(from);
+                s.dirty = true;
+            }
+        }
+    }
+
+    proptest! {
+        /// Same state and broadcasts as the reference after every call,
+        /// whatever the order of the inbox: repeated senders, ties on
+        /// `(leader, dist)`, candidates above and below the node's own ID, the
+        /// empty inbox.
+        #[test]
+        fn receive_matches_its_reference_in_any_order(
+            steps in prop::collection::vec(
+                (prop::collection::vec((0usize..6, 2u32..7, 0u32..4), 0..8), 0u8..2),
+                1..=6,
+            ),
+            shuffle_seed in 0u64..1000,
+        ) {
+            let g = generators::complete(8);
+            let view = LocalView::new(&g, None, NodeId::new(5), 1);
+            receive_order::check(
+                &LeaderElect,
+                &view,
+                &steps,
+                |(from, leader, dist)| (NodeId::new(from), LeaderMsg { leader, dist }),
+                shuffle_seed,
+                receive_reference,
+                |s| (s.best, s.dist, s.parent, s.dirty),
+            )?;
+        }
+    }
+
+    #[test]
+    fn a_distance_that_would_overflow_is_ignored() {
+        let g = generators::path(3);
+        let mut s = LeaderElect.init(&LocalView::new(&g, None, NodeId::new(2), 1));
+        let far = LeaderMsg {
+            leader: 0,
+            dist: u32::MAX,
+        };
+        LeaderElect.receive(&mut s, 0, &[(NodeId::new(1), far)]);
+        assert_eq!(LeaderElect.output(&s).leader, NodeId::new(2));
+        // … and does not hide the message behind it.
+        let near = LeaderMsg { leader: 1, dist: 0 };
+        LeaderElect.receive(&mut s, 0, &[(NodeId::new(1), far), (NodeId::new(1), near)]);
+        let out = LeaderElect.output(&s);
+        assert_eq!((out.leader, out.dist), (NodeId::new(1), 1));
+    }
 
     #[test]
     fn elects_minimum_and_builds_bfs_tree() {

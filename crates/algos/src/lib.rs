@@ -26,3 +26,65 @@ pub mod matching_bipartite;
 pub mod matching_maximal;
 pub mod mis;
 pub mod mst;
+
+/// The driver of the three "the one-pass `receive` is the sorted one, for any
+/// inbox order" proptests ([`bfs_collection`], [`apsp_weighted`], [`leader`]).
+#[cfg(test)]
+pub(crate) mod receive_order {
+    use congest_engine::{BcongestAlgorithm, LocalView};
+    use congest_graph::{rng, NodeId};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use rand::seq::SliceRandom;
+    use std::fmt::Debug;
+
+    /// One `receive` call of a proptest case: the inbox as drawn, and whether
+    /// (`1`) the node hands over its pending broadcast afterwards.
+    pub(crate) type Step<T> = (Vec<T>, u8);
+
+    /// Drives two states of `algo` through `steps` (`message` turns a drawn
+    /// tuple into a delivery): one through `reference` on every inbox as
+    /// given, one through `receive` on a permutation of it drawn from
+    /// `shuffle_seed`. After every call the two must agree on all a runner can
+    /// observe and on `queue`, the payload's pending sends.
+    pub(crate) fn check<A, T: Copy, Q>(
+        algo: &A,
+        view: &LocalView<'_>,
+        steps: &[Step<T>],
+        message: impl Fn(T) -> (NodeId, A::Msg),
+        shuffle_seed: u64,
+        reference: impl Fn(&mut A::State, &[(NodeId, A::Msg)]),
+        queue: impl Fn(&A::State) -> Q,
+    ) -> Result<(), TestCaseError>
+    where
+        A: BcongestAlgorithm,
+        A::Msg: Clone + Debug + PartialEq,
+        Q: Debug + PartialEq,
+    {
+        let mut shuffle = rng::seeded(shuffle_seed);
+        let mut want = algo.init(view);
+        let mut got = algo.init(view);
+        for (round, (drawn, send)) in steps.iter().enumerate() {
+            let inbox: Vec<(NodeId, A::Msg)> = drawn.iter().copied().map(&message).collect();
+            reference(&mut want, &inbox);
+            let mut permuted = inbox.clone();
+            permuted.shuffle(&mut shuffle);
+            algo.receive(&mut got, round, &permuted);
+            for at in [round, usize::MAX] {
+                prop_assert_eq!(algo.broadcast(&got, at), algo.broadcast(&want, at));
+            }
+            if *send == 1 && algo.broadcast(&want, usize::MAX).is_some() {
+                algo.on_broadcast_sent(&mut want, usize::MAX);
+                algo.on_broadcast_sent(&mut got, usize::MAX);
+            }
+            prop_assert_eq!(algo.output(&got), algo.output(&want));
+            prop_assert_eq!(queue(&got), queue(&want));
+            prop_assert_eq!(algo.is_done(&got), algo.is_done(&want));
+            prop_assert_eq!(
+                algo.next_activity(&got, round),
+                algo.next_activity(&want, round)
+            );
+        }
+        Ok(())
+    }
+}

@@ -87,8 +87,8 @@ impl<M: Wire> PhaseWorkspace<M> {
     /// The receive step at one level: members upcast their own broadcast and
     /// their arrivals to the center, which downcasts one aggregate per member
     /// of what that member's neighbours sent. `forest` is the level's cluster
-    /// forest, `None` at level 0 where clusters are singletons and both casts
-    /// degenerate to local work.
+    /// forest, `None` at level 0 where clusters are singletons, both casts
+    /// degenerate to local work and the fan-in is the arrival table itself.
     pub(crate) fn receive_level<A: AggregationAlgorithm<Msg = M>>(
         &mut self,
         algo: &A,
@@ -98,6 +98,22 @@ impl<M: Wire> PhaseWorkspace<M> {
         router: &mut Router<'_>,
         metrics: &mut Metrics,
     ) -> Result<(), EngineError> {
+        let Some(forest) = forest else {
+            // Singleton clusters: every arrival at `x` crossed an edge into `x`,
+            // and `x`'s own broadcast is not addressed to `x`, so what `x`'s
+            // neighbours sent is `arrivals[x]` as it stands.
+            debug_assert_eq!(lvl.index, 0, "only level 0 has no cluster forest");
+            for (x, arrivals) in self.arrivals.iter().enumerate() {
+                if arrivals.is_empty() {
+                    continue;
+                }
+                let relevant = &mut self.relevant[x];
+                relevant.extend_from_slice(arrivals);
+                algo.aggregate(NodeId::new(x), phase, relevant);
+                self.receive[x].append(relevant);
+            }
+            return Ok(());
+        };
         let g = router.graph();
         let mut up_items: Vec<(NodeId, Pad)> = Vec::new();
         for v in g.nodes() {
@@ -109,11 +125,11 @@ impl<M: Wire> PhaseWorkspace<M> {
             avail.extend(self.bp[v.index()].iter().map(|m| (v, m.clone())));
             avail.extend_from_slice(&self.arrivals[v.index()]);
             let words = avail.len() - before;
-            if words > 0 && forest.is_some() {
+            if words > 0 {
                 up_items.push((v, Pad(words)));
             }
         }
-        if let (Some(forest), false) = (forest, up_items.is_empty()) {
+        if !up_items.is_empty() {
             metrics.merge_sequential(&upcast(router, forest, up_items)?.metrics);
         }
         let mut down_items: Vec<(NodeId, Pad)> = Vec::new();
@@ -140,13 +156,11 @@ impl<M: Wire> PhaseWorkspace<M> {
                 if relevant.is_empty() {
                     continue;
                 }
-                if forest.is_some() {
-                    down_items.push((u, Pad(batch_words(relevant))));
-                }
+                down_items.push((u, Pad(batch_words(relevant))));
                 self.receive[u.index()].append(relevant);
             }
         }
-        if let (Some(forest), false) = (forest, down_items.is_empty()) {
+        if !down_items.is_empty() {
             metrics.merge_sequential(&downcast(router, forest, down_items)?.metrics);
         }
         Ok(())

@@ -100,7 +100,7 @@ impl AggregationAlgorithm for WeightedApspOverHierarchy {
         // neighbors can deliver relaxations.
         let w = &self.weight_of[receiver.index()];
         msgs.retain(|(from, _)| w.contains_key(from));
-        msgs.sort_unstable_by_key(|&(from, m)| (m.source, m.dist + w[&from], from));
+        msgs.sort_unstable_by_key(|&(from, m)| (m.source, m.dist.saturating_add(w[&from]), from));
         msgs.dedup_by_key(|(_, m)| m.source);
     }
 
@@ -205,6 +205,21 @@ mod tests {
                 }
             )]
         );
+    }
+
+    #[test]
+    fn a_distance_that_would_overflow_loses_the_aggregate() {
+        let g = congest_graph::Graph::from_edges(3, &[(0, 1), (0, 2)]);
+        let wg = WeightedGraph::from_weights(g, vec![1, 100]).unwrap();
+        let algo = WeightedApspOverHierarchy::new(&wg);
+        let near = (NodeId::new(2), WApspMsg { source: 9, dist: 2 });
+        let wrapping = WApspMsg {
+            source: 9,
+            dist: u64::MAX,
+        };
+        let mut agg = vec![(NodeId::new(1), wrapping), near];
+        algo.aggregate(NodeId::new(0), 0, &mut agg);
+        assert_eq!(agg, vec![near]);
     }
 
     /// The `Vec`-in / `Vec`-out aggregate the in-place one replaced.

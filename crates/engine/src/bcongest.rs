@@ -64,6 +64,10 @@ pub trait BcongestAlgorithm: Sync {
 
     /// Delivers the messages this node receives in `round` (all broadcast by neighbors
     /// in the same round). Only called when `msgs` is non-empty.
+    ///
+    /// The order of `msgs` is the caller's — ascending senders from the message
+    /// plane, first arrival first from the simulators — and an implementation must
+    /// not depend on it: the state after the call is a function of the multiset.
     fn receive(&self, state: &mut Self::State, round: usize, msgs: &[(NodeId, Self::Msg)]);
 
     /// Whether this node's output is final and it will never broadcast again.
