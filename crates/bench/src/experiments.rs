@@ -80,8 +80,8 @@ pub fn e_t1_1(ns: &[usize], seed: u64) -> Table {
     t
 }
 
-/// E-T1.2 — Theorem 1.2: the ε sweep (rounds fall, messages rise) and the scaling
-/// shape at the endpoints.
+/// E-T1.2 — Theorem 1.2: the ε sweep — the endpoints trade rounds for messages;
+/// the middle rows, at this n, are dominated on both axes (ROADMAP item 2).
 pub fn e_t1_2(n: usize, eps: &[f64], seed: u64) -> Table {
     let mut t = Table::new(
         format!("E-T1.2 (Theorem 1.2): unweighted APSP trade-off, n = {n} — Õ(n^(2-ε)) rounds / Õ(n^(2+ε)) messages"),

@@ -8,13 +8,15 @@
 //!   of an ensemble of pruned hierarchies (Lemma 3.8's congestion smoothing), then
 //!   composed with the congestion+dilation accounting of Theorem 1.3.
 //!
-//! Both charge the shared-randomness distribution exactly as the paper prescribes
-//! (Õ(n) rounds, Õ(n²) messages per use).
+//! Both charge one shared-randomness distribution exactly as the paper prescribes
+//! (Õ(n) rounds, Õ(n²) messages); in the batched route it carries one delay word
+//! per source, so a single distribution serves every batch.
 
 use congest_algos::bfs_collection::BfsCollection;
 use congest_algos::leader::setup_network;
 use congest_decomp::pruning::prune;
 use congest_decomp::{Ensemble, Hierarchy};
+use congest_engine::treeops::broadcast;
 use congest_engine::{EngineError, Metrics};
 use congest_graph::{Graph, NodeId};
 use congest_sched::{compose_measured, paper_shared_words, shared_randomness};
@@ -30,7 +32,7 @@ pub struct BfsForestResult {
     pub dist: Vec<Vec<Option<u32>>>,
     /// Realized total cost.
     pub metrics: Metrics,
-    /// The depth limit used (`u32::MAX` for full BFS).
+    /// The depth limit used (`u32::MAX` when every distance is within the limit).
     pub depth_limit: u32,
 }
 
@@ -78,6 +80,12 @@ pub fn all_bfs_star(g: &Graph, epsilon: f64, seed: u64) -> Result<BfsForestResul
 
 /// Lemma 3.23: `n` BFS trees truncated at `depth_limit`, for `ε ∈ (0, 1/2]`.
 ///
+/// When `depth_limit` is at least twice the height `h` of the set-up BFS tree,
+/// no two nodes of one component are more than `2h` apart, so the truncated
+/// trees are already exact: the leader (which knows `h` once its count
+/// convergecast completes) announces that with one word down the tree, and the
+/// result reports `depth_limit: u32::MAX`.
+///
 /// # Errors
 ///
 /// [`EngineError::InvalidParameter`] if `epsilon` is outside `(0, 1/2]`;
@@ -95,11 +103,10 @@ pub fn all_bfs_batched(
     let batches = Ensemble::paper_zeta(n, epsilon).max(1);
     let setup = setup_network(g, seed)?;
     metrics.merge_sequential(&setup.metrics);
-    // One shared-randomness distribution per batch (as in the Lemma 3.23 proof).
-    for _ in 0..batches {
-        let sr = shared_randomness(g, &setup.tree, paper_shared_words(n), seed);
-        metrics.merge_sequential(&sr.metrics);
-    }
+    // One shared-randomness distribution covers every batch: a source's delay
+    // takes one word and each source is in exactly one batch.
+    let sr = shared_randomness(g, &setup.tree, paper_shared_words(n), seed);
+    metrics.merge_sequential(&sr.metrics);
     let ensemble = Ensemble::build(g, epsilon, batches, seed);
     metrics.merge_sequential(&ensemble.metrics);
 
@@ -134,14 +141,27 @@ pub fn all_bfs_batched(
     }
 
     // The batches run together under Theorem 1.3: congestion+dilation accounting
-    // over the measured executions (see DESIGN.md §2).
-    let composed = compose_measured(g, &batch_metrics);
-    metrics.merge_sequential(&composed.metrics);
+    // over the measured executions (see DESIGN.md §2) — or one after another,
+    // always a valid schedule, when that is shorter.
+    let mut composed = compose_measured(g, &batch_metrics).metrics;
+    composed.rounds = composed
+        .rounds
+        .min(batch_metrics.iter().map(|m| m.rounds).sum());
+    metrics.merge_sequential(&composed);
 
+    // Any two nodes of one tree are at most `2h` apart through its root, so a
+    // limit of `2h` truncates nothing (see DESIGN.md §2).
+    let h = setup.tree.depth();
+    let exact = u64::from(depth_limit) >= 2 * u64::from(h);
+    if exact {
+        let word = setup.tree.roots().iter().map(|&r| (r, u64::from(h)));
+        let announce = broadcast(g, &setup.tree, word.collect(), None)?;
+        metrics.merge_sequential(&announce.metrics);
+    }
     Ok(BfsForestResult {
         dist,
         metrics,
-        depth_limit,
+        depth_limit: if exact { u32::MAX } else { depth_limit },
     })
 }
 
