@@ -29,7 +29,7 @@
 use crate::simulate::common::{payload_options, Pad, SimulationRun};
 use crate::simulate::phase::{batch_words, PhaseWorkspace};
 use congest_algos::leader::setup_network_with;
-use congest_decomp::{Hierarchy, Level};
+use congest_decomp::Hierarchy;
 use congest_engine::{
     downcast, run_bcongest_over, upcast, AggregationAlgorithm, EngineError, Forest, Metrics, Router,
 };
@@ -246,15 +246,6 @@ pub fn simulate_aggregation_general<A: AggregationAlgorithm>(
     Ok(SimulationRun::assemble(payload, metrics, preprocessing))
 }
 
-/// Convenience view: which levels an ℓ-node belongs to (used by tests).
-pub fn membership_levels(h: &Hierarchy, v: NodeId) -> Vec<usize> {
-    h.levels
-        .iter()
-        .filter(|lvl: &&Level| lvl.cluster_of[v.index()].is_some())
-        .map(|lvl| lvl.index)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,6 +320,15 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sim.outputs, direct.outputs);
+    }
+
+    /// Which levels an ℓ-node belongs to.
+    fn membership_levels(h: &Hierarchy, v: NodeId) -> Vec<usize> {
+        h.levels
+            .iter()
+            .filter(|lvl| lvl.cluster_of[v.index()].is_some())
+            .map(|lvl| lvl.index)
+            .collect()
     }
 
     #[test]

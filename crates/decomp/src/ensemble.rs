@@ -50,27 +50,6 @@ impl Ensemble {
     pub fn is_empty(&self) -> bool {
         self.hierarchies.is_empty()
     }
-
-    /// Assigns `l` components to hierarchies in equal contiguous batches
-    /// (Lemma 3.8's partition): component `j` uses hierarchy `assignment[j]`.
-    pub fn batch_assignment(&self, l: usize) -> Vec<usize> {
-        let z = self.len();
-        (0..l).map(|j| j * z / l.max(1)).collect()
-    }
-
-    /// In how many hierarchies each edge is a cluster edge (Lemma 3.7's measured
-    /// counterpart: expectation `O(κ·n^{-ε}·ζ)` per edge).
-    pub fn cluster_edge_counts(&self, g: &Graph) -> Vec<usize> {
-        let mut counts = vec![0usize; g.m()];
-        for h in &self.hierarchies {
-            for (e, c) in counts.iter_mut().enumerate() {
-                if h.cluster_edge[e] {
-                    *c += 1;
-                }
-            }
-        }
-        counts
-    }
 }
 
 /// Empirical per-edge cluster-edge frequency over `trials` fresh hierarchies (for
@@ -118,18 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_assignment_is_balanced() {
-        let g = generators::path(10);
-        let ens = Ensemble::build(&g, 0.5, 3, 2);
-        let a = ens.batch_assignment(9);
-        assert_eq!(a.len(), 9);
-        for k in 0..3 {
-            assert_eq!(a.iter().filter(|&&x| x == k).count(), 3);
-        }
-        assert!(a.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
     fn cluster_edge_probability_small() {
         // Lemma 3.7: P[cluster edge] = O(κ n^{-ε}); with n = 49, ε = 0.5, κ = 2 the
         // bound is ~2/7 ≈ 0.29 (up to constants). Check the average is well below 1.
@@ -138,14 +105,5 @@ mod tests {
         let kappa = 2.0;
         let bound = 3.0 * kappa * (49f64).powf(-0.5);
         assert!(avg <= bound, "avg frequency {avg} > {bound}");
-    }
-
-    #[test]
-    fn counts_match_frequency() {
-        let g = generators::gnp_connected(30, 0.2, 7);
-        let ens = Ensemble::build(&g, 0.5, 5, 7);
-        let counts = ens.cluster_edge_counts(&g);
-        assert_eq!(counts.len(), g.m());
-        assert!(counts.iter().all(|&c| c <= 5));
     }
 }

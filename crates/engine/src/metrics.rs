@@ -105,16 +105,6 @@ impl Metrics {
             .unwrap_or(0)
     }
 
-    /// Total congestion over edges selected by `mask`.
-    pub fn total_messages_where(&self, mask: impl Fn(EdgeId) -> bool) -> u64 {
-        self.congestion
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| mask(EdgeId::new(i)))
-            .map(|(_, &c)| c)
-            .sum()
-    }
-
     /// Composes with an operation that ran *after* this one: rounds add.
     pub fn merge_sequential(&mut self, other: &Metrics) {
         assert_eq!(
@@ -169,7 +159,6 @@ mod tests {
         assert_eq!(m.max_congestion(), 5);
         assert_eq!(m.congestion(), &[2, 0, 5]);
         assert_eq!(m.max_congestion_where(|e| e.index() < 2), 2);
-        assert_eq!(m.total_messages_where(|e| e.index() != 2), 2);
         // Default byte charge is 8 bytes per word.
         assert_eq!(m.payload_bytes, 8 * 7);
     }

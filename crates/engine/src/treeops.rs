@@ -19,10 +19,10 @@
 //! Convergecast/broadcast use the obvious level-synchronous schedule (`depth·w`
 //! rounds, one `w`-word payload per tree edge) and charge exactly that.
 //!
-//! Every primitive has a **per-call message budget** form: pass `Some(budget)` (or use
-//! [`upcast_budgeted`] / [`downcast_budgeted`]) and the call fails with
-//! [`EngineError::BudgetExceeded`] instead of silently overspending — the enforcement
-//! hook for "message-optimal" claims.
+//! [`convergecast`] and [`broadcast`] take a **per-call message budget**: pass
+//! `Some(budget)` and the call fails with [`EngineError::BudgetExceeded`] instead of
+//! silently overspending — the enforcement hook for "message-optimal" claims. Callers
+//! charging an upcast or downcast check its realized metrics with [`ensure_budget`].
 
 use crate::error::EngineError;
 use crate::metrics::Metrics;
@@ -164,21 +164,6 @@ impl Forest {
     pub fn path_to_root(&self, v: NodeId) -> Vec<NodeId> {
         router::path_to_root(&self.parent, v)
     }
-
-    /// Members of each tree, grouped by root (in node order).
-    pub fn members_by_root(&self) -> Vec<(NodeId, Vec<NodeId>)> {
-        let mut groups: Vec<(NodeId, Vec<NodeId>)> =
-            self.roots.iter().map(|&r| (r, Vec::new())).collect();
-        let mut slot = vec![usize::MAX; self.parent.len()];
-        for (i, &(r, _)) in groups.iter().enumerate() {
-            slot[r.index()] = i;
-        }
-        for v in 0..self.parent.len() {
-            let v = NodeId::new(v);
-            groups[slot[self.root_of(v).index()]].1.push(v);
-        }
-        groups
-    }
 }
 
 /// One item delivered by [`upcast`]: who originated it and its payload.
@@ -280,9 +265,9 @@ pub fn downcast<P: Wire>(
 }
 
 /// Fails with [`EngineError::BudgetExceeded`] if `used` exceeds a given budget
-/// (`None` = unlimited). The single budget-enforcement point: the budgeted
-/// primitives below go through it, and budgeted algorithms (e.g. the GHS MST)
-/// reuse it for the phases they charge directly.
+/// (`None` = unlimited). The single budget-enforcement point: [`convergecast`]
+/// and [`broadcast`] go through it, and budgeted algorithms (e.g. the GHS MST)
+/// call it on the running total of the phases they charge.
 pub fn ensure_budget(op: &'static str, used: u64, budget: Option<u64>) -> Result<(), EngineError> {
     match budget {
         Some(b) if used > b => Err(EngineError::BudgetExceeded {
@@ -292,40 +277,6 @@ pub fn ensure_budget(op: &'static str, used: u64, budget: Option<u64>) -> Result
         }),
         _ => Ok(()),
     }
-}
-
-/// [`upcast`] with a hard per-call message budget.
-///
-/// # Errors
-///
-/// [`EngineError::BudgetExceeded`] if the realized schedule needs more than `budget`
-/// messages; otherwise like [`upcast`].
-pub fn upcast_budgeted<P: Wire>(
-    router: &mut Router<'_>,
-    forest: &Forest,
-    items: Vec<(NodeId, P)>,
-    budget: u64,
-) -> Result<UpcastOutcome<P>, EngineError> {
-    let out = upcast(router, forest, items)?;
-    ensure_budget("upcast", out.metrics.messages, Some(budget))?;
-    Ok(out)
-}
-
-/// [`downcast`] with a hard per-call message budget.
-///
-/// # Errors
-///
-/// [`EngineError::BudgetExceeded`] if the realized schedule needs more than `budget`
-/// messages; otherwise like [`downcast`].
-pub fn downcast_budgeted<P: Wire>(
-    router: &mut Router<'_>,
-    forest: &Forest,
-    items: Vec<(NodeId, P)>,
-    budget: u64,
-) -> Result<DowncastOutcome<P>, EngineError> {
-    let out = downcast(router, forest, items)?;
-    ensure_budget("downcast", out.metrics.messages, Some(budget))?;
-    Ok(out)
 }
 
 /// Result of a [`convergecast`] run.
@@ -521,9 +472,6 @@ mod tests {
         assert_eq!(f.root_of(NodeId::new(3)), NodeId::new(0));
         assert_eq!(f.depth_of(NodeId::new(2)), 2);
         assert_eq!(f.tree_edges().len(), 3);
-        let groups = f.members_by_root();
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].1.len(), 4);
     }
 
     #[test]
@@ -709,22 +657,6 @@ mod tests {
         let (g, f) = path_forest(4);
         let err = broadcast(&g, &f, vec![(NodeId::new(0), 7u64)], Some(2)).unwrap_err();
         assert!(matches!(err, EngineError::BudgetExceeded { .. }));
-    }
-
-    #[test]
-    fn budgeted_upcast_and_downcast() {
-        let (g, f) = path_forest(5);
-        let items: Vec<(NodeId, u64)> = (0..5).map(|i| (NodeId::new(i), i as u64)).collect();
-        // Realized upcast cost is 10 (sum of depths) — a budget of 10 passes, 9 fails.
-        assert!(upcast_budgeted(&mut Router::new(&g), &f, items.clone(), 10).is_ok());
-        let err = upcast_budgeted(&mut Router::new(&g), &f, items, 9).unwrap_err();
-        assert!(matches!(
-            err,
-            EngineError::BudgetExceeded { op: "upcast", .. }
-        ));
-        let down: Vec<(NodeId, u64)> = (1..5).map(|i| (NodeId::new(i), i as u64)).collect();
-        assert!(downcast_budgeted(&mut Router::new(&g), &f, down.clone(), 10).is_ok());
-        assert!(downcast_budgeted(&mut Router::new(&g), &f, down, 9).is_err());
     }
 
     use congest_graph::Graph;

@@ -57,38 +57,9 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of edges added so far (before dedup).
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Whether the (deduplicated) edge set already contains `{u, v}`.
-    pub fn contains_edge(&self, u: usize, v: usize) -> bool {
-        let key = if u < v { (u, v) } else { (v, u) };
-        self.edges
-            .iter()
-            .any(|&(a, b)| (if a < b { (a, b) } else { (b, a) }) == key)
-    }
-
     /// Finalizes the builder into a [`Graph`].
     pub fn build(&self) -> Graph {
         Graph::from_edges(self.n, &self.edges)
-    }
-
-    /// Builds and asserts the result is connected; useful in tests and generators.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph is not connected.
-    pub fn build_connected(&self) -> Graph {
-        let g = self.build();
-        assert!(
-            crate::reference::is_connected(&g),
-            "generated graph is not connected (n={}, m={})",
-            g.n(),
-            g.m()
-        );
-        g
     }
 }
 
@@ -130,10 +101,7 @@ mod tests {
     fn builder_roundtrip() {
         let mut b = GraphBuilder::new(4);
         b.add_edges([(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(b.pending_edges(), 3);
-        assert!(b.contains_edge(1, 0));
-        assert!(!b.contains_edge(0, 3));
-        let g = b.build_connected();
+        let g = b.build();
         assert_eq!(g.m(), 3);
     }
 
@@ -142,14 +110,6 @@ mod tests {
         let mut b = GraphBuilder::new(3);
         b.extend(vec![(0, 1), (1, 2)]);
         assert_eq!(b.build().m(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "not connected")]
-    fn build_connected_panics_on_disconnected() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1);
-        let _ = b.build_connected();
     }
 
     #[test]

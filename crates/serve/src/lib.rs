@@ -9,18 +9,14 @@
 //! LRU-style query cache with exact, deterministic hit/miss counters
 //! ([`ServeMetrics`], the same accounting idiom as the engine's `Metrics`).
 //!
-//! The [`loadgen`] module drives an oracle with a **deterministic closed-loop
-//! load generator** that sweeps request rate Internet-Computer-scalability
-//! style (`initial_rps` → `target_rps` ramp) over scenario mixes (uniform,
-//! hot-key skew, k-NN, batches; cold vs warmed cache), reporting p50/p95/p99
-//! latency and achieved rps.
-//!
 //! Correctness is differential all the way down: every answer an oracle
 //! serves is the source's answer (the cache can only change wall-clock and
-//! counters, never bytes), and the load generator checks **every sampled
-//! answer** against a sequential reference ([`loadgen::ExactReference`]) as
-//! it runs. The root `tests/serve_conformance.rs` suite pins cached ≡
-//! uncached and determinism across the executor matrix.
+//! counters, never bytes), and the [`loadgen`] module's checks
+//! ([`loadgen::AnswerCheck`], [`loadgen::ExactReference`]) compare served
+//! answers against a sequential reference. The root
+//! `tests/serve_conformance.rs` suite pins cached ≡ uncached and determinism
+//! across the executor matrix; the benchmark's `serve_queries` workload
+//! measures serving and checks every answer it stores.
 //!
 //! ## Example
 //!

@@ -5,9 +5,11 @@
 //! cache on, off, warm or cold (the root `tests/serve_conformance.rs` suite
 //! pins cached ≡ uncached differentially) — only [`ServeMetrics`] and
 //! wall-clock change. Eviction is exact LRU, implemented with a lazy
-//! recency queue: every touch pushes a `(key, stamp)` entry, and eviction
-//! pops stale entries until it finds the key whose stamp is current — O(1)
-//! amortized, no linked lists, fully deterministic.
+//! recency queue: every touch pushes a `(key, stamp)` entry, eviction pops
+//! stale entries until it finds the key whose stamp is current, and a queue
+//! grown past `2 × capacity + 64` entries is compacted to its current ones —
+//! O(1) amortized, bounded by the capacity, no linked lists, fully
+//! deterministic.
 
 use apsp_core::distance::{Distance, DistanceSource};
 use congest_graph::NodeId;
@@ -15,8 +17,8 @@ use std::collections::{HashMap, VecDeque};
 
 /// Exact serving-side counters, in the same spirit as the engine's
 /// `Metrics`: every field is deterministic for a given oracle + query
-/// sequence (latency lives in the load generator's reports, not here, so
-/// these counters participate in conformance equality).
+/// sequence (no wall-clock is recorded here, so these counters participate
+/// in conformance equality).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServeMetrics {
     /// Point lookups served (including each element of a batched lookup).
@@ -77,7 +79,20 @@ impl LruCache {
         slot.stamp = tick;
         let answer = slot.answer;
         self.recency.push_back((key, tick));
+        // Hits only push; without this, hit-heavy traffic that never evicts
+        // would grow the queue with the number of lookups.
+        if self.recency.len() > 2 * self.capacity + 64 {
+            self.compact();
+        }
         Some(answer)
+    }
+
+    /// Drops every stale recency entry, keeping the current ones in order —
+    /// afterwards the queue holds exactly one entry per cached key.
+    fn compact(&mut self) {
+        let map = &self.map;
+        self.recency
+            .retain(|(key, stamp)| map.get(key).is_some_and(|s| s.stamp == *stamp));
     }
 
     /// Inserts `key`, evicting the least-recently-used entry if full.
@@ -164,21 +179,6 @@ impl<S: DistanceSource> DistanceOracle<S> {
         }
     }
 
-    /// The underlying source.
-    pub fn source(&self) -> &S {
-        &self.source
-    }
-
-    /// Number of nodes served.
-    pub fn n(&self) -> usize {
-        self.source.n()
-    }
-
-    /// Whether every answer carries the exact-distance guarantee.
-    pub fn is_exact(&self) -> bool {
-        self.source.is_exact()
-    }
-
     /// The exact serving counters so far.
     pub fn metrics(&self) -> &ServeMetrics {
         &self.metrics
@@ -188,13 +188,6 @@ impl<S: DistanceSource> DistanceOracle<S> {
     /// they are cumulative, like engine metrics.
     pub fn reset_cache(&mut self) {
         self.cache.clear();
-    }
-
-    /// The source's answer for `(s, t)` **bypassing** cache and counters —
-    /// the uncached reference the conformance suite compares the served
-    /// paths against.
-    pub fn peek(&self, s: NodeId, t: NodeId) -> Distance {
-        self.source.distance(s, t)
     }
 
     /// Serves one lookup through the cache, counting hit/miss/eviction.
@@ -359,6 +352,35 @@ mod tests {
         oracle.lookup(b.0, b.1); // miss — b was evicted
         assert_eq!(oracle.metrics().hits, 2);
         assert_eq!(oracle.metrics().misses, 4);
+    }
+
+    #[test]
+    fn recency_queue_stays_bounded_under_hits() {
+        let mut cache = LruCache::new(4);
+        cache.insert((0, 1), Distance::Exact(1));
+        for _ in 0..10_000 {
+            assert_eq!(cache.get((0, 1)), Some(Distance::Exact(1)));
+            assert!(cache.recency.len() <= 72, "{}", cache.recency.len());
+        }
+    }
+
+    #[test]
+    fn compaction_keeps_lru_order() {
+        let mut cache = LruCache::new(2);
+        let (a, b, c) = ((0, 1), (0, 2), (0, 3));
+        cache.insert(a, Distance::Exact(1));
+        cache.insert(b, Distance::Exact(2));
+        // Hit a 1 000 times, then on until a compaction has just run, so the
+        // queue holds only the current entries: b's, then a's.
+        let mut hits = 0;
+        while hits < 1_000 || cache.recency.len() > 2 {
+            cache.get(a);
+            hits += 1;
+            assert!(hits < 2_000, "the recency queue never compacted");
+        }
+        assert!(cache.insert(c, Distance::Exact(3)), "a full cache evicts");
+        assert!(cache.map.contains_key(&a) && cache.map.contains_key(&c));
+        assert!(!cache.map.contains_key(&b), "b was least recently used");
     }
 
     #[test]
