@@ -4,18 +4,23 @@
 //! Preprocessing: leader election + node count (§2.2 step 1), an
 //! `(O(log n), O(log n))`-LDC decomposition (step 2), and an upcast of every node's
 //! input to its cluster center (step 3) — after which each center replicates its
-//! members' state machines.
+//! members' state machines. Step 3b: knowing its members' edge lists, each center
+//! re-parents its cluster tree so its branches balance (same depths, same cast
+//! messages; `balance_branches`), and every later cast runs over that tree.
 //!
 //! Each phase `p` simulates round `p` of the payload: centers compute member
-//! broadcasts locally, **downcast** one `(edge, message)` pair per outgoing F-edge of
-//! each broadcaster, the pairs cross their inter-cluster edges (one round), and the
-//! receiving sides **upcast** them to their centers, which apply the member `receive`
-//! transitions. A final downcast delivers outputs. Message complexity is therefore
-//! `Õ(In + Out + B_A)` — each simulated broadcast pays `O(log n)` F-edges ×
-//! `O(log n)` tree depth rather than `deg(v)`.
+//! broadcasts locally and **downcast** one word to each broadcaster with an F-edge
+//! (it knows its F-edges from the announce round), the messages cross the
+//! broadcasters' F-edges (one round), and the receiving sides **upcast** them to
+//! their centers, which apply the member `receive` transitions. A message reaches a
+//! receiver only along that path, or at the shared center for a receiver in the
+//! broadcaster's own cluster. A final downcast delivers outputs. Message complexity
+//! is therefore `Õ(In + Out + B_A)` — each simulated broadcast pays `O(log n)`
+//! F-edges × `O(log n)` tree depth rather than `deg(v)`.
 //!
 //! Correctness (Lemma 2.5) is checked in the strongest possible way: with the same
-//! seed, outputs are asserted equal to a direct run's (see the integration tests).
+//! seed, outputs are asserted equal to a direct run's (see the integration tests),
+//! and an LDC missing an F-edge is shown to break them (the unit tests).
 
 use crate::simulate::common::{payload_options, Pad, SimulationRun};
 use congest_algos::leader::setup_network_with;
@@ -54,14 +59,27 @@ pub fn simulate_bcongest_via_ldc<A: BcongestAlgorithm>(
     weights: Option<&[u64]>,
     opts: &LdcSimOptions,
 ) -> Result<SimulationRun<A::Output>, EngineError> {
+    let ldc = build_ldc(g, opts.seed)?;
+    simulate_over_ldc(algo, g, weights, &ldc, opts)
+}
+
+/// [`simulate_bcongest_via_ldc`] over a given decomposition (step 2's output),
+/// whose construction cost `ldc.metrics` is charged as preprocessing. A message
+/// reaches exactly the receivers the charged transport serves, so an `ldc`
+/// missing an F-edge yields wrong outputs.
+pub(crate) fn simulate_over_ldc<A: BcongestAlgorithm>(
+    algo: &A,
+    g: &Graph,
+    weights: Option<&[u64]>,
+    ldc: &LdcDecomposition,
+    opts: &LdcSimOptions,
+) -> Result<SimulationRun<A::Output>, EngineError> {
     let n = g.n();
     let mut metrics = Metrics::new(g.m());
 
     // ---- Preprocessing ----
     let setup = setup_network_with(g, opts.seed, &opts.exec)?;
     metrics.merge_sequential(&setup.metrics);
-
-    let ldc: LdcDecomposition = build_ldc(g, opts.seed)?;
     metrics.merge_sequential(&ldc.metrics);
     let forest: Forest = ldc.clustering.forest(g)?;
 
@@ -73,6 +91,10 @@ pub fn simulate_bcongest_via_ldc<A: BcongestAlgorithm>(
         g.nodes().map(|v| (v, Pad(g.degree(v) + 1))).collect(),
     )?;
     metrics.merge_sequential(&up.metrics);
+    // Step 3b: with every member's edge list in hand, each center balances its
+    // tree's branches; every later cast runs over the tree it chose.
+    let (forest, rebalance) = balance_branches(&mut router, forest)?;
+    metrics.merge_sequential(&rebalance);
     let preprocessing = metrics.clone();
 
     // Centers now (conceptually) hold all member inputs and replicate member
@@ -83,37 +105,44 @@ pub fn simulate_bcongest_via_ldc<A: BcongestAlgorithm>(
                      broadcasters: &[(NodeId, A::Msg)],
                      inboxes: &mut [Vec<(NodeId, A::Msg)>]|
      -> Result<(), EngineError> {
-        // Inboxes are exactly the direct run's: every broadcast reaches all
-        // neighbors. The LDC decomposition guarantees every (broadcaster, receiving
-        // cluster) pair is served by an F-edge (validated at construction), so the
-        // transport below pays for precisely this information flow.
+        // Inboxes hold what the transport below delivers: a receiver in the
+        // broadcaster's cluster reads the message at their shared center, any
+        // other only through an F-edge of the broadcaster into its cluster,
+        // whose center hands it to the members adjacent to the broadcaster.
+        // With every F-edge present (Definition 2.3) that is every neighbor,
+        // in the direct run's order.
+        let cluster_of = &ldc.clustering.cluster_of;
         for (v, m) in broadcasters {
+            let (home, f_edges) = (cluster_of[v.index()], &ldc.f_edges[v.index()]);
             for &u in g.neighbors(*v) {
-                inboxes[u.index()].push((*v, m.clone()));
+                let c = cluster_of[u.index()];
+                if c == home || f_edges.iter().any(|f| f.target == c) {
+                    inboxes[u.index()].push((*v, m.clone()));
+                }
             }
         }
 
-        // Transport accounting: downcast (edge,msg) pairs to F-edge owners,
-        // one round of inter-cluster sends, upcast into receiving centers.
+        // Transport accounting: one word down to each broadcaster with an
+        // F-edge, one round of inter-cluster sends, upcast into receiving centers.
         let mut phase_cost = Metrics::new(g.m());
         if !broadcasters.is_empty() {
             let mut down_items = Vec::new();
             let mut up_items = Vec::new();
+            let mut exchange = Metrics::new(g.m());
+            exchange.rounds = 1;
             for (v, _) in broadcasters {
-                for f in &ldc.f_edges[v.index()] {
+                // `v` knows its own F-edges (from the announce round), so
+                // one word tells it what to send over all of them.
+                if !ldc.f_edges[v.index()].is_empty() {
                     down_items.push((*v, Pad(1)));
+                }
+                for f in &ldc.f_edges[v.index()] {
                     up_items.push((f.other, Pad(1)));
+                    exchange.add_messages(f.edge, 1);
                 }
             }
             let down = downcast(&mut router, &forest, down_items)?;
             phase_cost.merge_sequential(&down.metrics);
-            let mut exchange = Metrics::new(g.m());
-            exchange.rounds = 1;
-            for (v, _) in broadcasters {
-                for f in &ldc.f_edges[v.index()] {
-                    exchange.add_messages(f.edge, 1);
-                }
-            }
             phase_cost.merge_sequential(&exchange);
             let upc = upcast(&mut router, &forest, up_items)?;
             phase_cost.merge_sequential(&upc.metrics);
@@ -139,6 +168,87 @@ pub fn simulate_bcongest_via_ldc<A: BcongestAlgorithm>(
     Ok(SimulationRun::assemble(payload, metrics, preprocessing))
 }
 
+/// §2.2 step 3b: every center re-parents its cluster tree to balance the
+/// branches (the subtrees under its children), and pays for telling the members.
+///
+/// Every member keeps its depth; its parent becomes a cluster neighbor one level
+/// closer to the center. Members are visited by `(depth, id)`: a depth-1 member
+/// heads its own branch, a deeper one joins the eligible parent whose branch has
+/// the fewest members so far (ties to the smaller id). MPX's trees are BFS trees
+/// of their clusters, so the old parent is always eligible and a cast over the
+/// returned forest costs the same messages as over `forest`. A cluster adopts its
+/// new tree only if its heaviest branch gets strictly lighter; otherwise it keeps
+/// the old one and is charged nothing. The charge: the center downcasts one word
+/// to each re-parented member over the old tree, then each of them spends one
+/// round sending one word to its new parent.
+fn balance_branches(
+    router: &mut Router<'_>,
+    forest: Forest,
+) -> Result<(Forest, Metrics), EngineError> {
+    let g = router.graph();
+    let n = g.n();
+    let mut order: Vec<NodeId> = g.nodes().collect();
+    order.sort_by_key(|&v| forest.depth_of(v)); // stable: ties stay by id
+    let mut parent: Vec<Option<NodeId>> = g.nodes().map(|v| forest.parent(v)).collect();
+    // Per node: the head (depth-1 ancestor) of its branch in the old and the new
+    // tree; per head: its branch's member count.
+    let mut old_head = vec![NodeId::new(0); n];
+    let mut new_head = vec![NodeId::new(0); n];
+    let mut old_size = vec![0u32; n];
+    let mut new_size = vec![0u32; n];
+    for &v in &order {
+        let Some(p) = forest.parent(v) else { continue };
+        if forest.depth_of(v) == 1 {
+            old_head[v.index()] = v;
+            new_head[v.index()] = v;
+        } else {
+            let (root, depth) = (forest.root_of(v), forest.depth_of(v));
+            let q = g
+                .neighbors(v)
+                .iter()
+                .copied()
+                .filter(|&u| forest.root_of(u) == root && forest.depth_of(u) + 1 == depth)
+                .min_by_key(|&u| (new_size[new_head[u.index()].index()], u))
+                .expect("the old parent is eligible");
+            parent[v.index()] = Some(q);
+            old_head[v.index()] = old_head[p.index()];
+            new_head[v.index()] = new_head[q.index()];
+        }
+        old_size[old_head[v.index()].index()] += 1;
+        new_size[new_head[v.index()].index()] += 1;
+    }
+    // Per root: its heaviest branch before and after.
+    let mut heaviest = vec![(0u32, 0u32); n];
+    for &v in &order {
+        if forest.depth_of(v) == 1 {
+            let h = &mut heaviest[forest.root_of(v).index()];
+            h.0 = h.0.max(old_size[v.index()]);
+            h.1 = h.1.max(new_size[v.index()]);
+        }
+    }
+    let mut moved = Vec::new();
+    for v in g.nodes() {
+        let (old, new) = heaviest[forest.root_of(v).index()];
+        if new >= old {
+            parent[v.index()] = forest.parent(v);
+        } else if parent[v.index()] != forest.parent(v) {
+            moved.push(v);
+        }
+    }
+    if moved.is_empty() {
+        return Ok((forest, Metrics::new(g.m())));
+    }
+    let balanced = Forest::from_parents(g, parent)?;
+    let announce = moved.iter().map(|&v| (v, Pad(1))).collect();
+    let mut charge = downcast(router, &forest, announce)?.metrics;
+    charge.rounds += 1;
+    for &v in &moved {
+        let edge = balanced.parent_edge(v).expect("moved nodes have parents");
+        charge.add_messages(edge, 1);
+    }
+    Ok((balanced, charge))
+}
+
 /// The §2.2 worst-case phase budget `Θ(n log n)`.
 fn phase_budget_rounds(n: usize) -> u64 {
     let log = (usize::BITS - n.max(2).leading_zeros()) as u64;
@@ -150,14 +260,179 @@ mod tests {
     use super::*;
     use congest_algos::bfs::Bfs;
     use congest_algos::mis::{is_valid_mis, LubyMis};
+    use congest_decomp::ldc::FEdge;
+    use congest_decomp::mpx::Clustering;
     use congest_engine::{run_bcongest, RunOptions};
     use congest_graph::generators;
+    use proptest::prelude::*;
 
     fn direct_opts(seed: u64) -> RunOptions {
         RunOptions {
             seed,
             ..Default::default()
         }
+    }
+
+    /// Per node: the members of the branch it heads (0 unless it is a child
+    /// of a root).
+    fn branch_sizes(g: &Graph, forest: &Forest) -> Vec<usize> {
+        let mut size = vec![0; g.n()];
+        for v in g.nodes() {
+            if let [.., head, _root] = forest.path_to_root(v)[..] {
+                size[head.index()] += 1;
+            }
+        }
+        size
+    }
+
+    /// Per tree, in `forest.roots()` order: its heaviest branch.
+    fn heaviest_branches(g: &Graph, forest: &Forest) -> Vec<usize> {
+        let size = branch_sizes(g, forest);
+        let mut heaviest = vec![0; g.n()];
+        for v in g.nodes().filter(|&v| forest.depth_of(v) == 1) {
+            let h = &mut heaviest[forest.root_of(v).index()];
+            *h = (*h).max(size[v.index()]);
+        }
+        forest.roots().iter().map(|r| heaviest[r.index()]).collect()
+    }
+
+    #[test]
+    fn balance_branches_evens_out_a_lopsided_tree() {
+        // Root 0 with children 1 and 2; nodes 3..=8 are adjacent to both and
+        // all hang off 1 in the old tree.
+        let mut edges = vec![(0, 1), (0, 2)];
+        for v in 3..=8 {
+            edges.extend([(1, v), (2, v)]);
+        }
+        let g = Graph::from_edges(9, &edges);
+        let parent = (0..9)
+            .map(|v| match v {
+                0 => None,
+                1 | 2 => Some(NodeId::new(0)),
+                _ => Some(NodeId::new(1)),
+            })
+            .collect();
+        let old = Forest::from_parents(&g, parent).unwrap();
+        let (new, charge) = balance_branches(&mut Router::new(&g), old.clone()).unwrap();
+        let branches = |f: &Forest| {
+            let size = branch_sizes(&g, f);
+            (size[1], size[2])
+        };
+        assert_eq!(branches(&old), (7, 1));
+        assert_eq!(branches(&new), (4, 4));
+        let moved: Vec<usize> = g
+            .nodes()
+            .filter(|&v| new.parent(v) != old.parent(v))
+            .map(NodeId::index)
+            .collect();
+        assert_eq!(moved, [4, 6, 8]);
+        // Three 2-hop words queue on the edge 0 → 1 of the old tree, then each
+        // moved node sends one word to its new parent in one round.
+        assert_eq!((charge.messages, charge.rounds), (3 * 2 + 3, 4 + 1));
+    }
+
+    #[test]
+    fn balance_branches_keeps_a_tree_it_cannot_improve() {
+        // Root 0, children 1 and 2; 3 hangs off 2 but is adjacent to 1 too, 4
+        // is adjacent to 1 only. Branches 2 / 2; the greedy pass would move 3
+        // under 1 and make them 3 / 1, so the old tree stays, free.
+        let g = Graph::from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (1, 4)]);
+        let parent = [None, Some(0), Some(0), Some(2), Some(1)]
+            .map(|p| p.map(NodeId::new))
+            .to_vec();
+        let old = Forest::from_parents(&g, parent).unwrap();
+        let (new, charge) = balance_branches(&mut Router::new(&g), old.clone()).unwrap();
+        assert!(g.nodes().all(|v| new.parent(v) == old.parent(v)));
+        assert_eq!((charge.messages, charge.rounds), (0, 0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// On gnp, caveman and grid LDCs: the same roots and depths, every
+        /// parent edge inside its cluster, no cluster's heaviest branch heavier.
+        #[test]
+        fn balance_branches_keeps_depths_and_never_worsens(
+            family in 0usize..3,
+            size in 4usize..10,
+            seed in 0u64..200,
+        ) {
+            let g = match family {
+                0 => generators::gnp_connected(8 * size, 0.1, seed),
+                1 => generators::caveman(size, 6),
+                _ => generators::grid(size, size + 3),
+            };
+            let ldc = build_ldc(&g, seed).unwrap();
+            let old = ldc.clustering.forest(&g).unwrap();
+            let (new, _) = balance_branches(&mut Router::new(&g), old.clone()).unwrap();
+            prop_assert_eq!(new.roots(), old.roots());
+            let cluster_of = &ldc.clustering.cluster_of;
+            for v in g.nodes() {
+                prop_assert_eq!(new.depth_of(v), old.depth_of(v));
+                if let Some(p) = new.parent(v) {
+                    prop_assert_eq!(cluster_of[p.index()], cluster_of[v.index()]);
+                }
+            }
+            let (before, after) = (heaviest_branches(&g, &old), heaviest_branches(&g, &new));
+            for (b, a) in before.iter().zip(&after) {
+                prop_assert!(a <= b, "heaviest branch {} -> {}", b, a);
+            }
+        }
+    }
+
+    #[test]
+    fn balanced_output_downcast_costs_the_same_messages_in_fewer_rounds() {
+        // The instance of the Theorem 2.1 golden cases (8 clusters).
+        let g = generators::grid(12, 8);
+        let ldc = build_ldc(&g, 31).unwrap();
+        let old = ldc.clustering.forest(&g).unwrap();
+        let mut router = Router::new(&g);
+        let (new, charge) = balance_branches(&mut router, old.clone()).unwrap();
+        assert!(charge.messages > 0, "the re-parenting fires here");
+        // One n-word row of distances per node, as an APSP output.
+        let outputs = || g.nodes().map(|v| (v, Pad(g.n()))).collect();
+        let before = downcast(&mut router, &old, outputs()).unwrap().metrics;
+        let after = downcast(&mut router, &new, outputs()).unwrap().metrics;
+        assert_eq!(after.messages, before.messages);
+        assert!(
+            after.rounds < before.rounds,
+            "{} -> {} rounds",
+            before.rounds,
+            after.rounds
+        );
+    }
+
+    #[test]
+    fn a_missing_f_edge_is_a_wrong_distance() {
+        // Path 0 - 1 - 2 - 3 as clusters {0, 1} (center 0) and {2, 3} (center
+        // 3); the edge 1 - 2 is each side's only F-edge into the other.
+        let g = generators::path(4);
+        let edge = g.edge_between(NodeId::new(1), NodeId::new(2)).unwrap();
+        let clustering = Clustering::from_assignment(
+            &[0, 0, 3, 3].map(NodeId::new),
+            &[None, Some(NodeId::new(0)), Some(NodeId::new(3)), None],
+            &[0, 1, 1, 0],
+        );
+        let f_edge = |owner: usize, other: usize| FEdge {
+            owner: NodeId::new(owner),
+            edge,
+            other: NodeId::new(other),
+            target: clustering.cluster_of[other],
+        };
+        let mut ldc = LdcDecomposition {
+            f_edges: vec![vec![], vec![f_edge(1, 2)], vec![f_edge(2, 1)], vec![]],
+            clustering,
+            metrics: Metrics::new(g.m()),
+        };
+        let algo = Bfs::new(NodeId::new(0));
+        let opts = LdcSimOptions::default();
+        let dist = |ldc: &LdcDecomposition| -> Vec<Option<u32>> {
+            let sim = simulate_over_ldc(&algo, &g, None, ldc, &opts).unwrap();
+            sim.outputs.iter().map(|o| o.dist).collect()
+        };
+        assert_eq!(dist(&ldc), [Some(0), Some(1), Some(2), Some(3)]);
+        ldc.f_edges[1].clear();
+        assert_eq!(dist(&ldc), [Some(0), Some(1), None, None]);
     }
 
     #[test]

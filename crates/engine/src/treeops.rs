@@ -49,9 +49,14 @@ impl Forest {
     ///
     /// # Errors
     ///
-    /// [`EngineError::InvalidForest`] on a non-edge parent link or a cycle.
+    /// [`EngineError::InvalidForest`] on a parent vector whose length is not `n`,
+    /// a non-edge parent link or a cycle.
     pub fn from_parents(g: &Graph, parent: Vec<Option<NodeId>>) -> Result<Self, EngineError> {
-        assert_eq!(parent.len(), g.n(), "parent vector must cover all nodes");
+        if parent.len() != g.n() {
+            return Err(EngineError::InvalidForest {
+                reason: format!("{} parent entries for {} nodes", parent.len(), g.n()),
+            });
+        }
         let mut parent_edge = vec![None; g.n()];
         let mut tree_edges = Vec::new();
         for v in g.nodes() {
@@ -479,6 +484,15 @@ mod tests {
         let g = generators::path(3);
         let parent = vec![None, None, Some(NodeId::new(0))]; // 2->0 is not an edge
         assert!(Forest::from_parents(&g, parent).is_err());
+    }
+
+    #[test]
+    fn parent_vector_of_the_wrong_length_rejected() {
+        let g = generators::path(3);
+        for parent in [vec![None, Some(NodeId::new(0))], vec![None; 4]] {
+            let err = Forest::from_parents(&g, parent).unwrap_err();
+            assert!(matches!(err, EngineError::InvalidForest { .. }));
+        }
     }
 
     #[test]

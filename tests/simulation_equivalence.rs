@@ -13,6 +13,7 @@ use congest_apsp::apsp_core::simulate::{
     AggSimOptions, LdcSimOptions,
 };
 use congest_apsp::apsp_core::tradeoff::tradeoff_apsp;
+use congest_apsp::apsp_core::weighted_apsp::{weighted_apsp, WeightedApspConfig};
 use congest_apsp::apsp_core::weighted_tradeoff::{weighted_apsp_tradeoff, WeightedTradeoffConfig};
 use congest_apsp::decomp::pruning::prune;
 use congest_apsp::decomp::Hierarchy;
@@ -216,7 +217,9 @@ fn all_three_simulations_agree_with_each_other() {
 /// ε ∈ {0.25, 0.34, 0.5, 0.75, 1} (κ = 4, 3, 2, 2, 1) × an unlimited and a
 /// depth-3 collection through Theorem 3.9, the ε ≥ ½ cells through Theorem
 /// 3.10 too, all three routes of `tradeoff_apsp`, and the receiver-aware
-/// weighted payload through both simulators.
+/// weighted payload through both simulators. Last, three Theorem 2.1 runs
+/// (BFS, `tradeoff_apsp` at ε = 0, weighted APSP) on a 96-node grid, the
+/// only instance here on which Theorem 2.1's step 3b re-parents.
 #[test]
 fn simulated_accounts_match_the_golden_reference() {
     let graphs = [
@@ -266,6 +269,24 @@ fn simulated_accounts_match_the_golden_reference() {
             ));
         }
     }
+    // Theorem 2.1 on a graph where step 3b re-parents: at seed 31 `grid(12, 8)`
+    // has 8 clusters, and balancing their branches moves 16 members.
+    let g = generators::grid(12, 8);
+    let opts = LdcSimOptions {
+        seed: 31,
+        ..Default::default()
+    };
+    let run = simulate_bcongest_via_ldc(&Bfs::new(NodeId::new(0)), &g, None, &opts).expect("bfs");
+    cases.push(("ldc/grid96/bfs".into(), format!("{run:?}")));
+    let res = tradeoff_apsp(&g, 0.0, 31).expect("trade-off");
+    cases.push(("tradeoff/grid96/eps0".into(), format!("{res:?}")));
+    let wg = WeightedGraph::random_weights(&g, 1..=6, 31);
+    let cfg = WeightedApspConfig {
+        seed: 31,
+        ..Default::default()
+    };
+    let res = weighted_apsp(&wg, &cfg).expect("weighted APSP");
+    cases.push(("weighted-apsp/grid96".into(), format!("{res:?}")));
     golden::assert_matches(
         "tests/golden/simulation_runs.txt",
         include_str!("golden/simulation_runs.txt"),
