@@ -141,7 +141,7 @@ pub fn distributed_mst(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstRun, En
     let mut metrics = Metrics::new(g.m());
     let mut fragment: Vec<NodeId> = g.nodes().collect();
     let mut forest = Forest::from_parents(g, vec![None; n])?;
-    let mut router = Router::new(g);
+    let mut router = Router::new(g)?;
     let mut in_mst = vec![false; g.m()];
     let mut edges: Vec<EdgeId> = Vec::new();
 

@@ -105,21 +105,28 @@ pub fn e_t1_2(n: usize, eps: &[f64], seed: u64) -> Table {
 
 /// E-T2.1 — Theorem 2.1: simulation overhead across payloads:
 /// messages / (In + Out + B_A) should be polylog; rounds / (T_A·n) should be O(log).
+/// Each row names the LDC it ran on (`build_ldc` with the same seed); the
+/// caveman row is the one whose phases cross many clusters.
 pub fn e_t2_1(n: usize, seed: u64) -> Table {
     let mut t = Table::new(
-        format!("E-T2.1 (Theorem 2.1): simulation overhead per payload, n = {n}"),
+        "E-T2.1 (Theorem 2.1): simulation overhead per payload",
         &[
             "payload",
+            "graph",
+            "clusters",
+            "|F|",
+            "max F-deg",
+            "depth",
             "B_A",
             "In+Out (words)",
             "msgs (sim)",
             "msgs/(In+Out+B)",
             "T_A",
             "rounds (sim)",
+            "phase rounds",
             "rounds/(T_A·n)",
         ],
     );
-    let g = generators::gnp_connected(n, 0.3, seed);
     let opts = LdcSimOptions {
         seed,
         ..Default::default()
@@ -127,52 +134,70 @@ pub fn e_t2_1(n: usize, seed: u64) -> Table {
 
     fn push<O: Clone + std::fmt::Debug>(
         t: &mut Table,
-        n: usize,
-        name: &str,
+        payload: &str,
+        graph: &str,
+        g: &congest_graph::Graph,
+        seed: u64,
         sim: apsp_core::simulate::SimulationRun<O>,
     ) {
+        let ldc = build_ldc(g, seed).expect("ldc");
         let inout = (sim.input_words + sim.output_words) as f64;
         let denom = inout + sim.simulated_broadcasts as f64;
         let ta = sim.simulated_rounds.max(1) as f64;
         t.row(vec![
-            name.into(),
+            payload.into(),
+            graph.into(),
+            ldc.clustering.len().to_string(),
+            ldc.all_f_edges().count().to_string(),
+            ldc.max_f_degree().to_string(),
+            ldc.clustering.max_depth().to_string(),
             sim.simulated_broadcasts.to_string(),
             format!("{}", sim.input_words + sim.output_words),
             sim.metrics.messages.to_string(),
             f2(sim.metrics.messages as f64 / denom),
             sim.simulated_rounds.to_string(),
             sim.metrics.rounds.to_string(),
-            f2(sim.metrics.rounds as f64 / (ta * n as f64)),
+            (sim.metrics.rounds - sim.preprocessing.rounds).to_string(),
+            f2(sim.metrics.rounds as f64 / (ta * g.n() as f64)),
         ]);
     }
 
+    let g = generators::gnp_connected(n, 0.3, seed);
+    let gnp = format!("gnp({n}, 0.3)");
+    let bfs = simulate_bcongest_via_ldc(&Bfs::new(NodeId::new(0)), &g, None, &opts);
+    push(&mut t, "bfs", &gnp, &g, seed, bfs.expect("bfs"));
+    let mis = simulate_bcongest_via_ldc(&LubyMis, &g, None, &opts);
+    push(&mut t, "luby-mis", &gnp, &g, seed, mis.expect("mis"));
+    let apsp = BfsCollection::new(g.nodes().collect());
+    let coll = simulate_bcongest_via_ldc(&apsp, &g, None, &opts);
     push(
         &mut t,
-        n,
-        "bfs",
-        simulate_bcongest_via_ldc(&Bfs::new(NodeId::new(0)), &g, None, &opts).expect("bfs"),
-    );
-    push(
-        &mut t,
-        n,
-        "luby-mis",
-        simulate_bcongest_via_ldc(&LubyMis, &g, None, &opts).expect("mis"),
-    );
-    push(
-        &mut t,
-        n,
         "bfs-collection (apsp)",
-        simulate_bcongest_via_ldc(&BfsCollection::new(g.nodes().collect()), &g, None, &opts)
-            .expect("coll"),
+        &gnp,
+        &g,
+        seed,
+        coll.expect("coll"),
+    );
+    // 128 nodes in a ring of 32 four-cliques: 15 clusters at the tables' seed
+    // (a caveman ring needs about 16 nodes per cluster), still milliseconds.
+    let cave = generators::caveman(32, 4);
+    assert!(build_ldc(&cave, seed).expect("ldc").clustering.len() >= 8);
+    let apsp = BfsCollection::new(cave.nodes().collect());
+    let coll = simulate_bcongest_via_ldc(&apsp, &cave, None, &opts).expect("coll");
+    push(
+        &mut t,
+        "bfs-collection (apsp)",
+        "caveman(32, 4)",
+        &cave,
+        seed,
+        coll,
     );
     let gb = generators::random_bipartite_connected(n / 2, n / 2, 0.3, seed);
-    push(
-        &mut t,
-        n,
-        "ako-matching",
-        simulate_bcongest_via_ldc(&BipartiteMatching, &gb, None, &opts).expect("ako"),
-    );
+    let ako = simulate_bcongest_via_ldc(&BipartiteMatching, &gb, None, &opts);
+    let bip = format!("bipartite({0}+{0}, 0.3)", n / 2);
+    push(&mut t, "ako-matching", &bip, &gb, seed, ako.expect("ako"));
     t.note("msgs/(In+Out+B) is the Theorem 2.1 polylog factor; rounds/(T_A·n) its round overhead");
+    t.note("phase rounds = total − preprocessing: the phases plus the output downcast");
     t
 }
 

@@ -57,7 +57,7 @@ pub fn landmark_distances_with(
         landmarks.push(NodeId::new(r.random_range(0..n)));
     }
 
-    let mut router = Router::new(g);
+    let mut router = Router::new(g)?;
     let mut per_landmark_dist: Vec<Vec<Option<u32>>> = Vec::with_capacity(landmarks.len());
     for (i, &l) in landmarks.iter().enumerate() {
         // Plain BFS, run on the network (sequentially, as in the paper).

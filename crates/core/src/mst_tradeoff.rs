@@ -151,7 +151,7 @@ fn central_finish(
         }
         items.extend(best.into_values().map(|c| (v, c)));
     }
-    let mut router = Router::new(g);
+    let mut router = Router::new(g)?;
     let up = treeops::upcast(&mut router, &setup.tree, items)?;
     metrics.merge_sequential(&up.metrics);
 

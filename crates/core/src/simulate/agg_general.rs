@@ -149,7 +149,7 @@ pub fn simulate_aggregation_general<A: AggregationAlgorithm>(
         metrics.merge_sequential(&h.metrics);
     }
     let rt = Runtime::build(g, h)?;
-    let mut router = Router::new(g);
+    let mut router = Router::new(g)?;
     // Per-level upcast of member neighborhoods to cluster centers (§3.2.1 step 2).
     for (li, lvl) in h.levels.iter().enumerate().skip(1) {
         let forest = rt.forests[li].as_ref().expect("built for levels >= 1");

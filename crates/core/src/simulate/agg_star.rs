@@ -65,7 +65,7 @@ pub fn simulate_aggregation_star<A: AggregationAlgorithm>(
     if opts.charge_hierarchy {
         metrics.merge_sequential(&h.metrics);
     }
-    let mut router = Router::new(g);
+    let mut router = Router::new(g)?;
     let star_level = (h.levels.len() > 1).then(|| &h.levels[1]);
     let star_forest: Option<Forest> = match star_level {
         Some(lvl) => Some(Forest::from_parents(g, lvl.parent.clone())?),

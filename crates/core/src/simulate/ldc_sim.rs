@@ -10,12 +10,16 @@
 //!
 //! Each phase `p` simulates round `p` of the payload: centers compute member
 //! broadcasts locally and **downcast** one word to each broadcaster with an F-edge
-//! (it knows its F-edges from the announce round), the messages cross the
-//! broadcasters' F-edges (one round), and the receiving sides **upcast** them to
-//! their centers, which apply the member `receive` transitions. A message reaches a
-//! receiver only along that path, or at the shared center for a receiver in the
-//! broadcaster's own cluster. A final downcast delivers outputs. Message complexity
-//! is therefore `Õ(In + Out + B_A)` — each simulated broadcast pays `O(log n)`
+//! (it knows its F-edges from the announce round), the broadcaster sends it across
+//! its F-edges, and the receiving sides **upcast** it to their centers, which apply
+//! the member `receive` transitions. The three steps are one routed schedule
+//! (`treeops::relay`): a broadcaster sends in the round after its own word
+//! arrives, not after the whole downcast, so a phase costs about its slowest
+//! cast rather than the sum of all three, and a phase no broadcaster has an
+//! F-edge in costs no rounds (DESIGN.md §2). A message reaches a receiver only
+//! along that path, or at the shared center for a receiver in the broadcaster's
+//! own cluster. A final downcast delivers outputs. Message complexity is
+//! therefore `Õ(In + Out + B_A)` — each simulated broadcast pays `O(log n)`
 //! F-edges × `O(log n)` tree depth rather than `deg(v)`.
 //!
 //! Correctness (Lemma 2.5) is checked in the strongest possible way: with the same
@@ -26,7 +30,8 @@ use crate::simulate::common::{payload_options, Pad, SimulationRun};
 use congest_algos::leader::setup_network_with;
 use congest_decomp::ldc::{build_ldc, LdcDecomposition};
 use congest_engine::{
-    downcast, run_bcongest_over, upcast, BcongestAlgorithm, EngineError, Forest, Metrics, Router,
+    downcast, relay, run_bcongest_over, upcast, BcongestAlgorithm, EngineError, Forest, Metrics,
+    Router,
 };
 use congest_graph::{Graph, NodeId};
 
@@ -84,7 +89,7 @@ pub(crate) fn simulate_over_ldc<A: BcongestAlgorithm>(
     let forest: Forest = ldc.clustering.forest(g)?;
 
     // Step 3: upcast every node's input (its incident edge list) to its center.
-    let mut router = Router::new(g);
+    let mut router = Router::new(g)?;
     let up = upcast(
         &mut router,
         &forest,
@@ -122,31 +127,15 @@ pub(crate) fn simulate_over_ldc<A: BcongestAlgorithm>(
             }
         }
 
-        // Transport accounting: one word down to each broadcaster with an
-        // F-edge, one round of inter-cluster sends, upcast into receiving centers.
-        let mut phase_cost = Metrics::new(g.m());
-        if !broadcasters.is_empty() {
-            let mut down_items = Vec::new();
-            let mut up_items = Vec::new();
-            let mut exchange = Metrics::new(g.m());
-            exchange.rounds = 1;
-            for (v, _) in broadcasters {
-                // `v` knows its own F-edges (from the announce round), so
-                // one word tells it what to send over all of them.
-                if !ldc.f_edges[v.index()].is_empty() {
-                    down_items.push((*v, Pad(1)));
-                }
-                for f in &ldc.f_edges[v.index()] {
-                    up_items.push((f.other, Pad(1)));
-                    exchange.add_messages(f.edge, 1);
-                }
-            }
-            let down = downcast(&mut router, &forest, down_items)?;
-            phase_cost.merge_sequential(&down.metrics);
-            phase_cost.merge_sequential(&exchange);
-            let upc = upcast(&mut router, &forest, up_items)?;
-            phase_cost.merge_sequential(&upc.metrics);
-        }
+        // Transport accounting, one schedule: one word down to each broadcaster
+        // with an F-edge (`v` knows its own F-edges from the announce round, so
+        // one word tells it what to send over all of them), which sends it
+        // across them the round after it arrives, and each far end upcasts it
+        // into its center.
+        let hops = broadcasters
+            .iter()
+            .flat_map(|(v, _)| ldc.f_edges[v.index()].iter().map(|f| (*v, f.edge)));
+        let mut phase_cost = relay(&mut router, &forest, hops)?;
         if opts.strict_phase_budget {
             phase_cost.pad_rounds(phase_budget.saturating_sub(phase_cost.rounds));
         }
@@ -313,7 +302,7 @@ mod tests {
             })
             .collect();
         let old = Forest::from_parents(&g, parent).unwrap();
-        let (new, charge) = balance_branches(&mut Router::new(&g), old.clone()).unwrap();
+        let (new, charge) = balance_branches(&mut Router::new(&g).unwrap(), old.clone()).unwrap();
         let branches = |f: &Forest| {
             let size = branch_sizes(&g, f);
             (size[1], size[2])
@@ -341,7 +330,7 @@ mod tests {
             .map(|p| p.map(NodeId::new))
             .to_vec();
         let old = Forest::from_parents(&g, parent).unwrap();
-        let (new, charge) = balance_branches(&mut Router::new(&g), old.clone()).unwrap();
+        let (new, charge) = balance_branches(&mut Router::new(&g).unwrap(), old.clone()).unwrap();
         assert!(g.nodes().all(|v| new.parent(v) == old.parent(v)));
         assert_eq!((charge.messages, charge.rounds), (0, 0));
     }
@@ -364,7 +353,7 @@ mod tests {
             };
             let ldc = build_ldc(&g, seed).unwrap();
             let old = ldc.clustering.forest(&g).unwrap();
-            let (new, _) = balance_branches(&mut Router::new(&g), old.clone()).unwrap();
+            let (new, _) = balance_branches(&mut Router::new(&g).unwrap(), old.clone()).unwrap();
             prop_assert_eq!(new.roots(), old.roots());
             let cluster_of = &ldc.clustering.cluster_of;
             for v in g.nodes() {
@@ -386,7 +375,7 @@ mod tests {
         let g = generators::grid(12, 8);
         let ldc = build_ldc(&g, 31).unwrap();
         let old = ldc.clustering.forest(&g).unwrap();
-        let mut router = Router::new(&g);
+        let mut router = Router::new(&g).unwrap();
         let (new, charge) = balance_branches(&mut router, old.clone()).unwrap();
         assert!(charge.messages > 0, "the re-parenting fires here");
         // One n-word row of distances per node, as an APSP output.
@@ -399,6 +388,64 @@ mod tests {
             "{} -> {} rounds",
             before.rounds,
             after.rounds
+        );
+    }
+
+    #[test]
+    fn a_phase_is_one_pipelined_schedule() {
+        // The golden Theorem 2.1 instance, in a phase where every node
+        // broadcasts: 14 + 1 + 11 rounds as three steps, 16 as one schedule.
+        let g = generators::grid(12, 8);
+        let ldc = build_ldc(&g, 31).unwrap();
+        let mut router = Router::new(&g).unwrap();
+        let forest = ldc.clustering.forest(&g).unwrap();
+        let (forest, _) = balance_branches(&mut router, forest).unwrap();
+        let hops = ldc.all_f_edges().map(|f| (f.owner, f.edge));
+        let phase = relay(&mut router, &forest, hops).unwrap();
+        // The three steps one after another: a word down to every F-edge owner,
+        // a round across the F-edges, an upcast from their far ends.
+        let owners = g.nodes().filter(|v| !ldc.f_edges[v.index()].is_empty());
+        let owners = owners.map(|v| (v, Pad(1))).collect();
+        let down = downcast(&mut router, &forest, owners).unwrap().metrics;
+        let far_ends = ldc.all_f_edges().map(|f| (f.other, Pad(1))).collect();
+        let up = upcast(&mut router, &forest, far_ends).unwrap().metrics;
+        assert_eq!(
+            phase.messages,
+            down.messages + ldc.all_f_edges().count() as u64 + up.messages
+        );
+        assert!(down.rounds.max(up.rounds) <= phase.rounds);
+        assert!(
+            phase.rounds < down.rounds + 1 + up.rounds,
+            "{} rounds against {} + 1 + {}",
+            phase.rounds,
+            down.rounds,
+            up.rounds
+        );
+    }
+
+    #[test]
+    fn a_phase_without_f_edge_words_costs_no_rounds() {
+        // K_40 is one cluster with no F-edges: every phase happens at the
+        // center, so all rounds are preprocessing and the output downcast.
+        let g = generators::complete(40);
+        let ldc = build_ldc(&g, 2).unwrap();
+        assert_eq!((ldc.clustering.len(), ldc.all_f_edges().count()), (1, 0));
+        let algo = Bfs::new(NodeId::new(0));
+        let opts = LdcSimOptions {
+            seed: 2,
+            ..Default::default()
+        };
+        let sim = simulate_over_ldc(&algo, &g, None, &ldc, &opts).unwrap();
+        assert!(sim.simulated_rounds > 0);
+        let mut router = Router::new(&g).unwrap();
+        let forest = ldc.clustering.forest(&g).unwrap();
+        let (forest, _) = balance_branches(&mut router, forest).unwrap();
+        let outputs = g.nodes().zip(&sim.outputs);
+        let outputs = outputs.map(|(v, o)| (v, Pad(algo.output_words(o))));
+        let output_downcast = downcast(&mut router, &forest, outputs.collect()).unwrap();
+        assert_eq!(
+            sim.metrics.rounds,
+            sim.preprocessing.rounds + output_downcast.metrics.rounds
         );
     }
 

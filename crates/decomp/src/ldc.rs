@@ -55,7 +55,7 @@ impl LdcDecomposition {
 ///
 /// Propagates engine errors (round-limit; cannot occur for valid parameters).
 pub fn build_ldc(g: &Graph, seed: u64) -> Result<LdcDecomposition, EngineError> {
-    build_ldc_with_beta(g, 0.5, seed)
+    build_ldc_with(g, seed, &congest_engine::ExecutorConfig::default())
 }
 
 /// [`build_ldc`] with an explicit executor for the distributed MPX run (the
@@ -70,29 +70,7 @@ pub fn build_ldc_with(
     seed: u64,
     exec: &congest_engine::ExecutorConfig,
 ) -> Result<LdcDecomposition, EngineError> {
-    build_ldc_inner(g, 0.5, seed, exec)
-}
-
-/// [`build_ldc`] with an explicit MPX shift parameter.
-///
-/// # Errors
-///
-/// Propagates engine errors.
-pub fn build_ldc_with_beta(
-    g: &Graph,
-    beta: f64,
-    seed: u64,
-) -> Result<LdcDecomposition, EngineError> {
-    build_ldc_inner(g, beta, seed, &congest_engine::ExecutorConfig::default())
-}
-
-fn build_ldc_inner(
-    g: &Graph,
-    beta: f64,
-    seed: u64,
-    exec: &congest_engine::ExecutorConfig,
-) -> Result<LdcDecomposition, EngineError> {
-    let run = mpx::run_mpx_with(g, beta, seed, exec)?;
+    let run = mpx::run_mpx_with(g, 0.5, seed, exec)?;
     let clustering = run.clustering;
     let mut f_edges: Vec<Vec<FEdge>> = vec![Vec::new(); g.n()];
     for v in g.nodes() {

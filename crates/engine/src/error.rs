@@ -18,10 +18,12 @@ pub enum EngineError {
         /// Index of the offending task.
         task: usize,
     },
-    /// A routed batch has more tasks, task hops or words than the router's `u32`
-    /// index columns can address.
+    /// A routed batch has more tasks, task hops or words — or the graph a router
+    /// is made for more directed edges — than the router's `u32` index columns
+    /// can address.
     BatchTooLarge {
-        /// Which count overflowed (`"tasks"`, `"task hops"` or `"words"`).
+        /// Which count overflowed (`"tasks"`, `"task hops"`, `"words"` or
+        /// `"directed edges"`).
         what: &'static str,
     },
     /// A forest description was not actually a forest (cycle or non-edge parent link).

@@ -1,10 +1,14 @@
-//! Forests and the upcast/downcast/convergecast/broadcast primitives (paper §1.4.2,
-//! Lemmas 1.5 and 1.6, plus the aggregation passes every fragment/tree algorithm uses).
+//! Forests and the upcast/downcast/relay/convergecast/broadcast primitives (paper
+//! §1.4.2, Lemmas 1.5 and 1.6, plus the aggregation passes every fragment/tree
+//! algorithm uses).
 //!
 //! * **Upcast** (Lemma 1.5): every node holds input items; all items flow to their
 //!   tree's root, each node forwarding one word to its parent per round.
 //! * **Downcast** (Lemma 1.6): roots hold addressed items; each item flows down the
 //!   unique root→destination path, one word per edge per round.
+//! * **Relay** ([`relay`]): a downcast, one hop across an edge and an upcast as one
+//!   schedule, each word moving on as soon as it arrives (Theorem 2.1's phase
+//!   transport).
 //! * **Convergecast** ([`convergecast`]): one value per node, folded bottom-up with a
 //!   caller-supplied combiner; each tree edge carries exactly one combined payload
 //!   (the MWOE search of GHS-style MST, subtree counting, …).
@@ -12,10 +16,11 @@
 //!   each tree edge carries the payload once (fragment-ID dissemination, "everyone
 //!   learn `n`", …).
 //!
-//! Upcast/downcast are executed as real packet schedules (via [`crate::router`]), so
-//! the returned metrics are realized costs, which the tests compare against the
-//! lemmas' bounds (`O(I_n/log n)` rounds / `O(d·I_n/log n)` messages for upcast over
-//! depth-`d` forests, `O(|M|+d)` rounds / `O(d·|M|)` messages for downcast).
+//! Upcast/downcast/relay are executed as real packet schedules (via
+//! [`crate::router`]), so the returned metrics are realized costs, which the tests
+//! compare against the lemmas' bounds (`O(I_n/log n)` rounds / `O(d·I_n/log n)`
+//! messages for upcast over depth-`d` forests, `O(|M|+d)` rounds / `O(d·|M|)`
+//! messages for downcast).
 //! Convergecast/broadcast use the obvious level-synchronous schedule (`depth·w`
 //! rounds, one `w`-word payload per tree edge) and charge exactly that.
 //!
@@ -269,6 +274,28 @@ pub fn downcast<P: Wire>(
     })
 }
 
+/// Relays one word per hop, a hop being an `(owner, edge)` pair with `edge`
+/// incident to `owner`, as one routed batch on `router`: each distinct owner's
+/// root sends one word down to it, in the round after that word arrives the
+/// owner sends it across each of its hop edges, and each far end forwards it up
+/// to its own root. Nothing waits for the other owners' words, so a hop word can
+/// be on its way up while downcast words are still on their way down. Messages
+/// and per-edge congestion are those of a [`downcast`] to the distinct owners,
+/// one per hop edge, and an [`upcast`] from the far ends; no hops cost nothing.
+///
+/// # Errors
+///
+/// [`EngineError::InvalidPath`] naming the first hop whose edge is not incident
+/// to its owner; [`EngineError::BatchTooLarge`] if the batch outgrows the
+/// router's index columns.
+pub fn relay(
+    router: &mut Router<'_>,
+    forest: &Forest,
+    hops: impl IntoIterator<Item = (NodeId, EdgeId)>,
+) -> Result<Metrics, EngineError> {
+    Ok(router.route_relay(forest, hops)?.metrics)
+}
+
 /// Fails with [`EngineError::BudgetExceeded`] if `used` exceeds a given budget
 /// (`None` = unlimited). The single budget-enforcement point: [`convergecast`]
 /// and [`broadcast`] go through it, and budgeted algorithms (e.g. the GHS MST)
@@ -511,7 +538,8 @@ mod tests {
     fn upcast_delivers_all_items() {
         let (g, f) = path_forest(5);
         let items: Vec<(NodeId, u64)> = (0..5).map(|i| (NodeId::new(i), i as u64 * 10)).collect();
-        let out = upcast(&mut Router::new(&g), &f, items).expect("upcast over a valid forest");
+        let out = upcast(&mut Router::new(&g).expect("a small graph"), &f, items)
+            .expect("upcast over a valid forest");
         assert_eq!(out.at_root.len(), 1);
         let got: Vec<u64> = out.at_root[0].iter().map(|d| d.payload).collect();
         let mut sorted = got.clone();
@@ -535,7 +563,8 @@ mod tests {
         let f = Forest::from_parents(&g, parent).expect("valid parent pointers");
         let items: Vec<(NodeId, Vec<u64>)> =
             (1..6).map(|i| (NodeId::new(i), vec![7u64; 3])).collect();
-        let out = upcast(&mut Router::new(&g), &f, items).expect("upcast over a valid forest");
+        let out = upcast(&mut Router::new(&g).expect("a small graph"), &f, items)
+            .expect("upcast over a valid forest");
         assert_eq!(out.metrics.messages, 15);
         assert_eq!(out.metrics.rounds, 3); // 3 words pipelined on disjoint edges
         assert_eq!(out.at_root[0].len(), 5);
@@ -546,7 +575,8 @@ mod tests {
         let (g, f) = path_forest(5);
         // Root sends one item to each node.
         let items: Vec<(NodeId, u64)> = (1..5).map(|i| (NodeId::new(i), i as u64)).collect();
-        let out = downcast(&mut Router::new(&g), &f, items).expect("downcast over a valid forest");
+        let out = downcast(&mut Router::new(&g).expect("a small graph"), &f, items)
+            .expect("downcast over a valid forest");
         for i in 1..5 {
             assert_eq!(out.at_node[i], vec![i as u64]);
         }
@@ -559,8 +589,12 @@ mod tests {
     #[test]
     fn downcast_to_root_is_free() {
         let (g, f) = path_forest(3);
-        let out = downcast(&mut Router::new(&g), &f, vec![(NodeId::new(0), 42u64)])
-            .expect("local downcast");
+        let out = downcast(
+            &mut Router::new(&g).expect("a small graph"),
+            &f,
+            vec![(NodeId::new(0), 42u64)],
+        )
+        .expect("local downcast");
         assert_eq!(out.at_node[0], vec![42]);
         assert_eq!(out.metrics.messages, 0);
         assert_eq!(out.metrics.rounds, 0);
@@ -580,11 +614,120 @@ mod tests {
         ];
         let f = Forest::from_parents(&g, parent).expect("valid parent pointers");
         let items = vec![(NodeId::new(2), 1u64), (NodeId::new(5), 2u64)];
-        let out = upcast(&mut Router::new(&g), &f, items).expect("upcast over a valid forest");
+        let out = upcast(&mut Router::new(&g).expect("a small graph"), &f, items)
+            .expect("upcast over a valid forest");
         assert_eq!(out.metrics.rounds, 2);
         assert_eq!(out.metrics.messages, 4);
         assert_eq!(out.at_root[0][0].payload, 1);
         assert_eq!(out.at_root[1][0].payload, 2);
+    }
+
+    /// Every node under the nearest of `roots` (BFS; ties to the earlier root),
+    /// and the hops an LDC's F-edges would give: per node, its first edge into
+    /// each other tree.
+    fn cells(g: &Graph, roots: &[usize]) -> (Forest, Vec<(NodeId, EdgeId)>) {
+        let mut parent = vec![None; g.n()];
+        let mut seen = vec![false; g.n()];
+        let mut queue: std::collections::VecDeque<NodeId> =
+            roots.iter().map(|&r| NodeId::new(r)).collect();
+        for &r in roots {
+            seen[r] = true;
+        }
+        while let Some(v) = queue.pop_front() {
+            for (_, u) in g.incident(v) {
+                if !seen[u.index()] {
+                    seen[u.index()] = true;
+                    parent[u.index()] = Some(v);
+                    queue.push_back(u);
+                }
+            }
+        }
+        let f = Forest::from_parents(g, parent).expect("a BFS forest");
+        let mut hops = Vec::new();
+        for v in g.nodes() {
+            let mut reached = vec![f.root_of(v)];
+            for (e, u) in g.incident(v) {
+                if !reached.contains(&f.root_of(u)) {
+                    reached.push(f.root_of(u));
+                    hops.push((v, e));
+                }
+            }
+        }
+        (f, hops)
+    }
+
+    #[test]
+    fn relay_is_a_downcast_hops_and_an_upcast_in_one_schedule() {
+        let instances = [
+            (generators::grid(12, 8), vec![0, 11, 40, 47, 50, 84, 90, 95]),
+            (generators::gnp_connected(60, 0.08, 5), vec![0, 1, 2, 3]),
+        ];
+        for (g, roots) in instances {
+            let (f, hops) = cells(&g, &roots);
+            let mut router = Router::new(&g).expect("a small graph");
+            let relayed = relay(&mut router, &f, hops.iter().copied()).expect("hops leave owners");
+            // The three steps one after another: one word down to each owner,
+            // one round across the hop edges, an upcast from their far ends.
+            let mut owners: Vec<(NodeId, u64)> = Vec::new();
+            for &(v, _) in &hops {
+                if !owners.iter().any(|&(o, _)| o == v) {
+                    owners.push((v, 1));
+                }
+            }
+            let far_ends = hops.iter().map(|&(v, e)| {
+                let (a, b) = g.endpoints(e);
+                (if a == v { b } else { a }, 1u64)
+            });
+            let down = downcast(&mut router, &f, owners).expect("downcast").metrics;
+            let up = upcast(&mut router, &f, far_ends.collect())
+                .expect("upcast")
+                .metrics;
+            let mut steps = down.clone();
+            for &(_, e) in &hops {
+                steps.add_messages(e, 1);
+            }
+            steps.merge_sequential(&up);
+            assert_eq!(relayed.messages, steps.messages);
+            assert_eq!(relayed.congestion(), steps.congestion());
+            assert!(down.rounds.max(up.rounds) <= relayed.rounds);
+            assert!(
+                relayed.rounds < down.rounds + 1 + up.rounds,
+                "{} rounds against {} + 1 + {}",
+                relayed.rounds,
+                down.rounds,
+                up.rounds
+            );
+        }
+    }
+
+    #[test]
+    fn relay_of_no_hops_costs_nothing() {
+        let (g, f) = path_forest(4);
+        let out = relay(&mut Router::new(&g).expect("a small graph"), &f, []).expect("no hops");
+        assert_eq!(out, Metrics::new(g.m()));
+    }
+
+    #[test]
+    fn relay_rejects_a_hop_off_its_owner_and_stays_usable() {
+        let (g, f) = path_forest(4);
+        let e = |u: usize, v: usize| g.edge_between(NodeId::new(u), NodeId::new(v)).unwrap();
+        let mut router = Router::new(&g).expect("a small graph");
+        let good = [(NodeId::new(2), e(2, 3)), (NodeId::new(1), e(1, 2))];
+        let want = relay(&mut router, &f, good).expect("hops leave owners");
+        let bad = [good[0], (NodeId::new(0), e(2, 3)), good[1]];
+        let err = relay(&mut router, &f, bad).unwrap_err();
+        assert_eq!(err, EngineError::InvalidPath { task: 1 });
+        let out_of_range = [(NodeId::new(0), EdgeId::new(g.m()))];
+        let err = relay(&mut router, &f, out_of_range).unwrap_err();
+        assert_eq!(err, EngineError::InvalidPath { task: 0 });
+        assert_eq!(
+            relay(&mut router, &f, good).expect("hops leave owners"),
+            want
+        );
+        // Both words are down by round 2; both hop words cross in round 3, and
+        // the one from 3 climbs behind the one from 2, reaching the root in
+        // round 6. Messages: (2 + 1) down, 2 hops, (3 + 2) up.
+        assert_eq!((want.rounds, want.messages), (6, 3 + 2 + 5));
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! and `due` table and the runner's sender buffer are reused the same way.
 //! The routing workspace keeps the same promise one level up: a warm
 //! [`Router`] allocates only the report and outcome it returns, so an
-//! `upcast` / `downcast` costs the same number of allocations on a 20 000-edge
-//! graph as on a 1 000-edge one, however many rounds the schedule takes.
+//! `upcast` / `downcast` / `relay` costs the same number of allocations on a
+//! 20 000-edge graph as on a 1 000-edge one, however many rounds the schedule
+//! takes.
 //! This is the property that makes the engine viable at n = 10⁵–10⁶, and it
 //! can rot silently (one stray `Vec::new()` in the round path brings the
 //! allocator back); this harness pins it with a counting
@@ -27,7 +28,7 @@
 //! harness threads are quiescent (this binary has exactly one `#[test]`).
 
 use congest_engine::{
-    downcast, run_bcongest, upcast, BcongestAlgorithm, ExecutorConfig, FlatPlane, Forest,
+    downcast, relay, run_bcongest, upcast, BcongestAlgorithm, ExecutorConfig, FlatPlane, Forest,
     LocalView, Metrics, Router, RunOptions, Wire,
 };
 use congest_graph::{generators, reference, EdgeId, Graph, NodeId};
@@ -67,6 +68,7 @@ fn steady_state_rounds_allocate_nothing() {
     flat_rounds_allocate_nothing();
     runner_rounds_allocate_nothing();
     warm_tree_casts_allocate_only_what_they_return();
+    warm_relays_allocate_only_what_they_return();
 }
 
 fn flat_rounds_allocate_nothing() {
@@ -263,7 +265,7 @@ impl Wire for Words {
 fn warm_cast_allocs(g: &Graph, words: usize) -> (u64, u64) {
     let forest = Forest::from_parents(g, reference::bfs_tree(g, NodeId::new(0))).expect("BFS tree");
     let items: Vec<(NodeId, Words)> = (1..=32).map(|v| (NodeId::new(v), Words(words))).collect();
-    let mut router = Router::new(g);
+    let mut router = Router::new(g).expect("a small graph");
     let mut cast = |up_items, down_items| {
         let before = allocs();
         let up = upcast(&mut router, &forest, up_items).expect("upcast");
@@ -297,6 +299,46 @@ fn warm_tree_casts_allocate_only_what_they_return() {
         small_allocs <= 48,
         "{small_allocs} allocations per warm cast pair"
     );
+    assert_eq!(
+        small_allocs,
+        large_allocs,
+        "{} vs {} edges",
+        small.m(),
+        large.m()
+    );
+    assert_eq!(
+        large_allocs, long_allocs,
+        "{short_rounds} vs {long_rounds} rounds"
+    );
+}
+
+/// Allocations and routed rounds of one `relay` from nodes `1..=owners` of
+/// `g`'s BFS tree from node 0, each over all its incident edges, on a `Router`
+/// that has already run that very batch.
+fn warm_relay_allocs(g: &Graph, owners: usize) -> (u64, u64) {
+    let forest = Forest::from_parents(g, reference::bfs_tree(g, NodeId::new(0))).expect("BFS tree");
+    let hops: Vec<(NodeId, EdgeId)> = (1..=owners)
+        .map(NodeId::new)
+        .flat_map(|v| g.incident(v).map(move |(e, _)| (v, e)))
+        .collect();
+    let mut router = Router::new(g).expect("a small graph");
+    relay(&mut router, &forest, hops.iter().copied()).expect("hops leave owners");
+    let before = allocs();
+    let metrics = relay(&mut router, &forest, hops.iter().copied()).expect("hops leave owners");
+    (allocs() - before, metrics.rounds)
+}
+
+/// A warm relay allocates its `Metrics` and the report's completion rounds:
+/// the prerequisite, dependents and per-owner columns are reused like the
+/// rest of the workspace, whatever `m` is and however long the schedule runs.
+fn warm_relays_allocate_only_what_they_return() {
+    let small = generators::gnp_connected(200, 0.05, 11);
+    let large = generators::sparse_connected(5_000, 15_050, 11);
+    let (small_allocs, _) = warm_relay_allocs(&small, 32);
+    let (large_allocs, short_rounds) = warm_relay_allocs(&large, 32);
+    let (long_allocs, long_rounds) = warm_relay_allocs(&large, 640);
+    assert!(long_rounds > 4 * short_rounds);
+    assert_eq!(small_allocs, 2, "allocations per warm relay");
     assert_eq!(
         small_allocs,
         large_allocs,

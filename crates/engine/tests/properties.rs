@@ -1,8 +1,9 @@
 //! Property-based tests for the execution engine: routing always delivers, tree
 //! operations deliver everything exactly once, capacity is respected, the
 //! arena `Router` reproduces the `VecDeque` scheduler it replaced report for
-//! report (fresh, reused, over forests, and after a rejected batch), the
-//! accounting invariants hold for arbitrary inputs, a run is identical —
+//! report (fresh, reused, over forests, as a relay whose hop words wait for
+//! their owner's word, and after a rejected batch), the accounting invariants
+//! hold for arbitrary inputs, a run is identical —
 //! outputs and `Metrics` — at every thread count, the event-driven round loop
 //! equals, in both models, one that polls every node every round (with and
 //! without faults), and the packed wire codec of the message plane round-trips
@@ -12,14 +13,16 @@ use congest_algos::{bfs::Bfs, bfs_collection::BfsCollection};
 use congest_engine::faults::FaultState;
 use congest_engine::router::{RouteReport, RouteTask};
 use congest_engine::{
-    downcast, router, run_bcongest, run_congest, treeops::Forest, upcast, BcongestAlgorithm,
+    downcast, relay, router, run_bcongest, run_congest, treeops::Forest, upcast, BcongestAlgorithm,
     CongestAlgorithm, EngineError, ExecutorConfig, FaultEvent, FaultPlan, FaultResponse, LocalView,
     Metrics, Router, RunOptions, Wire, WireDecode, WireEncode,
 };
 use congest_graph::{generators, reference, rng, EdgeId, Graph, NodeId};
 use proptest::prelude::*;
 use rand::Rng;
-use std::collections::VecDeque;
+
+mod reference_scheduler;
+use reference_scheduler::{assert_same_report, random_batch, reference_route};
 
 /// Encode → decode round-trip, plus the accounting agreement: the packed
 /// width is the constant `LANES` while the model-level cost `words()` must
@@ -36,154 +39,6 @@ fn codec_roundtrip<T: WireDecode>(v: T) -> Result<(), TestCaseError> {
 fn bfs_forest(g: &congest_graph::Graph, root: usize) -> Forest {
     let parents = reference::bfs_tree(g, NodeId::new(root));
     Forest::from_parents(g, parents).expect("BFS tree is a forest")
-}
-
-/// The scheduler [`Router`] replaced, kept as its reference: one `VecDeque` per
-/// directed edge, every table rebuilt per call, each hop an `edge_between`
-/// search. Packets are injected in task order one per word; a round sends the
-/// head of every active queue in `active` order, keeps the still-non-empty
-/// edges first, then enqueues the arrivals in send order.
-fn reference_route(g: &Graph, tasks: &[RouteTask]) -> Result<RouteReport, EngineError> {
-    // Directed edge index: 2*e for canonical u->v, 2*e+1 for v->u.
-    let mut seqs: Vec<Vec<usize>> = Vec::with_capacity(tasks.len());
-    for (task, t) in tasks.iter().enumerate() {
-        let mut seq = Vec::new();
-        for w in t.path.windows(2) {
-            let e = g
-                .edge_between(w[0], w[1])
-                .ok_or(EngineError::InvalidPath { task })?;
-            seq.push(2 * e.index() + usize::from(g.endpoints(e).0 != w[0]));
-        }
-        seqs.push(seq);
-    }
-
-    let mut metrics = Metrics::new(g.m());
-    let mut completion = vec![0u64; tasks.len()];
-    let dilation = seqs.iter().map(Vec::len).max().unwrap_or(0);
-
-    let mut planned = vec![0u64; 2 * g.m()];
-    for (t, seq) in tasks.iter().zip(&seqs) {
-        for &d in seq {
-            planned[d] += t.words as u64;
-        }
-    }
-    let congestion = planned.iter().copied().max().unwrap_or(0);
-
-    // Packet = (task, hop index next to traverse). Each word is its own packet.
-    let mut queues: Vec<VecDeque<(usize, usize)>> = vec![VecDeque::new(); 2 * g.m()];
-    let mut is_active = vec![false; 2 * g.m()];
-    let mut active: Vec<usize> = Vec::new();
-    let mut outstanding: Vec<usize> = tasks.iter().map(|t| t.words).collect();
-    let mut remaining_packets = 0usize;
-    for (i, (t, seq)) in tasks.iter().zip(&seqs).enumerate() {
-        if seq.is_empty() || t.words == 0 {
-            outstanding[i] = 0;
-            continue;
-        }
-        for _ in 0..t.words {
-            queues[seq[0]].push_back((i, 0));
-            remaining_packets += 1;
-        }
-        if !is_active[seq[0]] {
-            is_active[seq[0]] = true;
-            active.push(seq[0]);
-        }
-    }
-
-    let mut round: u64 = 0;
-    while remaining_packets > 0 {
-        round += 1;
-        let mut arrivals: Vec<(usize, usize)> = Vec::with_capacity(active.len());
-        let mut survivors: Vec<usize> = Vec::with_capacity(active.len());
-        for &d in &active {
-            let (task, hop) = queues[d].pop_front().expect("active queues are non-empty");
-            metrics.add_messages(EdgeId::new(d / 2), 1);
-            arrivals.push((task, hop + 1));
-            if queues[d].is_empty() {
-                is_active[d] = false;
-            } else {
-                survivors.push(d);
-            }
-        }
-        active = survivors;
-        for (task, hop) in arrivals {
-            if hop == seqs[task].len() {
-                outstanding[task] -= 1;
-                remaining_packets -= 1;
-                if outstanding[task] == 0 {
-                    completion[task] = round;
-                }
-            } else {
-                let d = seqs[task][hop];
-                queues[d].push_back((task, hop));
-                if !is_active[d] {
-                    is_active[d] = true;
-                    active.push(d);
-                }
-            }
-        }
-    }
-    metrics.rounds = round;
-
-    Ok(RouteReport {
-        metrics,
-        completion_round: completion,
-        dilation,
-        congestion,
-    })
-}
-
-/// Every field of the two reports, the per-edge congestion vector included
-/// (`Metrics: PartialEq` compares it).
-fn assert_same_report(got: &RouteReport, want: &RouteReport) -> Result<(), TestCaseError> {
-    prop_assert_eq!(&got.metrics, &want.metrics);
-    prop_assert_eq!(&got.completion_round, &want.completion_round);
-    prop_assert_eq!(got.dilation, want.dilation);
-    prop_assert_eq!(got.congestion, want.congestion);
-    Ok(())
-}
-
-/// A random walk of `hops` hops from `from` (it may revisit nodes and edges).
-fn random_walk(g: &Graph, r: &mut impl Rng, from: NodeId, hops: usize) -> Vec<NodeId> {
-    let mut path = vec![from];
-    for _ in 0..hops {
-        let nbrs = g.neighbors(*path.last().expect("non-empty"));
-        path.push(nbrs[r.random_range(0..nbrs.len())]);
-    }
-    path
-}
-
-/// `k` random tasks over connected `g` (n ≥ 2), words in `0..=5`: random walks
-/// of 0..=7 hops (0 hops = a single-node path), mixed with the shapes the FIFO
-/// order is sensitive to — walks that all start across one shared edge, and
-/// the same edge crossed in the opposite direction.
-fn random_batch(g: &Graph, r: &mut impl Rng, k: usize) -> Vec<RouteTask> {
-    let (a, b) = g.endpoints(EdgeId::new(r.random_range(0..g.m())));
-    (0..k)
-        .map(|_| {
-            let hops = r.random_range(0..=7usize);
-            let path = match r.random_range(0..4u32) {
-                0 => {
-                    let mut p = vec![a];
-                    p.extend(random_walk(g, r, b, hops));
-                    p
-                }
-                1 => {
-                    let mut p = vec![b];
-                    p.extend(random_walk(g, r, a, hops));
-                    p
-                }
-                _ => {
-                    let from = NodeId::new(r.random_range(0..g.n()));
-                    random_walk(g, r, from, hops)
-                }
-            };
-            RouteTask {
-                path,
-                words: r.random_range(0..=5usize),
-            }
-        })
-        .collect()
 }
 
 /// A payload of a chosen size in words (zero included), told apart by `tag`.
@@ -603,7 +458,7 @@ proptest! {
             path.reverse();
             tasks.push(RouteTask { path, words: 1 + i % 3 });
         }
-        let report = Router::new(&g).route(&tasks).unwrap();
+        let report = Router::new(&g).expect("a small graph").route(&tasks).unwrap();
         // Everything arrives, messages = Σ words · pathlen.
         let want: usize = tasks
             .iter()
@@ -626,7 +481,7 @@ proptest! {
             words: 1,
         };
         let tasks = vec![t; k];
-        let report = Router::new(&g).route(&tasks).unwrap();
+        let report = Router::new(&g).expect("a small graph").route(&tasks).unwrap();
         prop_assert_eq!(report.metrics.rounds, k as u64);
         let _ = seed;
     }
@@ -636,7 +491,7 @@ proptest! {
         let g = generators::gnp_connected(20, 0.2, seed);
         let f = bfs_forest(&g, 0);
         let items: Vec<(NodeId, u64)> = g.nodes().map(|v| (v, v.index() as u64)).collect();
-        let out = upcast(&mut Router::new(&g), &f, items).unwrap();
+        let out = upcast(&mut Router::new(&g).expect("a small graph"), &f, items).unwrap();
         let mut got: Vec<u64> = out.at_root[0].iter().map(|d| d.payload).collect();
         got.sort_unstable();
         let want: Vec<u64> = (0..g.n() as u64).collect();
@@ -652,7 +507,8 @@ proptest! {
         let f = bfs_forest(&g, 0);
         let items: Vec<(NodeId, u64)> =
             (0..k).map(|i| (NodeId::new((i * 7 + 1) % g.n()), i as u64)).collect();
-        let out = downcast(&mut Router::new(&g), &f, items.clone()).unwrap();
+        let mut router = Router::new(&g).expect("a small graph");
+        let out = downcast(&mut router, &f, items.clone()).unwrap();
         for (dest, payload) in items {
             prop_assert!(out.at_node[dest.index()].contains(&payload));
         }
@@ -726,7 +582,7 @@ proptest! {
         let g = generators::gnp_connected(16, 0.3, seed);
         let f = bfs_forest(&g, 0);
         let items: Vec<(NodeId, u64)> = g.nodes().map(|v| (v, 1u64)).collect();
-        let out = upcast(&mut Router::new(&g), &f, items).unwrap();
+        let out = upcast(&mut Router::new(&g).expect("a small graph"), &f, items).unwrap();
         let in_words = g.n() as u64;
         prop_assert!(out.metrics.rounds <= in_words + u64::from(f.depth()));
     }
@@ -743,8 +599,50 @@ proptest! {
                                               k in 0usize..40) {
         let g = generators::gnp_connected(n, 0.2, seed);
         let tasks = random_batch(&g, &mut rng::seeded(seed), k);
-        let got = Router::new(&g).route(&tasks).expect("walks are valid paths");
-        assert_same_report(&got, &reference_route(&g, &tasks).expect("reference"))?;
+        let mut router = Router::new(&g).expect("a small graph");
+        let got = router.route(&tasks).expect("walks are valid paths");
+        assert_same_report(&got, &reference_route(&g, &tasks, &[]).expect("reference"))?;
+    }
+
+    #[test]
+    fn relay_matches_the_reference_with_prerequisites(seed in 0u64..4000, n in 2usize..24,
+                                                      k in 0usize..40) {
+        let g = generators::gnp_connected(n, 0.2, seed);
+        let mut r = rng::seeded(seed);
+        let f = random_forest(&g, &mut r);
+        // Hops across random edges, tree edges included, from either end.
+        let hops: Vec<(NodeId, EdgeId)> = (0..k)
+            .map(|_| {
+                let e = EdgeId::new(r.random_range(0..g.m()));
+                let (a, b) = g.endpoints(e);
+                (if r.random_range(0..2u32) == 0 { a } else { b }, e)
+            })
+            .collect();
+        // The same batch as route tasks: at an owner's first hop, one word from
+        // its root down to it; per hop, one word across the hop and up the far
+        // end's tree path, released by the owner's word.
+        let (mut tasks, mut after) = (Vec::new(), Vec::new());
+        let mut word_of = vec![None; g.n()];
+        for &(owner, e) in &hops {
+            let word = *word_of[owner.index()].get_or_insert_with(|| {
+                let mut path = f.path_to_root(owner);
+                path.reverse();
+                tasks.push(RouteTask { path, words: 1 });
+                after.push(None);
+                tasks.len() - 1
+            });
+            let (a, b) = g.endpoints(e);
+            let mut path = vec![owner];
+            path.extend(f.path_to_root(if a == owner { b } else { a }));
+            tasks.push(RouteTask { path, words: 1 });
+            after.push(Some(word));
+        }
+        let want = reference_route(&g, &tasks, &after).expect("hops and tree paths are walks");
+        let mut router = Router::new(&g).expect("a small graph");
+        for _ in 0..2 {
+            let got = relay(&mut router, &f, hops.iter().copied()).expect("hops leave owners");
+            prop_assert_eq!(&got, &want.metrics);
+        }
     }
 
     #[test]
@@ -777,9 +675,9 @@ proptest! {
             idx.sort_by_key(|&i| want.completion_round[i]);
             idx
         };
-        let mut router = Router::new(&g);
+        let mut router = Router::new(&g).expect("a small graph");
 
-        let want = reference_route(&g, &tasks(false)).expect("root paths are walks");
+        let want = reference_route(&g, &tasks(false), &[]).expect("root paths are walks");
         let up = upcast(&mut router, &f, items.clone()).expect("upcast");
         prop_assert_eq!(&up.metrics, &want.metrics);
         for (slot, &root) in f.roots().iter().enumerate() {
@@ -790,7 +688,7 @@ proptest! {
             }
         }
 
-        let want = reference_route(&g, &tasks(true)).expect("root paths are walks");
+        let want = reference_route(&g, &tasks(true), &[]).expect("root paths are walks");
         let down = downcast(&mut router, &f, items.clone()).expect("downcast");
         prop_assert_eq!(&down.metrics, &want.metrics);
         for v in g.nodes() {
@@ -804,12 +702,13 @@ proptest! {
     fn a_reused_router_equals_fresh_ones(seed in 0u64..4000, n in 2usize..20) {
         let g = generators::gnp_connected(n, 0.25, seed);
         let mut r = rng::seeded(seed);
-        let mut reused = Router::new(&g);
+        let mut reused = Router::new(&g).expect("a small graph");
         for _ in 0..50 {
             let k = r.random_range(0..24usize);
             let tasks = random_batch(&g, &mut r, k);
             let got = reused.route(&tasks).expect("walks are valid paths");
-            assert_same_report(&got, &Router::new(&g).route(&tasks).expect("fresh"))?;
+            let mut fresh = Router::new(&g).expect("a small graph");
+            assert_same_report(&got, &fresh.route(&tasks).expect("fresh"))?;
         }
     }
 
@@ -825,14 +724,15 @@ proptest! {
         bad[first] = jump.clone();
         bad[r.random_range(first + 1..k)] = jump;
 
-        let mut router = Router::new(&g);
+        let mut router = Router::new(&g).expect("a small graph");
         let warm = random_batch(&g, &mut r, k);
         router.route(&warm).expect("walks are valid paths");
         prop_assert_eq!(router.route(&bad).unwrap_err(), EngineError::InvalidPath { task: first });
-        prop_assert_eq!(reference_route(&g, &bad).unwrap_err(),
+        prop_assert_eq!(reference_route(&g, &bad, &[]).unwrap_err(),
                         EngineError::InvalidPath { task: first });
         let next = random_batch(&g, &mut r, k);
         let got = router.route(&next).expect("walks are valid paths");
-        assert_same_report(&got, &Router::new(&g).route(&next).expect("fresh"))?;
+        let mut fresh = Router::new(&g).expect("a small graph");
+        assert_same_report(&got, &fresh.route(&next).expect("fresh"))?;
     }
 }
