@@ -12,12 +12,13 @@ use congest_algos::matching_bipartite::BipartiteMatching;
 use congest_algos::mis::LubyMis;
 use congest_decomp::cover::NeighborhoodCover;
 use congest_decomp::ensemble::{cluster_edge_frequency, Ensemble};
-use congest_decomp::ldc::build_ldc;
+use congest_decomp::ldc::{build_ldc, LdcDecomposition};
 use congest_decomp::pruning::{max_proper_subtree, prune};
 use congest_decomp::spanner::{measured_stretch, spanner_edges};
 use congest_decomp::Hierarchy;
 use congest_engine::{run_bcongest, run_bcongest_observed, RunOptions};
-use congest_graph::{generators, NodeId, WeightedGraph};
+use congest_graph::reference::bfs_distances;
+use congest_graph::{generators, induced_subgraph_same_ids, Graph, NodeId, WeightedGraph};
 
 fn ln(n: usize) -> f64 {
     (n.max(2) as f64).ln()
@@ -117,6 +118,9 @@ pub fn e_t2_1(n: usize, seed: u64) -> Table {
             "|F|",
             "max F-deg",
             "depth",
+            "largest",
+            "MPX center deg",
+            "used center deg",
             "B_A",
             "In+Out (words)",
             "msgs (sim)",
@@ -141,6 +145,7 @@ pub fn e_t2_1(n: usize, seed: u64) -> Table {
         sim: apsp_core::simulate::SimulationRun<O>,
     ) {
         let ldc = build_ldc(g, seed).expect("ldc");
+        let (largest, mpx_degree, used_degree) = largest_cluster_centers(g, &ldc);
         let inout = (sim.input_words + sim.output_words) as f64;
         let denom = inout + sim.simulated_broadcasts as f64;
         let ta = sim.simulated_rounds.max(1) as f64;
@@ -151,6 +156,9 @@ pub fn e_t2_1(n: usize, seed: u64) -> Table {
             ldc.all_f_edges().count().to_string(),
             ldc.max_f_degree().to_string(),
             ldc.clustering.max_depth().to_string(),
+            largest.to_string(),
+            mpx_degree.to_string(),
+            used_degree.to_string(),
             sim.simulated_broadcasts.to_string(),
             format!("{}", sim.input_words + sim.output_words),
             sim.metrics.messages.to_string(),
@@ -198,7 +206,46 @@ pub fn e_t2_1(n: usize, seed: u64) -> Table {
     push(&mut t, "ako-matching", &bip, &gb, seed, ako.expect("ako"));
     t.note("msgs/(In+Out+B) is the Theorem 2.1 polylog factor; rounds/(T_A·n) its round overhead");
     t.note("phase rounds = total − preprocessing: the phases plus the output downcast");
+    t.note("largest = the largest cluster's size; its MPX center's and its used center's cluster degrees differ where §2.2 step 2b re-elected the center");
+    t.note("against the MPX center at the full size (n = 40), re-election takes caveman(32, 4) from 87 434 messages / 8 399 rounds to 70 120 / 5 401; the gnp(40, 0.3) and bipartite rows pay +11…+20 % messages for −16…−29 % rounds, because the trial BFS costs two words per cluster edge, O(m), against a tiny payload");
     t
+}
+
+/// The largest cluster's size, its MPX center's cluster degree, and the
+/// cluster degree of the center Theorem 2.1 casts from: step 2b moves it to
+/// the best-connected member (ties to the smaller id) when that member beats
+/// the MPX center and its BFS tree of the cluster is no deeper.
+fn largest_cluster_centers(g: &Graph, ldc: &LdcDecomposition) -> (usize, usize, usize) {
+    let clustering = &ldc.clustering;
+    let (center, members) = clustering
+        .clusters
+        .iter()
+        .max_by_key(|(_, members)| members.len())
+        .expect("a non-empty graph");
+    let mut in_cluster = vec![false; g.n()];
+    for v in members {
+        in_cluster[v.index()] = true;
+    }
+    let degree = |v: NodeId| {
+        g.neighbors(v)
+            .iter()
+            .filter(|u| in_cluster[u.index()])
+            .count()
+    };
+    let hub = members
+        .iter()
+        .copied()
+        .max_by_key(|&v| (degree(v), std::cmp::Reverse(v)))
+        .expect("clusters are non-empty");
+    let sub = induced_subgraph_same_ids(g, &in_cluster);
+    let hub_depth = bfs_distances(&sub, hub).into_iter().flatten().max();
+    let mpx_depth = members.iter().map(|v| clustering.depth[v.index()]).max();
+    let used = if degree(hub) > degree(*center) && hub_depth <= mpx_depth {
+        hub
+    } else {
+        *center
+    };
+    (members.len(), degree(*center), degree(used))
 }
 
 /// E-L2.4 — Lemma 2.4: LDC decomposition quality across graph families.

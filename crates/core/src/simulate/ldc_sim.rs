@@ -4,9 +4,13 @@
 //! Preprocessing: leader election + node count (§2.2 step 1), an
 //! `(O(log n), O(log n))`-LDC decomposition (step 2), and an upcast of every node's
 //! input to its cluster center (step 3) — after which each center replicates its
-//! members' state machines. Step 3b: knowing its members' edge lists, each center
-//! re-parents its cluster tree so its branches balance (same depths, same cast
-//! messages; `balance_branches`), and every later cast runs over that tree.
+//! members' state machines. Step 2b, before the upcast: each cluster elects the
+//! member with the most cluster neighbours and, if it beats the MPX center and its
+//! BFS tree of the cluster is no deeper, roots the cluster there
+//! (`reelect_centers`); step 3 and everything after run over the forest it
+//! returns. Step 3b: knowing its members' edge lists, each center re-parents its
+//! cluster tree so its branches balance (same depths, same cast messages;
+//! `balance_branches`), and every later cast runs over that tree.
 //!
 //! Each phase `p` simulates round `p` of the payload: centers compute member
 //! broadcasts locally and **downcast** one word to each broadcaster with an F-edge
@@ -33,7 +37,7 @@ use congest_engine::{
     downcast, relay, run_bcongest_over, upcast, BcongestAlgorithm, EngineError, Forest, Metrics,
     Router,
 };
-use congest_graph::{Graph, NodeId};
+use congest_graph::{rng, Graph, NodeId};
 
 /// Options for the Theorem 2.1 simulation.
 #[derive(Clone, Debug, Default)]
@@ -86,7 +90,11 @@ pub(crate) fn simulate_over_ldc<A: BcongestAlgorithm>(
     let setup = setup_network_with(g, opts.seed, &opts.exec)?;
     metrics.merge_sequential(&setup.metrics);
     metrics.merge_sequential(&ldc.metrics);
-    let forest: Forest = ldc.clustering.forest(g)?;
+    // Step 2b: each cluster re-elects its center at its best-connected member
+    // when that member's BFS tree is no deeper; every later cast runs over the
+    // forest it returns.
+    let (forest, reelection) = reelect_centers(g, ldc.clustering.forest(g)?, opts.seed)?;
+    metrics.merge_sequential(&reelection);
 
     // Step 3: upcast every node's input (its incident edge list) to its center.
     let mut router = Router::new(g)?;
@@ -157,14 +165,127 @@ pub(crate) fn simulate_over_ldc<A: BcongestAlgorithm>(
     Ok(SimulationRun::assemble(payload, metrics, preprocessing))
 }
 
+/// §2.2 step 2b: every cluster elects the member with the most cluster
+/// neighbours (ties to the smaller id) and, if it has strictly more than the
+/// MPX center and its BFS tree of the cluster is no deeper than MPX's, adopts
+/// that tree. Clusters run in parallel on disjoint edges, so the step costs the
+/// slowest cluster's rounds and every cluster's messages. Per cluster:
+/// 1. *elect*: a max-convergecast of `(cluster degree, smaller id)` up the MPX
+///    tree and a broadcast of the winner (and whether it beats the center)
+///    back down: one word each way per tree edge, `2 × depth` rounds;
+/// 2. *trial*, only where the winner beats the center: a BFS from it inside
+///    the cluster, `trial depth + 1` rounds. A member at depth `d` hears from
+///    all its cluster neighbours at depth `d − 1` in round `d`, picks its parent
+///    among them — the one with the smallest `rng::derive` hash of `(seed,
+///    member, candidate)`, since a first-discoverer or smallest-id parent piles
+///    the step-3 upcast onto one branch — and in round `d + 1` sends one word,
+///    its depth and that parent's id, to each cluster neighbour. The parent
+///    learns its child from the word it gets anyway;
+/// 3. *guard*: a max-convergecast of the trial depths up the trial tree and a
+///    one-word verdict back down, `2 × trial depth` rounds. A trial tree
+///    deeper than MPX's is dropped, and its messages stay charged.
+fn reelect_centers(g: &Graph, forest: Forest, seed: u64) -> Result<(Forest, Metrics), EngineError> {
+    let n = g.n();
+    let trees = &forest;
+    let cluster_neighbors = |v: NodeId| {
+        let root = trees.root_of(v);
+        g.incident(v)
+            .filter(move |&(_, u)| trees.root_of(u) == root)
+    };
+    let degree: Vec<usize> = g.nodes().map(|v| cluster_neighbors(v).count()).collect();
+    let mut charge = Metrics::new(g.m());
+    // Per root: its cluster's winner and MPX depth. Elect charges two words
+    // per tree edge.
+    let mut winner: Vec<Option<NodeId>> = vec![None; n];
+    let mut mpx_depth = vec![0u32; n];
+    for v in g.nodes() {
+        let (r, d) = (forest.root_of(v).index(), forest.depth_of(v));
+        mpx_depth[r] = mpx_depth[r].max(d);
+        if winner[r].is_none_or(|w| degree[v.index()] > degree[w.index()]) {
+            winner[r] = Some(v);
+        }
+        if let Some(e) = forest.parent_edge(v) {
+            charge.add_messages(e, 2);
+        }
+    }
+    let fires = |r: NodeId| winner[r.index()].filter(|w| degree[w.index()] > degree[r.index()]);
+
+    // The trial BFS of every firing cluster at once (clusters are disjoint).
+    let mut trial_depth = vec![u32::MAX; n];
+    let mut queue: std::collections::VecDeque<NodeId> =
+        forest.roots().iter().filter_map(|&r| fires(r)).collect();
+    for w in &queue {
+        trial_depth[w.index()] = 0;
+    }
+    while let Some(v) = queue.pop_front() {
+        for (e, u) in cluster_neighbors(v) {
+            // `v`'s one word to each cluster neighbour.
+            charge.add_messages(e, 1);
+            if trial_depth[u.index()] == u32::MAX {
+                trial_depth[u.index()] = trial_depth[v.index()] + 1;
+                queue.push_back(u);
+            }
+        }
+    }
+    let mut trial_parent: Vec<Option<NodeId>> = vec![None; n];
+    let mut trial_max = vec![0u32; n];
+    let key = |v: NodeId, u: NodeId| {
+        rng::derive(
+            rng::derive(rng::derive(seed, 0x7472_6565), v.index() as u64),
+            u.index() as u64,
+        )
+    };
+    for v in g.nodes().filter(|&v| trial_depth[v.index()] != u32::MAX) {
+        let d = trial_depth[v.index()];
+        let r = forest.root_of(v).index();
+        trial_max[r] = trial_max[r].max(d);
+        if d == 0 {
+            continue;
+        }
+        let (e, p) = cluster_neighbors(v)
+            .filter(|&(_, u)| trial_depth[u.index()] + 1 == d)
+            .min_by_key(|&(_, u)| key(v, u))
+            .expect("a BFS member has a neighbour one level up");
+        trial_parent[v.index()] = Some(p);
+        // The guard's convergecast word and its verdict word.
+        charge.add_messages(e, 2);
+    }
+
+    // Per root: whether its cluster adopts the trial tree.
+    let mut adopt = vec![false; n];
+    for &r in forest.roots() {
+        let (elect, trial) = (mpx_depth[r.index()], trial_max[r.index()]);
+        let fired = fires(r).is_some();
+        // Elect's two casts; the trial's wave and the guard's two casts.
+        let rounds = 2 * elect + if fired { (trial + 1) + 2 * trial } else { 0 };
+        charge.rounds = charge.rounds.max(u64::from(rounds));
+        adopt[r.index()] = fired && trial <= elect;
+    }
+    if !adopt.contains(&true) {
+        return Ok((forest, charge));
+    }
+    let parent = g
+        .nodes()
+        .map(|v| {
+            if adopt[forest.root_of(v).index()] {
+                trial_parent[v.index()]
+            } else {
+                forest.parent(v)
+            }
+        })
+        .collect();
+    Ok((Forest::from_parents(g, parent)?, charge))
+}
+
 /// §2.2 step 3b: every center re-parents its cluster tree to balance the
 /// branches (the subtrees under its children), and pays for telling the members.
 ///
 /// Every member keeps its depth; its parent becomes a cluster neighbor one level
 /// closer to the center. Members are visited by `(depth, id)`: a depth-1 member
 /// heads its own branch, a deeper one joins the eligible parent whose branch has
-/// the fewest members so far (ties to the smaller id). MPX's trees are BFS trees
-/// of their clusters, so the old parent is always eligible and a cast over the
+/// the fewest members so far (ties to the smaller id). Step 2b's trees (MPX's or
+/// a re-elected center's) are BFS trees of their clusters, so the old parent is
+/// always eligible and a cast over the
 /// returned forest costs the same messages as over `forest`. A cluster adopts its
 /// new tree only if its heaviest branch gets strictly lighter; otherwise it keeps
 /// the old one and is charged nothing. The charge: the center downcasts one word
@@ -285,6 +406,73 @@ mod tests {
         forest.roots().iter().map(|r| heaviest[r.index()]).collect()
     }
 
+    /// The forest `simulate_over_ldc` casts over: step 2b, then step 3b.
+    fn cast_forest(router: &mut Router<'_>, ldc: &LdcDecomposition, seed: u64) -> Forest {
+        let g = router.graph();
+        let (forest, _) = reelect_centers(g, ldc.clustering.forest(g).unwrap(), seed).unwrap();
+        balance_branches(router, forest).unwrap().0
+    }
+
+    #[test]
+    fn reelection_moves_the_center_to_the_hub() {
+        // MPX's center 0 has cluster neighbours 1 and 2; hub 1 is adjacent to
+        // every other member, whose words all cross the edge 0 - 1.
+        let mut edges = vec![(0, 1), (0, 2), (1, 2)];
+        edges.extend((3..10).map(|v| (1, v)));
+        let g = Graph::from_edges(10, &edges);
+        let parent = (0..10)
+            .map(|v| match v {
+                0 => None,
+                1 | 2 => Some(NodeId::new(0)),
+                _ => Some(NodeId::new(1)),
+            })
+            .collect();
+        let mpx = Forest::from_parents(&g, parent).unwrap();
+        let (new, charge) = reelect_centers(&g, mpx.clone(), 7).unwrap();
+        assert_eq!(new.roots(), [NodeId::new(1)]);
+        assert_eq!((mpx.depth(), new.depth()), (2, 1));
+        // Elect: 2 words per tree edge, 2 × 2 rounds. Trial: 2 words per
+        // cluster edge, 1 + 1 rounds. Guard: 2 words per trial edge, 2 × 1.
+        assert_eq!((charge.messages, charge.rounds), (18 + 20 + 18, 4 + 2 + 2));
+        let mut router = Router::new(&g).unwrap();
+        let outputs = || g.nodes().map(|v| (v, Pad(g.n()))).collect();
+        let before = downcast(&mut router, &mpx, outputs()).unwrap().metrics;
+        let after = downcast(&mut router, &new, outputs()).unwrap().metrics;
+        assert!(after.messages <= before.messages);
+        assert!(
+            after.rounds < before.rounds,
+            "{} -> {} rounds",
+            before.rounds,
+            after.rounds
+        );
+    }
+
+    #[test]
+    fn reelection_keeps_a_shallower_mpx_tree_and_charges_the_trial() {
+        // Path 0 - 1 - 2 - 3 - 4 centered at 2, leaves 5, 6, 7 on 4: the hub
+        // 4 wins (4 cluster neighbours against 2), but its BFS tree reaches 0
+        // at depth 4 and MPX's has depth 3.
+        let g = Graph::from_edges(8, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (4, 7)]);
+        let parent = [
+            Some(1),
+            Some(2),
+            None,
+            Some(2),
+            Some(3),
+            Some(4),
+            Some(4),
+            Some(4),
+        ]
+        .map(|p| p.map(NodeId::new))
+        .to_vec();
+        let mpx = Forest::from_parents(&g, parent).unwrap();
+        let (kept, charge) = reelect_centers(&g, mpx.clone(), 7).unwrap();
+        assert!(g.nodes().all(|v| kept.parent(v) == mpx.parent(v)));
+        // Elect: 2 words per tree edge, 2 × 3 rounds. Trial: 2 words per
+        // cluster edge, 4 + 1 rounds; guard: 2 words per trial edge, 2 × 4.
+        assert_eq!((charge.messages, charge.rounds), (14 + 14 + 14, 6 + 5 + 8));
+    }
+
     #[test]
     fn balance_branches_evens_out_a_lopsided_tree() {
         // Root 0 with children 1 and 2; nodes 3..=8 are adjacent to both and
@@ -367,6 +555,46 @@ mod tests {
                 prop_assert!(a <= b, "heaviest branch {} -> {}", b, a);
             }
         }
+
+        /// On gnp, caveman and grid LDCs: the same clusters, every parent edge
+        /// inside its cluster, every depth the in-cluster distance to the
+        /// root, a root at least as well connected as MPX's center and a tree
+        /// no deeper than MPX's.
+        #[test]
+        fn reelection_keeps_clusters_and_bfs_depths(
+            family in 0usize..3,
+            size in 4usize..10,
+            seed in 0u64..200,
+        ) {
+            let g = match family {
+                0 => generators::gnp_connected(8 * size, 0.1, seed),
+                1 => generators::caveman(size, 6),
+                _ => generators::grid(size, size + 3),
+            };
+            let ldc = build_ldc(&g, seed).unwrap();
+            let old = ldc.clustering.forest(&g).unwrap();
+            let (new, _) = reelect_centers(&g, old.clone(), seed).unwrap();
+            let cluster_of = &ldc.clustering.cluster_of;
+            prop_assert_eq!(new.roots().len(), ldc.clustering.len());
+            for &root in new.roots() {
+                let in_cluster: Vec<bool> =
+                    g.nodes().map(|v| cluster_of[v.index()] == cluster_of[root.index()]).collect();
+                let degree = |v: NodeId| g.neighbors(v).iter().filter(|u| in_cluster[u.index()]).count();
+                prop_assert!(degree(root) >= degree(old.root_of(root)));
+                let sub = congest_graph::induced_subgraph_same_ids(&g, &in_cluster);
+                let dist = congest_graph::reference::bfs_distances(&sub, root);
+                let members: Vec<NodeId> = g.nodes().filter(|v| in_cluster[v.index()]).collect();
+                for &v in &members {
+                    prop_assert_eq!(new.root_of(v), root);
+                    prop_assert_eq!(Some(new.depth_of(v)), dist[v.index()]);
+                    if let Some(p) = new.parent(v) {
+                        prop_assert!(in_cluster[p.index()]);
+                    }
+                }
+                let depth = |f: &Forest| members.iter().map(|&v| f.depth_of(v)).max();
+                prop_assert!(depth(&new) <= depth(&old));
+            }
+        }
     }
 
     #[test]
@@ -398,8 +626,7 @@ mod tests {
         let g = generators::grid(12, 8);
         let ldc = build_ldc(&g, 31).unwrap();
         let mut router = Router::new(&g).unwrap();
-        let forest = ldc.clustering.forest(&g).unwrap();
-        let (forest, _) = balance_branches(&mut router, forest).unwrap();
+        let forest = cast_forest(&mut router, &ldc, 31);
         let hops = ldc.all_f_edges().map(|f| (f.owner, f.edge));
         let phase = relay(&mut router, &forest, hops).unwrap();
         // The three steps one after another: a word down to every F-edge owner,
@@ -438,8 +665,7 @@ mod tests {
         let sim = simulate_over_ldc(&algo, &g, None, &ldc, &opts).unwrap();
         assert!(sim.simulated_rounds > 0);
         let mut router = Router::new(&g).unwrap();
-        let forest = ldc.clustering.forest(&g).unwrap();
-        let (forest, _) = balance_branches(&mut router, forest).unwrap();
+        let forest = cast_forest(&mut router, &ldc, 2);
         let outputs = g.nodes().zip(&sim.outputs);
         let outputs = outputs.map(|(v, o)| (v, Pad(algo.output_words(o))));
         let output_downcast = downcast(&mut router, &forest, outputs.collect()).unwrap();

@@ -23,7 +23,7 @@ pub fn spanner_edges(g: &Graph, h: &Hierarchy) -> Vec<EdgeId> {
 }
 
 /// The spanner as a standalone graph (same node IDs).
-pub fn spanner_graph(g: &Graph, h: &Hierarchy) -> Graph {
+fn spanner_graph(g: &Graph, h: &Hierarchy) -> Graph {
     let keep: Vec<bool> = {
         let mut k = vec![false; g.m()];
         for e in spanner_edges(g, h) {

@@ -39,7 +39,7 @@ mod catalogue;
 pub mod configs;
 pub mod make;
 
-pub use catalogue::{family_graph, registry, FAMILIES};
+pub use catalogue::{registry, FAMILIES};
 pub use congest_engine::TraceLog;
 
 use congest_engine::{EngineError, ExecutorConfig, Metrics};
