@@ -106,15 +106,17 @@ pub fn e_t1_2(n: usize, eps: &[f64], seed: u64) -> Table {
 
 /// E-T2.1 — Theorem 2.1: simulation overhead across payloads:
 /// messages / (In + Out + B_A) should be polylog; rounds / (T_A·n) should be O(log).
-/// Each row names the LDC it ran on (`build_ldc` with the same seed); the
-/// caveman row is the one whose phases cross many clusters.
+/// Each row names the LDC it ran on (`build_ldc` with the same seed) and the
+/// clusters it cast over once §2.2 step 3c merged fragments; the caveman row
+/// is the one whose phases cross many clusters, and the `G(512, 8/512)` row is
+/// the benchmark's Theorem 2.1 instance at the tables' seed.
 pub fn e_t2_1(n: usize, seed: u64) -> Table {
     let mut t = Table::new(
         "E-T2.1 (Theorem 2.1): simulation overhead per payload",
         &[
             "payload",
             "graph",
-            "clusters",
+            "clusters (MPX → cast)",
             "|F|",
             "max F-deg",
             "depth",
@@ -152,7 +154,7 @@ pub fn e_t2_1(n: usize, seed: u64) -> Table {
         t.row(vec![
             payload.into(),
             graph.into(),
-            ldc.clustering.len().to_string(),
+            format!("{} → {}", ldc.clustering.len(), cast_clusters(g, seed)),
             ldc.all_f_edges().count().to_string(),
             ldc.max_f_degree().to_string(),
             ldc.clustering.max_depth().to_string(),
@@ -200,6 +202,20 @@ pub fn e_t2_1(n: usize, seed: u64) -> Table {
         seed,
         coll,
     );
+    // The benchmark's pinned Theorem 2.1 topology at the tables' seed: MPX
+    // draws 495 + 13 + 2 + 2 members there, and step 3c folds the fragments
+    // into the hub, so no phase crosses a cluster.
+    let sparse = generators::gnp_connected(512, 8.0 / 512.0, seed);
+    let apsp = BfsCollection::new(sparse.nodes().collect());
+    let coll = simulate_bcongest_via_ldc(&apsp, &sparse, None, &opts).expect("coll");
+    push(
+        &mut t,
+        "bfs-collection (apsp)",
+        "gnp(512, 8/512)",
+        &sparse,
+        seed,
+        coll,
+    );
     let gb = generators::random_bipartite_connected(n / 2, n / 2, 0.3, seed);
     let ako = simulate_bcongest_via_ldc(&BipartiteMatching, &gb, None, &opts);
     let bip = format!("bipartite({0}+{0}, 0.3)", n / 2);
@@ -207,8 +223,50 @@ pub fn e_t2_1(n: usize, seed: u64) -> Table {
     t.note("msgs/(In+Out+B) is the Theorem 2.1 polylog factor; rounds/(T_A·n) its round overhead");
     t.note("phase rounds = total − preprocessing: the phases plus the output downcast");
     t.note("largest = the largest cluster's size; its MPX center's and its used center's cluster degrees differ where §2.2 step 2b re-elected the center");
+    t.note("clusters: MPX's, then the ones the simulation casts over once §2.2 step 3c folded fragments into hosts, read off a silent payload's output downcast; at the full sizes and seed 20250608 step 3c takes caveman(32, 4) from 70 120 messages / 5 401 rounds to 65 148 / 4 447, gnp(512, 8/512) from 1 107 456 / 32 880 to 746 761 / 14 051 (its phases now cost nothing) and the bipartite row from 235 to 163 rounds");
     t.note("against the MPX center at the full size (n = 40), re-election takes caveman(32, 4) from 87 434 messages / 8 399 rounds to 70 120 / 5 401; the gnp(40, 0.3) and bipartite rows pay +11…+20 % messages for −16…−29 % rounds, because the trial BFS costs two words per cluster edge, O(m), against a tiny payload");
     t
+}
+
+/// The number of clusters Theorem 2.1 casts over on `g` — the LDC's, after
+/// §2.2 step 3c merged fragments into hosts — read off the simulation itself.
+/// Under a payload that never broadcasts, the only transfer after
+/// preprocessing is the output downcast, one word from each center to each
+/// other member, so exactly the cast forest's edges carry words.
+fn cast_clusters(g: &Graph, seed: u64) -> usize {
+    struct Silent;
+    impl congest_engine::BcongestAlgorithm for Silent {
+        type State = ();
+        type Msg = u32;
+        type Output = ();
+        fn name(&self) -> &'static str {
+            "silent"
+        }
+        fn init(&self, _: &congest_engine::LocalView<'_>) {}
+        fn broadcast(&self, _: &(), _: usize) -> Option<u32> {
+            None
+        }
+        fn on_broadcast_sent(&self, _: &mut (), _: usize) {}
+        fn receive(&self, _: &mut (), _: usize, _: &[(NodeId, u32)]) {}
+        fn is_done(&self, _: &()) -> bool {
+            true
+        }
+        fn output(&self, _: &()) {}
+        fn round_bound(&self, _: usize, _: usize) -> usize {
+            1
+        }
+        fn output_words(&self, _: &()) -> usize {
+            1
+        }
+    }
+    let opts = LdcSimOptions {
+        seed,
+        ..Default::default()
+    };
+    let sim = simulate_bcongest_via_ldc(&Silent, g, None, &opts).expect("silent run");
+    let pre = sim.preprocessing.congestion();
+    let tree_edges = sim.metrics.congestion().iter().zip(pre);
+    g.n() - tree_edges.filter(|(total, pre)| total > pre).count()
 }
 
 /// The largest cluster's size, its MPX center's cluster degree, and the

@@ -10,7 +10,14 @@
 //! (`reelect_centers`); step 3 and everything after run over the forest it
 //! returns. Step 3b: knowing its members' edge lists, each center re-parents its
 //! cluster tree so its branches balance (same depths, same cast messages;
-//! `balance_branches`), and every later cast runs over that tree.
+//! `balance_branches`), and every later cast runs over that tree. Step 3c: a
+//! cluster whose largest neighbour is strictly larger and has no larger
+//! neighbour itself joins it when every member is within the host's depth
+//! through the host and the host's center finds the merged cluster's casts
+//! faster (`absorb_fragments`). Theorem 2.1 needs only *some* LDC meeting
+//! Definition 2.3, and the merged one keeps the strong radius and can only
+//! lower the F-degree; the phases, their transport and the output downcast all
+//! run over the merged clusters and their re-derived F-edges.
 //!
 //! Each phase `p` simulates round `p` of the payload: centers compute member
 //! broadcasts locally and **downcast** one word to each broadcaster with an F-edge
@@ -32,7 +39,8 @@
 
 use crate::simulate::common::{payload_options, Pad, SimulationRun};
 use congest_algos::leader::setup_network_with;
-use congest_decomp::ldc::{build_ldc, LdcDecomposition};
+use congest_decomp::ldc::{build_ldc, FEdge, LdcDecomposition};
+use congest_decomp::mpx::Clustering;
 use congest_engine::{
     downcast, relay, run_bcongest_over, upcast, BcongestAlgorithm, EngineError, Forest, Metrics,
     Router,
@@ -108,6 +116,11 @@ pub(crate) fn simulate_over_ldc<A: BcongestAlgorithm>(
     // tree's branches; every later cast runs over the tree it chose.
     let (forest, rebalance) = balance_branches(&mut router, forest)?;
     metrics.merge_sequential(&rebalance);
+    // Step 3c: fragments join a neighbouring host where its casts get
+    // faster; the phases use the merged clusters and their F-edges.
+    let (forest, merged, absorption) = absorb_fragments(&mut router, forest, ldc)?;
+    metrics.merge_sequential(&absorption);
+    let ldc = merged.as_ref().unwrap_or(ldc);
     let preprocessing = metrics.clone();
 
     // Centers now (conceptually) hold all member inputs and replicate member
@@ -296,6 +309,30 @@ fn balance_branches(
     forest: Forest,
 ) -> Result<(Forest, Metrics), EngineError> {
     let g = router.graph();
+    let (parent, _) = balanced_parents(g, &forest);
+    let moved: Vec<NodeId> = g
+        .nodes()
+        .filter(|&v| parent[v.index()] != forest.parent(v))
+        .collect();
+    if moved.is_empty() {
+        return Ok((forest, Metrics::new(g.m())));
+    }
+    let balanced = Forest::from_parents(g, parent)?;
+    let announce = moved.iter().map(|&v| (v, Pad(1))).collect();
+    let mut charge = downcast(router, &forest, announce)?.metrics;
+    charge.rounds += 1;
+    for &v in &moved {
+        let edge = balanced.parent_edge(v).expect("moved nodes have parents");
+        charge.add_messages(edge, 1);
+    }
+    Ok((balanced, charge))
+}
+
+/// Step 3b's re-parenting of every tree of `forest`, computed locally: the
+/// parents it picks (a tree's old ones where the new would not make its
+/// heaviest branch strictly lighter) and, per root, the heaviest branch of the
+/// tree it keeps.
+fn balanced_parents(g: &Graph, forest: &Forest) -> (Vec<Option<NodeId>>, Vec<u32>) {
     let n = g.n();
     let mut order: Vec<NodeId> = g.nodes().collect();
     order.sort_by_key(|&v| forest.depth_of(v)); // stable: ties stay by id
@@ -336,27 +373,304 @@ fn balance_branches(
             h.1 = h.1.max(new_size[v.index()]);
         }
     }
-    let mut moved = Vec::new();
     for v in g.nodes() {
         let (old, new) = heaviest[forest.root_of(v).index()];
         if new >= old {
             parent[v.index()] = forest.parent(v);
-        } else if parent[v.index()] != forest.parent(v) {
-            moved.push(v);
         }
     }
-    if moved.is_empty() {
-        return Ok((forest, Metrics::new(g.m())));
+    let kept = heaviest.into_iter().map(|(old, new)| old.min(new));
+    (parent, kept.collect())
+}
+
+/// §2.2 step 3c: a cluster joins a neighbouring *host* cluster when the join
+/// makes the host no deeper and its casts faster. Returns the forest every
+/// later cast runs over, the decomposition the phases use — `None` when nothing
+/// joined, else merged clusters with F-edges re-derived — and the charge.
+/// Clusters run in parallel, so each step costs its slowest cluster's rounds
+/// and every cluster's messages:
+/// 1. *host*: every cluster with an F-edge broadcasts `(root, size, depth)`
+///    down its tree, each member sends it across its F-edges, and a
+///    max-convergecast by `(size, smaller root)` hands each center its largest
+///    neighbour: 2 words per tree edge and 1 per F-edge, `2 × depth + 1`
+///    rounds. A cluster above all its neighbours in that order is a *host*;
+///    one whose largest neighbour is strictly larger is a *candidate* of it.
+///    Hosts and candidates broadcast their role (a candidate: its host's
+///    root) down their trees, 1 word per tree edge, `depth` rounds;
+/// 2. *reach*: a host member at depth `d` below its cluster's depth `D` sends
+///    `d` across every edge leaving the host, in round `d + 1` of the step; a
+///    member of one of the host's candidates takes the first word it gets
+///    (from the host or from its own cluster; ties to the smaller sender) as
+///    its label and parent, and if its label is below `D` sends it on to its
+///    cluster neighbours the next round. `D` rounds; no label exceeds `D`;
+/// 3. *cost test*: each labelled member upcasts, over the tentative forest the
+///    label parents make, what its host's center needs of it: one word (label,
+///    old parent, cluster), its edges leaving its cluster, and its cluster
+///    neighbours one label closer (the ones it heard from in its label's
+///    round). A host's center takes its fully labelled candidates largest
+///    first and adopts one when, in Theorem 2.1's units (with about `n` phases
+///    and `n`-word outputs both scale by `n`), the merged cluster's
+///    [`own_casts`] cost strictly less than the larger relay of the two plus
+///    the larger heaviest branch. A rejected candidate's messages stay
+///    charged, and its members, never told otherwise, keep their old tree;
+/// 4. *re-derive*: one word down the tentative forest to every joined member
+///    and every host member the merged tree's step-3b re-parenting moves (its
+///    new parent); then one round in which every joined member sends one word
+///    across each edge leaving its old cluster (owners there drop F-edges
+///    into their own cluster and keep one per new cluster, at the smallest
+///    `other`, as `build_ldc` does) and every re-parented member one word to
+///    its new parent, unless such a word crosses that edge.
+fn absorb_fragments(
+    router: &mut Router<'_>,
+    forest: Forest,
+    ldc: &LdcDecomposition,
+) -> Result<(Forest, Option<LdcDecomposition>, Metrics), EngineError> {
+    let g = router.graph();
+    let n = g.n();
+    let root = |v: NodeId| forest.root_of(v).index();
+    let mut charge = Metrics::new(g.m());
+    // Per root: its cluster's members and depth, and whether one owns an F-edge.
+    let mut members = vec![Vec::new(); n];
+    let mut depth = vec![0u32; n];
+    let mut talks = vec![false; n];
+    for v in g.nodes() {
+        let r = root(v);
+        members[r].push(v);
+        depth[r] = depth[r].max(forest.depth_of(v));
+        talks[r] |= !ldc.f_edges[v.index()].is_empty();
     }
-    let balanced = Forest::from_parents(g, parent)?;
-    let announce = moved.iter().map(|&v| (v, Pad(1))).collect();
-    let mut charge = downcast(router, &forest, announce)?.metrics;
+    let key = |r: usize| (members[r].len(), std::cmp::Reverse(r));
+    // `words` per tree edge of the picked clusters; their deepest tree.
+    let cast = |charge: &mut Metrics, words: u64, pick: &dyn Fn(usize) -> bool| {
+        let mut deepest = 0;
+        for v in g.nodes().filter(|&v| pick(root(v))) {
+            deepest = deepest.max(forest.depth_of(v));
+            if let Some(e) = forest.parent_edge(v) {
+                charge.add_messages(e, words);
+            }
+        }
+        deepest
+    };
+
+    // 1. Host.
+    let mut largest: Vec<Option<usize>> = vec![None; n];
+    for f in ldc.all_f_edges() {
+        charge.add_messages(f.edge, 1);
+        let (mine, theirs) = (root(f.other), root(f.owner));
+        if largest[mine].is_none_or(|l| key(theirs) > key(l)) {
+            largest[mine] = Some(theirs);
+        }
+    }
+    if !talks.contains(&true) {
+        return Ok((forest, None, charge));
+    }
+    let exchange = cast(&mut charge, 2, &|r| talks[r]);
+    let is_host = |r: usize| talks[r] && largest[r].is_some_and(|l| key(l) < key(r));
+    let host_of: Vec<Option<usize>> = (0..n)
+        .map(|r| largest[r].filter(|&l| members[l].len() > members[r].len()))
+        .collect();
+    let roles = cast(&mut charge, 1, &|r| is_host(r) || host_of[r].is_some());
+
+    // 2. Reach: a multi-source BFS whose sources start late by their depth.
+    let mut label = vec![u32::MAX; n];
+    let mut label_parent: Vec<Option<NodeId>> = vec![None; n];
+    let mut wave = std::collections::BinaryHeap::new();
+    let mut reach = 0;
+    for v in g.nodes().filter(|&v| is_host(root(v))) {
+        let (h, d) = (root(v), forest.depth_of(v));
+        reach = reach.max(depth[h]);
+        if d == depth[h] {
+            continue;
+        }
+        for (e, u) in g.incident(v).filter(|&(_, u)| root(u) != h) {
+            charge.add_messages(e, 1);
+            if host_of[root(u)] == Some(h) {
+                wave.push(std::cmp::Reverse((d + 1, u, v)));
+            }
+        }
+    }
+    while let Some(std::cmp::Reverse((l, u, p))) = wave.pop() {
+        if label[u.index()] != u32::MAX {
+            continue;
+        }
+        label[u.index()] = l;
+        label_parent[u.index()] = Some(p);
+        let c = root(u);
+        if host_of[c].is_some_and(|h| l < depth[h]) {
+            for (e, w) in g.incident(u).filter(|&(_, w)| root(w) == c) {
+                charge.add_messages(e, 1);
+                wave.push(std::cmp::Reverse((l + 1, w, u)));
+            }
+        }
+    }
+    charge.rounds = u64::from(2 * exchange + 1 + roles + reach);
+    let shipped: Vec<NodeId> = g.nodes().filter(|v| label[v.index()] != u32::MAX).collect();
+    if shipped.is_empty() {
+        return Ok((forest, None, charge));
+    }
+
+    // 3. Cost test.
+    let current: Vec<Option<NodeId>> = g.nodes().map(|v| forest.parent(v)).collect();
+    let mut tentative = current.clone();
+    for &v in &shipped {
+        tentative[v.index()] = label_parent[v.index()];
+    }
+    let tentative = Forest::from_parents(g, tentative)?;
+    let items = shipped.iter().map(|&v| {
+        let l = label[v.index()];
+        let words = g
+            .incident(v)
+            .filter(|&(_, u)| root(u) != root(v) || label[u.index()].checked_add(1) == Some(l));
+        (v, Pad(1 + words.count()))
+    });
+    charge.merge_sequential(&upcast(router, &tentative, items.collect())?.metrics);
+    let complete = |c: usize| {
+        host_of[c].is_some_and(is_host) && members[c].iter().all(|v| label[v.index()] != u32::MAX)
+    };
+    let mut candidates: Vec<usize> = forest
+        .roots()
+        .iter()
+        .map(|r| r.index())
+        .filter(|&c| complete(c))
+        .collect();
+    candidates.sort_by_key(|&c| (host_of[c], std::cmp::Reverse(key(c))));
+    let mut final_parent = current.clone();
+    let mut joined = vec![false; n];
+    for group in candidates.chunk_by(|a, b| host_of[*a] == host_of[*b]) {
+        let h = host_of[group[0]].expect("a candidate has a host");
+        // Per node: whether it is in cluster `c`, and its parent there.
+        let cluster = |c: usize| {
+            let mut in_x = vec![false; n];
+            let mut tree = vec![None; n];
+            for &v in &members[c] {
+                in_x[v.index()] = true;
+                tree[v.index()] = forest.parent(v);
+            }
+            (in_x, tree)
+        };
+        let (mut in_x, mut x_tree) = cluster(h);
+        let (mut x_relay, mut x_heavy, _) = own_casts(router, ldc, &in_x, x_tree.clone())?;
+        for &c in group {
+            let (in_c, c_tree) = cluster(c);
+            let (c_relay, c_heavy, _) = own_casts(router, ldc, &in_c, c_tree)?;
+            let (mut in_m, mut m_tree) = (in_x.clone(), x_tree.clone());
+            for &v in &members[c] {
+                in_m[v.index()] = true;
+                m_tree[v.index()] = label_parent[v.index()];
+            }
+            let (m_relay, m_heavy, m_tree) = own_casts(router, ldc, &in_m, m_tree)?;
+            let merged_cost = m_relay + u64::from(m_heavy);
+            let apart_cost = x_relay.max(c_relay) + u64::from(x_heavy.max(c_heavy));
+            if merged_cost < apart_cost {
+                (in_x, x_tree, x_relay, x_heavy) = (in_m, m_tree, m_relay, m_heavy);
+                for &v in &members[c] {
+                    joined[v.index()] = true;
+                }
+            }
+        }
+        for v in g.nodes().filter(|v| in_x[v.index()]) {
+            final_parent[v.index()] = x_tree[v.index()];
+        }
+    }
+
+    // 4. Re-derive.
+    if !joined.contains(&true) {
+        return Ok((forest, None, charge));
+    }
+    let told = g
+        .nodes()
+        .filter(|&v| joined[v.index()] || final_parent[v.index()] != current[v.index()]);
+    let told = told.map(|v| (v, Pad(1))).collect();
+    charge.merge_sequential(&downcast(router, &tentative, told)?.metrics);
+    let merged = Forest::from_parents(g, final_parent)?;
     charge.rounds += 1;
-    for &v in &moved {
-        let edge = balanced.parent_edge(v).expect("moved nodes have parents");
-        charge.add_messages(edge, 1);
+    for v in g.nodes() {
+        let moved_cluster = joined[v.index()];
+        if moved_cluster {
+            for (e, _) in g.incident(v).filter(|&(_, u)| root(u) != root(v)) {
+                charge.add_messages(e, 1);
+            }
+        }
+        if let (Some(p), Some(e)) = (merged.parent(v), merged.parent_edge(v)) {
+            let announced = moved_cluster && root(p) != root(v);
+            if (moved_cluster || Some(p) != current[v.index()]) && !announced {
+                charge.add_messages(e, 1);
+            }
+        }
     }
-    Ok((balanced, charge))
+    let centers: Vec<NodeId> = g.nodes().map(|v| merged.root_of(v)).collect();
+    let parents: Vec<Option<NodeId>> = g.nodes().map(|v| merged.parent(v)).collect();
+    let depths: Vec<u32> = g.nodes().map(|v| merged.depth_of(v)).collect();
+    let clustering = Clustering::from_assignment(&centers, &parents, &depths);
+    let f_edges = ldc
+        .f_edges
+        .iter()
+        .enumerate()
+        .map(|(v, owned)| {
+            let mut kept: Vec<FEdge> = Vec::new();
+            for f in owned {
+                let target = clustering.cluster_of[f.other.index()];
+                if target == clustering.cluster_of[v] {
+                    continue;
+                }
+                let f = FEdge { target, ..*f };
+                match kept.iter_mut().find(|k| k.target == target) {
+                    Some(k) if f.other < k.other => *k = f,
+                    Some(_) => {}
+                    None => kept.push(f),
+                }
+            }
+            kept
+        })
+        .collect();
+    let merged_ldc = LdcDecomposition {
+        clustering,
+        f_edges,
+        metrics: ldc.metrics.clone(),
+    };
+    Ok((merged, Some(merged_ldc), charge))
+}
+
+/// One cluster's own cast cost in Theorem 2.1's units, as its center computes
+/// it from its members' inputs: the rounds of [`relay`] over the cluster's tree
+/// alone (every other node a root of its own) in a phase in which every node
+/// broadcasts — the cluster's owners' F-edges out of it and every outside
+/// owner's one F-edge into it, at the smallest `other` — and its heaviest
+/// branch. Both are taken on the tree step 3b's re-parenting makes of
+/// `parent` (`Some` only at members), which is returned.
+fn own_casts(
+    router: &mut Router<'_>,
+    ldc: &LdcDecomposition,
+    in_x: &[bool],
+    parent: Vec<Option<NodeId>>,
+) -> Result<(u64, u32, Vec<Option<NodeId>>), EngineError> {
+    let g = router.graph();
+    let (parent, heaviest) = balanced_parents(g, &Forest::from_parents(g, parent)?);
+    let tree = Forest::from_parents(g, parent)?;
+    let mut hops = Vec::new();
+    for v in g.nodes() {
+        let owned = ldc.f_edges[v.index()].iter();
+        if in_x[v.index()] {
+            hops.extend(
+                owned
+                    .filter(|f| !in_x[f.other.index()])
+                    .map(|f| (v, f.edge)),
+            );
+        } else if let Some(f) = owned
+            .filter(|f| in_x[f.other.index()])
+            .min_by_key(|f| f.other)
+        {
+            hops.push((v, f.edge));
+        }
+    }
+    let rounds = relay(router, &tree, hops)?.rounds;
+    let x = g
+        .nodes()
+        .find(|v| in_x[v.index()])
+        .expect("a cluster has members");
+    let heaviest = heaviest[tree.root_of(x).index()];
+    let parent = g.nodes().map(|v| tree.parent(v)).collect();
+    Ok((rounds, heaviest, parent))
 }
 
 /// The §2.2 worst-case phase budget `Θ(n log n)`.
@@ -370,8 +684,7 @@ mod tests {
     use super::*;
     use congest_algos::bfs::Bfs;
     use congest_algos::mis::{is_valid_mis, LubyMis};
-    use congest_decomp::ldc::FEdge;
-    use congest_decomp::mpx::Clustering;
+    use congest_decomp::ldc::validate_ldc;
     use congest_engine::{run_bcongest, RunOptions};
     use congest_graph::generators;
     use proptest::prelude::*;
@@ -406,11 +719,146 @@ mod tests {
         forest.roots().iter().map(|r| heaviest[r.index()]).collect()
     }
 
-    /// The forest `simulate_over_ldc` casts over: step 2b, then step 3b.
-    fn cast_forest(router: &mut Router<'_>, ldc: &LdcDecomposition, seed: u64) -> Forest {
+    /// The forest and the decomposition `simulate_over_ldc` casts over: steps
+    /// 2b, 3b and 3c.
+    fn cast_forest(
+        router: &mut Router<'_>,
+        ldc: &LdcDecomposition,
+        seed: u64,
+    ) -> (Forest, LdcDecomposition) {
         let g = router.graph();
         let (forest, _) = reelect_centers(g, ldc.clustering.forest(g).unwrap(), seed).unwrap();
-        balance_branches(router, forest).unwrap().0
+        let (forest, _) = balance_branches(router, forest).unwrap();
+        let (forest, merged, _) = absorb_fragments(router, forest, ldc).unwrap();
+        (forest, merged.unwrap_or_else(|| ldc.clone()))
+    }
+
+    /// An LDC over hand-picked cluster trees (one per root of `parent`), its
+    /// F-edges derived as `build_ldc` derives them, built for free.
+    fn ldc_over_trees(g: &Graph, parent: &[Option<usize>]) -> LdcDecomposition {
+        let parent: Vec<Option<NodeId>> = parent.iter().map(|p| p.map(NodeId::new)).collect();
+        let trees = Forest::from_parents(g, parent.clone()).unwrap();
+        let centers: Vec<NodeId> = g.nodes().map(|v| trees.root_of(v)).collect();
+        let depths: Vec<u32> = g.nodes().map(|v| trees.depth_of(v)).collect();
+        let clustering = Clustering::from_assignment(&centers, &parent, &depths);
+        let cluster_of = &clustering.cluster_of;
+        let f_edges = g
+            .nodes()
+            .map(|v| {
+                let mut owned: Vec<FEdge> = Vec::new();
+                // Neighbours ascend, so the first into a cluster is the smallest.
+                for (edge, other) in g.incident(v) {
+                    let target = cluster_of[other.index()];
+                    if target != cluster_of[v.index()] && owned.iter().all(|f| f.target != target) {
+                        owned.push(FEdge {
+                            owner: v,
+                            edge,
+                            other,
+                            target,
+                        });
+                    }
+                }
+                owned
+            })
+            .collect();
+        LdcDecomposition {
+            clustering,
+            f_edges,
+            metrics: Metrics::new(g.m()),
+        }
+    }
+
+    #[test]
+    fn a_fragment_within_the_hub_depth_is_absorbed() {
+        // Hub cluster: center 0, depth-1 members 1..=4, each heading two
+        // depth-2 members. Fragment: the triangle 13 - 14 - 15 centered at 13,
+        // every member adjacent to every depth-1 hub member (so each is within
+        // the hub's depth 2 through it), 14 and 15 also to every depth-2 one.
+        // All twelve hub members land an F-edge in the fragment, eight of them
+        // on 14, whose words queue on its one tree edge every phase.
+        let mut edges = vec![(13, 14), (13, 15), (14, 15)];
+        for h in 1..=4 {
+            edges.extend([(0, h), (h, 2 * h + 3), (h, 2 * h + 4)]);
+            edges.extend([(h, 13), (h, 14), (h, 15)]);
+        }
+        edges.extend((5..=12).flat_map(|d| [(d, 14), (d, 15)]));
+        let g = Graph::from_edges(16, &edges);
+        let parent: Vec<Option<usize>> = (0..16)
+            .map(|v| match v {
+                0 | 13 => None,
+                1..=4 => Some(0),
+                5..=12 => Some((v - 3) / 2),
+                _ => Some(13),
+            })
+            .collect();
+        let ldc = ldc_over_trees(&g, &parent);
+        assert_eq!((ldc.clustering.len(), ldc.all_f_edges().count()), (2, 15));
+        let mut router = Router::new(&g).unwrap();
+        let (forest, cast) = cast_forest(&mut router, &ldc, 5);
+        assert_eq!(forest.roots(), [NodeId::new(0)]);
+        assert_eq!(forest.depth(), 2, "no member deeper than the hub was");
+        assert_eq!((cast.clustering.len(), cast.all_f_edges().count()), (1, 0));
+        validate_ldc(&g, &cast, ldc.strong_radius(&g), ldc.max_f_degree()).unwrap();
+
+        // One cluster and no F-edges: every phase happens at the center.
+        let algo = Bfs::new(NodeId::new(0));
+        let opts = LdcSimOptions {
+            seed: 5,
+            ..Default::default()
+        };
+        let sim = simulate_over_ldc(&algo, &g, None, &ldc, &opts).unwrap();
+        let direct = run_bcongest(&algo, &g, None, &direct_opts(5)).unwrap();
+        assert_eq!(sim.outputs, direct.outputs);
+        let outputs = g.nodes().zip(&sim.outputs);
+        let outputs = outputs.map(|(v, o)| (v, Pad(algo.output_words(o))));
+        let output_downcast = downcast(&mut router, &forest, outputs.collect()).unwrap();
+        assert_eq!(
+            sim.metrics.rounds,
+            sim.preprocessing.rounds + output_downcast.metrics.rounds
+        );
+    }
+
+    #[test]
+    fn absorbing_a_clique_that_would_weigh_down_one_branch_is_rejected() {
+        // Host: center 0 with branches 1 - 3 - 5 and 2 - 4 - 6 (depth 3,
+        // heaviest branch 3). Candidate: the 4-clique 7..=10 centered at 7,
+        // hanging off the host member 1 by the one edge 1 - 7. Every clique
+        // member is within depth 3 through 1, but all of them would join 1's
+        // branch: the merged relay takes 0 rounds against the host's 2, and
+        // the heaviest branch grows from 3 to 7, so 0 + 7 is not below 2 + 3.
+        let mut edges = vec![(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (1, 7)];
+        edges.extend([(7, 8), (7, 9), (7, 10), (8, 9), (8, 10), (9, 10)]);
+        let g = Graph::from_edges(11, &edges);
+        let parent = [
+            None,
+            Some(0),
+            Some(0),
+            Some(1),
+            Some(2),
+            Some(3),
+            Some(4),
+            None,
+            Some(7),
+            Some(7),
+            Some(7),
+        ];
+        let ldc = ldc_over_trees(&g, &parent);
+        let forest = ldc.clustering.forest(&g).unwrap();
+        let mut router = Router::new(&g).unwrap();
+        let (kept, merged, charge) = absorb_fragments(&mut router, forest.clone(), &ldc).unwrap();
+        assert!(merged.is_none());
+        assert!(g.nodes().all(|v| kept.parent(v) == forest.parent(v)));
+        // The evaluation, and nothing after it. Host: 2 words per tree edge
+        // (9) and 1 per F-edge (2), 2 × 3 + 1 rounds; the roles, 1 word per
+        // tree edge, 3 rounds. Reach: 1 pushes across 1 - 7, 7 (label 2)
+        // passes it to 8, 9 and 10 (label 3 = the hub's depth), 3 rounds.
+        // Ship: 7 sends 2 words (the word and its edge to 1) over 2 hops, 8,
+        // 9 and 10 2 words (the word and 7) over 3; the 8 words queue on
+        // 7 → 1 and 1 → 0, 9 rounds.
+        assert_eq!(
+            (charge.messages, charge.rounds),
+            (18 + 2 + 9 + 4 + (4 + 3 * 6), 7 + 3 + 3 + 9)
+        );
     }
 
     #[test]
@@ -556,6 +1004,48 @@ mod tests {
             }
         }
 
+        /// On gnp, caveman and grid LDCs, step 3c only merges clusters and
+        /// leaves no tree deeper than its root's was: the merged LDC passes
+        /// `validate_ldc` with the old strong radius and max F-degree, and
+        /// every parent edge stays inside its new cluster.
+        #[test]
+        fn absorption_only_merges_and_keeps_the_ldc_bounds(
+            family in 0usize..3,
+            size in 4usize..10,
+            seed in 0u64..200,
+        ) {
+            let g = match family {
+                0 => generators::gnp_connected(8 * size, 0.1, seed),
+                1 => generators::caveman(size, 6),
+                _ => generators::grid(size, size + 3),
+            };
+            let ldc = build_ldc(&g, seed).unwrap();
+            let mut router = Router::new(&g).unwrap();
+            let (before, _) = reelect_centers(&g, ldc.clustering.forest(&g).unwrap(), seed).unwrap();
+            let (before, _) = balance_branches(&mut router, before).unwrap();
+            let (forest, merged, _) = absorb_fragments(&mut router, before.clone(), &ldc).unwrap();
+            let cast = merged.unwrap_or_else(|| ldc.clone());
+            let mut depth_before = vec![0; g.n()];
+            for v in g.nodes() {
+                let d = &mut depth_before[before.root_of(v).index()];
+                *d = before.depth_of(v).max(*d);
+            }
+            let (old, new) = (&ldc.clustering.cluster_of, &cast.clustering.cluster_of);
+            // Each new cluster is a union of old ones: a map old → new exists.
+            let mut image = vec![None; ldc.clustering.len()];
+            for v in g.nodes() {
+                let slot = &mut image[old[v.index()].index()];
+                prop_assert!(slot.is_none_or(|c| c == new[v.index()]));
+                *slot = Some(new[v.index()]);
+                if let Some(p) = forest.parent(v) {
+                    prop_assert_eq!(new[p.index()], new[v.index()]);
+                }
+                prop_assert!(forest.depth_of(v) <= depth_before[forest.root_of(v).index()]);
+            }
+            let bounds = (ldc.strong_radius(&g), ldc.max_f_degree());
+            prop_assert_eq!(validate_ldc(&g, &cast, bounds.0, bounds.1), Ok(()));
+        }
+
         /// On gnp, caveman and grid LDCs: the same clusters, every parent edge
         /// inside its cluster, every depth the in-cluster distance to the
         /// root, a root at least as well connected as MPX's center and a tree
@@ -626,19 +1116,19 @@ mod tests {
         let g = generators::grid(12, 8);
         let ldc = build_ldc(&g, 31).unwrap();
         let mut router = Router::new(&g).unwrap();
-        let forest = cast_forest(&mut router, &ldc, 31);
-        let hops = ldc.all_f_edges().map(|f| (f.owner, f.edge));
+        let (forest, cast) = cast_forest(&mut router, &ldc, 31);
+        let hops = cast.all_f_edges().map(|f| (f.owner, f.edge));
         let phase = relay(&mut router, &forest, hops).unwrap();
         // The three steps one after another: a word down to every F-edge owner,
         // a round across the F-edges, an upcast from their far ends.
-        let owners = g.nodes().filter(|v| !ldc.f_edges[v.index()].is_empty());
+        let owners = g.nodes().filter(|v| !cast.f_edges[v.index()].is_empty());
         let owners = owners.map(|v| (v, Pad(1))).collect();
         let down = downcast(&mut router, &forest, owners).unwrap().metrics;
-        let far_ends = ldc.all_f_edges().map(|f| (f.other, Pad(1))).collect();
+        let far_ends = cast.all_f_edges().map(|f| (f.other, Pad(1))).collect();
         let up = upcast(&mut router, &forest, far_ends).unwrap().metrics;
         assert_eq!(
             phase.messages,
-            down.messages + ldc.all_f_edges().count() as u64 + up.messages
+            down.messages + cast.all_f_edges().count() as u64 + up.messages
         );
         assert!(down.rounds.max(up.rounds) <= phase.rounds);
         assert!(
@@ -665,7 +1155,7 @@ mod tests {
         let sim = simulate_over_ldc(&algo, &g, None, &ldc, &opts).unwrap();
         assert!(sim.simulated_rounds > 0);
         let mut router = Router::new(&g).unwrap();
-        let forest = cast_forest(&mut router, &ldc, 2);
+        let (forest, _) = cast_forest(&mut router, &ldc, 2);
         let outputs = g.nodes().zip(&sim.outputs);
         let outputs = outputs.map(|(v, o)| (v, Pad(algo.output_words(o))));
         let output_downcast = downcast(&mut router, &forest, outputs.collect()).unwrap();

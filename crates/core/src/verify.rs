@@ -2,10 +2,10 @@
 //!
 //! Distance answers are checked **generically** through
 //! [`crate::distance::DistanceSource`] — [`check_distance_source_weighted`]
-//! and [`check_distance_source_unweighted`] validate any source (exact
-//! matrices, landmark sketches, serving oracles) against the sequential
-//! references without pattern-matching concrete result structs; the
-//! matrix-shaped checkers below are thin adapters over them.
+//! validates any source (exact matrices, landmark sketches, serving oracles)
+//! against sequential all-pairs Dijkstra without pattern-matching concrete
+//! result structs, and a private twin does the same against all-pairs BFS;
+//! the matrix-shaped checkers below are thin adapters over the two.
 
 use crate::distance::{Distance, DistanceSource, MatrixSource};
 use congest_graph::{reference, EdgeId, Graph, NodeId, WeightedGraph};
@@ -69,12 +69,9 @@ pub fn check_distance_source_weighted(
     check_source(src, &reference::all_pairs_dijkstra(wg))
 }
 
-/// Checks a [`DistanceSource`] against sequential all-pairs BFS.
-///
-/// # Errors
-///
-/// Returns the first violating `(source, target)` pair.
-pub fn check_distance_source_unweighted(g: &Graph, src: &dyn DistanceSource) -> Result<(), String> {
+/// Checks a [`DistanceSource`] against sequential all-pairs BFS; the first
+/// violating `(source, target)` pair is the error.
+fn check_distance_source_unweighted(g: &Graph, src: &dyn DistanceSource) -> Result<(), String> {
     let want: Vec<Vec<Option<u64>>> = reference::all_pairs_bfs(g)
         .into_iter()
         .map(|row| row.into_iter().map(|d| d.map(u64::from)).collect())

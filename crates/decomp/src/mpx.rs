@@ -105,7 +105,7 @@ impl MpxAlgorithm {
     }
 
     /// The fixed round in which every node announces its final cluster.
-    pub fn announce_round(&self, n: usize) -> usize {
+    fn announce_round(&self, n: usize) -> usize {
         2 * self.horizon_rounds(n) + 6
     }
 }
