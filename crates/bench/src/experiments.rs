@@ -2,8 +2,9 @@
 //! returns a [`Table`] for EXPERIMENTS.md.
 
 use crate::table::{f2, fit_exponent, Table};
+use apsp_core::bfs_trees::all_bfs_batched;
 use apsp_core::simulate::{simulate_bcongest_via_ldc, LdcSimOptions};
-use apsp_core::tradeoff::tradeoff_apsp;
+use apsp_core::tradeoff::{tradeoff_apsp, Route};
 use apsp_core::verify;
 use apsp_core::weighted_apsp::{weighted_apsp, weighted_apsp_direct, WeightedApspConfig};
 use congest_algos::bfs::Bfs;
@@ -16,7 +17,7 @@ use congest_decomp::ldc::{build_ldc, LdcDecomposition};
 use congest_decomp::pruning::{max_proper_subtree, prune};
 use congest_decomp::spanner::{measured_stretch, spanner_edges};
 use congest_decomp::Hierarchy;
-use congest_engine::{run_bcongest, run_bcongest_observed, RunOptions};
+use congest_engine::{run_bcongest, run_bcongest_observed, Metrics, RunOptions};
 use congest_graph::reference::bfs_distances;
 use congest_graph::{generators, induced_subgraph_same_ids, Graph, NodeId, WeightedGraph};
 
@@ -86,21 +87,67 @@ pub fn e_t1_1(ns: &[usize], seed: u64) -> Table {
 pub fn e_t1_2(n: usize, eps: &[f64], seed: u64) -> Table {
     let mut t = Table::new(
         format!("E-T1.2 (Theorem 1.2): unweighted APSP trade-off, n = {n} — Õ(n^(2-ε)) rounds / Õ(n^(2+ε)) messages"),
-        &["ε", "route", "rounds", "messages", "rounds·msgs"],
+        &[
+            "ε",
+            "route",
+            "rounds",
+            "messages",
+            "rounds·msgs",
+            "batches",
+            "C",
+            "D",
+            "C + D·⌈log₂ n⌉",
+            "Σ batch rounds",
+        ],
     );
     let g = generators::gnp_connected(n, 0.3, seed);
+    let log = u64::from(usize::BITS - n.max(2).leading_zeros());
     for &e in eps {
         let res = tradeoff_apsp(&g, e, seed).expect("tradeoff");
         verify::check_unweighted_apsp(&g, &res.dist).expect("exactness");
-        t.row(vec![
+        let mut row = vec![
             f2(e),
             format!("{:?}", res.route),
             res.metrics.rounds.to_string(),
             res.metrics.messages.to_string(),
             (res.metrics.rounds as u128 * res.metrics.messages as u128).to_string(),
-        ]);
+        ];
+        if res.route == Route::BatchedPlusLandmarks {
+            // The route's near part again, with its batches' own accounts:
+            // the depth limit is `tradeoff_apsp`'s ⌈2 n^(1−ε)⌉ (capped at n).
+            let nf = n.max(2) as f64;
+            let depth = (2.0 * nf.powf(1.0 - e)).ceil().min(nf) as u32;
+            let near = all_bfs_batched(&g, e, depth, seed).expect("near pairs");
+            if near.depth_limit == u32::MAX {
+                assert_eq!(
+                    near.metrics, res.metrics,
+                    "ε = {e}: the route is its near part"
+                );
+            }
+            // Run side by side: congestion adds up per edge, rounds take the max.
+            let mut together = Metrics::new(g.m());
+            for batch in &near.batches {
+                together.merge_parallel(batch);
+            }
+            let (c, d) = (together.max_congestion(), together.rounds);
+            let sum: u64 = near.batches.iter().map(|b| b.rounds).sum();
+            row.extend([
+                near.batches.len().to_string(),
+                c.to_string(),
+                d.to_string(),
+                (c + d * log).to_string(),
+                sum.to_string(),
+            ]);
+        } else {
+            row.extend(["—"; 5].map(String::from));
+        }
+        t.row(row);
     }
     t.note("every row is verified exact against sequential all-pairs BFS");
+    t.note(
+        "batched rows: C is the busiest edge's messages over all batches, D the slowest batch's rounds; \
+         the route charges the smaller of C + D·⌈log₂ n⌉ (Theorem 1.3) and Σ (the batches one after another)",
+    );
     t
 }
 

@@ -8,9 +8,11 @@
 //!   of an ensemble of pruned hierarchies (Lemma 3.8's congestion smoothing), then
 //!   composed with the congestion+dilation accounting of Theorem 1.3.
 //!
-//! Both charge one shared-randomness distribution exactly as the paper prescribes
-//! (Õ(n) rounds, Õ(n²) messages); in the batched route it carries one delay word
-//! per source, so a single distribution serves every batch.
+//! Both charge one network set-up and one shared-randomness distribution exactly
+//! as the paper prescribes (Õ(n) rounds, Õ(n²) messages): every simulation runs
+//! on the route's set-up instead of electing again, and in the batched route the
+//! distribution carries one delay word per source, so a single one serves every
+//! batch.
 
 use congest_algos::bfs_collection::BfsCollection;
 use congest_algos::leader::setup_network;
@@ -22,7 +24,9 @@ use congest_graph::{Graph, NodeId};
 use congest_sched::{compose_measured, paper_shared_words, shared_randomness};
 
 use crate::ensure_epsilon;
-use crate::simulate::{simulate_aggregation_general, simulate_aggregation_star, AggSimOptions};
+use crate::simulate::agg_general::simulate_general_with_setup;
+use crate::simulate::agg_star::simulate_star_with_setup;
+use crate::simulate::AggSimOptions;
 
 /// Result of a many-BFS computation.
 #[derive(Clone, Debug)]
@@ -34,6 +38,9 @@ pub struct BfsForestResult {
     pub metrics: Metrics,
     /// The depth limit used (`u32::MAX` when every distance is within the limit).
     pub depth_limit: u32,
+    /// Each Lemma 3.23 batch's own account, in batch order, before Theorem 1.3
+    /// composes them (empty for [`all_bfs_star`]).
+    pub batches: Vec<Metrics>,
 }
 
 /// Lemma 3.22: `n` full BFS trees for `ε ∈ [1/2, 1]`.
@@ -54,17 +61,12 @@ pub fn all_bfs_star(g: &Graph, epsilon: f64, seed: u64) -> Result<BfsForestResul
 
     let h = prune(g, &Hierarchy::build(g, epsilon, seed));
     let algo = BfsCollection::new(g.nodes().collect()).with_random_delays(sr.seed);
-    let sim = simulate_aggregation_star(
-        &algo,
-        g,
-        None,
-        &h,
-        &AggSimOptions {
-            seed,
-            charge_hierarchy: true,
-            ..Default::default()
-        },
-    )?;
+    let opts = AggSimOptions {
+        seed,
+        charge_hierarchy: true,
+        ..Default::default()
+    };
+    let sim = simulate_star_with_setup(&algo, g, None, &h, &opts, Some(&setup))?;
     metrics.merge_sequential(&sim.metrics);
 
     Ok(BfsForestResult {
@@ -75,6 +77,7 @@ pub fn all_bfs_star(g: &Graph, epsilon: f64, seed: u64) -> Result<BfsForestResul
             .collect(),
         metrics,
         depth_limit: u32::MAX,
+        batches: Vec::new(),
     })
 }
 
@@ -120,17 +123,12 @@ pub fn all_bfs_batched(
         let algo = BfsCollection::new(chunk_sources.to_vec())
             .with_depth_limit(depth_limit)
             .with_random_delays(congest_graph::rng::derive(seed, 0xba7c_0000 + b as u64));
-        let sim = simulate_aggregation_general(
-            &algo,
-            g,
-            None,
-            h,
-            &AggSimOptions {
-                seed: congest_graph::rng::derive(seed, 0x5eed_0000 + b as u64),
-                charge_hierarchy: false, // the ensemble is charged once above
-                ..Default::default()
-            },
-        )?;
+        let opts = AggSimOptions {
+            seed: congest_graph::rng::derive(seed, 0x5eed_0000 + b as u64),
+            charge_hierarchy: false, // the ensemble is charged once above
+            ..Default::default()
+        };
+        let sim = simulate_general_with_setup(&algo, g, None, h, &opts, Some(&setup))?;
         for (v, out) in sim.outputs.iter().enumerate() {
             for (j, entry) in out.entries.iter().enumerate() {
                 let s = chunk_sources[j].index();
@@ -162,6 +160,7 @@ pub fn all_bfs_batched(
         dist,
         metrics,
         depth_limit: if exact { u32::MAX } else { depth_limit },
+        batches: batch_metrics,
     })
 }
 

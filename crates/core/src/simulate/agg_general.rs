@@ -12,8 +12,17 @@
 //!   broadcasting members adjacent to `u`, downcasts the packet to the edge's
 //!   endpoint, which forwards it to `u` (level-0 singleton clusters degenerate to
 //!   the node itself sending its message over the edge);
-//! * **receive** — indirect arrivals and member broadcasts are upcast; centers
-//!   downcast one per-member aggregate packet.
+//! * **receive** — members upcast their indirect arrivals (their own broadcasts
+//!   are at the center already, from the direct send); centers downcast one
+//!   per-member aggregate packet.
+//!
+//! The three steps run as one routed schedule
+//! ([`congest_engine::route_casts`]), each word moving on as soon as it may:
+//! the indirect sends and the level-0 forwards lead their edges from round 1; a
+//! center's downcast leaves once the upcast words into *that* center are in,
+//! and an endpoint forwards once its downcast words are; the receive upcast
+//! waits only for the indirect arrivals, so it overlaps the direct send. A
+//! `w`-word packet costs `w` rounds on every edge it crosses.
 //!
 //! The compute step takes the union of all packets (Definition 3.1's
 //! partition-invariance makes this equal to receiving every raw message), so with
@@ -27,11 +36,12 @@
 //! simulation.
 
 use crate::simulate::common::{payload_options, Pad, SimulationRun};
-use crate::simulate::phase::{batch_words, PhaseWorkspace};
-use congest_algos::leader::setup_network_with;
+use crate::simulate::phase::{batch_words, LevelClusters, PhaseWorkspace};
+use congest_algos::leader::{setup_network_with, NetworkSetup};
 use congest_decomp::Hierarchy;
 use congest_engine::{
-    downcast, run_bcongest_over, upcast, AggregationAlgorithm, EngineError, Forest, Metrics, Router,
+    route_casts, run_bcongest_over, upcast, AggregationAlgorithm, Cast, EngineError, Metrics,
+    Router,
 };
 use congest_graph::{EdgeId, Graph, NodeId};
 use std::ops::Range;
@@ -77,9 +87,10 @@ struct InEdge {
 }
 
 /// Preprocessed hierarchy structures reused across phases.
-struct Runtime {
-    /// Per level ≥ 1: the forest of its cluster trees.
-    forests: Vec<Option<Forest>>,
+struct Runtime<'h> {
+    /// Per level ≥ 1: its clusters as the receive step reads them, the forest
+    /// of its cluster trees included.
+    levels: Vec<Option<LevelClusters<'h>>>,
     /// Per level `j`, per cluster: the `F*_{j+1}` edges pointing into it.
     r_in: Vec<Vec<Vec<InEdge>>>,
     /// Every in-edge's adjacent members, in the owner's adjacency order.
@@ -88,11 +99,11 @@ struct Runtime {
     f_of: Vec<Vec<(EdgeId, NodeId)>>, // (edge, other)
 }
 
-impl Runtime {
-    fn build(g: &Graph, h: &Hierarchy) -> Result<Self, EngineError> {
-        let mut forests = vec![None];
+impl<'h> Runtime<'h> {
+    fn build(g: &'h Graph, h: &'h Hierarchy) -> Result<Self, EngineError> {
+        let mut levels = vec![None];
         for lvl in &h.levels[1..] {
-            forests.push(Some(Forest::from_parents(g, lvl.parent.clone())?));
+            levels.push(Some(LevelClusters::new(g, lvl)?));
         }
         let mut r_in: Vec<Vec<Vec<InEdge>>> = h
             .levels
@@ -117,7 +128,7 @@ impl Runtime {
             f_of[f.owner.index()].push((f.edge, f.other));
         }
         Ok(Self {
-            forests,
+            levels,
             r_in,
             adjacent,
             f_of,
@@ -139,12 +150,27 @@ pub fn simulate_aggregation_general<A: AggregationAlgorithm>(
     h: &Hierarchy,
     opts: &AggSimOptions,
 ) -> Result<SimulationRun<A::Output>, EngineError> {
+    simulate_general_with_setup(algo, g, weights, h, opts, None)
+}
+
+/// [`simulate_aggregation_general`] on a network `setup` (§3.2.1 step 1) the
+/// caller already ran and charged to its own account, or, with `None`, on one
+/// it runs and charges itself.
+pub(crate) fn simulate_general_with_setup<A: AggregationAlgorithm>(
+    algo: &A,
+    g: &Graph,
+    weights: Option<&[u64]>,
+    h: &Hierarchy,
+    opts: &AggSimOptions,
+    setup: Option<&NetworkSetup>,
+) -> Result<SimulationRun<A::Output>, EngineError> {
     let n = g.n();
     let mut metrics = Metrics::new(g.m());
 
     // ---- Preprocessing ----
-    let setup = setup_network_with(g, opts.seed, &opts.exec)?;
-    metrics.merge_sequential(&setup.metrics);
+    if setup.is_none() {
+        metrics.merge_sequential(&setup_network_with(g, opts.seed, &opts.exec)?.metrics);
+    }
     if opts.charge_hierarchy {
         metrics.merge_sequential(&h.metrics);
     }
@@ -152,7 +178,10 @@ pub fn simulate_aggregation_general<A: AggregationAlgorithm>(
     let mut router = Router::new(g)?;
     // Per-level upcast of member neighborhoods to cluster centers (§3.2.1 step 2).
     for (li, lvl) in h.levels.iter().enumerate().skip(1) {
-        let forest = rt.forests[li].as_ref().expect("built for levels >= 1");
+        let forest = &rt.levels[li]
+            .as_ref()
+            .expect("built for levels >= 1")
+            .forest;
         let items: Vec<(NodeId, Pad)> = g
             .nodes()
             .filter(|v| lvl.cluster_of[v.index()].is_some())
@@ -166,7 +195,7 @@ pub fn simulate_aggregation_general<A: AggregationAlgorithm>(
     let preprocessing = metrics.clone();
 
     // Nodes keep their own states: phase `p` is round `p` of the payload's own
-    // execution, delivered by the transport below.
+    // execution, delivered by the transport below as one routed schedule.
     let mut ws: PhaseWorkspace<A::Msg> = PhaseWorkspace::new(n);
     let transport = |phase: usize,
                      broadcasters: &[(NodeId, A::Msg)],
@@ -177,33 +206,44 @@ pub fn simulate_aggregation_general<A: AggregationAlgorithm>(
         }
         ws.begin(broadcasters);
 
-        // ---- Indirect send over F* edges ----
-        metrics.rounds += 1;
+        // ---- Indirect send over F* edges (cast 0; at most one word per
+        //      directed edge) ----
+        let mut indirect = Vec::with_capacity(2 * g.m());
         for (v, m) in broadcasters {
             for &(edge, other) in &rt.f_of[v.index()] {
-                metrics.add_messages(edge, 1);
+                indirect.push((*v, edge, 1));
                 ws.arrivals[other.index()].push((*v, m.clone()));
             }
         }
+        let mut casts = vec![Cast::Hop {
+            items: indirect,
+            after: vec![],
+        }];
 
-        // ---- Direct (aggregate) send ----
-        // (a) broadcasters upcast their message in every containing cluster tree.
-        for (li, lvl) in h.levels.iter().enumerate().skip(1) {
-            let items: Vec<(NodeId, Pad)> = broadcasters
-                .iter()
-                .filter(|(v, _)| lvl.cluster_of[v.index()].is_some())
-                .map(|(v, _)| (*v, Pad(1)))
-                .collect();
-            if !items.is_empty() {
-                let forest = rt.forests[li].as_ref().expect("level forest");
-                metrics.merge_sequential(&upcast(&mut router, forest, items)?.metrics);
+        for (lj, (ins, lvl)) in rt.r_in.iter().zip(&h.levels).enumerate() {
+            let clusters = rt.levels[lj].as_ref();
+            let forest = clusters.map(|c| &c.forest);
+            // ---- Direct (aggregate) send ----
+            // (a) Broadcasters upcast their message to their cluster's center.
+            let held = casts.len();
+            if let Some(forest) = forest {
+                let items = broadcasters
+                    .iter()
+                    .filter(|(v, _)| lvl.cluster_of[v.index()].is_some())
+                    .map(|(v, _)| (*v, 1))
+                    .collect();
+                casts.push(Cast::Up {
+                    forest,
+                    items,
+                    after: vec![],
+                });
             }
-        }
-        // (b) per level, centers aggregate for R(C), downcast the packets to the
-        // in-edges' endpoints, and those forward them in one round.
-        for (lj, ins) in rt.r_in.iter().enumerate() {
-            let mut down_items: Vec<(NodeId, Pad)> = Vec::new();
-            let mut forwarded = false;
+            // (b) Once its members' words are in, each center aggregates for
+            // R(C) and downcasts each packet to its in-edge's endpoint, which
+            // forwards it over the edge as soon as it has it (at level 0 the
+            // endpoint is the cluster and forwards at once).
+            let mut down = Vec::new();
+            let mut forward = Vec::new();
             for ie in ins.iter().flatten() {
                 ws.gather(rt.adjacent[ie.adjacent.clone()].iter().copied());
                 if ws.msgs.is_empty() {
@@ -218,24 +258,30 @@ pub fn simulate_aggregation_general<A: AggregationAlgorithm>(
                     words <= algo.aggregate_budget(n),
                     "aggregate exceeded its budget"
                 );
-                if lj >= 1 {
-                    down_items.push((ie.endpoint, Pad(words)));
+                if forest.is_some() {
+                    down.push((ie.endpoint, words));
                 }
-                metrics.add_messages(ie.edge, words as u64);
-                forwarded = true;
+                forward.push((ie.endpoint, ie.edge, words));
                 ws.direct[ie.owner.index()].append(&mut ws.msgs);
             }
-            if !down_items.is_empty() {
-                let forest = rt.forests[lj].as_ref().expect("level forest");
-                metrics.merge_sequential(&downcast(&mut router, forest, down_items)?.metrics);
+            let mut forward_after = vec![];
+            if let Some(forest) = forest {
+                forward_after.push(casts.len());
+                casts.push(Cast::Down {
+                    forest,
+                    items: down,
+                    after: vec![held],
+                });
             }
-            metrics.rounds += u64::from(forwarded);
-        }
+            casts.push(Cast::Hop {
+                items: forward,
+                after: forward_after,
+            });
 
-        // ---- Receive step, level by level ----
-        for (lvl, forest) in h.levels.iter().zip(&rt.forests) {
-            ws.receive_level(algo, phase, lvl, forest.as_ref(), &mut router, &mut metrics)?;
+            // ---- Receive step: waits for the indirect arrivals only ----
+            ws.receive_level(algo, phase, clusters, 0, held, &mut casts);
         }
+        metrics.merge_sequential(&route_casts(&mut router, &casts)?);
 
         // ---- Compute ----
         ws.compute(broadcasters, inboxes);

@@ -19,13 +19,20 @@
 //! this file owns the send step above. Congestion over star edges per phase is
 //! `Õ(n^{1-ε})` (Lemma 3.18), which is what buys the faster phases and, through
 //! Lemma 3.22, the round-optimal end of the trade-off.
+//!
+//! A phase is one routed schedule ([`congest_engine::route_casts`]): the `L₁` and
+//! duty-edge words lead their edges from round 1; a center's matched-edge
+//! downcast leaves once its members' to-center words are in, and a matched
+//! sender forwards its `1 + |m₂|` words, one per round, once it holds them; the
+//! receive upcast waits only for the `m₁` arrivals it carries.
 
 use crate::simulate::common::{payload_options, Pad, SimulationRun};
-use crate::simulate::phase::{batch_words, PhaseWorkspace};
-use congest_algos::leader::setup_network_with;
+use crate::simulate::phase::{batch_words, LevelClusters, PhaseWorkspace};
+use congest_algos::leader::{setup_network_with, NetworkSetup};
 use congest_decomp::Hierarchy;
 use congest_engine::{
-    downcast, run_bcongest_over, upcast, AggregationAlgorithm, EngineError, Forest, Metrics, Router,
+    route_casts, run_bcongest_over, upcast, AggregationAlgorithm, Cast, EngineError, Metrics,
+    Router,
 };
 use congest_graph::{ClusterId, EdgeId, Graph, NodeId};
 
@@ -47,6 +54,20 @@ pub fn simulate_aggregation_star<A: AggregationAlgorithm>(
     h: &Hierarchy,
     opts: &AggSimOptions,
 ) -> Result<SimulationRun<A::Output>, EngineError> {
+    simulate_star_with_setup(algo, g, weights, h, opts, None)
+}
+
+/// [`simulate_aggregation_star`] on a network `setup` (§3.2.1 step 1) the
+/// caller already ran and charged to its own account, or, with `None`, on one
+/// it runs and charges itself.
+pub(crate) fn simulate_star_with_setup<A: AggregationAlgorithm>(
+    algo: &A,
+    g: &Graph,
+    weights: Option<&[u64]>,
+    h: &Hierarchy,
+    opts: &AggSimOptions,
+    setup: Option<&NetworkSetup>,
+) -> Result<SimulationRun<A::Output>, EngineError> {
     if h.kappa > 2 {
         return Err(EngineError::InvalidParameter {
             what: "hierarchy",
@@ -60,18 +81,21 @@ pub fn simulate_aggregation_star<A: AggregationAlgorithm>(
     let mut metrics = Metrics::new(g.m());
 
     // ---- Preprocessing (identical to the general simulation) ----
-    let setup = setup_network_with(g, opts.seed, &opts.exec)?;
-    metrics.merge_sequential(&setup.metrics);
+    if setup.is_none() {
+        metrics.merge_sequential(&setup_network_with(g, opts.seed, &opts.exec)?.metrics);
+    }
     if opts.charge_hierarchy {
         metrics.merge_sequential(&h.metrics);
     }
     let mut router = Router::new(g)?;
-    let star_level = (h.levels.len() > 1).then(|| &h.levels[1]);
-    let star_forest: Option<Forest> = match star_level {
-        Some(lvl) => Some(Forest::from_parents(g, lvl.parent.clone())?),
+    let star = match h.levels.get(1) {
+        Some(lvl) => Some(LevelClusters::new(g, lvl)?),
         None => None,
     };
-    if let (Some(lvl), Some(forest)) = (star_level, star_forest.as_ref()) {
+    if let Some(LevelClusters {
+        level: lvl, forest, ..
+    }) = star.as_ref()
+    {
         let items: Vec<(NodeId, Pad)> = g
             .nodes()
             .filter(|v| lvl.cluster_of[v.index()].is_some())
@@ -93,7 +117,7 @@ pub fn simulate_aggregation_star<A: AggregationAlgorithm>(
     let preprocessing = metrics.clone();
 
     // Nodes keep their own states: phase `p` is round `p` of the payload's own
-    // execution, delivered by the transport below.
+    // execution, delivered by the transport below as one routed schedule.
     let mut ws: PhaseWorkspace<A::Msg> = PhaseWorkspace::new(n);
     let transport = |phase: usize,
                      broadcasters: &[(NodeId, A::Msg)],
@@ -105,12 +129,12 @@ pub fn simulate_aggregation_star<A: AggregationAlgorithm>(
         ws.begin(broadcasters);
 
         // ---- Send: L₁ broadcasters use all incident edges; star-endpoint
-        //      duty edges deliver their endpoint's broadcast. One round. ----
-        metrics.rounds += 1;
+        //      duty edges deliver their endpoint's broadcast (cast 0). ----
+        let mut sends = Vec::with_capacity(2 * g.m());
         for (v, m) in broadcasters {
             if in_l1[v.index()] {
                 for (e, u) in g.incident(*v) {
-                    metrics.add_messages(e, 1);
+                    sends.push((*v, e, 1));
                     ws.raw[u.index()].push((*v, m.clone()));
                 }
             }
@@ -121,26 +145,35 @@ pub fn simulate_aggregation_star<A: AggregationAlgorithm>(
             }
             if let Some(m) = &ws.bp[w] {
                 for &(owner, e) in duties {
-                    metrics.add_messages(e, 1);
+                    sends.push((NodeId::new(w), e, 1));
                     ws.raw[owner.index()].push((NodeId::new(w), m.clone()));
                 }
             }
         }
+        let mut casts = vec![Cast::Hop {
+            items: sends,
+            after: vec![],
+        }];
 
         // ---- Star-cluster machinery ----
-        if let (Some(lvl), Some(forest)) = (star_level, star_forest.as_ref()) {
-            // Broadcasting members send to their center (upcast: depth ≤ 1).
-            let to_center: Vec<(NodeId, Pad)> = broadcasters
+        if let Some(clusters) = star.as_ref() {
+            let (lvl, forest) = (clusters.level, &clusters.forest);
+            // Broadcasting members send to their center (cast 1: an upcast of
+            // depth ≤ 1).
+            let to_center = broadcasters
                 .iter()
                 .filter(|(v, _)| lvl.cluster_of[v.index()].is_some())
-                .map(|(v, _)| (*v, Pad(1)))
+                .map(|(v, _)| (*v, 1))
                 .collect();
-            if !to_center.is_empty() {
-                metrics.merge_sequential(&upcast(&mut router, forest, to_center)?.metrics);
-            }
+            casts.push(Cast::Up {
+                forest,
+                items: to_center,
+                after: vec![],
+            });
 
             // Per cluster: matchings to every neighboring star cluster.
-            let mut down_items: Vec<(NodeId, Pad)> = Vec::new();
+            let mut down = Vec::new();
+            let mut forward = Vec::new();
             for (ci, (_center, members)) in lvl.clusters.iter().enumerate() {
                 let cid = ClusterId::new(ci);
                 let senders: Vec<NodeId> = members
@@ -183,24 +216,32 @@ pub fn simulate_aggregation_star<A: AggregationAlgorithm>(
                         algo.aggregate(u, phase, &mut ws.msgs);
                         let m1 = ws.bp[w.index()].clone().expect("w is a sender");
                         let words = 1 + batch_words(&ws.msgs);
-                        down_items.push((w, Pad(words)));
                         let e = g.edge_between(w, u).expect("matched pairs are edges");
-                        metrics.add_messages(e, words as u64);
+                        down.push((w, words));
+                        forward.push((w, e, words));
                         ws.arrivals[u.index()].push((w, m1));
                         ws.direct[u.index()].append(&mut ws.msgs);
                     }
                 }
             }
-            // The matched senders forward their two packets in one round.
-            if !down_items.is_empty() {
-                metrics.merge_sequential(&downcast(&mut router, forest, down_items)?.metrics);
-                metrics.rounds += 1;
-            }
+            // Once its members' words are in, the center downcasts both
+            // packets to each matched sender (cast 2), which forwards them over
+            // its matched edge as soon as it has them (cast 3).
+            casts.push(Cast::Down {
+                forest,
+                items: down,
+                after: vec![1],
+            });
+            casts.push(Cast::Hop {
+                items: forward,
+                after: vec![2],
+            });
 
-            // ---- Receive step: members upcast m₁ arrivals + own broadcasts;
-            //      centers downcast per-member aggregates. ----
-            ws.receive_level(algo, phase, lvl, Some(forest), &mut router, &mut metrics)?;
+            // ---- Receive step: members upcast their m₁ arrivals; centers
+            //      downcast per-member aggregates. ----
+            ws.receive_level(algo, phase, Some(clusters), 3, 1, &mut casts);
         }
+        metrics.merge_sequential(&route_casts(&mut router, &casts)?);
 
         // ---- Compute ----
         ws.compute(broadcasters, inboxes);

@@ -1,7 +1,8 @@
 //! Allocation regression guard for the aggregation simulations (Theorems 3.9 /
 //! 3.10): a simulated phase reuses one workspace — packet tables, the
-//! per-member fan-in, the `aggregate` scratch — so a run's heap allocations
-//! follow what the payload sends, not `phases × |F*|`. Before PR 18 every
+//! per-member fan-in, the `aggregate` scratch, the `Router` its one schedule
+//! runs on — so a run's heap allocations follow what the payload sends, not
+//! `phases × |F*|`. Before the workspace, every
 //! in-edge of every phase paid a `Vec`, a `BTreeMap` and a second `Vec` per
 //! `aggregate` call and every phase four to six `n`-row tables; one stray
 //! `collect()` in a per-in-edge or per-member loop brings that back, and
@@ -74,22 +75,23 @@ fn run_allocs(simulate: Simulate, g: &Graph, h: &Hierarchy, sources: usize) -> u
 fn simulated_phases_allocate_what_they_aggregate() {
     let g = generators::gnp_connected(96, 0.08, 11);
     // (simulator, ε of its pruned hierarchy, landed count of the 24-source
-    // run, the same run's count at the parent of PR 18 and at the parent of
-    // PR 21 — whose payload still copied and sorted every inbox)
-    let cases: [(&str, Simulate, f64, u64, [u64; 2]); 2] = [
+    // run since a phase is one routed schedule, and the same run's count
+    // before the phase workspace, while the payload still copied and sorted
+    // every inbox, and while a phase routed its casts one by one)
+    let cases: [(&str, Simulate, f64, u64, [u64; 3]); 2] = [
         (
             "general",
             simulate_aggregation_general,
             0.34,
-            15_382,
-            [93_217, 18_884],
+            4_674,
+            [93_217, 18_884, 15_390],
         ),
         (
             "star",
             simulate_aggregation_star,
             0.5,
-            28_696,
-            [85_851, 32_094],
+            22_188,
+            [85_851, 32_094, 28_705],
         ),
     ];
     for (name, simulate, eps, landed, parents) in cases {

@@ -103,8 +103,8 @@ pub use plane::FlatPlane;
 pub use router::Router;
 pub use trace::TraceLog;
 pub use treeops::{
-    broadcast, convergecast, downcast, relay, upcast, BroadcastOutcome, ConvergecastOutcome,
-    Delivered, DowncastOutcome, Forest, UpcastOutcome,
+    broadcast, convergecast, downcast, relay, route_casts, upcast, BroadcastOutcome, Cast,
+    ConvergecastOutcome, Delivered, DowncastOutcome, Forest, UpcastOutcome,
 };
 pub use view::LocalView;
 pub use wire::{Wire, WireDecode, WireEncode};

@@ -8,11 +8,12 @@
 //! Routing goes through one reusable workspace, [`Router`], which a simulation, an
 //! MST run or a landmark phase creates once from its graph and hands to every
 //! [`upcast`](crate::treeops::upcast) / [`downcast`](crate::treeops::downcast) /
-//! [`relay`](crate::treeops::relay) / [`Router::route`] call. The workspace keeps,
+//! [`relay`](crate::treeops::relay) / [`route_casts`](crate::treeops::route_casts) /
+//! [`Router::route`] call. The workspace keeps,
 //! across calls: the per-directed-edge FIFO `head`/`tail` tables and the `planned`
 //! congestion table (sized `2m` once), the packet arena, the flat task table
-//! (edge sequences and prerequisites) and the per-round `active`/`arrivals`
-//! lists. Nothing `2m`-sized is cleared between
+//! (edge sequences, prerequisite sets and release rounds) and the per-round
+//! `active`/`moving` lists. Nothing `2m`-sized is cleared between
 //! calls — every queue is empty again when a schedule finishes, and `planned` is
 //! zeroed by re-walking the sequences that touched it — so a routed batch costs
 //! `O(tasks + word-hops + Σ_rounds active edges)` work plus the `Θ(m)` congestion
@@ -21,7 +22,7 @@
 
 use crate::error::EngineError;
 use crate::metrics::Metrics;
-use crate::treeops::Forest;
+use crate::treeops::{Cast, Forest};
 use congest_graph::{EdgeId, Graph, NodeId};
 
 /// One routing task: deliver a payload of `words` words along `path` (a walk whose
@@ -152,31 +153,66 @@ pub struct Router<'g> {
     /// Per task: words still in flight (0 for local and zero-word tasks), and their
     /// sum over the batch.
     outstanding: Vec<u32>,
-    packets: u32,
-    /// Per task: its prerequisite, an earlier task, or [`NIL`] for none (see
-    /// [`Router::route_after`]).
+    packets: u64,
+    /// Every task's prerequisites, earlier tasks (see [`Router::route_after`]),
+    /// concatenated; task `t` owns `after[after_off[t]..after_off[t + 1]]`.
     after: Vec<u32>,
-    /// The tasks naming each task as prerequisite, as intrusive lists in task
-    /// order: per task, its first dependent and the next dependent of its
-    /// prerequisite ([`NIL`] ends a list). Both empty in a batch without
-    /// prerequisites.
-    first_dependent: Vec<u32>,
-    next_dependent: Vec<u32>,
+    after_off: Vec<u32>,
+    /// Per task: its prerequisites not yet completed.
+    pending: Vec<u32>,
+    /// The tasks naming each task as prerequisite, in task order; task `t`'s
+    /// are `dependents[dependents_off[t]..dependents_off[t + 1]]`.
+    dependents: Vec<u32>,
+    dependents_off: Vec<u32>,
     /// The tasks completed this round whose dependents are still to be
-    /// released, in completion order (`tasks` stands for round 0's tasks, the
-    /// ones without a prerequisite).
+    /// counted down, in completion order (`tasks` stands for round 0's
+    /// tasks, the ones without a prerequisite, and `tasks + 1` for the
+    /// release rounds due this round).
     releasing: Vec<u32>,
     /// Per node: the task carrying [`Router::route_relay`]'s word down to it,
     /// [`NIL`] outside a relay call; sized `n` on the first relay.
     relay_task: Vec<u32>,
-    /// Packet arena, one packet per word (parallel to `queues.next`): its task and
-    /// the `seq` position of the hop it waits to cross.
-    pkt_task: Vec<u32>,
-    pkt_at: Vec<u32>,
+    /// `(round, task)` per task that also waits for a release round (see
+    /// [`Router::route_casts`]); sorted when the schedule runs.
+    timers: Vec<(u64, u32)>,
+    /// [`Router::route_casts`]' bookkeeping. Per awaited item, in task order,
+    /// `(node its words end at, task, round)`: its task, or for an awaited
+    /// lead cast one entry per far end, [`NIL`] and the round the last lead
+    /// word is in there; cast `c`'s at `ends[cast_off[c]..cast_off[c + 1]]`.
+    /// While a cast is added: the items it waits for as intrusive lists,
+    /// `(next, end)` entries of `awaited` (`end` indexing `ends`) headed per
+    /// end node by `waits_at`; per node, its barrier task (for a lead cast,
+    /// its entry in `ends`); and the nodes with one. Both per-node columns
+    /// are [`NIL`] outside a call, sized `n` on the first.
+    ends: Vec<(u32, u32, u32)>,
+    cast_off: Vec<u32>,
+    awaited: Vec<(u32, u32)>,
+    waits_at: Vec<u32>,
+    barrier_at: Vec<u32>,
+    barriers: Vec<u32>,
+    /// Per directed edge: the words of lead hops queued ahead of every task
+    /// on it, all zero between calls, sized `2m` on the first phase; and the
+    /// edges with some, in order of their first lead hop.
+    lead: Vec<u32>,
+    lead_edges: Vec<u32>,
+    /// Packet arena (parallel to `queues.next`).
+    pkts: Vec<Packet>,
     /// Directed edges with a non-empty queue, in activation order, and the packets
-    /// sent this round, in send order.
+    /// that crossed an edge this round and go on, in send order.
     active: Vec<u32>,
-    arrivals: Vec<u32>,
+    moving: Vec<u32>,
+}
+
+/// Words queued on one directed edge: their `task` and the `seq` position of
+/// the hop they wait to cross. A packet is one word, except that a task of
+/// one hop queues all its words as one packet (its `outstanding` words), and
+/// a lead packet (task [`NIL`]) holds its edge's `lead` words: words queued
+/// together stay together, since nothing can be queued between them, and
+/// leave one per round.
+#[derive(Clone, Copy, Debug)]
+struct Packet {
+    task: u32,
+    at: u32,
 }
 
 impl<'g> Router<'g> {
@@ -196,19 +232,29 @@ impl<'g> Router<'g> {
                 next: Vec::new(),
             },
             planned: vec![0; directed_edges],
+            lead: Vec::new(),
             seq: Vec::new(),
             seq_off: Vec::new(),
             outstanding: Vec::new(),
             packets: 0,
             after: Vec::new(),
-            first_dependent: Vec::new(),
-            next_dependent: Vec::new(),
+            after_off: Vec::new(),
+            pending: Vec::new(),
+            dependents: Vec::new(),
+            dependents_off: Vec::new(),
             releasing: Vec::new(),
             relay_task: Vec::new(),
-            pkt_task: Vec::new(),
-            pkt_at: Vec::new(),
+            timers: Vec::new(),
+            ends: Vec::new(),
+            cast_off: Vec::new(),
+            awaited: Vec::new(),
+            waits_at: Vec::new(),
+            barrier_at: Vec::new(),
+            barriers: Vec::new(),
+            lead_edges: Vec::new(),
+            pkts: Vec::new(),
             active: Vec::new(),
-            arrivals: Vec::new(),
+            moving: Vec::new(),
         })
     }
 
@@ -221,8 +267,9 @@ impl<'g> Router<'g> {
     ///
     /// Packets are injected at round 0 in task order and forwarded FIFO; each directed
     /// edge carries one word per round. (Inside the crate a task may instead wait
-    /// for another to complete, which is what [`relay`](crate::treeops::relay) is
-    /// built on; every task given here starts at once.)
+    /// for others to complete, which is what [`relay`](crate::treeops::relay) and
+    /// [`route_casts`](crate::treeops::route_casts) are built on; every task given
+    /// here starts at once.)
     ///
     /// # Errors
     ///
@@ -234,18 +281,19 @@ impl<'g> Router<'g> {
         self.route_after(tasks, &[])
     }
 
-    /// [`Router::route`] where task `t` may wait for a prerequisite `after[t]`, an
-    /// earlier task (`after` is empty, or has one entry per task). A task
+    /// [`Router::route`] where task `t` waits for the prerequisites `after[t]`,
+    /// earlier tasks (`after` is empty, or has one entry per task). A task
     /// completes when its last word arrives, or, with nothing to send, when it is
     /// released. Round 0 releases the tasks without a prerequisite; every other
-    /// task is released in the round its prerequisite completes, after that
+    /// task is released in the round its last prerequisite completes, after that
     /// round's arrivals, and sends from the next round on. Tasks completing in one
-    /// round release theirs in the order they completed, each its own in task
-    /// order. Releasing a task injects its words on its first edge.
+    /// round count theirs down in the order they completed, each its own in task
+    /// order, and a task is released when its count reaches zero. Releasing a
+    /// task injects its words on its first edge.
     pub(crate) fn route_after(
         &mut self,
         tasks: &[RouteTask],
-        after: &[Option<usize>],
+        after: &[Vec<usize>],
     ) -> Result<RouteReport, EngineError> {
         debug_assert!(after.is_empty() || after.len() == tasks.len());
         self.begin();
@@ -257,10 +305,12 @@ impl<'g> Router<'g> {
                     .ok_or(EngineError::InvalidPath { task })?;
                 self.seq.push(directed(self.g, e, hop[0]));
             }
-            let prerequisite = after.get(task).copied().flatten();
-            self.end_task(t.words, prerequisite.map_or(NIL, |a| a as u32))?;
+            if let Some(prerequisites) = after.get(task) {
+                self.after.extend(prerequisites.iter().map(|&a| a as u32));
+            }
+            self.end_task(t.words);
         }
-        Ok(self.schedule())
+        self.schedule()
     }
 
     /// Routes one task per `(node, words)` item along the node's tree path in
@@ -276,9 +326,9 @@ impl<'g> Router<'g> {
         self.begin();
         for (v, words) in items {
             self.push_tree_path(forest, v, down);
-            self.end_task(words, NIL)?;
+            self.end_task(words);
         }
-        Ok(self.schedule())
+        self.schedule()
     }
 
     /// Routes [`relay`](crate::treeops::relay)'s batch over `forest`: per distinct
@@ -299,15 +349,16 @@ impl<'g> Router<'g> {
         self.relay_task.resize(self.g.n(), NIL);
         let built = self.push_relay_tasks(forest, hops);
         // Forget the owners, after an error too. Every owner with an entry has a
-        // hop task, and a hop task's first edge leaves its owner.
-        for t in 0..self.after.len() {
-            if self.after[t] != NIL {
+        // hop task (the tasks with a prerequisite), and a hop task's first edge
+        // leaves its owner.
+        for t in 0..self.outstanding.len() {
+            if self.after_off[t] != self.after_off[t + 1] {
                 let owner = tail(self.g, self.seq[self.seq_off[t] as usize]);
                 self.relay_task[owner.index()] = NIL;
             }
         }
         built?;
-        Ok(self.schedule())
+        self.schedule()
     }
 
     /// Fills the task table for [`Router::route_relay`]. Owners stay marked in
@@ -318,23 +369,223 @@ impl<'g> Router<'g> {
         hops: impl IntoIterator<Item = (NodeId, EdgeId)>,
     ) -> Result<(), EngineError> {
         for (hop, (owner, e)) in hops.into_iter().enumerate() {
-            let far = match (e.index() < self.g.m()).then(|| self.g.endpoints(e)) {
-                Some((u, v)) if u == owner => v,
-                Some((u, v)) if v == owner => u,
-                _ => return Err(EngineError::InvalidPath { task: hop }),
-            };
+            let (far, d) = self
+                .hop(owner, e)
+                .ok_or(EngineError::InvalidPath { task: hop })?;
             let mut word = self.relay_task[owner.index()];
             if word == NIL {
                 word = self.outstanding.len() as u32;
                 self.push_tree_path(forest, owner, true);
-                self.end_task(1, NIL)?;
+                self.end_task(1);
             }
-            self.seq.push(directed(self.g, e, owner));
+            self.seq.push(d);
             self.push_tree_path(forest, far, false);
-            self.end_task(1, word)?;
+            self.after.push(word);
+            self.end_task(1);
             self.relay_task[owner.index()] = word;
         }
         Ok(())
+    }
+
+    /// Routes [`route_casts`](crate::treeops::route_casts)' phase. The hops of
+    /// a cast that waits for nothing are *lead* hops: no tasks, only words
+    /// counted per directed edge and queued there ahead of every task, so a
+    /// lead hop's words are in by the round its last word's place on its
+    /// edge says. Every other cast's items are tasks, cast by cast and each
+    /// cast's in its own order. An item whose start node some awaited item
+    /// ends at waits behind that node's *barrier*, a local word-less task
+    /// added just before the cast's first item starting there, whose
+    /// prerequisites are those awaited items' tasks and whose release round
+    /// is the last round those lead hops' words arrive in.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::InvalidParameter`] if a cast waits for itself or a later
+    /// cast; [`EngineError::InvalidPath`] naming the first cast with a hop
+    /// whose edge is not incident to its owner; [`EngineError::BatchTooLarge`]
+    /// as for any batch.
+    pub(crate) fn route_casts(&mut self, casts: &[Cast<'_>]) -> Result<RouteReport, EngineError> {
+        self.begin();
+        self.waits_at.resize(self.g.n(), NIL);
+        self.barrier_at.resize(self.g.n(), NIL);
+        self.lead.resize(self.planned.len(), 0);
+        for (c, cast) in casts.iter().enumerate() {
+            let after = cast.after();
+            if let Some(&a) = after.iter().find(|&&a| a >= c) {
+                return Err(EngineError::InvalidParameter {
+                    what: "cast",
+                    reason: format!("cast {c} waits for cast {a}, which does not precede it"),
+                });
+            }
+            // The awaited items, as one list per node they end at.
+            self.awaited.clear();
+            for &a in after {
+                for i in self.cast_off[a]..self.cast_off[a + 1] {
+                    let end = self.ends[i as usize].0 as usize;
+                    self.awaited.push((self.waits_at[end], i));
+                    self.waits_at[end] = (self.awaited.len() - 1) as u32;
+                }
+            }
+            // Only the items some later cast waits for need their ends kept.
+            let awaited = casts[c + 1..]
+                .iter()
+                .any(|later| later.after().contains(&c));
+            let built = match cast {
+                Cast::Hop { items, .. } if after.is_empty() => {
+                    self.push_lead_hops(c, items, awaited)
+                }
+                _ => self.push_cast_tasks(c, cast, awaited),
+            };
+            // Forget the lists and barriers, after an error too.
+            for &a in after {
+                for i in self.cast_off[a]..self.cast_off[a + 1] {
+                    self.waits_at[self.ends[i as usize].0 as usize] = NIL;
+                }
+            }
+            for &s in &self.barriers {
+                self.barrier_at[s as usize] = NIL;
+            }
+            self.barriers.clear();
+            built?;
+            self.cast_off.push(self.ends.len() as u32);
+        }
+        self.schedule()
+    }
+
+    /// Adds cast `c`'s barriers and items to the task table, the awaited items
+    /// listed per node in `waits_at`, keeping the items' ends if `awaited`.
+    /// Barriers stay marked in `barrier_at` (and listed in `barriers`), an
+    /// error or not; the caller forgets them.
+    fn push_cast_tasks(
+        &mut self,
+        c: usize,
+        cast: &Cast<'_>,
+        awaited: bool,
+    ) -> Result<(), EngineError> {
+        let waits = !self.awaited.is_empty();
+        match cast {
+            Cast::Up { forest, items, .. } => {
+                for &(v, words) in items {
+                    self.open_item(v, waits);
+                    self.push_tree_path(forest, v, false);
+                    self.close_item(v, forest.root_of(v), words, awaited);
+                }
+            }
+            Cast::Down { forest, items, .. } => {
+                for &(v, words) in items {
+                    let root = forest.root_of(v);
+                    self.open_item(root, waits);
+                    self.push_tree_path(forest, v, true);
+                    self.close_item(root, v, words, awaited);
+                }
+            }
+            Cast::Hop { items, .. } => {
+                for &(owner, e, words) in items {
+                    let (far, d) = self
+                        .hop(owner, e)
+                        .ok_or(EngineError::InvalidPath { task: c })?;
+                    self.open_item(owner, waits);
+                    self.seq.push(d);
+                    self.close_item(owner, far, words, awaited);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Counts cast `c`'s hops as lead words on their directed edges, keeping,
+    /// if `awaited`, per far end the round the last of them is in there.
+    fn push_lead_hops(
+        &mut self,
+        c: usize,
+        items: &[(NodeId, EdgeId, usize)],
+        awaited: bool,
+    ) -> Result<(), EngineError> {
+        for &(owner, e, words) in items {
+            let (far, d) = self
+                .hop(owner, e)
+                .ok_or(EngineError::InvalidPath { task: c })?;
+            let lead = &mut self.lead[d as usize];
+            if words > 0 && *lead == 0 {
+                self.lead_edges.push(d);
+            }
+            // Truncation is caught with the word total in `schedule`.
+            *lead = lead.wrapping_add(words as u32);
+            self.packets += words as u64;
+            if awaited {
+                // One entry per far end, for the last round anything arrives
+                // there; `barrier_at` points at it while the cast is added.
+                let round = if words > 0 { *lead } else { 0 };
+                match self.barrier_at[far.index()] {
+                    NIL => {
+                        self.barrier_at[far.index()] = self.ends.len() as u32;
+                        self.barriers.push(far.raw());
+                        self.ends.push((far.raw(), NIL, round));
+                    }
+                    entry => {
+                        let in_by = &mut self.ends[entry as usize].2;
+                        *in_by = (*in_by).max(round);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Before an item leaving `start`: if `waits` and an awaited item ends at
+    /// `start`, adds `start`'s barrier unless the cast already has it.
+    #[inline]
+    fn open_item(&mut self, start: NodeId, waits: bool) {
+        let s = start.index();
+        if !waits || self.barrier_at[s] != NIL {
+            return;
+        }
+        let mut wait = self.waits_at[s];
+        if wait == NIL {
+            return;
+        }
+        let barrier = self.outstanding.len() as u32;
+        self.barrier_at[s] = barrier;
+        self.barriers.push(s as u32);
+        let mut release = 0;
+        while wait != NIL {
+            let (next, end) = self.awaited[wait as usize];
+            match self.ends[end as usize] {
+                (_, NIL, round) => release = release.max(round),
+                (_, task, _) => self.after.push(task),
+            }
+            wait = next;
+        }
+        if release > 0 {
+            self.timers.push((u64::from(release), barrier));
+        }
+        self.end_task(0);
+    }
+
+    /// Closes an item whose path was just pushed: behind `start`'s barrier if
+    /// it has one, its end kept if `awaited`.
+    #[inline]
+    fn close_item(&mut self, start: NodeId, end: NodeId, words: usize, awaited: bool) {
+        let barrier = self.barrier_at[start.index()];
+        if barrier != NIL {
+            self.after.push(barrier);
+        }
+        if awaited {
+            self.ends
+                .push((end.raw(), self.outstanding.len() as u32, 0));
+        }
+        self.end_task(words);
+    }
+
+    /// The end of edge `e` other than `owner` and the directed edge leaving
+    /// `owner` along `e`, or `None` if `e` is not an edge incident to `owner`.
+    fn hop(&self, owner: NodeId, e: EdgeId) -> Option<(NodeId, u32)> {
+        let (u, v) = (e.index() < self.g.m()).then(|| self.g.endpoints(e))?;
+        match (u == owner, v == owner) {
+            (true, _) => Some((v, 2 * e.raw())),
+            (false, true) => Some((u, 2 * e.raw() + 1)),
+            (false, false) => None,
+        }
     }
 
     /// Appends `v`'s tree path in `forest` to `seq`: `v` → root, or root → `v`
@@ -360,33 +611,55 @@ impl<'g> Router<'g> {
         self.seq_off.push(0);
         self.outstanding.clear();
         self.after.clear();
+        self.after_off.clear();
+        self.after_off.push(0);
+        self.timers.clear();
+        self.ends.clear();
+        self.cast_off.clear();
+        self.cast_off.push(0);
+        for &d in &self.lead_edges {
+            self.lead[d as usize] = 0;
+        }
+        self.lead_edges.clear();
         self.packets = 0;
     }
 
-    /// Closes the task whose hops were just pushed onto `seq`, with prerequisite
-    /// `after` (an earlier task, or [`NIL`]).
-    fn end_task(&mut self, words: usize, after: u32) -> Result<(), EngineError> {
-        let task = index_u32(self.outstanding.len() + 1, "tasks")? - 1;
+    /// Closes the task whose hops were just pushed onto `seq` and whose
+    /// prerequisites (earlier tasks) onto `after`. Sizes are checked once the
+    /// table is complete, before anything is queued (see [`Router::schedule`]).
+    fn end_task(&mut self, words: usize) {
         debug_assert!(
-            after == NIL || after < task,
+            self.after[*self.after_off.last().expect("starts at 0") as usize..]
+                .iter()
+                .all(|&a| (a as usize) < self.outstanding.len()),
             "a prerequisite precedes its task"
         );
-        let end = index_u32(self.seq.len(), "task hops")?;
-        let local = self.seq_off.last() == Some(&end);
-        let words = if local { 0 } else { index_u32(words, "words")? };
-        self.packets = self
-            .packets
-            .checked_add(words)
-            .filter(|&p| p != NIL)
-            .ok_or(EngineError::BatchTooLarge { what: "words" })?;
+        let end = self.seq.len() as u32;
+        let words = if self.seq_off.last() == Some(&end) {
+            0 // a local delivery queues nothing, whatever its size
+        } else {
+            words
+        };
+        self.packets += words as u64;
         self.seq_off.push(end);
-        self.outstanding.push(words);
-        self.after.push(after);
-        Ok(())
+        self.outstanding.push(words as u32);
+        self.after_off.push(self.after.len() as u32);
     }
 
     /// Runs the FIFO schedule of the batch in the task table.
-    fn schedule(&mut self) -> RouteReport {
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::BatchTooLarge`] if the table outgrew the `u32` columns
+    /// (its entries may then be truncated; nothing of them is queued).
+    fn schedule(&mut self) -> Result<RouteReport, EngineError> {
+        index_u32(self.outstanding.len(), "tasks")?;
+        index_u32(self.seq.len(), "task hops")?;
+        index_u32(self.after.len(), "prerequisites")?;
+        let packets = u32::try_from(self.packets)
+            .ok()
+            .filter(|&p| p != NIL)
+            .ok_or(EngineError::BatchTooLarge { what: "words" })?;
         let Self {
             g,
             queues,
@@ -394,16 +667,26 @@ impl<'g> Router<'g> {
             seq,
             seq_off,
             outstanding,
-            packets,
+            packets: _,
             after,
-            first_dependent,
-            next_dependent,
+            after_off,
+            pending,
+            dependents,
+            dependents_off,
             releasing,
             relay_task: _,
-            pkt_task,
-            pkt_at,
+            timers,
+            ends: _,
+            cast_off: _,
+            awaited: _,
+            waits_at: _,
+            barrier_at: _,
+            barriers: _,
+            lead,
+            lead_edges,
+            pkts,
             active,
-            arrivals,
+            moving,
         } = self;
         let tasks = outstanding.len();
         let hops = |t: usize| seq_off[t] as usize..seq_off[t + 1] as usize;
@@ -420,144 +703,228 @@ impl<'g> Router<'g> {
                 congestion = congestion.max(planned[d as usize]);
             }
         }
+        // Lead words: an edge no task crosses sends its in its first rounds,
+        // whatever else happens, so it is settled here; the others' go out
+        // first, as a word-less task's packet queued before any task's.
+        let mut metrics = Metrics::new(g.m());
+        let mut solo_rounds = 0;
+        let mut in_flight = packets;
+        if !lead_edges.is_empty() {
+            dilation = dilation.max(1);
+        }
+        for &d in lead_edges.iter() {
+            let words = lead[d as usize];
+            congestion = congestion.max(planned[d as usize] + u64::from(words));
+            if planned[d as usize] == 0 {
+                metrics.add_messages(EdgeId::new(d as usize / 2), u64::from(words));
+                solo_rounds = solo_rounds.max(u64::from(words));
+                in_flight -= words;
+                lead[d as usize] = 0;
+            }
+        }
         for &d in seq.iter() {
             planned[d as usize] = 0;
         }
 
-        // Each task's dependents, built backwards so every list comes out in task
+        // Each task's pending count and its dependents, by a counting sort of
+        // the prerequisite pairs in task order, so every list comes out in task
         // order — only if some task has a prerequisite, so a plain batch pays
         // nothing for them.
-        first_dependent.clear();
-        next_dependent.clear();
-        for t in (0..tasks).rev() {
-            let a = after[t] as usize;
-            if a != NIL as usize {
-                if first_dependent.is_empty() {
-                    first_dependent.resize(tasks, NIL);
-                    next_dependent.resize(tasks, NIL);
+        let gated = !after.is_empty() || !timers.is_empty();
+        pending.clear();
+        dependents.clear();
+        dependents_off.clear();
+        timers.sort_unstable();
+        if gated {
+            let prerequisites = |t: usize| after_off[t] as usize..after_off[t + 1] as usize;
+            pending.extend((0..tasks).map(|t| prerequisites(t).len() as u32));
+            // A release round counts as one more prerequisite.
+            for &(_, t) in timers.iter() {
+                pending[t as usize] += 1;
+            }
+            dependents_off.resize(tasks + 1, 0);
+            for &a in after.iter() {
+                dependents_off[a as usize + 1] += 1;
+            }
+            for t in 0..tasks {
+                dependents_off[t + 1] += dependents_off[t];
+            }
+            dependents.resize(after.len(), NIL);
+            for t in 0..tasks {
+                for &a in &after[prerequisites(t)] {
+                    // `dependents_off[a]` is a's fill cursor until the shift below.
+                    dependents[dependents_off[a as usize] as usize] = t as u32;
+                    dependents_off[a as usize] += 1;
                 }
-                next_dependent[t] = first_dependent[a];
-                first_dependent[a] = t as u32;
+            }
+            dependents_off.copy_within(0..tasks, 1);
+            dependents_off[0] = 0;
+        }
+        let has_dependents = |t: usize| gated && dependents_off[t] != dependents_off[t + 1];
+
+        pkts.clear();
+        queues.next.clear();
+        debug_assert!(active.is_empty(), "the previous schedule ran to completion");
+        for &d in lead_edges.iter() {
+            if lead[d as usize] > 0 {
+                pkts.push(Packet { task: NIL, at: 0 });
+                queues.next.push(NIL);
+                queues.push(d, pkts.len() as u32 - 1);
+                active.push(d);
             }
         }
-        // Round 0 releases the tasks without a prerequisite (the list `tasks`
-        // stands for), any other list is a completed task's dependents.
-        let root_from = |t: usize| {
-            (t..tasks)
-                .find(|&t| after[t] == NIL)
-                .map_or(NIL, |t| t as u32)
-        };
-        let first_of = |list: usize| {
-            if list == tasks {
-                root_from(0)
-            } else {
-                first_dependent[list]
-            }
-        };
-        let next_of = |list: usize, t: usize| {
-            if list == tasks {
-                root_from(t + 1)
-            } else {
-                next_dependent[t]
-            }
-        };
-        let has_dependents = |t: usize| first_dependent.get(t).is_some_and(|&d| d != NIL);
-
-        pkt_task.clear();
-        pkt_at.clear();
-        queues.next.clear();
-        queues.next.resize(*packets as usize, NIL);
-        debug_assert!(active.is_empty(), "the previous schedule ran to completion");
-        let mut metrics = Metrics::new(g.m());
+        lead_edges.clear();
         let mut completion_round = vec![0u64; tasks];
-        let mut in_flight = *packets;
         let mut round: u64 = 0;
+        // `releasing` names round 0's tasks by `tasks` and the release rounds
+        // due in a round by `tasks + 1`, ahead of that round's completions.
+        let (roots, due) = (tasks, tasks + 1);
+        let mut next_timer = 0;
         releasing.clear();
-        releasing.push(tasks as u32);
+        releasing.push(roots as u32);
         loop {
-            // Injection of the tasks this round's completions release (round 0:
-            // every task without a prerequisite, in task order): each word is its
-            // own packet, queued on its task's first edge. A released task with
-            // nothing to send completes now and releases its own after them. Task
-            // and packet counts passed `index_u32` in `end_task`, so the `as u32`
+            // Injection of the tasks this round releases (round 0: every task
+            // without a prerequisite, in task order; later rounds: those whose
+            // release round this is, in task order, then those whose last
+            // prerequisite completed, in completion order): each task's words,
+            // as one packet, queued on its first edge. A released task with
+            // nothing to send completes now and counts its own down after them.
+            // Task and packet counts passed `index_u32` above, so the `as u32`
             // below cannot truncate.
             let mut next = 0;
             while next < releasing.len() {
                 let list = releasing[next] as usize;
                 next += 1;
-                let mut d = first_of(list);
-                while d != NIL {
-                    let t = d as usize;
+                let released = if list == roots {
+                    0..tasks
+                } else if list == due {
+                    let from = next_timer;
+                    while timers.get(next_timer).is_some_and(|&(r, _)| r == round) {
+                        next_timer += 1;
+                    }
+                    from..next_timer
+                } else {
+                    dependents_off[list] as usize..dependents_off[list + 1] as usize
+                };
+                for i in released {
+                    let t = if list == roots {
+                        if gated && pending[i] != 0 {
+                            continue;
+                        }
+                        i
+                    } else {
+                        let t = if list == due {
+                            timers[i].1
+                        } else {
+                            dependents[i]
+                        } as usize;
+                        pending[t] -= 1;
+                        if pending[t] != 0 {
+                            continue;
+                        }
+                        t
+                    };
                     if outstanding[t] == 0 {
                         completion_round[t] = round;
                         if has_dependents(t) {
-                            releasing.push(d);
+                            releasing.push(t as u32);
                         }
+                        continue;
                     }
-                    for _ in 0..outstanding[t] {
-                        let p = pkt_task.len() as u32;
-                        pkt_task.push(d);
-                        pkt_at.push(seq_off[t]);
-                        let first = seq[seq_off[t] as usize];
+                    let first = seq[seq_off[t] as usize];
+                    let packets = if hops(t).len() == 1 {
+                        1
+                    } else {
+                        outstanding[t]
+                    };
+                    for _ in 0..packets {
+                        let p = pkts.len() as u32;
+                        pkts.push(Packet {
+                            task: t as u32,
+                            at: seq_off[t],
+                        });
+                        queues.next.push(NIL);
                         if queues.push(first, p) {
                             active.push(first);
                         }
                     }
-                    d = next_of(list, t);
                 }
             }
             releasing.clear();
-            if in_flight == 0 {
-                break;
+            if active.is_empty() {
+                // Nothing moves before the next release round, if any.
+                match timers.get(next_timer) {
+                    Some(&(r, _)) => {
+                        round = r;
+                        releasing.push(due as u32);
+                        continue;
+                    }
+                    None => {
+                        debug_assert_eq!(in_flight, 0, "every word is queued or delivered");
+                        break;
+                    }
+                }
             }
-            debug_assert!(!active.is_empty(), "a word in flight is queued somewhere");
             round += 1;
-            // Each active edge forwards its first packet; arrivals are buffered and
-            // enqueued after the send phase (synchronous semantics). Edges that
-            // still hold packets are compacted to the front of `active`, so they
-            // keep their place ahead of the edges the arrivals activate.
-            arrivals.clear();
+            if timers.get(next_timer).is_some_and(|&(r, _)| r == round) {
+                releasing.push(due as u32);
+            }
+            // Each active edge sends the first word of its first packet. A word
+            // that reached its task's end is delivered now, in send order; one
+            // that goes on is queued on its next edge after the send phase
+            // (synchronous semantics), as a packet of its own. Edges that still
+            // hold words are compacted to the front of `active`, so they keep
+            // their place ahead of the edges the moving words activate.
+            moving.clear();
             let mut kept = 0;
             for i in 0..active.len() {
                 let d = active[i];
-                let (p, emptied) = queues.pop(d);
                 metrics.add_messages(EdgeId::new(d as usize / 2), 1);
-                arrivals.push(p);
+                let head = queues.head[d as usize];
+                let Packet { task, at } = pkts[head as usize];
+                let t = task as usize;
+                let emptied = if task == NIL {
+                    lead[d as usize] -= 1;
+                    in_flight -= 1;
+                    lead[d as usize] == 0 && queues.pop(d).1
+                } else if at + 1 == seq_off[t + 1] {
+                    outstanding[t] -= 1;
+                    in_flight -= 1;
+                    if outstanding[t] == 0 {
+                        completion_round[t] = round;
+                        if has_dependents(t) {
+                            releasing.push(task);
+                        }
+                    }
+                    // A one-hop task's packet holds all its words.
+                    let rest = if at == seq_off[t] { outstanding[t] } else { 0 };
+                    rest == 0 && queues.pop(d).1
+                } else {
+                    pkts[head as usize].at += 1;
+                    moving.push(head);
+                    queues.pop(d).1
+                };
                 if !emptied {
                     active[kept] = d;
                     kept += 1;
                 }
             }
             active.truncate(kept);
-            for &p in arrivals.iter() {
-                let t = pkt_task[p as usize] as usize;
-                pkt_at[p as usize] += 1;
-                let at = pkt_at[p as usize];
-                if at == seq_off[t + 1] {
-                    outstanding[t] -= 1;
-                    in_flight -= 1;
-                    if outstanding[t] == 0 {
-                        completion_round[t] = round;
-                        if has_dependents(t) {
-                            releasing.push(t as u32);
-                        }
-                    }
-                } else {
-                    let d = seq[at as usize];
-                    if queues.push(d, p) {
-                        active.push(d);
-                    }
+            for &p in moving.iter() {
+                let d = seq[pkts[p as usize].at as usize];
+                if queues.push(d, p) {
+                    active.push(d);
                 }
             }
         }
-        metrics.rounds = round;
+        metrics.rounds = round.max(solo_rounds);
 
-        RouteReport {
+        Ok(RouteReport {
             metrics,
             completion_round,
             dilation,
             congestion,
-        }
+        })
     }
 }
 
@@ -597,7 +964,7 @@ mod tests {
         };
         let mut router = Router::new(&g).expect("a small graph");
         let r = router
-            .route_after(&[task(&[0, 1, 2]), task(&[2, 3])], &[None, Some(0)])
+            .route_after(&[task(&[0, 1, 2]), task(&[2, 3])], &[vec![], vec![0]])
             .expect("route the chained tasks");
         assert_eq!(r.completion_round, [2, 3]);
         assert_eq!((r.metrics.rounds, r.metrics.messages), (3, 3));
@@ -611,12 +978,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Random batches where each task names a random earlier task, or none,
-        /// with equal odds — local and zero-word prerequisites included —
-        /// against the reference scheduler, on one reused workspace that also
-        /// runs the same batch without the links.
+        /// Random batches where each task names up to three random earlier
+        /// tasks, repeats allowed, or none, with equal odds — local and
+        /// zero-word prerequisites included — against the reference scheduler,
+        /// on one reused workspace that also runs the same batch without the
+        /// links.
         #[test]
-        fn random_prerequisites_match_the_reference_scheduler(
+        fn random_prerequisite_sets_match_the_reference_scheduler(
             seed in 0u64..4000,
             n in 2usize..24,
             k in 0usize..40,
@@ -626,8 +994,11 @@ mod tests {
             let mut router = Router::new(&g).expect("a small graph");
             for _ in 0..3 {
                 let tasks = random_batch(&g, &mut r, k);
-                let after: Vec<Option<usize>> = (0..k)
-                    .map(|t| (t > 0 && r.random_range(0..2u32) == 0).then(|| r.random_range(0..t)))
+                let after: Vec<Vec<usize>> = (0..k)
+                    .map(|t| {
+                        let count = if t == 0 { 0 } else { r.random_range(0..=3usize) };
+                        (0..count).map(|_| r.random_range(0..t)).collect()
+                    })
                     .collect();
                 let got = router.route_after(&tasks, &after).expect("walks are valid paths");
                 let want = reference_route(&g, &tasks, &after).expect("reference");

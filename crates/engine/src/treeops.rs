@@ -9,6 +9,9 @@
 //! * **Relay** ([`relay`]): a downcast, one hop across an edge and an upcast as one
 //!   schedule, each word moving on as soon as it arrives (Theorem 2.1's phase
 //!   transport).
+//! * **Phase** ([`route_casts`]): upcasts, downcasts and hops, each waiting for the
+//!   casts it names at the node its words leave from, as one schedule (Theorems
+//!   3.9 / 3.10's phase transport).
 //! * **Convergecast** ([`convergecast`]): one value per node, folded bottom-up with a
 //!   caller-supplied combiner; each tree edge carries exactly one combined payload
 //!   (the MWOE search of GHS-style MST, subtree counting, …).
@@ -16,7 +19,7 @@
 //!   each tree edge carries the payload once (fragment-ID dissemination, "everyone
 //!   learn `n`", …).
 //!
-//! Upcast/downcast/relay are executed as real packet schedules (via
+//! Upcast/downcast/relay/phases are executed as real packet schedules (via
 //! [`crate::router`]), so the returned metrics are realized costs, which the tests
 //! compare against the lemmas' bounds (`O(I_n/log n)` rounds / `O(d·I_n/log n)`
 //! messages for upcast over depth-`d` forests, `O(|M|+d)` rounds / `O(d·|M|)`
@@ -294,6 +297,76 @@ pub fn relay(
     hops: impl IntoIterator<Item = (NodeId, EdgeId)>,
 ) -> Result<Metrics, EngineError> {
     Ok(router.route_relay(forest, hops)?.metrics)
+}
+
+/// One cast of a [`route_casts`] phase: items of `words` words each, moving
+/// along tree paths of a forest or across single edges, and `after`, the
+/// earlier casts of the phase it waits for.
+#[derive(Clone, Debug)]
+pub enum Cast<'f> {
+    /// Each `(v, words)` climbs from `v` to its root in `forest`, as in [`upcast`].
+    Up {
+        /// The forest whose tree paths the items climb.
+        forest: &'f Forest,
+        /// `(origin, words)` per item.
+        items: Vec<(NodeId, usize)>,
+        /// Indices of the earlier casts this one waits for.
+        after: Vec<usize>,
+    },
+    /// Each `(v, words)` descends from its root in `forest` to `v`, as in
+    /// [`downcast`].
+    Down {
+        /// The forest whose tree paths the items descend.
+        forest: &'f Forest,
+        /// `(destination, words)` per item.
+        items: Vec<(NodeId, usize)>,
+        /// Indices of the earlier casts this one waits for.
+        after: Vec<usize>,
+    },
+    /// Each `(owner, edge, words)` crosses `edge`, which is incident to
+    /// `owner`, away from `owner`.
+    Hop {
+        /// `(owner, edge, words)` per item.
+        items: Vec<(NodeId, EdgeId, usize)>,
+        /// Indices of the earlier casts this one waits for.
+        after: Vec<usize>,
+    },
+}
+
+impl Cast<'_> {
+    /// The earlier casts this one waits for.
+    pub(crate) fn after(&self) -> &[usize] {
+        match self {
+            Cast::Up { after, .. } | Cast::Down { after, .. } | Cast::Hop { after, .. } => after,
+        }
+    }
+}
+
+/// Routes a phase's `casts` as one schedule on `router`, each word moving on as
+/// soon as it may, and returns its realised cost.
+///
+/// A cast waits per node: an item of a cast with `after` leaves its start node
+/// (an upcast's origin, a downcast's root, a hop's owner) once every item of
+/// the casts it waits for that *ends* at that node (an upcast's root, a
+/// downcast's destination, a hop's far end) has arrived, and at once if none
+/// does. So a root's downcast waits for the upcast words into that root only,
+/// not for other roots' upcasts, and an upcast from `v` waits for the hops
+/// into `v`. A hop cast that waits for nothing *leads*: its words go ahead of
+/// every other word on their edges, so they are in by the round their place
+/// there says, and what waits for them leaves the round after. Otherwise the
+/// casts' words queue in cast order, first come first served on every
+/// directed edge, one word per edge and round. Every word crosses the edges
+/// its cast names, so messages and per-edge congestion are those of the casts
+/// routed one by one.
+///
+/// # Errors
+///
+/// [`EngineError::InvalidParameter`] if a cast waits for itself or a later
+/// cast; [`EngineError::InvalidPath`] naming the first cast with a hop whose
+/// edge is not incident to its owner; [`EngineError::BatchTooLarge`] if the
+/// phase outgrows the router's index columns.
+pub fn route_casts(router: &mut Router<'_>, casts: &[Cast<'_>]) -> Result<Metrics, EngineError> {
+    Ok(router.route_casts(casts)?.metrics)
 }
 
 /// Fails with [`EngineError::BudgetExceeded`] if `used` exceeds a given budget
@@ -728,6 +801,166 @@ mod tests {
         // the one from 3 climbs behind the one from 2, reaching the root in
         // round 6. Messages: (2 + 1) down, 2 hops, (3 + 2) up.
         assert_eq!((want.rounds, want.messages), (6, 3 + 2 + 5));
+    }
+
+    /// `path(6)` split into the trees 0-1-2-3 (root 0) and 4-5 (root 4).
+    fn two_trees() -> (Graph, Forest) {
+        let g = generators::path(6);
+        let parent = [None, Some(0), Some(1), Some(2), None, Some(4)];
+        let parent = parent.iter().map(|p| p.map(NodeId::new)).collect();
+        let f = Forest::from_parents(&g, parent).expect("valid parent pointers");
+        (g, f)
+    }
+
+    #[test]
+    fn a_roots_downcast_leaves_after_the_last_upcast_word_into_that_root() {
+        let (g, f) = two_trees();
+        let [v1, v3, v5] = [1, 3, 5].map(NodeId::new);
+        // Node 3's word reaches root 0 in round 3, node 5's reaches root 4 in
+        // round 1. Each root's downcast waits for its own tree's word only.
+        let casts = [
+            Cast::Up {
+                forest: &f,
+                items: vec![(v3, 1), (v5, 1)],
+                after: vec![],
+            },
+            Cast::Down {
+                forest: &f,
+                items: vec![(v1, 1), (v5, 1)],
+                after: vec![0],
+            },
+        ];
+        let mut router = Router::new(&g).expect("a small graph");
+        let report = router.route_casts(&casts).expect("casts over a forest");
+        // Tasks: the two upcast words, then per downcast word its root's
+        // barrier and the word. Root 0's word leaves in round 4, not 1; root
+        // 4's leaves in round 2, not held behind root 0's upcast.
+        assert_eq!(report.completion_round, [3, 1, 3, 4, 1, 2]);
+        assert_eq!(
+            route_casts(&mut router, &casts).expect("casts over a forest"),
+            report.metrics
+        );
+        assert_eq!((report.metrics.rounds, report.metrics.messages), (4, 6));
+        // Without the wait both downcast words leave in round 1.
+        let [up, down] = casts;
+        let down = match down {
+            Cast::Down { forest, items, .. } => Cast::Down {
+                forest,
+                items,
+                after: vec![],
+            },
+            _ => unreachable!("built as a downcast"),
+        };
+        let report = router
+            .route_casts(&[up, down])
+            .expect("casts over a forest");
+        assert_eq!(report.completion_round, [3, 1, 1, 1]);
+    }
+
+    #[test]
+    fn hops_and_upcasts_wait_at_the_node_their_words_leave() {
+        let (g, f) = two_trees();
+        let e = |u: usize, v: usize| g.edge_between(NodeId::new(u), NodeId::new(v)).unwrap();
+        let [v0, v3, v4, v5] = [0, 3, 4, 5].map(NodeId::new);
+        let casts = [
+            // Root 0 sends 2 words down to 3 (rounds 3 and 4) ...
+            Cast::Down {
+                forest: &f,
+                items: vec![(v3, 2)],
+                after: vec![],
+            },
+            // ... which forwards them to 4 across the non-tree edge 3-4 in
+            // rounds 5 and 6: a 2-word hop costs 2 rounds on its edge ...
+            Cast::Hop {
+                items: vec![(v3, e(3, 4), 2)],
+                after: vec![0],
+            },
+            // ... and 4, a root, sends one word down to 5 once both arrived.
+            Cast::Down {
+                forest: &f,
+                items: vec![(v5, 1), (v4, 1)],
+                after: vec![1],
+            },
+            // Node 0 upcasts nothing it waits for: it is a root with no hop
+            // ending there, so its local item completes in round 0.
+            Cast::Up {
+                forest: &f,
+                items: vec![(v0, 3)],
+                after: vec![1],
+            },
+        ];
+        let mut router = Router::new(&g).expect("a small graph");
+        let report = router.route_casts(&casts).expect("hops leave owners");
+        // Tasks: down to 3; the barrier at 3, the hop; the barrier at 4, the
+        // two downcast items (the one to 4 itself is local); the upcast item.
+        assert_eq!(report.completion_round, [4, 4, 6, 6, 7, 6, 0]);
+        assert_eq!(
+            (report.metrics.rounds, report.metrics.messages),
+            (7, 6 + 2 + 1)
+        );
+    }
+
+    #[test]
+    fn lead_hops_go_first_on_their_edges_and_release_their_waiters() {
+        let (g, f) = two_trees();
+        let e34 = g.edge_between(NodeId::new(3), NodeId::new(4)).unwrap();
+        let casts = [
+            // A hop cast waiting for nothing leads: its 3 words cross 3 → 4
+            // in rounds 1–3 ...
+            Cast::Hop {
+                items: vec![(NodeId::new(3), e34, 3)],
+                after: vec![],
+            },
+            // ... root 4's downcast waits for them and arrives in round 4 ...
+            Cast::Down {
+                forest: &f,
+                items: vec![(NodeId::new(5), 1)],
+                after: vec![0],
+            },
+            // ... and a word for the same edge, waiting for nothing that ends
+            // at 3, still queues behind them.
+            Cast::Hop {
+                items: vec![(NodeId::new(3), e34, 1)],
+                after: vec![1],
+            },
+        ];
+        let mut router = Router::new(&g).expect("a small graph");
+        let report = router.route_casts(&casts).expect("hops leave owners");
+        // Tasks: root 4's barrier (released after round 3), the downcast
+        // word, the last hop; lead hops are no tasks.
+        assert_eq!(report.completion_round, [3, 4, 4]);
+        assert_eq!((report.metrics.rounds, report.metrics.messages), (4, 5));
+    }
+
+    #[test]
+    fn a_phase_rejects_bad_waits_and_hops_and_stays_usable() {
+        let (g, f) = two_trees();
+        let e = |u: usize, v: usize| g.edge_between(NodeId::new(u), NodeId::new(v)).unwrap();
+        let mut router = Router::new(&g).expect("a small graph");
+        let up = |after: Vec<usize>| Cast::Up {
+            forest: &f,
+            items: vec![(NodeId::new(3), 1)],
+            after,
+        };
+        let good = [up(vec![]), up(vec![0])];
+        let want = route_casts(&mut router, &good).expect("casts over a forest");
+        for bad in [[up(vec![]), up(vec![1])], [up(vec![1]), up(vec![])]] {
+            let err = route_casts(&mut router, &bad).unwrap_err();
+            assert!(matches!(
+                err,
+                EngineError::InvalidParameter { what: "cast", .. }
+            ));
+        }
+        let off_owner = Cast::Hop {
+            items: vec![(NodeId::new(0), e(3, 4), 1)],
+            after: vec![0],
+        };
+        let err = route_casts(&mut router, &[up(vec![]), off_owner]).unwrap_err();
+        assert_eq!(err, EngineError::InvalidPath { task: 1 });
+        assert_eq!(route_casts(&mut router, &good).expect("usable"), want);
+        // The second word waits at 3 for nothing (no item ends at 3), so both
+        // climb together: 3 hops, 2 words, 4 rounds.
+        assert_eq!((want.rounds, want.messages), (4, 6));
     }
 
     #[test]

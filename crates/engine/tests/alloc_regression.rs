@@ -7,9 +7,9 @@
 //! and `due` table and the runner's sender buffer are reused the same way.
 //! The routing workspace keeps the same promise one level up: a warm
 //! [`Router`] allocates only the report and outcome it returns, so an
-//! `upcast` / `downcast` / `relay` costs the same number of allocations on a
-//! 20 000-edge graph as on a 1 000-edge one, however many rounds the schedule
-//! takes.
+//! `upcast` / `downcast` / `relay` / `route_casts` costs the same number of
+//! allocations on a 20 000-edge graph as on a 1 000-edge one, however many
+//! rounds the schedule takes.
 //! This is the property that makes the engine viable at n = 10⁵–10⁶, and it
 //! can rot silently (one stray `Vec::new()` in the round path brings the
 //! allocator back); this harness pins it with a counting
@@ -28,8 +28,8 @@
 //! harness threads are quiescent (this binary has exactly one `#[test]`).
 
 use congest_engine::{
-    downcast, relay, run_bcongest, upcast, BcongestAlgorithm, ExecutorConfig, FlatPlane, Forest,
-    LocalView, Metrics, Router, RunOptions, Wire,
+    downcast, relay, route_casts, run_bcongest, upcast, BcongestAlgorithm, Cast, ExecutorConfig,
+    FlatPlane, Forest, LocalView, Metrics, Router, RunOptions, Wire,
 };
 use congest_graph::{generators, reference, EdgeId, Graph, NodeId};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -69,6 +69,7 @@ fn steady_state_rounds_allocate_nothing() {
     runner_rounds_allocate_nothing();
     warm_tree_casts_allocate_only_what_they_return();
     warm_relays_allocate_only_what_they_return();
+    warm_phases_allocate_only_what_they_return();
 }
 
 fn flat_rounds_allocate_nothing() {
@@ -346,6 +347,64 @@ fn warm_relays_allocate_only_what_they_return() {
         small.m(),
         large.m()
     );
+    assert_eq!(
+        large_allocs, long_allocs,
+        "{short_rounds} vs {long_rounds} rounds"
+    );
+}
+
+/// Allocations and routed rounds of one `route_casts` phase over `g`'s BFS
+/// tree from node 0, on a `Router` that has already run that very phase:
+/// nodes `1..=owners` send one word across each incident edge (a lead hop
+/// cast) and upcast one word each, the root downcasts one word to each of them
+/// once those are in, and each then sends one more word across each incident
+/// edge once its downcast word is in.
+fn warm_phase_allocs(g: &Graph, owners: usize) -> (u64, u64) {
+    let forest = Forest::from_parents(g, reference::bfs_tree(g, NodeId::new(0))).expect("BFS tree");
+    let hops: Vec<(NodeId, EdgeId, usize)> = (1..=owners)
+        .map(NodeId::new)
+        .flat_map(|v| g.incident(v).map(move |(e, _)| (v, e, 1)))
+        .collect();
+    let every: Vec<(NodeId, usize)> = (1..=owners).map(|v| (NodeId::new(v), 1)).collect();
+    let casts = [
+        Cast::Hop {
+            items: hops.clone(),
+            after: vec![],
+        },
+        Cast::Up {
+            forest: &forest,
+            items: every.clone(),
+            after: vec![0],
+        },
+        Cast::Down {
+            forest: &forest,
+            items: every,
+            after: vec![1],
+        },
+        Cast::Hop {
+            items: hops,
+            after: vec![2],
+        },
+    ];
+    let mut router = Router::new(g).expect("a small graph");
+    route_casts(&mut router, &casts).expect("hops leave owners");
+    let before = allocs();
+    let metrics = route_casts(&mut router, &casts).expect("hops leave owners");
+    (allocs() - before, metrics.rounds)
+}
+
+/// A warm phase allocates its `Metrics` and the report's completion rounds:
+/// barriers, release rounds, lead counts and the dependents columns are
+/// reused like the rest of the workspace.
+fn warm_phases_allocate_only_what_they_return() {
+    let small = generators::gnp_connected(200, 0.05, 11);
+    let large = generators::sparse_connected(5_000, 15_050, 11);
+    let (small_allocs, _) = warm_phase_allocs(&small, 32);
+    let (large_allocs, short_rounds) = warm_phase_allocs(&large, 32);
+    let (long_allocs, long_rounds) = warm_phase_allocs(&large, 640);
+    assert!(long_rounds > short_rounds);
+    assert_eq!(small_allocs, 2, "allocations per warm phase");
+    assert_eq!(small_allocs, large_allocs);
     assert_eq!(
         large_allocs, long_allocs,
         "{short_rounds} vs {long_rounds} rounds"

@@ -13,16 +13,18 @@ use congest_algos::{bfs::Bfs, bfs_collection::BfsCollection};
 use congest_engine::faults::FaultState;
 use congest_engine::router::{RouteReport, RouteTask};
 use congest_engine::{
-    downcast, relay, router, run_bcongest, run_congest, treeops::Forest, upcast, BcongestAlgorithm,
-    CongestAlgorithm, EngineError, ExecutorConfig, FaultEvent, FaultPlan, FaultResponse, LocalView,
-    Metrics, Router, RunOptions, Wire, WireDecode, WireEncode,
+    downcast, relay, route_casts, router, run_bcongest, run_congest, treeops::Forest, upcast,
+    BcongestAlgorithm, Cast, CongestAlgorithm, EngineError, ExecutorConfig, FaultEvent, FaultPlan,
+    FaultResponse, LocalView, Metrics, Router, RunOptions, Wire, WireDecode, WireEncode,
 };
 use congest_graph::{generators, reference, rng, EdgeId, Graph, NodeId};
 use proptest::prelude::*;
 use rand::Rng;
 
 mod reference_scheduler;
-use reference_scheduler::{assert_same_report, random_batch, reference_route};
+use reference_scheduler::{
+    assert_same_report, random_batch, reference_route, reference_route_timed,
+};
 
 /// Encode → decode round-trip, plus the accounting agreement: the packed
 /// width is the constant `LANES` while the model-level cost `words()` must
@@ -53,6 +55,9 @@ impl Wire for Tagged {
         self.words
     }
 }
+
+/// An item as a route task: its start node, its path and its words.
+type Walk = (NodeId, Vec<NodeId>, usize);
 
 /// A random forest over connected `g`: a BFS tree from a random root with each
 /// parent link cut with probability 1/4 (every cut node roots its subtree).
@@ -628,19 +633,131 @@ proptest! {
                 let mut path = f.path_to_root(owner);
                 path.reverse();
                 tasks.push(RouteTask { path, words: 1 });
-                after.push(None);
+                after.push(vec![]);
                 tasks.len() - 1
             });
             let (a, b) = g.endpoints(e);
             let mut path = vec![owner];
             path.extend(f.path_to_root(if a == owner { b } else { a }));
             tasks.push(RouteTask { path, words: 1 });
-            after.push(Some(word));
+            after.push(vec![word]);
         }
         let want = reference_route(&g, &tasks, &after).expect("hops and tree paths are walks");
         let mut router = Router::new(&g).expect("a small graph");
         for _ in 0..2 {
             let got = relay(&mut router, &f, hops.iter().copied()).expect("hops leave owners");
+            prop_assert_eq!(&got, &want.metrics);
+        }
+    }
+
+    #[test]
+    fn phases_match_the_reference_with_barriers(seed in 0u64..4000, n in 2usize..24,
+                                                casts in 1usize..7) {
+        let g = generators::gnp_connected(n, 0.2, seed);
+        let mut r = rng::seeded(seed);
+        let forests = [random_forest(&g, &mut r), random_forest(&g, &mut r)];
+        // Random casts of every kind over either forest, each waiting for a
+        // random subset of the earlier ones; a few items each, words 0..=3.
+        let phase: Vec<Cast> = (0..casts)
+            .map(|c| {
+                let after: Vec<usize> = (0..c).filter(|_| r.random_range(0..2u32) == 0).collect();
+                let k = r.random_range(0..6usize);
+                let forest = &forests[r.random_range(0..2usize)];
+                let tree_items = |r: &mut _| -> Vec<(NodeId, usize)> {
+                    (0..k)
+                        .map(|_| (NodeId::new(Rng::random_range(r, 0..n)), Rng::random_range(r, 0..=3usize)))
+                        .collect()
+                };
+                match r.random_range(0..3u32) {
+                    0 => Cast::Up { forest, items: tree_items(&mut r), after },
+                    1 => Cast::Down { forest, items: tree_items(&mut r), after },
+                    _ => Cast::Hop {
+                        items: (0..k)
+                            .map(|_| {
+                                let e = EdgeId::new(r.random_range(0..g.m()));
+                                let (a, b) = g.endpoints(e);
+                                let owner = if r.random_range(0..2u32) == 0 { a } else { b };
+                                (owner, e, r.random_range(0..=3usize))
+                            })
+                            .collect(),
+                        after,
+                    },
+                }
+            })
+            .collect();
+        // The same phase as route tasks. First the lead hops — of every hop
+        // cast that waits for nothing —, in cast order: each word is at the
+        // front of its edge, so each hop's words are in by the round they take
+        // alone. Then the other casts in order, each item behind a local
+        // word-less barrier at its start node, added just before the cast's
+        // first item starting there if an awaited item ends there: it waits
+        // for the awaited items' tasks, and for the last round in which an
+        // awaited lead hop ending there is in.
+        let lead = |c: usize| matches!(&phase[c], Cast::Hop { after, .. } if after.is_empty());
+        let hop_path = |owner: NodeId, e: EdgeId| {
+            let (a, b) = g.endpoints(e);
+            vec![owner, if a == owner { b } else { a }]
+        };
+        let mut tasks = Vec::new();
+        for c in (0..casts).filter(|&c| lead(c)) {
+            let Cast::Hop { items, .. } = &phase[c] else { unreachable!("a lead cast hops") };
+            for &(owner, e, words) in items {
+                tasks.push(RouteTask { path: hop_path(owner, e), words });
+            }
+        }
+        let alone = reference_route(&g, &tasks, &[]).expect("hops are walks");
+        let mut after = vec![vec![]; tasks.len()];
+        let mut release = vec![0; tasks.len()];
+        // Per cast, what its items leave for a later cast to wait for: (end
+        // node, task, round) — the task, or for a lead hop the round it is in.
+        let mut ends: Vec<Vec<(NodeId, Option<usize>, u64)>> = Vec::new();
+        let mut lead_hops = 0..tasks.len();
+        for (c, cast) in phase.iter().enumerate() {
+            let (waits, walks): (&[usize], Vec<Walk>) = match cast {
+                Cast::Hop { items, .. } if lead(c) => {
+                    let in_by = items.iter().map(|&(owner, e, _)| {
+                        let t = lead_hops.next().expect("one task per lead hop");
+                        (hop_path(owner, e)[1], None, alone.completion_round[t])
+                    });
+                    ends.push(in_by.collect());
+                    continue;
+                }
+                Cast::Up { forest, items, after } => (after, items.iter().map(|&(v, w)| {
+                    (v, forest.path_to_root(v), w)
+                }).collect()),
+                Cast::Down { forest, items, after } => (after, items.iter().map(|&(v, w)| {
+                    let mut path = forest.path_to_root(v);
+                    path.reverse();
+                    (path[0], path, w)
+                }).collect()),
+                Cast::Hop { items, after } => (after, items.iter().map(|&(owner, e, w)| {
+                    (owner, hop_path(owner, e), w)
+                }).collect()),
+            };
+            let awaited: Vec<(NodeId, Option<usize>, u64)> =
+                waits.iter().flat_map(|&a| ends[a].iter().copied()).collect();
+            let mut barrier_of = vec![None; n];
+            let mut cast_ends = Vec::new();
+            for (s, path, words) in walks {
+                let on_s = || awaited.iter().filter(move |&&(end, ..)| end == s);
+                if barrier_of[s.index()].is_none() && on_s().next().is_some() {
+                    barrier_of[s.index()] = Some(tasks.len());
+                    tasks.push(RouteTask { path: vec![s], words: 0 });
+                    after.push(on_s().filter_map(|&(_, t, _)| t).collect());
+                    release.push(on_s().map(|&(.., r)| r).max().unwrap_or(0));
+                }
+                cast_ends.push((*path.last().expect("non-empty"), Some(tasks.len()), 0));
+                tasks.push(RouteTask { path, words });
+                after.push(barrier_of[s.index()].into_iter().collect());
+                release.push(0);
+            }
+            ends.push(cast_ends);
+        }
+        let want = reference_route_timed(&g, &tasks, &after, &release)
+            .expect("tree paths and hops are walks");
+        let mut router = Router::new(&g).expect("a small graph");
+        for _ in 0..2 {
+            let got = route_casts(&mut router, &phase).expect("hops leave owners");
             prop_assert_eq!(&got, &want.metrics);
         }
     }

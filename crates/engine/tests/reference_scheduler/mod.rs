@@ -14,17 +14,32 @@ use std::collections::VecDeque;
 /// of every active queue in `active` order, keeps the still-non-empty edges
 /// first, then enqueues the arrivals in send order.
 ///
-/// `after` is empty or names each task's prerequisite, an earlier task. Round 0
-/// releases the tasks without one, in task order. After a round's arrivals,
-/// each task that completed in it — in the order its last word arrived —
-/// releases the tasks naming it, in task order. Releasing a task queues one
-/// packet per word on its first edge; a released task with nothing to send
-/// completes at once, and what it releases goes behind everything already
-/// released that round.
+/// `after` is empty or names each task's prerequisites, earlier tasks. Round 0
+/// releases the tasks without one, in task order. Each task that completes —
+/// in a round, in the order its last word arrived — counts down the tasks
+/// naming it, in task order (once per naming), and one whose count reaches
+/// zero is released. Releasing a task queues one packet per word on its first
+/// edge; a released task with nothing to send completes at once, and what it
+/// releases goes behind everything already released that round.
 pub fn reference_route(
     g: &Graph,
     tasks: &[RouteTask],
-    after: &[Option<usize>],
+    after: &[Vec<usize>],
+) -> Result<RouteReport, EngineError> {
+    reference_route_timed(g, tasks, after, &[])
+}
+
+/// [`reference_route`] where a task may also wait for a release round
+/// (`release` is empty, or has one entry per task; 0 = none). A release
+/// round counts as one more prerequisite, which completes after that round's
+/// arrivals, ahead of the tasks completing in it; round by round, due release
+/// rounds count down in task order. With nothing in flight the schedule idles
+/// to the next release round.
+pub fn reference_route_timed(
+    g: &Graph,
+    tasks: &[RouteTask],
+    after: &[Vec<usize>],
+    release: &[u64],
 ) -> Result<RouteReport, EngineError> {
     // Directed edge index: 2*e for canonical u->v, 2*e+1 for v->u.
     let mut seqs: Vec<Vec<usize>> = Vec::with_capacity(tasks.len());
@@ -51,14 +66,48 @@ pub fn reference_route(
     }
     let congestion = planned.iter().copied().max().unwrap_or(0);
 
+    let timed = |t: usize| release.get(t).is_some_and(|&r| r > 0);
     let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); tasks.len()];
+    let mut pending: Vec<usize> = Vec::with_capacity(tasks.len());
     let mut released: VecDeque<usize> = VecDeque::new();
     for t in 0..tasks.len() {
-        match after.get(t).copied().flatten() {
-            Some(a) => dependents[a].push(t),
-            None => released.push_back(t),
+        let prerequisites = after.get(t).map_or(&[][..], Vec::as_slice);
+        for &a in prerequisites {
+            dependents[a].push(t);
+        }
+        pending.push(prerequisites.len() + usize::from(timed(t)));
+        if pending[t] == 0 {
+            released.push_back(t);
         }
     }
+    let mut timers: Vec<(u64, usize)> = (0..tasks.len())
+        .filter(|&t| timed(t))
+        .map(|t| (release[t], t))
+        .collect();
+    timers.sort_unstable();
+    let mut timers: VecDeque<(u64, usize)> = timers.into();
+    // The release rounds due in `round` count down first.
+    let fire = |round: u64,
+                timers: &mut VecDeque<(u64, usize)>,
+                pending: &mut [usize],
+                released: &mut VecDeque<usize>| {
+        while timers.front().is_some_and(|&(r, _)| r == round) {
+            let (_, t) = timers.pop_front().expect("checked");
+            pending[t] -= 1;
+            if pending[t] == 0 {
+                released.push_back(t);
+            }
+        }
+    };
+    // A completed task counts its dependents down; those reaching zero go out.
+    let count_down = |x: usize, pending: &mut [usize], released: &mut VecDeque<usize>| {
+        for &d in &dependents[x] {
+            pending[d] -= 1;
+            if pending[d] == 0 {
+                released.push_back(d);
+            }
+        }
+    };
 
     // Packet = (task, hop index next to traverse). Each word is its own packet.
     let mut queues: Vec<VecDeque<(usize, usize)>> = vec![VecDeque::new(); 2 * g.m()];
@@ -73,7 +122,7 @@ pub fn reference_route(
             if seq.is_empty() || tasks[i].words == 0 {
                 outstanding[i] = 0;
                 completion[i] = round;
-                released.extend(&dependents[i]);
+                count_down(i, &mut pending, &mut released);
                 continue;
             }
             for _ in 0..tasks[i].words {
@@ -86,9 +135,17 @@ pub fn reference_route(
             }
         }
         if remaining_packets == 0 {
-            break;
+            match timers.front() {
+                Some(&(r, _)) => {
+                    round = r;
+                    fire(round, &mut timers, &mut pending, &mut released);
+                    continue;
+                }
+                None => break,
+            }
         }
         round += 1;
+        fire(round, &mut timers, &mut pending, &mut released);
         let mut arrivals: Vec<(usize, usize)> = Vec::with_capacity(active.len());
         let mut survivors: Vec<usize> = Vec::with_capacity(active.len());
         for &d in &active {
@@ -108,7 +165,7 @@ pub fn reference_route(
                 remaining_packets -= 1;
                 if outstanding[task] == 0 {
                     completion[task] = round;
-                    released.extend(&dependents[task]);
+                    count_down(task, &mut pending, &mut released);
                 }
             } else {
                 let d = seqs[task][hop];
