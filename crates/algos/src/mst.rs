@@ -90,9 +90,6 @@ pub struct MstConfig {
     /// Stop merging once every fragment that still has an outgoing edge spans at
     /// least this many nodes (controlled-GHS growth). `None` = run to completion.
     pub growth_threshold: Option<usize>,
-    /// Hard phase limit; `None` uses `⌈log₂ n⌉ + 3` (fragments at least double per
-    /// phase, so that is never the binding constraint).
-    pub max_phases: Option<usize>,
 }
 
 /// Result of a (possibly threshold-stopped) distributed MST run.
@@ -133,8 +130,8 @@ pub fn message_bound(n: usize, m: usize) -> u64 {
 /// # Errors
 ///
 /// [`EngineError::BudgetExceeded`] if [`MstConfig::message_budget`] is hit;
-/// [`EngineError::RoundLimitExceeded`] if the phase guard fires (cannot happen with
-/// the default guard).
+/// [`EngineError::RoundLimitExceeded`] if the `⌈log₂ n⌉ + 3`-phase guard fires
+/// (cannot happen: fragments at least double per phase).
 pub fn distributed_mst(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstRun, EngineError> {
     let g = wg.graph();
     let n = g.n();
@@ -149,9 +146,7 @@ pub fn distributed_mst(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstRun, En
     let all_changed = vec![true; n];
     charge_announcements(wg, cfg, &all_changed, &mut metrics)?;
 
-    let limit = cfg
-        .max_phases
-        .unwrap_or_else(|| (n.max(2) as f64).log2().ceil() as usize + 3);
+    let limit = (n.max(2) as f64).log2().ceil() as usize + 3;
     let mut phases = 0u64;
     let mut complete = false;
     loop {

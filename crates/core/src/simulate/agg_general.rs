@@ -46,7 +46,8 @@ use congest_engine::{
 use congest_graph::{EdgeId, Graph, NodeId};
 use std::ops::Range;
 
-/// Options for the Theorem 3.9 / 3.10 simulations.
+/// Options for the Theorem 3.9 / 3.10 simulations. The phase guard is the
+/// payload runner's, `4 × round_bound + 64` phases.
 #[derive(Clone, Debug)]
 pub struct AggSimOptions {
     /// Master seed (same role as in the direct runner).
@@ -55,8 +56,6 @@ pub struct AggSimOptions {
     /// metrics (on by default; turn off when the hierarchy is shared across runs,
     /// e.g. in the Lemma 3.23 batches, and accounted once by the caller).
     pub charge_hierarchy: bool,
-    /// Phase guard; defaults to `4 × round_bound + 64`.
-    pub max_phases: Option<usize>,
     /// How per-node phases execute (the payload's round loop and the
     /// preprocessing runs). Outputs and metrics are identical at every thread
     /// count.
@@ -68,7 +67,6 @@ impl Default for AggSimOptions {
         Self {
             seed: 0,
             charge_hierarchy: true,
-            max_phases: None,
             exec: congest_engine::ExecutorConfig::default(),
         }
     }
@@ -217,6 +215,7 @@ pub(crate) fn simulate_general_with_setup<A: AggregationAlgorithm>(
         }
         let mut casts = vec![Cast::Hop {
             items: indirect,
+            up: None,
             after: vec![],
         }];
 
@@ -275,6 +274,7 @@ pub(crate) fn simulate_general_with_setup<A: AggregationAlgorithm>(
             }
             casts.push(Cast::Hop {
                 items: forward,
+                up: None,
                 after: forward_after,
             });
 
@@ -287,7 +287,7 @@ pub(crate) fn simulate_general_with_setup<A: AggregationAlgorithm>(
         ws.compute(broadcasters, inboxes);
         Ok(())
     };
-    let payload_opts = payload_options(opts.seed, opts.max_phases, &opts.exec);
+    let payload_opts = payload_options(opts.seed, &opts.exec);
     let payload = run_bcongest_over(algo, g, weights, &payload_opts, transport)?;
     Ok(SimulationRun::assemble(payload, metrics, preprocessing))
 }

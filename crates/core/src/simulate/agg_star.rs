@@ -152,6 +152,7 @@ pub(crate) fn simulate_star_with_setup<A: AggregationAlgorithm>(
         }
         let mut casts = vec![Cast::Hop {
             items: sends,
+            up: None,
             after: vec![],
         }];
 
@@ -234,6 +235,7 @@ pub(crate) fn simulate_star_with_setup<A: AggregationAlgorithm>(
             });
             casts.push(Cast::Hop {
                 items: forward,
+                up: None,
                 after: vec![2],
             });
 
@@ -247,7 +249,7 @@ pub(crate) fn simulate_star_with_setup<A: AggregationAlgorithm>(
         ws.compute(broadcasters, inboxes);
         Ok(())
     };
-    let payload_opts = payload_options(opts.seed, opts.max_phases, &opts.exec);
+    let payload_opts = payload_options(opts.seed, &opts.exec);
     let payload = run_bcongest_over(algo, g, weights, &payload_opts, transport)?;
     Ok(SimulationRun::assemble(payload, metrics, preprocessing))
 }

@@ -58,14 +58,10 @@ impl<O> SimulationRun<O> {
 }
 
 /// The payload's [`RunOptions`] under a simulation: same seed as a direct run,
-/// the phase guard as its round limit, no faults.
-pub(crate) fn payload_options(
-    seed: u64,
-    max_phases: Option<usize>,
-    exec: &ExecutorConfig,
-) -> RunOptions {
+/// the runner's own round guard (`4 × round_bound + 64`) as the phase guard, no
+/// faults.
+pub(crate) fn payload_options(seed: u64, exec: &ExecutorConfig) -> RunOptions {
     RunOptions {
-        max_rounds: max_phases,
         seed,
         exec: exec.clone(),
         faults: None,

@@ -23,11 +23,13 @@
 //! broadcasts locally and **downcast** one word to each broadcaster with an F-edge
 //! (it knows its F-edges from the announce round), the broadcaster sends it across
 //! its F-edges, and the receiving sides **upcast** it to their centers, which apply
-//! the member `receive` transitions. The three steps are one routed schedule
-//! (`treeops::relay`): a broadcaster sends in the round after its own word
-//! arrives, not after the whole downcast, so a phase costs about its slowest
-//! cast rather than the sum of all three, and a phase no broadcaster has an
-//! F-edge in costs no rounds (DESIGN.md §2). A message reaches a receiver only
+//! the member `receive` transitions. The three steps are one routed schedule,
+//! two casts of `treeops::route_casts` (`phase_casts`): the downcast, and a hop
+//! cast that waits for it at each broadcaster and climbs from each far end to
+//! its center. A broadcaster sends in the round after its own word arrives, not
+//! after the whole downcast, so a phase costs about its slowest cast rather
+//! than the sum of all three, and a phase no broadcaster has an F-edge in costs
+//! no rounds (DESIGN.md §2). A message reaches a receiver only
 //! along that path, or at the shared center for a receiver in the broadcaster's
 //! own cluster. A final downcast delivers outputs. Message complexity is
 //! therefore `Õ(In + Out + B_A)` — each simulated broadcast pays `O(log n)`
@@ -42,12 +44,13 @@ use congest_algos::leader::setup_network_with;
 use congest_decomp::ldc::{build_ldc, FEdge, LdcDecomposition};
 use congest_decomp::mpx::Clustering;
 use congest_engine::{
-    downcast, relay, run_bcongest_over, upcast, BcongestAlgorithm, EngineError, Forest, Metrics,
-    Router,
+    downcast, route_casts, run_bcongest_over, upcast, BcongestAlgorithm, Cast, EngineError, Forest,
+    Metrics, Router,
 };
-use congest_graph::{rng, Graph, NodeId};
+use congest_graph::{rng, EdgeId, Graph, NodeId};
 
-/// Options for the Theorem 2.1 simulation.
+/// Options for the Theorem 2.1 simulation. The phase guard is the payload
+/// runner's, `4 × round_bound + 64` phases.
 #[derive(Clone, Debug, Default)]
 pub struct LdcSimOptions {
     /// Master seed (drives preprocessing randomness *and* the payload's per-node
@@ -56,8 +59,6 @@ pub struct LdcSimOptions {
     /// Pad every phase to the worst-case `Θ(n log n)` budget of §2.2 instead of the
     /// realized schedule length.
     pub strict_phase_budget: bool,
-    /// Phase guard; defaults to `4 × round_bound + 64`.
-    pub max_phases: Option<usize>,
     /// How per-node phases execute (the payload's round loop and the
     /// preprocessing runs). Outputs and metrics are identical at every thread
     /// count.
@@ -156,14 +157,14 @@ pub(crate) fn simulate_over_ldc<A: BcongestAlgorithm>(
         let hops = broadcasters
             .iter()
             .flat_map(|(v, _)| ldc.f_edges[v.index()].iter().map(|f| (*v, f.edge)));
-        let mut phase_cost = relay(&mut router, &forest, hops)?;
+        let mut phase_cost = route_casts(&mut router, &phase_casts(&forest, hops))?;
         if opts.strict_phase_budget {
             phase_cost.pad_rounds(phase_budget.saturating_sub(phase_cost.rounds));
         }
         metrics.merge_sequential(&phase_cost);
         Ok(())
     };
-    let payload_opts = payload_options(opts.seed, opts.max_phases, &opts.exec);
+    let payload_opts = payload_options(opts.seed, &opts.exec);
     let payload = run_bcongest_over(algo, g, weights, &payload_opts, transport)?;
 
     // Final phase: downcast outputs to their nodes.
@@ -410,7 +411,7 @@ fn balanced_parents(g: &Graph, forest: &Forest) -> (Vec<Option<NodeId>>, Vec<u32
 ///    round). A host's center takes its fully labelled candidates largest
 ///    first and adopts one when, in Theorem 2.1's units (with about `n` phases
 ///    and `n`-word outputs both scale by `n`), the merged cluster's
-///    [`own_casts`] cost strictly less than the larger relay of the two plus
+///    [`own_casts`] cost strictly less than the larger phase of the two plus
 ///    the larger heaviest branch. A rejected candidate's messages stay
 ///    charged, and its members, never told otherwise, keep their old tree;
 /// 4. *re-derive*: one word down the tentative forest to every joined member
@@ -549,20 +550,20 @@ fn absorb_fragments(
             (in_x, tree)
         };
         let (mut in_x, mut x_tree) = cluster(h);
-        let (mut x_relay, mut x_heavy, _) = own_casts(router, ldc, &in_x, x_tree.clone())?;
+        let (mut x_phase, mut x_heavy, _) = own_casts(router, ldc, &in_x, x_tree.clone())?;
         for &c in group {
             let (in_c, c_tree) = cluster(c);
-            let (c_relay, c_heavy, _) = own_casts(router, ldc, &in_c, c_tree)?;
+            let (c_phase, c_heavy, _) = own_casts(router, ldc, &in_c, c_tree)?;
             let (mut in_m, mut m_tree) = (in_x.clone(), x_tree.clone());
             for &v in &members[c] {
                 in_m[v.index()] = true;
                 m_tree[v.index()] = label_parent[v.index()];
             }
-            let (m_relay, m_heavy, m_tree) = own_casts(router, ldc, &in_m, m_tree)?;
-            let merged_cost = m_relay + u64::from(m_heavy);
-            let apart_cost = x_relay.max(c_relay) + u64::from(x_heavy.max(c_heavy));
+            let (m_phase, m_heavy, m_tree) = own_casts(router, ldc, &in_m, m_tree)?;
+            let merged_cost = m_phase + u64::from(m_heavy);
+            let apart_cost = x_phase.max(c_phase) + u64::from(x_heavy.max(c_heavy));
             if merged_cost < apart_cost {
-                (in_x, x_tree, x_relay, x_heavy) = (in_m, m_tree, m_relay, m_heavy);
+                (in_x, x_tree, x_phase, x_heavy) = (in_m, m_tree, m_phase, m_heavy);
                 for &v in &members[c] {
                     joined[v.index()] = true;
                 }
@@ -632,9 +633,9 @@ fn absorb_fragments(
 }
 
 /// One cluster's own cast cost in Theorem 2.1's units, as its center computes
-/// it from its members' inputs: the rounds of [`relay`] over the cluster's tree
-/// alone (every other node a root of its own) in a phase in which every node
-/// broadcasts — the cluster's owners' F-edges out of it and every outside
+/// it from its members' inputs: the rounds of the [`phase_casts`] phase over
+/// the cluster's tree alone (every other node a root of its own) in which every
+/// node broadcasts — the cluster's owners' F-edges out of it and every outside
 /// owner's one F-edge into it, at the smallest `other` — and its heaviest
 /// branch. Both are taken on the tree step 3b's re-parenting makes of
 /// `parent` (`Some` only at members), which is returned.
@@ -663,7 +664,7 @@ fn own_casts(
             hops.push((v, f.edge));
         }
     }
-    let rounds = relay(router, &tree, hops)?.rounds;
+    let rounds = route_casts(router, &phase_casts(&tree, hops))?.rounds;
     let x = g
         .nodes()
         .find(|v| in_x[v.index()])
@@ -671,6 +672,33 @@ fn own_casts(
     let heaviest = heaviest[tree.root_of(x).index()];
     let parent = g.nodes().map(|v| tree.parent(v)).collect();
     Ok((rounds, heaviest, parent))
+}
+
+/// A phase's transport over `forest` as two casts: one word down to each
+/// owner of `hops`, which come grouped by owner, and per hop one word across
+/// its edge that climbs from the far end to its root, each leaving once its
+/// owner's word is in.
+fn phase_casts(forest: &Forest, hops: impl IntoIterator<Item = (NodeId, EdgeId)>) -> [Cast<'_>; 2] {
+    let mut owners: Vec<(NodeId, usize)> = Vec::new();
+    let mut items = Vec::new();
+    for (owner, e) in hops {
+        if owners.last().is_none_or(|&(o, _)| o != owner) {
+            owners.push((owner, 1));
+        }
+        items.push((owner, e, 1));
+    }
+    [
+        Cast::Down {
+            forest,
+            items: owners,
+            after: vec![],
+        },
+        Cast::Hop {
+            items,
+            up: Some(forest),
+            after: vec![0],
+        },
+    ]
 }
 
 /// The §2.2 worst-case phase budget `Θ(n log n)`.
@@ -824,7 +852,7 @@ mod tests {
         // heaviest branch 3). Candidate: the 4-clique 7..=10 centered at 7,
         // hanging off the host member 1 by the one edge 1 - 7. Every clique
         // member is within depth 3 through 1, but all of them would join 1's
-        // branch: the merged relay takes 0 rounds against the host's 2, and
+        // branch: the merged phase takes 0 rounds against the host's 2, and
         // the heaviest branch grows from 3 to 7, so 0 + 7 is not below 2 + 3.
         let mut edges = vec![(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (1, 7)];
         edges.extend([(7, 8), (7, 9), (7, 10), (8, 9), (8, 10), (9, 10)]);
@@ -1118,7 +1146,7 @@ mod tests {
         let mut router = Router::new(&g).unwrap();
         let (forest, cast) = cast_forest(&mut router, &ldc, 31);
         let hops = cast.all_f_edges().map(|f| (f.owner, f.edge));
-        let phase = relay(&mut router, &forest, hops).unwrap();
+        let phase = route_casts(&mut router, &phase_casts(&forest, hops)).unwrap();
         // The three steps one after another: a word down to every F-edge owner,
         // a round across the F-edges, an upcast from their far ends.
         let owners = g.nodes().filter(|v| !cast.f_edges[v.index()].is_empty());

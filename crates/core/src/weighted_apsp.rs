@@ -52,7 +52,6 @@ pub fn weighted_apsp(
         &LdcSimOptions {
             seed: cfg.seed,
             strict_phase_budget: cfg.strict_phase_budget,
-            max_phases: None,
             exec: cfg.exec.clone(),
         },
     )?;

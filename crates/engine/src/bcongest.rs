@@ -139,11 +139,11 @@ pub trait AggregationAlgorithm: BcongestAlgorithm {
     fn aggregate_budget(&self, n: usize) -> usize;
 }
 
-/// Options for [`run_bcongest`].
+/// Options for [`run_bcongest`]. The round guard is
+/// 4×[`BcongestAlgorithm::round_bound`] + 64 rounds, once more per fault round
+/// under a fault plan.
 #[derive(Clone, Debug, Default)]
 pub struct RunOptions {
-    /// Hard round limit; `None` uses 4×[`BcongestAlgorithm::round_bound`] + 64.
-    pub max_rounds: Option<usize>,
     /// Master seed; per-node seeds are derived from it.
     pub seed: u64,
     /// How the per-node phases execute. Outputs and [`Metrics`] are
@@ -213,8 +213,8 @@ where
 /// per node, all empty: it pushes `(sender, msg)` into `inboxes[receiver]` for
 /// whatever it delivers and keeps its own account of what moving it cost, so
 /// the returned [`Metrics`] carry the execution's `rounds` and `broadcasts`
-/// only. Scheduling, the round guard and [`RunOptions::max_rounds`] are
-/// [`run_bcongest`]'s; the receive phase is sequential.
+/// only. Scheduling and the round guard are [`run_bcongest`]'s; the receive
+/// phase is sequential.
 ///
 /// # Errors
 ///

@@ -103,7 +103,7 @@ pub use plane::FlatPlane;
 pub use router::Router;
 pub use trace::TraceLog;
 pub use treeops::{
-    broadcast, convergecast, downcast, relay, route_casts, upcast, BroadcastOutcome, Cast,
+    broadcast, convergecast, downcast, route_casts, upcast, BroadcastOutcome, Cast,
     ConvergecastOutcome, Delivered, DowncastOutcome, Forest, UpcastOutcome,
 };
 pub use view::LocalView;

@@ -265,14 +265,14 @@ pub(crate) fn run<M: Model, D: Delivery<M>>(
         opts.faults.as_ref().map(|plan| FaultState::new(plan, g));
 
     let base_limit = 4 * model.round_bound(n, g.m()) + 64;
-    let limit = opts.max_rounds.unwrap_or_else(|| match &opts.faults {
+    let limit = match &opts.faults {
         // Every fault round can restart the algorithm from scratch, so the
         // guard scales with the number of fault rounds.
         Some(plan) => {
             (plan.fault_rounds().len() + 1) * base_limit + plan.last_fault_round().unwrap_or(0)
         }
         None => base_limit,
-    });
+    };
 
     let mut agenda = Agenda::new(n);
     let mut senders: Vec<(NodeId, M::Sent)> = Vec::new();

@@ -8,8 +8,11 @@
 //! Routing goes through one reusable workspace, [`Router`], which a simulation, an
 //! MST run or a landmark phase creates once from its graph and hands to every
 //! [`upcast`](crate::treeops::upcast) / [`downcast`](crate::treeops::downcast) /
-//! [`relay`](crate::treeops::relay) / [`route_casts`](crate::treeops::route_casts) /
-//! [`Router::route`] call. The workspace keeps,
+//! [`route_casts`](crate::treeops::route_casts) / [`Router::route`] call. A phase
+//! whose casts wait for each other — Theorem 2.1's downcast to each broadcaster
+//! and its hops climbing into the receiving centers, Theorems 3.9 / 3.10's
+//! per-root barriers — is one [`route_casts`](crate::treeops::route_casts)
+//! schedule. The workspace keeps,
 //! across calls: the per-directed-edge FIFO `head`/`tail` tables and the `planned`
 //! congestion table (sized `2m` once), the packet arena, the flat task table
 //! (edge sequences, prerequisite sets and release rounds) and the per-round
@@ -82,16 +85,6 @@ fn directed_edge_count(m: usize) -> Result<usize, EngineError> {
 #[inline]
 fn directed(g: &Graph, e: EdgeId, from: NodeId) -> u32 {
     2 * e.raw() + u32::from(g.endpoints(e).0 != from)
-}
-
-/// The node the directed edge `d` (numbered as by [`directed`]) leaves.
-fn tail(g: &Graph, d: u32) -> NodeId {
-    let (u, v) = g.endpoints(EdgeId::new(d as usize / 2));
-    if d & 1 == 0 {
-        u
-    } else {
-        v
-    }
 }
 
 /// One intrusive FIFO of packets per directed edge. An edge is active iff its
@@ -169,9 +162,6 @@ pub struct Router<'g> {
     /// tasks, the ones without a prerequisite, and `tasks + 1` for the
     /// release rounds due this round).
     releasing: Vec<u32>,
-    /// Per node: the task carrying [`Router::route_relay`]'s word down to it,
-    /// [`NIL`] outside a relay call; sized `n` on the first relay.
-    relay_task: Vec<u32>,
     /// `(round, task)` per task that also waits for a release round (see
     /// [`Router::route_casts`]); sorted when the schedule runs.
     timers: Vec<(u64, u32)>,
@@ -243,7 +233,6 @@ impl<'g> Router<'g> {
             dependents: Vec::new(),
             dependents_off: Vec::new(),
             releasing: Vec::new(),
-            relay_task: Vec::new(),
             timers: Vec::new(),
             ends: Vec::new(),
             cast_off: Vec::new(),
@@ -267,8 +256,8 @@ impl<'g> Router<'g> {
     ///
     /// Packets are injected at round 0 in task order and forwarded FIFO; each directed
     /// edge carries one word per round. (Inside the crate a task may instead wait
-    /// for others to complete, which is what [`relay`](crate::treeops::relay) and
-    /// [`route_casts`](crate::treeops::route_casts) are built on; every task given
+    /// for others to complete, which is what
+    /// [`route_casts`](crate::treeops::route_casts) is built on; every task given
     /// here starts at once.)
     ///
     /// # Errors
@@ -331,68 +320,13 @@ impl<'g> Router<'g> {
         self.schedule()
     }
 
-    /// Routes [`relay`](crate::treeops::relay)'s batch over `forest`: per distinct
-    /// owner, in order of first appearance, a one-word task from its root down to
-    /// it, and per hop a one-word task across the hop edge and on up the far end's
-    /// tree path, with its owner's task as prerequisite.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::InvalidPath`] naming the first hop whose edge is not
-    /// incident to its owner; [`EngineError::BatchTooLarge`] as for any batch.
-    pub(crate) fn route_relay(
-        &mut self,
-        forest: &Forest,
-        hops: impl IntoIterator<Item = (NodeId, EdgeId)>,
-    ) -> Result<RouteReport, EngineError> {
-        self.begin();
-        self.relay_task.resize(self.g.n(), NIL);
-        let built = self.push_relay_tasks(forest, hops);
-        // Forget the owners, after an error too. Every owner with an entry has a
-        // hop task (the tasks with a prerequisite), and a hop task's first edge
-        // leaves its owner.
-        for t in 0..self.outstanding.len() {
-            if self.after_off[t] != self.after_off[t + 1] {
-                let owner = tail(self.g, self.seq[self.seq_off[t] as usize]);
-                self.relay_task[owner.index()] = NIL;
-            }
-        }
-        built?;
-        self.schedule()
-    }
-
-    /// Fills the task table for [`Router::route_relay`]. Owners stay marked in
-    /// `relay_task`, an error or not; the caller forgets them.
-    fn push_relay_tasks(
-        &mut self,
-        forest: &Forest,
-        hops: impl IntoIterator<Item = (NodeId, EdgeId)>,
-    ) -> Result<(), EngineError> {
-        for (hop, (owner, e)) in hops.into_iter().enumerate() {
-            let (far, d) = self
-                .hop(owner, e)
-                .ok_or(EngineError::InvalidPath { task: hop })?;
-            let mut word = self.relay_task[owner.index()];
-            if word == NIL {
-                word = self.outstanding.len() as u32;
-                self.push_tree_path(forest, owner, true);
-                self.end_task(1);
-            }
-            self.seq.push(d);
-            self.push_tree_path(forest, far, false);
-            self.after.push(word);
-            self.end_task(1);
-            self.relay_task[owner.index()] = word;
-        }
-        Ok(())
-    }
-
     /// Routes [`route_casts`](crate::treeops::route_casts)' phase. The hops of
-    /// a cast that waits for nothing are *lead* hops: no tasks, only words
-    /// counted per directed edge and queued there ahead of every task, so a
-    /// lead hop's words are in by the round its last word's place on its
+    /// a cast that neither waits nor climbs are *lead* hops: no tasks, only
+    /// words counted per directed edge and queued there ahead of every task, so
+    /// a lead hop's words are in by the round its last word's place on its
     /// edge says. Every other cast's items are tasks, cast by cast and each
-    /// cast's in its own order. An item whose start node some awaited item
+    /// cast's in its own order; a climbing hop's task goes on up the far end's
+    /// tree path and ends at its root. An item whose start node some awaited item
     /// ends at waits behind that node's *barrier*, a local word-less task
     /// added just before the cast's first item starting there, whose
     /// prerequisites are those awaited items' tasks and whose release round
@@ -401,9 +335,9 @@ impl<'g> Router<'g> {
     /// # Errors
     ///
     /// [`EngineError::InvalidParameter`] if a cast waits for itself or a later
-    /// cast; [`EngineError::InvalidPath`] naming the first cast with a hop
-    /// whose edge is not incident to its owner; [`EngineError::BatchTooLarge`]
-    /// as for any batch.
+    /// cast; [`EngineError::InvalidPath`] naming the first cast (not the item)
+    /// with a hop whose edge is not incident to its owner;
+    /// [`EngineError::BatchTooLarge`] as for any batch.
     pub(crate) fn route_casts(&mut self, casts: &[Cast<'_>]) -> Result<RouteReport, EngineError> {
         self.begin();
         self.waits_at.resize(self.g.n(), NIL);
@@ -431,9 +365,9 @@ impl<'g> Router<'g> {
                 .iter()
                 .any(|later| later.after().contains(&c));
             let built = match cast {
-                Cast::Hop { items, .. } if after.is_empty() => {
-                    self.push_lead_hops(c, items, awaited)
-                }
+                Cast::Hop {
+                    items, up: None, ..
+                } if after.is_empty() => self.push_lead_hops(c, items, awaited),
                 _ => self.push_cast_tasks(c, cast, awaited),
             };
             // Forget the lists and barriers, after an error too.
@@ -479,14 +413,21 @@ impl<'g> Router<'g> {
                     self.close_item(root, v, words, awaited);
                 }
             }
-            Cast::Hop { items, .. } => {
+            Cast::Hop { items, up, .. } => {
                 for &(owner, e, words) in items {
                     let (far, d) = self
                         .hop(owner, e)
                         .ok_or(EngineError::InvalidPath { task: c })?;
                     self.open_item(owner, waits);
                     self.seq.push(d);
-                    self.close_item(owner, far, words, awaited);
+                    let end = match up {
+                        Some(forest) => {
+                            self.push_tree_path(forest, far, false);
+                            forest.root_of(far)
+                        }
+                        None => far,
+                    };
+                    self.close_item(owner, end, words, awaited);
                 }
             }
         }
@@ -674,7 +615,6 @@ impl<'g> Router<'g> {
             dependents,
             dependents_off,
             releasing,
-            relay_task: _,
             timers,
             ends: _,
             cast_off: _,

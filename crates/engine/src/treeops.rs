@@ -1,4 +1,4 @@
-//! Forests and the upcast/downcast/relay/convergecast/broadcast primitives (paper
+//! Forests and the upcast/downcast/phase/convergecast/broadcast primitives (paper
 //! §1.4.2, Lemmas 1.5 and 1.6, plus the aggregation passes every fragment/tree
 //! algorithm uses).
 //!
@@ -6,12 +6,11 @@
 //!   tree's root, each node forwarding one word to its parent per round.
 //! * **Downcast** (Lemma 1.6): roots hold addressed items; each item flows down the
 //!   unique root→destination path, one word per edge per round.
-//! * **Relay** ([`relay`]): a downcast, one hop across an edge and an upcast as one
-//!   schedule, each word moving on as soon as it arrives (Theorem 2.1's phase
-//!   transport).
 //! * **Phase** ([`route_casts`]): upcasts, downcasts and hops, each waiting for the
-//!   casts it names at the node its words leave from, as one schedule (Theorems
-//!   3.9 / 3.10's phase transport).
+//!   casts it names at the node its words leave from, as one schedule. Theorem
+//!   2.1's phase is a downcast to each broadcaster and a hop cast that waits for
+//!   it and climbs from each far end to its root ([`Cast::Hop`]'s `up`); Theorems
+//!   3.9 / 3.10's phases wait per root.
 //! * **Convergecast** ([`convergecast`]): one value per node, folded bottom-up with a
 //!   caller-supplied combiner; each tree edge carries exactly one combined payload
 //!   (the MWOE search of GHS-style MST, subtree counting, …).
@@ -19,7 +18,7 @@
 //!   each tree edge carries the payload once (fragment-ID dissemination, "everyone
 //!   learn `n`", …).
 //!
-//! Upcast/downcast/relay/phases are executed as real packet schedules (via
+//! Upcast/downcast/phases are executed as real packet schedules (via
 //! [`crate::router`]), so the returned metrics are realized costs, which the tests
 //! compare against the lemmas' bounds (`O(I_n/log n)` rounds / `O(d·I_n/log n)`
 //! messages for upcast over depth-`d` forests, `O(|M|+d)` rounds / `O(d·|M|)`
@@ -277,28 +276,6 @@ pub fn downcast<P: Wire>(
     })
 }
 
-/// Relays one word per hop, a hop being an `(owner, edge)` pair with `edge`
-/// incident to `owner`, as one routed batch on `router`: each distinct owner's
-/// root sends one word down to it, in the round after that word arrives the
-/// owner sends it across each of its hop edges, and each far end forwards it up
-/// to its own root. Nothing waits for the other owners' words, so a hop word can
-/// be on its way up while downcast words are still on their way down. Messages
-/// and per-edge congestion are those of a [`downcast`] to the distinct owners,
-/// one per hop edge, and an [`upcast`] from the far ends; no hops cost nothing.
-///
-/// # Errors
-///
-/// [`EngineError::InvalidPath`] naming the first hop whose edge is not incident
-/// to its owner; [`EngineError::BatchTooLarge`] if the batch outgrows the
-/// router's index columns.
-pub fn relay(
-    router: &mut Router<'_>,
-    forest: &Forest,
-    hops: impl IntoIterator<Item = (NodeId, EdgeId)>,
-) -> Result<Metrics, EngineError> {
-    Ok(router.route_relay(forest, hops)?.metrics)
-}
-
 /// One cast of a [`route_casts`] phase: items of `words` words each, moving
 /// along tree paths of a forest or across single edges, and `after`, the
 /// earlier casts of the phase it waits for.
@@ -324,10 +301,14 @@ pub enum Cast<'f> {
         after: Vec<usize>,
     },
     /// Each `(owner, edge, words)` crosses `edge`, which is incident to
-    /// `owner`, away from `owner`.
+    /// `owner`, away from `owner`, and with `up` climbs on from the far end
+    /// to that end's root in `up`.
     Hop {
         /// `(owner, edge, words)` per item.
         items: Vec<(NodeId, EdgeId, usize)>,
+        /// The forest the items climb after their hop; `None` ends each at
+        /// its far end.
+        up: Option<&'f Forest>,
         /// Indices of the earlier casts this one waits for.
         after: Vec<usize>,
     },
@@ -348,10 +329,11 @@ impl Cast<'_> {
 /// A cast waits per node: an item of a cast with `after` leaves its start node
 /// (an upcast's origin, a downcast's root, a hop's owner) once every item of
 /// the casts it waits for that *ends* at that node (an upcast's root, a
-/// downcast's destination, a hop's far end) has arrived, and at once if none
-/// does. So a root's downcast waits for the upcast words into that root only,
-/// not for other roots' upcasts, and an upcast from `v` waits for the hops
-/// into `v`. A hop cast that waits for nothing *leads*: its words go ahead of
+/// downcast's destination, a hop's far end, or for a hop that climbs, that
+/// end's root) has arrived, and at once if none does. So a root's downcast
+/// waits for the upcast words into that root only, not for other roots'
+/// upcasts, and an upcast from `v` waits for the hops into `v`. A hop cast
+/// that waits for nothing and does not climb *leads*: its words go ahead of
 /// every other word on their edges, so they are in by the round their place
 /// there says, and what waits for them leaves the round after. Otherwise the
 /// casts' words queue in cast order, first come first served on every
@@ -363,8 +345,9 @@ impl Cast<'_> {
 ///
 /// [`EngineError::InvalidParameter`] if a cast waits for itself or a later
 /// cast; [`EngineError::InvalidPath`] naming the first cast with a hop whose
-/// edge is not incident to its owner; [`EngineError::BatchTooLarge`] if the
-/// phase outgrows the router's index columns.
+/// edge is not incident to its owner — the cast's index, not the item's;
+/// [`EngineError::BatchTooLarge`] if the phase outgrows the router's index
+/// columns. The router stays usable after any of them.
 pub fn route_casts(router: &mut Router<'_>, casts: &[Cast<'_>]) -> Result<Metrics, EngineError> {
     Ok(router.route_casts(casts)?.metrics)
 }
@@ -729,8 +712,32 @@ mod tests {
         (f, hops)
     }
 
+    /// Theorem 2.1's phase over `f` as two casts: one word down to each
+    /// distinct owner, in order of first appearance, then per hop one word
+    /// across its edge and up to the far end's root, behind its owner's word.
+    fn down_and_climb<'f>(f: &'f Forest, hops: &[(NodeId, EdgeId)]) -> [Cast<'f>; 2] {
+        let mut owners: Vec<(NodeId, usize)> = Vec::new();
+        for &(v, _) in hops {
+            if !owners.iter().any(|&(o, _)| o == v) {
+                owners.push((v, 1));
+            }
+        }
+        [
+            Cast::Down {
+                forest: f,
+                items: owners,
+                after: vec![],
+            },
+            Cast::Hop {
+                items: hops.iter().map(|&(v, e)| (v, e, 1)).collect(),
+                up: Some(f),
+                after: vec![0],
+            },
+        ]
+    }
+
     #[test]
-    fn relay_is_a_downcast_hops_and_an_upcast_in_one_schedule() {
+    fn a_climbing_hop_phase_is_a_downcast_hops_and_an_upcast_in_one_schedule() {
         let instances = [
             (generators::grid(12, 8), vec![0, 11, 40, 47, 50, 84, 90, 95]),
             (generators::gnp_connected(60, 0.08, 5), vec![0, 1, 2, 3]),
@@ -738,15 +745,14 @@ mod tests {
         for (g, roots) in instances {
             let (f, hops) = cells(&g, &roots);
             let mut router = Router::new(&g).expect("a small graph");
-            let relayed = relay(&mut router, &f, hops.iter().copied()).expect("hops leave owners");
+            let casts = down_and_climb(&f, &hops);
+            let phase = route_casts(&mut router, &casts).expect("hops leave owners");
             // The three steps one after another: one word down to each owner,
             // one round across the hop edges, an upcast from their far ends.
-            let mut owners: Vec<(NodeId, u64)> = Vec::new();
-            for &(v, _) in &hops {
-                if !owners.iter().any(|&(o, _)| o == v) {
-                    owners.push((v, 1));
-                }
-            }
+            let Cast::Down { items: owners, .. } = &casts[0] else {
+                unreachable!("built as a downcast first")
+            };
+            let owners = owners.iter().map(|&(v, _)| (v, 1u64)).collect();
             let far_ends = hops.iter().map(|&(v, e)| {
                 let (a, b) = g.endpoints(e);
                 (if a == v { b } else { a }, 1u64)
@@ -760,13 +766,13 @@ mod tests {
                 steps.add_messages(e, 1);
             }
             steps.merge_sequential(&up);
-            assert_eq!(relayed.messages, steps.messages);
-            assert_eq!(relayed.congestion(), steps.congestion());
-            assert!(down.rounds.max(up.rounds) <= relayed.rounds);
+            assert_eq!(phase.messages, steps.messages);
+            assert_eq!(phase.congestion(), steps.congestion());
+            assert!(down.rounds.max(up.rounds) <= phase.rounds);
             assert!(
-                relayed.rounds < down.rounds + 1 + up.rounds,
+                phase.rounds < down.rounds + 1 + up.rounds,
                 "{} rounds against {} + 1 + {}",
-                relayed.rounds,
+                phase.rounds,
                 down.rounds,
                 up.rounds
             );
@@ -774,32 +780,34 @@ mod tests {
     }
 
     #[test]
-    fn relay_of_no_hops_costs_nothing() {
+    fn a_climbing_hop_phase_of_no_hops_costs_nothing() {
         let (g, f) = path_forest(4);
-        let out = relay(&mut Router::new(&g).expect("a small graph"), &f, []).expect("no hops");
+        let mut router = Router::new(&g).expect("a small graph");
+        let out = route_casts(&mut router, &down_and_climb(&f, &[])).expect("no hops");
         assert_eq!(out, Metrics::new(g.m()));
     }
 
     #[test]
-    fn relay_rejects_a_hop_off_its_owner_and_stays_usable() {
+    fn a_climbing_hop_off_its_owner_is_rejected_and_the_router_stays_usable() {
         let (g, f) = path_forest(4);
         let e = |u: usize, v: usize| g.edge_between(NodeId::new(u), NodeId::new(v)).unwrap();
         let mut router = Router::new(&g).expect("a small graph");
         let good = [(NodeId::new(2), e(2, 3)), (NodeId::new(1), e(1, 2))];
-        let want = relay(&mut router, &f, good).expect("hops leave owners");
+        let want = route_casts(&mut router, &down_and_climb(&f, &good)).expect("hops leave owners");
+        // The error names the hop cast, 1, whichever of its items is off.
         let bad = [good[0], (NodeId::new(0), e(2, 3)), good[1]];
-        let err = relay(&mut router, &f, bad).unwrap_err();
+        let err = route_casts(&mut router, &down_and_climb(&f, &bad)).unwrap_err();
         assert_eq!(err, EngineError::InvalidPath { task: 1 });
         let out_of_range = [(NodeId::new(0), EdgeId::new(g.m()))];
-        let err = relay(&mut router, &f, out_of_range).unwrap_err();
-        assert_eq!(err, EngineError::InvalidPath { task: 0 });
-        assert_eq!(
-            relay(&mut router, &f, good).expect("hops leave owners"),
-            want
-        );
-        // Both words are down by round 2; both hop words cross in round 3, and
-        // the one from 3 climbs behind the one from 2, reaching the root in
-        // round 6. Messages: (2 + 1) down, 2 hops, (3 + 2) up.
+        let err = route_casts(&mut router, &down_and_climb(&f, &out_of_range)).unwrap_err();
+        assert_eq!(err, EngineError::InvalidPath { task: 1 });
+        let again =
+            route_casts(&mut router, &down_and_climb(&f, &good)).expect("hops leave owners");
+        assert_eq!(again, want);
+        // The word to 1 is down in round 1, the one to 2 in round 2. 1's hop
+        // word crosses 1 → 2 in round 2 and climbs back to the root by round
+        // 4; 2's crosses 2 → 3 in round 3 and reaches the root in round 6.
+        // Messages: (2 + 1) down, 2 hops, (3 + 2) up.
         assert_eq!((want.rounds, want.messages), (6, 3 + 2 + 5));
     }
 
@@ -873,6 +881,7 @@ mod tests {
             // rounds 5 and 6: a 2-word hop costs 2 rounds on its edge ...
             Cast::Hop {
                 items: vec![(v3, e(3, 4), 2)],
+                up: None,
                 after: vec![0],
             },
             // ... and 4, a root, sends one word down to 5 once both arrived.
@@ -909,6 +918,7 @@ mod tests {
             // in rounds 1–3 ...
             Cast::Hop {
                 items: vec![(NodeId::new(3), e34, 3)],
+                up: None,
                 after: vec![],
             },
             // ... root 4's downcast waits for them and arrives in round 4 ...
@@ -921,6 +931,7 @@ mod tests {
             // at 3, still queues behind them.
             Cast::Hop {
                 items: vec![(NodeId::new(3), e34, 1)],
+                up: None,
                 after: vec![1],
             },
         ];
@@ -953,6 +964,7 @@ mod tests {
         }
         let off_owner = Cast::Hop {
             items: vec![(NodeId::new(0), e(3, 4), 1)],
+            up: None,
             after: vec![0],
         };
         let err = route_casts(&mut router, &[up(vec![]), off_owner]).unwrap_err();

@@ -7,7 +7,7 @@
 //! and `due` table and the runner's sender buffer are reused the same way.
 //! The routing workspace keeps the same promise one level up: a warm
 //! [`Router`] allocates only the report and outcome it returns, so an
-//! `upcast` / `downcast` / `relay` / `route_casts` costs the same number of
+//! `upcast` / `downcast` / `route_casts` costs the same number of
 //! allocations on a 20 000-edge graph as on a 1 000-edge one, however many
 //! rounds the schedule takes.
 //! This is the property that makes the engine viable at n = 10⁵–10⁶, and it
@@ -28,7 +28,7 @@
 //! harness threads are quiescent (this binary has exactly one `#[test]`).
 
 use congest_engine::{
-    downcast, relay, route_casts, run_bcongest, upcast, BcongestAlgorithm, Cast, ExecutorConfig,
+    downcast, route_casts, run_bcongest, upcast, BcongestAlgorithm, Cast, ExecutorConfig,
     FlatPlane, Forest, LocalView, Metrics, Router, RunOptions, Wire,
 };
 use congest_graph::{generators, reference, EdgeId, Graph, NodeId};
@@ -68,7 +68,6 @@ fn steady_state_rounds_allocate_nothing() {
     flat_rounds_allocate_nothing();
     runner_rounds_allocate_nothing();
     warm_tree_casts_allocate_only_what_they_return();
-    warm_relays_allocate_only_what_they_return();
     warm_phases_allocate_only_what_they_return();
 }
 
@@ -313,52 +312,13 @@ fn warm_tree_casts_allocate_only_what_they_return() {
     );
 }
 
-/// Allocations and routed rounds of one `relay` from nodes `1..=owners` of
-/// `g`'s BFS tree from node 0, each over all its incident edges, on a `Router`
-/// that has already run that very batch.
-fn warm_relay_allocs(g: &Graph, owners: usize) -> (u64, u64) {
-    let forest = Forest::from_parents(g, reference::bfs_tree(g, NodeId::new(0))).expect("BFS tree");
-    let hops: Vec<(NodeId, EdgeId)> = (1..=owners)
-        .map(NodeId::new)
-        .flat_map(|v| g.incident(v).map(move |(e, _)| (v, e)))
-        .collect();
-    let mut router = Router::new(g).expect("a small graph");
-    relay(&mut router, &forest, hops.iter().copied()).expect("hops leave owners");
-    let before = allocs();
-    let metrics = relay(&mut router, &forest, hops.iter().copied()).expect("hops leave owners");
-    (allocs() - before, metrics.rounds)
-}
-
-/// A warm relay allocates its `Metrics` and the report's completion rounds:
-/// the prerequisite, dependents and per-owner columns are reused like the
-/// rest of the workspace, whatever `m` is and however long the schedule runs.
-fn warm_relays_allocate_only_what_they_return() {
-    let small = generators::gnp_connected(200, 0.05, 11);
-    let large = generators::sparse_connected(5_000, 15_050, 11);
-    let (small_allocs, _) = warm_relay_allocs(&small, 32);
-    let (large_allocs, short_rounds) = warm_relay_allocs(&large, 32);
-    let (long_allocs, long_rounds) = warm_relay_allocs(&large, 640);
-    assert!(long_rounds > 4 * short_rounds);
-    assert_eq!(small_allocs, 2, "allocations per warm relay");
-    assert_eq!(
-        small_allocs,
-        large_allocs,
-        "{} vs {} edges",
-        small.m(),
-        large.m()
-    );
-    assert_eq!(
-        large_allocs, long_allocs,
-        "{short_rounds} vs {long_rounds} rounds"
-    );
-}
-
 /// Allocations and routed rounds of one `route_casts` phase over `g`'s BFS
 /// tree from node 0, on a `Router` that has already run that very phase:
 /// nodes `1..=owners` send one word across each incident edge (a lead hop
 /// cast) and upcast one word each, the root downcasts one word to each of them
 /// once those are in, and each then sends one more word across each incident
-/// edge once its downcast word is in.
+/// edge once its downcast word is in, which climbs on to the root (the shape
+/// of Theorem 2.1's phase).
 fn warm_phase_allocs(g: &Graph, owners: usize) -> (u64, u64) {
     let forest = Forest::from_parents(g, reference::bfs_tree(g, NodeId::new(0))).expect("BFS tree");
     let hops: Vec<(NodeId, EdgeId, usize)> = (1..=owners)
@@ -369,6 +329,7 @@ fn warm_phase_allocs(g: &Graph, owners: usize) -> (u64, u64) {
     let casts = [
         Cast::Hop {
             items: hops.clone(),
+            up: None,
             after: vec![],
         },
         Cast::Up {
@@ -383,6 +344,7 @@ fn warm_phase_allocs(g: &Graph, owners: usize) -> (u64, u64) {
         },
         Cast::Hop {
             items: hops,
+            up: Some(&forest),
             after: vec![2],
         },
     ];
@@ -394,8 +356,9 @@ fn warm_phase_allocs(g: &Graph, owners: usize) -> (u64, u64) {
 }
 
 /// A warm phase allocates its `Metrics` and the report's completion rounds:
-/// barriers, release rounds, lead counts and the dependents columns are
-/// reused like the rest of the workspace.
+/// barriers, release rounds, lead counts and the prerequisite and dependents
+/// columns are reused like the rest of the workspace, whatever `m` is and
+/// however long the schedule runs.
 fn warm_phases_allocate_only_what_they_return() {
     let small = generators::gnp_connected(200, 0.05, 11);
     let large = generators::sparse_connected(5_000, 15_050, 11);

@@ -1,8 +1,8 @@
 //! Property-based tests for the execution engine: routing always delivers, tree
 //! operations deliver everything exactly once, capacity is respected, the
 //! arena `Router` reproduces the `VecDeque` scheduler it replaced report for
-//! report (fresh, reused, over forests, as a relay whose hop words wait for
-//! their owner's word, and after a rejected batch), the accounting invariants
+//! report (fresh, reused, over forests, as a Theorem 2.1 phase whose hop words
+//! wait for their owner's word, and after a rejected batch), the accounting invariants
 //! hold for arbitrary inputs, a run is identical —
 //! outputs and `Metrics` — at every thread count, the event-driven round loop
 //! equals, in both models, one that polls every node every round (with and
@@ -13,7 +13,7 @@ use congest_algos::{bfs::Bfs, bfs_collection::BfsCollection};
 use congest_engine::faults::FaultState;
 use congest_engine::router::{RouteReport, RouteTask};
 use congest_engine::{
-    downcast, relay, route_casts, router, run_bcongest, run_congest, treeops::Forest, upcast,
+    downcast, route_casts, router, run_bcongest, run_congest, treeops::Forest, upcast,
     BcongestAlgorithm, Cast, CongestAlgorithm, EngineError, ExecutorConfig, FaultEvent, FaultPlan,
     FaultResponse, LocalView, Metrics, Router, RunOptions, Wire, WireDecode, WireEncode,
 };
@@ -610,8 +610,8 @@ proptest! {
     }
 
     #[test]
-    fn relay_matches_the_reference_with_prerequisites(seed in 0u64..4000, n in 2usize..24,
-                                                      k in 0usize..40) {
+    fn theorem_2_1_phase_matches_per_hop_prerequisites(seed in 0u64..4000, n in 2usize..24,
+                                                       k in 0usize..40) {
         let g = generators::gnp_connected(n, 0.2, seed);
         let mut r = rng::seeded(seed);
         let f = random_forest(&g, &mut r);
@@ -623,10 +623,12 @@ proptest! {
                 (if r.random_range(0..2u32) == 0 { a } else { b }, e)
             })
             .collect();
-        // The same batch as route tasks: at an owner's first hop, one word from
-        // its root down to it; per hop, one word across the hop and up the far
-        // end's tree path, released by the owner's word.
+        // The phase as route tasks, one prerequisite per hop: at an owner's
+        // first hop, one word from its root down to it; per hop, one word
+        // across the hop and up the far end's tree path, released by the
+        // owner's word.
         let (mut tasks, mut after) = (Vec::new(), Vec::new());
+        let mut owners = Vec::new();
         let mut word_of = vec![None; g.n()];
         for &(owner, e) in &hops {
             let word = *word_of[owner.index()].get_or_insert_with(|| {
@@ -634,6 +636,7 @@ proptest! {
                 path.reverse();
                 tasks.push(RouteTask { path, words: 1 });
                 after.push(vec![]);
+                owners.push((owner, 1));
                 tasks.len() - 1
             });
             let (a, b) = g.endpoints(e);
@@ -643,9 +646,19 @@ proptest! {
             after.push(vec![word]);
         }
         let want = reference_route(&g, &tasks, &after).expect("hops and tree paths are walks");
+        // The same phase as casts: a downcast to the owners, and the hops
+        // climbing behind it.
+        let phase = [
+            Cast::Down { forest: &f, items: owners, after: vec![] },
+            Cast::Hop {
+                items: hops.iter().map(|&(owner, e)| (owner, e, 1)).collect(),
+                up: Some(&f),
+                after: vec![0],
+            },
+        ];
         let mut router = Router::new(&g).expect("a small graph");
         for _ in 0..2 {
-            let got = relay(&mut router, &f, hops.iter().copied()).expect("hops leave owners");
+            let got = route_casts(&mut router, &phase).expect("hops leave owners");
             prop_assert_eq!(&got, &want.metrics);
         }
     }
@@ -657,7 +670,8 @@ proptest! {
         let mut r = rng::seeded(seed);
         let forests = [random_forest(&g, &mut r), random_forest(&g, &mut r)];
         // Random casts of every kind over either forest, each waiting for a
-        // random subset of the earlier ones; a few items each, words 0..=3.
+        // random subset of the earlier ones, about half the hop casts climbing
+        // on to their far ends' roots; a few items each, words 0..=3.
         let phase: Vec<Cast> = (0..casts)
             .map(|c| {
                 let after: Vec<usize> = (0..c).filter(|_| r.random_range(0..2u32) == 0).collect();
@@ -680,20 +694,23 @@ proptest! {
                                 (owner, e, r.random_range(0..=3usize))
                             })
                             .collect(),
+                        up: (r.random_range(0..2u32) == 0).then_some(forest),
                         after,
                     },
                 }
             })
             .collect();
         // The same phase as route tasks. First the lead hops — of every hop
-        // cast that waits for nothing —, in cast order: each word is at the
+        // cast that waits for nothing and does not climb —, in cast order: each word is at the
         // front of its edge, so each hop's words are in by the round they take
         // alone. Then the other casts in order, each item behind a local
         // word-less barrier at its start node, added just before the cast's
         // first item starting there if an awaited item ends there: it waits
         // for the awaited items' tasks, and for the last round in which an
         // awaited lead hop ending there is in.
-        let lead = |c: usize| matches!(&phase[c], Cast::Hop { after, .. } if after.is_empty());
+        let lead = |c: usize| {
+            matches!(&phase[c], Cast::Hop { up: None, after, .. } if after.is_empty())
+        };
         let hop_path = |owner: NodeId, e: EdgeId| {
             let (a, b) = g.endpoints(e);
             vec![owner, if a == owner { b } else { a }]
@@ -730,8 +747,13 @@ proptest! {
                     path.reverse();
                     (path[0], path, w)
                 }).collect()),
-                Cast::Hop { items, after } => (after, items.iter().map(|&(owner, e, w)| {
-                    (owner, hop_path(owner, e), w)
+                Cast::Hop { items, up, after } => (after, items.iter().map(|&(owner, e, w)| {
+                    // A climbing hop goes on from the far end to its root.
+                    let mut path = hop_path(owner, e);
+                    if let Some(forest) = up {
+                        path.extend(&forest.path_to_root(path[1])[1..]);
+                    }
+                    (owner, path, w)
                 }).collect()),
             };
             let awaited: Vec<(NodeId, Option<usize>, u64)> =

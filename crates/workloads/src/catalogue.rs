@@ -140,7 +140,6 @@ where
                         seed,
                         exec: cfg.clone(),
                         faults: plan(input),
-                        ..Default::default()
                     },
                 )?;
                 Ok((
@@ -161,7 +160,6 @@ where
                 seed,
                 exec: cfg.clone(),
                 faults: plan(input),
-                ..Default::default()
             };
             let (run, trace) =
                 record_bcongest(&algo, &input.graph, input.weights.as_deref(), &opts, name)?;
@@ -244,7 +242,6 @@ where
                         seed,
                         exec: cfg.clone(),
                         faults: plan(input),
-                        ..Default::default()
                     },
                 )?;
                 Ok((run.outputs, run.metrics))
@@ -258,7 +255,6 @@ where
                 seed,
                 exec: cfg.clone(),
                 faults: plan(input),
-                ..Default::default()
             };
             let (run, trace) =
                 record_congest(&algo, &input.graph, input.weights.as_deref(), &opts, name)?;
