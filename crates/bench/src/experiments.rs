@@ -96,7 +96,7 @@ pub fn e_t1_2(n: usize, eps: &[f64], seed: u64) -> Table {
             "batches",
             "C",
             "D",
-            "C + D·⌈log₂ n⌉",
+            "C + D·L",
             "Σ batch rounds",
         ],
     );
@@ -145,8 +145,9 @@ pub fn e_t1_2(n: usize, eps: &[f64], seed: u64) -> Table {
     }
     t.note("every row is verified exact against sequential all-pairs BFS");
     t.note(
-        "batched rows: C is the busiest edge's messages over all batches, D the slowest batch's rounds; \
-         the route charges the smaller of C + D·⌈log₂ n⌉ (Theorem 1.3) and Σ (the batches one after another)",
+        "batched rows: C is the busiest edge's messages over all batches, D the slowest batch's rounds, \
+         L = ⌊log₂ n⌋ + 1 the bit length of n; the route charges the smaller of C + D·L (Theorem 1.3) \
+         and Σ (the batches one after another)",
     );
     t
 }

@@ -6,22 +6,22 @@
 //! * [`all_bfs_batched`] (Lemma 3.23, `ε ∈ (0, 1/2]`): the `n` depth-limited BFS
 //!   split into `⌈n^ε⌉` batches, each simulated via Theorem 3.9 over its own member
 //!   of an ensemble of pruned hierarchies (Lemma 3.8's congestion smoothing), then
-//!   composed with the congestion+dilation accounting of Theorem 1.3.
+//!   charged as one joint schedule by Theorem 1.3's congestion + dilation bound
+//!   (`compose_batches`).
 //!
-//! Both charge one network set-up and one shared-randomness distribution exactly
-//! as the paper prescribes (Õ(n) rounds, Õ(n²) messages): every simulation runs
-//! on the route's set-up instead of electing again, and in the batched route the
-//! distribution carries one delay word per source, so a single one serves every
-//! batch.
+//! Both charge one network set-up and one shared-randomness distribution
+//! (`shared_randomness`) exactly as the paper prescribes (Õ(n) rounds, Õ(n²)
+//! messages): every simulation runs on the route's set-up instead of electing
+//! again, and in the batched route the distribution carries one delay word per
+//! source, so a single one serves every batch.
 
 use congest_algos::bfs_collection::BfsCollection;
 use congest_algos::leader::setup_network;
 use congest_decomp::pruning::prune;
 use congest_decomp::{Ensemble, Hierarchy};
 use congest_engine::treeops::broadcast;
-use congest_engine::{EngineError, Metrics};
-use congest_graph::{Graph, NodeId};
-use congest_sched::{compose_measured, paper_shared_words, shared_randomness};
+use congest_engine::{EngineError, Forest, Metrics};
+use congest_graph::{rng, Graph, NodeId};
 
 use crate::ensure_epsilon;
 use crate::simulate::agg_general::simulate_general_with_setup;
@@ -55,12 +55,12 @@ pub fn all_bfs_star(g: &Graph, epsilon: f64, seed: u64) -> Result<BfsForestResul
 
     // Shared randomness for the random delays (Theorem 1.4).
     let setup = setup_network(g, seed)?;
-    let sr = shared_randomness(g, &setup.tree, paper_shared_words(g.n()), seed);
+    let (shared_seed, sr) = shared_randomness(g, &setup.tree, seed);
     metrics.merge_sequential(&setup.metrics);
-    metrics.merge_sequential(&sr.metrics);
+    metrics.merge_sequential(&sr);
 
     let h = prune(g, &Hierarchy::build(g, epsilon, seed));
-    let algo = BfsCollection::new(g.nodes().collect()).with_random_delays(sr.seed);
+    let algo = BfsCollection::new(g.nodes().collect()).with_random_delays(shared_seed);
     let opts = AggSimOptions {
         seed,
         charge_hierarchy: true,
@@ -108,13 +108,14 @@ pub fn all_bfs_batched(
     metrics.merge_sequential(&setup.metrics);
     // One shared-randomness distribution covers every batch: a source's delay
     // takes one word and each source is in exactly one batch.
-    let sr = shared_randomness(g, &setup.tree, paper_shared_words(n), seed);
-    metrics.merge_sequential(&sr.metrics);
+    let (_, sr) = shared_randomness(g, &setup.tree, seed);
+    metrics.merge_sequential(&sr);
     let ensemble = Ensemble::build(g, epsilon, batches, seed);
     metrics.merge_sequential(&ensemble.metrics);
 
     let sources: Vec<NodeId> = g.nodes().collect();
-    let chunk = n.div_ceil(batches);
+    // At least 1: `chunks(0)` panics, and a graph with no nodes has no batch.
+    let chunk = n.div_ceil(batches).max(1);
     let mut dist: Vec<Vec<Option<u32>>> = vec![vec![None; n]; n];
     let mut batch_metrics: Vec<Metrics> = Vec::with_capacity(batches);
 
@@ -122,9 +123,9 @@ pub fn all_bfs_batched(
         let h = &ensemble.hierarchies[b % ensemble.len()];
         let algo = BfsCollection::new(chunk_sources.to_vec())
             .with_depth_limit(depth_limit)
-            .with_random_delays(congest_graph::rng::derive(seed, 0xba7c_0000 + b as u64));
+            .with_random_delays(rng::derive(seed, 0xba7c_0000 + b as u64));
         let opts = AggSimOptions {
-            seed: congest_graph::rng::derive(seed, 0x5eed_0000 + b as u64),
+            seed: rng::derive(seed, 0x5eed_0000 + b as u64),
             charge_hierarchy: false, // the ensemble is charged once above
             ..Default::default()
         };
@@ -137,15 +138,7 @@ pub fn all_bfs_batched(
         }
         batch_metrics.push(sim.metrics);
     }
-
-    // The batches run together under Theorem 1.3: congestion+dilation accounting
-    // over the measured executions (see DESIGN.md §2) — or one after another,
-    // always a valid schedule, when that is shorter.
-    let mut composed = compose_measured(g, &batch_metrics).metrics;
-    composed.rounds = composed
-        .rounds
-        .min(batch_metrics.iter().map(|m| m.rounds).sum());
-    metrics.merge_sequential(&composed);
+    metrics.merge_sequential(&compose_batches(g, &batch_metrics));
 
     // Any two nodes of one tree are at most `2h` apart through its root, so a
     // limit of `2h` truncates nothing (see DESIGN.md §2).
@@ -164,10 +157,42 @@ pub fn all_bfs_batched(
     })
 }
 
+/// Distributes shared randomness from the root of `tree` to every node, as the
+/// paper does just before Lemma 3.22: the leader's `Θ(n log n)` random bits are
+/// `n` words, pipelined down every tree edge — `n + depth` rounds and `n`
+/// messages per tree edge (`Õ(n)` rounds, `Õ(n²)` messages). Returns the seed
+/// every node then holds, which stands in for the bits, and that cost.
+fn shared_randomness(g: &Graph, tree: &Forest, seed: u64) -> (u64, Metrics) {
+    let words = g.n().max(1) as u64;
+    let mut metrics = Metrics::new(g.m());
+    metrics.rounds = words + u64::from(tree.depth());
+    for &e in tree.tree_edges() {
+        metrics.add_messages(e, words);
+    }
+    (rng::derive(seed, 0x5a5a_0001), metrics)
+}
+
+/// Theorem 1.3 applied as accounting (DESIGN.md §2): the batches' measured runs,
+/// scheduled together, take `C + D·L` rounds, where `C` is the busiest edge's
+/// messages over all batches, `D` the slowest batch's rounds and `L` the bit
+/// length of `n`, `⌊log₂ n⌋ + 1` (10 at n = 512, where `⌈log₂ n⌉` is 9). Running
+/// them one after another, `Σ` batch rounds, is a valid schedule too, so the
+/// charge is the smaller of the two. Messages and per-edge congestion add.
+fn compose_batches(g: &Graph, batches: &[Metrics]) -> Metrics {
+    let mut metrics = Metrics::new(g.m());
+    for b in batches {
+        metrics.merge_parallel(b);
+    }
+    let log = u64::from(usize::BITS - g.n().max(2).leading_zeros());
+    let theorem = metrics.max_congestion() + metrics.rounds * log;
+    metrics.rounds = theorem.min(batches.iter().map(|b| b.rounds).sum());
+    metrics
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_graph::{generators, reference};
+    use congest_graph::{generators, reference, EdgeId};
 
     #[test]
     fn star_route_matches_reference() {
@@ -208,6 +233,15 @@ mod tests {
     }
 
     #[test]
+    fn batched_route_on_a_graph_with_no_nodes_is_empty() {
+        let g = Graph::from_edges(0, &[]);
+        let res = all_bfs_batched(&g, 0.5, 3, 1).unwrap();
+        assert!(res.dist.is_empty());
+        assert!(res.batches.is_empty());
+        assert_eq!(res.metrics.messages, 0);
+    }
+
+    #[test]
     fn routes_reject_epsilon_outside_their_lemma() {
         let g = generators::path(4);
         let rejected = [
@@ -224,5 +258,46 @@ mod tests {
                 })
             ));
         }
+    }
+
+    #[test]
+    fn shared_randomness_pipelines_n_words_down_the_tree() {
+        let g = generators::gnp_connected(30, 0.15, 3);
+        let setup = setup_network(&g, 3).unwrap();
+        let (seed, cost) = shared_randomness(&g, &setup.tree, 3);
+        // n + depth rounds; n words on each of the n − 1 tree edges.
+        assert_eq!(cost.rounds, 30 + u64::from(setup.tree.depth()));
+        assert_eq!(cost.messages, 30 * 29);
+        // Every node derives the same seed from the same master seed.
+        assert_eq!(seed, shared_randomness(&g, &setup.tree, 3).0);
+        assert_ne!(seed, shared_randomness(&g, &setup.tree, 4).0);
+    }
+
+    /// A batch that runs `rounds` rounds and sends `words` messages over edge
+    /// `edge`.
+    fn batch(g: &Graph, edge: usize, words: u64, rounds: u64) -> Metrics {
+        let mut m = Metrics::new(g.m());
+        m.rounds = rounds;
+        m.add_messages(EdgeId::new(edge), words);
+        m
+    }
+
+    #[test]
+    fn compose_batches_charges_the_shorter_schedule() {
+        // One after another wins: two batches on one edge of path(5), L = 3.
+        // C + D·L = 12 + 10 · 3 = 42 against Σ = 10 + 4 = 14.
+        let g = generators::path(5);
+        let c = compose_batches(&g, &[batch(&g, 0, 7, 10), batch(&g, 0, 5, 4)]);
+        assert_eq!((c.rounds, c.messages, c.max_congestion()), (14, 12, 12));
+
+        // Theorem 1.3 wins: eight 10-round batches on the eight disjoint edges
+        // of path(9), L = 4. C + D·L = 10 + 10 · 4 = 50 against Σ = 80.
+        let g = generators::path(9);
+        let parts: Vec<Metrics> = (0..8).map(|e| batch(&g, e, 10, 10)).collect();
+        let c = compose_batches(&g, &parts);
+        assert_eq!((c.rounds, c.messages, c.max_congestion()), (50, 80, 10));
+
+        // No batch costs nothing.
+        assert_eq!(compose_batches(&g, &[]), Metrics::new(g.m()));
     }
 }

@@ -1,0 +1,102 @@
+#!/usr/bin/env bash
+# The public-surface scan (ROADMAP item 9): how many `pub fn`s the library
+# crates declare, how many nothing outside their own file names, and how many
+# only tests call; plus the non-test line count.
+#
+#   scripts/surface.sh      the four counts
+#   scripts/surface.sh -v   ... and the functions behind the middle two
+#
+# Every `pub fn` line under crates/*/src is one function. Its name is searched
+# as a whole word in every tracked .rs file outside vendor/, skipping the
+# defining file and every lib.rs (they only re-export). A function is
+# *unreferenced* when that search finds nothing. It has *no non-test caller*
+# when every match is test code and its own file's non-test lines do not name
+# it either. Test code is a file under a tests/ directory, or a line at or
+# below its file's first `#[cfg(test)]`. Names are matched, not paths, so a
+# name two items share counts as used for both.
+#
+# Non-test lines are the lines above each crates/*/src file's first
+# `#[cfg(test)]`, or the whole file when it has none.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+verbose=false
+case "${1:-}" in
+    -v) verbose=true ;;
+    "") ;;
+    *)
+        echo "usage: scripts/surface.sh [-v]" >&2
+        exit 2
+        ;;
+esac
+
+mapfile -t rust_files < <(git ls-files -- '*.rs' ':!vendor')
+mapfile -t lib_files < <(git ls-files -- 'crates/*/src/*.rs')
+
+# The first `#[cfg(test)]` line of every file that has one.
+declare -A first_test=()
+while IFS=: read -r file line _; do
+    [[ -n "${first_test[$file]:-}" ]] || first_test[$file]=$line
+done < <(grep -H -n -F '#[cfg(test)]' "${rust_files[@]}" || true)
+
+# is_test FILE LINE: whether line LINE of FILE is test code.
+is_test() {
+    [[ $1 == tests/* || $1 == */tests/* ]] && return 0
+    local first=${first_test[$1]:-}
+    [[ -n $first ]] && (($2 >= first))
+}
+
+non_test_lines=0
+for file in "${lib_files[@]}"; do
+    first=${first_test[$file]:-}
+    if [[ -n $first ]]; then
+        non_test_lines=$((non_test_lines + first - 1))
+    else
+        non_test_lines=$((non_test_lines + $(wc -l <"$file")))
+    fi
+done
+
+pub_fns=0
+unreferenced=()
+no_caller=()
+while IFS=: read -r file line text; do
+    [[ $text =~ pub\ fn\ ([A-Za-z_][A-Za-z0-9_]*) ]] || continue
+    name=${BASH_REMATCH[1]}
+    pub_fns=$((pub_fns + 1))
+    referenced=false
+    called=false
+    while IFS=: read -r ref_file ref_line _; do
+        [[ $ref_file == "$file" || $ref_file == lib.rs || $ref_file == */lib.rs ]] && continue
+        referenced=true
+        if ! is_test "$ref_file" "$ref_line"; then
+            called=true
+            break
+        fi
+    done < <(git grep -n -w -e "$name" -- '*.rs' ':!vendor' || true)
+    if ! $called; then
+        while IFS=: read -r own_line _; do
+            if ((own_line != line)) && ! is_test "$file" "$own_line"; then
+                called=true
+                break
+            fi
+        done < <(grep -n -w -e "$name" "$file" || true)
+    fi
+    $referenced || unreferenced+=("$file:$line $name")
+    $called || no_caller+=("$file:$line $name")
+done < <(grep -H -n -F 'pub fn ' "${lib_files[@]}")
+
+printf '%-20s %6d\n' \
+    "pub fn" "$pub_fns" \
+    "unreferenced" "${#unreferenced[@]}" \
+    "no non-test caller" "${#no_caller[@]}" \
+    "non-test lines" "$non_test_lines"
+if $verbose; then
+    if ((${#unreferenced[@]})); then
+        printf '\nunreferenced:\n'
+        printf '  %s\n' "${unreferenced[@]}"
+    fi
+    if ((${#no_caller[@]})); then
+        printf '\nno non-test caller:\n'
+        printf '  %s\n' "${no_caller[@]}"
+    fi
+fi

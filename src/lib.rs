@@ -38,7 +38,6 @@ pub use congest_algos as algos;
 pub use congest_decomp as decomp;
 pub use congest_engine as engine;
 pub use congest_graph as graph;
-pub use congest_sched as sched;
 pub use congest_serve as serve;
 pub use congest_workloads as workloads;
 

@@ -62,11 +62,6 @@ fn all_documented_reexport_paths_resolve() {
     let h = congest_apsp::decomp::Hierarchy::build(&g, 0.5, 1);
     assert!(congest_apsp::decomp::baswana_sen::validate_hierarchy(&g, &h).is_ok());
 
-    // sched (congest_sched)
-    let delays = congest_apsp::sched::random_delays(1, 8, 4);
-    assert_eq!(delays.len(), 8);
-    assert!(delays.iter().all(|&d| d < 4));
-
     // workloads (congest_workloads)
     let w = congest_apsp::workloads::find("gossip/path").expect("registered workload");
     let outcome = w
