@@ -209,20 +209,17 @@ pub fn distributed_mst(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstRun, En
         )?;
         metrics.merge_sequential(&cc.metrics);
 
-        // Leaders downcast the decision to the MWOE's owner...
-        let decisions: Vec<(NodeId, u64)> = forest
-            .roots()
+        // Leaders downcast the decision, one word, to the MWOE's owner...
+        let (decisions, chosen): (Vec<(NodeId, usize)>, Vec<EdgeId>) = cc
+            .at_root
             .iter()
-            .zip(&cc.at_root)
-            .filter(|(_, c)| !c.is_none())
-            .map(|(_, c)| (NodeId::new(c.owner as usize), u64::from(c.edge)))
-            .collect();
-        let chosen: Vec<EdgeId> = decisions
-            .iter()
-            .map(|&(_, e)| EdgeId::new(e as usize))
-            .collect();
-        let dc = treeops::downcast(&mut router, &forest, decisions)?;
-        metrics.merge_sequential(&dc.metrics);
+            .filter(|c| !c.is_none())
+            .map(|c| {
+                let owner = NodeId::new(c.owner as usize);
+                ((owner, 1), EdgeId::new(c.edge as usize))
+            })
+            .unzip();
+        metrics.merge_sequential(&treeops::downcast(&mut router, &forest, decisions)?);
         treeops::ensure_budget("ghs-mst", metrics.messages, cfg.message_budget)?;
 
         // ...and a connect message crosses each chosen MWOE (one round, one word per

@@ -12,8 +12,6 @@ use congest_engine::{
 use congest_graph::{rng, Graph, NodeId};
 use rand::Rng;
 
-use crate::simulate::common::Pad;
-
 /// Result of the landmark phase.
 #[derive(Clone, Debug)]
 pub struct LandmarkResult {
@@ -76,15 +74,14 @@ pub fn landmark_distances_with(
         // Upcast the BFS tree's edge list to the landmark.
         let parents: Vec<Option<NodeId>> = run.outputs.iter().map(|o| o.parent).collect();
         let forest = Forest::from_parents(g, parents)?;
-        let items: Vec<(NodeId, Pad)> = g
+        let items: Vec<(NodeId, usize)> = g
             .nodes()
             .filter(|v| forest.parent(*v).is_some())
-            .map(|v| (v, Pad(1)))
+            .map(|v| (v, 1))
             .collect();
         let tree_words = items.len();
         if !items.is_empty() {
-            let up = upcast(&mut router, &forest, items)?;
-            metrics.merge_sequential(&up.metrics);
+            metrics.merge_sequential(&upcast(&mut router, &forest, items)?);
         }
 
         // Broadcast the tree description (tree_words words) to every node, pipelined

@@ -134,8 +134,10 @@ fn central_finish(
     let mut metrics = setup.metrics;
 
     // Each node's lightest incident edge per neighboring fragment — the only crossing
-    // edges the fragment-graph MST can ever use (the pair MWOE is among them).
-    let mut items: Vec<(NodeId, (u64, u64))> = Vec::new();
+    // edges the fragment-graph MST can ever use (the pair MWOE is among them) — is
+    // upcast as one word, and the leader collects them all as `cands`.
+    let mut items: Vec<(NodeId, usize)> = Vec::new();
+    let mut cands: Vec<(u64, u64)> = Vec::new();
     for v in g.nodes() {
         let mut best: BTreeMap<NodeId, (u64, u64)> = BTreeMap::new();
         for (e, u, w) in wg.incident(v) {
@@ -149,18 +151,17 @@ fn central_finish(
                 *slot = cand;
             }
         }
-        items.extend(best.into_values().map(|c| (v, c)));
+        items.extend(best.values().map(|_| (v, 1)));
+        cands.extend(best.into_values());
     }
     let mut router = Router::new(g)?;
-    let up = treeops::upcast(&mut router, &setup.tree, items)?;
-    metrics.merge_sequential(&up.metrics);
+    metrics.merge_sequential(&treeops::upcast(&mut router, &setup.tree, items)?);
 
     // Kruskal on the contracted fragment graph, over all collected candidates (the
     // graph may be disconnected: each BFS-tree root collected its own component's
     // candidates; finishing them together is equivalent, crossing edges don't exist).
     // Fragments are identified by their leader node, so the oracles' UnionFind over
     // node indices contracts them directly.
-    let mut cands: Vec<(u64, u64)> = up.at_root.iter().flatten().map(|d| d.payload).collect();
     cands.sort_unstable();
     let mut uf = reference::UnionFind::new(g.n());
     let mut chosen: Vec<EdgeId> = Vec::new();
@@ -177,12 +178,8 @@ fn central_finish(
 
     // Downcast each chosen edge to its canonical lower endpoint, which then notifies
     // its partner across the edge (one extra word per chosen edge, one round).
-    let notify: Vec<(NodeId, u64)> = chosen
-        .iter()
-        .map(|&e| (g.endpoints(e).0, e.index() as u64))
-        .collect();
-    let down = treeops::downcast(&mut router, &setup.tree, notify)?;
-    metrics.merge_sequential(&down.metrics);
+    let notify = chosen.iter().map(|&e| (g.endpoints(e).0, 1)).collect();
+    metrics.merge_sequential(&treeops::downcast(&mut router, &setup.tree, notify)?);
     let mut connect = Metrics::new(g.m());
     if !chosen.is_empty() {
         connect.rounds = 1;

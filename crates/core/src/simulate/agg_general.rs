@@ -35,7 +35,7 @@
 //! belong to the crate-private phase workspace (`phase.rs`), created once per
 //! simulation.
 
-use crate::simulate::common::{payload_options, Pad, SimulationRun};
+use crate::simulate::common::{payload_options, SimulationRun};
 use crate::simulate::phase::{batch_words, LevelClusters, PhaseWorkspace};
 use congest_algos::leader::{setup_network_with, NetworkSetup};
 use congest_decomp::Hierarchy;
@@ -180,14 +180,13 @@ pub(crate) fn simulate_general_with_setup<A: AggregationAlgorithm>(
             .as_ref()
             .expect("built for levels >= 1")
             .forest;
-        let items: Vec<(NodeId, Pad)> = g
+        let items: Vec<(NodeId, usize)> = g
             .nodes()
             .filter(|v| lvl.cluster_of[v.index()].is_some())
-            .map(|v| (v, Pad(g.degree(v) + 1)))
+            .map(|v| (v, g.degree(v) + 1))
             .collect();
         if !items.is_empty() {
-            let up = upcast(&mut router, forest, items)?;
-            metrics.merge_sequential(&up.metrics);
+            metrics.merge_sequential(&upcast(&mut router, forest, items)?);
         }
     }
     let preprocessing = metrics.clone();

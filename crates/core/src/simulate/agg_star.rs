@@ -26,7 +26,7 @@
 //! sender forwards its `1 + |m₂|` words, one per round, once it holds them; the
 //! receive upcast waits only for the `m₁` arrivals it carries.
 
-use crate::simulate::common::{payload_options, Pad, SimulationRun};
+use crate::simulate::common::{payload_options, SimulationRun};
 use crate::simulate::phase::{batch_words, LevelClusters, PhaseWorkspace};
 use congest_algos::leader::{setup_network_with, NetworkSetup};
 use congest_decomp::Hierarchy;
@@ -96,14 +96,13 @@ pub(crate) fn simulate_star_with_setup<A: AggregationAlgorithm>(
         level: lvl, forest, ..
     }) = star.as_ref()
     {
-        let items: Vec<(NodeId, Pad)> = g
+        let items: Vec<(NodeId, usize)> = g
             .nodes()
             .filter(|v| lvl.cluster_of[v.index()].is_some())
-            .map(|v| (v, Pad(g.degree(v) + 1)))
+            .map(|v| (v, g.degree(v) + 1))
             .collect();
         if !items.is_empty() {
-            let up = upcast(&mut router, forest, items)?;
-            metrics.merge_sequential(&up.metrics);
+            metrics.merge_sequential(&upcast(&mut router, forest, items)?);
         }
     }
     // Level-0 duty edges: F₁ edges grouped by their star-side endpoint.

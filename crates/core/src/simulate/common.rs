@@ -1,21 +1,8 @@
-//! Shared plumbing for the three simulation theorems: the outcome type, how
+//! Shared plumbing for the three simulation theorems: the outcome type, and how
 //! the payload's run over a simulation's transport
-//! ([`congest_engine::run_bcongest_over`]) is configured and folded into it,
-//! and the padding payload used to account multi-word transfers.
+//! ([`congest_engine::run_bcongest_over`]) is configured and folded into it.
 
-use congest_engine::{BcongestRun, ExecutorConfig, Metrics, RunOptions, Wire};
-
-/// An opaque payload of a known size in words — used when the *content* of a
-/// transfer is tracked separately (e.g. cluster centers already hold the data) but
-/// its transport must be paid for.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Pad(pub usize);
-
-impl Wire for Pad {
-    fn words(&self) -> usize {
-        self.0.max(1)
-    }
-}
+use congest_engine::{BcongestRun, ExecutorConfig, Metrics, RunOptions};
 
 /// Outcome of a simulated execution (Theorems 2.1, 3.9, 3.10).
 #[derive(Clone, Debug)]
@@ -65,16 +52,5 @@ pub(crate) fn payload_options(seed: u64, exec: &ExecutorConfig) -> RunOptions {
         seed,
         exec: exec.clone(),
         faults: None,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pad_words() {
-        assert_eq!(Pad(0).words(), 1);
-        assert_eq!(Pad(5).words(), 5);
     }
 }

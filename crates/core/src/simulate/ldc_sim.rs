@@ -39,7 +39,7 @@
 //! seed, outputs are asserted equal to a direct run's (see the integration tests),
 //! and an LDC missing an F-edge is shown to break them (the unit tests).
 
-use crate::simulate::common::{payload_options, Pad, SimulationRun};
+use crate::simulate::common::{payload_options, SimulationRun};
 use congest_algos::leader::setup_network_with;
 use congest_decomp::ldc::{build_ldc, FEdge, LdcDecomposition};
 use congest_decomp::mpx::Clustering;
@@ -107,12 +107,8 @@ pub(crate) fn simulate_over_ldc<A: BcongestAlgorithm>(
 
     // Step 3: upcast every node's input (its incident edge list) to its center.
     let mut router = Router::new(g)?;
-    let up = upcast(
-        &mut router,
-        &forest,
-        g.nodes().map(|v| (v, Pad(g.degree(v) + 1))).collect(),
-    )?;
-    metrics.merge_sequential(&up.metrics);
+    let inputs = g.nodes().map(|v| (v, g.degree(v) + 1)).collect();
+    metrics.merge_sequential(&upcast(&mut router, &forest, inputs)?);
     // Step 3b: with every member's edge list in hand, each center balances its
     // tree's branches; every later cast runs over the tree it chose.
     let (forest, rebalance) = balance_branches(&mut router, forest)?;
@@ -167,14 +163,13 @@ pub(crate) fn simulate_over_ldc<A: BcongestAlgorithm>(
     let payload_opts = payload_options(opts.seed, &opts.exec);
     let payload = run_bcongest_over(algo, g, weights, &payload_opts, transport)?;
 
-    // Final phase: downcast outputs to their nodes.
-    let out_items: Vec<(NodeId, Pad)> = g
+    // Final phase: downcast outputs to their nodes, at least one word each.
+    let out_items = g
         .nodes()
         .zip(payload.outputs.iter())
-        .map(|(v, o)| (v, Pad(algo.output_words(o))))
+        .map(|(v, o)| (v, algo.output_words(o).max(1)))
         .collect();
-    let down = downcast(&mut router, &forest, out_items)?;
-    metrics.merge_sequential(&down.metrics);
+    metrics.merge_sequential(&downcast(&mut router, &forest, out_items)?);
 
     Ok(SimulationRun::assemble(payload, metrics, preprocessing))
 }
@@ -319,8 +314,8 @@ fn balance_branches(
         return Ok((forest, Metrics::new(g.m())));
     }
     let balanced = Forest::from_parents(g, parent)?;
-    let announce = moved.iter().map(|&v| (v, Pad(1))).collect();
-    let mut charge = downcast(router, &forest, announce)?.metrics;
+    let announce = moved.iter().map(|&v| (v, 1)).collect();
+    let mut charge = downcast(router, &forest, announce)?;
     charge.rounds += 1;
     for &v in &moved {
         let edge = balanced.parent_edge(v).expect("moved nodes have parents");
@@ -522,9 +517,9 @@ fn absorb_fragments(
         let words = g
             .incident(v)
             .filter(|&(_, u)| root(u) != root(v) || label[u.index()].checked_add(1) == Some(l));
-        (v, Pad(1 + words.count()))
+        (v, 1 + words.count())
     });
-    charge.merge_sequential(&upcast(router, &tentative, items.collect())?.metrics);
+    charge.merge_sequential(&upcast(router, &tentative, items.collect())?);
     let complete = |c: usize| {
         host_of[c].is_some_and(is_host) && members[c].iter().all(|v| label[v.index()] != u32::MAX)
     };
@@ -581,8 +576,8 @@ fn absorb_fragments(
     let told = g
         .nodes()
         .filter(|&v| joined[v.index()] || final_parent[v.index()] != current[v.index()]);
-    let told = told.map(|v| (v, Pad(1))).collect();
-    charge.merge_sequential(&downcast(router, &tentative, told)?.metrics);
+    let told = told.map(|v| (v, 1)).collect();
+    charge.merge_sequential(&downcast(router, &tentative, told)?);
     let merged = Forest::from_parents(g, final_parent)?;
     charge.rounds += 1;
     for v in g.nodes() {
@@ -729,7 +724,11 @@ mod tests {
     fn branch_sizes(g: &Graph, forest: &Forest) -> Vec<usize> {
         let mut size = vec![0; g.n()];
         for v in g.nodes() {
-            if let [.., head, _root] = forest.path_to_root(v)[..] {
+            if forest.depth_of(v) > 0 {
+                let mut head = v;
+                while forest.depth_of(head) > 1 {
+                    head = forest.parent(head).expect("a non-root has a parent");
+                }
                 size[head.index()] += 1;
             }
         }
@@ -838,11 +837,11 @@ mod tests {
         let direct = run_bcongest(&algo, &g, None, &direct_opts(5)).unwrap();
         assert_eq!(sim.outputs, direct.outputs);
         let outputs = g.nodes().zip(&sim.outputs);
-        let outputs = outputs.map(|(v, o)| (v, Pad(algo.output_words(o))));
+        let outputs = outputs.map(|(v, o)| (v, algo.output_words(o).max(1)));
         let output_downcast = downcast(&mut router, &forest, outputs.collect()).unwrap();
         assert_eq!(
             sim.metrics.rounds,
-            sim.preprocessing.rounds + output_downcast.metrics.rounds
+            sim.preprocessing.rounds + output_downcast.rounds
         );
     }
 
@@ -911,9 +910,9 @@ mod tests {
         // cluster edge, 1 + 1 rounds. Guard: 2 words per trial edge, 2 × 1.
         assert_eq!((charge.messages, charge.rounds), (18 + 20 + 18, 4 + 2 + 2));
         let mut router = Router::new(&g).unwrap();
-        let outputs = || g.nodes().map(|v| (v, Pad(g.n()))).collect();
-        let before = downcast(&mut router, &mpx, outputs()).unwrap().metrics;
-        let after = downcast(&mut router, &new, outputs()).unwrap().metrics;
+        let outputs = || g.nodes().map(|v| (v, g.n())).collect();
+        let before = downcast(&mut router, &mpx, outputs()).unwrap();
+        let after = downcast(&mut router, &new, outputs()).unwrap();
         assert!(after.messages <= before.messages);
         assert!(
             after.rounds < before.rounds,
@@ -1125,9 +1124,9 @@ mod tests {
         let (new, charge) = balance_branches(&mut router, old.clone()).unwrap();
         assert!(charge.messages > 0, "the re-parenting fires here");
         // One n-word row of distances per node, as an APSP output.
-        let outputs = || g.nodes().map(|v| (v, Pad(g.n()))).collect();
-        let before = downcast(&mut router, &old, outputs()).unwrap().metrics;
-        let after = downcast(&mut router, &new, outputs()).unwrap().metrics;
+        let outputs = || g.nodes().map(|v| (v, g.n())).collect();
+        let before = downcast(&mut router, &old, outputs()).unwrap();
+        let after = downcast(&mut router, &new, outputs()).unwrap();
         assert_eq!(after.messages, before.messages);
         assert!(
             after.rounds < before.rounds,
@@ -1150,10 +1149,10 @@ mod tests {
         // The three steps one after another: a word down to every F-edge owner,
         // a round across the F-edges, an upcast from their far ends.
         let owners = g.nodes().filter(|v| !cast.f_edges[v.index()].is_empty());
-        let owners = owners.map(|v| (v, Pad(1))).collect();
-        let down = downcast(&mut router, &forest, owners).unwrap().metrics;
-        let far_ends = cast.all_f_edges().map(|f| (f.other, Pad(1))).collect();
-        let up = upcast(&mut router, &forest, far_ends).unwrap().metrics;
+        let owners = owners.map(|v| (v, 1)).collect();
+        let down = downcast(&mut router, &forest, owners).unwrap();
+        let far_ends = cast.all_f_edges().map(|f| (f.other, 1)).collect();
+        let up = upcast(&mut router, &forest, far_ends).unwrap();
         assert_eq!(
             phase.messages,
             down.messages + cast.all_f_edges().count() as u64 + up.messages
@@ -1185,11 +1184,11 @@ mod tests {
         let mut router = Router::new(&g).unwrap();
         let (forest, _) = cast_forest(&mut router, &ldc, 2);
         let outputs = g.nodes().zip(&sim.outputs);
-        let outputs = outputs.map(|(v, o)| (v, Pad(algo.output_words(o))));
+        let outputs = outputs.map(|(v, o)| (v, algo.output_words(o).max(1)));
         let output_downcast = downcast(&mut router, &forest, outputs.collect()).unwrap();
         assert_eq!(
             sim.metrics.rounds,
-            sim.preprocessing.rounds + output_downcast.metrics.rounds
+            sim.preprocessing.rounds + output_downcast.rounds
         );
     }
 

@@ -14,10 +14,11 @@
 //!   simulation theorems are. All three are thin wrappers over one
 //!   crate-private round loop (`rounds.rs`), generic over the model and the
 //!   delivery;
-//! * [`router`] — store-and-forward packet routing under per-edge capacity (real
-//!   schedules, LMR/Theorem-1.3 style);
-//! * [`treeops`] — the upcast/downcast primitives of Lemmas 1.5/1.6 over [`Forest`]s,
-//!   plus budget-enforcing convergecast/broadcast passes;
+//! * [`Router`] — store-and-forward packet routing under per-edge capacity (real
+//!   schedules, LMR/Theorem-1.3 style) of a phase of [`Cast`]s;
+//! * [`treeops`] — the casts, their one-cast forms [`upcast`] / [`downcast`]
+//!   (Lemmas 1.5/1.6, charged by the words they move) over [`Forest`]s, plus
+//!   budget-enforcing convergecast/broadcast passes;
 //! * [`exec`] / [`ExecutorConfig`] — deterministic chunked-parallel execution of the
 //!   per-node phases; `threads` is the only setting (outputs and metrics are
 //!   byte-identical at every thread count);
@@ -84,7 +85,7 @@ pub mod faults;
 mod metrics;
 pub mod plane;
 mod rounds;
-pub mod router;
+mod router;
 pub mod trace;
 pub mod treeops;
 mod view;
@@ -104,7 +105,7 @@ pub use router::Router;
 pub use trace::TraceLog;
 pub use treeops::{
     broadcast, convergecast, downcast, route_casts, upcast, BroadcastOutcome, Cast,
-    ConvergecastOutcome, Delivered, DowncastOutcome, Forest, UpcastOutcome,
+    ConvergecastOutcome, Forest,
 };
 pub use view::LocalView;
 pub use wire::{Wire, WireDecode, WireEncode};

@@ -5,54 +5,19 @@
 //! leans on (Theorem 1.3): a real schedule is produced and measured, so routed rounds
 //! reflect `O(congestion + dilation)` behaviour rather than assuming it.
 //!
-//! Routing goes through one reusable workspace, [`Router`], which a simulation, an
-//! MST run or a landmark phase creates once from its graph and hands to every
-//! [`upcast`](crate::treeops::upcast) / [`downcast`](crate::treeops::downcast) /
-//! [`route_casts`](crate::treeops::route_casts) / [`Router::route`] call. A phase
-//! whose casts wait for each other — Theorem 2.1's downcast to each broadcaster
-//! and its hops climbing into the receiving centers, Theorems 3.9 / 3.10's
-//! per-root barriers — is one [`route_casts`](crate::treeops::route_casts)
-//! schedule. The workspace keeps,
-//! across calls: the per-directed-edge FIFO `head`/`tail` tables and the `planned`
-//! congestion table (sized `2m` once), the packet arena, the flat task table
-//! (edge sequences, prerequisite sets and release rounds) and the per-round
-//! `active`/`moving` lists. Nothing `2m`-sized is cleared between
-//! calls — every queue is empty again when a schedule finishes, and `planned` is
-//! zeroed by re-walking the sequences that touched it — so a routed batch costs
-//! `O(tasks + word-hops + Σ_rounds active edges)` work plus the `Θ(m)` congestion
-//! vector of the [`Metrics`] it returns, and a warm workspace allocates only what
-//! it returns.
+//! The [`Router`] has one input, a phase of [`Cast`]s, and one output, the
+//! [`Metrics`] of its schedule; [`route_casts`](crate::treeops::route_casts),
+//! [`upcast`](crate::treeops::upcast) and [`downcast`](crate::treeops::downcast)
+//! (a phase of one cast) are its callers. A cast becomes tasks in a flat task
+//! table — per task its directed-edge sequence, its prerequisite tasks and its
+//! release round — and the table becomes one FIFO schedule.
 
 use crate::error::EngineError;
 use crate::metrics::Metrics;
 use crate::treeops::{Cast, Forest};
 use congest_graph::{EdgeId, Graph, NodeId};
 
-/// One routing task: deliver a payload of `words` words along `path` (a walk whose
-/// first node is the source, last is the destination).
-#[derive(Clone, Debug)]
-pub struct RouteTask {
-    /// Nodes of the walk, consecutive nodes adjacent. A single-node path delivers
-    /// locally for free.
-    pub path: Vec<NodeId>,
-    /// Payload size in words; each word is a separate message.
-    pub words: usize,
-}
-
-/// Outcome of a routed batch.
-#[derive(Clone, Debug)]
-pub struct RouteReport {
-    /// Rounds/messages/congestion of the whole batch.
-    pub metrics: Metrics,
-    /// Round (1-based) at which each task's last word arrived; 0 for local deliveries.
-    pub completion_round: Vec<u64>,
-    /// The dilation: maximum path length over tasks.
-    pub dilation: usize,
-    /// The congestion: maximum over directed edges of words scheduled through it.
-    pub congestion: u64,
-}
-
-/// "No packet" in the intrusive queues; also why a batch holds at most
+/// "No packet" in the intrusive queues; also why a phase holds at most
 /// `u32::MAX − 1` packets.
 const NIL: u32 = u32::MAX;
 
@@ -89,7 +54,7 @@ fn directed(g: &Graph, e: EdgeId, from: NodeId) -> u32 {
 
 /// One intrusive FIFO of packets per directed edge. An edge is active iff its
 /// queue is non-empty, so `head` doubles as the activity flag; every queue is empty
-/// again when a schedule finishes, so nothing is reset between batches.
+/// again when a schedule finishes, so nothing is reset between phases.
 #[derive(Debug)]
 struct Queues {
     /// Per directed edge: first queued packet, [`NIL`] when empty.
@@ -126,29 +91,49 @@ impl Queues {
     }
 }
 
-/// The reusable routing workspace of one graph (see the [module docs](self)).
+/// The reusable routing workspace of one graph (see the module docs of
+/// [`treeops`](crate::treeops) for what it routes).
+///
+/// A simulation, an MST run or a landmark phase creates one from its graph and
+/// hands it to every [`upcast`](crate::treeops::upcast) /
+/// [`downcast`](crate::treeops::downcast) /
+/// [`route_casts`](crate::treeops::route_casts) call. The workspace keeps,
+/// across calls: the per-directed-edge FIFO `head`/`tail` tables and the
+/// `planned` and `lead` tables (sized `2m` once), the per-node barrier tables
+/// (sized `n` once), the packet arena, the flat task table and the per-round
+/// `active`/`moving` lists. Nothing `2m`-sized is cleared between calls —
+/// every queue is empty again when a schedule finishes, and `planned` and
+/// `lead` are zeroed by re-walking what touched them — so a phase costs
+/// `O(tasks + word-hops + Σ_rounds active edges)` work plus the `Θ(m)`
+/// congestion vector of the [`Metrics`] it returns, and a warm workspace
+/// allocates only that vector.
 ///
 /// Index columns are `u32`. Sizes that do not fit are **rejected, never wrapped**:
 /// [`Router::new`] fails on a graph with `2m ≥ u32::MAX` directed edges, and a
-/// batch with more than `u32::MAX − 1` words (one packet each) or task hops fails
+/// phase with more than `u32::MAX − 1` words (one packet each) or task hops fails
 /// with [`EngineError::BatchTooLarge`] before anything is queued.
 #[derive(Debug)]
 pub struct Router<'g> {
     g: &'g Graph,
     queues: Queues,
-    /// Per directed edge: words the current batch plans through it; all zero
-    /// between calls.
-    planned: Vec<u64>,
+    /// Per directed edge: whether some task sends words across it, so that
+    /// its lead words (if any) cannot be settled in closed form; all `false`
+    /// between calls, and only filled when the phase has lead words.
+    planned: Vec<bool>,
     /// Every task's directed-edge sequence, concatenated; task `t` owns
     /// `seq[seq_off[t]..seq_off[t + 1]]`.
     seq: Vec<u32>,
     seq_off: Vec<u32>,
-    /// Per task: words still in flight (0 for local and zero-word tasks), and their
-    /// sum over the batch.
+    /// Per task: words still in flight (0 for local and zero-word tasks), and
+    /// the phase's word total, lead words included.
     outstanding: Vec<u32>,
     packets: u64,
-    /// Every task's prerequisites, earlier tasks (see [`Router::route_after`]),
-    /// concatenated; task `t` owns `after[after_off[t]..after_off[t + 1]]`.
+    /// Every task's prerequisites, earlier tasks, concatenated; task `t` owns
+    /// `after[after_off[t]..after_off[t + 1]]`. A task completes when its
+    /// last word arrives, or, with nothing to send, when it is released.
+    /// Round 0 releases the tasks without a prerequisite; every other task is
+    /// released in the round its last prerequisite completes, after that
+    /// round's arrivals, and sends from the next round on.
     after: Vec<u32>,
     after_off: Vec<u32>,
     /// Per task: its prerequisites not yet completed.
@@ -173,7 +158,7 @@ pub struct Router<'g> {
     /// `(next, end)` entries of `awaited` (`end` indexing `ends`) headed per
     /// end node by `waits_at`; per node, its barrier task (for a lead cast,
     /// its entry in `ends`); and the nodes with one. Both per-node columns
-    /// are [`NIL`] outside a call, sized `n` on the first.
+    /// are [`NIL`] outside a call.
     ends: Vec<(u32, u32, u32)>,
     cast_off: Vec<u32>,
     awaited: Vec<(u32, u32)>,
@@ -181,8 +166,8 @@ pub struct Router<'g> {
     barrier_at: Vec<u32>,
     barriers: Vec<u32>,
     /// Per directed edge: the words of lead hops queued ahead of every task
-    /// on it, all zero between calls, sized `2m` on the first phase; and the
-    /// edges with some, in order of their first lead hop.
+    /// on it, all zero between calls; and the edges with some, in order of
+    /// their first lead hop.
     lead: Vec<u32>,
     lead_edges: Vec<u32>,
     /// Packet arena (parallel to `queues.next`).
@@ -206,7 +191,7 @@ struct Packet {
 }
 
 impl<'g> Router<'g> {
-    /// A workspace for routing over `g`: `Θ(m)` once, reused by every call.
+    /// A workspace for routing over `g`: `Θ(n + m)` once, reused by every call.
     ///
     /// # Errors
     ///
@@ -221,8 +206,8 @@ impl<'g> Router<'g> {
                 tail: vec![NIL; directed_edges],
                 next: Vec::new(),
             },
-            planned: vec![0; directed_edges],
-            lead: Vec::new(),
+            planned: vec![false; directed_edges],
+            lead: vec![0; directed_edges],
             seq: Vec::new(),
             seq_off: Vec::new(),
             outstanding: Vec::new(),
@@ -237,8 +222,8 @@ impl<'g> Router<'g> {
             ends: Vec::new(),
             cast_off: Vec::new(),
             awaited: Vec::new(),
-            waits_at: Vec::new(),
-            barrier_at: Vec::new(),
+            waits_at: vec![NIL; g.n()],
+            barrier_at: vec![NIL; g.n()],
             barriers: Vec::new(),
             lead_edges: Vec::new(),
             pkts: Vec::new(),
@@ -252,75 +237,8 @@ impl<'g> Router<'g> {
         self.g
     }
 
-    /// Routes all `tasks` simultaneously and returns the realized schedule's measures.
-    ///
-    /// Packets are injected at round 0 in task order and forwarded FIFO; each directed
-    /// edge carries one word per round. (Inside the crate a task may instead wait
-    /// for others to complete, which is what
-    /// [`route_casts`](crate::treeops::route_casts) is built on; every task given
-    /// here starts at once.)
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::InvalidPath`] (lowest failing task index) if some path is not a
-    /// walk in the graph — each hop is looked up with [`Graph::edge_between`], which
-    /// is the check; [`EngineError::BatchTooLarge`] if the batch outgrows the `u32`
-    /// index columns. Either way the workspace is left clean for the next call.
-    pub fn route(&mut self, tasks: &[RouteTask]) -> Result<RouteReport, EngineError> {
-        self.route_after(tasks, &[])
-    }
-
-    /// [`Router::route`] where task `t` waits for the prerequisites `after[t]`,
-    /// earlier tasks (`after` is empty, or has one entry per task). A task
-    /// completes when its last word arrives, or, with nothing to send, when it is
-    /// released. Round 0 releases the tasks without a prerequisite; every other
-    /// task is released in the round its last prerequisite completes, after that
-    /// round's arrivals, and sends from the next round on. Tasks completing in one
-    /// round count theirs down in the order they completed, each its own in task
-    /// order, and a task is released when its count reaches zero. Releasing a
-    /// task injects its words on its first edge.
-    pub(crate) fn route_after(
-        &mut self,
-        tasks: &[RouteTask],
-        after: &[Vec<usize>],
-    ) -> Result<RouteReport, EngineError> {
-        debug_assert!(after.is_empty() || after.len() == tasks.len());
-        self.begin();
-        for (task, t) in tasks.iter().enumerate() {
-            for hop in t.path.windows(2) {
-                let e = self
-                    .g
-                    .edge_between(hop[0], hop[1])
-                    .ok_or(EngineError::InvalidPath { task })?;
-                self.seq.push(directed(self.g, e, hop[0]));
-            }
-            if let Some(prerequisites) = after.get(task) {
-                self.after.extend(prerequisites.iter().map(|&a| a as u32));
-            }
-            self.end_task(t.words);
-        }
-        self.schedule()
-    }
-
-    /// Routes one task per `(node, words)` item along the node's tree path in
-    /// `forest` (a forest of this workspace's graph): node → root, or root → node
-    /// if `down`. The edge sequences come straight from [`Forest::parent_edge`] —
-    /// no path vector, no edge search.
-    pub(crate) fn route_tree_paths(
-        &mut self,
-        forest: &Forest,
-        items: impl Iterator<Item = (NodeId, usize)>,
-        down: bool,
-    ) -> Result<RouteReport, EngineError> {
-        self.begin();
-        for (v, words) in items {
-            self.push_tree_path(forest, v, down);
-            self.end_task(words);
-        }
-        self.schedule()
-    }
-
-    /// Routes [`route_casts`](crate::treeops::route_casts)' phase. The hops of
+    /// Routes [`route_casts`](crate::treeops::route_casts)' phase and returns
+    /// the metrics of its schedule. The hops of
     /// a cast that neither waits nor climbs are *lead* hops: no tasks, only
     /// words counted per directed edge and queued there ahead of every task, so
     /// a lead hop's words are in by the round its last word's place on its
@@ -337,12 +255,10 @@ impl<'g> Router<'g> {
     /// [`EngineError::InvalidParameter`] if a cast waits for itself or a later
     /// cast; [`EngineError::InvalidPath`] naming the first cast (not the item)
     /// with a hop whose edge is not incident to its owner;
-    /// [`EngineError::BatchTooLarge`] as for any batch.
-    pub(crate) fn route_casts(&mut self, casts: &[Cast<'_>]) -> Result<RouteReport, EngineError> {
+    /// [`EngineError::BatchTooLarge`] if the phase outgrows the `u32` index
+    /// columns. Either way the workspace is left clean for the next call.
+    pub(crate) fn route_casts(&mut self, casts: &[Cast<'_>]) -> Result<Metrics, EngineError> {
         self.begin();
-        self.waits_at.resize(self.g.n(), NIL);
-        self.barrier_at.resize(self.g.n(), NIL);
-        self.lead.resize(self.planned.len(), 0);
         for (c, cast) in casts.iter().enumerate() {
             let after = cast.after();
             if let Some(&a) = after.iter().find(|&&a| a >= c) {
@@ -544,7 +460,7 @@ impl<'g> Router<'g> {
         }
     }
 
-    /// Starts a batch: empties the per-batch task table. Everything a failed batch
+    /// Starts a phase: empties the per-phase task table. Everything a failed phase
     /// can have touched is reset here, so an error leaves nothing behind.
     fn begin(&mut self) {
         self.seq.clear();
@@ -587,13 +503,13 @@ impl<'g> Router<'g> {
         self.after_off.push(self.after.len() as u32);
     }
 
-    /// Runs the FIFO schedule of the batch in the task table.
+    /// Runs the FIFO schedule of the phase in the task table.
     ///
     /// # Errors
     ///
     /// [`EngineError::BatchTooLarge`] if the table outgrew the `u32` columns
     /// (its entries may then be truncated; nothing of them is queued).
-    fn schedule(&mut self) -> Result<RouteReport, EngineError> {
+    fn schedule(&mut self) -> Result<Metrics, EngineError> {
         index_u32(self.outstanding.len(), "tasks")?;
         index_u32(self.seq.len(), "task hops")?;
         index_u32(self.after.len(), "prerequisites")?;
@@ -631,44 +547,36 @@ impl<'g> Router<'g> {
         let tasks = outstanding.len();
         let hops = |t: usize| seq_off[t] as usize..seq_off[t + 1] as usize;
 
-        // Static dilation and congestion (for reporting). `planned` only grows while
-        // it is filled, so the running maximum is the final one; the second walk
-        // restores the all-zero state.
-        let mut dilation = 0;
-        let mut congestion = 0;
-        for t in 0..tasks {
-            dilation = dilation.max(hops(t).len());
-            for &d in &seq[hops(t)] {
-                planned[d as usize] += u64::from(outstanding[t]);
-                congestion = congestion.max(planned[d as usize]);
-            }
-        }
-        // Lead words: an edge no task crosses sends its in its first rounds,
-        // whatever else happens, so it is settled here; the others' go out
-        // first, as a word-less task's packet queued before any task's.
+        // Lead words: an edge no task sends words across sends its in its first
+        // rounds, whatever else happens, so it is settled here; the others' go
+        // out first, as a word-less task's packet queued before any task's.
+        // `planned` marks the edges tasks send across, and is cleared again by
+        // the same walk.
         let mut metrics = Metrics::new(g.m());
         let mut solo_rounds = 0;
         let mut in_flight = packets;
         if !lead_edges.is_empty() {
-            dilation = dilation.max(1);
-        }
-        for &d in lead_edges.iter() {
-            let words = lead[d as usize];
-            congestion = congestion.max(planned[d as usize] + u64::from(words));
-            if planned[d as usize] == 0 {
-                metrics.add_messages(EdgeId::new(d as usize / 2), u64::from(words));
-                solo_rounds = solo_rounds.max(u64::from(words));
-                in_flight -= words;
-                lead[d as usize] = 0;
+            for t in (0..tasks).filter(|&t| outstanding[t] > 0) {
+                for &d in &seq[hops(t)] {
+                    planned[d as usize] = true;
+                }
             }
-        }
-        for &d in seq.iter() {
-            planned[d as usize] = 0;
+            for &d in lead_edges.iter() {
+                if !planned[d as usize] {
+                    let words = std::mem::take(&mut lead[d as usize]);
+                    metrics.add_messages(EdgeId::new(d as usize / 2), u64::from(words));
+                    solo_rounds = solo_rounds.max(u64::from(words));
+                    in_flight -= words;
+                }
+            }
+            for &d in seq.iter() {
+                planned[d as usize] = false;
+            }
         }
 
         // Each task's pending count and its dependents, by a counting sort of
         // the prerequisite pairs in task order, so every list comes out in task
-        // order — only if some task has a prerequisite, so a plain batch pays
+        // order — only if some task has a prerequisite, so a plain phase pays
         // nothing for them.
         let gated = !after.is_empty() || !timers.is_empty();
         pending.clear();
@@ -714,7 +622,6 @@ impl<'g> Router<'g> {
             }
         }
         lead_edges.clear();
-        let mut completion_round = vec![0u64; tasks];
         let mut round: u64 = 0;
         // `releasing` names round 0's tasks by `tasks` and the release rounds
         // due in a round by `tasks + 1`, ahead of that round's completions.
@@ -765,7 +672,6 @@ impl<'g> Router<'g> {
                         t
                     };
                     if outstanding[t] == 0 {
-                        completion_round[t] = round;
                         if has_dependents(t) {
                             releasing.push(t as u32);
                         }
@@ -830,11 +736,8 @@ impl<'g> Router<'g> {
                 } else if at + 1 == seq_off[t + 1] {
                     outstanding[t] -= 1;
                     in_flight -= 1;
-                    if outstanding[t] == 0 {
-                        completion_round[t] = round;
-                        if has_dependents(t) {
-                            releasing.push(task);
-                        }
+                    if outstanding[t] == 0 && has_dependents(t) {
+                        releasing.push(task);
                     }
                     // A one-hop task's packet holds all its words.
                     let rest = if at == seq_off[t] { outstanding[t] } else { 0 };
@@ -858,190 +761,109 @@ impl<'g> Router<'g> {
             }
         }
         metrics.rounds = round.max(solo_rounds);
-
-        Ok(RouteReport {
-            metrics,
-            completion_round,
-            dilation,
-            congestion,
-        })
+        Ok(metrics)
     }
 }
-
-/// Builds the unique path from `v` up to the root in a parent forest, inclusive of both
-/// endpoints. Helper for tree-based routing.
-pub fn path_to_root(parent: &[Option<NodeId>], v: NodeId) -> Vec<NodeId> {
-    let mut path = vec![v];
-    let mut cur = v;
-    while let Some(p) = parent[cur.index()] {
-        path.push(p);
-        cur = p;
-        debug_assert!(path.len() <= parent.len(), "cycle in parent pointers");
-    }
-    path
-}
-
-#[cfg(test)]
-#[path = "../tests/reference_scheduler/mod.rs"]
-mod reference_scheduler;
 
 #[cfg(test)]
 mod tests {
-    use super::reference_scheduler::{assert_same_report, random_batch, reference_route};
     use super::*;
-    use congest_graph::{generators, rng};
-    use proptest::prelude::*;
-    use rand::Rng;
+    use congest_graph::generators;
 
-    #[test]
-    fn a_prerequisite_releases_its_task_the_round_it_completes() {
-        // A crosses 0 → 1 → 2 in rounds 1 and 2; B waits for it at node 2 and
-        // crosses 2 → 3 in round 3, although that edge was idle all along.
-        let g = generators::path(4);
-        let task = |path: &[usize]| RouteTask {
-            path: path.iter().copied().map(NodeId::new).collect(),
-            words: 1,
-        };
-        let mut router = Router::new(&g).expect("a small graph");
-        let r = router
-            .route_after(&[task(&[0, 1, 2]), task(&[2, 3])], &[vec![], vec![0]])
-            .expect("route the chained tasks");
-        assert_eq!(r.completion_round, [2, 3]);
-        assert_eq!((r.metrics.rounds, r.metrics.messages), (3, 3));
-        // Without the link both finish by round 2.
-        let r = router
-            .route(&[task(&[0, 1, 2]), task(&[2, 3])])
-            .expect("route the tasks");
-        assert_eq!(r.completion_round, [2, 1]);
+    /// `path(n)` and its tree rooted at node 0.
+    fn rooted_path(n: usize) -> (Graph, Forest) {
+        let g = generators::path(n);
+        let parent = (0..n).map(|i| i.checked_sub(1).map(NodeId::new)).collect();
+        let f = Forest::from_parents(&g, parent).expect("valid parent pointers");
+        (g, f)
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// Random batches where each task names up to three random earlier
-        /// tasks, repeats allowed, or none, with equal odds — local and
-        /// zero-word prerequisites included — against the reference scheduler,
-        /// on one reused workspace that also runs the same batch without the
-        /// links.
-        #[test]
-        fn random_prerequisite_sets_match_the_reference_scheduler(
-            seed in 0u64..4000,
-            n in 2usize..24,
-            k in 0usize..40,
-        ) {
-            let g = generators::gnp_connected(n, 0.2, seed);
-            let mut r = rng::seeded(seed);
-            let mut router = Router::new(&g).expect("a small graph");
-            for _ in 0..3 {
-                let tasks = random_batch(&g, &mut r, k);
-                let after: Vec<Vec<usize>> = (0..k)
-                    .map(|t| {
-                        let count = if t == 0 { 0 } else { r.random_range(0..=3usize) };
-                        (0..count).map(|_| r.random_range(0..t)).collect()
-                    })
-                    .collect();
-                let got = router.route_after(&tasks, &after).expect("walks are valid paths");
-                let want = reference_route(&g, &tasks, &after).expect("reference");
-                assert_same_report(&got, &want)?;
-                let got = router.route(&tasks).expect("walks are valid paths");
-                assert_same_report(&got, &reference_route(&g, &tasks, &[]).expect("reference"))?;
-            }
+    /// A cast of `items` from the root down to each `(destination, words)`.
+    fn down(f: &Forest, items: Vec<(usize, usize)>) -> Cast<'_> {
+        Cast::Down {
+            forest: f,
+            items: items
+                .into_iter()
+                .map(|(v, w)| (NodeId::new(v), w))
+                .collect(),
+            after: vec![],
         }
     }
 
     #[test]
     fn single_packet_takes_dilation_rounds() {
-        let g = generators::path(5);
-        let task = RouteTask {
-            path: (0..5).map(NodeId::new).collect(),
-            words: 1,
-        };
-        let r = Router::new(&g)
+        let (g, f) = rooted_path(5);
+        let m = Router::new(&g)
             .expect("a small graph")
-            .route(&[task])
-            .expect("route the single task");
-        assert_eq!(r.metrics.rounds, 4);
-        assert_eq!(r.metrics.messages, 4);
-        assert_eq!(r.dilation, 4);
-        assert_eq!(r.completion_round, vec![4]);
+            .route_casts(&[down(&f, vec![(4, 1)])])
+            .expect("route the single item");
+        assert_eq!(m.rounds, 4);
+        assert_eq!(m.messages, 4);
     }
 
     #[test]
     fn multiword_pipelines() {
         // k words over a d-hop path should take d + k - 1 rounds (pipelining).
-        let g = generators::path(4);
-        let task = RouteTask {
-            path: (0..4).map(NodeId::new).collect(),
-            words: 5,
-        };
-        let r = Router::new(&g)
+        let (g, f) = rooted_path(4);
+        let m = Router::new(&g)
             .expect("a small graph")
-            .route(&[task])
-            .expect("route the single task");
-        assert_eq!(r.metrics.rounds, 3 + 5 - 1);
-        assert_eq!(r.metrics.messages, 15);
+            .route_casts(&[down(&f, vec![(3, 5)])])
+            .expect("route the single item");
+        assert_eq!(m.rounds, 3 + 5 - 1);
+        assert_eq!(m.messages, 15);
     }
 
     #[test]
     fn contention_serializes() {
         // Two packets over the same edge: 2 rounds, not 1.
-        let g = generators::path(2);
-        let t = RouteTask {
-            path: vec![NodeId::new(0), NodeId::new(1)],
-            words: 1,
-        };
-        let r = Router::new(&g)
+        let (g, f) = rooted_path(2);
+        let m = Router::new(&g)
             .expect("a small graph")
-            .route(&[t.clone(), t])
-            .expect("route two contending tasks");
-        assert_eq!(r.metrics.rounds, 2);
-        assert_eq!(r.congestion, 2);
+            .route_casts(&[down(&f, vec![(1, 1), (1, 1)])])
+            .expect("route two contending items");
+        assert_eq!(m.rounds, 2);
+        assert_eq!(m.max_congestion(), 2);
     }
 
     #[test]
     fn opposite_directions_dont_contend() {
-        let g = generators::path(2);
-        let a = RouteTask {
-            path: vec![NodeId::new(0), NodeId::new(1)],
-            words: 1,
+        let (g, f) = rooted_path(2);
+        let up = Cast::Up {
+            forest: &f,
+            items: vec![(NodeId::new(1), 1)],
+            after: vec![],
         };
-        let b = RouteTask {
-            path: vec![NodeId::new(1), NodeId::new(0)],
-            words: 1,
-        };
-        let r = Router::new(&g)
+        let m = Router::new(&g)
             .expect("a small graph")
-            .route(&[a, b])
-            .expect("route opposite-direction tasks");
-        assert_eq!(r.metrics.rounds, 1);
+            .route_casts(&[down(&f, vec![(1, 1)]), up])
+            .expect("route opposite-direction items");
+        assert_eq!(m.rounds, 1);
     }
 
     #[test]
     fn local_delivery_is_free() {
-        let g = generators::path(2);
-        let t = RouteTask {
-            path: vec![NodeId::new(0)],
-            words: 3,
-        };
-        let r = Router::new(&g)
+        let (g, f) = rooted_path(2);
+        let m = Router::new(&g)
             .expect("a small graph")
-            .route(&[t])
-            .expect("route the local-delivery task");
-        assert_eq!(r.metrics.rounds, 0);
-        assert_eq!(r.metrics.messages, 0);
+            .route_casts(&[down(&f, vec![(0, 3)])])
+            .expect("route the local item");
+        assert_eq!(m.rounds, 0);
+        assert_eq!(m.messages, 0);
     }
 
     #[test]
     fn invalid_path_rejected() {
         let g = generators::path(3);
-        let t = RouteTask {
-            path: vec![NodeId::new(0), NodeId::new(2)],
-            words: 1,
+        let e12 = g.edge_between(NodeId::new(1), NodeId::new(2)).unwrap();
+        let hop = Cast::Hop {
+            items: vec![(NodeId::new(0), e12, 1)],
+            up: None,
+            after: vec![],
         };
         assert_eq!(
             Router::new(&g)
                 .expect("a small graph")
-                .route(&[t])
+                .route_casts(&[hop])
                 .unwrap_err(),
             EngineError::InvalidPath { task: 0 }
         );
@@ -1050,18 +872,12 @@ mod tests {
     #[test]
     fn schedule_length_within_congestion_plus_dilation() {
         // LMR-flavoured sanity: realized rounds <= congestion + dilation on a shared path.
-        let g = generators::path(6);
-        let tasks: Vec<RouteTask> = (0..4)
-            .map(|_| RouteTask {
-                path: (0..6).map(NodeId::new).collect(),
-                words: 2,
-            })
-            .collect();
-        let r = Router::new(&g)
+        let (g, f) = rooted_path(6);
+        let m = Router::new(&g)
             .expect("a small graph")
-            .route(&tasks)
-            .expect("route the shared-path batch");
-        assert!(r.metrics.rounds <= r.congestion + r.dilation as u64);
+            .route_casts(&[down(&f, vec![(5, 2); 4])])
+            .expect("route the shared-path items");
+        assert!(m.rounds <= m.max_congestion() + 5);
     }
 
     #[test]
@@ -1085,31 +901,18 @@ mod tests {
 
         // One oversized payload, and two that only overflow together: both fail
         // before a single packet is queued, and the workspace stays usable.
-        let g = generators::path(2);
-        let hop = |words| RouteTask {
-            path: vec![NodeId::new(0), NodeId::new(1)],
-            words,
-        };
+        let (g, f) = rooted_path(2);
         let mut router = Router::new(&g).expect("a small graph");
         let words = EngineError::BatchTooLarge { what: "words" };
-        assert_eq!(router.route(&[hop(usize::MAX)]).unwrap_err(), words);
+        let oversized = [down(&f, vec![(1, usize::MAX)])];
+        assert_eq!(router.route_casts(&oversized).unwrap_err(), words);
         let half = NIL as usize / 2 + 1;
-        assert_eq!(router.route(&[hop(half), hop(half)]).unwrap_err(), words);
+        let together = [down(&f, vec![(1, half), (1, half)])];
+        assert_eq!(router.route_casts(&together).unwrap_err(), words);
         // A local delivery queues nothing, whatever its size.
-        let local = RouteTask {
-            path: vec![NodeId::new(0)],
-            words: usize::MAX,
-        };
-        let r = router
-            .route(&[local, hop(2)])
+        let m = router
+            .route_casts(&[down(&f, vec![(0, usize::MAX), (1, 2)])])
             .expect("route after a rejection");
-        assert_eq!((r.metrics.rounds, r.metrics.messages), (2, 2));
-    }
-
-    #[test]
-    fn path_to_root_works() {
-        let parent = vec![None, Some(NodeId::new(0)), Some(NodeId::new(1))];
-        let p = path_to_root(&parent, NodeId::new(2));
-        assert_eq!(p, vec![NodeId::new(2), NodeId::new(1), NodeId::new(0)]);
+        assert_eq!((m.rounds, m.messages), (2, 2));
     }
 }

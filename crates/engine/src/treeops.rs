@@ -2,15 +2,20 @@
 //! §1.4.2, Lemmas 1.5 and 1.6, plus the aggregation passes every fragment/tree
 //! algorithm uses).
 //!
-//! * **Upcast** (Lemma 1.5): every node holds input items; all items flow to their
-//!   tree's root, each node forwarding one word to its parent per round.
-//! * **Downcast** (Lemma 1.6): roots hold addressed items; each item flows down the
-//!   unique root→destination path, one word per edge per round.
+//! The casts carry word counts, not payloads: a caller already holds what the
+//! words stand for, and the lemmas charge a cast by the words it moves.
+//!
+//! * **Upcast** (Lemma 1.5): every node holds items of some words each; all
+//!   words flow to their tree's root, each node forwarding one word to its
+//!   parent per round.
+//! * **Downcast** (Lemma 1.6): roots hold addressed items; each item's words flow
+//!   down the unique root→destination path, one word per edge per round.
 //! * **Phase** ([`route_casts`]): upcasts, downcasts and hops, each waiting for the
 //!   casts it names at the node its words leave from, as one schedule. Theorem
 //!   2.1's phase is a downcast to each broadcaster and a hop cast that waits for
 //!   it and climbs from each far end to its root ([`Cast::Hop`]'s `up`); Theorems
-//!   3.9 / 3.10's phases wait per root.
+//!   3.9 / 3.10's phases wait per root. An [`upcast`] or a [`downcast`] is a
+//!   phase of one cast.
 //! * **Convergecast** ([`convergecast`]): one value per node, folded bottom-up with a
 //!   caller-supplied combiner; each tree edge carries exactly one combined payload
 //!   (the MWOE search of GHS-style MST, subtree counting, …).
@@ -18,8 +23,8 @@
 //!   each tree edge carries the payload once (fragment-ID dissemination, "everyone
 //!   learn `n`", …).
 //!
-//! Upcast/downcast/phases are executed as real packet schedules (via
-//! [`crate::router`]), so the returned metrics are realized costs, which the tests
+//! Phases are executed as real packet schedules on a [`Router`], so the
+//! returned metrics are realized costs, which the tests
 //! compare against the lemmas' bounds (`O(I_n/log n)` rounds / `O(d·I_n/log n)`
 //! messages for upcast over depth-`d` forests, `O(|M|+d)` rounds / `O(d·|M|)`
 //! messages for downcast).
@@ -33,7 +38,7 @@
 
 use crate::error::EngineError;
 use crate::metrics::Metrics;
-use crate::router::{self, Router};
+use crate::router::Router;
 use crate::wire::Wire;
 use congest_graph::{EdgeId, Graph, NodeId};
 
@@ -171,109 +176,47 @@ impl Forest {
     pub fn tree_edges(&self) -> &[EdgeId] {
         &self.tree_edges
     }
-
-    /// The path from `v` to its root (inclusive).
-    pub fn path_to_root(&self, v: NodeId) -> Vec<NodeId> {
-        router::path_to_root(&self.parent, v)
-    }
 }
 
-/// One item delivered by [`upcast`]: who originated it and its payload.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Delivered<P> {
-    /// Node at which the item was inserted.
-    pub origin: NodeId,
-    /// The payload.
-    pub payload: P,
-}
-
-/// Result of an [`upcast`] run.
-#[derive(Clone, Debug)]
-pub struct UpcastOutcome<P> {
-    /// Items received at each root: parallel to `Forest::roots()`.
-    pub at_root: Vec<Vec<Delivered<P>>>,
-    /// Realized cost of the operation.
-    pub metrics: Metrics,
-}
-
-/// Upcasts `items` (at their origin nodes) to their tree roots (Lemma 1.5), as one
-/// routed batch on `router` (the workspace of the graph `forest` spans).
+/// Upcasts `items`, `(origin, words)` each, to their tree roots (Lemma 1.5): a
+/// phase of one [`Cast::Up`] on `router` (the workspace of the graph `forest`
+/// spans). Returns its realized cost.
 ///
 /// # Errors
 ///
 /// [`EngineError::BatchTooLarge`] if the items total more words than the router
 /// addresses.
-pub fn upcast<P: Wire>(
+pub fn upcast(
     router: &mut Router<'_>,
     forest: &Forest,
-    items: Vec<(NodeId, P)>,
-) -> Result<UpcastOutcome<P>, EngineError> {
-    let report =
-        router.route_tree_paths(forest, items.iter().map(|(v, p)| (*v, p.words())), false)?;
-
-    // `Forest::roots` is in ascending node order, so a root's slot is a search away.
-    let mut at_root: Vec<Vec<Delivered<P>>> = vec![Vec::new(); forest.roots().len()];
-    for (origin, payload) in in_completion_order(items, &report.completion_round) {
-        let slot = forest
-            .roots()
-            .binary_search(&forest.root_of(origin))
-            .expect("every node's root is a root");
-        at_root[slot].push(Delivered { origin, payload });
-    }
-    Ok(UpcastOutcome {
-        at_root,
-        metrics: report.metrics,
-    })
+    items: Vec<(NodeId, usize)>,
+) -> Result<Metrics, EngineError> {
+    router.route_casts(&[Cast::Up {
+        forest,
+        items,
+        after: vec![],
+    }])
 }
 
-/// `items` in delivery order: by completion round, ties by insertion order (matches
-/// the realized schedule).
-fn in_completion_order<P>(
-    items: Vec<(NodeId, P)>,
-    completion_round: &[u64],
-) -> impl Iterator<Item = (NodeId, P)> {
-    let mut keyed: Vec<((u64, usize), (NodeId, P))> = items
-        .into_iter()
-        .enumerate()
-        .map(|(i, item)| ((completion_round[i], i), item))
-        .collect();
-    keyed.sort_unstable_by_key(|&(key, _)| key);
-    keyed.into_iter().map(|(_, item)| item)
-}
-
-/// Result of a [`downcast`] run.
-#[derive(Clone, Debug)]
-pub struct DowncastOutcome<P> {
-    /// Items received at each destination node (index = node).
-    pub at_node: Vec<Vec<P>>,
-    /// Realized cost of the operation.
-    pub metrics: Metrics,
-}
-
-/// Downcasts addressed `items` from each destination's tree root to the destination
-/// (Lemma 1.6), as one routed batch on `router`. Items destined to a root are
-/// delivered locally for free.
+/// Downcasts `items`, `(destination, words)` each, from each destination's tree
+/// root to the destination (Lemma 1.6): a phase of one [`Cast::Down`] on
+/// `router`. Items destined to a root are delivered locally for free. Returns
+/// its realized cost.
 ///
 /// # Errors
 ///
 /// [`EngineError::BatchTooLarge`] if the items total more words than the router
 /// addresses.
-pub fn downcast<P: Wire>(
+pub fn downcast(
     router: &mut Router<'_>,
     forest: &Forest,
-    items: Vec<(NodeId, P)>,
-) -> Result<DowncastOutcome<P>, EngineError> {
-    let report =
-        router.route_tree_paths(forest, items.iter().map(|(v, p)| (*v, p.words())), true)?;
-
-    let mut at_node: Vec<Vec<P>> = vec![Vec::new(); router.graph().n()];
-    for (dest, payload) in in_completion_order(items, &report.completion_round) {
-        at_node[dest.index()].push(payload);
-    }
-    Ok(DowncastOutcome {
-        at_node,
-        metrics: report.metrics,
-    })
+    items: Vec<(NodeId, usize)>,
+) -> Result<Metrics, EngineError> {
+    router.route_casts(&[Cast::Down {
+        forest,
+        items,
+        after: vec![],
+    }])
 }
 
 /// One cast of a [`route_casts`] phase: items of `words` words each, moving
@@ -349,7 +292,7 @@ impl Cast<'_> {
 /// [`EngineError::BatchTooLarge`] if the phase outgrows the router's index
 /// columns. The router stays usable after any of them.
 pub fn route_casts(router: &mut Router<'_>, casts: &[Cast<'_>]) -> Result<Metrics, EngineError> {
-    Ok(router.route_casts(casts)?.metrics)
+    router.route_casts(casts)
 }
 
 /// Fails with [`EngineError::BudgetExceeded`] if `used` exceeds a given budget
@@ -593,19 +536,14 @@ mod tests {
     #[test]
     fn upcast_delivers_all_items() {
         let (g, f) = path_forest(5);
-        let items: Vec<(NodeId, u64)> = (0..5).map(|i| (NodeId::new(i), i as u64 * 10)).collect();
+        let items: Vec<(NodeId, usize)> = (0..5).map(|i| (NodeId::new(i), 1)).collect();
         let out = upcast(&mut Router::new(&g).expect("a small graph"), &f, items)
             .expect("upcast over a valid forest");
-        assert_eq!(out.at_root.len(), 1);
-        let got: Vec<u64> = out.at_root[0].iter().map(|d| d.payload).collect();
-        let mut sorted = got.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 10, 20, 30, 40]);
         // Messages = sum of depths = 0+1+2+3+4 = 10.
-        assert_eq!(out.metrics.messages, 10);
+        assert_eq!(out.messages, 10);
         // Pipelined rounds: the deepest item needs 4 hops but shares edges; Lemma 1.5
         // bound: O(I_n) with I_n = 5 words here; realized must be <= 10.
-        assert!(out.metrics.rounds >= 4 && out.metrics.rounds <= 10);
+        assert!(out.rounds >= 4 && out.rounds <= 10);
     }
 
     #[test]
@@ -617,29 +555,24 @@ mod tests {
             .map(|i| if i == 0 { None } else { Some(NodeId::new(0)) })
             .collect();
         let f = Forest::from_parents(&g, parent).expect("valid parent pointers");
-        let items: Vec<(NodeId, Vec<u64>)> =
-            (1..6).map(|i| (NodeId::new(i), vec![7u64; 3])).collect();
+        let items: Vec<(NodeId, usize)> = (1..6).map(|i| (NodeId::new(i), 3)).collect();
         let out = upcast(&mut Router::new(&g).expect("a small graph"), &f, items)
             .expect("upcast over a valid forest");
-        assert_eq!(out.metrics.messages, 15);
-        assert_eq!(out.metrics.rounds, 3); // 3 words pipelined on disjoint edges
-        assert_eq!(out.at_root[0].len(), 5);
+        assert_eq!(out.messages, 15);
+        assert_eq!(out.rounds, 3); // 3 words pipelined on disjoint edges
     }
 
     #[test]
     fn downcast_delivers_to_destinations() {
         let (g, f) = path_forest(5);
-        // Root sends one item to each node.
-        let items: Vec<(NodeId, u64)> = (1..5).map(|i| (NodeId::new(i), i as u64)).collect();
+        // Root sends one word to each node.
+        let items: Vec<(NodeId, usize)> = (1..5).map(|i| (NodeId::new(i), 1)).collect();
         let out = downcast(&mut Router::new(&g).expect("a small graph"), &f, items)
             .expect("downcast over a valid forest");
-        for i in 1..5 {
-            assert_eq!(out.at_node[i], vec![i as u64]);
-        }
         // Lemma 1.6: messages <= d * |M| = 4*4; realized = sum of depths = 1+2+3+4.
-        assert_eq!(out.metrics.messages, 10);
+        assert_eq!(out.messages, 10);
         // Rounds <= |M| + d.
-        assert!(out.metrics.rounds <= 4 + 4);
+        assert!(out.rounds <= 4 + 4);
     }
 
     #[test]
@@ -648,12 +581,11 @@ mod tests {
         let out = downcast(
             &mut Router::new(&g).expect("a small graph"),
             &f,
-            vec![(NodeId::new(0), 42u64)],
+            vec![(NodeId::new(0), 2)],
         )
         .expect("local downcast");
-        assert_eq!(out.at_node[0], vec![42]);
-        assert_eq!(out.metrics.messages, 0);
-        assert_eq!(out.metrics.rounds, 0);
+        assert_eq!(out.messages, 0);
+        assert_eq!(out.rounds, 0);
     }
 
     #[test]
@@ -669,13 +601,11 @@ mod tests {
             Some(NodeId::new(4)),
         ];
         let f = Forest::from_parents(&g, parent).expect("valid parent pointers");
-        let items = vec![(NodeId::new(2), 1u64), (NodeId::new(5), 2u64)];
+        let items = vec![(NodeId::new(2), 1), (NodeId::new(5), 1)];
         let out = upcast(&mut Router::new(&g).expect("a small graph"), &f, items)
             .expect("upcast over a valid forest");
-        assert_eq!(out.metrics.rounds, 2);
-        assert_eq!(out.metrics.messages, 4);
-        assert_eq!(out.at_root[0][0].payload, 1);
-        assert_eq!(out.at_root[1][0].payload, 2);
+        assert_eq!(out.rounds, 2);
+        assert_eq!(out.messages, 4);
     }
 
     /// Every node under the nearest of `roots` (BFS; ties to the earlier root),
@@ -752,15 +682,12 @@ mod tests {
             let Cast::Down { items: owners, .. } = &casts[0] else {
                 unreachable!("built as a downcast first")
             };
-            let owners = owners.iter().map(|&(v, _)| (v, 1u64)).collect();
             let far_ends = hops.iter().map(|&(v, e)| {
                 let (a, b) = g.endpoints(e);
-                (if a == v { b } else { a }, 1u64)
+                (if a == v { b } else { a }, 1)
             });
-            let down = downcast(&mut router, &f, owners).expect("downcast").metrics;
-            let up = upcast(&mut router, &f, far_ends.collect())
-                .expect("upcast")
-                .metrics;
+            let down = downcast(&mut router, &f, owners.clone()).expect("downcast");
+            let up = upcast(&mut router, &f, far_ends.collect()).expect("upcast");
             let mut steps = down.clone();
             for &(_, e) in &hops {
                 steps.add_messages(e, 1);
@@ -826,43 +753,30 @@ mod tests {
         let [v1, v3, v5] = [1, 3, 5].map(NodeId::new);
         // Node 3's word reaches root 0 in round 3, node 5's reaches root 4 in
         // round 1. Each root's downcast waits for its own tree's word only.
-        let casts = [
-            Cast::Up {
-                forest: &f,
-                items: vec![(v3, 1), (v5, 1)],
-                after: vec![],
-            },
-            Cast::Down {
-                forest: &f,
-                items: vec![(v1, 1), (v5, 1)],
-                after: vec![0],
-            },
-        ];
-        let mut router = Router::new(&g).expect("a small graph");
-        let report = router.route_casts(&casts).expect("casts over a forest");
-        // Tasks: the two upcast words, then per downcast word its root's
-        // barrier and the word. Root 0's word leaves in round 4, not 1; root
-        // 4's leaves in round 2, not held behind root 0's upcast.
-        assert_eq!(report.completion_round, [3, 1, 3, 4, 1, 2]);
-        assert_eq!(
-            route_casts(&mut router, &casts).expect("casts over a forest"),
-            report.metrics
-        );
-        assert_eq!((report.metrics.rounds, report.metrics.messages), (4, 6));
-        // Without the wait both downcast words leave in round 1.
-        let [up, down] = casts;
-        let down = match down {
-            Cast::Down { forest, items, .. } => Cast::Down {
-                forest,
-                items,
-                after: vec![],
-            },
-            _ => unreachable!("built as a downcast"),
+        let phase = |down: Vec<(NodeId, usize)>, after: Vec<usize>| {
+            let casts = [
+                Cast::Up {
+                    forest: &f,
+                    items: vec![(v3, 1), (v5, 1)],
+                    after: vec![],
+                },
+                Cast::Down {
+                    forest: &f,
+                    items: down,
+                    after,
+                },
+            ];
+            let mut router = Router::new(&g).expect("a small graph");
+            let m = route_casts(&mut router, &casts).expect("casts over a forest");
+            (m.rounds, m.messages)
         };
-        let report = router
-            .route_casts(&[up, down])
-            .expect("casts over a forest");
-        assert_eq!(report.completion_round, [3, 1, 1, 1]);
+        // Root 0's word leaves in round 4, not 1; without the wait both
+        // downcast words leave in round 1.
+        assert_eq!(phase(vec![(v1, 1), (v5, 1)], vec![0]), (4, 6));
+        assert_eq!(phase(vec![(v1, 1), (v5, 1)], vec![]), (3, 6));
+        // Root 4's three words leave in rounds 2–4, not held behind root 0's
+        // upcast until round 4.
+        assert_eq!(phase(vec![(v5, 3)], vec![0]), (4, 7));
     }
 
     #[test]
@@ -870,77 +784,86 @@ mod tests {
         let (g, f) = two_trees();
         let e = |u: usize, v: usize| g.edge_between(NodeId::new(u), NodeId::new(v)).unwrap();
         let [v0, v3, v4, v5] = [0, 3, 4, 5].map(NodeId::new);
-        let casts = [
-            // Root 0 sends 2 words down to 3 (rounds 3 and 4) ...
-            Cast::Down {
-                forest: &f,
-                items: vec![(v3, 2)],
-                after: vec![],
-            },
-            // ... which forwards them to 4 across the non-tree edge 3-4 in
-            // rounds 5 and 6: a 2-word hop costs 2 rounds on its edge ...
-            Cast::Hop {
-                items: vec![(v3, e(3, 4), 2)],
-                up: None,
-                after: vec![0],
-            },
-            // ... and 4, a root, sends one word down to 5 once both arrived.
-            Cast::Down {
-                forest: &f,
-                items: vec![(v5, 1), (v4, 1)],
-                after: vec![1],
-            },
-            // Node 0 upcasts nothing it waits for: it is a root with no hop
-            // ending there, so its local item completes in round 0.
-            Cast::Up {
-                forest: &f,
-                items: vec![(v0, 3)],
-                after: vec![1],
-            },
-        ];
-        let mut router = Router::new(&g).expect("a small graph");
-        let report = router.route_casts(&casts).expect("hops leave owners");
-        // Tasks: down to 3; the barrier at 3, the hop; the barrier at 4, the
-        // two downcast items (the one to 4 itself is local); the upcast item.
-        assert_eq!(report.completion_round, [4, 4, 6, 6, 7, 6, 0]);
-        assert_eq!(
-            (report.metrics.rounds, report.metrics.messages),
-            (7, 6 + 2 + 1)
-        );
+        let phase = |wait: bool| {
+            let after = |c: usize| if wait { vec![c] } else { vec![] };
+            let casts = [
+                // Root 0 sends 2 words down to 3 (rounds 3 and 4) ...
+                Cast::Down {
+                    forest: &f,
+                    items: vec![(v3, 2)],
+                    after: vec![],
+                },
+                // ... which forwards them to 4 across the non-tree edge 3-4 in
+                // rounds 5 and 6: a 2-word hop costs 2 rounds on its edge ...
+                Cast::Hop {
+                    items: vec![(v3, e(3, 4), 2)],
+                    up: None,
+                    after: after(0),
+                },
+                // ... and 4, a root, sends one word down to 5 once both
+                // arrived, in round 7; the one to 4 itself is local.
+                Cast::Down {
+                    forest: &f,
+                    items: vec![(v5, 1), (v4, 1)],
+                    after: after(1),
+                },
+                // Node 0 upcasts nothing it waits for: it is a root with no hop
+                // ending there, so its local item completes in round 0.
+                Cast::Up {
+                    forest: &f,
+                    items: vec![(v0, 3)],
+                    after: after(1),
+                },
+            ];
+            let mut router = Router::new(&g).expect("a small graph");
+            let m = route_casts(&mut router, &casts).expect("hops leave owners");
+            (m.rounds, m.messages)
+        };
+        assert_eq!(phase(true), (7, 6 + 2 + 1));
+        // Without the waits the hop leads (rounds 1 and 2) and 5's word is in
+        // by round 1: the downcast to 3 is the slowest.
+        assert_eq!(phase(false), (4, 6 + 2 + 1));
     }
 
     #[test]
     fn lead_hops_go_first_on_their_edges_and_release_their_waiters() {
         let (g, f) = two_trees();
         let e34 = g.edge_between(NodeId::new(3), NodeId::new(4)).unwrap();
-        let casts = [
-            // A hop cast waiting for nothing leads: its 3 words cross 3 → 4
-            // in rounds 1–3 ...
-            Cast::Hop {
-                items: vec![(NodeId::new(3), e34, 3)],
-                up: None,
-                after: vec![],
-            },
-            // ... root 4's downcast waits for them and arrives in round 4 ...
-            Cast::Down {
-                forest: &f,
-                items: vec![(NodeId::new(5), 1)],
-                after: vec![0],
-            },
-            // ... and a word for the same edge, waiting for nothing that ends
-            // at 3, still queues behind them.
-            Cast::Hop {
-                items: vec![(NodeId::new(3), e34, 1)],
-                up: None,
-                after: vec![1],
-            },
-        ];
+        // A hop cast waiting for nothing leads: its 3 words cross 3 → 4 in
+        // rounds 1–3.
+        let lead = Cast::Hop {
+            items: vec![(NodeId::new(3), e34, 3)],
+            up: None,
+            after: vec![],
+        };
+        // A word for the same edge, waiting for nothing that ends at 3, still
+        // queues behind them.
+        let behind = |after| Cast::Hop {
+            items: vec![(NodeId::new(3), e34, 1)],
+            up: None,
+            after,
+        };
         let mut router = Router::new(&g).expect("a small graph");
-        let report = router.route_casts(&casts).expect("hops leave owners");
-        // Tasks: root 4's barrier (released after round 3), the downcast
-        // word, the last hop; lead hops are no tasks.
-        assert_eq!(report.completion_round, [3, 4, 4]);
-        assert_eq!((report.metrics.rounds, report.metrics.messages), (4, 5));
+        let mut phase = |casts: &[Cast<'_>]| {
+            let m = route_casts(&mut router, casts).expect("hops leave owners");
+            (m.rounds, m.messages)
+        };
+        assert_eq!(phase(&[lead.clone(), behind(vec![0])]), (4, 4));
+        // Root 4's downcast waits for the lead words and arrives in round 4,
+        // and the last word crosses 3 → 4 in round 4 too.
+        let down = Cast::Down {
+            forest: &f,
+            items: vec![(NodeId::new(5), 1)],
+            after: vec![0],
+        };
+        assert_eq!(phase(&[lead.clone(), down, behind(vec![1])]), (4, 5));
+        // Without the wait the downcast word is in by round 1.
+        let free = Cast::Down {
+            forest: &f,
+            items: vec![(NodeId::new(5), 1)],
+            after: vec![],
+        };
+        assert_eq!(phase(&[lead, free]), (3, 4));
     }
 
     #[test]

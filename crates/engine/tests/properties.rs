@@ -1,9 +1,9 @@
 //! Property-based tests for the execution engine: routing always delivers, tree
-//! operations deliver everything exactly once, capacity is respected, the
-//! arena `Router` reproduces the `VecDeque` scheduler it replaced report for
-//! report (fresh, reused, over forests, as a Theorem 2.1 phase whose hop words
-//! wait for their owner's word, and after a rejected batch), the accounting invariants
-//! hold for arbitrary inputs, a run is identical —
+//! operations move every word once, capacity is respected, the arena `Router`
+//! reproduces the `VecDeque` scheduler it replaced metric for metric (over
+//! forests, as a Theorem 2.1 phase whose hop words wait for their owner's word,
+//! and as random phases with per-node barriers), a reused router equals fresh
+//! ones, also after a rejected phase, a run is identical —
 //! outputs and `Metrics` — at every thread count, the event-driven round loop
 //! equals, in both models, one that polls every node every round (with and
 //! without faults), and the packed wire codec of the message plane round-trips
@@ -11,20 +11,17 @@
 
 use congest_algos::{bfs::Bfs, bfs_collection::BfsCollection};
 use congest_engine::faults::FaultState;
-use congest_engine::router::{RouteReport, RouteTask};
 use congest_engine::{
-    downcast, route_casts, router, run_bcongest, run_congest, treeops::Forest, upcast,
-    BcongestAlgorithm, Cast, CongestAlgorithm, EngineError, ExecutorConfig, FaultEvent, FaultPlan,
-    FaultResponse, LocalView, Metrics, Router, RunOptions, Wire, WireDecode, WireEncode,
+    downcast, route_casts, run_bcongest, run_congest, treeops::Forest, upcast, BcongestAlgorithm,
+    Cast, CongestAlgorithm, EngineError, ExecutorConfig, FaultEvent, FaultPlan, FaultResponse,
+    LocalView, Metrics, Router, RunOptions, Wire, WireDecode, WireEncode,
 };
 use congest_graph::{generators, reference, rng, EdgeId, Graph, NodeId};
 use proptest::prelude::*;
 use rand::Rng;
 
 mod reference_scheduler;
-use reference_scheduler::{
-    assert_same_report, random_batch, reference_route, reference_route_timed,
-};
+use reference_scheduler::{reference_route, reference_route_timed, Walk};
 
 /// Encode → decode round-trip, plus the accounting agreement: the packed
 /// width is the constant `LANES` while the model-level cost `words()` must
@@ -43,21 +40,14 @@ fn bfs_forest(g: &congest_graph::Graph, root: usize) -> Forest {
     Forest::from_parents(g, parents).expect("BFS tree is a forest")
 }
 
-/// A payload of a chosen size in words (zero included), told apart by `tag`.
-#[derive(Clone, Debug, PartialEq)]
-struct Tagged {
-    tag: usize,
-    words: usize,
-}
-
-impl Wire for Tagged {
-    fn words(&self) -> usize {
-        self.words
+/// The path from `v` up to its root in `f`, both ends included.
+fn root_path(f: &Forest, v: NodeId) -> Vec<NodeId> {
+    let mut path = vec![v];
+    while let Some(p) = f.parent(*path.last().expect("non-empty")) {
+        path.push(p);
     }
+    path
 }
-
-/// An item as a route task: its start node, its path and its words.
-type Walk = (NodeId, Vec<NodeId>, usize);
 
 /// A random forest over connected `g`: a BFS tree from a random root with each
 /// parent link cut with probability 1/4 (every cut node roots its subtree).
@@ -68,6 +58,64 @@ fn random_forest(g: &Graph, r: &mut impl Rng) -> Forest {
         .map(|p| p.filter(|_| r.random_range(0..4u32) != 0))
         .collect();
     Forest::from_parents(g, parents).expect("a BFS tree with links cut is a forest")
+}
+
+/// A random phase of `casts` casts over connected `g` (n ≥ 2): casts of every
+/// kind over either forest, so upcasts and downcasts cross the same edges in
+/// opposite directions; each waits for a random subset of the earlier ones,
+/// and about half the hop casts climb on to their far ends' roots. A few items
+/// each, of 0..=3 words, starting or ending anywhere, roots included (local
+/// items); half the hops cross one shared edge, from either end, so the FIFO
+/// order on it matters.
+fn random_phase<'f>(
+    g: &Graph,
+    forests: &'f [Forest; 2],
+    r: &mut impl Rng,
+    casts: usize,
+) -> Vec<Cast<'f>> {
+    let shared = EdgeId::new(r.random_range(0..g.m()));
+    (0..casts)
+        .map(|c| {
+            let after: Vec<usize> = (0..c).filter(|_| r.random_range(0..2u32) == 0).collect();
+            let k = r.random_range(0..6usize);
+            let forest = &forests[r.random_range(0..2usize)];
+            let tree_items = |r: &mut _| -> Vec<(NodeId, usize)> {
+                (0..k)
+                    .map(|_| {
+                        let v = NodeId::new(Rng::random_range(r, 0..g.n()));
+                        (v, Rng::random_range(r, 0..=3usize))
+                    })
+                    .collect()
+            };
+            match r.random_range(0..3u32) {
+                0 => Cast::Up {
+                    forest,
+                    items: tree_items(r),
+                    after,
+                },
+                1 => Cast::Down {
+                    forest,
+                    items: tree_items(r),
+                    after,
+                },
+                _ => Cast::Hop {
+                    items: (0..k)
+                        .map(|_| {
+                            let e = match r.random_range(0..2u32) {
+                                0 => shared,
+                                _ => EdgeId::new(r.random_range(0..g.m())),
+                            };
+                            let (a, b) = g.endpoints(e);
+                            let owner = if r.random_range(0..2u32) == 0 { a } else { b };
+                            (owner, e, r.random_range(0..=3usize))
+                        })
+                        .collect(),
+                    up: (r.random_range(0..2u32) == 0).then_some(forest),
+                    after,
+                },
+            }
+        })
+        .collect()
 }
 
 fn opts(seed: u64, exec: ExecutorConfig) -> RunOptions {
@@ -453,41 +501,36 @@ proptest! {
     #[test]
     fn router_delivers_every_task(seed in 0u64..200, k in 1usize..12) {
         let g = generators::gnp_connected(16, 0.2, seed);
-        let dist = reference::bfs_distances(&g, NodeId::new(0));
-        // Tasks: route from node 0 to k random-ish targets along BFS paths.
-        let parents = reference::bfs_tree(&g, NodeId::new(0));
-        let mut tasks = Vec::new();
-        for i in 0..k {
-            let target = NodeId::new((i * 5 + 3) % g.n());
-            let mut path = router::path_to_root(&parents, target);
-            path.reverse();
-            tasks.push(RouteTask { path, words: 1 + i % 3 });
-        }
-        let report = Router::new(&g).expect("a small graph").route(&tasks).unwrap();
-        // Everything arrives, messages = Σ words · pathlen.
-        let want: usize = tasks
-            .iter()
-            .map(|t| t.words * t.path.len().saturating_sub(1))
-            .sum();
-        prop_assert_eq!(report.metrics.messages as usize, want);
-        for (i, t) in tasks.iter().enumerate() {
-            let hops = t.path.len().saturating_sub(1) as u64;
-            prop_assert!(report.completion_round[i] >= hops.min(1) * u64::from(hops > 0));
-        }
-        let _ = dist;
+        let f = bfs_forest(&g, 0);
+        // Items: from node 0 down to k random-ish targets along BFS paths.
+        let items: Vec<(NodeId, usize)> =
+            (0..k).map(|i| (NodeId::new((i * 5 + 3) % g.n()), 1 + i % 3)).collect();
+        let out = downcast(&mut Router::new(&g).expect("a small graph"), &f, items.clone())
+            .unwrap();
+        // Everything arrives: messages = Σ words · path length, and no sooner
+        // than the longest path allows.
+        let depth = |v: NodeId| u64::from(f.depth_of(v));
+        let want: u64 = items.iter().map(|&(v, words)| words as u64 * depth(v)).sum();
+        prop_assert_eq!(out.messages, want);
+        let longest = items.iter().map(|&(v, _)| depth(v)).max().unwrap_or(0);
+        prop_assert!(out.rounds >= longest);
     }
 
     #[test]
     fn router_respects_capacity_via_lower_bound(seed in 0u64..100, k in 2usize..10) {
-        // k one-word packets over the same single edge must take >= k rounds.
+        // k one-word hops over the same single edge must take k rounds, whether
+        // they lead or queue as tasks behind an (empty) earlier cast.
         let g = generators::path(2);
-        let t = RouteTask {
-            path: vec![NodeId::new(0), NodeId::new(1)],
-            words: 1,
-        };
-        let tasks = vec![t; k];
-        let report = Router::new(&g).expect("a small graph").route(&tasks).unwrap();
-        prop_assert_eq!(report.metrics.rounds, k as u64);
+        let f = bfs_forest(&g, 0);
+        let hops = vec![(NodeId::new(0), EdgeId::new(0), 1); k];
+        let lead = Cast::Hop { items: hops.clone(), up: None, after: vec![] };
+        let empty = Cast::Up { forest: &f, items: vec![], after: vec![] };
+        let queued = Cast::Hop { items: hops, up: None, after: vec![0] };
+        let mut router = Router::new(&g).expect("a small graph");
+        for phase in [vec![lead], vec![empty, queued]] {
+            let m = route_casts(&mut router, &phase).unwrap();
+            prop_assert_eq!((m.rounds, m.messages), (k as u64, k as u64));
+        }
         let _ = seed;
     }
 
@@ -495,30 +538,26 @@ proptest! {
     fn upcast_delivers_all_items_once(seed in 0u64..100) {
         let g = generators::gnp_connected(20, 0.2, seed);
         let f = bfs_forest(&g, 0);
-        let items: Vec<(NodeId, u64)> = g.nodes().map(|v| (v, v.index() as u64)).collect();
+        let items: Vec<(NodeId, usize)> = g.nodes().map(|v| (v, 1)).collect();
         let out = upcast(&mut Router::new(&g).expect("a small graph"), &f, items).unwrap();
-        let mut got: Vec<u64> = out.at_root[0].iter().map(|d| d.payload).collect();
-        got.sort_unstable();
-        let want: Vec<u64> = (0..g.n() as u64).collect();
-        prop_assert_eq!(got, want);
         // Messages = Σ depths.
         let depths: u64 = g.nodes().map(|v| u64::from(f.depth_of(v))).sum();
-        prop_assert_eq!(out.metrics.messages, depths);
+        prop_assert_eq!(out.messages, depths);
     }
 
     #[test]
     fn downcast_reaches_exact_destinations(seed in 0u64..100, k in 1usize..20) {
         let g = generators::gnp_connected(18, 0.25, seed);
         let f = bfs_forest(&g, 0);
-        let items: Vec<(NodeId, u64)> =
-            (0..k).map(|i| (NodeId::new((i * 7 + 1) % g.n()), i as u64)).collect();
+        let items: Vec<(NodeId, usize)> =
+            (0..k).map(|i| (NodeId::new((i * 7 + 1) % g.n()), 1)).collect();
         let mut router = Router::new(&g).expect("a small graph");
         let out = downcast(&mut router, &f, items.clone()).unwrap();
-        for (dest, payload) in items {
-            prop_assert!(out.at_node[dest.index()].contains(&payload));
-        }
-        let total: usize = out.at_node.iter().map(Vec::len).sum();
-        prop_assert_eq!(total, k);
+        // Each word crosses exactly its destination's root path ...
+        let depths: u64 = items.iter().map(|&(v, _)| u64::from(f.depth_of(v))).sum();
+        prop_assert_eq!(out.messages, depths);
+        // ... and the k words are pipelined: Lemma 1.6's |M| + d rounds.
+        prop_assert!(out.rounds < k as u64 + u64::from(f.depth()));
     }
 
     #[test]
@@ -586,28 +625,18 @@ proptest! {
         // Lemma 1.5: O(In/log n) rounds = O(#words) with our unit-word accounting.
         let g = generators::gnp_connected(16, 0.3, seed);
         let f = bfs_forest(&g, 0);
-        let items: Vec<(NodeId, u64)> = g.nodes().map(|v| (v, 1u64)).collect();
+        let items: Vec<(NodeId, usize)> = g.nodes().map(|v| (v, 1)).collect();
         let out = upcast(&mut Router::new(&g).expect("a small graph"), &f, items).unwrap();
         let in_words = g.n() as u64;
-        prop_assert!(out.metrics.rounds <= in_words + u64::from(f.depth()));
+        prop_assert!(out.rounds <= in_words + u64::from(f.depth()));
     }
 }
 
 // The arena `Router` against the `VecDeque` scheduler it replaced. FIFO order
-// is all-or-nothing — one misplaced packet moves a completion round — so these
-// run many more cases than the properties above.
+// is all-or-nothing — one misplaced packet moves a round — so these run many
+// more cases than the properties above.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn router_matches_the_reference_scheduler(seed in 0u64..4000, n in 2usize..24,
-                                              k in 0usize..40) {
-        let g = generators::gnp_connected(n, 0.2, seed);
-        let tasks = random_batch(&g, &mut rng::seeded(seed), k);
-        let mut router = Router::new(&g).expect("a small graph");
-        let got = router.route(&tasks).expect("walks are valid paths");
-        assert_same_report(&got, &reference_route(&g, &tasks, &[]).expect("reference"))?;
-    }
 
     #[test]
     fn theorem_2_1_phase_matches_per_hop_prerequisites(seed in 0u64..4000, n in 2usize..24,
@@ -623,29 +652,28 @@ proptest! {
                 (if r.random_range(0..2u32) == 0 { a } else { b }, e)
             })
             .collect();
-        // The phase as route tasks, one prerequisite per hop: at an owner's
-        // first hop, one word from its root down to it; per hop, one word
-        // across the hop and up the far end's tree path, released by the
-        // owner's word.
-        let (mut tasks, mut after) = (Vec::new(), Vec::new());
+        // The phase as walks, one prerequisite per hop: at an owner's first
+        // hop, one word from its root down to it; per hop, one word across the
+        // hop and up the far end's tree path, released by the owner's word.
+        let (mut walks, mut after) = (Vec::new(), Vec::new());
         let mut owners = Vec::new();
         let mut word_of = vec![None; g.n()];
         for &(owner, e) in &hops {
             let word = *word_of[owner.index()].get_or_insert_with(|| {
-                let mut path = f.path_to_root(owner);
+                let mut path = root_path(&f, owner);
                 path.reverse();
-                tasks.push(RouteTask { path, words: 1 });
+                walks.push(Walk { path, words: 1 });
                 after.push(vec![]);
                 owners.push((owner, 1));
-                tasks.len() - 1
+                walks.len() - 1
             });
             let (a, b) = g.endpoints(e);
             let mut path = vec![owner];
-            path.extend(f.path_to_root(if a == owner { b } else { a }));
-            tasks.push(RouteTask { path, words: 1 });
+            path.extend(root_path(&f, if a == owner { b } else { a }));
+            walks.push(Walk { path, words: 1 });
             after.push(vec![word]);
         }
-        let want = reference_route(&g, &tasks, &after).expect("hops and tree paths are walks");
+        let want = reference_route(&g, &walks, &after).expect("hops and tree paths are walks");
         // The same phase as casts: a downcast to the owners, and the hops
         // climbing behind it.
         let phase = [
@@ -669,45 +697,15 @@ proptest! {
         let g = generators::gnp_connected(n, 0.2, seed);
         let mut r = rng::seeded(seed);
         let forests = [random_forest(&g, &mut r), random_forest(&g, &mut r)];
-        // Random casts of every kind over either forest, each waiting for a
-        // random subset of the earlier ones, about half the hop casts climbing
-        // on to their far ends' roots; a few items each, words 0..=3.
-        let phase: Vec<Cast> = (0..casts)
-            .map(|c| {
-                let after: Vec<usize> = (0..c).filter(|_| r.random_range(0..2u32) == 0).collect();
-                let k = r.random_range(0..6usize);
-                let forest = &forests[r.random_range(0..2usize)];
-                let tree_items = |r: &mut _| -> Vec<(NodeId, usize)> {
-                    (0..k)
-                        .map(|_| (NodeId::new(Rng::random_range(r, 0..n)), Rng::random_range(r, 0..=3usize)))
-                        .collect()
-                };
-                match r.random_range(0..3u32) {
-                    0 => Cast::Up { forest, items: tree_items(&mut r), after },
-                    1 => Cast::Down { forest, items: tree_items(&mut r), after },
-                    _ => Cast::Hop {
-                        items: (0..k)
-                            .map(|_| {
-                                let e = EdgeId::new(r.random_range(0..g.m()));
-                                let (a, b) = g.endpoints(e);
-                                let owner = if r.random_range(0..2u32) == 0 { a } else { b };
-                                (owner, e, r.random_range(0..=3usize))
-                            })
-                            .collect(),
-                        up: (r.random_range(0..2u32) == 0).then_some(forest),
-                        after,
-                    },
-                }
-            })
-            .collect();
-        // The same phase as route tasks. First the lead hops — of every hop
-        // cast that waits for nothing and does not climb —, in cast order: each word is at the
-        // front of its edge, so each hop's words are in by the round they take
-        // alone. Then the other casts in order, each item behind a local
-        // word-less barrier at its start node, added just before the cast's
-        // first item starting there if an awaited item ends there: it waits
-        // for the awaited items' tasks, and for the last round in which an
-        // awaited lead hop ending there is in.
+        let phase = random_phase(&g, &forests, &mut r, casts);
+        // The same phase as walks. First the lead hops — of every hop cast
+        // that waits for nothing and does not climb —, in cast order: each
+        // word is at the front of its edge, so each hop's words are in by the
+        // round they take alone. Then the other casts in order, each item
+        // behind a local word-less barrier at its start node, added just
+        // before the cast's first item starting there if an awaited item ends
+        // there: it waits for the awaited items' walks, and for the last round
+        // in which an awaited lead hop ending there is in.
         let lead = |c: usize| {
             matches!(&phase[c], Cast::Hop { up: None, after, .. } if after.is_empty())
         };
@@ -715,67 +713,68 @@ proptest! {
             let (a, b) = g.endpoints(e);
             vec![owner, if a == owner { b } else { a }]
         };
-        let mut tasks = Vec::new();
+        let mut walks = Vec::new();
         for c in (0..casts).filter(|&c| lead(c)) {
             let Cast::Hop { items, .. } = &phase[c] else { unreachable!("a lead cast hops") };
             for &(owner, e, words) in items {
-                tasks.push(RouteTask { path: hop_path(owner, e), words });
+                walks.push(Walk { path: hop_path(owner, e), words });
             }
         }
-        let alone = reference_route(&g, &tasks, &[]).expect("hops are walks");
-        let mut after = vec![vec![]; tasks.len()];
-        let mut release = vec![0; tasks.len()];
+        let alone = reference_route(&g, &walks, &[]).expect("hops are walks");
+        let mut after = vec![vec![]; walks.len()];
+        let mut release = vec![0; walks.len()];
         // Per cast, what its items leave for a later cast to wait for: (end
-        // node, task, round) — the task, or for a lead hop the round it is in.
+        // node, walk, round) — the walk, or for a lead hop the round it is in.
         let mut ends: Vec<Vec<(NodeId, Option<usize>, u64)>> = Vec::new();
-        let mut lead_hops = 0..tasks.len();
+        let mut lead_hops = 0..walks.len();
         for (c, cast) in phase.iter().enumerate() {
-            let (waits, walks): (&[usize], Vec<Walk>) = match cast {
+            // Per item, its start node and its walk.
+            let (waits, items): (&[usize], Vec<(NodeId, Walk)>) = match cast {
                 Cast::Hop { items, .. } if lead(c) => {
                     let in_by = items.iter().map(|&(owner, e, _)| {
-                        let t = lead_hops.next().expect("one task per lead hop");
+                        let t = lead_hops.next().expect("one walk per lead hop");
                         (hop_path(owner, e)[1], None, alone.completion_round[t])
                     });
                     ends.push(in_by.collect());
                     continue;
                 }
-                Cast::Up { forest, items, after } => (after, items.iter().map(|&(v, w)| {
-                    (v, forest.path_to_root(v), w)
+                Cast::Up { forest, items, after } => (after, items.iter().map(|&(v, words)| {
+                    (v, Walk { path: root_path(forest, v), words })
                 }).collect()),
-                Cast::Down { forest, items, after } => (after, items.iter().map(|&(v, w)| {
-                    let mut path = forest.path_to_root(v);
+                Cast::Down { forest, items, after } => (after, items.iter().map(|&(v, words)| {
+                    let mut path = root_path(forest, v);
                     path.reverse();
-                    (path[0], path, w)
+                    (path[0], Walk { path, words })
                 }).collect()),
-                Cast::Hop { items, up, after } => (after, items.iter().map(|&(owner, e, w)| {
+                Cast::Hop { items, up, after } => (after, items.iter().map(|&(owner, e, words)| {
                     // A climbing hop goes on from the far end to its root.
                     let mut path = hop_path(owner, e);
                     if let Some(forest) = up {
-                        path.extend(&forest.path_to_root(path[1])[1..]);
+                        path.extend(&root_path(forest, path[1])[1..]);
                     }
-                    (owner, path, w)
+                    (owner, Walk { path, words })
                 }).collect()),
             };
             let awaited: Vec<(NodeId, Option<usize>, u64)> =
                 waits.iter().flat_map(|&a| ends[a].iter().copied()).collect();
             let mut barrier_of = vec![None; n];
             let mut cast_ends = Vec::new();
-            for (s, path, words) in walks {
+            for (s, walk) in items {
                 let on_s = || awaited.iter().filter(move |&&(end, ..)| end == s);
                 if barrier_of[s.index()].is_none() && on_s().next().is_some() {
-                    barrier_of[s.index()] = Some(tasks.len());
-                    tasks.push(RouteTask { path: vec![s], words: 0 });
+                    barrier_of[s.index()] = Some(walks.len());
+                    walks.push(Walk { path: vec![s], words: 0 });
                     after.push(on_s().filter_map(|&(_, t, _)| t).collect());
                     release.push(on_s().map(|&(.., r)| r).max().unwrap_or(0));
                 }
-                cast_ends.push((*path.last().expect("non-empty"), Some(tasks.len()), 0));
-                tasks.push(RouteTask { path, words });
+                cast_ends.push((*walk.path.last().expect("non-empty"), Some(walks.len()), 0));
+                walks.push(walk);
                 after.push(barrier_of[s.index()].into_iter().collect());
                 release.push(0);
             }
             ends.push(cast_ends);
         }
-        let want = reference_route_timed(&g, &tasks, &after, &release)
+        let want = reference_route_timed(&g, &walks, &after, &release)
             .expect("tree paths and hops are walks");
         let mut router = Router::new(&g).expect("a small graph");
         for _ in 0..2 {
@@ -790,51 +789,31 @@ proptest! {
         let g = generators::gnp_connected(n, 0.2, seed);
         let mut r = rng::seeded(seed);
         let f = random_forest(&g, &mut r);
-        let items: Vec<(NodeId, Tagged)> = (0..k)
-            .map(|tag| {
+        let items: Vec<(NodeId, usize)> = (0..k)
+            .map(|_| {
                 let words = r.random_range(0..=5usize);
-                (NodeId::new(r.random_range(0..n)), Tagged { tag, words })
+                (NodeId::new(r.random_range(0..n)), words)
             })
             .collect();
-        let tasks = |down: bool| -> Vec<RouteTask> {
+        let walks = |down: bool| -> Vec<Walk> {
             items
                 .iter()
-                .map(|(v, p)| {
-                    let mut path = f.path_to_root(*v);
+                .map(|&(v, words)| {
+                    let mut path = root_path(&f, v);
                     if down {
                         path.reverse();
                     }
-                    RouteTask { path, words: p.words }
+                    Walk { path, words }
                 })
                 .collect()
         };
-        // Delivery order at one place: by completion round, ties by insertion.
-        let delivery_order = |want: &RouteReport, place: &dyn Fn(NodeId) -> NodeId, at: NodeId| {
-            let mut idx: Vec<usize> = (0..k).filter(|&i| place(items[i].0) == at).collect();
-            idx.sort_by_key(|&i| want.completion_round[i]);
-            idx
-        };
         let mut router = Router::new(&g).expect("a small graph");
-
-        let want = reference_route(&g, &tasks(false), &[]).expect("root paths are walks");
+        let want = reference_route(&g, &walks(false), &[]).expect("root paths are walks");
         let up = upcast(&mut router, &f, items.clone()).expect("upcast");
-        prop_assert_eq!(&up.metrics, &want.metrics);
-        for (slot, &root) in f.roots().iter().enumerate() {
-            let order = delivery_order(&want, &|v| f.root_of(v), root);
-            prop_assert_eq!(up.at_root[slot].len(), order.len());
-            for (d, i) in up.at_root[slot].iter().zip(order) {
-                prop_assert_eq!((d.origin, &d.payload), (items[i].0, &items[i].1));
-            }
-        }
-
-        let want = reference_route(&g, &tasks(true), &[]).expect("root paths are walks");
+        prop_assert_eq!(&up, &want.metrics);
+        let want = reference_route(&g, &walks(true), &[]).expect("root paths are walks");
         let down = downcast(&mut router, &f, items.clone()).expect("downcast");
-        prop_assert_eq!(&down.metrics, &want.metrics);
-        for v in g.nodes() {
-            let got: Vec<&Tagged> = down.at_node[v.index()].iter().collect();
-            let order = delivery_order(&want, &|v| v, v);
-            prop_assert_eq!(got, order.iter().map(|&i| &items[i].1).collect::<Vec<_>>());
-        }
+        prop_assert_eq!(&down, &want.metrics);
     }
 
     #[test]
@@ -843,35 +822,45 @@ proptest! {
         let mut r = rng::seeded(seed);
         let mut reused = Router::new(&g).expect("a small graph");
         for _ in 0..50 {
-            let k = r.random_range(0..24usize);
-            let tasks = random_batch(&g, &mut r, k);
-            let got = reused.route(&tasks).expect("walks are valid paths");
+            let forests = [random_forest(&g, &mut r), random_forest(&g, &mut r)];
+            let casts = r.random_range(0..7usize);
+            let phase = random_phase(&g, &forests, &mut r, casts);
+            let got = route_casts(&mut reused, &phase).expect("hops leave owners");
             let mut fresh = Router::new(&g).expect("a small graph");
-            assert_same_report(&got, &fresh.route(&tasks).expect("fresh"))?;
+            prop_assert_eq!(got, route_casts(&mut fresh, &phase).expect("fresh"));
         }
     }
 
     #[test]
     fn a_rejected_batch_leaves_the_router_clean(seed in 0u64..4000, n in 4usize..20,
-                                                k in 2usize..24) {
-        // The path graph has no chords, so jumping two nodes is never an edge.
+                                                casts in 2usize..7) {
+        // The path graph's edge 1-2 does not touch node 0, so a hop of node 0
+        // across it is off its owner.
         let g = generators::path(n);
         let mut r = rng::seeded(seed);
-        let jump = RouteTask { path: vec![NodeId::new(0), NodeId::new(2)], words: 3 };
-        let mut bad = random_batch(&g, &mut r, k);
-        let first = r.random_range(0..k - 1);
-        bad[first] = jump.clone();
-        bad[r.random_range(first + 1..k)] = jump;
+        let forests = [random_forest(&g, &mut r), random_forest(&g, &mut r)];
+        let e = |u: usize, v: usize| g.edge_between(NodeId::new(u), NodeId::new(v)).unwrap();
+        let v0 = NodeId::new(0);
+        let off_owner = || Cast::Hop {
+            items: vec![(v0, e(0, 1), 1), (v0, e(1, 2), 3)],
+            up: None,
+            after: vec![],
+        };
+        let mut bad = random_phase(&g, &forests, &mut r, casts);
+        let first = r.random_range(0..casts - 1);
+        bad[first] = off_owner();
+        bad[r.random_range(first + 1..casts)] = off_owner();
 
         let mut router = Router::new(&g).expect("a small graph");
-        let warm = random_batch(&g, &mut r, k);
-        router.route(&warm).expect("walks are valid paths");
-        prop_assert_eq!(router.route(&bad).unwrap_err(), EngineError::InvalidPath { task: first });
-        prop_assert_eq!(reference_route(&g, &bad, &[]).unwrap_err(),
-                        EngineError::InvalidPath { task: first });
-        let next = random_batch(&g, &mut r, k);
-        let got = router.route(&next).expect("walks are valid paths");
+        let warm = random_phase(&g, &forests, &mut r, casts);
+        route_casts(&mut router, &warm).expect("hops leave owners");
+        prop_assert_eq!(
+            route_casts(&mut router, &bad).unwrap_err(),
+            EngineError::InvalidPath { task: first }
+        );
+        let next = random_phase(&g, &forests, &mut r, casts);
+        let got = route_casts(&mut router, &next).expect("hops leave owners");
         let mut fresh = Router::new(&g).expect("a small graph");
-        assert_same_report(&got, &fresh.route(&next).expect("fresh"))?;
+        prop_assert_eq!(got, route_casts(&mut fresh, &next).expect("fresh"));
     }
 }

@@ -1,13 +1,27 @@
-//! The scheduler [`Router`](super::Router) replaced, kept as its reference, and
-//! the random batches both are driven with. Shared by the `properties` suite
-//! and the router's own unit tests (`#[path]`-included there, since
-//! prerequisites are a crate-private column); it names its types through
-//! `super`, so either parent supplies them.
+//! The scheduler the `Router` replaced, kept as its reference: it routes
+//! [`Walk`]s, which the `properties` suite builds from the casts of a phase.
 
-use super::{EdgeId, EngineError, Graph, Metrics, NodeId, RouteReport, RouteTask};
-use proptest::prelude::*;
-use rand::Rng;
+use congest_engine::{EngineError, Metrics};
+use congest_graph::{EdgeId, Graph, NodeId};
 use std::collections::VecDeque;
+
+/// One routing task: deliver `words` words along `path`, a walk whose first
+/// node is the source and last the destination. A single-node path delivers
+/// locally for free.
+#[derive(Clone, Debug)]
+pub struct Walk {
+    pub path: Vec<NodeId>,
+    pub words: usize,
+}
+
+/// What [`reference_route`] measures: the schedule's metrics, and per walk
+/// the round (1-based) its last word arrived in, or for a walk with nothing
+/// to send, the round it was released in.
+#[derive(Clone, Debug)]
+pub struct Routed {
+    pub metrics: Metrics,
+    pub completion_round: Vec<u64>,
+}
 
 /// The reference scheduler: one `VecDeque` per directed edge, every table
 /// rebuilt per call, each hop an `edge_between` search. A round sends the head
@@ -23,9 +37,9 @@ use std::collections::VecDeque;
 /// releases goes behind everything already released that round.
 pub fn reference_route(
     g: &Graph,
-    tasks: &[RouteTask],
+    tasks: &[Walk],
     after: &[Vec<usize>],
-) -> Result<RouteReport, EngineError> {
+) -> Result<Routed, EngineError> {
     reference_route_timed(g, tasks, after, &[])
 }
 
@@ -37,10 +51,10 @@ pub fn reference_route(
 /// to the next release round.
 pub fn reference_route_timed(
     g: &Graph,
-    tasks: &[RouteTask],
+    tasks: &[Walk],
     after: &[Vec<usize>],
     release: &[u64],
-) -> Result<RouteReport, EngineError> {
+) -> Result<Routed, EngineError> {
     // Directed edge index: 2*e for canonical u->v, 2*e+1 for v->u.
     let mut seqs: Vec<Vec<usize>> = Vec::with_capacity(tasks.len());
     for (task, t) in tasks.iter().enumerate() {
@@ -56,15 +70,6 @@ pub fn reference_route_timed(
 
     let mut metrics = Metrics::new(g.m());
     let mut completion = vec![0u64; tasks.len()];
-    let dilation = seqs.iter().map(Vec::len).max().unwrap_or(0);
-
-    let mut planned = vec![0u64; 2 * g.m()];
-    for (t, seq) in tasks.iter().zip(&seqs) {
-        for &d in seq {
-            planned[d] += t.words as u64;
-        }
-    }
-    let congestion = planned.iter().copied().max().unwrap_or(0);
 
     let timed = |t: usize| release.get(t).is_some_and(|&r| r > 0);
     let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); tasks.len()];
@@ -179,63 +184,8 @@ pub fn reference_route_timed(
     }
     metrics.rounds = round;
 
-    Ok(RouteReport {
+    Ok(Routed {
         metrics,
         completion_round: completion,
-        dilation,
-        congestion,
     })
-}
-
-/// Every field of the two reports, the per-edge congestion vector included
-/// (`Metrics: PartialEq` compares it).
-pub fn assert_same_report(got: &RouteReport, want: &RouteReport) -> Result<(), TestCaseError> {
-    prop_assert_eq!(&got.metrics, &want.metrics);
-    prop_assert_eq!(&got.completion_round, &want.completion_round);
-    prop_assert_eq!(got.dilation, want.dilation);
-    prop_assert_eq!(got.congestion, want.congestion);
-    Ok(())
-}
-
-/// A random walk of `hops` hops from `from` (it may revisit nodes and edges).
-fn random_walk(g: &Graph, r: &mut impl Rng, from: NodeId, hops: usize) -> Vec<NodeId> {
-    let mut path = vec![from];
-    for _ in 0..hops {
-        let nbrs = g.neighbors(*path.last().expect("non-empty"));
-        path.push(nbrs[r.random_range(0..nbrs.len())]);
-    }
-    path
-}
-
-/// `k` random tasks over connected `g` (n ≥ 2), words in `0..=5`: random walks
-/// of 0..=7 hops (0 hops = a single-node path), mixed with the shapes the FIFO
-/// order is sensitive to — walks that all start across one shared edge, and
-/// the same edge crossed in the opposite direction.
-pub fn random_batch(g: &Graph, r: &mut impl Rng, k: usize) -> Vec<RouteTask> {
-    let (a, b) = g.endpoints(EdgeId::new(r.random_range(0..g.m())));
-    (0..k)
-        .map(|_| {
-            let hops = r.random_range(0..=7usize);
-            let path = match r.random_range(0..4u32) {
-                0 => {
-                    let mut p = vec![a];
-                    p.extend(random_walk(g, r, b, hops));
-                    p
-                }
-                1 => {
-                    let mut p = vec![b];
-                    p.extend(random_walk(g, r, a, hops));
-                    p
-                }
-                _ => {
-                    let from = NodeId::new(r.random_range(0..g.n()));
-                    random_walk(g, r, from, hops)
-                }
-            };
-            RouteTask {
-                path,
-                words: r.random_range(0..=5usize),
-            }
-        })
-        .collect()
 }
