@@ -13,12 +13,17 @@
 //!    `O(m log n)` — the `Õ(m)` term.
 //! 2. **MWOE search** — each node locally picks its lightest incident edge leaving the
 //!    fragment (under the `(weight, EdgeId)` total order, so ties never break MST
-//!    uniqueness), and the per-fragment minimum is folded to the fragment leader by
-//!    [`congest_engine::treeops::convergecast`] over the fragment forest.
-//! 3. **Merge** — each leader downcasts the chosen edge to its owning node
-//!    ([`congest_engine::treeops::downcast`]), a connect message crosses the MWOE, the
-//!    merged fragment re-roots at its minimum-ID node, and the new fragment ID floods
-//!    down the new tree ([`congest_engine::treeops::broadcast`]).
+//!    uniqueness), and the per-fragment minimum, together with the fragment's size, is
+//!    folded to the fragment root by [`congest_engine::treeops::convergecast`] over the
+//!    fragment forest.
+//! 3. **Merge** — each root downcasts the chosen edge to its owning node
+//!    ([`congest_engine::treeops::downcast`]), and a connect message carrying the
+//!    fragment's label and size crosses the MWOE. Each merged fragment has exactly one
+//!    **core edge**, the MWOE chosen by the fragments at both of its ends; as in
+//!    classic GHS the merged fragment re-roots at the core endpoint on the larger side
+//!    (ties: the smaller label) and keeps that side's label, and the root floods the
+//!    label down the new tree ([`congest_engine::treeops::broadcast`]). Nodes of the
+//!    root's side keep their label, so they do not re-announce.
 //!
 //! Fragments at least double per phase, so there are at most `⌈log₂ n⌉` phases; with
 //! [`MstConfig::growth_threshold`] the merging stops once every still-active fragment
@@ -35,42 +40,50 @@ use congest_engine::treeops::{self, Forest};
 use congest_engine::{exec, EngineError, ExecutorConfig, Metrics, Router, Wire};
 use congest_graph::{EdgeId, NodeId, WeightedGraph};
 
-/// Sentinel weight meaning "no outgoing edge".
-const NONE_WEIGHT: u64 = u64::MAX;
-
 /// Convergecast payload of the MWOE search: the lightest known outgoing edge of (part
-/// of) a fragment, with its owner. A constant number of values = one CONGEST word.
+/// of) a fragment, with its owner, and the number of nodes folded in. On the wire the
+/// edge travels with its weight; the simulator reads the weight off the graph. A
+/// constant number of values = one CONGEST word.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct MwoeMsg {
-    /// Weight of the candidate edge (`NONE_WEIGHT` if there is none).
-    weight: u64,
-    /// Candidate edge index.
+    /// Candidate edge index (`u32::MAX` if there is none).
     edge: u32,
     /// Node owning the candidate (an endpoint inside the fragment).
     owner: u32,
+    /// Nodes folded into this value: the fragment's size once it reaches the root.
+    size: u32,
 }
 
 impl MwoeMsg {
     const NONE: Self = Self {
-        weight: NONE_WEIGHT,
         edge: u32::MAX,
         owner: u32::MAX,
+        size: 1,
     };
 
     fn is_none(self) -> bool {
-        self.weight == NONE_WEIGHT
+        self.edge == u32::MAX
     }
 
-    /// Tie-breaking total order: `(weight, edge)`.
-    fn key(self) -> (u64, u32) {
-        (self.weight, self.edge)
+    /// Tie-breaking total order: `(weight, edge)`, no candidate last.
+    fn key(self, wg: &WeightedGraph) -> (u64, u32) {
+        if self.is_none() {
+            (u64::MAX, u32::MAX)
+        } else {
+            (wg.weight(EdgeId::new(self.edge as usize)), self.edge)
+        }
     }
 
-    fn min(self, other: Self) -> Self {
-        if other.key() < self.key() {
+    /// The convergecast fold: the lighter candidate, sizes summed.
+    fn combine(self, other: Self, wg: &WeightedGraph) -> Self {
+        let lighter = if other.key(wg) < self.key(wg) {
             other
         } else {
             self
+        };
+        Self {
+            size: self.size + other.size,
+            ..lighter
         }
     }
 }
@@ -99,9 +112,13 @@ pub struct MstRun {
     pub edges: Vec<EdgeId>,
     /// Sum of the chosen edges' weights.
     pub total_weight: u64,
-    /// Fragment leader (= minimum node ID of the fragment) per node.
+    /// Fragment label per node: a member's ID, the same for the whole fragment. A
+    /// merged fragment takes the label of the root's pre-merge fragment; singletons
+    /// start labelled by their own ID.
     pub fragment: Vec<NodeId>,
-    /// The fragment forest: each fragment rooted at its leader, over chosen edges.
+    /// The fragment forest over chosen edges: each fragment rooted at an endpoint of
+    /// the core edge of its last merge (the MWOE chosen by the fragments at both of
+    /// its ends), on the larger side, whose label it keeps.
     pub forest: Forest,
     /// Merge phases executed.
     pub phases: u64,
@@ -154,18 +171,15 @@ pub fn distributed_mst(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstRun, En
         let cands: Vec<MwoeMsg> = exec::map_ranges(&cfg.exec, n, |range| {
             range
                 .map(|vi| {
-                    let v = NodeId::new(vi);
-                    let mut best = MwoeMsg::NONE;
-                    for (e, u, w) in wg.incident(v) {
-                        if fragment[u.index()] != fragment[vi] {
-                            best = best.min(MwoeMsg {
-                                weight: w,
-                                edge: e.index() as u32,
-                                owner: vi as u32,
-                            });
-                        }
-                    }
-                    best
+                    let lightest = wg
+                        .incident(NodeId::new(vi))
+                        .filter(|&(_, u, _)| fragment[u.index()] != fragment[vi])
+                        .min_by_key(|&(e, _, w)| (w, e));
+                    lightest.map_or(MwoeMsg::NONE, |(e, _, _)| MwoeMsg {
+                        edge: e.index() as u32,
+                        owner: vi as u32,
+                        size: 1,
+                    })
                 })
                 .collect::<Vec<_>>()
         })
@@ -199,61 +213,61 @@ pub fn distributed_mst(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstRun, En
         }
         phases += 1;
 
-        // Fold per-node candidates to each fragment leader.
+        // Fold per-node candidates (and sizes) to each fragment root.
         let cc = treeops::convergecast(
             g,
             &forest,
             cands,
-            MwoeMsg::min,
+            |a, b| a.combine(b, wg),
             remaining(cfg.message_budget, &metrics),
         )?;
         metrics.merge_sequential(&cc.metrics);
 
-        // Leaders downcast the decision, one word, to the MWOE's owner...
-        let (decisions, chosen): (Vec<(NodeId, usize)>, Vec<EdgeId>) = cc
-            .at_root
+        // Roots downcast the decision, one word, to the MWOE's owner...
+        let mut choices = cc.at_root;
+        let silent: Vec<NodeId> = forest
+            .roots()
             .iter()
-            .filter(|c| !c.is_none())
-            .map(|c| {
-                let owner = NodeId::new(c.owner as usize);
-                ((owner, 1), EdgeId::new(c.edge as usize))
-            })
-            .unzip();
+            .zip(&choices)
+            .filter(|(_, c)| c.is_none())
+            .map(|(&r, _)| r)
+            .collect();
+        choices.retain(|c| !c.is_none());
+        let decisions = choices
+            .iter()
+            .map(|c| (NodeId::new(c.owner as usize), 1))
+            .collect();
         metrics.merge_sequential(&treeops::downcast(&mut router, &forest, decisions)?);
         treeops::ensure_budget("ghs-mst", metrics.messages, cfg.message_budget)?;
 
-        // ...and a connect message crosses each chosen MWOE (one round, one word per
-        // choosing fragment — two fragments picking the same edge both send).
-        let mut connect = Metrics::new(g.m());
-        connect.rounds = 1;
-        for &e in &chosen {
-            connect.add_messages(e, 1);
+        // ...and a connect message, the sender fragment's label and size, crosses each
+        // chosen MWOE (one round, one word per choosing fragment — two fragments
+        // picking the same edge both send).
+        metrics.rounds += 1;
+        for c in &choices {
+            metrics.add_messages(EdgeId::new(c.edge as usize), 1);
         }
-        metrics.merge_sequential(&connect);
 
-        // Merge: new fragments are the components of the chosen-so-far edge set.
-        for e in chosen {
-            if !in_mst[e.index()] {
-                in_mst[e.index()] = true;
-                edges.push(e);
+        // Merge: new fragments are the components of the chosen-so-far edge set,
+        // rooted at their cores. Fragments with no outgoing edge keep their root.
+        for c in &choices {
+            let e = c.edge as usize;
+            if !in_mst[e] {
+                in_mst[e] = true;
+                edges.push(EdgeId::new(e));
             }
         }
-        let (new_fragment, new_parent) = fragments_of(wg, &in_mst);
+        let mut roots = core_roots(choices, &fragment);
+        let merged = roots.len();
+        roots.extend(silent);
+        let (new_fragment, new_parent) = fragments_of(wg, &in_mst, &roots, &fragment);
         let changed: Vec<bool> = (0..n).map(|v| new_fragment[v] != fragment[v]).collect();
         forest = Forest::from_parents(g, new_parent)?;
 
-        // Leaders of grown fragments flood the new fragment ID down the new tree.
-        let mut grew = vec![false; n];
-        for v in 0..n {
-            if changed[v] {
-                grew[new_fragment[v].index()] = true;
-            }
-        }
-        let payloads: Vec<(NodeId, u64)> = forest
-            .roots()
+        // Roots of merged fragments flood the label down the new tree.
+        let payloads: Vec<(NodeId, u64)> = roots[..merged]
             .iter()
-            .filter(|r| grew[r.index()])
-            .map(|&r| (r, u64::from(r.raw())))
+            .map(|&r| (r, u64::from(new_fragment[r.index()].raw())))
             .collect();
         let bc = treeops::broadcast(
             g,
@@ -287,8 +301,7 @@ fn remaining(budget: Option<u64>, metrics: &Metrics) -> Option<u64> {
 }
 
 /// Charges one announcement round: every `changed` node sends one word over each
-/// incident edge. Chunk-parallel with per-chunk batches merged in chunk order, so the
-/// congestion vector is identical at every thread count. Free if nothing changed.
+/// incident edge. Free if nothing changed.
 fn charge_announcements(
     wg: &WeightedGraph,
     cfg: &MstConfig,
@@ -296,48 +309,62 @@ fn charge_announcements(
     metrics: &mut Metrics,
 ) -> Result<(), EngineError> {
     let g = wg.graph();
-    let batches: Vec<Vec<(EdgeId, u64)>> = exec::map_ranges(&cfg.exec, g.n(), |range| {
-        let mut out = Vec::new();
-        for vi in range {
-            if changed[vi] {
-                for &e in g.incident_edges(NodeId::new(vi)) {
-                    out.push((e, 1u64));
-                }
-            }
+    let before = metrics.messages;
+    for v in g.nodes().filter(|v| changed[v.index()]) {
+        for &e in g.incident_edges(v) {
+            metrics.add_messages(e, 1);
         }
-        out
-    });
-    let mut phase = Metrics::new(g.m());
-    for b in batches {
-        phase.add_messages_batch(b);
     }
-    if phase.messages > 0 {
-        phase.rounds = 1;
-        metrics.merge_sequential(&phase);
+    if metrics.messages > before {
+        metrics.rounds += 1;
     }
     treeops::ensure_budget("ghs-mst", metrics.messages, cfg.message_budget)?;
     Ok(())
 }
 
-/// Components of the chosen-edge subgraph: per-node leader (minimum member ID) and
-/// parent pointers of a BFS tree rooted at each leader (children visited in ascending
-/// neighbor order — deterministic).
-fn fragments_of(wg: &WeightedGraph, in_mst: &[bool]) -> (Vec<NodeId>, Vec<Option<NodeId>>) {
+/// The root of each merged fragment, from its fragments' MWOE `choices`. An edge
+/// chosen by the fragments at both of its ends is the merged fragment's core, and
+/// sorting by edge puts its two choices side by side; the core's endpoint on the larger side (ties: the
+/// smaller label) is the root. An owner's label is its fragment's.
+fn core_roots(mut choices: Vec<MwoeMsg>, fragment: &[NodeId]) -> Vec<NodeId> {
+    choices.sort_unstable_by_key(|c| c.edge);
+    choices
+        .windows(2)
+        .filter(|w| w[0].edge == w[1].edge)
+        .map(|w| {
+            let side = |c: &MwoeMsg| (std::cmp::Reverse(c.size), fragment[c.owner as usize]);
+            NodeId::new(std::cmp::min_by_key(w[0], w[1], side).owner as usize)
+        })
+        .collect()
+}
+
+/// Components of the chosen-edge subgraph, one per root in `roots`: per-node label
+/// (the root's entry in `old_labels`) and parent pointers of the tree rooted at that
+/// root. Each component is a tree, so its parent pointers are those GHS change-root
+/// leaves behind; they are found by BFS from the root.
+fn fragments_of(
+    wg: &WeightedGraph,
+    in_mst: &[bool],
+    roots: &[NodeId],
+    old_labels: &[NodeId],
+) -> (Vec<NodeId>, Vec<Option<NodeId>>) {
     let g = wg.graph();
     let n = g.n();
-    let mut leader: Vec<Option<NodeId>> = vec![None; n];
+    let mut label: Vec<Option<NodeId>> = vec![None; n];
     let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    for s in g.nodes() {
-        if leader[s.index()].is_some() {
-            continue;
-        }
-        // `s` is the minimum ID of its component (nodes are scanned in order).
-        leader[s.index()] = Some(s);
-        let mut queue = std::collections::VecDeque::from([s]);
+    let mut queue = std::collections::VecDeque::new();
+    for &r in roots {
+        debug_assert!(
+            label[r.index()].is_none(),
+            "second core in {r:?}'s fragment"
+        );
+        let l = old_labels[r.index()];
+        label[r.index()] = Some(l);
+        queue.push_back(r);
         while let Some(v) = queue.pop_front() {
             for (e, u) in g.incident(v) {
-                if in_mst[e.index()] && leader[u.index()].is_none() {
-                    leader[u.index()] = Some(s);
+                if in_mst[e.index()] && label[u.index()].is_none() {
+                    label[u.index()] = Some(l);
                     parent[u.index()] = Some(v);
                     queue.push_back(u);
                 }
@@ -345,9 +372,9 @@ fn fragments_of(wg: &WeightedGraph, in_mst: &[bool]) -> (Vec<NodeId>, Vec<Option
         }
     }
     (
-        leader
+        label
             .into_iter()
-            .map(|l| l.expect("all visited"))
+            .map(|l| l.expect("every fragment has a core or keeps its root"))
             .collect(),
         parent,
     )
@@ -391,11 +418,30 @@ mod tests {
     }
 
     #[test]
-    fn fragment_leaders_are_component_minima() {
-        let wg = unique(25, 0.2, 3);
+    fn fragments_root_at_their_core_edge() {
+        // Phase 1 pairs up v0v1, v2v3, v4v5, v6v7; phase 2 joins them across the cores
+        // v1v2 and v5v6 (ties: the smaller label roots, at v1 and v5); phase 3's core
+        // is v3v4, rooted on the side labelled v0.
+        let wg =
+            WeightedGraph::from_weights(generators::path(8), vec![1, 3, 2, 7, 4, 6, 5]).unwrap();
         let run = distributed_mst(&wg, &MstConfig::default()).unwrap();
-        assert!(run.fragment.iter().all(|f| f.index() == 0)); // connected ⇒ one fragment
-        assert_eq!(run.forest.roots(), &[NodeId::new(0)]);
+        assert_eq!(run.forest.roots(), &[NodeId::new(3)]);
+        assert_eq!(run.forest.depth(), 4);
+        assert!(run.fragment.iter().all(|&f| f == NodeId::new(0)));
+        assert_eq!((run.metrics.messages, run.metrics.rounds), (81, 20));
+    }
+
+    #[test]
+    fn the_larger_side_roots_the_merge() {
+        // Phase 1 leaves {v0, v1} (label v0) and {v2, v3, v4} (label v2); both pick
+        // v1v2, and the larger side roots it at v2 and keeps its label, so only v0 and
+        // v1 re-announce.
+        let wg = WeightedGraph::from_weights(generators::path(5), vec![1, 5, 2, 3]).unwrap();
+        let run = distributed_mst(&wg, &MstConfig::default()).unwrap();
+        assert_eq!(run.forest.roots(), &[NodeId::new(2)]);
+        assert!(run.fragment.iter().all(|&f| f == NodeId::new(2)));
+        // Rooting on the smaller label's side (v1) has v2, v3, v4 re-announce: 36.
+        assert_eq!((run.metrics.messages, run.metrics.rounds), (34, 12));
     }
 
     #[test]

@@ -105,6 +105,34 @@ proptest! {
     }
 
     #[test]
+    fn mst_fragments_are_labelled_rooted_trees(seed in 0u64..300, n in 8usize..40) {
+        // Sparse G(n, p) with unique weights, often disconnected: each component is
+        // one fragment with one shared label drawn from its own members and one root,
+        // and the fragment forest is exactly the chosen edge set.
+        let g = generators::gnp(n, 2.0 / n as f64, seed);
+        let wg = WeightedGraph::random_unique_weights(&g, seed);
+        let run = distributed_mst(&wg, &MstConfig::default()).unwrap();
+        let (comp, count) = reference::connected_components(&g);
+        let mut label = vec![None; count];
+        let mut roots = vec![0usize; count];
+        for v in g.nodes() {
+            let c = comp[v.index()];
+            let f = run.fragment[v.index()];
+            prop_assert_eq!(*label[c].get_or_insert(f), f);
+            if run.forest.parent(v).is_none() {
+                roots[c] += 1;
+            }
+        }
+        for (c, l) in label.iter().enumerate() {
+            prop_assert_eq!(comp[l.unwrap().index()], c);
+        }
+        prop_assert!(roots.iter().all(|&r| r == 1));
+        let mut tree_edges = run.forest.tree_edges().to_vec();
+        tree_edges.sort_unstable();
+        prop_assert_eq!(tree_edges, run.edges);
+    }
+
+    #[test]
     fn bfs_tree_parents_consistent(seed in 0u64..200) {
         let g = generators::gnp_connected(20, 0.2, seed);
         let run = run_bcongest(&Bfs::new(NodeId::new(0)), &g, None, &opts(seed)).unwrap();

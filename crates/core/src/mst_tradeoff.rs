@@ -289,15 +289,17 @@ mod tests {
     fn small_k_buys_rounds_on_dense_graphs() {
         // Dense + shallow: the central finish is round-cheap (BFS tree of depth 1)
         // while full GHS merging pays fragment-tree depth for every phase.
-        let g = generators::complete(48);
-        let wg = WeightedGraph::random_unique_weights(&g, 11);
-        let small = mst_tradeoff(&wg, 2, 1).unwrap();
-        let big = mst_tradeoff(&wg, g.n(), 1).unwrap();
-        assert!(
-            small.metrics.rounds < big.metrics.rounds,
-            "rounds: k=2 {} vs k=n {}",
-            small.metrics.rounds,
-            big.metrics.rounds
-        );
+        let g = generators::complete(96);
+        for seed in [1, 2, 11] {
+            let wg = WeightedGraph::random_unique_weights(&g, seed);
+            let small = mst_tradeoff(&wg, 2, 1).unwrap();
+            let big = mst_tradeoff(&wg, g.n(), 1).unwrap();
+            assert!(
+                small.metrics.rounds < big.metrics.rounds,
+                "rounds at weight seed {seed}: k=2 {} vs k=n {}",
+                small.metrics.rounds,
+                big.metrics.rounds
+            );
+        }
     }
 }

@@ -73,16 +73,6 @@ impl Metrics {
         self.congestion[e.index()] += words;
     }
 
-    /// Records a batch of `(edge, words)` message charges — the merge step for
-    /// the per-chunk outboxes the parallel executor produces. Equivalent to
-    /// calling [`Metrics::add_messages`] per entry (`u64` addition commutes, so
-    /// totals are identical regardless of how the batch was sharded).
-    pub fn add_messages_batch<I: IntoIterator<Item = (EdgeId, u64)>>(&mut self, batch: I) {
-        for (e, words) in batch {
-            self.add_messages(e, words);
-        }
-    }
-
     /// Per-edge congestion, indexed by [`EdgeId`].
     pub fn congestion(&self) -> &[u64] {
         &self.congestion
@@ -170,22 +160,6 @@ mod tests {
         assert_eq!(m.messages, 3);
         assert_eq!(m.payload_bytes, 12);
         assert_eq!(m.congestion(), &[3]);
-    }
-
-    #[test]
-    fn batch_equals_per_entry() {
-        let entries = [
-            (EdgeId::new(0), 2u64),
-            (EdgeId::new(2), 5),
-            (EdgeId::new(0), 1),
-        ];
-        let mut a = Metrics::new(3);
-        a.add_messages_batch(entries);
-        let mut b = Metrics::new(3);
-        for (e, w) in entries {
-            b.add_messages(e, w);
-        }
-        assert_eq!(a, b);
     }
 
     #[test]
