@@ -419,29 +419,27 @@ mod tests {
 
     #[test]
     fn fragments_root_at_their_core_edge() {
-        // Phase 1 pairs up v0v1, v2v3, v4v5, v6v7; phase 2 joins them across the cores
-        // v1v2 and v5v6 (ties: the smaller label roots, at v1 and v5); phase 3's core
-        // is v3v4, rooted on the side labelled v0.
-        let wg =
-            WeightedGraph::from_weights(generators::path(8), vec![1, 3, 2, 7, 4, 6, 5]).unwrap();
-        let run = distributed_mst(&wg, &MstConfig::default()).unwrap();
-        assert_eq!(run.forest.roots(), &[NodeId::new(3)]);
-        assert_eq!(run.forest.depth(), 4);
-        assert!(run.fragment.iter().all(|&f| f == NodeId::new(0)));
-        assert_eq!((run.metrics.messages, run.metrics.rounds), (81, 20));
-    }
-
-    #[test]
-    fn the_larger_side_roots_the_merge() {
-        // Phase 1 leaves {v0, v1} (label v0) and {v2, v3, v4} (label v2); both pick
-        // v1v2, and the larger side roots it at v2 and keeps its label, so only v0 and
-        // v1 re-announce.
-        let wg = WeightedGraph::from_weights(generators::path(5), vec![1, 5, 2, 3]).unwrap();
-        let run = distributed_mst(&wg, &MstConfig::default()).unwrap();
-        assert_eq!(run.forest.roots(), &[NodeId::new(2)]);
-        assert!(run.fragment.iter().all(|&f| f == NodeId::new(2)));
-        // Rooting on the smaller label's side (v1) has v2, v3, v4 re-announce: 36.
-        assert_eq!((run.metrics.messages, run.metrics.rounds), (34, 12));
+        // path(8): phase 1 pairs up v0v1, v2v3, v4v5, v6v7; phase 2 joins them across
+        // the cores v1v2 and v5v6 (equal sizes: the smaller label roots, at v1 and v5);
+        // phase 3's core is v3v4, rooted on the side labelled v0.
+        // path(5): phase 1 leaves {v0, v1} (label v0) and {v2, v3, v4} (label v2);
+        // both pick v1v2, and the larger side roots it at v2 and keeps its label, so
+        // only v0 and v1 re-announce (rooting at v1 would cost 36 messages).
+        for (n, weights, root, depth, label, cost) in [
+            (8, vec![1, 3, 2, 7, 4, 6, 5], 3, 4, 0, (81, 20)),
+            (5, vec![1, 5, 2, 3], 2, 2, 2, (34, 12)),
+        ] {
+            let wg = WeightedGraph::from_weights(generators::path(n), weights).unwrap();
+            let run = distributed_mst(&wg, &MstConfig::default()).unwrap();
+            assert_eq!(run.forest.roots(), &[NodeId::new(root)], "path({n})");
+            assert_eq!(run.forest.depth(), depth, "path({n})");
+            assert!(run.fragment.iter().all(|&f| f == NodeId::new(label)));
+            assert_eq!(
+                (run.metrics.messages, run.metrics.rounds),
+                cost,
+                "path({n})"
+            );
+        }
     }
 
     #[test]
