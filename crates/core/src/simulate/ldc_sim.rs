@@ -16,7 +16,7 @@
 //! through the host and the host's center finds the merged cluster's casts
 //! faster (`absorb_fragments`). Theorem 2.1 needs only *some* LDC meeting
 //! Definition 2.3, and the merged one keeps the strong radius and can only
-//! lower the F-degree; the phases, their transport and the output downcast all
+//! lower the F-degree; the phases, their transport and the output step all
 //! run over the merged clusters and their re-derived F-edges.
 //!
 //! Each phase `p` simulates round `p` of the payload: centers compute member
@@ -31,9 +31,13 @@
 //! than the sum of all three, and a phase no broadcaster has an F-edge in costs
 //! no rounds (DESIGN.md §2). A message reaches a receiver only
 //! along that path, or at the shared center for a receiver in the broadcaster's
-//! own cluster. A final downcast delivers outputs. Message complexity is
-//! therefore `Õ(In + Out + B_A)` — each simulated broadcast pays `O(log n)`
-//! F-edges × `O(log n)` tree depth rather than `deg(v)`.
+//! own cluster. A final output step delivers outputs: a downcast from each
+//! center, except that where it is faster and costs no more messages the
+//! center first sends its *transcript* (inputs, phase receipts, seed) down to
+//! *replicas*, members that recompute their own subtrees' outputs and
+//! downcast those (`deliver_outputs`). Message complexity is therefore
+//! `Õ(In + Out + B_A)` — each simulated broadcast pays `O(log n)` F-edges ×
+//! `O(log n)` tree depth rather than `deg(v)`.
 //!
 //! Correctness (Lemma 2.5) is checked in the strongest possible way: with the same
 //! seed, outputs are asserted equal to a direct run's (see the integration tests),
@@ -122,9 +126,19 @@ pub(crate) fn simulate_over_ldc<A: BcongestAlgorithm>(
 
     // Centers now (conceptually) hold all member inputs and replicate member
     // states: phase `p` is round `p` of the payload's own execution, delivered
-    // by the transport below.
+    // by the transport below. Per root: its center's transcript so far, step
+    // 3's inputs and the seed word; each phase adds the words that climb into
+    // the center and, if there are any, one count word.
+    let mut transcript = vec![0u64; n];
+    for v in g.nodes() {
+        transcript[forest.root_of(v).index()] += g.degree(v) as u64 + 1;
+    }
+    for r in forest.roots() {
+        transcript[r.index()] += 1;
+    }
+    let mut heard_in = vec![usize::MAX; n];
     let phase_budget = phase_budget_rounds(n);
-    let transport = |_phase: usize,
+    let transport = |phase: usize,
                      broadcasters: &[(NodeId, A::Msg)],
                      inboxes: &mut [Vec<(NodeId, A::Msg)>]|
      -> Result<(), EngineError> {
@@ -158,18 +172,29 @@ pub(crate) fn simulate_over_ldc<A: BcongestAlgorithm>(
             phase_cost.pad_rounds(phase_budget.saturating_sub(phase_cost.rounds));
         }
         metrics.merge_sequential(&phase_cost);
+        // The hops' words join their far ends' centers' transcripts.
+        for (v, _) in broadcasters {
+            for f in &ldc.f_edges[v.index()] {
+                let r = forest.root_of(f.other).index();
+                if heard_in[r] != phase {
+                    heard_in[r] = phase;
+                    transcript[r] += 1;
+                }
+                transcript[r] += 1;
+            }
+        }
         Ok(())
     };
     let payload_opts = payload_options(opts.seed, &opts.exec);
     let payload = run_bcongest_over(algo, g, weights, &payload_opts, transport)?;
 
-    // Final phase: downcast outputs to their nodes, at least one word each.
-    let out_items = g
-        .nodes()
-        .zip(payload.outputs.iter())
-        .map(|(v, o)| (v, algo.output_words(o).max(1)))
+    // Final phase: deliver outputs to their nodes, at least one word each.
+    let words: Vec<u64> = payload
+        .outputs
+        .iter()
+        .map(|o| algo.output_words(o).max(1) as u64)
         .collect();
-    metrics.merge_sequential(&downcast(&mut router, &forest, out_items)?);
+    metrics.merge_sequential(&deliver_outputs(&mut router, &forest, &words, &transcript)?);
 
     Ok(SimulationRun::assemble(payload, metrics, preprocessing))
 }
@@ -696,6 +721,337 @@ fn phase_casts(forest: &Forest, hops: impl IntoIterator<Item = (NodeId, EdgeId)>
     ]
 }
 
+/// Theorem 2.1's output step: every node gets its `words[v]`-word output over
+/// `forest`. A center's state machines are deterministic given its
+/// *transcript* (`transcript[root]` words: step 3's inputs, the seed, every
+/// word that climbed into it in a phase and a count word per phase that had
+/// any), so a member that receives it, a *replica*, computes its region's
+/// outputs itself, and the tree edge into it carries the transcript instead of
+/// its subtree's outputs. In a cluster that [`plan_outputs`] adopts replicas
+/// for, one routed schedule of existing casts:
+/// 1. *re-parent*: one word down `forest` to each member the output tree
+///    moves, which sends one word to its new parent on arrival; a word-less
+///    upcast from each new parent holds the center until the last is in (a
+///    round the center computes itself);
+/// 2. *transcript*: one [`Cast::Hop`] per replica depth, its `t` words per
+///    replica from its parent, each level leaving a node once the level above
+///    is in there (store and forward);
+/// 3. *outputs*: one [`Cast::Down`] over the *regions*, the output tree with
+///    every replica's parent edge cut; a region's words leave its root (the
+///    center or a replica) once the steps above are in there.
+///
+/// Every other cluster gets the plain downcast over `forest`, in the same
+/// schedule. It is a valid CONGEST schedule as a phase is: the `Router` moves
+/// one word per directed edge and round, and a word leaves a node only once
+/// what it is computed from is there.
+fn deliver_outputs(
+    router: &mut Router<'_>,
+    forest: &Forest,
+    words: &[u64],
+    transcript: &[u64],
+) -> Result<Metrics, EngineError> {
+    let g = router.graph();
+    let outputs = || g.nodes().map(|v| (v, words[v.index()] as usize)).collect();
+    let Some(plan) = plan_outputs(g, forest, words, transcript) else {
+        return downcast(router, forest, outputs());
+    };
+    let output = Forest::from_parents(g, plan.parent)?;
+    let region = g.nodes().map(|v| {
+        if plan.replica[v.index()] {
+            None
+        } else {
+            output.parent(v)
+        }
+    });
+    let regions = Forest::from_parents(g, region.collect())?;
+    let moved: Vec<NodeId> = g
+        .nodes()
+        .filter(|&v| output.parent(v) != forest.parent(v))
+        .collect();
+    let mut new_parents: Vec<NodeId> = moved.iter().filter_map(|&v| output.parent(v)).collect();
+    new_parents.sort_unstable();
+    new_parents.dedup();
+    let edge_in = |v: NodeId| {
+        output
+            .parent_edge(v)
+            .expect("a moved member or replica has a parent")
+    };
+    let mut casts = vec![
+        Cast::Down {
+            forest,
+            items: moved.iter().map(|&v| (v, 1)).collect(),
+            after: vec![],
+        },
+        Cast::Hop {
+            items: moved.iter().map(|&v| (v, edge_in(v), 1)).collect(),
+            up: None,
+            after: vec![0],
+        },
+        Cast::Up {
+            forest,
+            items: new_parents.into_iter().map(|q| (q, 0)).collect(),
+            after: vec![1],
+        },
+    ];
+    let mut replicas: Vec<NodeId> = g.nodes().filter(|v| plan.replica[v.index()]).collect();
+    replicas.sort_by_key(|&v| output.depth_of(v)); // stable: ties stay by id
+    for level in replicas.chunk_by(|&a, &b| output.depth_of(a) == output.depth_of(b)) {
+        let items = level.iter().map(|&v| {
+            let p = output.parent(v).expect("a replica has a parent");
+            (
+                p,
+                edge_in(v),
+                transcript[output.root_of(v).index()] as usize,
+            )
+        });
+        casts.push(Cast::Hop {
+            items: items.collect(),
+            up: None,
+            after: vec![casts.len() - 1],
+        });
+    }
+    casts.push(Cast::Down {
+        forest: &regions,
+        items: outputs(),
+        after: (2..casts.len()).collect(),
+    });
+    let cost = route_casts(router, &casts)?;
+    debug_assert_eq!(cost.messages, plan.messages, "the plan counts every word");
+    debug_assert!(
+        cost.rounds <= plan.rounds,
+        "{} > {}",
+        cost.rounds,
+        plan.rounds
+    );
+    Ok(cost)
+}
+
+/// Where some cluster adopts replicas, [`deliver_outputs`]' plan: per node,
+/// its parent in the output tree and whether it is a replica (`forest`'s
+/// parent and no replica in every other cluster), and the schedule's messages
+/// and a bound on its rounds.
+#[derive(Debug)]
+struct OutputPlan {
+    parent: Vec<Option<NodeId>>,
+    replica: Vec<bool>,
+    messages: u64,
+    rounds: u64,
+}
+
+/// Each center's local choice of replicas. With `t` its transcript's words,
+/// `Out(T_v)` the output words of `v`'s subtree and `h(v)` its height, a
+/// downcast from a root that starts in round `s` is in by round `s + max over
+/// children c of (Out(T_c) + h(c))`: only the root queues, every other node
+/// forwards a word the round after it arrives. Per cluster:
+/// 1. the output tree: every member at depth ≥ 3, visited by `(depth, id)`,
+///    joins the eligible parent (a cluster neighbour one level up) whose
+///    depth-2 sub-branch holds the fewest output words so far, ties to the
+///    lighter depth-1 branch, then the smaller id. Depths are kept, so a
+///    plain downcast over it costs the same messages;
+/// 2. top down, a child `c` of the center or of a replica becomes a replica
+///    when `t ≤ Out(T_c)` (no extra messages) and `t` plus its own downcast's
+///    bound is strictly below `Out(T_c) + h(c)`, its branch's bound without it;
+/// 3. the cluster adopts its replicas only if the schedule's round bound
+///    (re-parenting, `depth × t` to each replica, then its region's downcast)
+///    is strictly below the plain downcast's lower bound, `max over edges p → c
+///    of depth(p) + Out(T_c)` over `forest`, and its messages, re-parenting
+///    included, are at most the plain downcast's.
+///
+/// `None` when no cluster adopts. A 1-word output never replicates: `t`
+/// counts `deg + 1` input words per member, more than a subtree's outputs.
+fn plan_outputs(
+    g: &Graph,
+    forest: &Forest,
+    words: &[u64],
+    transcript: &[u64],
+) -> Option<OutputPlan> {
+    let n = g.n();
+    let root = |v: NodeId| forest.root_of(v).index();
+    let mut order: Vec<NodeId> = g.nodes().collect();
+    order.sort_by_key(|&v| forest.depth_of(v)); // stable: ties stay by id
+    let old_parent: Vec<Option<NodeId>> = g.nodes().map(|v| forest.parent(v)).collect();
+    let old = subtree_loads(&order, &old_parent, words);
+    let parent = output_parents(g, forest, &order, words);
+    let new = subtree_loads(&order, &parent, words);
+    let heads_region =
+        |p: NodeId, replica: &[bool]| parent[p.index()].is_none() || replica[p.index()];
+    let mut replica = vec![false; n];
+    for &v in &order {
+        let (Some(p), i) = (parent[v.index()], v.index()) else {
+            continue;
+        };
+        let t = transcript[root(v)];
+        replica[i] = heads_region(p, &replica)
+            && t <= new.out[i]
+            && t + new.below[i] < new.out[i] + u64::from(new.height[i]);
+    }
+
+    // Per root: the plain downcast's round lower bound and messages, and the
+    // re-parenting's messages and round bound (one word down `forest`, per
+    // depth-1 branch pipelined behind its moved members, then one round).
+    let mut lower = vec![0u64; n];
+    let mut plain = vec![0u64; n];
+    let mut reparent = vec![0u64; n];
+    let mut head = vec![NodeId::new(0); n];
+    let mut moved = vec![(0u64, 0u64); n];
+    for &v in &order {
+        let (Some(p), i, r) = (old_parent[v.index()], v.index(), root(v)) else {
+            continue;
+        };
+        let depth = u64::from(forest.depth_of(v));
+        lower[r] = lower[r].max(depth - 1 + old.out[i]);
+        plain[r] += depth * words[i];
+        head[i] = if depth == 1 { v } else { head[p.index()] };
+        if parent[i] != old_parent[i] {
+            reparent[r] += depth + 1;
+            let (count, deepest) = &mut moved[head[i].index()];
+            *count += 1;
+            *deepest = depth;
+        }
+    }
+    let mut start = vec![0u64; n];
+    for v in g.nodes().filter(|&v| forest.depth_of(v) == 1) {
+        let (count, deepest) = moved[v.index()];
+        if count > 0 {
+            let r = root(v);
+            start[r] = start[r].max(count + deepest);
+        }
+    }
+    // Per root: the words the replicas' edges save and the schedule's round
+    // bound. A region root's downcast starts once its transcript is in; its
+    // children that are not replicas head its branches.
+    let mut saved = vec![0u64; n];
+    let mut region_below = vec![0u64; n];
+    let mut has_replica = vec![false; n];
+    for &v in &order {
+        let (Some(p), i, r) = (parent[v.index()], v.index(), root(v)) else {
+            continue;
+        };
+        if replica[i] {
+            has_replica[r] = true;
+            saved[r] += new.out[i] - transcript[r];
+        } else if heads_region(p, &replica) {
+            let below = &mut region_below[p.index()];
+            *below = (*below).max(new.out[i] + u64::from(new.height[i]));
+        }
+    }
+    let mut finish = vec![0u64; n];
+    for v in g.nodes() {
+        let r = root(v);
+        if parent[v.index()].is_none() || replica[v.index()] {
+            let arrives = start[r] + u64::from(forest.depth_of(v)) * transcript[r];
+            finish[r] = finish[r].max(arrives + region_below[v.index()]);
+        }
+    }
+    let adopted = |r: usize| plain[r] + reparent[r] - saved[r];
+    let adopts = |r: usize| has_replica[r] && finish[r] < lower[r] && adopted(r) <= plain[r];
+    if !forest.roots().iter().any(|r| adopts(r.index())) {
+        return None;
+    }
+    let (mut messages, mut rounds) = (0, 0);
+    for r in forest.roots().iter().map(|r| r.index()) {
+        let (m, bound) = if adopts(r) {
+            (adopted(r), finish[r])
+        } else {
+            (plain[r], old.below[r])
+        };
+        messages += m;
+        rounds = rounds.max(bound);
+    }
+    let keeps = |v: NodeId| !adopts(root(v));
+    Some(OutputPlan {
+        parent: g
+            .nodes()
+            .map(|v| {
+                if keeps(v) {
+                    old_parent[v.index()]
+                } else {
+                    parent[v.index()]
+                }
+            })
+            .collect(),
+        replica: g.nodes().map(|v| !keeps(v) && replica[v.index()]).collect(),
+        messages,
+        rounds,
+    })
+}
+
+/// Per node of the tree `parent` makes (`order` lists its nodes by depth):
+/// its subtree's output words `out`, its `height`, and `below`, the bound on
+/// a downcast of its subtree's outputs from it (see [`plan_outputs`]).
+struct SubtreeLoads {
+    out: Vec<u64>,
+    height: Vec<u32>,
+    below: Vec<u64>,
+}
+
+fn subtree_loads(order: &[NodeId], parent: &[Option<NodeId>], words: &[u64]) -> SubtreeLoads {
+    let n = parent.len();
+    let mut loads = SubtreeLoads {
+        out: words.to_vec(),
+        height: vec![0; n],
+        below: vec![0; n],
+    };
+    for &v in order.iter().rev() {
+        if let Some(p) = parent[v.index()] {
+            let (p, v) = (p.index(), v.index());
+            loads.out[p] += loads.out[v];
+            loads.height[p] = loads.height[p].max(loads.height[v] + 1);
+            let branch = loads.out[v] + u64::from(loads.height[v]);
+            loads.below[p] = loads.below[p].max(branch);
+        }
+    }
+    loads
+}
+
+/// [`plan_outputs`]' output tree over `forest` (`order` lists its nodes by
+/// depth): members at depth ≥ 3 re-parented to balance the depth-2
+/// sub-branches' output words.
+fn output_parents(
+    g: &Graph,
+    forest: &Forest,
+    order: &[NodeId],
+    words: &[u64],
+) -> Vec<Option<NodeId>> {
+    let n = g.n();
+    let mut parent: Vec<Option<NodeId>> = g.nodes().map(|v| forest.parent(v)).collect();
+    // Per node: its depth-1 and depth-2 ancestors in the new tree (itself at
+    // those depths); per such head: its branch's words so far.
+    let mut heads = vec![(NodeId::new(0), NodeId::new(0)); n];
+    let mut load = vec![0u64; n];
+    for &v in order {
+        let Some(p) = forest.parent(v) else { continue };
+        let (depth, root) = (forest.depth_of(v), forest.root_of(v));
+        let q = if depth < 3 {
+            p
+        } else {
+            let eligible = g
+                .neighbors(v)
+                .iter()
+                .copied()
+                .filter(|&u| forest.root_of(u) == root && forest.depth_of(u) + 1 == depth);
+            eligible
+                .min_by_key(|&u| {
+                    let (one, two) = heads[u.index()];
+                    (load[two.index()], load[one.index()], u)
+                })
+                .expect("the old parent is eligible")
+        };
+        parent[v.index()] = Some(q);
+        heads[v.index()] = match depth {
+            1 => (v, v),
+            2 => (heads[q.index()].0, v),
+            _ => heads[q.index()],
+        };
+        let (one, two) = heads[v.index()];
+        load[one.index()] += words[v.index()];
+        if depth >= 2 {
+            load[two.index()] += words[v.index()];
+        }
+    }
+    parent
+}
+
 /// The §2.2 worst-case phase budget `Θ(n log n)`.
 fn phase_budget_rounds(n: usize) -> u64 {
     let log = (usize::BITS - n.max(2).leading_zeros()) as u64;
@@ -792,6 +1148,268 @@ mod tests {
             clustering,
             f_edges,
             metrics: Metrics::new(g.m()),
+        }
+    }
+
+    /// BFS from node 0 with `words`-word outputs: every reached node
+    /// broadcasts once, in the phase of its distance.
+    struct WideBfs {
+        bfs: Bfs,
+        words: usize,
+    }
+
+    impl BcongestAlgorithm for WideBfs {
+        type State = <Bfs as BcongestAlgorithm>::State;
+        type Msg = u32;
+        type Output = <Bfs as BcongestAlgorithm>::Output;
+        fn name(&self) -> &'static str {
+            "wide-bfs"
+        }
+        fn init(&self, view: &congest_engine::LocalView<'_>) -> Self::State {
+            self.bfs.init(view)
+        }
+        fn broadcast(&self, s: &Self::State, round: usize) -> Option<u32> {
+            self.bfs.broadcast(s, round)
+        }
+        fn on_broadcast_sent(&self, s: &mut Self::State, round: usize) {
+            self.bfs.on_broadcast_sent(s, round);
+        }
+        fn receive(&self, s: &mut Self::State, round: usize, msgs: &[(NodeId, u32)]) {
+            self.bfs.receive(s, round, msgs);
+        }
+        fn is_done(&self, s: &Self::State) -> bool {
+            self.bfs.is_done(s)
+        }
+        fn output(&self, s: &Self::State) -> Self::Output {
+            self.bfs.output(s)
+        }
+        fn next_activity(&self, s: &Self::State, after: usize) -> Option<usize> {
+            self.bfs.next_activity(s, after)
+        }
+        fn round_bound(&self, n: usize, m: usize) -> usize {
+            self.bfs.round_bound(n, m)
+        }
+        fn output_words(&self, _: &Self::Output) -> usize {
+            self.words
+        }
+    }
+
+    fn wide(words: usize) -> WideBfs {
+        WideBfs {
+            bfs: Bfs::new(NodeId::new(0)),
+            words,
+        }
+    }
+
+    /// `(messages, rounds)` of Theorem 2.1's output step with `k`-word
+    /// [`WideBfs`] outputs over `ldc`, and of the plain downcast of the same
+    /// outputs over the forest it casts over. Runs with `k` and with 1 word
+    /// per output differ only in that step, and a 1-word step is the plain
+    /// downcast.
+    fn output_steps(g: &Graph, ldc: &LdcDecomposition, k: usize, seed: u64) -> [(u64, u64); 2] {
+        let opts = LdcSimOptions {
+            seed,
+            ..Default::default()
+        };
+        let run = |k| {
+            simulate_over_ldc(&wide(k), g, None, ldc, &opts)
+                .unwrap()
+                .metrics
+        };
+        let (sim, sim_1) = (run(k), run(1));
+        let mut router = Router::new(g).unwrap();
+        let (forest, _) = cast_forest(&mut router, ldc, seed);
+        let mut plain = |k| {
+            let cost = downcast(&mut router, &forest, g.nodes().map(|v| (v, k)).collect()).unwrap();
+            (cost.messages, cost.rounds)
+        };
+        let (plain_1, plain_k) = (plain(1), plain(k));
+        let step = (
+            sim.messages - sim_1.messages + plain_1.0,
+            sim.rounds - sim_1.rounds + plain_1.1,
+        );
+        [step, plain_k]
+    }
+
+    /// Hub 0 with three forks, `a - b - c` and `a - d - e` at `a` = 1, 6, 11
+    /// (`b` = `a + 1` and so on), as one cluster centered at 0; `extra` edges
+    /// and nodes 16.. go with them, the latter as clusters of their own trees.
+    fn three_forks(
+        extra: &[(usize, usize)],
+        extra_parent: &[Option<usize>],
+    ) -> (Graph, LdcDecomposition) {
+        let mut edges = extra.to_vec();
+        let mut parent = vec![None; 16];
+        for a in [1, 6, 11] {
+            edges.extend([
+                (0, a),
+                (a, a + 1),
+                (a + 1, a + 2),
+                (a, a + 3),
+                (a + 3, a + 4),
+            ]);
+            parent[a] = Some(0);
+            parent[a + 1] = Some(a);
+            parent[a + 2] = Some(a + 1);
+            parent[a + 3] = Some(a);
+            parent[a + 4] = Some(a + 3);
+        }
+        parent.extend(extra_parent);
+        let g = Graph::from_edges(parent.len(), &edges);
+        let ldc = ldc_over_trees(&g, &parent);
+        (g, ldc)
+    }
+
+    #[test]
+    fn replicas_take_over_the_forks_of_a_hub() {
+        // t = Σ (deg + 1) + 1 = 30 + 16 + 1 = 47 words, no phase receipts (one
+        // cluster). With 20-word outputs a fork carries Out = 100 words; as a
+        // replica, 47 + 2 × 20 + 1 = 88 < 100 + 2 rounds, and its children
+        // (Out = 40 < 47) stay plain. The plain downcast's lower bound is 100.
+        let (g, ldc) = three_forks(&[], &[]);
+        let mut router = Router::new(&g).unwrap();
+        let (forest, _) = cast_forest(&mut router, &ldc, 3);
+        assert!(g
+            .nodes()
+            .all(|v| forest.parent(v) == ldc.clustering.forest(&g).unwrap().parent(v)));
+        let mut transcript = vec![0; 16];
+        transcript[0] = 47;
+        let plan = plan_outputs(&g, &forest, &[20; 16], &transcript).expect("the hub adopts");
+        let replicas: Vec<usize> = g
+            .nodes()
+            .filter(|v| plan.replica[v.index()])
+            .map(NodeId::index)
+            .collect();
+        assert_eq!(replicas, [1, 6, 11]);
+        assert!(
+            g.nodes()
+                .all(|v| plan.parent[v.index()] == forest.parent(v)),
+            "no member at depth 3 can move"
+        );
+        // Per fork: 47 words down 0 → a, then a's region, 20 + 40 words each
+        // way; the last word of c crosses a → b in round 47 + 40 and b → c the
+        // round after. Plain: 5 × 20 words queue on 0 → a, e's last crosses it
+        // in round 100 and reaches e in 102.
+        assert_eq!((plan.messages, plan.rounds), (3 * (47 + 120), 88));
+        let [step, plain] = output_steps(&g, &ldc, 20, 3);
+        assert_eq!((step, plain), ((501, 88), (3 * 220, 102)));
+    }
+
+    #[test]
+    fn replicas_that_only_tie_the_plain_lower_bound_are_rejected() {
+        // As above with 16-word outputs: each fork passes the per-node rule
+        // (47 + 33 < 80 + 2), but the schedule's bound, 47 + 33 = 80, only ties
+        // the plain downcast's lower bound, Out = 80: the plain downcast stays.
+        let (g, ldc) = three_forks(&[], &[]);
+        let forest = ldc.clustering.forest(&g).unwrap();
+        let mut transcript = vec![0; 16];
+        transcript[0] = 47;
+        assert!(plan_outputs(&g, &forest, &[16; 16], &transcript).is_none());
+        let [step, plain] = output_steps(&g, &ldc, 16, 3);
+        assert_eq!(step, plain);
+        assert_eq!(plain, (3 * 11 * 16, 5 * 16 + 2));
+    }
+
+    #[test]
+    fn a_multi_cluster_transcript_counts_its_phase_receipts() {
+        // The hub of three forks, plus the cluster 16 - 17, 16 - 18 whose
+        // leaves hang off the forks' tips 3 and 15 (beyond the hub's depth, so
+        // step 3c keeps it apart). BFS from 0 reaches 3 and 15 in one phase
+        // and 17 and 18 in the next: each side's center hears two F-edge
+        // words in one phase, 2 receipts and 1 count word.
+        let (g, ldc) = three_forks(
+            &[(16, 17), (16, 18), (3, 17), (15, 18)],
+            &[None, Some(16), Some(16)],
+        );
+        assert_eq!((ldc.clustering.len(), ldc.all_f_edges().count()), (2, 4));
+        let mut router = Router::new(&g).unwrap();
+        let (forest, _) = cast_forest(&mut router, &ldc, 3);
+        assert_eq!(forest.roots(), [NodeId::new(0), NodeId::new(16)]);
+        // Inputs 32 + 16 and 6 + 3 words, the seed, then the phases.
+        let mut transcript = vec![0; g.n()];
+        (transcript[0], transcript[16]) = (48 + 1 + 2 + 1, 9 + 1 + 2 + 1);
+        // With 17-word outputs the receipts keep the hub plain (52 + 35 is not
+        // below 85 + 2), while leaves 17 and 18 replicate (13 < 17).
+        let plan = plan_outputs(&g, &forest, &[17; 19], &transcript).expect("cluster 16 adopts");
+        let replicas: Vec<usize> = g
+            .nodes()
+            .filter(|v| plan.replica[v.index()])
+            .map(NodeId::index)
+            .collect();
+        assert_eq!(replicas, [17, 18]);
+        transcript[0] = 48 + 1;
+        let plan = plan_outputs(&g, &forest, &[17; 19], &transcript).expect("both adopt");
+        assert!(
+            [1, 6, 11].iter().all(|&a| plan.replica[a]),
+            "without receipts the forks replicate"
+        );
+        // The hub's plain downcast, 11 × 17 words per fork and 5 × 17 + 2
+        // rounds, beside 2 × 13 transcript words to the leaves.
+        let [step, plain] = output_steps(&g, &ldc, 17, 3);
+        assert_eq!(step, (3 * 11 * 17 + 2 * 13, 5 * 17 + 2));
+        assert_eq!(plain, (3 * 11 * 17 + 2 * 17, 5 * 17 + 2));
+    }
+
+    #[test]
+    fn a_silent_run_adopts_no_replica() {
+        // E-T2.1 reads the clusters it casts over off a silent payload's
+        // output step: exactly a 1-word plain downcast over the cast forest.
+        struct Silent;
+        impl BcongestAlgorithm for Silent {
+            type State = ();
+            type Msg = u32;
+            type Output = ();
+            fn name(&self) -> &'static str {
+                "silent"
+            }
+            fn init(&self, _: &congest_engine::LocalView<'_>) {}
+            fn broadcast(&self, _: &(), _: usize) -> Option<u32> {
+                None
+            }
+            fn on_broadcast_sent(&self, _: &mut (), _: usize) {}
+            fn receive(&self, _: &mut (), _: usize, _: &[(NodeId, u32)]) {}
+            fn is_done(&self, _: &()) -> bool {
+                true
+            }
+            fn output(&self, _: &()) {}
+            fn round_bound(&self, _: usize, _: usize) -> usize {
+                1
+            }
+            fn output_words(&self, _: &()) -> usize {
+                1
+            }
+        }
+        for (g, seed) in [
+            (generators::caveman(32, 4), 20250608),
+            (generators::gnp_connected(96, 0.06, 1), 1),
+            (generators::path(64), 1),
+            (generators::complete(40), 2),
+        ] {
+            let ldc = build_ldc(&g, seed).unwrap();
+            let opts = LdcSimOptions {
+                seed,
+                ..Default::default()
+            };
+            let sim = simulate_over_ldc(&Silent, &g, None, &ldc, &opts).unwrap();
+            let mut router = Router::new(&g).unwrap();
+            let (forest, _) = cast_forest(&mut router, &ldc, seed);
+            let mut transcript = vec![0; g.n()];
+            for v in g.nodes() {
+                transcript[forest.root_of(v).index()] += g.degree(v) as u64 + 1;
+            }
+            for r in forest.roots() {
+                transcript[r.index()] += 1;
+            }
+            assert!(plan_outputs(&g, &forest, &vec![1; g.n()], &transcript).is_none());
+            let plain =
+                downcast(&mut router, &forest, g.nodes().map(|v| (v, 1)).collect()).unwrap();
+            let step = sim
+                .metrics
+                .congestion()
+                .iter()
+                .zip(sim.preprocessing.congestion());
+            let step: Vec<u64> = step.map(|(total, pre)| total - pre).collect();
+            assert_eq!(step, plain.congestion());
         }
     }
 
@@ -1071,6 +1689,27 @@ mod tests {
             }
             let bounds = (ldc.strong_radius(&g), ldc.max_f_degree());
             prop_assert_eq!(validate_ldc(&g, &cast, bounds.0, bounds.1), Ok(()));
+        }
+
+        /// On sparse, often deep graphs (random trees, trees plus a few edges,
+        /// gnp at average degree 2.5) with `k`-word outputs: the output step
+        /// never costs more messages or rounds than the plain downcast.
+        #[test]
+        fn replicated_delivery_never_costs_more_than_the_plain_downcast(
+            family in 0usize..3,
+            n in 16usize..64,
+            k in 0usize..64,
+            seed in 0u64..500,
+        ) {
+            let g = match family {
+                0 => generators::random_tree(n, seed),
+                1 => generators::sparse_connected(n, n / 8, seed),
+                _ => generators::gnp_connected(n, 2.5 / n as f64, seed),
+            };
+            let ldc = build_ldc(&g, seed).unwrap();
+            let [step, plain] = output_steps(&g, &ldc, k.max(1), seed);
+            prop_assert!(step.0 <= plain.0, "messages {} > {}", step.0, plain.0);
+            prop_assert!(step.1 <= plain.1, "rounds {} > {}", step.1, plain.1);
         }
 
         /// On gnp, caveman and grid LDCs: the same clusters, every parent edge

@@ -136,21 +136,6 @@ pub fn check_mst(wg: &WeightedGraph, edges: &[EdgeId]) -> Result<(), String> {
     Ok(())
 }
 
-/// Checks a realized message count against a closed-form budget (e.g.
-/// [`congest_algos::mst::message_bound`]).
-///
-/// # Errors
-///
-/// Reports the overdraft.
-pub fn check_message_budget(what: &str, messages: u64, budget: u64) -> Result<(), String> {
-    if messages > budget {
-        return Err(format!(
-            "{what}: {messages} messages exceed budget {budget}"
-        ));
-    }
-    Ok(())
-}
-
 /// Checks a matching is a *maximum* matching of a bipartite graph.
 ///
 /// # Errors
@@ -217,13 +202,6 @@ mod tests {
         let mut wrong = want.edges.clone();
         wrong[0] = non_tree;
         assert!(check_mst(&wg, &wrong).is_err());
-    }
-
-    #[test]
-    fn message_budget_checker() {
-        check_message_budget("mst", 10, 10).unwrap();
-        let err = check_message_budget("mst", 11, 10).unwrap_err();
-        assert!(err.contains("exceed"));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use congest_apsp::algos::mst::{distributed_mst, message_bound, MstConfig};
 use congest_apsp::apsp_core::mst_tradeoff::{mst_tradeoff, MstRoute};
-use congest_apsp::apsp_core::verify::{check_message_budget, check_mst};
+use congest_apsp::apsp_core::verify::check_mst;
 use congest_apsp::graph::{generators, reference, Graph, WeightedGraph};
 
 /// The families the issue calls out: random, grid, expander-ish, and the pathological
@@ -118,7 +118,11 @@ fn message_counts_respect_the_budget_across_sizes() {
             },
         )
         .unwrap();
-        check_message_budget("ghs-mst", run.metrics.messages, budget).unwrap();
+        let messages = run.metrics.messages;
+        assert!(
+            messages <= budget,
+            "ghs-mst: {messages} messages exceed budget {budget}"
+        );
         check_mst(&wg, &run.edges).unwrap();
     }
 }
