@@ -129,13 +129,7 @@ pub(crate) fn simulate_over_ldc<A: BcongestAlgorithm>(
     // by the transport below. Per root: its center's transcript so far, step
     // 3's inputs and the seed word; each phase adds the words that climb into
     // the center and, if there are any, one count word.
-    let mut transcript = vec![0u64; n];
-    for v in g.nodes() {
-        transcript[forest.root_of(v).index()] += g.degree(v) as u64 + 1;
-    }
-    for r in forest.roots() {
-        transcript[r.index()] += 1;
-    }
+    let mut transcript = input_transcript(g, &forest);
     let mut heard_in = vec![usize::MAX; n];
     let phase_budget = phase_budget_rounds(n);
     let transport = |phase: usize,
@@ -197,6 +191,19 @@ pub(crate) fn simulate_over_ldc<A: BcongestAlgorithm>(
     metrics.merge_sequential(&deliver_outputs(&mut router, &forest, &words, &transcript)?);
 
     Ok(SimulationRun::assemble(payload, metrics, preprocessing))
+}
+
+/// Per root of `forest`: its center's transcript before the phases, step 3's
+/// `deg + 1` input words per member and one seed word.
+fn input_transcript(g: &Graph, forest: &Forest) -> Vec<u64> {
+    let mut transcript = vec![0u64; g.n()];
+    for v in g.nodes() {
+        transcript[forest.root_of(v).index()] += g.degree(v) as u64 + 1;
+    }
+    for r in forest.roots() {
+        transcript[r.index()] += 1;
+    }
+    transcript
 }
 
 /// §2.2 step 2b: every cluster elects the member with the most cluster
@@ -370,14 +377,7 @@ fn balanced_parents(g: &Graph, forest: &Forest) -> (Vec<Option<NodeId>>, Vec<u32
             old_head[v.index()] = v;
             new_head[v.index()] = v;
         } else {
-            let (root, depth) = (forest.root_of(v), forest.depth_of(v));
-            let q = g
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&u| forest.root_of(u) == root && forest.depth_of(u) + 1 == depth)
-                .min_by_key(|&u| (new_size[new_head[u.index()].index()], u))
-                .expect("the old parent is eligible");
+            let q = lightest_parent(g, forest, v, |u| (new_size[new_head[u.index()].index()], u));
             parent[v.index()] = Some(q);
             old_head[v.index()] = old_head[p.index()];
             new_head[v.index()] = new_head[q.index()];
@@ -727,8 +727,8 @@ fn phase_casts(forest: &Forest, hops: impl IntoIterator<Item = (NodeId, EdgeId)>
 /// word that climbed into it in a phase and a count word per phase that had
 /// any), so a member that receives it, a *replica*, computes its region's
 /// outputs itself, and the tree edge into it carries the transcript instead of
-/// its subtree's outputs. In a cluster that [`plan_outputs`] adopts replicas
-/// for, one routed schedule of existing casts:
+/// its subtree's outputs. One routed schedule of existing casts, over the
+/// replicas and output tree [`plan_outputs`] picks:
 /// 1. *re-parent*: one word down `forest` to each member the output tree
 ///    moves, which sends one word to its new parent on arrival; a word-less
 ///    upcast from each new parent holds the center until the last is in (a
@@ -740,10 +740,11 @@ fn phase_casts(forest: &Forest, hops: impl IntoIterator<Item = (NodeId, EdgeId)>
 ///    every replica's parent edge cut; a region's words leave its root (the
 ///    center or a replica) once the steps above are in there.
 ///
-/// Every other cluster gets the plain downcast over `forest`, in the same
-/// schedule. It is a valid CONGEST schedule as a phase is: the `Router` moves
-/// one word per directed edge and round, and a word leaves a node only once
-/// what it is computed from is there.
+/// A cluster that adopts nothing has no replica and no moved member: steps 1
+/// and 2 are empty there, its regions are its tree, and its share is the plain
+/// downcast over `forest`. The schedule is a valid CONGEST schedule as a phase
+/// is: the `Router` moves one word per directed edge and round, and a word
+/// leaves a node only once what it is computed from is there.
 fn deliver_outputs(
     router: &mut Router<'_>,
     forest: &Forest,
@@ -751,10 +752,7 @@ fn deliver_outputs(
     transcript: &[u64],
 ) -> Result<Metrics, EngineError> {
     let g = router.graph();
-    let outputs = || g.nodes().map(|v| (v, words[v.index()] as usize)).collect();
-    let Some(plan) = plan_outputs(g, forest, words, transcript) else {
-        return downcast(router, forest, outputs());
-    };
+    let plan = plan_outputs(g, forest, words, transcript);
     let output = Forest::from_parents(g, plan.parent)?;
     let region = g.nodes().map(|v| {
         if plan.replica[v.index()] {
@@ -812,7 +810,7 @@ fn deliver_outputs(
     }
     casts.push(Cast::Down {
         forest: &regions,
-        items: outputs(),
+        items: g.nodes().map(|v| (v, words[v.index()] as usize)).collect(),
         after: (2..casts.len()).collect(),
     });
     let cost = route_casts(router, &casts)?;
@@ -826,10 +824,9 @@ fn deliver_outputs(
     Ok(cost)
 }
 
-/// Where some cluster adopts replicas, [`deliver_outputs`]' plan: per node,
-/// its parent in the output tree and whether it is a replica (`forest`'s
-/// parent and no replica in every other cluster), and the schedule's messages
-/// and a bound on its rounds.
+/// [`deliver_outputs`]' plan: per node, its parent in the output tree and
+/// whether it is a replica (`forest`'s parent and no replica in a cluster that
+/// adopts nothing), and the schedule's messages and a bound on its rounds.
 #[derive(Debug)]
 struct OutputPlan {
     parent: Vec<Option<NodeId>>,
@@ -857,14 +854,9 @@ struct OutputPlan {
 ///    of depth(p) + Out(T_c)` over `forest`, and its messages, re-parenting
 ///    included, are at most the plain downcast's.
 ///
-/// `None` when no cluster adopts. A 1-word output never replicates: `t`
-/// counts `deg + 1` input words per member, more than a subtree's outputs.
-fn plan_outputs(
-    g: &Graph,
-    forest: &Forest,
-    words: &[u64],
-    transcript: &[u64],
-) -> Option<OutputPlan> {
+/// A 1-word output never replicates: `t` counts `deg + 1` input words per
+/// member, more than a subtree's outputs.
+fn plan_outputs(g: &Graph, forest: &Forest, words: &[u64], transcript: &[u64]) -> OutputPlan {
     let n = g.n();
     let root = |v: NodeId| forest.root_of(v).index();
     let mut order: Vec<NodeId> = g.nodes().collect();
@@ -945,9 +937,6 @@ fn plan_outputs(
     }
     let adopted = |r: usize| plain[r] + reparent[r] - saved[r];
     let adopts = |r: usize| has_replica[r] && finish[r] < lower[r] && adopted(r) <= plain[r];
-    if !forest.roots().iter().any(|r| adopts(r.index())) {
-        return None;
-    }
     let (mut messages, mut rounds) = (0, 0);
     for r in forest.roots().iter().map(|r| r.index()) {
         let (m, bound) = if adopts(r) {
@@ -959,7 +948,7 @@ fn plan_outputs(
         rounds = rounds.max(bound);
     }
     let keeps = |v: NodeId| !adopts(root(v));
-    Some(OutputPlan {
+    OutputPlan {
         parent: g
             .nodes()
             .map(|v| {
@@ -973,7 +962,7 @@ fn plan_outputs(
         replica: g.nodes().map(|v| !keeps(v) && replica[v.index()]).collect(),
         messages,
         rounds,
-    })
+    }
 }
 
 /// Per node of the tree `parent` makes (`order` lists its nodes by depth):
@@ -1021,21 +1010,14 @@ fn output_parents(
     let mut load = vec![0u64; n];
     for &v in order {
         let Some(p) = forest.parent(v) else { continue };
-        let (depth, root) = (forest.depth_of(v), forest.root_of(v));
+        let depth = forest.depth_of(v);
         let q = if depth < 3 {
             p
         } else {
-            let eligible = g
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&u| forest.root_of(u) == root && forest.depth_of(u) + 1 == depth);
-            eligible
-                .min_by_key(|&u| {
-                    let (one, two) = heads[u.index()];
-                    (load[two.index()], load[one.index()], u)
-                })
-                .expect("the old parent is eligible")
+            lightest_parent(g, forest, v, |u| {
+                let (one, two) = heads[u.index()];
+                (load[two.index()], load[one.index()], u)
+            })
         };
         parent[v.index()] = Some(q);
         heads[v.index()] = match depth {
@@ -1050,6 +1032,23 @@ fn output_parents(
         }
     }
     parent
+}
+
+/// Among the parents a non-root `v` of `forest` may take, its neighbours in its
+/// tree one level up (its old parent included), the one with the least `key`.
+fn lightest_parent<K: Ord>(
+    g: &Graph,
+    forest: &Forest,
+    v: NodeId,
+    mut key: impl FnMut(NodeId) -> K,
+) -> NodeId {
+    let (root, depth) = (forest.root_of(v), forest.depth_of(v));
+    g.neighbors(v)
+        .iter()
+        .copied()
+        .filter(|&u| forest.root_of(u) == root && forest.depth_of(u) + 1 == depth)
+        .min_by_key(|&u| key(u))
+        .expect("the old parent is eligible")
 }
 
 /// The §2.2 worst-case phase budget `Θ(n log n)`.
@@ -1274,7 +1273,7 @@ mod tests {
             .all(|v| forest.parent(v) == ldc.clustering.forest(&g).unwrap().parent(v)));
         let mut transcript = vec![0; 16];
         transcript[0] = 47;
-        let plan = plan_outputs(&g, &forest, &[20; 16], &transcript).expect("the hub adopts");
+        let plan = plan_outputs(&g, &forest, &[20; 16], &transcript);
         let replicas: Vec<usize> = g
             .nodes()
             .filter(|v| plan.replica[v.index()])
@@ -1304,7 +1303,8 @@ mod tests {
         let forest = ldc.clustering.forest(&g).unwrap();
         let mut transcript = vec![0; 16];
         transcript[0] = 47;
-        assert!(plan_outputs(&g, &forest, &[16; 16], &transcript).is_none());
+        let plan = plan_outputs(&g, &forest, &[16; 16], &transcript);
+        assert!(!plan.replica.contains(&true));
         let [step, plain] = output_steps(&g, &ldc, 16, 3);
         assert_eq!(step, plain);
         assert_eq!(plain, (3 * 11 * 16, 5 * 16 + 2));
@@ -1330,7 +1330,7 @@ mod tests {
         (transcript[0], transcript[16]) = (48 + 1 + 2 + 1, 9 + 1 + 2 + 1);
         // With 17-word outputs the receipts keep the hub plain (52 + 35 is not
         // below 85 + 2), while leaves 17 and 18 replicate (13 < 17).
-        let plan = plan_outputs(&g, &forest, &[17; 19], &transcript).expect("cluster 16 adopts");
+        let plan = plan_outputs(&g, &forest, &[17; 19], &transcript);
         let replicas: Vec<usize> = g
             .nodes()
             .filter(|v| plan.replica[v.index()])
@@ -1338,7 +1338,7 @@ mod tests {
             .collect();
         assert_eq!(replicas, [17, 18]);
         transcript[0] = 48 + 1;
-        let plan = plan_outputs(&g, &forest, &[17; 19], &transcript).expect("both adopt");
+        let plan = plan_outputs(&g, &forest, &[17; 19], &transcript);
         assert!(
             [1, 6, 11].iter().all(|&a| plan.replica[a]),
             "without receipts the forks replicate"
@@ -1393,14 +1393,12 @@ mod tests {
             let sim = simulate_over_ldc(&Silent, &g, None, &ldc, &opts).unwrap();
             let mut router = Router::new(&g).unwrap();
             let (forest, _) = cast_forest(&mut router, &ldc, seed);
-            let mut transcript = vec![0; g.n()];
-            for v in g.nodes() {
-                transcript[forest.root_of(v).index()] += g.degree(v) as u64 + 1;
-            }
-            for r in forest.roots() {
-                transcript[r.index()] += 1;
-            }
-            assert!(plan_outputs(&g, &forest, &vec![1; g.n()], &transcript).is_none());
+            let transcript = input_transcript(&g, &forest);
+            let plan = plan_outputs(&g, &forest, &vec![1; g.n()], &transcript);
+            assert!(!plan.replica.contains(&true));
+            assert!(g
+                .nodes()
+                .all(|v| plan.parent[v.index()] == forest.parent(v)));
             let plain =
                 downcast(&mut router, &forest, g.nodes().map(|v| (v, 1)).collect()).unwrap();
             let step = sim
