@@ -166,23 +166,8 @@ pub struct NetworkSetup {
 /// Propagates engine errors (round-limit, invalid forest — neither can occur on a
 /// connected graph).
 pub fn setup_network(g: &Graph, seed: u64) -> Result<NetworkSetup, EngineError> {
-    setup_network_with(g, seed, &congest_engine::ExecutorConfig::default())
-}
-
-/// [`setup_network`] with an explicit executor for the election run's per-node
-/// phases. Setup results are identical at every thread count.
-///
-/// # Errors
-///
-/// Propagates engine errors, like [`setup_network`].
-pub fn setup_network_with(
-    g: &Graph,
-    seed: u64,
-    exec: &congest_engine::ExecutorConfig,
-) -> Result<NetworkSetup, EngineError> {
     let opts = RunOptions {
         seed,
-        exec: exec.clone(),
         ..RunOptions::default()
     };
     let run = run_bcongest(&LeaderElect, g, None, &opts)?;

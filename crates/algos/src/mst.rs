@@ -30,14 +30,11 @@
 //! has at least `k` nodes — the handoff point for the trade-off finisher in
 //! `apsp_core::mst_tradeoff`.
 //!
-//! Like every runner in this workspace the phase scans honor
-//! [`MstConfig::exec`]: per-node work is chunk-parallel and the result — edges,
-//! fragments, metrics, per-edge congestion — is byte-identical at every thread count.
-//! The whole run (and each tree primitive inside it) can be capped by
-//! [`MstConfig::message_budget`].
+//! The phase scans run sequentially. The whole run (and each tree primitive inside
+//! it) can be capped by [`MstConfig::message_budget`].
 
 use congest_engine::treeops::{self, Forest};
-use congest_engine::{exec, EngineError, ExecutorConfig, Metrics, Router, Wire};
+use congest_engine::{EngineError, Metrics, Router, Wire};
 use congest_graph::{EdgeId, NodeId, WeightedGraph};
 
 /// Convergecast payload of the MWOE search: the lightest known outgoing edge of (part
@@ -94,9 +91,6 @@ impl Wire for MwoeMsg {}
 /// randomness is consumed), so there is no seed.
 #[derive(Clone, Debug, Default)]
 pub struct MstConfig {
-    /// How per-node phase scans execute. Outputs and metrics are identical at every
-    /// thread count.
-    pub exec: ExecutorConfig,
     /// Hard cap on total messages; the run fails with
     /// [`EngineError::BudgetExceeded`] instead of overspending. `None` = unlimited.
     pub message_budget: Option<u64>,
@@ -167,25 +161,20 @@ pub fn distributed_mst(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstRun, En
     let mut phases = 0u64;
     let mut complete = false;
     loop {
-        // Per-node MWOE candidates (chunk-parallel; concatenation in chunk order).
-        let cands: Vec<MwoeMsg> = exec::map_ranges(&cfg.exec, n, |range| {
-            range
-                .map(|vi| {
-                    let lightest = wg
-                        .incident(NodeId::new(vi))
-                        .filter(|&(_, u, _)| fragment[u.index()] != fragment[vi])
-                        .min_by_key(|&(e, _, w)| (w, e));
-                    lightest.map_or(MwoeMsg::NONE, |(e, _, _)| MwoeMsg {
-                        edge: e.index() as u32,
-                        owner: vi as u32,
-                        size: 1,
-                    })
+        // Per-node MWOE candidates.
+        let cands: Vec<MwoeMsg> = (0..n)
+            .map(|vi| {
+                let lightest = wg
+                    .incident(NodeId::new(vi))
+                    .filter(|&(_, u, _)| fragment[u.index()] != fragment[vi])
+                    .min_by_key(|&(e, _, w)| (w, e));
+                lightest.map_or(MwoeMsg::NONE, |(e, _, _)| MwoeMsg {
+                    edge: e.index() as u32,
+                    owner: vi as u32,
+                    size: 1,
                 })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+            })
+            .collect();
 
         // Termination: no fragment has an outgoing edge ⇒ fragments = components.
         if cands.iter().all(|c| c.is_none()) {

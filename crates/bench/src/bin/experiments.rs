@@ -1,4 +1,4 @@
-//! Experiment harness: regenerates every table in EXPERIMENTS.md.
+//! Experiment harness: prints every table DESIGN.md §4 indexes to stdout.
 //!
 //! Usage:
 //!

@@ -1,5 +1,5 @@
 //! The experiment suite: one function per paper claim (see DESIGN.md §4). Each
-//! returns a [`Table`] for EXPERIMENTS.md.
+//! returns a [`Table`] that the `experiments` binary prints to stdout.
 
 use crate::table::{f2, fit_exponent, Table};
 use apsp_core::bfs_trees::all_bfs_batched;
@@ -11,7 +11,6 @@ use congest_algos::bfs::Bfs;
 use congest_algos::bfs_collection::BfsCollection;
 use congest_algos::matching_bipartite::BipartiteMatching;
 use congest_algos::mis::LubyMis;
-use congest_decomp::cover::NeighborhoodCover;
 use congest_decomp::ensemble::{cluster_edge_frequency, Ensemble};
 use congest_decomp::ldc::{build_ldc, LdcDecomposition};
 use congest_decomp::pruning::{max_proper_subtree, prune};
@@ -713,9 +712,6 @@ pub fn equality_smoke(seed: u64) -> bool {
     .expect("sim");
     sim.outputs == direct.outputs
 }
-
-/// Keep a reference to the cover type so the docs link resolves.
-pub type CoverAlgorithm = NeighborhoodCover;
 
 /// E-EXT — the paper's concluding open question, prototyped: weighted APSP through
 /// the trade-off simulations (receiver-aware aggregation; see

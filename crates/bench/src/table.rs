@@ -1,4 +1,5 @@
-//! Plain-text experiment tables (rendered into EXPERIMENTS.md) and log–log fitting.
+//! Plain-text experiment tables (printed by the `experiments` binary; DESIGN.md §4
+//! indexes them) and log–log fitting.
 
 use std::fmt::Write as _;
 

@@ -6,9 +6,7 @@
 //! contains a landmark w.h.p., so far pairs come out exact.
 
 use congest_algos::bfs::{Bfs, BfsOutput};
-use congest_engine::{
-    run_bcongest, upcast, EngineError, ExecutorConfig, Forest, Metrics, Router, RunOptions,
-};
+use congest_engine::{run_bcongest, upcast, EngineError, Forest, Metrics, Router, RunOptions};
 use congest_graph::{rng, Graph, NodeId};
 use rand::Rng;
 
@@ -31,22 +29,6 @@ pub struct LandmarkResult {
 ///
 /// Propagates engine errors from the BFS runs.
 pub fn landmark_distances(g: &Graph, p: f64, seed: u64) -> Result<LandmarkResult, EngineError> {
-    landmark_distances_with(g, p, seed, &ExecutorConfig::default())
-}
-
-/// [`landmark_distances`] with the BFS runs' per-node phases executed under
-/// `exec` — distances and metrics are identical at every thread count (the
-/// engine's determinism contract), so the executor is a wall-clock knob only.
-///
-/// # Errors
-///
-/// Propagates engine errors from the BFS runs.
-pub fn landmark_distances_with(
-    g: &Graph,
-    p: f64,
-    seed: u64,
-    exec: &ExecutorConfig,
-) -> Result<LandmarkResult, EngineError> {
     let n = g.n();
     let mut metrics = Metrics::new(g.m());
     let mut r = rng::seeded(rng::derive(seed, 0x1a9d_0001));
@@ -65,7 +47,6 @@ pub fn landmark_distances_with(
             None,
             &RunOptions {
                 seed: rng::derive(seed, 0x1a9d_1000 + i as u64),
-                exec: exec.clone(),
                 ..Default::default()
             },
         )?;

@@ -17,9 +17,9 @@
 //! the `(weight, EdgeId)` total order — so every point of the sweep is differentially
 //! checked against the sequential oracles.
 
-use congest_algos::leader::setup_network_with;
+use congest_algos::leader::setup_network;
 use congest_algos::mst::{distributed_mst, MstConfig, MstRun};
-use congest_engine::{treeops, EngineError, ExecutorConfig, Metrics, Router};
+use congest_engine::{treeops, EngineError, Metrics, Router};
 use congest_graph::{reference, EdgeId, NodeId, WeightedGraph};
 use std::collections::BTreeMap;
 
@@ -58,30 +58,9 @@ pub fn mst_tradeoff(
     k: usize,
     seed: u64,
 ) -> Result<MstTradeoffResult, EngineError> {
-    mst_tradeoff_with(wg, k, seed, &ExecutorConfig::default())
-}
-
-/// [`mst_tradeoff`] with an explicit executor for every per-node phase. Edges and
-/// metrics are identical at every thread count.
-///
-/// # Errors
-///
-/// Propagates engine errors, like [`mst_tradeoff`].
-pub fn mst_tradeoff_with(
-    wg: &WeightedGraph,
-    k: usize,
-    seed: u64,
-    exec: &ExecutorConfig,
-) -> Result<MstTradeoffResult, EngineError> {
     let n = wg.n();
     if k >= n.max(1) {
-        let run = distributed_mst(
-            wg,
-            &MstConfig {
-                exec: exec.clone(),
-                ..Default::default()
-            },
-        )?;
+        let run = distributed_mst(wg, &MstConfig::default())?;
         return Ok(MstTradeoffResult {
             edges: run.edges,
             total_weight: run.total_weight,
@@ -95,7 +74,6 @@ pub fn mst_tradeoff_with(
     let part1 = distributed_mst(
         wg,
         &MstConfig {
-            exec: exec.clone(),
             growth_threshold: Some(k.max(2)),
             ..Default::default()
         },
@@ -104,7 +82,7 @@ pub fn mst_tradeoff_with(
     let mut edges = part1.edges.clone();
 
     if !part1.complete {
-        let (chosen, finish_metrics) = central_finish(wg, &part1, seed, exec)?;
+        let (chosen, finish_metrics) = central_finish(wg, &part1, seed)?;
         metrics.merge_sequential(&finish_metrics);
         edges.extend(chosen);
         edges.sort_unstable();
@@ -127,10 +105,9 @@ fn central_finish(
     wg: &WeightedGraph,
     part1: &MstRun,
     seed: u64,
-    exec: &ExecutorConfig,
 ) -> Result<(Vec<EdgeId>, Metrics), EngineError> {
     let g = wg.graph();
-    let setup = setup_network_with(g, seed, exec)?;
+    let setup = setup_network(g, seed)?;
     let mut metrics = setup.metrics;
 
     // Each node's lightest incident edge per neighboring fragment — the only crossing

@@ -37,7 +37,7 @@
 
 use crate::simulate::common::{payload_options, SimulationRun};
 use crate::simulate::phase::{batch_words, LevelClusters, PhaseWorkspace};
-use congest_algos::leader::{setup_network_with, NetworkSetup};
+use congest_algos::leader::{setup_network, NetworkSetup};
 use congest_decomp::Hierarchy;
 use congest_engine::{
     route_casts, run_bcongest_over, upcast, AggregationAlgorithm, Cast, EngineError, Metrics,
@@ -56,9 +56,9 @@ pub struct AggSimOptions {
     /// metrics (on by default; turn off when the hierarchy is shared across runs,
     /// e.g. in the Lemma 3.23 batches, and accounted once by the caller).
     pub charge_hierarchy: bool,
-    /// How per-node phases execute (the payload's round loop and the
-    /// preprocessing runs). Outputs and metrics are identical at every thread
-    /// count.
+    /// How the payload's round loop executes its per-node phases (the
+    /// preprocessing runs sequentially). Outputs and metrics are identical at
+    /// every thread count.
     pub exec: congest_engine::ExecutorConfig,
 }
 
@@ -167,7 +167,7 @@ pub(crate) fn simulate_general_with_setup<A: AggregationAlgorithm>(
 
     // ---- Preprocessing ----
     if setup.is_none() {
-        metrics.merge_sequential(&setup_network_with(g, opts.seed, &opts.exec)?.metrics);
+        metrics.merge_sequential(&setup_network(g, opts.seed)?.metrics);
     }
     if opts.charge_hierarchy {
         metrics.merge_sequential(&h.metrics);

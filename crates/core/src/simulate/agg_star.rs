@@ -28,7 +28,7 @@
 
 use crate::simulate::common::{payload_options, SimulationRun};
 use crate::simulate::phase::{batch_words, LevelClusters, PhaseWorkspace};
-use congest_algos::leader::{setup_network_with, NetworkSetup};
+use congest_algos::leader::{setup_network, NetworkSetup};
 use congest_decomp::Hierarchy;
 use congest_engine::{
     route_casts, run_bcongest_over, upcast, AggregationAlgorithm, Cast, EngineError, Metrics,
@@ -82,7 +82,7 @@ pub(crate) fn simulate_star_with_setup<A: AggregationAlgorithm>(
 
     // ---- Preprocessing (identical to the general simulation) ----
     if setup.is_none() {
-        metrics.merge_sequential(&setup_network_with(g, opts.seed, &opts.exec)?.metrics);
+        metrics.merge_sequential(&setup_network(g, opts.seed)?.metrics);
     }
     if opts.charge_hierarchy {
         metrics.merge_sequential(&h.metrics);

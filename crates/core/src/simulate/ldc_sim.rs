@@ -44,7 +44,7 @@
 //! and an LDC missing an F-edge is shown to break them (the unit tests).
 
 use crate::simulate::common::{payload_options, SimulationRun};
-use congest_algos::leader::setup_network_with;
+use congest_algos::leader::setup_network;
 use congest_decomp::ldc::{build_ldc, FEdge, LdcDecomposition};
 use congest_decomp::mpx::Clustering;
 use congest_engine::{
@@ -63,9 +63,9 @@ pub struct LdcSimOptions {
     /// Pad every phase to the worst-case `Θ(n log n)` budget of §2.2 instead of the
     /// realized schedule length.
     pub strict_phase_budget: bool,
-    /// How per-node phases execute (the payload's round loop and the
-    /// preprocessing runs). Outputs and metrics are identical at every thread
-    /// count.
+    /// How the payload's round loop executes its per-node phases (the
+    /// preprocessing runs sequentially). Outputs and metrics are identical at
+    /// every thread count.
     pub exec: congest_engine::ExecutorConfig,
 }
 
@@ -100,7 +100,7 @@ pub(crate) fn simulate_over_ldc<A: BcongestAlgorithm>(
     let mut metrics = Metrics::new(g.m());
 
     // ---- Preprocessing ----
-    let setup = setup_network_with(g, opts.seed, &opts.exec)?;
+    let setup = setup_network(g, opts.seed)?;
     metrics.merge_sequential(&setup.metrics);
     metrics.merge_sequential(&ldc.metrics);
     // Step 2b: each cluster re-elects its center at its best-connected member

@@ -175,7 +175,7 @@ impl Hierarchy {
                         // case (1) covers it).
                         dropout[v.index()] = i + 1;
                         l_nodes.push(v);
-                        f_edges.extend(representative_edges(g, v, prev, my_old));
+                        f_edges.extend(representative_edges(g, v, prev, Some(my_old)));
                     }
                 }
             }
@@ -238,14 +238,20 @@ impl Hierarchy {
 }
 
 /// One representative edge from `v` into each neighboring cluster of `level`
-/// (excluding `own`): the smallest-ID neighbor in each.
-fn representative_edges(g: &Graph, v: NodeId, level: &Level, own: ClusterId) -> Vec<FEdge> {
+/// (excluding `own`, `v`'s own cluster there if it has one): the smallest-ID
+/// neighbor in each. Sorted by target cluster.
+pub(crate) fn representative_edges(
+    g: &Graph,
+    v: NodeId,
+    level: &Level,
+    own: Option<ClusterId>,
+) -> Vec<FEdge> {
     let mut reps: Vec<(ClusterId, NodeId)> = Vec::new();
     for &u in g.neighbors(v) {
         let Some(cu) = level.cluster_of[u.index()] else {
             continue;
         };
-        if cu == own {
+        if Some(cu) == own {
             continue;
         }
         match reps.iter_mut().find(|(c, _)| *c == cu) {
@@ -272,8 +278,9 @@ fn representative_edges(g: &Graph, v: NodeId, level: &Level, own: ClusterId) -> 
 ///
 /// * (a) level-`i` clusters are disjoint, partition `V_i`, and have tree radius ≤ `i`
 ///   (trees are built from graph edges);
-/// * (b′) every F-edge of `L_i` points to a distinct `C_{i-1}` cluster per owner
-///   (the `O(n^ε log n)` count is measured by the experiments, not asserted here);
+/// * (b′) every F-edge of `L_i` points to a distinct `C_{i-1}` cluster per owner,
+///   never the owner's own (the `O(n^ε log n)` count is measured by the
+///   experiments, not asserted here);
 /// * (c) every graph edge `(u,v)` with `dropout(u) ≤ dropout(v)` is covered: either a
 ///   common cluster at level `dropout(u)-1`, or an F-edge of `u` into `v`'s cluster.
 pub fn validate_hierarchy(g: &Graph, h: &Hierarchy) -> Result<(), String> {
@@ -332,7 +339,8 @@ pub fn validate_hierarchy(g: &Graph, h: &Hierarchy) -> Result<(), String> {
                 ));
             }
         }
-        // F-edges: owners in L_i, distinct targets per owner, targets in C_{i-1}.
+        // F-edges: owners in L_i, distinct targets per owner, targets in C_{i-1}
+        // other than the owner's own.
         if lvl.index > 0 {
             let prev = &h.levels[lvl.index - 1];
             let mut per_owner: Vec<Vec<ClusterId>> = vec![Vec::new(); g.n()];
@@ -342,6 +350,9 @@ pub fn validate_hierarchy(g: &Graph, h: &Hierarchy) -> Result<(), String> {
                 }
                 if prev.cluster_of[f.other.index()] != Some(f.target) {
                     return Err(format!("F-edge {f:?} misses its target cluster"));
+                }
+                if prev.cluster_of[f.owner.index()] == Some(f.target) {
+                    return Err(format!("F-edge {f:?} points into its owner's own cluster"));
                 }
                 if per_owner[f.owner.index()].contains(&f.target) {
                     return Err(format!("duplicate F target for {:?}", f.owner));

@@ -106,8 +106,6 @@ impl NeighborhoodCover {
     /// Per-node, per-rep start round (within the window) and tie fraction — pure.
     fn rep_params(&self, seed: u64, rep: usize) -> (usize, u32) {
         let mut r = rng::seeded(rng::derive(seed, 0xc0fe_0000 ^ rep as u64));
-        let tf = 3.0 * 2f64.ln().max(1.0) / self.beta; // placeholder; replaced below
-        let _ = tf;
         let u: f64 = r.random::<f64>().max(f64::MIN_POSITIVE);
         let horizon = (self.window - 6) as f64 / 2.0;
         let delta = (-u.ln() / self.beta).min(horizon);

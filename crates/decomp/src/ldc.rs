@@ -55,22 +55,7 @@ impl LdcDecomposition {
 ///
 /// Propagates engine errors (round-limit; cannot occur for valid parameters).
 pub fn build_ldc(g: &Graph, seed: u64) -> Result<LdcDecomposition, EngineError> {
-    build_ldc_with(g, seed, &congest_engine::ExecutorConfig::default())
-}
-
-/// [`build_ldc`] with an explicit executor for the distributed MPX run (the
-/// workload registry's LDC entry routes the thread matrix through here).
-/// Decomposition and metrics are identical at every thread count.
-///
-/// # Errors
-///
-/// Propagates engine errors.
-pub fn build_ldc_with(
-    g: &Graph,
-    seed: u64,
-    exec: &congest_engine::ExecutorConfig,
-) -> Result<LdcDecomposition, EngineError> {
-    let run = mpx::run_mpx_with(g, 0.5, seed, exec)?;
+    let run = mpx::run_mpx(g, 0.5, seed)?;
     let clustering = run.clustering;
     let mut f_edges: Vec<Vec<FEdge>> = vec![Vec::new(); g.n()];
     for v in g.nodes() {

@@ -381,23 +381,15 @@ pub struct MpxRun {
     pub metrics: congest_engine::Metrics,
 }
 
-/// Runs the distributed MPX decomposition on `g`. The underlying BCONGEST run
-/// honors `exec`, and — like every runner in the workspace — produces identical
-/// clusterings and [`congest_engine::Metrics`] at every thread count.
+/// Runs the distributed MPX decomposition on `g` as one BCONGEST run.
 ///
 /// # Errors
 ///
 /// Propagates engine errors (round-limit; cannot occur for valid parameters).
-pub fn run_mpx_with(
-    g: &Graph,
-    beta: f64,
-    seed: u64,
-    exec: &congest_engine::ExecutorConfig,
-) -> Result<MpxRun, congest_engine::EngineError> {
+pub fn run_mpx(g: &Graph, beta: f64, seed: u64) -> Result<MpxRun, congest_engine::EngineError> {
     let algo = MpxAlgorithm::new(beta);
     let opts = congest_engine::RunOptions {
         seed,
-        exec: exec.clone(),
         ..Default::default()
     };
     let run = congest_engine::run_bcongest(&algo, g, None, &opts)?;
@@ -419,14 +411,13 @@ pub fn run_mpx_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_engine::ExecutorConfig;
     use congest_graph::generators;
 
     #[test]
     fn partitions_and_trees_are_valid() {
         for seed in 0..5 {
             let g = generators::gnp_connected(50, 0.08, seed);
-            let run = run_mpx_with(&g, 0.5, seed, &ExecutorConfig::default()).unwrap();
+            let run = run_mpx(&g, 0.5, seed).unwrap();
             let c = &run.clustering;
             // Partition: every node in exactly one cluster.
             let total: usize = c.clusters.iter().map(|(_, m)| m.len()).sum();
@@ -445,7 +436,7 @@ mod tests {
     #[test]
     fn strong_radius_is_logarithmic() {
         let g = generators::gnp_connected(80, 0.06, 3);
-        let run = run_mpx_with(&g, 0.5, 7, &ExecutorConfig::default()).unwrap();
+        let run = run_mpx(&g, 0.5, 7).unwrap();
         let r = run.clustering.strong_radius(&g);
         // Radius ≤ horizon = 3 ln n / β ≈ 26; and tree depth matches.
         let bound = MpxAlgorithm::new(0.5).horizon(g.n()).ceil() as u32 + 1;
@@ -456,7 +447,7 @@ mod tests {
     #[test]
     fn depth_agrees_with_tree() {
         let g = generators::grid(8, 8);
-        let run = run_mpx_with(&g, 0.5, 1, &ExecutorConfig::default()).unwrap();
+        let run = run_mpx(&g, 0.5, 1).unwrap();
         let forest = run.clustering.forest(&g).unwrap();
         for v in g.nodes() {
             assert_eq!(forest.depth_of(v), run.clustering.depth[v.index()]);
@@ -466,7 +457,7 @@ mod tests {
     #[test]
     fn neighbor_centers_complete() {
         let g = generators::gnp_connected(30, 0.15, 2);
-        let run = run_mpx_with(&g, 0.5, 2, &ExecutorConfig::default()).unwrap();
+        let run = run_mpx(&g, 0.5, 2).unwrap();
         for v in g.nodes() {
             assert_eq!(run.neighbor_centers[v.index()].len(), g.degree(v));
             for &(u, cu) in &run.neighbor_centers[v.index()] {
@@ -480,7 +471,7 @@ mod tests {
     #[test]
     fn messages_linear_in_m() {
         let g = generators::gnp_connected(60, 0.1, 5);
-        let run = run_mpx_with(&g, 0.5, 5, &ExecutorConfig::default()).unwrap();
+        let run = run_mpx(&g, 0.5, 5).unwrap();
         // Each node broadcasts at most twice (claim + announce): messages ≤ 4m + slack.
         assert!(run.metrics.messages <= 4 * g.m() as u64 + 2 * g.n() as u64);
         assert!(run.metrics.broadcasts <= 2 * g.n() as u64);
@@ -489,7 +480,7 @@ mod tests {
     #[test]
     fn rounds_logarithmic() {
         let g = generators::gnp_connected(100, 0.05, 6);
-        let run = run_mpx_with(&g, 0.5, 6, &ExecutorConfig::default()).unwrap();
+        let run = run_mpx(&g, 0.5, 6).unwrap();
         let bound = MpxAlgorithm::new(0.5).round_bound(g.n(), g.m()) as u64;
         assert!(run.metrics.rounds <= bound);
     }
@@ -497,8 +488,8 @@ mod tests {
     #[test]
     fn beta_controls_cluster_count() {
         let g = generators::gnp_connected(80, 0.08, 9);
-        let coarse = run_mpx_with(&g, 0.2, 9, &ExecutorConfig::default()).unwrap();
-        let fine = run_mpx_with(&g, 2.0, 9, &ExecutorConfig::default()).unwrap();
+        let coarse = run_mpx(&g, 0.2, 9).unwrap();
+        let fine = run_mpx(&g, 2.0, 9).unwrap();
         assert!(coarse.clustering.len() <= fine.clustering.len());
     }
 }

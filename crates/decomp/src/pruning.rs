@@ -5,8 +5,7 @@
 //! the simulations. Inter-cluster communication edges are then recomputed against
 //! the pruned clusterings (`F*`).
 
-use crate::baswana_sen::{Hierarchy, Level};
-use crate::ldc::FEdge;
+use crate::baswana_sen::{representative_edges, Hierarchy, Level};
 use congest_graph::{ClusterId, Graph, NodeId};
 
 /// Prunes `h` (levels `1..κ`), returning a new hierarchy with the subtree-size
@@ -18,7 +17,7 @@ pub fn prune(g: &Graph, h: &Hierarchy) -> Hierarchy {
     let mut out = h.clone();
 
     for li in 1..out.levels.len() {
-        prune_level(g, &mut out.levels[li], threshold.max(2));
+        prune_level(&mut out.levels[li], threshold.max(2));
     }
     // Recompute F* against the pruned previous levels.
     for li in 1..out.levels.len() {
@@ -28,7 +27,7 @@ pub fn prune(g: &Graph, h: &Hierarchy) -> Hierarchy {
         let mut f_edges = Vec::new();
         for &v in &lvl.l_nodes {
             let own = prev.cluster_of[v.index()];
-            f_edges.extend(representative_edges_excluding(g, v, prev, own));
+            f_edges.extend(representative_edges(g, v, prev, own));
         }
         lvl.f_edges = f_edges;
     }
@@ -60,7 +59,7 @@ pub fn prune(g: &Graph, h: &Hierarchy) -> Hierarchy {
 }
 
 /// Splits heavy subtrees off every cluster of one level.
-fn prune_level(g: &Graph, lvl: &mut Level, threshold: usize) {
+fn prune_level(lvl: &mut Level, threshold: usize) {
     let n = lvl.parent.len();
     // Children lists for the whole level's forest.
     let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
@@ -109,15 +108,10 @@ fn prune_level(g: &Graph, lvl: &mut Level, threshold: usize) {
         return;
     }
     // Rebuild clusters, depths and membership from the (now multi-root) forest.
-    rebuild_level_from_forest(g, lvl, &children, new_roots);
+    rebuild_level_from_forest(lvl, &children, new_roots);
 }
 
-fn rebuild_level_from_forest(
-    _g: &Graph,
-    lvl: &mut Level,
-    children: &[Vec<NodeId>],
-    new_roots: Vec<NodeId>,
-) {
+fn rebuild_level_from_forest(lvl: &mut Level, children: &[Vec<NodeId>], new_roots: Vec<NodeId>) {
     let mut roots: Vec<NodeId> = lvl.clusters.iter().map(|(c, _)| *c).collect();
     roots.extend(new_roots);
     roots.sort_unstable();
@@ -144,40 +138,6 @@ fn rebuild_level_from_forest(
     lvl.clusters = clusters;
     lvl.cluster_of = cluster_of;
     lvl.depth = depth;
-}
-
-fn representative_edges_excluding(
-    g: &Graph,
-    v: NodeId,
-    level: &Level,
-    own: Option<ClusterId>,
-) -> Vec<FEdge> {
-    let mut reps: Vec<(ClusterId, NodeId)> = Vec::new();
-    for &u in g.neighbors(v) {
-        let Some(cu) = level.cluster_of[u.index()] else {
-            continue;
-        };
-        if Some(cu) == own {
-            continue;
-        }
-        match reps.iter_mut().find(|(c, _)| *c == cu) {
-            Some((_, best)) => {
-                if u < *best {
-                    *best = u;
-                }
-            }
-            None => reps.push((cu, u)),
-        }
-    }
-    reps.sort_unstable_by_key(|&(c, _)| c);
-    reps.into_iter()
-        .map(|(target, other)| FEdge {
-            owner: v,
-            edge: g.edge_between(v, other).expect("neighbor edge"),
-            other,
-            target,
-        })
-        .collect()
 }
 
 /// The largest proper-subtree size over all cluster trees of all levels — the

@@ -92,7 +92,7 @@ pub(crate) fn pool_for(threads: usize) -> Arc<ThreadPool> {
 /// worker. Callers must merge chunk results with an operation for which the
 /// chunk boundaries are invisible (concatenation, min, sum, …) — then the
 /// merged value is identical at every thread count.
-pub fn map_chunks<T, R, F>(cfg: &ExecutorConfig, items: &[T], f: F) -> Vec<R>
+pub(crate) fn map_chunks<T, R, F>(cfg: &ExecutorConfig, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -104,7 +104,7 @@ where
 /// [`map_chunks`] over an index range instead of a slice: applies `f` to
 /// contiguous sub-ranges of `0..len` and returns per-chunk results in order.
 /// Used where the per-node work has no backing slice yet (state init).
-pub fn map_ranges<R, F>(cfg: &ExecutorConfig, len: usize, f: F) -> Vec<R>
+pub(crate) fn map_ranges<R, F>(cfg: &ExecutorConfig, len: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(Range<usize>) -> R + Sync,

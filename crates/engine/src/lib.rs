@@ -19,9 +19,9 @@
 //! * [`treeops`] — the casts, their one-cast forms [`upcast`] / [`downcast`]
 //!   (Lemmas 1.5/1.6, charged by the words they move) over [`Forest`]s, plus
 //!   budget-enforcing convergecast/broadcast passes;
-//! * [`exec`] / [`ExecutorConfig`] — deterministic chunked-parallel execution of the
-//!   per-node phases; `threads` is the only setting (outputs and metrics are
-//!   byte-identical at every thread count);
+//! * [`ExecutorConfig`] — deterministic chunked-parallel execution of the runners'
+//!   per-node phases (crate-private `exec.rs`); `threads` is the only setting
+//!   (outputs and metrics are byte-identical at every thread count);
 //! * [`plane`] / [`FlatPlane`] — the round buffer both direct runners deliver through:
 //!   packed `u32` arenas scattered by a stable counting sort over the round's
 //!   receivers only, allocation-free in steady state;
@@ -80,7 +80,7 @@ mod agenda;
 mod bcongest;
 mod congest;
 mod error;
-pub mod exec;
+mod exec;
 pub mod faults;
 mod metrics;
 pub mod plane;

@@ -18,7 +18,7 @@ pub(crate) type ExecFn<T> =
 pub(crate) type OracleFn<T> = Box<dyn Fn(&BuiltInput, &T) -> Result<(), String> + Send + Sync>;
 pub(crate) type EnvelopeFn = Box<dyn Fn(&BuiltInput) -> MetricsEnvelope + Send + Sync>;
 /// Records a per-round trace of the run (engine-runner entries only; composite
-/// entries fall back to the outcome-level trace the trait default builds).
+/// entries fall back to an outcome-level trace).
 /// The `&str` argument is the entry's registry name, stamped into the header.
 pub(crate) type TraceFn = Box<
     dyn Fn(&BuiltInput, &ExecutorConfig, &str) -> Result<(RunOutcome, TraceLog), EngineError>

@@ -16,7 +16,7 @@ use congest_algos::matching_maximal::{matching_pairs, IsraeliItai};
 use congest_algos::mis::{is_valid_mis, LubyMis};
 use congest_algos::mst::{distributed_mst, message_bound, MstConfig};
 use congest_decomp::baswana_sen::{validate_hierarchy, Hierarchy};
-use congest_decomp::ldc::{build_ldc_with, validate_ldc};
+use congest_decomp::ldc::{build_ldc, validate_ldc};
 use congest_decomp::spanner::{measured_stretch, spanner_edges};
 use congest_engine::faults::{masked_bfs, masked_components};
 use congest_engine::trace::{record_bcongest, record_congest};
@@ -74,37 +74,12 @@ struct BcongestValue<O> {
     output_words: usize,
 }
 
-/// Wraps a [`BcongestAlgorithm`] as a workload entry.
-pub(crate) fn bcongest_entry<A>(
-    algorithm: &'static str,
-    family: String,
-    seed: u64,
-    build: impl Fn() -> BuiltInput + Send + Sync + 'static,
-    make: impl Fn(&BuiltInput) -> A + Send + Sync + 'static,
-    oracle: impl Fn(&BuiltInput, &[A::Output]) -> Result<(), String> + Send + Sync + 'static,
-    envelope: impl Fn(&BuiltInput) -> MetricsEnvelope + Send + Sync + 'static,
-) -> Box<dyn Workload>
-where
-    A: BcongestAlgorithm + Send + Sync + 'static,
-    A::Output: 'static,
-{
-    bcongest_entry_faulty(
-        algorithm,
-        family,
-        seed,
-        build,
-        make,
-        |_| None,
-        oracle,
-        envelope,
-    )
-}
-
-/// [`bcongest_entry`] with a fault plan derived from the built input. The plan
-/// closure feeds both the normal runner and the trace recorder, so `run`,
-/// `run_traced` and `replay` all execute the same faulted scenario.
+/// Wraps a [`BcongestAlgorithm`] as a workload entry. `plan` derives the fault
+/// plan from the built input (`|_| None` for a fault-free entry); it feeds both
+/// the normal runner and the trace recorder, so `run`, `run_traced` and
+/// `replay` all execute the same scenario.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn bcongest_entry_faulty<A>(
+pub(crate) fn bcongest_entry<A>(
     algorithm: &'static str,
     family: String,
     seed: u64,
@@ -179,36 +154,10 @@ where
     })
 }
 
-/// Wraps a [`CongestAlgorithm`] as a workload entry.
-pub(crate) fn congest_entry<A>(
-    algorithm: &'static str,
-    family: String,
-    seed: u64,
-    build: impl Fn() -> BuiltInput + Send + Sync + 'static,
-    make: impl Fn(&BuiltInput) -> A + Send + Sync + 'static,
-    oracle: impl Fn(&BuiltInput, &[A::Output]) -> Result<(), String> + Send + Sync + 'static,
-    envelope: impl Fn(&BuiltInput) -> MetricsEnvelope + Send + Sync + 'static,
-) -> Box<dyn Workload>
-where
-    A: CongestAlgorithm + Send + Sync + 'static,
-    A::Output: 'static,
-{
-    congest_entry_faulty(
-        algorithm,
-        family,
-        seed,
-        build,
-        make,
-        |_| None,
-        oracle,
-        envelope,
-    )
-}
-
-/// [`congest_entry`] with a fault plan derived from the built input (see
-/// [`bcongest_entry_faulty`]).
+/// Wraps a [`CongestAlgorithm`] as a workload entry, with a fault plan as in
+/// [`bcongest_entry`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn congest_entry_faulty<A>(
+pub(crate) fn congest_entry<A>(
     algorithm: &'static str,
     family: String,
     seed: u64,
@@ -357,6 +306,7 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
             7,
             move || BuiltInput::unweighted(family_graph(family)),
             |_| LeaderElect,
+            |_| None,
             |input, outputs| {
                 let g = &input.graph;
                 let want = reference::bfs_distances(g, NodeId::new(0));
@@ -425,6 +375,7 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
             41,
             move || BuiltInput::unweighted(family_graph(family)),
             |_| LubyMis,
+            |_| None,
             |input, outputs| {
                 is_valid_mis(&input.graph, outputs)
                     .then_some(())
@@ -442,6 +393,7 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
             43,
             move || BuiltInput::unweighted(family_graph(family)),
             |_| IsraeliItai,
+            |_| None,
             |input, outputs| {
                 // `matching_pairs` asserts partner mutuality internally.
                 let pairs = matching_pairs(outputs);
@@ -461,6 +413,7 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
         11,
         || BuiltInput::unweighted(generators::random_bipartite_connected(8, 9, 0.35, 51)),
         |_| BipartiteMatching,
+        |_| None,
         |input, outputs| {
             let g = &input.graph;
             let pairs = matching_pairs(outputs);
@@ -547,8 +500,8 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
         "gnp".to_string(),
         61,
         || BuiltInput::unweighted(generators::gnp_connected(48, 0.1, 61)),
-        |input, cfg| {
-            let ldc = build_ldc_with(&input.graph, 61, cfg)?;
+        |input, _| {
+            let ldc = build_ldc(&input.graph, 61)?;
             let metrics = ldc.metrics.clone();
             Ok((ldc, metrics))
         },
@@ -576,7 +529,7 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
     // live nodes must report masked-BFS distances on the surviving graph.
     // Restart re-floods at most once per epoch: messages ≤ 2 epochs × 2m.
     let bfs_crash_plan = |g: &Graph| FaultPlan::crashes(g, 3, 1, 5, &[NodeId::new(0)]);
-    entries.push(bcongest_entry_faulty(
+    entries.push(bcongest_entry(
         "faulty-bfs",
         "gnp-crash".to_string(),
         5,
@@ -604,7 +557,7 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
     // Leader election under 3 unprotected crashes at round 1, Restart: each
     // surviving component independently elects its minimum live ID.
     let leader_crash_plan = |g: &Graph| FaultPlan::crashes(g, 3, 1, 7, &[]);
-    entries.push(bcongest_entry_faulty(
+    entries.push(bcongest_entry(
         "faulty-leader",
         "gnp-crash".to_string(),
         7,
@@ -646,7 +599,7 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
             .at(0, FaultEvent::EdgeDown(bridge))
             .at(60, FaultEvent::EdgeUp(bridge))
     };
-    entries.push(bcongest_entry_faulty(
+    entries.push(bcongest_entry(
         "faulty-leader",
         "path-heal".to_string(),
         7,
@@ -677,7 +630,7 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
     // Gossip under 3 crashes at round 1, Restart: the final checksum at every
     // live node is one masked exchange folded at the last fault round.
     let gossip_crash_plan = |g: &Graph| FaultPlan::crashes(g, 3, 1, 9, &[]);
-    entries.push(congest_entry_faulty(
+    entries.push(congest_entry(
         "faulty-gossip",
         "gnp-crash".to_string(),
         9,
@@ -707,7 +660,7 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
     // folds a complete exchange at the last fault round.
     let gossip_churn_plan =
         |g: &Graph| FaultPlan::edge_churn(g, 4, 0, 2, 9, FaultResponse::Restart);
-    entries.push(congest_entry_faulty(
+    entries.push(congest_entry(
         "faulty-gossip",
         "gnp-churn".to_string(),
         9,
@@ -743,12 +696,11 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
             let g = family_graph("gnp");
             BuiltInput::weighted(WeightedGraph::random_weights(&g, 1..=9, 17))
         },
-        move |input, cfg| {
+        move |input, _| {
             let wg = surviving_component(&input.weighted_graph(), &mst_crash_plan(&input.graph));
             let run = distributed_mst(
                 &wg,
                 &MstConfig {
-                    exec: cfg.clone(),
                     message_budget: Some(message_bound(wg.n(), wg.m())),
                     ..Default::default()
                 },
@@ -777,6 +729,7 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
         5,
         || BuiltInput::unweighted(generators::power_law(120, 3, 7)),
         |_| Bfs::new(NodeId::new(0)),
+        |_| None,
         |input, outputs| {
             check_bfs_shape(
                 &input.graph,
@@ -793,6 +746,7 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
         9,
         || BuiltInput::unweighted(generators::hub_and_spoke(8, 24)),
         |_| GossipOnce,
+        |_| None,
         |input, outputs| {
             let want = expected_gossip(&input.graph);
             (outputs == &want[..])

@@ -249,19 +249,7 @@ pub trait Workload: Send + Sync {
     /// # Errors
     ///
     /// Propagates engine errors (round guards, budget overdrafts).
-    fn run_traced(&self, cfg: &ExecutorConfig) -> Result<(RunOutcome, TraceLog), EngineError> {
-        let input = self.build();
-        let outcome = self.run_built(&input, cfg)?;
-        let trace = TraceLog::composite(
-            &self.name(),
-            &input.graph,
-            self.seed(),
-            cfg,
-            outcome.output.clone(),
-            &outcome.metrics,
-        );
-        Ok((outcome, trace))
-    }
+    fn run_traced(&self, cfg: &ExecutorConfig) -> Result<(RunOutcome, TraceLog), EngineError>;
 
     /// Runs sequentially and validates the result against the workload's
     /// reference oracle.

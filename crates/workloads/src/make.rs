@@ -8,8 +8,8 @@
 use crate::catalogue::{bcongest_entry, check_bfs_shape, composite_entry, congest_entry};
 use crate::{BuiltInput, MetricsEnvelope, Workload};
 use apsp_core::distance::Distance;
-use apsp_core::landmarks::landmark_distances_with;
-use apsp_core::mst_tradeoff::mst_tradeoff_with;
+use apsp_core::landmarks::landmark_distances;
+use apsp_core::mst_tradeoff::mst_tradeoff as run_mst_tradeoff;
 use apsp_core::verify::{check_mst, check_weighted_apsp};
 use apsp_core::weighted_apsp::{weighted_apsp as run_weighted_apsp, WeightedApspConfig};
 use congest_algos::bfs::Bfs;
@@ -33,6 +33,7 @@ pub fn bfs(
         seed,
         build,
         |_| Bfs::new(NodeId::new(0)),
+        |_| None,
         |input, outputs| {
             check_bfs_shape(
                 &input.graph,
@@ -62,6 +63,7 @@ pub fn bfs_collection(
         seed,
         build,
         move |input| BfsCollection::new(input.graph.nodes().collect()).with_random_delays(seed),
+        |_| None,
         |input, outputs| {
             for (j, src) in input.graph.nodes().enumerate() {
                 let got = dists_of_bfs(outputs, j);
@@ -90,6 +92,7 @@ pub fn gossip(
         seed,
         build,
         |_| GossipOnce,
+        |_| None,
         |input, outputs| {
             let want = expected_gossip(&input.graph);
             (outputs == &want[..])
@@ -113,12 +116,11 @@ pub fn mst(
         family,
         seed,
         build,
-        |input, cfg| {
+        |input, _| {
             let wg = input.weighted_graph();
             let run = distributed_mst(
                 &wg,
                 &MstConfig {
-                    exec: cfg.clone(),
                     message_budget: Some(message_bound(wg.n(), wg.m())),
                     ..Default::default()
                 },
@@ -159,10 +161,10 @@ pub fn mst_tradeoff(
         family,
         seed,
         build,
-        move |input, cfg| {
+        move |input, _| {
             let wg = input.weighted_graph();
             let k_eff = k.min(wg.n().max(1));
-            let run = mst_tradeoff_with(&wg, k_eff, seed, cfg)?;
+            let run = run_mst_tradeoff(&wg, k_eff, seed)?;
             Ok(((run.edges, run.total_weight, run.route, run.k), run.metrics))
         },
         |input, value| check_mst(&input.weighted_graph(), &value.0),
@@ -307,8 +309,8 @@ pub fn serve_landmarks(
         family,
         seed,
         build,
-        move |input, cfg| {
-            let run = landmark_distances_with(&input.graph, p, seed, cfg)?;
+        move |input, _| {
+            let run = landmark_distances(&input.graph, p, seed)?;
             let metrics = run.metrics.clone();
             let mut oracle = DistanceOracle::builder(run).cache_capacity(32).build();
             let answers: Vec<(NodeId, NodeId, Distance)> =

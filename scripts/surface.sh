@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# The public-surface scan (ROADMAP item 9): how many `pub fn`s the library
+# The public-surface scan (see ROADMAP.md): how many `pub fn`s the library
 # crates declare, how many nothing outside their own file names, and how many
-# only tests call; plus the non-test line count.
+# only tests call; the non-test line count; and how many `pub fn X` have a
+# `pub fn X_with` twin.
 #
-#   scripts/surface.sh      the four counts
-#   scripts/surface.sh -v   ... and the functions behind the middle two
+#   scripts/surface.sh      the five counts
+#   scripts/surface.sh -v   ... and the functions behind the middle two and the twins
 #
 # Every `pub fn` line under crates/*/src is one function. Its name is searched
 # as a whole word in every tracked .rs file outside vendor/, skipping the
@@ -17,6 +18,10 @@
 #
 # Non-test lines are the lines above each crates/*/src file's first
 # `#[cfg(test)]`, or the whole file when it has none.
+#
+# A twin pair is two `pub fn`s under crates/*/src named `X` and `X_with` (a
+# plain form and the same function with one more knob). The library keeps one
+# form per function: the scan exits 1 when it finds a pair.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,10 +64,12 @@ done
 pub_fns=0
 unreferenced=()
 no_caller=()
+declare -A pub_fn_at=()
 while IFS=: read -r file line text; do
     [[ $text =~ pub\ fn\ ([A-Za-z_][A-Za-z0-9_]*) ]] || continue
     name=${BASH_REMATCH[1]}
     pub_fns=$((pub_fns + 1))
+    pub_fn_at[$name]="$file:$line"
     referenced=false
     called=false
     while IFS=: read -r ref_file ref_line _; do
@@ -85,11 +92,19 @@ while IFS=: read -r file line text; do
     $called || no_caller+=("$file:$line $name")
 done < <(grep -H -n -F 'pub fn ' "${lib_files[@]}")
 
+twins=()
+for name in "${!pub_fn_at[@]}"; do
+    if [[ $name == *_with && -n "${pub_fn_at[${name%_with}]:-}" ]]; then
+        twins+=("${pub_fn_at[${name%_with}]} ${name%_with} / ${pub_fn_at[$name]} $name")
+    fi
+done
+
 printf '%-20s %6d\n' \
     "pub fn" "$pub_fns" \
     "unreferenced" "${#unreferenced[@]}" \
     "no non-test caller" "${#no_caller[@]}" \
-    "non-test lines" "$non_test_lines"
+    "non-test lines" "$non_test_lines" \
+    "twin pairs" "${#twins[@]}"
 if $verbose; then
     if ((${#unreferenced[@]})); then
         printf '\nunreferenced:\n'
@@ -99,4 +114,12 @@ if $verbose; then
         printf '\nno non-test caller:\n'
         printf '  %s\n' "${no_caller[@]}"
     fi
+    if ((${#twins[@]})); then
+        printf '\ntwin pairs:\n'
+        printf '  %s\n' "${twins[@]}" | sort
+    fi
+fi
+if ((${#twins[@]})); then
+    echo "surface.sh: a \`pub fn X\` has a \`pub fn X_with\` twin; keep one form" >&2
+    exit 1
 fi
