@@ -14,9 +14,7 @@
 //! `O(wdiam + n)` where `wdiam` is the weighted diameter. Both are what Theorem 1.1
 //! consumes.
 
-use congest_engine::{
-    AggregationAlgorithm, BcongestAlgorithm, LocalView, Wire, WireDecode, WireEncode,
-};
+use congest_engine::{AggregationAlgorithm, BcongestAlgorithm, LocalView, WireDecode, WireEncode};
 use congest_graph::NodeId;
 use std::collections::BTreeSet;
 
@@ -28,8 +26,6 @@ pub struct WApspMsg {
     /// Sender's distance from that source.
     pub dist: u64,
 }
-
-impl Wire for WApspMsg {}
 
 impl WireEncode for WApspMsg {
     const LANES: usize = 3;

@@ -11,9 +11,7 @@
 //! the per-BFS minimum, and Theorem 1.4(ii) keeps the number of distinct BFS per
 //! node-round at `O(log n)` w.h.p., so aggregates stay `Õ(1)` words.
 
-use congest_engine::{
-    AggregationAlgorithm, BcongestAlgorithm, LocalView, Wire, WireDecode, WireEncode,
-};
+use congest_engine::{AggregationAlgorithm, BcongestAlgorithm, LocalView, WireDecode, WireEncode};
 use congest_graph::{rng, NodeId};
 use std::collections::BTreeSet;
 
@@ -25,8 +23,6 @@ pub struct BfsMsg {
     /// The sender's distance from that BFS's source.
     pub dist: u32,
 }
-
-impl Wire for BfsMsg {} // two IDs: one word
 
 impl WireEncode for BfsMsg {
     const LANES: usize = 2;

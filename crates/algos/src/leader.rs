@@ -4,13 +4,15 @@
 //! [`LeaderElect`] floods the minimum ID with distance tracking, which simultaneously
 //! elects the minimum-ID node and hands every node a parent in that node's BFS tree.
 //! [`setup_network`] packages the whole preprocessing: election, subtree counting
-//! (convergecast) and broadcasting `n`, with realized metrics.
+//! (a convergecast) and broadcasting `n`, with realized metrics. The count and the
+//! broadcast are one word per tree edge each, charged by
+//! [`congest_engine::treeops::tree_pass`].
 //!
 //! The paper cites Kutten et al. \[25\] for an `O(m log n)`-message election; flooding
 //! with re-broadcast-only-on-improvement is our accounted substitute (see DESIGN.md §2).
 
 use congest_engine::{
-    run_bcongest, BcongestAlgorithm, EngineError, Forest, LocalView, Metrics, RunOptions, Wire,
+    run_bcongest, BcongestAlgorithm, EngineError, Forest, LocalView, Metrics, RunOptions,
     WireDecode, WireEncode,
 };
 use congest_graph::{Graph, NodeId};
@@ -23,8 +25,6 @@ pub struct LeaderMsg {
     /// Sender's (candidate) distance from that node.
     pub dist: u32,
 }
-
-impl Wire for LeaderMsg {}
 
 impl WireEncode for LeaderMsg {
     const LANES: usize = 2;
@@ -179,20 +179,11 @@ pub fn setup_network(g: &Graph, seed: u64) -> Result<NetworkSetup, EngineError> 
 
     // Convergecast the subtree counts (one word per tree edge, leaves-to-root), then
     // every root floods its tree's count back down (one word per tree edge) — on a
-    // connected graph that is the leader broadcasting `n`. Both go through the
-    // engine's tree primitives, so the costs are the realized `depth` rounds /
-    // `n - 1` messages of the obvious schedule.
-    let count =
-        congest_engine::treeops::convergecast(g, &tree, vec![1u64; g.n()], |a, b| a + b, None)?;
-    metrics.merge_sequential(&count.metrics);
-    let payloads: Vec<(NodeId, u64)> = tree
-        .roots()
-        .iter()
-        .copied()
-        .zip(count.at_root.iter().copied())
-        .collect();
-    let bcast = congest_engine::treeops::broadcast(g, &tree, payloads, None)?;
-    metrics.merge_sequential(&bcast.metrics);
+    // connected graph that is the leader broadcasting `n`. Each pass costs `depth`
+    // rounds and `n - 1` messages.
+    for _ in 0..2 {
+        metrics.merge_sequential(&congest_engine::treeops::tree_pass(g, &tree, tree.roots())?);
+    }
 
     Ok(NetworkSetup {
         leader,

@@ -29,7 +29,7 @@
 //! phase ⇒ broadcast complexity `O(n²)` — exactly what Corollary 2.8 feeds into
 //! Theorem 2.1.
 
-use congest_engine::{BcongestAlgorithm, LocalView, Wire, WireDecode, WireEncode};
+use congest_engine::{BcongestAlgorithm, LocalView, WireDecode, WireEncode};
 use congest_graph::{rng, NodeId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -87,8 +87,6 @@ pub enum AkoMsg {
     /// Commit walk (augmentation), addressed to `to`.
     Commit { label: PathLabel, to: NodeId },
 }
-
-impl Wire for AkoMsg {}
 
 impl WireEncode for AkoMsg {
     // Lane 0 is the variant tag; lanes 1–5 carry up to a `PathLabel` plus an
@@ -1090,7 +1088,6 @@ mod tests {
         for m in msgs {
             m.encode(&mut lanes);
             assert_eq!(AkoMsg::decode(&lanes), m);
-            assert_eq!(AkoMsg::decode(&lanes).words(), m.words());
         }
     }
 

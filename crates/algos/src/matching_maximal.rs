@@ -10,7 +10,7 @@
 //! 3. newly matched nodes broadcast `MatchedNow` so neighbors update their
 //!    free-neighbor sets.
 
-use congest_engine::{BcongestAlgorithm, LocalView, Wire, WireDecode, WireEncode};
+use congest_engine::{BcongestAlgorithm, LocalView, WireDecode, WireEncode};
 use congest_graph::{rng, NodeId};
 use std::collections::BTreeSet;
 
@@ -24,8 +24,6 @@ pub enum MatchMsg {
     /// "I am now matched."
     MatchedNow,
 }
-
-impl Wire for MatchMsg {}
 
 impl WireEncode for MatchMsg {
     // Lane 0 is the variant tag; lane 1 the partner ID (zero for MatchedNow).

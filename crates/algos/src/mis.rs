@@ -10,7 +10,7 @@
 //! 3. nodes adjacent to a joiner leave and broadcast `Leave` (so neighbors can update
 //!    their undecided-neighbor sets).
 
-use congest_engine::{BcongestAlgorithm, LocalView, Wire, WireDecode, WireEncode};
+use congest_engine::{BcongestAlgorithm, LocalView, WireDecode, WireEncode};
 use congest_graph::{rng, NodeId};
 use std::collections::BTreeSet;
 
@@ -24,8 +24,6 @@ pub enum MisMsg {
     /// "I left (a neighbor joined)."
     Leave,
 }
-
-impl Wire for MisMsg {}
 
 impl WireEncode for MisMsg {
     // Lane 0 is the variant tag; lanes 1–2 carry the priority (Join/Leave

@@ -14,30 +14,33 @@
 //! 2. **MWOE search** — each node locally picks its lightest incident edge leaving the
 //!    fragment (under the `(weight, EdgeId)` total order, so ties never break MST
 //!    uniqueness), and the per-fragment minimum, together with the fragment's size, is
-//!    folded to the fragment root by [`congest_engine::treeops::convergecast`] over the
-//!    fragment forest.
+//!    folded to the fragment root: a convergecast of one word per tree edge, charged
+//!    by [`congest_engine::treeops::tree_pass`]. The fold is commutative and
+//!    associative (candidate keys are unique), so folding a fragment's candidates in
+//!    node order gives the value the convergecast delivers.
 //! 3. **Merge** — each root downcasts the chosen edge to its owning node
 //!    ([`congest_engine::treeops::downcast`]), and a connect message carrying the
 //!    fragment's label and size crosses the MWOE. Each merged fragment has exactly one
 //!    **core edge**, the MWOE chosen by the fragments at both of its ends; as in
 //!    classic GHS the merged fragment re-roots at the core endpoint on the larger side
 //!    (ties: the smaller label) and keeps that side's label, and the root floods the
-//!    label down the new tree ([`congest_engine::treeops::broadcast`]). Nodes of the
-//!    root's side keep their label, so they do not re-announce.
+//!    label down the new tree, one word per tree edge (a second
+//!    [`congest_engine::treeops::tree_pass`]). Nodes of the root's side keep their
+//!    label, so they do not re-announce.
 //!
 //! Fragments at least double per phase, so there are at most `⌈log₂ n⌉` phases; with
 //! [`MstConfig::growth_threshold`] the merging stops once every still-active fragment
 //! has at least `k` nodes — the handoff point for the trade-off finisher in
 //! `apsp_core::mst_tradeoff`.
 //!
-//! The phase scans run sequentially. The whole run (and each tree primitive inside
-//! it) can be capped by [`MstConfig::message_budget`].
+//! The phase scans run sequentially. The whole run can be capped by
+//! [`MstConfig::message_budget`], checked on the running total after every step.
 
 use congest_engine::treeops::{self, Forest};
-use congest_engine::{EngineError, Metrics, Router, Wire};
+use congest_engine::{EngineError, Metrics, Router};
 use congest_graph::{EdgeId, NodeId, WeightedGraph};
 
-/// Convergecast payload of the MWOE search: the lightest known outgoing edge of (part
+/// Convergecast word of the MWOE search: the lightest known outgoing edge of (part
 /// of) a fragment, with its owner, and the number of nodes folded in. On the wire the
 /// edge travels with its weight; the simulator reads the weight off the graph. A
 /// constant number of values = one CONGEST word.
@@ -71,7 +74,8 @@ impl MwoeMsg {
         }
     }
 
-    /// The convergecast fold: the lighter candidate, sizes summed.
+    /// The convergecast fold: the lighter candidate, sizes summed. Commutative and
+    /// associative, since two candidates of one fragment never share a key.
     fn combine(self, other: Self, wg: &WeightedGraph) -> Self {
         let lighter = if other.key(wg) < self.key(wg) {
             other
@@ -85,14 +89,14 @@ impl MwoeMsg {
     }
 }
 
-impl Wire for MwoeMsg {}
-
 /// Options for [`distributed_mst`]. The algorithm itself is deterministic (no
 /// randomness is consumed), so there is no seed.
 #[derive(Clone, Debug, Default)]
 pub struct MstConfig {
-    /// Hard cap on total messages; the run fails with
-    /// [`EngineError::BudgetExceeded`] instead of overspending. `None` = unlimited.
+    /// Hard cap on total messages, checked on the running total after every
+    /// announcement, tree pass and downcast; the run fails with
+    /// [`EngineError::BudgetExceeded`] (`op: "ghs-mst"`) at the first step that
+    /// overspends. `None` = unlimited.
     pub message_budget: Option<u64>,
     /// Stop merging once every fragment that still has an outgoing edge spans at
     /// least this many nodes (controlled-GHS growth). `None` = run to completion.
@@ -119,7 +123,7 @@ pub struct MstRun {
     /// Whether fragments are exactly the connected components (no outgoing edges
     /// remain). `false` only when [`MstConfig::growth_threshold`] stopped the run.
     pub complete: bool,
-    /// Realized cost: announcements + convergecasts + downcasts + connects +
+    /// Realized cost: announcements + MWOE convergecasts + downcasts + connects +
     /// fragment-ID broadcasts.
     pub metrics: Metrics,
 }
@@ -203,17 +207,18 @@ pub fn distributed_mst(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstRun, En
         phases += 1;
 
         // Fold per-node candidates (and sizes) to each fragment root.
-        let cc = treeops::convergecast(
-            g,
-            &forest,
-            cands,
-            |a, b| a.combine(b, wg),
-            remaining(cfg.message_budget, &metrics),
-        )?;
-        metrics.merge_sequential(&cc.metrics);
+        metrics.merge_sequential(&treeops::tree_pass(g, &forest, forest.roots())?);
+        treeops::ensure_budget("ghs-mst", metrics.messages, cfg.message_budget)?;
+        let mut folded = cands;
+        for v in g.nodes() {
+            let r = forest.root_of(v).index();
+            if r != v.index() {
+                folded[r] = folded[r].combine(folded[v.index()], wg);
+            }
+        }
 
         // Roots downcast the decision, one word, to the MWOE's owner...
-        let mut choices = cc.at_root;
+        let mut choices: Vec<MwoeMsg> = forest.roots().iter().map(|r| folded[r.index()]).collect();
         let silent: Vec<NodeId> = forest
             .roots()
             .iter()
@@ -254,17 +259,8 @@ pub fn distributed_mst(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstRun, En
         forest = Forest::from_parents(g, new_parent)?;
 
         // Roots of merged fragments flood the label down the new tree.
-        let payloads: Vec<(NodeId, u64)> = roots[..merged]
-            .iter()
-            .map(|&r| (r, u64::from(new_fragment[r.index()].raw())))
-            .collect();
-        let bc = treeops::broadcast(
-            g,
-            &forest,
-            payloads,
-            remaining(cfg.message_budget, &metrics),
-        )?;
-        metrics.merge_sequential(&bc.metrics);
+        metrics.merge_sequential(&treeops::tree_pass(g, &forest, &roots[..merged])?);
+        treeops::ensure_budget("ghs-mst", metrics.messages, cfg.message_budget)?;
         fragment = new_fragment;
 
         // Changed nodes re-announce their fragment to their neighbors.
@@ -282,11 +278,6 @@ pub fn distributed_mst(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstRun, En
         complete,
         metrics,
     })
-}
-
-/// Remaining budget after `metrics`, for handing to a budgeted tree primitive.
-fn remaining(budget: Option<u64>, metrics: &Metrics) -> Option<u64> {
-    budget.map(|b| b.saturating_sub(metrics.messages))
 }
 
 /// Charges one announcement round: every `changed` node sends one word over each
@@ -472,7 +463,66 @@ mod tests {
             ..Default::default()
         };
         let err = distributed_mst(&wg, &cfg).unwrap_err();
-        assert!(matches!(err, EngineError::BudgetExceeded { .. }));
+        assert!(matches!(
+            err,
+            EngineError::BudgetExceeded { op: "ghs-mst", .. }
+        ));
+    }
+
+    #[test]
+    fn a_budget_of_the_runs_own_total_is_exactly_enough() {
+        let wg = unique(30, 0.15, 4);
+        let total = distributed_mst(&wg, &MstConfig::default())
+            .unwrap()
+            .metrics
+            .messages;
+        let budgeted = |b: u64| {
+            let cfg = MstConfig {
+                message_budget: Some(b),
+                ..Default::default()
+            };
+            distributed_mst(&wg, &cfg)
+        };
+        assert_eq!(budgeted(total).unwrap().metrics.messages, total);
+        assert_eq!(
+            budgeted(total - 1).unwrap_err(),
+            EngineError::BudgetExceeded {
+                op: "ghs-mst",
+                used: total,
+                budget: total - 1
+            }
+        );
+    }
+
+    proptest::proptest! {
+        /// The per-root fold may take a fragment's candidates in any order:
+        /// `combine` is commutative and associative over candidates whose keys
+        /// are unique per edge (an edge's owner is fixed), `NONE` included.
+        #[test]
+        fn the_mwoe_fold_is_order_free(
+            seed in 0u64..1000,
+            n in 2usize..30,
+            picks in proptest::collection::vec((0u8..4, 0usize..1000, 1u32..100), 3),
+        ) {
+            let wg = unique(n, 0.2, seed);
+            let cand = |&(kind, i, size): &(u8, usize, u32)| {
+                if kind == 0 {
+                    return MwoeMsg { size, ..MwoeMsg::NONE };
+                }
+                let e = EdgeId::new(i % wg.m());
+                MwoeMsg {
+                    edge: e.index() as u32,
+                    owner: wg.graph().endpoints(e).0.raw(),
+                    size,
+                }
+            };
+            let [a, b, c] = [cand(&picks[0]), cand(&picks[1]), cand(&picks[2])];
+            proptest::prop_assert_eq!(a.combine(b, &wg), b.combine(a, &wg));
+            proptest::prop_assert_eq!(
+                a.combine(b, &wg).combine(c, &wg),
+                a.combine(b.combine(c, &wg), &wg)
+            );
+        }
     }
 
     #[test]

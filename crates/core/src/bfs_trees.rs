@@ -19,7 +19,7 @@ use congest_algos::bfs_collection::BfsCollection;
 use congest_algos::leader::setup_network;
 use congest_decomp::pruning::prune;
 use congest_decomp::{Ensemble, Hierarchy};
-use congest_engine::treeops::broadcast;
+use congest_engine::treeops::tree_pass;
 use congest_engine::{EngineError, Forest, Metrics};
 use congest_graph::{rng, Graph, NodeId};
 
@@ -145,9 +145,7 @@ pub fn all_bfs_batched(
     let h = setup.tree.depth();
     let exact = u64::from(depth_limit) >= 2 * u64::from(h);
     if exact {
-        let word = setup.tree.roots().iter().map(|&r| (r, u64::from(h)));
-        let announce = broadcast(g, &setup.tree, word.collect(), None)?;
-        metrics.merge_sequential(&announce.metrics);
+        metrics.merge_sequential(&tree_pass(g, &setup.tree, setup.tree.roots())?);
     }
     Ok(BfsForestResult {
         dist,

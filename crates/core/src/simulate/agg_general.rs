@@ -36,7 +36,7 @@
 //! simulation.
 
 use crate::simulate::common::{payload_options, SimulationRun};
-use crate::simulate::phase::{batch_words, LevelClusters, PhaseWorkspace};
+use crate::simulate::phase::{LevelClusters, PhaseWorkspace};
 use congest_algos::leader::{setup_network, NetworkSetup};
 use congest_decomp::Hierarchy;
 use congest_engine::{
@@ -251,7 +251,7 @@ pub(crate) fn simulate_general_with_setup<A: AggregationAlgorithm>(
                 if ws.msgs.is_empty() {
                     continue;
                 }
-                let words = batch_words(&ws.msgs);
+                let words = ws.msgs.len();
                 debug_assert!(
                     words <= algo.aggregate_budget(n),
                     "aggregate exceeded its budget"

@@ -27,7 +27,7 @@
 //! receive upcast waits only for the `m₁` arrivals it carries.
 
 use crate::simulate::common::{payload_options, SimulationRun};
-use crate::simulate::phase::{batch_words, LevelClusters, PhaseWorkspace};
+use crate::simulate::phase::{LevelClusters, PhaseWorkspace};
 use congest_algos::leader::{setup_network, NetworkSetup};
 use congest_decomp::Hierarchy;
 use congest_engine::{
@@ -215,7 +215,7 @@ pub(crate) fn simulate_star_with_setup<A: AggregationAlgorithm>(
                         ws.gather(g.neighbors(u).iter().copied().filter(in_c));
                         algo.aggregate(u, phase, &mut ws.msgs);
                         let m1 = ws.bp[w.index()].clone().expect("w is a sender");
-                        let words = 1 + batch_words(&ws.msgs);
+                        let words = 1 + ws.msgs.len();
                         let e = g.edge_between(w, u).expect("matched pairs are edges");
                         down.push((w, words));
                         forward.push((w, e, words));

@@ -20,7 +20,7 @@
 //! who is next to whom off [`LevelClusters`], built once per simulation.
 
 use congest_decomp::Level;
-use congest_engine::{AggregationAlgorithm, Cast, EngineError, Forest, Wire};
+use congest_engine::{AggregationAlgorithm, Cast, EngineError, Forest};
 use congest_graph::{ClusterId, Graph, NodeId};
 
 /// A batch of `(sender, message)` pairs.
@@ -78,11 +78,6 @@ impl<'h> LevelClusters<'h> {
     }
 }
 
-/// Words one batch costs to move (`Õ(1)`-word aggregates cost at least a word each).
-pub(crate) fn batch_words<M: Wire>(batch: &[(NodeId, M)]) -> usize {
-    batch.iter().map(|(_, m)| m.words().max(1)).sum()
-}
-
 pub(crate) struct PhaseWorkspace<M> {
     /// Per node: its broadcast this phase (`B_p`).
     pub bp: Vec<Option<M>>,
@@ -105,7 +100,7 @@ pub(crate) struct PhaseWorkspace<M> {
     avail: Vec<Batch<M>>,
 }
 
-impl<M: Wire> PhaseWorkspace<M> {
+impl<M: Clone + PartialEq> PhaseWorkspace<M> {
     /// An empty workspace for an `n`-node graph (no level has more than `n`
     /// clusters).
     pub(crate) fn new(n: usize) -> Self {
@@ -215,7 +210,7 @@ impl<M: Wire> PhaseWorkspace<M> {
                 if relevant.is_empty() {
                     continue;
                 }
-                down_items.push((u, batch_words(relevant)));
+                down_items.push((u, relevant.len()));
                 self.receive[u.index()].append(relevant);
             }
         }

@@ -8,7 +8,7 @@
 //! the three properties of a `(k, W)`-sparse cover, up to the polylog factors the
 //! paper's `Õ` hides (this substitutes Elkin's construction \[13\]; see DESIGN.md §2).
 
-use congest_engine::{BcongestAlgorithm, LocalView, Wire, WireDecode, WireEncode};
+use congest_engine::{BcongestAlgorithm, LocalView, WireDecode, WireEncode};
 use congest_graph::{reference, rng, Graph, NodeId};
 use rand::Rng;
 
@@ -22,8 +22,6 @@ pub struct CoverMsg {
     /// Sender's distance from the center.
     pub dist: u32,
 }
-
-impl Wire for CoverMsg {}
 
 impl WireEncode for CoverMsg {
     const LANES: usize = 3;

@@ -11,7 +11,7 @@
 //! After the claim window every node announces its cluster to its neighbors, which
 //! is exactly the information the LDC decomposition (§2.1) needs to build `F`.
 
-use congest_engine::{BcongestAlgorithm, LocalView, Wire, WireDecode, WireEncode};
+use congest_engine::{BcongestAlgorithm, LocalView, WireDecode, WireEncode};
 use congest_graph::{rng, ClusterId, Graph, NodeId};
 use rand::Rng;
 
@@ -34,8 +34,6 @@ pub enum MpxMsg {
         center: u32,
     },
 }
-
-impl Wire for MpxMsg {}
 
 impl WireEncode for MpxMsg {
     // Lane 0 is the variant tag; Claim fills lanes 1–3, Announce lane 1.

@@ -20,7 +20,7 @@ use crate::faults::FaultPlan;
 use crate::metrics::Metrics;
 use crate::rounds::{self, Delivery, Model, Observer, OverPlane, Transport};
 use crate::view::LocalView;
-use crate::wire::{Wire, WireDecode};
+use crate::wire::WireDecode;
 use congest_graph::{EdgeId, Graph, NodeId};
 
 /// A BCONGEST algorithm as a pure per-node state machine.
@@ -287,12 +287,7 @@ impl<A: BcongestAlgorithm> Model for Broadcast<'_, A> {
         self.0.init(view)
     }
     fn poll(&self, state: &A::State, round: usize) -> Option<A::Msg> {
-        let msg = self.0.broadcast(state, round);
-        debug_assert!(
-            msg.as_ref().is_none_or(|m| m.words() == 1),
-            "BCONGEST broadcasts must be single O(log n)-bit messages"
-        );
-        msg
+        self.0.broadcast(state, round)
     }
     fn on_sent(&self, state: &mut A::State, round: usize) {
         self.0.on_broadcast_sent(state, round);

@@ -11,7 +11,7 @@ use crate::error::EngineError;
 use crate::metrics::Metrics;
 use crate::rounds::{self, Model, Observer, OverPlane};
 use crate::view::LocalView;
-use crate::wire::{Wire, WireDecode};
+use crate::wire::WireDecode;
 use congest_graph::{EdgeId, Graph, NodeId};
 
 /// A CONGEST algorithm as a pure per-node state machine with per-edge sends.
@@ -187,7 +187,6 @@ impl<A: CongestAlgorithm> Model for PointToPoint<'_, A> {
                 assert!(!used.contains(&e), "two messages on one edge in one round");
                 used.push(e);
             }
-            debug_assert_eq!(m.words(), 1, "CONGEST messages are single words");
             emit(e, *u, m);
         }
     }

@@ -33,7 +33,7 @@ pub enum EngineError {
     },
     /// An operation sent more messages than its per-call budget allowed.
     BudgetExceeded {
-        /// Name of the budgeted operation (e.g. `"convergecast"`).
+        /// Name of the budgeted operation (e.g. `"ghs-mst"`).
         op: &'static str,
         /// Messages the operation actually needed.
         used: u64,

@@ -18,7 +18,8 @@
 //!   schedules, LMR/Theorem-1.3 style) of a phase of [`Cast`]s;
 //! * [`treeops`] — the casts, their one-cast forms [`upcast`] / [`downcast`]
 //!   (Lemmas 1.5/1.6, charged by the words they move) over [`Forest`]s, plus
-//!   budget-enforcing convergecast/broadcast passes;
+//!   [`tree_pass`], the closed-form charge of a one-word convergecast or
+//!   broadcast;
 //! * [`ExecutorConfig`] — deterministic chunked-parallel execution of the runners'
 //!   per-node phases (crate-private `exec.rs`); `threads` is the only setting
 //!   (outputs and metrics are byte-identical at every thread count);
@@ -36,9 +37,8 @@
 //!   deliveries, fault events, metric deltas) with JSONL/DOT export and a
 //!   replay path that re-executes a recorded run and checks byte equality;
 //! * [`Metrics`] — composable cost accounting;
-//! * [`Wire`] — message sizes in `O(log n)`-bit words, with
-//!   [`WireEncode`]/[`WireDecode`] packing fixed-width payloads into `u32`
-//!   lanes for the plane.
+//! * [`WireEncode`]/[`WireDecode`] — one message is one `O(log n)`-bit word,
+//!   packed into a fixed number of `u32` lanes for the plane.
 //!
 //! ## Example: running a BCONGEST algorithm directly
 //!
@@ -103,9 +103,6 @@ pub use metrics::Metrics;
 pub use plane::FlatPlane;
 pub use router::Router;
 pub use trace::TraceLog;
-pub use treeops::{
-    broadcast, convergecast, downcast, route_casts, upcast, BroadcastOutcome, Cast,
-    ConvergecastOutcome, Forest,
-};
+pub use treeops::{downcast, route_casts, tree_pass, upcast, Cast, Forest};
 pub use view::LocalView;
-pub use wire::{Wire, WireDecode, WireEncode};
+pub use wire::{WireDecode, WireEncode};

@@ -49,8 +49,8 @@ use std::ops::Range;
 /// once per round. See the module docs for the layout and the order argument.
 #[derive(Debug)]
 pub struct FlatPlane<M: WireDecode> {
-    /// Per-partition staging arenas; records of `4 + LANES` lanes:
-    /// `[receiver, sender, edge, words, payload...]`.
+    /// Per-partition staging arenas; records of `3 + LANES` lanes:
+    /// `[receiver, sender, edge, payload...]`, one message each.
     stages: Vec<Vec<u32>>,
     /// Per-receiver record counts (`n` entries): non-zero exactly for the
     /// receivers of a delivered, not yet received round.
@@ -128,7 +128,7 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
 
     /// Stage-record stride in `u32` lanes.
     const fn rec_stride() -> usize {
-        4 + M::LANES
+        3 + M::LANES
     }
 
     /// Inbox-record stride in `u32` lanes.
@@ -154,8 +154,8 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
     /// `senders` lists the round's senders **in node order** with their
     /// per-sender payloads; `expand` turns one sender's payload into
     /// `(receiver, edge, msg)` emissions (calling the sink once per message,
-    /// in the sender's emission order). Charges `msg.words()` words and the
-    /// packed wire width (`4 × LANES` bytes) per message to `metrics`.
+    /// in the sender's emission order). Charges each message to `metrics` as one
+    /// word of the packed wire width (`4 × LANES` bytes).
     pub fn deliver<S, F>(
         &mut self,
         cfg: &ExecutorConfig,
@@ -184,8 +184,7 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
                     arena[base] = u.raw();
                     arena[base + 1] = v.raw();
                     arena[base + 2] = e.raw();
-                    arena[base + 3] = m.words() as u32;
-                    m.encode(&mut arena[base + 4..base + stride]);
+                    m.encode(&mut arena[base + 3..base + stride]);
                 });
             }
         };
@@ -213,7 +212,7 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
         let mut total = 0usize;
         for arena in &self.stages[..n_parts] {
             for rec in arena.chunks_exact(stride) {
-                metrics.add_messages_sized(EdgeId::from(rec[2]), u64::from(rec[3]), bytes);
+                metrics.add_messages_sized(EdgeId::from(rec[2]), 1, bytes);
                 let u = rec[0] as usize;
                 if self.counts[u] == 0 {
                     self.touched.insert(u);
@@ -242,7 +241,7 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
                 self.cursors[u] += 1;
                 let base = slot * istride;
                 self.inbox[base] = rec[1];
-                self.inbox[base + 1..base + istride].copy_from_slice(&rec[4..]);
+                self.inbox[base + 1..base + istride].copy_from_slice(&rec[3..]);
             }
         }
         self.delivered = total;
@@ -355,7 +354,7 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{Wire, WireEncode};
+    use crate::wire::WireEncode;
     use congest_graph::{generators, Graph};
 
     /// `receiver → [(sender, msg)]`, rounds concatenated.
@@ -396,7 +395,7 @@ mod tests {
         for senders in sender_sets(g) {
             for (v, p) in &senders {
                 expand(*v, p, &mut |u, e, m| {
-                    metrics.add_messages_sized(e, m.words() as u64, bytes);
+                    metrics.add_messages_sized(e, 1, bytes);
                     inboxes[u.index()].push((*v, m));
                 });
             }

@@ -1,6 +1,6 @@
-//! Forests and the upcast/downcast/phase/convergecast/broadcast primitives (paper
-//! §1.4.2, Lemmas 1.5 and 1.6, plus the aggregation passes every fragment/tree
-//! algorithm uses).
+//! Forests and the upcast/downcast/phase/tree-pass primitives (paper §1.4.2,
+//! Lemmas 1.5 and 1.6, plus the one-word passes every fragment/tree algorithm
+//! uses).
 //!
 //! The casts carry word counts, not payloads: a caller already holds what the
 //! words stand for, and the lemmas charge a cast by the words it moves.
@@ -16,30 +16,27 @@
 //!   it and climbs from each far end to its root ([`Cast::Hop`]'s `up`); Theorems
 //!   3.9 / 3.10's phases wait per root. An [`upcast`] or a [`downcast`] is a
 //!   phase of one cast.
-//! * **Convergecast** ([`convergecast`]): one value per node, folded bottom-up with a
-//!   caller-supplied combiner; each tree edge carries exactly one combined payload
-//!   (the MWOE search of GHS-style MST, subtree counting, …).
-//! * **Broadcast** ([`broadcast`]): one payload per root, flooded down its whole tree;
-//!   each tree edge carries the payload once (fragment-ID dissemination, "everyone
-//!   learn `n`", …).
+//! * **Tree pass** ([`tree_pass`]): one word across each tree edge of the trees
+//!   whose roots speak, either folded up (a convergecast: the MWOE search of
+//!   GHS-style MST, subtree counting, …) or flooded down (a broadcast:
+//!   fragment-ID dissemination, "everyone learn `n`", …). The caller computes
+//!   the folded or flooded value itself.
 //!
 //! Phases are executed as real packet schedules on a [`Router`], so the
 //! returned metrics are realized costs, which the tests
 //! compare against the lemmas' bounds (`O(I_n/log n)` rounds / `O(d·I_n/log n)`
 //! messages for upcast over depth-`d` forests, `O(|M|+d)` rounds / `O(d·|M|)`
 //! messages for downcast).
-//! Convergecast/broadcast use the obvious level-synchronous schedule (`depth·w`
-//! rounds, one `w`-word payload per tree edge) and charge exactly that.
+//! A tree pass needs no router: with one word per edge nothing queues, so its
+//! schedule is exactly one message per tree edge and as many rounds as its
+//! deepest node's depth, in either direction.
 //!
-//! [`convergecast`] and [`broadcast`] take a **per-call message budget**: pass
-//! `Some(budget)` and the call fails with [`EngineError::BudgetExceeded`] instead of
-//! silently overspending — the enforcement hook for "message-optimal" claims. Callers
-//! charging an upcast or downcast check its realized metrics with [`ensure_budget`].
+//! Budgeted algorithms (e.g. the GHS MST) check the running total of what they
+//! charge with [`ensure_budget`] after each pass, cast or phase.
 
 use crate::error::EngineError;
 use crate::metrics::Metrics;
 use crate::router::Router;
-use crate::wire::Wire;
 use congest_graph::{EdgeId, Graph, NodeId};
 
 /// A rooted spanning forest of (a subset of) the graph: parent pointers that follow
@@ -296,9 +293,9 @@ pub fn route_casts(router: &mut Router<'_>, casts: &[Cast<'_>]) -> Result<Metric
 }
 
 /// Fails with [`EngineError::BudgetExceeded`] if `used` exceeds a given budget
-/// (`None` = unlimited). The single budget-enforcement point: [`convergecast`]
-/// and [`broadcast`] go through it, and budgeted algorithms (e.g. the GHS MST)
-/// call it on the running total of the phases they charge.
+/// (`None` = unlimited). The single budget-enforcement point: budgeted
+/// algorithms (e.g. the GHS MST) call it on the running total of what they
+/// charge.
 pub fn ensure_budget(op: &'static str, used: u64, budget: Option<u64>) -> Result<(), EngineError> {
     match budget {
         Some(b) if used > b => Err(EngineError::BudgetExceeded {
@@ -310,168 +307,38 @@ pub fn ensure_budget(op: &'static str, used: u64, budget: Option<u64>) -> Result
     }
 }
 
-/// Result of a [`convergecast`] run.
-#[derive(Clone, Debug)]
-pub struct ConvergecastOutcome<P> {
-    /// The folded value at each root: parallel to `Forest::roots()`.
-    pub at_root: Vec<P>,
-    /// Realized cost of the operation.
-    pub metrics: Metrics,
-}
-
-/// Folds one value per node up to its tree root (bottom-up aggregation).
+/// Charges one word across each tree edge of the trees rooted at `roots`: a
+/// convergecast folding one word per node up to those roots, or a broadcast
+/// flooding one word from each of them down its tree. Other trees are silent.
 ///
-/// Every node combines its children's aggregates into its own value — children in
-/// increasing node-ID order — and sends the result to its parent as one payload, so
-/// each tree edge carries exactly one combined payload. The schedule is
-/// level-synchronous: `depth · w` rounds, where `w` is the largest payload sent.
-/// With an associative, commutative `combine` the result is schedule-independent;
-/// either way the fold order above makes it deterministic.
-///
-/// Pass `budget = Some(limit)` to fail instead of overspending.
+/// One word per edge never queues, so the schedule is exact: one message per
+/// tree edge, and as many rounds as the deepest node of a speaking tree is
+/// deep.
 ///
 /// # Errors
 ///
-/// [`EngineError::BudgetExceeded`] if the realized message count exceeds `budget`.
-///
-/// # Panics
-///
-/// Panics if `values.len() != g.n()` (one value per node).
-pub fn convergecast<P: Wire>(
-    g: &Graph,
-    forest: &Forest,
-    values: Vec<P>,
-    combine: impl Fn(P, P) -> P,
-    budget: Option<u64>,
-) -> Result<ConvergecastOutcome<P>, EngineError> {
-    assert_eq!(values.len(), g.n(), "one value per node");
-    let mut acc: Vec<Option<P>> = values.into_iter().map(Some).collect();
-
+/// [`EngineError::InvalidForest`] if a node of `roots` is not a root of
+/// `forest`.
+pub fn tree_pass(g: &Graph, forest: &Forest, roots: &[NodeId]) -> Result<Metrics, EngineError> {
+    let mut speaks = vec![false; g.n()];
+    for &r in roots {
+        if forest.parent(r).is_some() {
+            return Err(EngineError::InvalidForest {
+                reason: format!("tree pass root {r:?} is not a root"),
+            });
+        }
+        speaks[r.index()] = true;
+    }
     let mut metrics = Metrics::new(g.m());
-    let mut max_words = 0usize;
-    let mut max_sender_depth = 0u32;
-    // Deepest level first; within a level nodes are in ascending node order,
-    // so all children of one parent (they share a level) fold in that order.
-    let levels = level_order(g, forest);
-    for level in (1..levels.levels()).rev() {
-        for &v in levels.level(level) {
-            if let (Some(p), Some(e)) = (forest.parent(v), forest.parent_edge(v)) {
-                let sent = acc[v.index()].take().expect("each node sends once");
-                max_words = max_words.max(sent.words());
-                max_sender_depth = max_sender_depth.max(forest.depth_of(v));
-                metrics.add_messages(e, sent.words() as u64);
-                let own = acc[p.index()].take().expect("parent not yet sent");
-                acc[p.index()] = Some(combine(own, sent));
+    for v in g.nodes() {
+        if let Some(e) = forest.parent_edge(v) {
+            if speaks[forest.root_of(v).index()] {
+                metrics.add_messages(e, 1);
+                metrics.rounds = metrics.rounds.max(u64::from(forest.depth_of(v)));
             }
         }
     }
-    metrics.rounds = u64::from(max_sender_depth) * max_words as u64;
-    ensure_budget("convergecast", metrics.messages, budget)?;
-    let at_root = forest
-        .roots()
-        .iter()
-        .map(|r| acc[r.index()].take().expect("roots never send"))
-        .collect();
-    Ok(ConvergecastOutcome { at_root, metrics })
-}
-
-/// Nodes bucketed by forest depth in CSR form: one flat node array plus
-/// per-level offsets, built by a stable counting sort (`O(n + depth)`), so
-/// within each level nodes are in ascending node order.
-struct LevelOrder {
-    order: Vec<NodeId>,
-    offsets: Vec<usize>,
-}
-
-impl LevelOrder {
-    /// Number of levels (`depth + 1`).
-    fn levels(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// The nodes at depth `l`, ascending.
-    fn level(&self, l: usize) -> &[NodeId] {
-        &self.order[self.offsets[l]..self.offsets[l + 1]]
-    }
-}
-
-fn level_order(g: &Graph, forest: &Forest) -> LevelOrder {
-    let levels = forest.depth() as usize + 1;
-    let mut offsets = vec![0usize; levels + 1];
-    for v in g.nodes() {
-        offsets[forest.depth_of(v) as usize + 1] += 1;
-    }
-    for l in 0..levels {
-        offsets[l + 1] += offsets[l];
-    }
-    let mut cursors = offsets[..levels].to_vec();
-    let mut order = vec![NodeId::new(0); g.n()];
-    for v in g.nodes() {
-        let d = forest.depth_of(v) as usize;
-        order[cursors[d]] = v;
-        cursors[d] += 1;
-    }
-    LevelOrder { order, offsets }
-}
-
-/// Result of a [`broadcast`] run.
-#[derive(Clone, Debug)]
-pub struct BroadcastOutcome<P> {
-    /// The payload received at each node (`None` outside broadcasting trees).
-    pub at_node: Vec<Option<P>>,
-    /// Realized cost of the operation.
-    pub metrics: Metrics,
-}
-
-/// Floods one payload per root down that root's entire tree.
-///
-/// Each tree edge of a broadcasting tree carries the payload exactly once; the
-/// level-synchronous schedule costs `depth · w` rounds for the deepest broadcasting
-/// tree, `w` being the largest payload. Trees whose root has no payload are silent.
-///
-/// Pass `budget = Some(limit)` to fail instead of overspending.
-///
-/// # Errors
-///
-/// [`EngineError::InvalidForest`] if a payload's source node is not a root;
-/// [`EngineError::BudgetExceeded`] if the realized message count exceeds `budget`.
-pub fn broadcast<P: Wire>(
-    g: &Graph,
-    forest: &Forest,
-    payloads: Vec<(NodeId, P)>,
-    budget: Option<u64>,
-) -> Result<BroadcastOutcome<P>, EngineError> {
-    let mut at_root: Vec<Option<P>> = vec![None; g.n()];
-    for (r, p) in payloads {
-        if forest.parent(r).is_some() {
-            return Err(EngineError::InvalidForest {
-                reason: format!("broadcast source {r:?} is not a root"),
-            });
-        }
-        at_root[r.index()] = Some(p);
-    }
-    let mut metrics = Metrics::new(g.m());
-    let mut at_node: Vec<Option<P>> = vec![None; g.n()];
-    let mut max_words = 0usize;
-    let mut max_depth = 0u32;
-    // Level by level from the roots: each node's payload (if its root
-    // broadcasts) is its root's, and its parent edge carries it once.
-    for &v in &level_order(g, forest).order {
-        let Some(p) = at_root[forest.root_of(v).index()].as_ref() else {
-            continue;
-        };
-        let p = p.clone();
-        if let Some(e) = forest.parent_edge(v) {
-            let words = p.words();
-            metrics.add_messages(e, words as u64);
-            max_words = max_words.max(words);
-            max_depth = max_depth.max(forest.depth_of(v));
-        }
-        at_node[v.index()] = Some(p);
-    }
-    metrics.rounds = u64::from(max_depth) * max_words as u64;
-    ensure_budget("broadcast", metrics.messages, budget)?;
-    Ok(BroadcastOutcome { at_node, metrics })
+    Ok(metrics)
 }
 
 #[cfg(test)]
@@ -899,89 +766,35 @@ mod tests {
     }
 
     #[test]
-    fn convergecast_sums_subtree() {
-        let (g, f) = path_forest(5);
-        let out = convergecast(&g, &f, vec![1u64; 5], |a, b| a + b, None)
-            .expect("unbudgeted convergecast");
-        assert_eq!(out.at_root, vec![5]);
-        // One word per tree edge, depth rounds.
-        assert_eq!(out.metrics.messages, 4);
-        assert_eq!(out.metrics.rounds, 4);
+    fn a_pass_folds_or_floods_one_word_per_tree_edge_in_depth_rounds() {
+        for n in [4, 5] {
+            let (g, f) = path_forest(n);
+            let out = tree_pass(&g, &f, f.roots()).expect("a root speaks");
+            assert_eq!((out.messages, out.rounds), (n as u64 - 1, n as u64 - 1));
+            assert!(out.congestion().iter().all(|&c| c == 1));
+        }
     }
 
     #[test]
-    fn convergecast_fold_order_is_child_id_ascending() {
-        // Star rooted at 0: fold must visit children 1, 2, 3, 4, 5 in order.
-        let g = generators::star(6);
-        let parent: Vec<Option<NodeId>> =
-            (0..6).map(|i| (i != 0).then_some(NodeId::new(0))).collect();
-        let f = Forest::from_parents(&g, parent).expect("valid parent pointers");
-        let values: Vec<Vec<u64>> = (0..6).map(|i| vec![i as u64]).collect();
-        let out = convergecast(
-            &g,
-            &f,
-            values,
-            |mut a, b| {
-                a.extend(b);
-                a
-            },
-            None,
-        )
-        .expect("vector-append convergecast");
-        assert_eq!(out.at_root[0], vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(out.metrics.rounds, 1); // depth 1, 1-word payloads
-        assert_eq!(out.metrics.messages, 5);
-    }
-
-    #[test]
-    fn convergecast_budget_enforced() {
-        let (g, f) = path_forest(5);
-        let err = convergecast(&g, &f, vec![1u64; 5], |a, b| a + b, Some(3)).unwrap_err();
-        assert!(matches!(
-            err,
-            EngineError::BudgetExceeded {
-                op: "convergecast",
-                used: 4,
-                budget: 3
-            }
-        ));
-    }
-
-    #[test]
-    fn broadcast_floods_whole_tree() {
-        let (g, f) = path_forest(4);
-        let out =
-            broadcast(&g, &f, vec![(NodeId::new(0), 7u64)], None).expect("unbudgeted broadcast");
-        assert!(out.at_node.iter().all(|p| *p == Some(7)));
-        assert_eq!(out.metrics.messages, 3);
-        assert_eq!(out.metrics.rounds, 3);
-    }
-
-    #[test]
-    fn broadcast_silent_trees_cost_nothing() {
-        // Two trees; only the second broadcasts.
+    fn a_pass_leaves_silent_trees_free() {
+        // Two trees; only the second speaks.
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
         let parent = vec![None, Some(NodeId::new(0)), None, Some(NodeId::new(2))];
         let f = Forest::from_parents(&g, parent).expect("valid parent pointers");
-        let out =
-            broadcast(&g, &f, vec![(NodeId::new(2), 9u64)], None).expect("unbudgeted broadcast");
-        assert_eq!(out.at_node, vec![None, None, Some(9), Some(9)]);
-        assert_eq!(out.metrics.messages, 1);
-        assert_eq!(out.metrics.rounds, 1);
+        let out = tree_pass(&g, &f, &[NodeId::new(2)]).expect("a root speaks");
+        assert_eq!((out.messages, out.rounds), (1, 1));
+        assert_eq!(out.congestion(), &[0, 1]);
+        assert_eq!(
+            tree_pass(&g, &f, &[]).expect("nobody speaks"),
+            Metrics::new(2)
+        );
     }
 
     #[test]
-    fn broadcast_rejects_non_root_source() {
+    fn a_pass_rejects_a_non_root() {
         let (g, f) = path_forest(3);
-        let err = broadcast(&g, &f, vec![(NodeId::new(1), 1u64)], None).unwrap_err();
+        let err = tree_pass(&g, &f, &[NodeId::new(1)]).unwrap_err();
         assert!(matches!(err, EngineError::InvalidForest { .. }));
-    }
-
-    #[test]
-    fn broadcast_budget_enforced() {
-        let (g, f) = path_forest(4);
-        let err = broadcast(&g, &f, vec![(NodeId::new(0), 7u64)], Some(2)).unwrap_err();
-        assert!(matches!(err, EngineError::BudgetExceeded { .. }));
     }
 
     use congest_graph::Graph;

@@ -3,7 +3,8 @@
 //! reproduces the `VecDeque` scheduler it replaced metric for metric (over
 //! forests, as a Theorem 2.1 phase whose hop words wait for their owner's word,
 //! and as random phases with per-node barriers), a reused router equals fresh
-//! ones, also after a rejected phase, a run is identical —
+//! ones, also after a rejected phase, a tree pass's closed form is the
+//! schedule of its one-word hops, a run is identical —
 //! outputs and `Metrics` — at every thread count, the event-driven round loop
 //! equals, in both models, one that polls every node every round (with and
 //! without faults), and the packed wire codec of the message plane round-trips
@@ -12,9 +13,9 @@
 use congest_algos::{bfs::Bfs, bfs_collection::BfsCollection};
 use congest_engine::faults::FaultState;
 use congest_engine::{
-    downcast, route_casts, run_bcongest, run_congest, treeops::Forest, upcast, BcongestAlgorithm,
-    Cast, CongestAlgorithm, EngineError, ExecutorConfig, FaultEvent, FaultPlan, FaultResponse,
-    LocalView, Metrics, Router, RunOptions, Wire, WireDecode, WireEncode,
+    downcast, route_casts, run_bcongest, run_congest, tree_pass, treeops::Forest, upcast,
+    BcongestAlgorithm, Cast, CongestAlgorithm, EngineError, ExecutorConfig, FaultEvent, FaultPlan,
+    FaultResponse, LocalView, Metrics, Router, RunOptions, WireDecode, WireEncode,
 };
 use congest_graph::{generators, reference, rng, EdgeId, Graph, NodeId};
 use proptest::prelude::*;
@@ -23,15 +24,12 @@ use rand::Rng;
 mod reference_scheduler;
 use reference_scheduler::{reference_route, reference_route_timed, Walk};
 
-/// Encode → decode round-trip, plus the accounting agreement: the packed
-/// width is the constant `LANES` while the model-level cost `words()` must
-/// survive the codec unchanged.
+/// Encode → decode round-trip over exactly the constant `LANES` lanes.
 fn codec_roundtrip<T: WireDecode>(v: T) -> Result<(), TestCaseError> {
     let mut lanes = vec![0u32; T::LANES];
     v.encode(&mut lanes);
     let back = T::decode(&lanes);
     prop_assert_eq!(&back, &v, "decode ∘ encode = id");
-    prop_assert_eq!(back.words(), v.words(), "words() survives the codec");
     Ok(())
 }
 
@@ -47,6 +45,34 @@ fn root_path(f: &Forest, v: NodeId) -> Vec<NodeId> {
         path.push(p);
     }
     path
+}
+
+/// The tree pass over the trees rooted at `roots` as a phase of one-word hops,
+/// one cast per level, each waiting for the one before: a flood goes
+/// root-first, each word from a node to its child, and a fold goes
+/// deepest-first, each word from a node to its parent.
+fn pass_as_hops(g: &Graph, f: &Forest, roots: &[NodeId], flood: bool) -> Vec<Cast<'static>> {
+    let mut levels = vec![Vec::new(); f.depth() as usize];
+    for v in g.nodes() {
+        if let (Some(p), Some(e)) = (f.parent(v), f.parent_edge(v)) {
+            if roots.contains(&f.root_of(v)) {
+                let owner = if flood { p } else { v };
+                levels[f.depth_of(v) as usize - 1].push((owner, e, 1));
+            }
+        }
+    }
+    if !flood {
+        levels.reverse();
+    }
+    levels
+        .into_iter()
+        .enumerate()
+        .map(|(i, items)| Cast::Hop {
+            items,
+            up: None,
+            after: if i == 0 { vec![] } else { vec![i - 1] },
+        })
+        .collect()
 }
 
 /// A random forest over connected `g`: a BFS tree from a random root with each
@@ -380,7 +406,7 @@ macro_rules! full_scan_run {
                         {
                             metrics.dropped_messages += 1;
                         } else {
-                            metrics.add_messages_sized(e, msg.words() as u64, bytes);
+                            metrics.add_messages_sized(e, 1, bytes);
                             inboxes[u.index()].push((NodeId::new(i), msg));
                         }
                     }
@@ -571,7 +597,6 @@ proptest! {
         codec_roundtrip(d)?;
         codec_roundtrip((p0, p1))?;
         codec_roundtrip((q0, q1))?;
-        codec_roundtrip(())?;
         codec_roundtrip(NodeId::from(id))?;
         codec_roundtrip(EdgeId::from(id))?;
         codec_roundtrip(congest_graph::ClusterId::from(id))?;
@@ -780,6 +805,24 @@ proptest! {
         for _ in 0..2 {
             let got = route_casts(&mut router, &phase).expect("hops leave owners");
             prop_assert_eq!(&got, &want.metrics);
+        }
+    }
+
+    #[test]
+    fn a_tree_pass_is_the_schedule_of_its_hops(seed in 0u64..4000, n in 2usize..24) {
+        let g = generators::gnp_connected(n, 0.2, seed);
+        let mut r = rng::seeded(seed);
+        let f = random_forest(&g, &mut r);
+        let roots: Vec<NodeId> =
+            f.roots().iter().copied().filter(|_| r.random_range(0..2u32) == 0).collect();
+        let pass = tree_pass(&g, &f, &roots).expect("roots of the forest");
+        let mut router = Router::new(&g).expect("a small graph");
+        for flood in [true, false] {
+            let hops = route_casts(&mut router, &pass_as_hops(&g, &f, &roots, flood))
+                .expect("each hop leaves its owner");
+            prop_assert_eq!(pass.messages, hops.messages);
+            prop_assert_eq!(pass.congestion(), hops.congestion());
+            prop_assert_eq!(pass.rounds, hops.rounds);
         }
     }
 

@@ -9,7 +9,9 @@
 #
 # Every `pub fn` line under crates/*/src is one function. Its name is searched
 # as a whole word in every tracked .rs file outside vendor/, skipping the
-# defining file and every lib.rs (they only re-export). A function is
+# defining file and, in every lib.rs, the lines that only re-export or
+# comment: a `use` statement (through its `;`) and a `//` comment line. The
+# rest of a lib.rs is code like any other file's. A function is
 # *unreferenced* when that search finds nothing. It has *no non-test caller*
 # when every match is test code and its own file's non-test lines do not name
 # it either. Test code is a file under a tests/ directory, or a line at or
@@ -44,6 +46,22 @@ while IFS=: read -r file line _; do
     [[ -n "${first_test[$file]:-}" ]] || first_test[$file]=$line
 done < <(grep -H -n -F '#[cfg(test)]' "${rust_files[@]}" || true)
 
+# Every lib.rs line that is part of a `use` statement or a `//` comment, as
+# `file:line` keys.
+declare -A reexport=()
+for file in "${rust_files[@]}"; do
+    [[ $file == lib.rs || $file == */lib.rs ]] || continue
+    while IFS= read -r line; do
+        reexport[$file:$line]=1
+    done < <(awk '
+        in_use || /^[[:space:]]*(pub(\([a-z]+\))? )?use / {
+            print NR
+            in_use = !/;/
+            next
+        }
+        /^[[:space:]]*\/\// { print NR }' "$file")
+done
+
 # is_test FILE LINE: whether line LINE of FILE is test code.
 is_test() {
     [[ $1 == tests/* || $1 == */tests/* ]] && return 0
@@ -73,7 +91,7 @@ while IFS=: read -r file line text; do
     referenced=false
     called=false
     while IFS=: read -r ref_file ref_line _; do
-        [[ $ref_file == "$file" || $ref_file == lib.rs || $ref_file == */lib.rs ]] && continue
+        [[ $ref_file == "$file" || -n "${reexport[$ref_file:$ref_line]:-}" ]] && continue
         referenced=true
         if ! is_test "$ref_file" "$ref_line"; then
             called=true
