@@ -1,8 +1,8 @@
 //! Theorem 2.1 at the benchmark's scale, as plain numbers: `tradeoff_apsp` at
 //! ε = 0 on the benchmark's pinned `gnp_connected(512, 8/512, 20250608)` and on
-//! `caveman(16, 32)`, and `weighted_apsp` on that gnp-512 under weights
-//! `1..=9` drawn from seed 20250608, all at seed 20250608. One line per case
-//! in `tests/golden/theorem_2_1_scale.txt`:
+//! `caveman(16, 32)` at seeds 20250608 and 1, and `weighted_apsp` on that
+//! gnp-512 under weights `1..=9` drawn from seed 20250608, at seed 20250608.
+//! One line per case in `tests/golden/theorem_2_1_scale.txt`:
 //!
 //! ```text
 //! <case>/<family>/<n>/s<seed> <messages> <rounds>
@@ -27,12 +27,17 @@ const SEED: u64 = 20250608;
 fn theorem_2_1_at_bench_scale_matches_the_golden_file() {
     let gnp = generators::gnp_connected(512, 8.0 / 512.0, SEED);
     let mut lines = Vec::new();
-    for (family, g) in [("gnp", &gnp), ("caveman", &generators::caveman(16, 32))] {
-        let res = tradeoff_apsp(g, 0.0, SEED).expect("trade-off");
+    let caveman = generators::caveman(16, 32);
+    for (family, g, seed) in [
+        ("gnp", &gnp, SEED),
+        ("caveman", &caveman, SEED),
+        ("caveman", &caveman, 1),
+    ] {
+        let res = tradeoff_apsp(g, 0.0, seed).expect("trade-off");
         check_unweighted_apsp(g, &res.dist).expect("exact distances");
         let (messages, rounds) = (res.metrics.messages, res.metrics.rounds);
         lines.push(format!(
-            "tradeoff_eps0/{family}/{}/s{SEED} {messages} {rounds}",
+            "tradeoff_eps0/{family}/{}/s{seed} {messages} {rounds}",
             g.n()
         ));
     }

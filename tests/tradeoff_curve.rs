@@ -1,9 +1,11 @@
 //! Theorem 1.2's curve as plain numbers: every `tradeoff_apsp` route on four
-//! families at two seeds and ε ∈ {0, ¼, ½, ¾, 1}, one line per case in
-//! `tests/golden/curve.txt`:
+//! families at two seeds and ε ∈ {0, ¼, ½, ¾, 1}, and beside them ε = 0's
+//! weighted twin, `weighted_apsp` under weights `1..=9` drawn from the seed,
+//! one line per case in `tests/golden/curve.txt`:
 //!
 //! ```text
 //! <route>/<family>/<n>/s<seed>/eps<ε> <messages> <rounds>
+//! weighted_apsp/<family>/<n>/s<seed> <messages> <rounds>
 //! ```
 //!
 //! The other golden files hash their runs, so a diff there says *that* a count
@@ -12,8 +14,9 @@
 //! paste them over the file.
 
 use congest_apsp::apsp_core::tradeoff::tradeoff_apsp;
-use congest_apsp::apsp_core::verify::check_unweighted_apsp;
-use congest_apsp::graph::{generators, Graph};
+use congest_apsp::apsp_core::verify::{check_unweighted_apsp, check_weighted_apsp};
+use congest_apsp::apsp_core::weighted_apsp::{weighted_apsp, WeightedApspConfig};
+use congest_apsp::graph::{generators, Graph, WeightedGraph};
 
 /// The graphs of one seed: `gnp` is drawn from it, the other families are fixed
 /// and the seed only drives the algorithm.
@@ -42,6 +45,18 @@ fn the_curve_matches_the_golden_file() {
                     res.metrics.rounds
                 ));
             }
+            let wg = WeightedGraph::random_weights(&g, 1..=9, seed);
+            let cfg = WeightedApspConfig {
+                seed,
+                ..Default::default()
+            };
+            let res = weighted_apsp(&wg, &cfg).expect("weighted APSP");
+            check_weighted_apsp(&wg, &res.distances).expect("exact distances");
+            let (messages, rounds) = (res.metrics.messages, res.metrics.rounds);
+            lines.push(format!(
+                "weighted_apsp/{family}/{}/s{seed} {messages} {rounds}",
+                g.n()
+            ));
         }
     }
     let computed = lines.join("\n") + "\n";
