@@ -270,7 +270,7 @@ pub fn e_t2_1(n: usize, seed: u64) -> Table {
     t.note("msgs/(In+Out+B) is the Theorem 2.1 polylog factor; rounds/(T_A·n) its round overhead");
     t.note("phase rounds = total − preprocessing: the phases plus the output step");
     t.note("largest = the largest cluster's size; its MPX center's and its used center's cluster degrees differ where §2.2 step 2b re-elected the center");
-    t.note("clusters: MPX's, then the ones the simulation casts over once §2.2 step 3c folded fragments into hosts, read off a silent payload's output step (a plain downcast: 1-word outputs never replicate); at the full sizes and seed 20250608 step 3c takes caveman(32, 4) from 70 120 messages / 5 401 rounds to 65 148 / 4 447, gnp(512, 8/512) from 1 107 456 / 32 880 to 746 761 / 14 051 (its phases now cost nothing) and the bipartite row from 235 to 163 rounds; replicated output delivery then takes caveman(32, 4) to 64 581 messages (rounds unchanged) and gnp(512, 8/512) to 605 526 / 9 067");
+    t.note("clusters: MPX's, then the ones the simulation casts over once §2.2 step 3c folded fragments into hosts, read off a silent payload's output step (a plain downcast: 1-word outputs never replicate); at the full sizes and seed 20250608 step 3c takes caveman(32, 4) from 70 120 messages / 5 401 rounds to 65 148 / 4 447, gnp(512, 8/512) from 1 107 456 / 32 880 to 746 761 / 14 051 (its phases now cost nothing) and the bipartite row from 235 to 163 rounds; replicated output delivery then takes caveman(32, 4) to 64 581 messages (rounds unchanged) and gnp(512, 8/512) to 605 526 / 9 067, and inputs as an edge list, each cluster edge once in step 3 and in the replicas' transcript, take them to 42 496 / 4 172 and 535 223 / 5 664 (msgs/(In+Out+B) 1.94 → 1.27 and 1.14 → 1.01)");
     t.note("against the MPX center at the full size (n = 40), re-election takes caveman(32, 4) from 87 434 messages / 8 399 rounds to 70 120 / 5 401; the gnp(40, 0.3) and bipartite rows pay +11…+20 % messages for −16…−29 % rounds, because the trial BFS costs two words per cluster edge, O(m), against a tiny payload");
     t
 }

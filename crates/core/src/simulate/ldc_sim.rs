@@ -4,9 +4,12 @@
 //! Preprocessing: leader election + node count (§2.2 step 1), an
 //! `(O(log n), O(log n))`-LDC decomposition (step 2), and an upcast of every node's
 //! input to its cluster center (step 3) — after which each center replicates its
-//! members' state machines. Step 2b, before the upcast: each cluster elects the
-//! member with the most cluster neighbours and, if it beats the MPX center and its
-//! BFS tree of the cluster is no deeper, roots the cluster there
+//! members' state machines. Inputs travel as an edge list, one word per edge
+//! (`reported_edges`): a member reports every edge leaving its cluster and every
+//! cluster edge to a larger-id neighbour, so each cluster edge crosses the tree
+//! once rather than once per endpoint. Step 2b, before the upcast: each cluster
+//! elects the member with the most cluster neighbours and, if it beats the MPX
+//! center and its BFS tree of the cluster is no deeper, roots the cluster there
 //! (`reelect_centers`); step 3 and everything after run over the forest it
 //! returns. Step 3b: knowing its members' edge lists, each center re-parents its
 //! cluster tree so its branches balance (same depths, same cast messages;
@@ -33,9 +36,9 @@
 //! along that path, or at the shared center for a receiver in the broadcaster's
 //! own cluster. A final output step delivers outputs: a downcast from each
 //! center, except that where it is faster and costs no more messages the
-//! center first sends its *transcript* (inputs, phase receipts, seed) down to
-//! *replicas*, members that recompute their own subtrees' outputs and
-//! downcast those (`deliver_outputs`). Message complexity is therefore
+//! center first sends its *transcript* (its cluster's edge list, phase
+//! receipts, seed) down to *replicas*, members that recompute their own
+//! subtrees' outputs and downcast those (`deliver_outputs`). Message complexity is therefore
 //! `Õ(In + Out + B_A)` — each simulated broadcast pays `O(log n)` F-edges ×
 //! `O(log n)` tree depth rather than `deg(v)`.
 //!
@@ -109,9 +112,14 @@ pub(crate) fn simulate_over_ldc<A: BcongestAlgorithm>(
     let (forest, reelection) = reelect_centers(g, ldc.clustering.forest(g)?, opts.seed)?;
     metrics.merge_sequential(&reelection);
 
-    // Step 3: upcast every node's input (its incident edge list) to its center.
+    // Step 3: upcast every node's input (its incident edge list) to its center:
+    // one word per edge it reports, or its id if it reports none, which also
+    // tells its parent it is done.
     let mut router = Router::new(g)?;
-    let inputs = g.nodes().map(|v| (v, g.degree(v) + 1)).collect();
+    let inputs = g
+        .nodes()
+        .map(|v| (v, reported_edges(g, &forest, v).count().max(1)))
+        .collect();
     metrics.merge_sequential(&upcast(&mut router, &forest, inputs)?);
     // Step 3b: with every member's edge list in hand, each center balances its
     // tree's branches; every later cast runs over the tree it chose.
@@ -126,9 +134,9 @@ pub(crate) fn simulate_over_ldc<A: BcongestAlgorithm>(
 
     // Centers now (conceptually) hold all member inputs and replicate member
     // states: phase `p` is round `p` of the payload's own execution, delivered
-    // by the transport below. Per root: its center's transcript so far, step
-    // 3's inputs and the seed word; each phase adds the words that climb into
-    // the center and, if there are any, one count word.
+    // by the transport below. Per root: its center's transcript so far, its
+    // cluster's edge list and the seed word; each phase adds the words that
+    // climb into the center and, if there are any, one count word.
     let mut transcript = input_transcript(g, &forest);
     let mut heard_in = vec![usize::MAX; n];
     let phase_budget = phase_budget_rounds(n);
@@ -193,12 +201,31 @@ pub(crate) fn simulate_over_ldc<A: BcongestAlgorithm>(
     Ok(SimulationRun::assemble(payload, metrics, preprocessing))
 }
 
-/// Per root of `forest`: its center's transcript before the phases, step 3's
-/// `deg + 1` input words per member and one seed word.
+/// The edges member `v` of a tree of `forest` *reports* as its input, as
+/// `(edge, neighbour)`: every edge leaving its tree and every edge inside it to
+/// a larger-id neighbour. Each is one word `(v, u)`, with one bit for whether
+/// `u` shares the cluster (`v` knows from the LDC's announce round) and the
+/// weight as a third value when there is one, so a tree's members report each
+/// of its edges once and each edge leaving it once. From them a center
+/// rebuilds every member's full edge list.
+fn reported_edges<'a>(
+    g: &'a Graph,
+    forest: &'a Forest,
+    v: NodeId,
+) -> impl Iterator<Item = (EdgeId, NodeId)> + 'a {
+    let root = forest.root_of(v);
+    g.incident(v)
+        .filter(move |&(_, u)| u > v || forest.root_of(u) != root)
+}
+
+/// Per root of `forest`: its center's transcript before the phases, its
+/// members' [`reported_edges`] (each edge of the cluster once, each edge
+/// leaving it once) under the forest the output step casts over, and one seed
+/// word.
 fn input_transcript(g: &Graph, forest: &Forest) -> Vec<u64> {
     let mut transcript = vec![0u64; g.n()];
     for v in g.nodes() {
-        transcript[forest.root_of(v).index()] += g.degree(v) as u64 + 1;
+        transcript[forest.root_of(v).index()] += reported_edges(g, forest, v).count() as u64;
     }
     for r in forest.roots() {
         transcript[r.index()] += 1;
@@ -723,12 +750,13 @@ fn phase_casts(forest: &Forest, hops: impl IntoIterator<Item = (NodeId, EdgeId)>
 
 /// Theorem 2.1's output step: every node gets its `words[v]`-word output over
 /// `forest`. A center's state machines are deterministic given its
-/// *transcript* (`transcript[root]` words: step 3's inputs, the seed, every
-/// word that climbed into it in a phase and a count word per phase that had
-/// any), so a member that receives it, a *replica*, computes its region's
-/// outputs itself, and the tree edge into it carries the transcript instead of
-/// its subtree's outputs. One routed schedule of existing casts, over the
-/// replicas and output tree [`plan_outputs`] picks:
+/// *transcript* (`transcript[root]` words: its cluster's edge list, each edge
+/// once (`reported_edges`), the seed, every word that climbed into it in a
+/// phase and a count word per phase that had any), so a member that receives
+/// it, a *replica*, computes its region's outputs itself, and the tree edge
+/// into it carries the transcript instead of its subtree's outputs. One routed
+/// schedule of existing casts, over the replicas and output tree
+/// [`plan_outputs`] picks:
 /// 1. *re-parent*: one word down `forest` to each member the output tree
 ///    moves, which sends one word to its new parent on arrival; a word-less
 ///    upcast from each new parent holds the center until the last is in (a
@@ -854,8 +882,9 @@ struct OutputPlan {
 ///    of depth(p) + Out(T_c)` over `forest`, and its messages, re-parenting
 ///    included, are at most the plain downcast's.
 ///
-/// A 1-word output never replicates: `t` counts `deg + 1` input words per
-/// member, more than a subtree's outputs.
+/// A 1-word output never replicates: a cluster of `k ≥ 2` members has at
+/// least `k − 1` tree edges, each in its edge list, plus the seed word, so
+/// `t ≥ k`, more than the `k − 1` output words of any child's subtree `T_c`.
 fn plan_outputs(g: &Graph, forest: &Forest, words: &[u64], transcript: &[u64]) -> OutputPlan {
     let n = g.n();
     let root = |v: NodeId| forest.root_of(v).index();
@@ -1150,6 +1179,31 @@ mod tests {
         }
     }
 
+    /// Hub cluster: center 0, depth-1 members 1..=4, each heading two depth-2
+    /// members. Fragment: the triangle 13 - 14 - 15 centered at 13, every
+    /// member adjacent to every depth-1 hub member (so each is within the
+    /// hub's depth 2 through it), 14 and 15 also to every depth-2 one. Step 3c
+    /// merges the two.
+    fn hub_and_fragment() -> (Graph, LdcDecomposition) {
+        let mut edges = vec![(13, 14), (13, 15), (14, 15)];
+        for h in 1..=4 {
+            edges.extend([(0, h), (h, 2 * h + 3), (h, 2 * h + 4)]);
+            edges.extend([(h, 13), (h, 14), (h, 15)]);
+        }
+        edges.extend((5..=12).flat_map(|d| [(d, 14), (d, 15)]));
+        let g = Graph::from_edges(16, &edges);
+        let parent: Vec<Option<usize>> = (0..16)
+            .map(|v| match v {
+                0 | 13 => None,
+                1..=4 => Some(0),
+                5..=12 => Some((v - 3) / 2),
+                _ => Some(13),
+            })
+            .collect();
+        let ldc = ldc_over_trees(&g, &parent);
+        (g, ldc)
+    }
+
     /// BFS from node 0 with `words`-word outputs: every reached node
     /// broadcasts once, in the phase of its distance.
     struct WideBfs {
@@ -1261,10 +1315,10 @@ mod tests {
 
     #[test]
     fn replicas_take_over_the_forks_of_a_hub() {
-        // t = Σ (deg + 1) + 1 = 30 + 16 + 1 = 47 words, no phase receipts (one
-        // cluster). With 20-word outputs a fork carries Out = 100 words; as a
-        // replica, 47 + 2 × 20 + 1 = 88 < 100 + 2 rounds, and its children
-        // (Out = 40 < 47) stay plain. The plain downcast's lower bound is 100.
+        // With a 47-word transcript and 20-word outputs a fork carries Out =
+        // 100 words; as a replica, 47 + 2 × 20 + 1 = 88 < 100 + 2 rounds, and
+        // its children (Out = 40 < 47) stay plain. The plain downcast's lower
+        // bound is 100.
         let (g, ldc) = three_forks(&[], &[]);
         let mut router = Router::new(&g).unwrap();
         let (forest, _) = cast_forest(&mut router, &ldc, 3);
@@ -1290,24 +1344,38 @@ mod tests {
         // round after. Plain: 5 × 20 words queue on 0 → a, e's last crosses it
         // in round 100 and reaches e in 102.
         assert_eq!((plan.messages, plan.rounds), (3 * (47 + 120), 88));
+        // The run's own transcript is the cluster's 15 edges and the seed, t =
+        // 16 words, no phase receipts (one cluster). Then every fork member
+        // replicates: a has 16 + 41 < 100 + 2, a child b has Out = 40 ≥ 16 and
+        // 16 + 20 < 40 + 1, and a leaf c has Out = 20 ≥ 16 and 16 < 20, and
+        // the bound 3 × 16 is below 100. Each of the 15 members gets
+        // the 16 words over its parent edge, the depth-3 ones by round 3 × 16,
+        // and computes its own output.
         let [step, plain] = output_steps(&g, &ldc, 20, 3);
-        assert_eq!((step, plain), ((501, 88), (3 * 220, 102)));
+        assert_eq!((step, plain), ((15 * 16, 3 * 16), (3 * 220, 102)));
     }
 
     #[test]
     fn replicas_that_only_tie_the_plain_lower_bound_are_rejected() {
-        // As above with 16-word outputs: each fork passes the per-node rule
-        // (47 + 33 < 80 + 2), but the schedule's bound, 47 + 33 = 80, only ties
-        // the plain downcast's lower bound, Out = 80: the plain downcast stays.
-        let (g, ldc) = three_forks(&[], &[]);
+        // The hub with one more edge, 3 - 5, between the depth-3 members of
+        // the first fork (no new parent for anyone). With a 47-word transcript
+        // and 16-word outputs each fork passes the per-node rule (47 + 33 <
+        // 80 + 2), but the schedule's bound, 47 + 33 = 80, only ties the plain
+        // downcast's lower bound, Out = 80: the plain downcast stays.
+        let (g, ldc) = three_forks(&[(3, 5)], &[]);
         let forest = ldc.clustering.forest(&g).unwrap();
         let mut transcript = vec![0; 16];
         transcript[0] = 47;
         let plan = plan_outputs(&g, &forest, &[16; 16], &transcript);
         assert!(!plan.replica.contains(&true));
-        let [step, plain] = output_steps(&g, &ldc, 16, 3);
+        // The run's own transcript: 16 edges and the seed, t = 17. With
+        // 6-word outputs a fork passes the per-node rule (17 + 13 < 30 + 2;
+        // its children, Out = 12 < 17, cannot), and the bound 17 + 13 = 30
+        // ties Out = 30 again.
+        assert_eq!(input_transcript(&g, &forest)[0], 17);
+        let [step, plain] = output_steps(&g, &ldc, 6, 3);
         assert_eq!(step, plain);
-        assert_eq!(plain, (3 * 11 * 16, 5 * 16 + 2));
+        assert_eq!(plain, (3 * 11 * 6, 5 * 6 + 2));
     }
 
     #[test]
@@ -1325,11 +1393,11 @@ mod tests {
         let mut router = Router::new(&g).unwrap();
         let (forest, _) = cast_forest(&mut router, &ldc, 3);
         assert_eq!(forest.roots(), [NodeId::new(0), NodeId::new(16)]);
-        // Inputs 32 + 16 and 6 + 3 words, the seed, then the phases.
+        // With 17-word outputs, inputs of 48 and 9 words, the seed and the
+        // phases' 2 + 1 words, the receipts keep the hub plain (52 + 35 is
+        // not below 85 + 2), while leaves 17 and 18 replicate (13 < 17).
         let mut transcript = vec![0; g.n()];
         (transcript[0], transcript[16]) = (48 + 1 + 2 + 1, 9 + 1 + 2 + 1);
-        // With 17-word outputs the receipts keep the hub plain (52 + 35 is not
-        // below 85 + 2), while leaves 17 and 18 replicate (13 < 17).
         let plan = plan_outputs(&g, &forest, &[17; 19], &transcript);
         let replicas: Vec<usize> = g
             .nodes()
@@ -1343,11 +1411,119 @@ mod tests {
             [1, 6, 11].iter().all(|&a| plan.replica[a]),
             "without receipts the forks replicate"
         );
-        // The hub's plain downcast, 11 × 17 words per fork and 5 × 17 + 2
-        // rounds, beside 2 × 13 transcript words to the leaves.
+        // The run's own inputs: the hub's 15 edges and the 2 leaving it, the
+        // other cluster's 2 edges and the same 2 leaving it, and the seed.
+        let inputs = input_transcript(&g, &forest);
+        assert_eq!((inputs[0], inputs[16]), (15 + 2 + 1, 2 + 2 + 1));
+        // With the receipts, t = 18 + 3 = 21 at the hub: each fork replicates
+        // (21 + 35 < 85 + 2, a bound 56 below Out = 85), its children do not
+        // (21 + 17 is not below 34 + 1). Per fork 21 transcript words to a,
+        // then 6 × 17 words of a's region, the last of c's in round 21 + 34
+        // + 1; at the leaves t = 5 + 3 = 8 words each.
         let [step, plain] = output_steps(&g, &ldc, 17, 3);
-        assert_eq!(step, (3 * 11 * 17 + 2 * 13, 5 * 17 + 2));
+        assert_eq!(step, (3 * (21 + 6 * 17) + 2 * 8, 21 + 2 * 17 + 1));
         assert_eq!(plain, (3 * 11 * 17 + 2 * 17, 5 * 17 + 2));
+    }
+
+    /// One input word as [`reported_edges`] defines it: the reporting member,
+    /// the neighbour, whether they share a tree of the forest, the weight.
+    type Word = (NodeId, NodeId, bool, Option<u64>);
+
+    /// Per node: the words it reports under `forest`.
+    fn input_words(g: &Graph, forest: &Forest, weights: Option<&[u64]>) -> Vec<Vec<Word>> {
+        let words = |v: NodeId| {
+            reported_edges(g, forest, v).map(move |(e, u)| {
+                let shared = forest.root_of(u) == forest.root_of(v);
+                (v, u, shared, weights.map(|w| w[e.index()]))
+            })
+        };
+        g.nodes().map(|v| words(v).collect()).collect()
+    }
+
+    /// Rebuilds every member's neighbour list, with weights, from the words
+    /// of its tree and checks it against `g`: a word names the edge for its
+    /// reporter and, if they share the tree, for its neighbour too.
+    fn assert_rebuilds(g: &Graph, weights: Option<&[u64]>, words: &[Vec<Word>]) {
+        let mut rebuilt = vec![Vec::new(); g.n()];
+        for &(v, u, shared, w) in words.iter().flatten() {
+            rebuilt[v.index()].push((u, w));
+            if shared {
+                rebuilt[u.index()].push((v, w));
+            }
+        }
+        for v in g.nodes() {
+            rebuilt[v.index()].sort_unstable();
+            let own = g
+                .incident(v)
+                .map(|(e, u)| (u, weights.map(|w| w[e.index()])));
+            assert_eq!(rebuilt[v.index()], own.collect::<Vec<_>>(), "{v:?}");
+        }
+    }
+
+    #[test]
+    fn inputs_travel_as_an_edge_list() {
+        let gnp = generators::gnp_connected(96, 0.06, 20250608);
+        let weighted = congest_graph::WeightedGraph::random_weights(&gnp, 1..=9, 20250608);
+        let (hub, hub_ldc) = hub_and_fragment();
+        let cases = [
+            (generators::gnp_connected(96, 0.06, 1), None, None, 1),
+            (generators::caveman(8, 12), None, None, 1),
+            (generators::grid(12, 8), None, None, 31),
+            (generators::path(64), None, None, 1),
+            (gnp, Some(weighted.weights()), None, 20250608),
+            (hub, None, Some(hub_ldc), 5),
+        ];
+        let mut merges = 0;
+        for (g, weights, ldc, seed) in cases {
+            let ldc = ldc.unwrap_or_else(|| build_ldc(&g, seed).unwrap());
+            let mut router = Router::new(&g).unwrap();
+            // Step 3's upcast, over step 2b's forest: the words rebuild every
+            // member's edge list, and each member sends its words or its id.
+            let mut preprocessing = Metrics::new(g.m());
+            preprocessing.merge_sequential(&setup_network(&g, seed).unwrap().metrics);
+            preprocessing.merge_sequential(&ldc.metrics);
+            let (forest, charge) =
+                reelect_centers(&g, ldc.clustering.forest(&g).unwrap(), seed).unwrap();
+            preprocessing.merge_sequential(&charge);
+            let words = input_words(&g, &forest, weights);
+            assert_rebuilds(&g, weights, &words);
+            let sent = g.nodes().map(|v| (v, words[v.index()].len().max(1)));
+            preprocessing.merge_sequential(&upcast(&mut router, &forest, sent.collect()).unwrap());
+            let (forest, charge) = balance_branches(&mut router, forest).unwrap();
+            preprocessing.merge_sequential(&charge);
+            let (forest, merged, charge) = absorb_fragments(&mut router, forest, &ldc).unwrap();
+            preprocessing.merge_sequential(&charge);
+            merges += usize::from(merged.is_some());
+            let opts = LdcSimOptions {
+                seed,
+                ..Default::default()
+            };
+            let sim = simulate_over_ldc(&Bfs::new(NodeId::new(0)), &g, weights, &ldc, &opts);
+            assert_eq!(sim.unwrap().preprocessing, preprocessing);
+
+            // The transcript, over the forest the output step casts over: the
+            // words rebuild every edge list again, each edge is in the
+            // transcript of each cluster it touches exactly once, and the
+            // transcript counts them and the seed word.
+            let words = input_words(&g, &forest, weights);
+            assert_rebuilds(&g, weights, &words);
+            let mut copies = std::collections::HashSet::new();
+            let mut count = vec![1u64; g.n()];
+            for &(v, u, _, _) in words.iter().flatten() {
+                let (e, r) = (g.edge_between(v, u).unwrap(), forest.root_of(v));
+                assert!(copies.insert((e, r)), "{e:?} twice in {r:?}'s transcript");
+                count[r.index()] += 1;
+            }
+            for (e, a, b) in g.edges() {
+                assert!(copies.contains(&(e, forest.root_of(a))));
+                assert!(copies.contains(&(e, forest.root_of(b))));
+            }
+            let transcript = input_transcript(&g, &forest);
+            for r in forest.roots() {
+                assert_eq!(transcript[r.index()], count[r.index()], "{r:?}");
+            }
+        }
+        assert!(merges > 0, "some case merges clusters in step 3c");
     }
 
     #[test]
@@ -1413,28 +1589,9 @@ mod tests {
 
     #[test]
     fn a_fragment_within_the_hub_depth_is_absorbed() {
-        // Hub cluster: center 0, depth-1 members 1..=4, each heading two
-        // depth-2 members. Fragment: the triangle 13 - 14 - 15 centered at 13,
-        // every member adjacent to every depth-1 hub member (so each is within
-        // the hub's depth 2 through it), 14 and 15 also to every depth-2 one.
         // All twelve hub members land an F-edge in the fragment, eight of them
         // on 14, whose words queue on its one tree edge every phase.
-        let mut edges = vec![(13, 14), (13, 15), (14, 15)];
-        for h in 1..=4 {
-            edges.extend([(0, h), (h, 2 * h + 3), (h, 2 * h + 4)]);
-            edges.extend([(h, 13), (h, 14), (h, 15)]);
-        }
-        edges.extend((5..=12).flat_map(|d| [(d, 14), (d, 15)]));
-        let g = Graph::from_edges(16, &edges);
-        let parent: Vec<Option<usize>> = (0..16)
-            .map(|v| match v {
-                0 | 13 => None,
-                1..=4 => Some(0),
-                5..=12 => Some((v - 3) / 2),
-                _ => Some(13),
-            })
-            .collect();
-        let ldc = ldc_over_trees(&g, &parent);
+        let (g, ldc) = hub_and_fragment();
         assert_eq!((ldc.clustering.len(), ldc.all_f_edges().count()), (2, 15));
         let mut router = Router::new(&g).unwrap();
         let (forest, cast) = cast_forest(&mut router, &ldc, 5);
@@ -1614,6 +1771,15 @@ mod tests {
         assert_eq!((charge.messages, charge.rounds), (0, 0));
     }
 
+    /// The proptests' gnp, caveman or grid graph (`family` 0, 1 or 2).
+    fn ldc_family(family: usize, size: usize, seed: u64) -> Graph {
+        match family {
+            0 => generators::gnp_connected(8 * size, 0.1, seed),
+            1 => generators::caveman(size, 6),
+            _ => generators::grid(size, size + 3),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -1625,11 +1791,7 @@ mod tests {
             size in 4usize..10,
             seed in 0u64..200,
         ) {
-            let g = match family {
-                0 => generators::gnp_connected(8 * size, 0.1, seed),
-                1 => generators::caveman(size, 6),
-                _ => generators::grid(size, size + 3),
-            };
+            let g = ldc_family(family, size, seed);
             let ldc = build_ldc(&g, seed).unwrap();
             let old = ldc.clustering.forest(&g).unwrap();
             let (new, _) = balance_branches(&mut Router::new(&g).unwrap(), old.clone()).unwrap();
@@ -1657,11 +1819,7 @@ mod tests {
             size in 4usize..10,
             seed in 0u64..200,
         ) {
-            let g = match family {
-                0 => generators::gnp_connected(8 * size, 0.1, seed),
-                1 => generators::caveman(size, 6),
-                _ => generators::grid(size, size + 3),
-            };
+            let g = ldc_family(family, size, seed);
             let ldc = build_ldc(&g, seed).unwrap();
             let mut router = Router::new(&g).unwrap();
             let (before, _) = reelect_centers(&g, ldc.clustering.forest(&g).unwrap(), seed).unwrap();
@@ -1710,6 +1868,29 @@ mod tests {
             prop_assert!(step.1 <= plain.1, "rounds {} > {}", step.1, plain.1);
         }
 
+        /// On gnp, caveman and grid LDCs, every cluster's transcript before
+        /// the phases holds at least as many words as it has members (its
+        /// tree's edges and the seed), so a 1-word output never replicates.
+        #[test]
+        fn a_transcript_outweighs_its_cluster(
+            family in 0usize..3,
+            size in 4usize..10,
+            seed in 0u64..200,
+        ) {
+            let g = ldc_family(family, size, seed);
+            let ldc = build_ldc(&g, seed).unwrap();
+            let (forest, _) = cast_forest(&mut Router::new(&g).unwrap(), &ldc, seed);
+            let transcript = input_transcript(&g, &forest);
+            let mut members = vec![0u64; g.n()];
+            for v in g.nodes() {
+                members[forest.root_of(v).index()] += 1;
+            }
+            for r in forest.roots() {
+                let (t, k) = (transcript[r.index()], members[r.index()]);
+                prop_assert!(t >= k, "{:?}: t = {} < {} members", r, t, k);
+            }
+        }
+
         /// On gnp, caveman and grid LDCs: the same clusters, every parent edge
         /// inside its cluster, every depth the in-cluster distance to the
         /// root, a root at least as well connected as MPX's center and a tree
@@ -1720,11 +1901,7 @@ mod tests {
             size in 4usize..10,
             seed in 0u64..200,
         ) {
-            let g = match family {
-                0 => generators::gnp_connected(8 * size, 0.1, seed),
-                1 => generators::caveman(size, 6),
-                _ => generators::grid(size, size + 3),
-            };
+            let g = ldc_family(family, size, seed);
             let ldc = build_ldc(&g, seed).unwrap();
             let old = ldc.clustering.forest(&g).unwrap();
             let (new, _) = reelect_centers(&g, old.clone(), seed).unwrap();
