@@ -14,7 +14,7 @@
 //! `O(wdiam + n)` where `wdiam` is the weighted diameter. Both are what Theorem 1.1
 //! consumes.
 
-use congest_engine::{AggregationAlgorithm, BcongestAlgorithm, LocalView, WireDecode, WireEncode};
+use congest_engine::{AggregationAlgorithm, BcongestAlgorithm, LocalView, WireEncode};
 use congest_graph::NodeId;
 use std::collections::BTreeSet;
 
@@ -32,15 +32,6 @@ impl WireEncode for WApspMsg {
     fn encode(&self, out: &mut [u32]) {
         out[0] = self.source;
         self.dist.encode(&mut out[1..]);
-    }
-}
-
-impl WireDecode for WApspMsg {
-    fn decode(lanes: &[u32]) -> Self {
-        Self {
-            source: lanes[0],
-            dist: u64::decode(&lanes[1..]),
-        }
     }
 }
 

@@ -11,7 +11,7 @@
 //! the per-BFS minimum, and Theorem 1.4(ii) keeps the number of distinct BFS per
 //! node-round at `O(log n)` w.h.p., so aggregates stay `Õ(1)` words.
 
-use congest_engine::{AggregationAlgorithm, BcongestAlgorithm, LocalView, WireDecode, WireEncode};
+use congest_engine::{AggregationAlgorithm, BcongestAlgorithm, LocalView, WireEncode};
 use congest_graph::{rng, NodeId};
 use std::collections::BTreeSet;
 
@@ -29,15 +29,6 @@ impl WireEncode for BfsMsg {
     fn encode(&self, out: &mut [u32]) {
         out[0] = self.bfs;
         out[1] = self.dist;
-    }
-}
-
-impl WireDecode for BfsMsg {
-    fn decode(lanes: &[u32]) -> Self {
-        Self {
-            bfs: lanes[0],
-            dist: lanes[1],
-        }
     }
 }
 

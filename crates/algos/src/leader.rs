@@ -13,7 +13,7 @@
 
 use congest_engine::{
     run_bcongest, BcongestAlgorithm, EngineError, Forest, LocalView, Metrics, RunOptions,
-    WireDecode, WireEncode,
+    WireEncode,
 };
 use congest_graph::{Graph, NodeId};
 
@@ -31,15 +31,6 @@ impl WireEncode for LeaderMsg {
     fn encode(&self, out: &mut [u32]) {
         out[0] = self.leader;
         out[1] = self.dist;
-    }
-}
-
-impl WireDecode for LeaderMsg {
-    fn decode(lanes: &[u32]) -> Self {
-        Self {
-            leader: lanes[0],
-            dist: lanes[1],
-        }
     }
 }
 
@@ -102,7 +93,7 @@ impl BcongestAlgorithm for LeaderElect {
         // compared, no later one in `(leader, dist, sender)` order is strictly better.
         let min = msgs
             .iter()
-            // Lanes come straight off the wire: a distance that would overflow is ignored.
+            // A message is another node's word: a distance that would overflow is ignored.
             .filter(|(_, m)| m.dist < u32::MAX)
             .min_by_key(|(from, m)| (m.leader, m.dist, *from));
         let Some(&(from, m)) = min else {

@@ -29,7 +29,7 @@
 //! phase ⇒ broadcast complexity `O(n²)` — exactly what Corollary 2.8 feeds into
 //! Theorem 2.1.
 
-use congest_engine::{BcongestAlgorithm, LocalView, WireDecode, WireEncode};
+use congest_engine::{BcongestAlgorithm, LocalView, WireEncode};
 use congest_graph::{rng, NodeId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -141,52 +141,6 @@ impl AkoMsg {
         out[3] = label.ea;
         out[4] = label.eb;
         out[5] = to.raw();
-    }
-
-    fn decode_label(lanes: &[u32]) -> (PathLabel, NodeId) {
-        (
-            PathLabel {
-                sa: lanes[1],
-                sb: lanes[2],
-                ea: lanes[3],
-                eb: lanes[4],
-            },
-            NodeId::from(lanes[5]),
-        )
-    }
-}
-
-impl WireDecode for AkoMsg {
-    fn decode(lanes: &[u32]) -> Self {
-        match lanes[0] {
-            0 => AkoMsg::Leader {
-                leader: lanes[1],
-                dist: lanes[2],
-            },
-            1 => AkoMsg::ParentIs(NodeId::from(lanes[1])),
-            2 => AkoMsg::Propose(NodeId::from(lanes[1])),
-            3 => AkoMsg::Accept(NodeId::from(lanes[1])),
-            4 => AkoMsg::MatchedNow,
-            5 => AkoMsg::Count(lanes[1]),
-            6 => AkoMsg::SizeIs(lanes[1]),
-            7 => AkoMsg::Wave {
-                src: lanes[1],
-                via_matching: lanes[2] != 0,
-            },
-            8 => {
-                let (label, to) = Self::decode_label(lanes);
-                AkoMsg::Backward { label, to }
-            }
-            9 => {
-                let (label, to) = Self::decode_label(lanes);
-                AkoMsg::Probe { label, to }
-            }
-            10 => {
-                let (label, to) = Self::decode_label(lanes);
-                AkoMsg::Commit { label, to }
-            }
-            tag => unreachable!("invalid AkoMsg tag {tag}"),
-        }
     }
 }
 
@@ -1055,11 +1009,14 @@ mod tests {
     use congest_engine::{run_bcongest, RunOptions};
     use congest_graph::{generators, reference};
 
-    /// Packed-codec roundtrip over every variant — lives here (not in the
-    /// crate's proptest suite) because `PathLabel`'s fields are private.
+    /// Distinct messages encode to distinct lanes, so a trace tells them
+    /// apart: every variant, plus labelled messages that differ only in the
+    /// addressee or only in the label. Lives here (not in the crate's
+    /// proptest suite) because `PathLabel`'s fields are private.
     #[test]
-    fn ako_codec_roundtrips_every_variant() {
+    fn ako_encodings_are_pairwise_distinct() {
         let label = PathLabel::canonical(3, 7, 5, u32::MAX);
+        let other = PathLabel::canonical(3, 7, 5, 8);
         let to = NodeId::new(9);
         let msgs = [
             AkoMsg::Leader {
@@ -1083,18 +1040,25 @@ mod tests {
             AkoMsg::Backward { label, to },
             AkoMsg::Probe { label, to },
             AkoMsg::Commit { label, to },
+            AkoMsg::Commit {
+                label,
+                to: NodeId::new(10),
+            },
+            AkoMsg::Commit { label: other, to },
         ];
-        let mut lanes = [0u32; AkoMsg::LANES];
-        for m in msgs {
-            m.encode(&mut lanes);
-            assert_eq!(AkoMsg::decode(&lanes), m);
+        let lanes: Vec<[u32; AkoMsg::LANES]> = msgs
+            .iter()
+            .map(|m| {
+                let mut out = [0; AkoMsg::LANES];
+                m.encode(&mut out);
+                out
+            })
+            .collect();
+        for (i, a) in lanes.iter().enumerate() {
+            for (j, b) in lanes.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "{:?} and {:?} encode alike", msgs[i], msgs[j]);
+            }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid AkoMsg tag")]
-    fn ako_codec_rejects_invalid_tags() {
-        AkoMsg::decode(&[99, 0, 0, 0, 0, 0]);
     }
 
     fn run_and_check(g: &congest_graph::Graph, seed: u64) {

@@ -10,7 +10,7 @@
 //! 3. newly matched nodes broadcast `MatchedNow` so neighbors update their
 //!    free-neighbor sets.
 
-use congest_engine::{BcongestAlgorithm, LocalView, WireDecode, WireEncode};
+use congest_engine::{BcongestAlgorithm, LocalView, WireEncode};
 use congest_graph::{rng, NodeId};
 use std::collections::BTreeSet;
 
@@ -42,17 +42,6 @@ impl WireEncode for MatchMsg {
                 out[0] = 2;
                 out[1] = 0;
             }
-        }
-    }
-}
-
-impl WireDecode for MatchMsg {
-    fn decode(lanes: &[u32]) -> Self {
-        match lanes[0] {
-            0 => MatchMsg::Propose(NodeId::from(lanes[1])),
-            1 => MatchMsg::Accept(NodeId::from(lanes[1])),
-            2 => MatchMsg::MatchedNow,
-            tag => unreachable!("invalid MatchMsg tag {tag}"),
         }
     }
 }

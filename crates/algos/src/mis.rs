@@ -10,7 +10,7 @@
 //! 3. nodes adjacent to a joiner leave and broadcast `Leave` (so neighbors can update
 //!    their undecided-neighbor sets).
 
-use congest_engine::{BcongestAlgorithm, LocalView, WireDecode, WireEncode};
+use congest_engine::{BcongestAlgorithm, LocalView, WireEncode};
 use congest_graph::{rng, NodeId};
 use std::collections::BTreeSet;
 
@@ -45,17 +45,6 @@ impl WireEncode for MisMsg {
                 out[1] = 0;
                 out[2] = 0;
             }
-        }
-    }
-}
-
-impl WireDecode for MisMsg {
-    fn decode(lanes: &[u32]) -> Self {
-        match lanes[0] {
-            0 => MisMsg::Priority(u64::decode(&lanes[1..])),
-            1 => MisMsg::Join,
-            2 => MisMsg::Leave,
-            tag => unreachable!("invalid MisMsg tag {tag}"),
         }
     }
 }

@@ -8,7 +8,7 @@ use congest_algos::leader::LeaderMsg;
 use congest_algos::matching_maximal::{matching_pairs, IsraeliItai, MatchMsg};
 use congest_algos::mis::{is_valid_mis, LubyMis, MisMsg};
 use congest_algos::mst::{distributed_mst, message_bound, MstConfig};
-use congest_engine::{run_bcongest, RunOptions, WireDecode};
+use congest_engine::{run_bcongest, RunOptions, WireEncode};
 use congest_graph::{generators, reference, NodeId, WeightedGraph};
 use proptest::prelude::*;
 
@@ -146,32 +146,64 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn algo_message_codecs_roundtrip(a in 0u32..=u32::MAX, b in 0u32..=u32::MAX, d in 0u64..=u64::MAX, tag in 0u32..3) {
-        // Every runner message type of this crate survives the flat plane's
-        // packed encode→decode identically, with word accounting intact.
-        codec_roundtrip(LeaderMsg { leader: a, dist: b })?;
-        codec_roundtrip(BfsMsg { bfs: a, dist: b })?;
-        codec_roundtrip(WApspMsg { source: a, dist: d })?;
-        codec_roundtrip(match tag {
-            0 => MisMsg::Priority(d),
+    fn algo_message_encodings_are_injective(wide in 0u32..2, ta in 0u32..3, tb in 0u32..3,
+                                            x in 0u64..=u64::MAX, y in 0u64..=u64::MAX,
+                                            z in 0u64..=u64::MAX, w in 0u64..=u64::MAX) {
+        // Two values of every runner message type of this crate, with every
+        // field drawn from the same width.
+        let wide = wide == 1;
+        let (x, y, z, w) = (field(x, wide), field(y, wide), field(z, wide), field(w, wide));
+        encodes_injectively(
+            LeaderMsg { leader: x as u32, dist: z as u32 },
+            LeaderMsg { leader: y as u32, dist: w as u32 },
+        )?;
+        encodes_injectively(
+            BfsMsg { bfs: x as u32, dist: z as u32 },
+            BfsMsg { bfs: y as u32, dist: w as u32 },
+        )?;
+        encodes_injectively(
+            WApspMsg { source: x as u32, dist: z },
+            WApspMsg { source: y as u32, dist: w },
+        )?;
+        let mis = |tag, p| match tag {
+            0 => MisMsg::Priority(p),
             1 => MisMsg::Join,
             _ => MisMsg::Leave,
-        })?;
-        codec_roundtrip(match tag {
-            0 => MatchMsg::Propose(NodeId::from(a)),
-            1 => MatchMsg::Accept(NodeId::from(a)),
+        };
+        encodes_injectively(mis(ta, x), mis(tb, y))?;
+        let matching = |tag, v: u64| match tag {
+            0 => MatchMsg::Propose(NodeId::from(v as u32)),
+            1 => MatchMsg::Accept(NodeId::from(v as u32)),
             _ => MatchMsg::MatchedNow,
-        })?;
+        };
+        encodes_injectively(matching(ta, x), matching(tb, y))?;
     }
 }
 
-/// Encode→decode must be the identity.
-fn codec_roundtrip<T: WireDecode + PartialEq + std::fmt::Debug>(v: T) -> Result<(), TestCaseError> {
-    let mut lanes = vec![0u32; T::LANES];
-    v.encode(&mut lanes);
-    let back = T::decode(&lanes);
-    prop_assert_eq!(back, v);
+/// `raw` as drawn when `wide`, else with each 32-bit half cut to `0..3`, so
+/// that equal values, and values equal in one half only, are common.
+fn field(raw: u64, wide: bool) -> u64 {
+    if wide {
+        raw
+    } else {
+        (((raw >> 32) % 3) << 32) | ((raw & 0xffff_ffff) % 3)
+    }
+}
+
+/// `a == b` exactly when their lanes are equal: a recorded trace tells every
+/// two distinct messages apart, and only those.
+fn encodes_injectively<T: WireEncode>(a: T, b: T) -> Result<(), TestCaseError> {
+    let lanes = |v: &T| {
+        let mut out = vec![0u32; T::LANES];
+        v.encode(&mut out);
+        out
+    };
+    prop_assert_eq!(a == b, lanes(&a) == lanes(&b), "{:?} vs {:?}", a, b);
     Ok(())
 }

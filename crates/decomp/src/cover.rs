@@ -8,7 +8,7 @@
 //! the three properties of a `(k, W)`-sparse cover, up to the polylog factors the
 //! paper's `Õ` hides (this substitutes Elkin's construction \[13\]; see DESIGN.md §2).
 
-use congest_engine::{BcongestAlgorithm, LocalView, WireDecode, WireEncode};
+use congest_engine::{BcongestAlgorithm, LocalView, WireEncode};
 use congest_graph::{reference, rng, Graph, NodeId};
 use rand::Rng;
 
@@ -29,16 +29,6 @@ impl WireEncode for CoverMsg {
         out[0] = self.center;
         out[1] = self.qfrac;
         out[2] = self.dist;
-    }
-}
-
-impl WireDecode for CoverMsg {
-    fn decode(lanes: &[u32]) -> Self {
-        Self {
-            center: lanes[0],
-            qfrac: lanes[1],
-            dist: lanes[2],
-        }
     }
 }
 

@@ -11,7 +11,7 @@
 //! After the claim window every node announces its cluster to its neighbors, which
 //! is exactly the information the LDC decomposition (§2.1) needs to build `F`.
 
-use congest_engine::{BcongestAlgorithm, LocalView, WireDecode, WireEncode};
+use congest_engine::{BcongestAlgorithm, LocalView, WireEncode};
 use congest_graph::{rng, ClusterId, Graph, NodeId};
 use rand::Rng;
 
@@ -55,20 +55,6 @@ impl WireEncode for MpxMsg {
                 out[0] = 1;
                 out[1] = center;
             }
-        }
-    }
-}
-
-impl WireDecode for MpxMsg {
-    fn decode(lanes: &[u32]) -> Self {
-        match lanes[0] {
-            0 => MpxMsg::Claim {
-                center: lanes[1],
-                qfrac: lanes[2],
-                dist: lanes[3],
-            },
-            1 => MpxMsg::Announce { center: lanes[1] },
-            tag => unreachable!("invalid MpxMsg tag {tag}"),
         }
     }
 }

@@ -9,7 +9,7 @@ use congest_decomp::mpx::MpxMsg;
 use congest_decomp::pruning::{max_proper_subtree, prune};
 use congest_decomp::spanner::measured_stretch;
 use congest_decomp::Hierarchy;
-use congest_engine::WireDecode;
+use congest_engine::WireEncode;
 use congest_graph::generators;
 use proptest::prelude::*;
 
@@ -69,25 +69,54 @@ proptest! {
             prop_assert!(h.levels[d].l_nodes.contains(&congest_graph::NodeId::new(v)));
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn decomp_message_codecs_roundtrip(center in 0u32..=u32::MAX, qfrac in 0u32..=u32::MAX, dist in 0u32..=u32::MAX, announce in 0u32..2) {
-        // Both decomposition message types survive the flat plane's packed
-        // encode→decode identically, with word accounting intact.
-        codec_roundtrip(CoverMsg { center, qfrac, dist })?;
-        codec_roundtrip(if announce == 0 {
-            MpxMsg::Claim { center, qfrac, dist }
-        } else {
-            MpxMsg::Announce { center }
-        })?;
+    fn decomp_message_encodings_are_injective(wide in 0u32..2, ta in 0u32..2, tb in 0u32..2,
+                                              c0 in 0u64..=u64::MAX, c1 in 0u64..=u64::MAX,
+                                              q0 in 0u64..=u64::MAX, q1 in 0u64..=u64::MAX,
+                                              d0 in 0u64..=u64::MAX, d1 in 0u64..=u64::MAX) {
+        // Two values of both decomposition message types, with every field
+        // drawn from the same width.
+        let wide = wide == 1;
+        let f = |raw| field(raw, wide) as u32;
+        let (c0, c1, q0, q1, d0, d1) = (f(c0), f(c1), f(q0), f(q1), f(d0), f(d1));
+        encodes_injectively(
+            CoverMsg { center: c0, qfrac: q0, dist: d0 },
+            CoverMsg { center: c1, qfrac: q1, dist: d1 },
+        )?;
+        let mpx = |tag, center, qfrac, dist| {
+            if tag == 0 {
+                MpxMsg::Claim { center, qfrac, dist }
+            } else {
+                MpxMsg::Announce { center }
+            }
+        };
+        encodes_injectively(mpx(ta, c0, q0, d0), mpx(tb, c1, q1, d1))?;
     }
 }
 
-/// Encode→decode must be the identity.
-fn codec_roundtrip<T: WireDecode + PartialEq + std::fmt::Debug>(v: T) -> Result<(), TestCaseError> {
-    let mut lanes = vec![0u32; T::LANES];
-    v.encode(&mut lanes);
-    let back = T::decode(&lanes);
-    prop_assert_eq!(back, v);
+/// `raw` as drawn when `wide`, else with each 32-bit half cut to `0..3`, so
+/// that equal values, and values equal in one half only, are common.
+fn field(raw: u64, wide: bool) -> u64 {
+    if wide {
+        raw
+    } else {
+        (((raw >> 32) % 3) << 32) | ((raw & 0xffff_ffff) % 3)
+    }
+}
+
+/// `a == b` exactly when their lanes are equal: a recorded trace tells every
+/// two distinct messages apart, and only those.
+fn encodes_injectively<T: WireEncode>(a: T, b: T) -> Result<(), TestCaseError> {
+    let lanes = |v: &T| {
+        let mut out = vec![0u32; T::LANES];
+        v.encode(&mut out);
+        out
+    };
+    prop_assert_eq!(a == b, lanes(&a) == lanes(&b), "{:?} vs {:?}", a, b);
     Ok(())
 }

@@ -20,7 +20,7 @@ use crate::faults::FaultPlan;
 use crate::metrics::Metrics;
 use crate::rounds::{self, Delivery, Model, Observer, OverPlane, Transport};
 use crate::view::LocalView;
-use crate::wire::WireDecode;
+use crate::wire::WireEncode;
 use congest_graph::{EdgeId, Graph, NodeId};
 
 /// A BCONGEST algorithm as a pure per-node state machine.
@@ -44,9 +44,10 @@ pub trait BcongestAlgorithm: Sync {
     /// ([`RunOptions::exec`]).
     type State: Clone + std::fmt::Debug + Send + Sync;
     /// The broadcast message type; must fit in one word (one `O(log n)`-bit
-    /// message). The [`WireDecode`] bound gives every message the fixed-width
-    /// packed codec the round buffer ([`crate::plane`]) stores it in.
-    type Msg: WireDecode + Send + Sync;
+    /// message). The round buffer ([`crate::plane`]) stores it as a value;
+    /// the [`WireEncode`] bound gives it the fixed-width lanes a trace records
+    /// and its `4 × LANES`-byte charge.
+    type Msg: WireEncode + Send + Sync;
     /// Per-node output.
     type Output: Clone + std::fmt::Debug + PartialEq;
 

@@ -11,7 +11,7 @@ use crate::error::EngineError;
 use crate::metrics::Metrics;
 use crate::rounds::{self, Model, Observer, OverPlane};
 use crate::view::LocalView;
-use crate::wire::WireDecode;
+use crate::wire::WireEncode;
 use congest_graph::{EdgeId, Graph, NodeId};
 
 /// A CONGEST algorithm as a pure per-node state machine with per-edge sends.
@@ -26,9 +26,10 @@ pub trait CongestAlgorithm: Sync {
     /// [`BcongestAlgorithm::State`](crate::BcongestAlgorithm::State)).
     type State: Clone + std::fmt::Debug + Send + Sync;
     /// Message type; at most one per edge per round, one word each. The
-    /// [`WireDecode`] bound gives every message the fixed-width packed codec
-    /// the round buffer ([`crate::plane`]) stores it in.
-    type Msg: WireDecode + Send + Sync;
+    /// round buffer ([`crate::plane`]) stores it as a value; the
+    /// [`WireEncode`] bound gives it the fixed-width lanes a trace records
+    /// and its `4 × LANES`-byte charge.
+    type Msg: WireEncode + Send + Sync;
     /// Per-node output.
     type Output: Clone + std::fmt::Debug + PartialEq;
 

@@ -71,7 +71,7 @@ pub(crate) fn chunk_size_for(len: usize, threads: usize) -> usize {
 /// Cached pools, one per distinct thread count. Runs share pools across rounds
 /// and calls, so the per-round cost is job dispatch, not thread spawning.
 /// `pub(crate)`: the flat plane ([`crate::plane`]) runs its staging and
-/// decode tasks on the same pools.
+/// receive tasks on the same pools.
 pub(crate) fn pool_for(threads: usize) -> Arc<ThreadPool> {
     static POOLS: OnceLock<Mutex<HashMap<usize, Arc<ThreadPool>>>> = OnceLock::new();
     let pools = POOLS.get_or_init(|| Mutex::new(HashMap::new()));

@@ -262,7 +262,7 @@ impl SurvivorMask {
     }
 
     /// The live nodes, ascending.
-    pub fn live_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+    fn live_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.node_up
             .iter()
             .enumerate()

@@ -24,7 +24,7 @@
 //!   per-node phases (crate-private `exec.rs`); `threads` is the only setting
 //!   (outputs and metrics are byte-identical at every thread count);
 //! * [`plane`] / [`FlatPlane`] — the round buffer both direct runners deliver through:
-//!   packed `u32` arenas scattered by a stable counting sort over the round's
+//!   typed message arenas scattered by a stable counting sort over the round's
 //!   receivers only, allocation-free in steady state;
 //! * the agenda (`agenda.rs`, crate-private) — the event-driven schedule of
 //!   that loop: a hot set plus a timer heap fed by `next_activity`, so a
@@ -37,8 +37,8 @@
 //!   deliveries, fault events, metric deltas) with JSONL/DOT export and a
 //!   replay path that re-executes a recorded run and checks byte equality;
 //! * [`Metrics`] — composable cost accounting;
-//! * [`WireEncode`]/[`WireDecode`] — one message is one `O(log n)`-bit word,
-//!   packed into a fixed number of `u32` lanes for the plane.
+//! * [`WireEncode`] — one message is one `O(log n)`-bit word, packed into a
+//!   fixed number of `u32` lanes for a trace and the `4 × LANES`-byte charge.
 //!
 //! ## Example: running a BCONGEST algorithm directly
 //!
@@ -105,4 +105,4 @@ pub use router::Router;
 pub use trace::TraceLog;
 pub use treeops::{downcast, route_casts, tree_pass, upcast, Cast, Forest};
 pub use view::LocalView;
-pub use wire::{WireDecode, WireEncode};
+pub use wire::WireEncode;

@@ -1,12 +1,11 @@
-//! The flat struct-of-arrays message plane: packed round arenas, the one
-//! round buffer both runners deliver through.
+//! The flat message plane: typed round arenas, the one round buffer both
+//! runners deliver through.
 //!
 //! Pushing a typed tuple per in-flight message into its receiver's `Vec`
 //! inbox makes allocator traffic dominate the round loop at n = 10⁵–10⁶.
-//! [`FlatPlane`] instead stages every emission of a round as a fixed-width
-//! record of `u32` lanes (ids packed directly, payloads via
-//! [`WireEncode`](crate::WireEncode)) in per-partition arenas, then scatters
-//! the records to receivers with a **stable counting sort**:
+//! [`FlatPlane`] instead stages every emission of a round as one record
+//! `(receiver, sender, edge, msg)` in per-partition arenas, then scatters the
+//! records to receivers with a **stable counting sort**:
 //!
 //! 1. *stage* — senders are cut into one contiguous chunk per effective
 //!    thread and each chunk appends its records to its own arena, in sender
@@ -18,11 +17,12 @@
 //!    totals). A receiver's first record also enters it into a bitset, which
 //!    is then drained into the round's ascending `receivers` list.
 //! 3. *scatter* — a running sum over `receivers` gives each its slice of one
-//!    flat inbox arena, and a second pass over the arenas moves each record to
-//!    its receiver's slice. The scatter is stable, so each receiver sees its
-//!    messages in global sender order — exactly what pushing `(sender, msg)`
-//!    into per-node inboxes sender by sender would give (the reference this
-//!    module's unit tests compare against).
+//!    flat inbox arena, and a second pass moves each record's `(sender, msg)`
+//!    out of the arenas into its receiver's slice. The scatter is stable, so
+//!    each receiver sees its messages in global sender order — exactly what
+//!    pushing `(sender, msg)` into per-node inboxes sender by sender would
+//!    give (the reference this module's unit tests compare against).
+//!    [`FlatPlane::receive`] hands each receiver its slice as is.
 //!
 //! Only the round's receivers are ever touched: offsets are assigned over
 //! `receivers`, [`FlatPlane::receive`] visits `receivers`, and their counts
@@ -30,17 +30,24 @@
 //! `Θ(n)` — and the inbox arena is laid out exactly as a prefix sum over all
 //! `n` counts would lay it out.
 //!
-//! All buffers — arenas, counts, cursors, the receiver list, inbox, per-chunk
-//! decode scratch — live in the [`FlatPlane`] and are reused across rounds via
-//! `clear()`, so once warm a steady-state round performs **zero heap
-//! allocations** (pinned by `crates/engine/tests/alloc_regression.rs`).
+//! Each message is charged one word and `4 × LANES` bytes, its
+//! [`WireEncode`] width; the plane never encodes it.
+//!
+//! All buffers — arenas, counts, cursors, the receiver list, the inbox — live
+//! in the [`FlatPlane`] and are reused across rounds. The inbox only grows, in
+//! a round larger than any before it, so once warm a steady-state round
+//! performs **zero heap allocations** (pinned by
+//! `crates/engine/tests/alloc_regression.rs`).
 
 use crate::agenda::NodeSet;
 use crate::exec::{self, ExecutorConfig};
 use crate::metrics::Metrics;
-use crate::wire::WireDecode;
+use crate::wire::WireEncode;
 use congest_graph::{EdgeId, NodeId};
 use std::ops::Range;
+
+/// One staged message: `(receiver, sender, edge, msg)`.
+type Staged<M> = (u32, NodeId, EdgeId, M);
 
 /// Reusable flat round buffers for messages of type `M`.
 ///
@@ -48,56 +55,32 @@ use std::ops::Range;
 /// node count, then alternate [`FlatPlane::deliver`] / [`FlatPlane::receive`]
 /// once per round. See the module docs for the layout and the order argument.
 #[derive(Debug)]
-pub struct FlatPlane<M: WireDecode> {
-    /// Per-partition staging arenas; records of `3 + LANES` lanes:
-    /// `[receiver, sender, edge, payload...]`, one message each.
-    stages: Vec<Vec<u32>>,
+pub struct FlatPlane<M: WireEncode> {
+    /// Per-partition staging arenas, one record per message; emptied by the
+    /// scatter.
+    stages: Vec<Vec<Staged<M>>>,
     /// Per-receiver record counts (`n` entries): non-zero exactly for the
     /// receivers of a delivered, not yet received round.
     counts: Vec<u32>,
-    /// Scatter cursors into the inbox arena, in record units (`n` entries,
-    /// meaningful for the round's receivers only): a receiver's first slot
-    /// before the scatter, one past its last after it.
+    /// Scatter cursors into the inbox arena (`n` entries, meaningful for the
+    /// round's receivers only): a receiver's first slot before the scatter,
+    /// one past its last after it.
     cursors: Vec<u32>,
     /// Receivers seen by the count pass, until drained into `receivers`.
     touched: NodeSet,
     /// The receivers of the last delivered round, ascending.
     receivers: Vec<u32>,
-    /// The scattered inbox arena; records of `1 + LANES` lanes:
-    /// `[sender, payload...]`, grouped by receiver in `receivers` order.
-    inbox: Vec<u32>,
-    /// Per-chunk decode buffers for the receive phase.
-    scratch: Vec<Vec<(NodeId, M)>>,
+    /// The scattered inbox arena: `(sender, msg)`, grouped by receiver in
+    /// `receivers` order. Grow-only; the round fills its first `delivered`
+    /// slots.
+    inbox: Vec<(NodeId, M)>,
     /// Reusable sender-partition table for the deliver phase.
     parts: Vec<Range<usize>>,
     /// Records delivered in the round in flight (0 after receive).
     delivered: usize,
 }
 
-/// Read-only view of one scattered round, shared by the receive tasks.
-struct Scattered<'a> {
-    counts: &'a [u32],
-    cursors: &'a [u32],
-    inbox: &'a [u32],
-}
-
-impl Scattered<'_> {
-    /// Decodes receiver `u`'s inbox into `out` (cleared first), in sender order.
-    fn decode<M: WireDecode + Send + Sync>(&self, u: usize, out: &mut Vec<(NodeId, M)>) {
-        let istride = FlatPlane::<M>::inbox_stride();
-        let end = self.cursors[u] as usize;
-        out.clear();
-        for slot in end - self.counts[u] as usize..end {
-            let base = slot * istride;
-            out.push((
-                NodeId::from(self.inbox[base]),
-                M::decode(&self.inbox[base + 1..base + istride]),
-            ));
-        }
-    }
-}
-
-impl<M: WireDecode + Send + Sync> FlatPlane<M> {
+impl<M: WireEncode + Send + Sync> FlatPlane<M> {
     /// An empty plane for an `n`-node graph. The fixed-size tables are
     /// allocated up front; arenas grow on first use and are reused after.
     pub fn new(n: usize) -> Self {
@@ -108,7 +91,6 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
             touched: NodeSet::new(n),
             receivers: Vec::new(),
             inbox: Vec::new(),
-            scratch: Vec::new(),
             parts: Vec::new(),
             delivered: 0,
         }
@@ -126,14 +108,10 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
         &self.receivers
     }
 
-    /// Stage-record stride in `u32` lanes.
-    const fn rec_stride() -> usize {
-        3 + M::LANES
-    }
-
-    /// Inbox-record stride in `u32` lanes.
-    const fn inbox_stride() -> usize {
-        1 + M::LANES
+    /// Receiver `u`'s inbox in the round in flight, in sender order.
+    fn inbox_of(&self, u: usize) -> &[(NodeId, M)] {
+        let end = self.cursors[u] as usize;
+        &self.inbox[end - self.counts[u] as usize..end]
     }
 
     /// Fills `self.parts` with one contiguous sender chunk per effective
@@ -154,8 +132,8 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
     /// `senders` lists the round's senders **in node order** with their
     /// per-sender payloads; `expand` turns one sender's payload into
     /// `(receiver, edge, msg)` emissions (calling the sink once per message,
-    /// in the sender's emission order). Charges each message to `metrics` as one
-    /// word of the packed wire width (`4 × LANES` bytes).
+    /// in the sender's emission order). Charges each message to `metrics` as
+    /// one word of `4 × LANES` bytes.
     pub fn deliver<S, F>(
         &mut self,
         cfg: &ExecutorConfig,
@@ -167,25 +145,17 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
         F: Fn(NodeId, &S, &mut dyn FnMut(NodeId, EdgeId, M)) + Sync,
     {
         debug_assert_eq!(self.delivered, 0, "deliver twice without receive");
-        let stride = Self::rec_stride();
         self.partition(cfg, senders.len());
         let n_parts = self.parts.len();
         while self.stages.len() < n_parts {
             self.stages.push(Vec::new());
         }
 
-        // 1. Stage: each partition packs its emissions into its own arena.
-        let stage_into = |arena: &mut Vec<u32>, mine: &[(NodeId, S)]| {
-            arena.clear();
+        // 1. Stage: each partition appends its emissions to its own arena,
+        //    which the last scatter left empty.
+        let stage_into = |arena: &mut Vec<Staged<M>>, mine: &[(NodeId, S)]| {
             for (v, payload) in mine {
-                expand(*v, payload, &mut |u, e, m| {
-                    let base = arena.len();
-                    arena.resize(base + stride, 0);
-                    arena[base] = u.raw();
-                    arena[base + 1] = v.raw();
-                    arena[base + 2] = e.raw();
-                    m.encode(&mut arena[base + 3..base + stride]);
-                });
+                expand(*v, payload, &mut |u, e, m| arena.push((u.raw(), *v, e, m)));
             }
         };
         let threads = cfg.effective_threads();
@@ -211,9 +181,9 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
         let bytes = 4 * M::LANES as u64;
         let mut total = 0usize;
         for arena in &self.stages[..n_parts] {
-            for rec in arena.chunks_exact(stride) {
-                metrics.add_messages_sized(EdgeId::from(rec[2]), 1, bytes);
-                let u = rec[0] as usize;
+            for &(u, _, e, _) in arena {
+                metrics.add_messages_sized(e, 1, bytes);
+                let u = u as usize;
                 if self.counts[u] == 0 {
                     self.touched.insert(u);
                 }
@@ -223,7 +193,7 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
         }
 
         // 3. Offsets over the ascending receiver list, then stable scatter
-        //    into the inbox arena.
+        //    into the inbox arena, which grows only past its largest round.
         self.receivers.clear();
         self.touched.drain_into(&mut self.receivers);
         let mut acc = 0u32;
@@ -231,26 +201,27 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
             self.cursors[u as usize] = acc;
             acc += self.counts[u as usize];
         }
-        let istride = Self::inbox_stride();
-        self.inbox.clear();
-        self.inbox.resize(total * istride, 0);
-        for arena in &self.stages[..n_parts] {
-            for rec in arena.chunks_exact(stride) {
-                let u = rec[0] as usize;
-                let slot = self.cursors[u] as usize;
-                self.cursors[u] += 1;
-                let base = slot * istride;
-                self.inbox[base] = rec[1];
-                self.inbox[base + 1..base + istride].copy_from_slice(&rec[3..]);
+        if total > self.inbox.len() {
+            let (_, v, _, m) = self.stages[..n_parts]
+                .iter()
+                .find_map(|arena| arena.first())
+                .expect("a round with messages staged one");
+            self.inbox.resize(total, (*v, m.clone()));
+        }
+        for arena in &mut self.stages[..n_parts] {
+            for (u, v, _, m) in arena.drain(..) {
+                let slot = &mut self.cursors[u as usize];
+                self.inbox[*slot as usize] = (v, m);
+                *slot += 1;
             }
         }
         self.delivered = total;
     }
 
-    /// Decodes each receiver's inbox and applies `f(state, inbox)`; in
-    /// parallel the receiver list is cut at the bounds of one contiguous node
-    /// range per thread, so each task owns its slice of `states`. Returns
-    /// whether any node received.
+    /// Applies `f(state, inbox)` to each receiver; in parallel the receiver
+    /// list is cut at the bounds of one contiguous node range per thread, so
+    /// each task owns its slice of `states`. Returns whether any node
+    /// received.
     pub fn receive<St, F>(&mut self, cfg: &ExecutorConfig, states: &mut [St], f: F) -> bool
     where
         St: Send,
@@ -260,33 +231,22 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
         if self.delivered == 0 {
             return false;
         }
-        let round = Scattered {
-            counts: &self.counts,
-            cursors: &self.cursors,
-            inbox: &self.inbox,
-        };
+        let this = &*self;
         // `sts` is the node range starting at `start`; `mine` its receivers.
-        let receive_range =
-            |start: usize, sts: &mut [St], mine: &[u32], scratch: &mut Vec<(NodeId, M)>| {
-                for &u in mine {
-                    round.decode(u as usize, scratch);
-                    f(&mut sts[u as usize - start], scratch);
-                }
-            };
+        let receive_range = |start: usize, sts: &mut [St], mine: &[u32]| {
+            for &u in mine {
+                f(&mut sts[u as usize - start], this.inbox_of(u as usize));
+            }
+        };
         let threads = cfg.effective_threads();
         let n = states.len();
-        let chunk_count = if threads <= 1 { 1 } else { threads.min(n) };
-        while self.scratch.len() < chunk_count {
-            self.scratch.push(Vec::new());
-        }
-        if chunk_count == 1 {
-            receive_range(0, states, &self.receivers, &mut self.scratch[0]);
+        if threads <= 1 || n <= 1 {
+            receive_range(0, states, &this.receivers);
         } else {
             let size = exec::chunk_size_for(n, threads);
             exec::pool_for(threads).scope(|sc| {
                 let mut rest_states = states;
-                let mut rest_receivers = self.receivers.as_slice();
-                let mut rest_scratch = self.scratch.as_mut_slice();
+                let mut rest_receivers = this.receivers.as_slice();
                 let mut start = 0usize;
                 while !rest_receivers.is_empty() {
                     let take = size.min(rest_states.len());
@@ -300,12 +260,8 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
                     if mine.is_empty() {
                         continue;
                     }
-                    let (scr, scr_tail) = rest_scratch
-                        .split_first_mut()
-                        .expect("one scratch per chunk");
-                    rest_scratch = scr_tail;
                     let receive_range = &receive_range;
-                    sc.spawn(move |_| receive_range(chunk_start, chunk, mine, scr));
+                    sc.spawn(move |_| receive_range(chunk_start, chunk, mine));
                 }
             });
         }
@@ -324,18 +280,12 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
         if self.delivered == 0 {
             return false;
         }
-        if self.scratch.is_empty() {
-            self.scratch.push(Vec::new());
-        }
-        let round = Scattered {
-            counts: &self.counts,
-            cursors: &self.cursors,
-            inbox: &self.inbox,
-        };
-        let scratch = &mut self.scratch[0];
         for &u in &self.receivers {
-            round.decode(u as usize, scratch);
-            f(u as usize, &mut states[u as usize], scratch);
+            f(
+                u as usize,
+                &mut states[u as usize],
+                self.inbox_of(u as usize),
+            );
         }
         self.finish_round();
         true
@@ -354,11 +304,46 @@ impl<M: WireDecode + Send + Sync> FlatPlane<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::WireEncode;
     use congest_graph::{generators, Graph};
 
     /// `receiver → [(sender, msg)]`, rounds concatenated.
-    type Transcript = Vec<Vec<(NodeId, u64)>>;
+    type Transcript<M> = Vec<Vec<(NodeId, M)>>;
+
+    /// A payload with variants of different shapes, so the scatter moves
+    /// values of one type but not one layout.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Shaped {
+        Id(u64),
+        Pair(u32, EdgeId),
+        Mark,
+    }
+
+    impl WireEncode for Shaped {
+        const LANES: usize = 3;
+        fn encode(&self, out: &mut [u32]) {
+            match *self {
+                Shaped::Id(p) => {
+                    out[0] = 0;
+                    p.encode(&mut out[1..]);
+                }
+                Shaped::Pair(a, e) => {
+                    out[0] = 1;
+                    out[1] = a;
+                    out[2] = e.raw();
+                }
+                Shaped::Mark => out.copy_from_slice(&[2, 0, 0]),
+            }
+        }
+    }
+
+    /// The message a sender with payload `p` sends over edge `e`.
+    fn shaped(p: u64, e: EdgeId) -> Shaped {
+        match (p + u64::from(e.raw())) % 3 {
+            0 => Shaped::Id(p),
+            1 => Shaped::Pair(p as u32, e),
+            _ => Shaped::Mark,
+        }
+    }
 
     /// Every third node floods its ID over each incident edge.
     fn flood_senders(g: &Graph) -> Vec<(NodeId, u64)> {
@@ -368,10 +353,14 @@ mod tests {
             .collect()
     }
 
-    fn flood(g: &Graph) -> impl Fn(NodeId, &u64, &mut dyn FnMut(NodeId, EdgeId, u64)) + Sync + '_ {
-        |v, payload, sink| {
+    /// Each sender sends `msg(payload, edge)` over each incident edge.
+    fn flood<'g, M: 'g>(
+        g: &'g Graph,
+        msg: fn(u64, EdgeId) -> M,
+    ) -> impl Fn(NodeId, &u64, &mut dyn FnMut(NodeId, EdgeId, M)) + Sync + 'g {
+        move |v, payload, sink| {
             for (e, u) in g.incident(v) {
-                sink(u, e, *payload);
+                sink(u, e, msg(*payload, e));
             }
         }
     }
@@ -387,11 +376,14 @@ mod tests {
 
     /// The reference the plane is pinned against: expand sender by sender and
     /// push each message straight into its receiver's `Vec` inbox.
-    fn reference_rounds(g: &Graph) -> (Metrics, Transcript) {
-        let expand = flood(g);
-        let bytes = 4 * <u64 as WireEncode>::LANES as u64;
+    fn reference_rounds<M: WireEncode>(
+        g: &Graph,
+        msg: fn(u64, EdgeId) -> M,
+    ) -> (Metrics, Transcript<M>) {
+        let expand = flood(g, msg);
+        let bytes = 4 * M::LANES as u64;
         let mut metrics = Metrics::new(g.m());
-        let mut inboxes: Transcript = vec![Vec::new(); g.n()];
+        let mut inboxes: Transcript<M> = vec![Vec::new(); g.n()];
         for senders in sender_sets(g) {
             for (v, p) in &senders {
                 expand(*v, p, &mut |u, e, m| {
@@ -403,11 +395,15 @@ mod tests {
         (metrics, inboxes)
     }
 
-    fn flat_rounds(g: &Graph, cfg: &ExecutorConfig) -> (Metrics, Transcript) {
-        let expand = flood(g);
+    fn flat_rounds<M: WireEncode + Send + Sync>(
+        g: &Graph,
+        msg: fn(u64, EdgeId) -> M,
+        cfg: &ExecutorConfig,
+    ) -> (Metrics, Transcript<M>) {
+        let expand = flood(g, msg);
         let mut metrics = Metrics::new(g.m());
-        let mut plane: FlatPlane<u64> = FlatPlane::new(g.n());
-        let mut transcript: Transcript = vec![Vec::new(); g.n()];
+        let mut plane: FlatPlane<M> = FlatPlane::new(g.n());
+        let mut transcript: Transcript<M> = vec![Vec::new(); g.n()];
         for senders in sender_sets(g) {
             plane.deliver(cfg, &senders, &expand, &mut metrics);
             let mut addressed: Vec<u32> = senders
@@ -424,20 +420,25 @@ mod tests {
         (metrics, transcript)
     }
 
-    #[test]
-    fn flat_matches_the_push_loop_at_every_thread_count() {
+    fn flat_matches_the_push_loop<M: WireEncode + Send + Sync>(msg: fn(u64, EdgeId) -> M) {
         for g in [
             generators::gnp_connected(30, 0.2, 5),
             generators::star(17),
             generators::path(23),
         ] {
-            let (base_m, base_t) = reference_rounds(&g);
+            let (base_m, base_t) = reference_rounds(&g, msg);
             for threads in [1, 2, 4, 7] {
-                let (m, t) = flat_rounds(&g, &ExecutorConfig::with_threads(threads));
+                let (m, t) = flat_rounds(&g, msg, &ExecutorConfig::with_threads(threads));
                 assert_eq!(base_m, m, "metrics at {threads} threads");
                 assert_eq!(base_t, t, "inbox order at {threads} threads");
             }
         }
+    }
+
+    #[test]
+    fn flat_matches_the_push_loop_at_every_thread_count() {
+        flat_matches_the_push_loop(|p, _| p);
+        flat_matches_the_push_loop(shaped);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::faults::{FaultEvent, FaultResponse, FaultState, SurvivorMask};
 use crate::metrics::Metrics;
 use crate::plane::FlatPlane;
 use crate::view::LocalView;
-use crate::wire::WireDecode;
+use crate::wire::WireEncode;
 use crate::RunOptions;
 use congest_graph::{rng, EdgeId, Graph, NodeId};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,8 +41,9 @@ pub(crate) type Observer<'a, Msg> = &'a mut dyn FnMut(NodeId, usize, &[(NodeId, 
 pub(crate) trait Model: Sync {
     /// Per-node state.
     type State: Send + Sync;
-    /// One message on one edge.
-    type Msg: WireDecode + Send + Sync;
+    /// One message on one edge, stored as a value and encoded only for a
+    /// trace and the byte charge.
+    type Msg: WireEncode + Send + Sync;
     /// What a polled node hands over in a round it sends in.
     type Sent: Send + Sync;
 
@@ -108,13 +109,13 @@ pub(crate) trait Delivery<M: Model> {
 }
 
 /// Delivery over the graph's own edges, through the flat message plane.
-pub(crate) struct OverPlane<'a, Msg: WireDecode> {
+pub(crate) struct OverPlane<'a, Msg: WireEncode> {
     g: &'a Graph,
     cfg: &'a ExecutorConfig,
     plane: FlatPlane<Msg>,
 }
 
-impl<'a, Msg: WireDecode + Send + Sync> OverPlane<'a, Msg> {
+impl<'a, Msg: WireEncode + Send + Sync> OverPlane<'a, Msg> {
     pub(crate) fn new(g: &'a Graph, cfg: &'a ExecutorConfig) -> Self {
         Self {
             g,

@@ -4,7 +4,7 @@
 //!
 //! [`record_bcongest`] / [`record_congest`] wrap the observed runners and
 //! capture every delivered message (packed into its [`WireEncode`] `u32`
-//! lanes — the same wire format the flat plane uses), every fault event that
+//! lanes, whose width is also its byte charge), every fault event that
 //! fired, the final outputs (as their canonical `Debug` rendering) and the
 //! full [`Metrics`] including the congestion vector. The resulting
 //! [`TraceLog`] is a value: two runs conform iff their logs are `==`.
@@ -27,7 +27,7 @@ use congest_graph::dot::{self, DotOptions, EdgeStyle};
 use congest_graph::{EdgeId, Graph, NodeId};
 
 /// One delivered message: receiver, sender, and the packed `u32` lanes of the
-/// payload (exactly `Msg::LANES` of them — the flat plane's wire format).
+/// payload (exactly `Msg::LANES` of them, as [`WireEncode`] writes them).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceDelivery {
     /// Receiving node id.

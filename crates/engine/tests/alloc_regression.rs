@@ -1,7 +1,7 @@
 //! Allocation regression guard for the round path: once warm, a steady-state
 //! deliver/receive round of the flat message plane performs **zero heap
 //! allocations** — every arena, count and cursor table, the receiver list and
-//! every decode scratch buffer is reused via `clear()` — whether the round is
+//! the grow-only inbox are reused — whether the round is
 //! dense, sparse, or dense again after a sparse one; and a whole
 //! `run_bcongest` round adds none on top: the agenda's poll list, timer heap
 //! and `due` table and the runner's sender buffer are reused the same way.

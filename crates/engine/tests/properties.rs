@@ -7,7 +7,7 @@
 //! schedule of its one-word hops, a run is identical —
 //! outputs and `Metrics` — at every thread count, the event-driven round loop
 //! equals, in both models, one that polls every node every round (with and
-//! without faults), and the packed wire codec of the message plane round-trips
+//! without faults), and the packed encoding a trace records is injective on
 //! every primitive payload.
 
 use congest_algos::{bfs::Bfs, bfs_collection::BfsCollection};
@@ -15,7 +15,7 @@ use congest_engine::faults::FaultState;
 use congest_engine::{
     downcast, route_casts, run_bcongest, run_congest, tree_pass, treeops::Forest, upcast,
     BcongestAlgorithm, Cast, CongestAlgorithm, EngineError, ExecutorConfig, FaultEvent, FaultPlan,
-    FaultResponse, LocalView, Metrics, Router, RunOptions, WireDecode, WireEncode,
+    FaultResponse, LocalView, Metrics, Router, RunOptions, WireEncode,
 };
 use congest_graph::{generators, reference, rng, EdgeId, Graph, NodeId};
 use proptest::prelude::*;
@@ -24,12 +24,25 @@ use rand::Rng;
 mod reference_scheduler;
 use reference_scheduler::{reference_route, reference_route_timed, Walk};
 
-/// Encode → decode round-trip over exactly the constant `LANES` lanes.
-fn codec_roundtrip<T: WireDecode>(v: T) -> Result<(), TestCaseError> {
-    let mut lanes = vec![0u32; T::LANES];
-    v.encode(&mut lanes);
-    let back = T::decode(&lanes);
-    prop_assert_eq!(&back, &v, "decode ∘ encode = id");
+/// `raw` as drawn when `wide`, else with each 32-bit half cut to `0..3`, so
+/// that equal values, and values equal in one half only, are common.
+fn field(raw: u64, wide: bool) -> u64 {
+    if wide {
+        raw
+    } else {
+        (((raw >> 32) % 3) << 32) | ((raw & 0xffff_ffff) % 3)
+    }
+}
+
+/// `a == b` exactly when their lanes are equal: a recorded trace tells every
+/// two distinct messages apart, and only those.
+fn encodes_injectively<T: WireEncode>(a: T, b: T) -> Result<(), TestCaseError> {
+    let lanes = |v: &T| {
+        let mut out = vec![0u32; T::LANES];
+        v.encode(&mut out);
+        out
+    };
+    prop_assert_eq!(a == b, lanes(&a) == lanes(&b), "{:?} vs {:?}", a, b);
     Ok(())
 }
 
@@ -587,22 +600,6 @@ proptest! {
     }
 
     #[test]
-    fn primitive_codecs_roundtrip(a in 0u32..=u32::MAX, b in 0u64..=u64::MAX,
-                                  d in 0usize..=usize::MAX, p0 in 0u32..=u32::MAX,
-                                  p1 in 0u32..=u32::MAX, q0 in 0u64..=u64::MAX,
-                                  q1 in 0u64..=u64::MAX, id in 0u32..u32::MAX) {
-        codec_roundtrip(a)?;
-        codec_roundtrip(b)?;
-        codec_roundtrip(b as i64)?; // full-range i64 via the u64 bit pattern
-        codec_roundtrip(d)?;
-        codec_roundtrip((p0, p1))?;
-        codec_roundtrip((q0, q1))?;
-        codec_roundtrip(NodeId::from(id))?;
-        codec_roundtrip(EdgeId::from(id))?;
-        codec_roundtrip(congest_graph::ClusterId::from(id))?;
-    }
-
-    #[test]
     fn runs_are_identical_at_every_thread_count(seed in 0u64..60, threads in 2usize..9) {
         // A random BCONGEST workload (min-flood over G(n,p)) must reproduce
         // the one-thread run bit for bit: outputs, rounds, messages,
@@ -905,5 +902,29 @@ proptest! {
         let got = route_casts(&mut router, &next).expect("hops leave owners");
         let mut fresh = Router::new(&g).expect("a small graph");
         prop_assert_eq!(got, route_casts(&mut fresh, &next).expect("fresh"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn primitive_encodings_are_injective(wide in 0u32..2, x in 0u64..=u64::MAX,
+                                         y in 0u64..=u64::MAX, z in 0u64..=u64::MAX,
+                                         w in 0u64..=u64::MAX) {
+        let wide = wide == 1;
+        let (x, y, z, w) = (field(x, wide), field(y, wide), field(z, wide), field(w, wide));
+        encodes_injectively(x as u32, y as u32)?;
+        encodes_injectively(x, y)?;
+        encodes_injectively(x as i64, y as i64)?;
+        encodes_injectively(x as usize, y as usize)?;
+        encodes_injectively((x as u32, z as u32), (y as u32, w as u32))?;
+        encodes_injectively((x, z), (y, w))?;
+        encodes_injectively(NodeId::from(x as u32), NodeId::from(y as u32))?;
+        encodes_injectively(EdgeId::from(x as u32), EdgeId::from(y as u32))?;
+        encodes_injectively(
+            congest_graph::ClusterId::from(x as u32),
+            congest_graph::ClusterId::from(y as u32),
+        )?;
     }
 }

@@ -16,14 +16,16 @@
 # when every match is test code and its own file's non-test lines do not name
 # it either. Test code is a file under a tests/ directory, or a line at or
 # below its file's first `#[cfg(test)]`. Names are matched, not paths, so a
-# name two items share counts as used for both.
+# name two items share counts as used for both. The scan exits 1 when a
+# `pub fn` is unreferenced: a function nothing names is dead or belongs
+# private.
 #
 # Non-test lines are the lines above each crates/*/src file's first
 # `#[cfg(test)]`, or the whole file when it has none.
 #
 # A twin pair is two `pub fn`s under crates/*/src named `X` and `X_with` (a
 # plain form and the same function with one more knob). The library keeps one
-# form per function: the scan exits 1 when it finds a pair.
+# form per function: the scan exits 1 when it finds a pair too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -137,7 +139,13 @@ if $verbose; then
         printf '  %s\n' "${twins[@]}" | sort
     fi
 fi
+status=0
+if ((${#unreferenced[@]})); then
+    echo "surface.sh: a \`pub fn\` nothing outside its own file names; delete it or make it private" >&2
+    status=1
+fi
 if ((${#twins[@]})); then
     echo "surface.sh: a \`pub fn X\` has a \`pub fn X_with\` twin; keep one form" >&2
-    exit 1
+    status=1
 fi
+exit $status
