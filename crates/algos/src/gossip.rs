@@ -12,7 +12,7 @@
 //! so [`expected_gossip`] replays the fold per node without running the engine
 //! at all. The registry uses it as the differential check.
 
-use congest_engine::{CongestAlgorithm, LocalView, SurvivorMask};
+use congest_engine::{BcongestAlgorithm, LocalView, SurvivorMask};
 use congest_graph::{Graph, NodeId};
 
 /// The checksum multiplier (Knuth's MMIX LCG constant): any fixed odd constant
@@ -27,7 +27,6 @@ pub struct GossipOnce;
 /// Per-node state of [`GossipOnce`].
 #[derive(Clone, Debug)]
 pub struct GossipState {
-    neighbors: Vec<NodeId>,
     pending: bool,
     heard: u64,
 }
@@ -40,7 +39,7 @@ fn fold(heard: u64, from: NodeId, w: u32, round: usize) -> u64 {
         .wrapping_add(u64::from(from.raw()) ^ u64::from(w) ^ round as u64)
 }
 
-impl CongestAlgorithm for GossipOnce {
+impl BcongestAlgorithm for GossipOnce {
     type State = GossipState;
     type Msg = u32;
     type Output = u64;
@@ -48,23 +47,17 @@ impl CongestAlgorithm for GossipOnce {
     fn name(&self) -> &'static str {
         "gossip-once"
     }
+    /// A node without neighbours has no one to tell: it starts done.
     fn init(&self, view: &LocalView<'_>) -> GossipState {
         GossipState {
-            neighbors: view.neighbors().to_vec(),
-            pending: true,
+            pending: view.degree() > 0,
             heard: u64::from(view.node().raw()),
         }
     }
-    fn sends(&self, s: &GossipState, _round: usize) -> Vec<(NodeId, u32)> {
-        if !s.pending {
-            return Vec::new();
-        }
-        s.neighbors
-            .iter()
-            .map(|&u| (u, (s.heard & 0xffff_ffff) as u32))
-            .collect()
+    fn broadcast(&self, s: &GossipState, _round: usize) -> Option<u32> {
+        s.pending.then_some(s.heard as u32)
     }
-    fn on_sent(&self, s: &mut GossipState, _round: usize) {
+    fn on_broadcast_sent(&self, s: &mut GossipState, _round: usize) {
         s.pending = false;
     }
     fn receive(&self, s: &mut GossipState, round: usize, msgs: &[(NodeId, u32)]) {
@@ -82,6 +75,9 @@ impl CongestAlgorithm for GossipOnce {
     }
     fn round_bound(&self, n: usize, _m: usize) -> usize {
         n + 2
+    }
+    fn output_words(&self, _out: &u64) -> usize {
+        1
     }
 }
 
@@ -134,7 +130,7 @@ pub fn expected_gossip_masked(g: &Graph, mask: &SurvivorMask, round: usize) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_engine::{run_congest, RunOptions};
+    use congest_engine::{run_bcongest, RunOptions};
     use congest_graph::generators;
 
     #[test]
@@ -146,7 +142,7 @@ mod tests {
             generators::cycle(12),
             generators::complete(8),
         ] {
-            let run = run_congest(&GossipOnce, &g, None, &RunOptions::default()).unwrap();
+            let run = run_bcongest(&GossipOnce, &g, None, &RunOptions::default()).unwrap();
             assert_eq!(run.outputs, expected_gossip(&g));
             // Exactly one message per edge direction.
             assert_eq!(run.metrics.messages, 2 * g.m() as u64);
@@ -168,7 +164,7 @@ mod tests {
             faults: Some(plan),
             ..RunOptions::default()
         };
-        let run = run_congest(&GossipOnce, &g, None, &opts).unwrap();
+        let run = run_bcongest(&GossipOnce, &g, None, &opts).unwrap();
         let want = expected_gossip_masked(&g, &mask, last);
         for v in g.nodes() {
             if let Some(w) = want[v.index()] {

@@ -19,12 +19,13 @@ use congest_decomp::baswana_sen::{validate_hierarchy, Hierarchy};
 use congest_decomp::ldc::{build_ldc, validate_ldc};
 use congest_decomp::spanner::{measured_stretch, spanner_edges};
 use congest_engine::faults::{masked_bfs, masked_components};
-use congest_engine::trace::{record_bcongest, record_congest};
+use congest_engine::trace::record_bcongest;
 use congest_engine::{
-    run_bcongest, run_congest, BcongestAlgorithm, CongestAlgorithm, FaultEvent, FaultPlan,
-    FaultResponse, RunOptions, WireEncode,
+    run_bcongest, BcongestAlgorithm, BcongestRun, FaultEvent, FaultPlan, FaultResponse, Metrics,
+    RunOptions, WireEncode,
 };
 use congest_graph::{generators, reference, Graph, NodeId, WeightedGraph};
+use std::convert::identity;
 use std::sync::Arc;
 
 /// The named graph families the per-family entries are instantiated over:
@@ -60,11 +61,11 @@ fn family_graph(family: &str) -> Graph {
     }
 }
 
-/// The typed value of a BCONGEST run: outputs plus the word counts the
+/// A BCONGEST run without its metrics: the outputs plus the word counts the
 /// conformance contract pins alongside them.
 #[derive(Debug)]
-struct BcongestValue<O> {
-    outputs: Vec<O>,
+pub(crate) struct BcongestValue<O> {
+    pub(crate) outputs: Vec<O>,
     // The word counts are read through the derived `Debug` rendering (they
     // are part of the conformance-compared `RunOutcome::output` string), which
     // the dead-code lint does not see.
@@ -74,17 +75,42 @@ struct BcongestValue<O> {
     output_words: usize,
 }
 
-/// Wraps a [`BcongestAlgorithm`] as a workload entry. `plan` derives the fault
+impl<O> AsRef<[O]> for BcongestValue<O> {
+    fn as_ref(&self) -> &[O] {
+        &self.outputs
+    }
+}
+
+/// Splits a run into its value and its metrics.
+fn split<O>(run: BcongestRun<O>) -> (BcongestValue<O>, Metrics) {
+    let BcongestRun {
+        outputs,
+        metrics,
+        input_words,
+        output_words,
+    } = run;
+    let value = BcongestValue {
+        outputs,
+        input_words,
+        output_words,
+    };
+    (value, metrics)
+}
+
+/// Wraps a [`BcongestAlgorithm`] as a workload entry. `value` picks what of
+/// the run the entry renders into [`RunOutcome::output`]: the whole
+/// [`BcongestValue`] (`identity`) or just its outputs. `plan` derives the fault
 /// plan from the built input (`|_| None` for a fault-free entry); it feeds both
 /// the normal runner and the trace recorder, so `run`, `run_traced` and
 /// `replay` all execute the same scenario.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn bcongest_entry<A>(
+pub(crate) fn bcongest_entry<A, V>(
     algorithm: &'static str,
     family: String,
     seed: u64,
     build: impl Fn() -> BuiltInput + Send + Sync + 'static,
     make: impl Fn(&BuiltInput) -> A + Send + Sync + 'static,
+    value: fn(BcongestValue<A::Output>) -> V,
     plan: impl Fn(&BuiltInput) -> Option<FaultPlan> + Send + Sync + 'static,
     oracle: impl Fn(&BuiltInput, &[A::Output]) -> Result<(), String> + Send + Sync + 'static,
     envelope: impl Fn(&BuiltInput) -> MetricsEnvelope + Send + Sync + 'static,
@@ -92,6 +118,7 @@ pub(crate) fn bcongest_entry<A>(
 where
     A: BcongestAlgorithm + Send + Sync + 'static,
     A::Output: 'static,
+    V: AsRef<[A::Output]> + std::fmt::Debug + 'static,
 {
     // Every message of an engine-runner entry travels the plane at the packed
     // codec width, so the memory envelope is exact, not an estimate.
@@ -117,17 +144,11 @@ where
                         faults: plan(input),
                     },
                 )?;
-                Ok((
-                    BcongestValue {
-                        outputs: run.outputs,
-                        input_words: run.input_words,
-                        output_words: run.output_words,
-                    },
-                    run.metrics,
-                ))
+                let (run, metrics) = split(run);
+                Ok((value(run), metrics))
             }
         }),
-        oracle: Box::new(move |input, value| oracle(input, &value.outputs)),
+        oracle: Box::new(move |input, value: &V| oracle(input, value.as_ref())),
         envelope: Box::new(move |input| envelope(input).with_message_bytes(msg_bytes)),
         trace: Some(Box::new(move |input, cfg, name| {
             let algo = make(input);
@@ -138,79 +159,11 @@ where
             };
             let (run, trace) =
                 record_bcongest(&algo, &input.graph, input.weights.as_deref(), &opts, name)?;
-            let value = BcongestValue {
-                outputs: run.outputs,
-                input_words: run.input_words,
-                output_words: run.output_words,
-            };
+            let (run, metrics) = split(run);
             Ok((
                 RunOutcome {
-                    output: format!("{value:?}"),
-                    metrics: run.metrics,
-                },
-                trace,
-            ))
-        })),
-    })
-}
-
-/// Wraps a [`CongestAlgorithm`] as a workload entry, with a fault plan as in
-/// [`bcongest_entry`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn congest_entry<A>(
-    algorithm: &'static str,
-    family: String,
-    seed: u64,
-    build: impl Fn() -> BuiltInput + Send + Sync + 'static,
-    make: impl Fn(&BuiltInput) -> A + Send + Sync + 'static,
-    plan: impl Fn(&BuiltInput) -> Option<FaultPlan> + Send + Sync + 'static,
-    oracle: impl Fn(&BuiltInput, &[A::Output]) -> Result<(), String> + Send + Sync + 'static,
-    envelope: impl Fn(&BuiltInput) -> MetricsEnvelope + Send + Sync + 'static,
-) -> Box<dyn Workload>
-where
-    A: CongestAlgorithm + Send + Sync + 'static,
-    A::Output: 'static,
-{
-    let msg_bytes = 4 * <A::Msg as WireEncode>::LANES as u64;
-    let make = Arc::new(make);
-    let plan = Arc::new(plan);
-    Box::new(FnWorkload {
-        algorithm,
-        family,
-        seed,
-        build: Box::new(build) as BuildFn,
-        exec: Box::new({
-            let (make, plan) = (Arc::clone(&make), Arc::clone(&plan));
-            move |input, cfg| {
-                let algo = make(input);
-                let run = run_congest(
-                    &algo,
-                    &input.graph,
-                    input.weights.as_deref(),
-                    &RunOptions {
-                        seed,
-                        exec: cfg.clone(),
-                        faults: plan(input),
-                    },
-                )?;
-                Ok((run.outputs, run.metrics))
-            }
-        }),
-        oracle: Box::new(move |input, outputs| oracle(input, outputs)),
-        envelope: Box::new(move |input| envelope(input).with_message_bytes(msg_bytes)),
-        trace: Some(Box::new(move |input, cfg, name| {
-            let algo = make(input);
-            let opts = RunOptions {
-                seed,
-                exec: cfg.clone(),
-                faults: plan(input),
-            };
-            let (run, trace) =
-                record_congest(&algo, &input.graph, input.weights.as_deref(), &opts, name)?;
-            Ok((
-                RunOutcome {
-                    output: format!("{:?}", run.outputs),
-                    metrics: run.metrics,
+                    output: format!("{:?}", value(run)),
+                    metrics,
                 },
                 trace,
             ))
@@ -306,6 +259,7 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
             7,
             move || BuiltInput::unweighted(family_graph(family)),
             |_| LeaderElect,
+            identity,
             |_| None,
             |input, outputs| {
                 let g = &input.graph;
@@ -375,6 +329,7 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
             41,
             move || BuiltInput::unweighted(family_graph(family)),
             |_| LubyMis,
+            identity,
             |_| None,
             |input, outputs| {
                 is_valid_mis(&input.graph, outputs)
@@ -393,6 +348,7 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
             43,
             move || BuiltInput::unweighted(family_graph(family)),
             |_| IsraeliItai,
+            identity,
             |_| None,
             |input, outputs| {
                 // `matching_pairs` asserts partner mutuality internally.
@@ -413,6 +369,7 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
         11,
         || BuiltInput::unweighted(generators::random_bipartite_connected(8, 9, 0.35, 51)),
         |_| BipartiteMatching,
+        identity,
         |_| None,
         |input, outputs| {
             let g = &input.graph;
@@ -535,6 +492,7 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
         5,
         || BuiltInput::unweighted(family_graph("gnp")),
         |_| Bfs::new(NodeId::new(0)),
+        identity,
         move |input| Some(bfs_crash_plan(&input.graph)),
         move |input, outputs| {
             let g = &input.graph;
@@ -563,6 +521,7 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
         7,
         || BuiltInput::unweighted(family_graph("gnp")),
         |_| LeaderElect,
+        identity,
         move |input| Some(leader_crash_plan(&input.graph)),
         move |input, outputs| {
             let g = &input.graph;
@@ -605,6 +564,7 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
         7,
         || BuiltInput::unweighted(generators::path(48)),
         |_| LeaderElect,
+        identity,
         move |input| Some(heal_plan(&input.graph)),
         |input, outputs| {
             let g = &input.graph;
@@ -630,12 +590,13 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
     // Gossip under 3 crashes at round 1, Restart: the final checksum at every
     // live node is one masked exchange folded at the last fault round.
     let gossip_crash_plan = |g: &Graph| FaultPlan::crashes(g, 3, 1, 9, &[]);
-    entries.push(congest_entry(
+    entries.push(bcongest_entry(
         "faulty-gossip",
         "gnp-crash".to_string(),
         9,
         || BuiltInput::unweighted(family_graph("gnp")),
         |_| GossipOnce,
+        |value| value.outputs,
         move |input| Some(gossip_crash_plan(&input.graph)),
         move |input, outputs| {
             let g = &input.graph;
@@ -660,12 +621,13 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
     // folds a complete exchange at the last fault round.
     let gossip_churn_plan =
         |g: &Graph| FaultPlan::edge_churn(g, 4, 0, 2, 9, FaultResponse::Restart);
-    entries.push(congest_entry(
+    entries.push(bcongest_entry(
         "faulty-gossip",
         "gnp-churn".to_string(),
         9,
         || BuiltInput::unweighted(family_graph("gnp")),
         |_| GossipOnce,
+        |value| value.outputs,
         move |input| Some(gossip_churn_plan(&input.graph)),
         move |input, outputs| {
             let g = &input.graph;
@@ -729,6 +691,7 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
         5,
         || BuiltInput::unweighted(generators::power_law(120, 3, 7)),
         |_| Bfs::new(NodeId::new(0)),
+        identity,
         |_| None,
         |input, outputs| {
             check_bfs_shape(
@@ -740,12 +703,13 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
         },
         |input| MetricsEnvelope::bounds(2 * input.graph.m() as u64, input.graph.n() as u64 + 2),
     ));
-    entries.push(congest_entry(
+    entries.push(bcongest_entry(
         "skewed-gossip",
         "hub-spoke-wide".to_string(),
         9,
         || BuiltInput::unweighted(generators::hub_and_spoke(8, 24)),
         |_| GossipOnce,
+        |value| value.outputs,
         |_| None,
         |input, outputs| {
             let want = expected_gossip(&input.graph);

@@ -5,7 +5,7 @@
 //! deep path, for example). Either way the runner, oracle and envelope come
 //! from here — workload setup has exactly one definition per algorithm.
 
-use crate::catalogue::{bcongest_entry, check_bfs_shape, composite_entry, congest_entry};
+use crate::catalogue::{bcongest_entry, check_bfs_shape, composite_entry};
 use crate::{BuiltInput, MetricsEnvelope, Workload};
 use apsp_core::distance::Distance;
 use apsp_core::landmarks::landmark_distances;
@@ -19,6 +19,7 @@ use congest_algos::mst::{distributed_mst, message_bound, MstConfig};
 use congest_graph::{generators, reference, rng, NodeId, WeightedGraph};
 use congest_serve::loadgen::{AnswerCheck, ExactReference};
 use congest_serve::DistanceOracle;
+use std::convert::identity;
 
 /// Single-source BFS from node 0. Every node broadcasts at most once, so the
 /// envelope is `messages ≤ Σ deg = 2m`, `rounds ≤ n + 2`.
@@ -33,6 +34,7 @@ pub fn bfs(
         seed,
         build,
         |_| Bfs::new(NodeId::new(0)),
+        identity,
         |_| None,
         |input, outputs| {
             check_bfs_shape(
@@ -63,6 +65,7 @@ pub fn bfs_collection(
         seed,
         build,
         move |input| BfsCollection::new(input.graph.nodes().collect()).with_random_delays(seed),
+        identity,
         |_| None,
         |input, outputs| {
             for (j, src) in input.graph.nodes().enumerate() {
@@ -86,12 +89,13 @@ pub fn gossip(
     build: impl Fn() -> BuiltInput + Send + Sync + 'static,
     seed: u64,
 ) -> Box<dyn Workload> {
-    congest_entry(
+    bcongest_entry(
         "gossip",
         family,
         seed,
         build,
         |_| GossipOnce,
+        |value| value.outputs,
         |_| None,
         |input, outputs| {
             let want = expected_gossip(&input.graph);
