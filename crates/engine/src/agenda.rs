@@ -1,9 +1,8 @@
 //! The round agenda: which nodes a runner polls in which round.
 //!
 //! The round loop (`rounds.rs`) is event-driven. A node's
-//! [`broadcast`](crate::BcongestAlgorithm::broadcast) /
-//! [`sends`](crate::CongestAlgorithm::sends) is evaluated in a round only if
-//! the node is *scheduled* for it, and a node is rescheduled only when
+//! [`broadcast`](crate::BcongestAlgorithm::broadcast) is evaluated in a round
+//! only if the node is *scheduled* for it, and a node is rescheduled only when
 //! something happened to it — it was polled, it received, or a fault round
 //! fired — by asking its `next_activity` once. Everything else sleeps, so a
 //! round costs `O(polled + received + n/64)` instead of `Θ(n)`.

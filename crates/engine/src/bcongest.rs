@@ -18,10 +18,10 @@ use crate::error::EngineError;
 use crate::exec::ExecutorConfig;
 use crate::faults::FaultPlan;
 use crate::metrics::Metrics;
-use crate::rounds::{self, Delivery, Model, Observer, OverPlane, Transport};
+use crate::rounds::{self, Delivery, Observer, OverPlane, Transport};
 use crate::view::LocalView;
 use crate::wire::WireEncode;
-use congest_graph::{EdgeId, Graph, NodeId};
+use congest_graph::{Graph, NodeId};
 
 /// A BCONGEST algorithm as a pure per-node state machine.
 ///
@@ -244,8 +244,8 @@ where
 
 /// The shared loop under the three entry points, plus a [`BcongestRun`]'s
 /// output and word accounting.
-fn run_on<'a, A, D>(
-    algo: &'a A,
+fn run_on<A, D>(
+    algo: &A,
     g: &Graph,
     weights: Option<&[u64]>,
     opts: &RunOptions,
@@ -254,9 +254,9 @@ fn run_on<'a, A, D>(
 ) -> Result<BcongestRun<A::Output>, EngineError>
 where
     A: BcongestAlgorithm,
-    D: Delivery<Broadcast<'a, A>>,
+    D: Delivery<A>,
 {
-    let (states, metrics) = rounds::run(&Broadcast(algo), g, weights, opts, delivery, observer)?;
+    let (states, metrics) = rounds::run(algo, g, weights, opts, delivery, observer)?;
     let outputs: Vec<A::Output> = states.iter().map(|s| algo.output(s)).collect();
     let output_words = outputs.iter().map(|o| algo.output_words(o)).sum();
     Ok(BcongestRun {
@@ -267,58 +267,10 @@ where
     })
 }
 
-/// [`BcongestAlgorithm`] as the round loop sees it: a polled node hands over
-/// one message, which crosses every incident edge.
-struct Broadcast<'a, A>(&'a A);
-
-impl<A: BcongestAlgorithm> Model for Broadcast<'_, A> {
-    type State = A::State;
-    type Msg = A::Msg;
-    type Sent = A::Msg;
-
-    const BROADCASTS: bool = true;
-
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn round_bound(&self, n: usize, m: usize) -> usize {
-        self.0.round_bound(n, m)
-    }
-    fn init(&self, view: &LocalView<'_>) -> A::State {
-        self.0.init(view)
-    }
-    fn poll(&self, state: &A::State, round: usize) -> Option<A::Msg> {
-        self.0.broadcast(state, round)
-    }
-    fn on_sent(&self, state: &mut A::State, round: usize) {
-        self.0.on_broadcast_sent(state, round);
-    }
-    fn expand(
-        &self,
-        g: &Graph,
-        v: NodeId,
-        msg: &A::Msg,
-        mut emit: impl FnMut(EdgeId, NodeId, &A::Msg),
-    ) {
-        for (e, u) in g.incident(v) {
-            emit(e, u, msg);
-        }
-    }
-    fn receive(&self, state: &mut A::State, round: usize, inbox: &[(NodeId, A::Msg)]) {
-        self.0.receive(state, round, inbox);
-    }
-    fn next_activity(&self, state: &A::State, after: usize) -> Option<usize> {
-        self.0.next_activity(state, after)
-    }
-    fn on_fault(&self, state: &mut A::State, round: usize) {
-        self.0.on_fault(state, round);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_graph::generators;
+    use congest_graph::{generators, EdgeId};
 
     /// Toy algorithm: flood the minimum ID; output it. Broadcast-on-improvement.
     struct MinFlood;
@@ -678,19 +630,31 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_inboxes() {
+    fn observer_sees_inboxes_in_node_order() {
+        // Path 0-1-2: everyone speaks in round 0, the improved nodes 1 and 2
+        // in round 1, node 2 once more in round 2. The observer sees each
+        // round's inboxes in ascending node order, at every thread count.
         let g = generators::path(3);
-        let mut seen = 0usize;
-        let _ = run_bcongest_observed(
-            &MinFlood,
-            &g,
-            None,
-            &RunOptions::default(),
-            |_v, _r, inbox| {
-                seen += inbox.len();
-            },
-        )
-        .expect("observed min-flood run");
-        assert!(seen > 0);
+        for threads in [1, 2] {
+            let mut seen: Vec<(usize, u32, usize)> = Vec::new();
+            let opts = RunOptions {
+                exec: ExecutorConfig::with_threads(threads),
+                ..Default::default()
+            };
+            run_bcongest_observed(&MinFlood, &g, None, &opts, |v, r, inbox| {
+                seen.push((r, v.raw(), inbox.len()));
+            })
+            .expect("observed min-flood run");
+            let want = [
+                (0, 0, 1),
+                (0, 1, 2),
+                (0, 2, 1),
+                (1, 0, 1),
+                (1, 1, 1),
+                (1, 2, 1),
+                (2, 1, 1),
+            ];
+            assert_eq!(seen, want, "at {threads} threads");
+        }
     }
 }

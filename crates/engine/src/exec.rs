@@ -1,9 +1,8 @@
 //! Deterministic chunked-parallel execution of per-node phases.
 //!
-//! Each round the CONGEST/BCONGEST runners poll the nodes their agenda
-//! scheduled (`agenda.rs`: the nodes that might send, not every node) and
-//! step the nodes that received, and the expensive parts of a round — the pure
-//! [`sends`](crate::CongestAlgorithm::sends) /
+//! Each round the BCONGEST round loop polls the nodes its agenda scheduled
+//! (`agenda.rs`: the nodes that might send, not every node) and steps the
+//! nodes that received, and the expensive parts of a round — the pure
 //! [`broadcast`](crate::BcongestAlgorithm::broadcast) polls and the per-node
 //! [`receive`](crate::BcongestAlgorithm::receive) transitions — are
 //! embarrassingly parallel: node `i`'s contribution depends only on node `i`'s

@@ -1,29 +1,30 @@
 //! # congest-engine
 //!
-//! Synchronous execution engine for the CONGEST/BCONGEST models (paper §1.1) with exact
+//! Synchronous execution engine for the BCONGEST model (paper §1.1.2) with exact
 //! round, message, broadcast-complexity, and per-edge-congestion accounting.
+//! Every CONGEST cost beyond a broadcast run is charged by the [`Router`] or
+//! [`tree_pass`].
 //!
 //! The pieces:
 //!
 //! * [`BcongestAlgorithm`] / [`AggregationAlgorithm`] — algorithms as pure per-node
 //!   state machines (the workspace's central abstraction; see module docs);
 //! * [`run_bcongest`] — direct BCONGEST execution (counts the paper's broadcast
-//!   complexity `B` and the `Σ deg` message cost); [`run_congest`] — its
-//!   point-to-point counterpart; [`run_bcongest_over`] — the same execution
-//!   with its delivery replaced by a caller's transport, which is what the
-//!   simulation theorems are. All three are thin wrappers over one
-//!   crate-private round loop (`rounds.rs`), generic over the model and the
-//!   delivery;
+//!   complexity `B` and the `Σ deg` message cost); [`run_bcongest_over`] — the
+//!   same execution with its delivery replaced by a caller's transport, which
+//!   is what the simulation theorems are. Both are thin wrappers over one
+//!   crate-private round loop (`rounds.rs`), generic over the algorithm and
+//!   the delivery;
 //! * [`Router`] — store-and-forward packet routing under per-edge capacity (real
 //!   schedules, LMR/Theorem-1.3 style) of a phase of [`Cast`]s;
 //! * [`treeops`] — the casts, their one-cast forms [`upcast`] / [`downcast`]
 //!   (Lemmas 1.5/1.6, charged by the words they move) over [`Forest`]s, plus
 //!   [`tree_pass`], the closed-form charge of a one-word convergecast or
 //!   broadcast;
-//! * [`ExecutorConfig`] — deterministic chunked-parallel execution of the runners'
-//!   per-node phases (crate-private `exec.rs`); `threads` is the only setting
+//! * [`ExecutorConfig`] — deterministic chunked-parallel execution of the round
+//!   loop's per-node phases (crate-private `exec.rs`); `threads` is the only setting
 //!   (outputs and metrics are byte-identical at every thread count);
-//! * [`plane`] / [`FlatPlane`] — the round buffer both direct runners deliver through:
+//! * [`plane`] / [`FlatPlane`] — the round buffer the direct runner delivers through:
 //!   typed message arenas scattered by a stable counting sort over the round's
 //!   receivers only, allocation-free in steady state;
 //! * the agenda (`agenda.rs`, crate-private) — the event-driven schedule of
@@ -32,7 +33,7 @@
 //!   n/64)`, not `Θ(n)`;
 //! * [`faults`] / [`FaultPlan`] — seeded, deterministic fault injection (edge
 //!   churn, node crash/recovery with message-drop semantics) threaded through
-//!   both runners;
+//!   the direct runner;
 //! * [`trace`] / [`TraceLog`] — per-round execution recording (sends,
 //!   deliveries, fault events, metric deltas) with JSONL/DOT export and a
 //!   replay path that re-executes a recorded run and checks byte equality;
@@ -78,7 +79,6 @@
 
 mod agenda;
 mod bcongest;
-mod congest;
 mod error;
 mod exec;
 pub mod faults;
@@ -95,7 +95,6 @@ pub use bcongest::{
     run_bcongest, run_bcongest_observed, run_bcongest_over, AggregationAlgorithm,
     BcongestAlgorithm, BcongestRun, RunOptions,
 };
-pub use congest::{run_congest, run_congest_observed, CongestAlgorithm, CongestRun};
 pub use error::EngineError;
 pub use exec::ExecutorConfig;
 pub use faults::{FaultEvent, FaultPlan, FaultResponse, SurvivorMask};

@@ -6,8 +6,8 @@ use congest_graph::EdgeId;
 ///
 /// * `rounds` — synchronous rounds elapsed;
 /// * `messages` — CONGEST messages (words) sent, summed over all edges and directions;
-/// * `broadcasts` — BCONGEST broadcast operations (only meaningful for broadcast-based
-///   runs; the paper's *broadcast complexity* `B`);
+/// * `broadcasts` — BCONGEST broadcast operations (the paper's *broadcast
+///   complexity* `B`);
 /// * per-edge congestion — messages per undirected edge, summed over both directions
 ///   (the paper's `congestion(e)`).
 ///
@@ -23,15 +23,17 @@ pub struct Metrics {
     pub rounds: u64,
     /// Total messages (one word = one message).
     pub messages: u64,
-    /// Total broadcast operations (BCONGEST only; 0 otherwise).
+    /// Total broadcast operations: counted by every run of the round loop,
+    /// direct or over a transport; 0 for [`Router`](crate::Router) and
+    /// [`tree_pass`](crate::tree_pass) charges.
     pub broadcasts: u64,
     /// Implementation-level payload bytes moved, summed over all messages.
     ///
     /// Model-level cost stays in [`Metrics::messages`] (words); this field is
     /// the memory-envelope side of the ledger — `payload_bytes / messages` is
     /// the measured bytes-per-message a workload's envelope bounds. Charges
-    /// default to 8 bytes per word ([`Metrics::add_messages`]); the runners
-    /// charge the exact packed width (`4 × LANES` bytes per message).
+    /// default to 8 bytes per word ([`Metrics::add_messages`]); the direct
+    /// runner charges the exact packed width (`4 × LANES` bytes per message).
     pub payload_bytes: u64,
     /// Messages suppressed by fault injection (down edges / crashed
     /// endpoints): a send the expansion produced but the network dropped.

@@ -1,5 +1,5 @@
-//! The flat message plane: typed round arenas, the one round buffer both
-//! runners deliver through.
+//! The flat message plane: typed round arenas, the round buffer the direct
+//! runner delivers through.
 //!
 //! Pushing a typed tuple per in-flight message into its receiver's `Vec`
 //! inbox makes allocator traffic dominate the round loop at n = 10⁵–10⁶.

@@ -1,20 +1,16 @@
 //! The round loop, written once: guard → fault events → poll → `on_sent` →
 //! deliver → `receive` → ask `next_activity` → idle-skip.
 //!
-//! Every execution in the workspace is this loop — the two direct runners and,
+//! Every execution in the workspace is this loop — the direct runner and,
 //! through [`run_bcongest_over`](crate::run_bcongest_over), the paper's three
 //! simulation theorems, which *are* the payload's BCONGEST execution with its
 //! delivery replaced by a cheaper transport. It is generic, and monomorphised,
-//! over the only two things that vary:
-//!
-//! * the [`Model`] — what a polled node hands over and how that expands onto
-//!   edges (one message over every incident edge, or a list of per-neighbour
-//!   messages), implemented by a delegating wrapper next to each algorithm
-//!   trait;
-//! * the [`Delivery`] — how a round's sends become inboxes: [`OverPlane`]
-//!   (the [`FlatPlane`], charging [`Metrics`] per message and dropping what
-//!   the fault mask forbids) or [`Transport`] (a caller's closure, handed the
-//!   round's ascending sender list and the inboxes to fill).
+//! over the [`BcongestAlgorithm`] and the one thing that varies, the
+//! [`Delivery`] — how a round's broadcasts become inboxes: [`OverPlane`] (the
+//! [`FlatPlane`], one message over every incident edge, charging [`Metrics`]
+//! per message and dropping what the fault mask forbids) or [`Transport`] (a
+//! caller's closure, handed the round's ascending broadcaster list and the
+//! inboxes to fill).
 //!
 //! The loop is event-driven: the agenda (`agenda.rs`) names the nodes to poll
 //! each round and the delivery the nodes that received, so a round costs what
@@ -30,57 +26,21 @@ use crate::metrics::Metrics;
 use crate::plane::FlatPlane;
 use crate::view::LocalView;
 use crate::wire::WireEncode;
-use crate::RunOptions;
+use crate::{BcongestAlgorithm, RunOptions};
 use congest_graph::{rng, EdgeId, Graph, NodeId};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An inbox observer: `observe(node, round, inbox)` for every non-empty inbox.
 pub(crate) type Observer<'a, Msg> = &'a mut dyn FnMut(NodeId, usize, &[(NodeId, Msg)]);
 
-/// A communication model: an algorithm trait as the loop sees it.
-pub(crate) trait Model: Sync {
-    /// Per-node state.
-    type State: Send + Sync;
-    /// One message on one edge, stored as a value and encoded only for a
-    /// trace and the byte charge.
-    type Msg: WireEncode + Send + Sync;
-    /// What a polled node hands over in a round it sends in.
-    type Sent: Send + Sync;
-
-    /// Whether a sender broadcasts: each one of a round then counts as one
-    /// [`Metrics::broadcasts`], and the debug "was not scheduled" panic says
-    /// "broadcast" instead of "send".
-    const BROADCASTS: bool;
-
-    fn name(&self) -> &'static str;
-    fn round_bound(&self, n: usize, m: usize) -> usize;
-    fn init(&self, view: &LocalView<'_>) -> Self::State;
-    /// The node's send decision for `round`. Pure.
-    fn poll(&self, state: &Self::State, round: usize) -> Option<Self::Sent>;
-    fn on_sent(&self, state: &mut Self::State, round: usize);
-    /// Expands what `v` handed over onto edges: one `emit(edge, receiver,
-    /// msg)` per message, in the sender's emission order.
-    fn expand(
-        &self,
-        g: &Graph,
-        v: NodeId,
-        sent: &Self::Sent,
-        emit: impl FnMut(EdgeId, NodeId, &Self::Msg),
-    );
-    fn receive(&self, state: &mut Self::State, round: usize, inbox: &[(NodeId, Self::Msg)]);
-    fn next_activity(&self, state: &Self::State, after: usize) -> Option<usize>;
-    fn on_fault(&self, state: &mut Self::State, round: usize);
-}
-
-/// How one round's sends reach the inboxes.
-pub(crate) trait Delivery<M: Model> {
-    /// Takes the round's senders — ascending, possibly none — and fills the
-    /// inboxes. Called once per executed round, empty ones included.
+/// How one round's broadcasts reach the inboxes.
+pub(crate) trait Delivery<A: BcongestAlgorithm> {
+    /// Takes the round's broadcasters — ascending, possibly none — and fills
+    /// the inboxes. Called once per executed round, empty ones included.
     fn deliver(
         &mut self,
-        model: &M,
         round: usize,
-        senders: &[(NodeId, M::Sent)],
+        senders: &[(NodeId, A::Msg)],
         mask: Option<&SurvivorMask>,
         metrics: &mut Metrics,
     ) -> Result<(), EngineError>;
@@ -93,16 +53,16 @@ pub(crate) trait Delivery<M: Model> {
     /// empties the inboxes. Returns whether any node received.
     fn receive_in_order(
         &mut self,
-        states: &mut [M::State],
-        f: impl FnMut(usize, &mut M::State, &[(NodeId, M::Msg)]),
+        states: &mut [A::State],
+        f: impl FnMut(usize, &mut A::State, &[(NodeId, A::Msg)]),
     ) -> bool;
 
     /// [`receive_in_order`](Self::receive_in_order) without the order
     /// promise, so an implementation may shard the receivers over threads.
     fn receive(
         &mut self,
-        states: &mut [M::State],
-        f: impl Fn(&mut M::State, &[(NodeId, M::Msg)]) + Sync,
+        states: &mut [A::State],
+        f: impl Fn(&mut A::State, &[(NodeId, A::Msg)]) + Sync,
     ) -> bool {
         self.receive_in_order(states, |_, st, inbox| f(st, inbox))
     }
@@ -125,30 +85,29 @@ impl<'a, Msg: WireEncode + Send + Sync> OverPlane<'a, Msg> {
     }
 }
 
-impl<M: Model> Delivery<M> for OverPlane<'_, M::Msg> {
-    /// Each inbox receives its messages in sender order at every thread
-    /// count. Messages over down edges or to crashed receivers are dropped
-    /// here, at the single expansion point — never delivered, never charged,
-    /// only counted (`u64` addition commutes, so the count is
-    /// thread-order-free).
+impl<A: BcongestAlgorithm> Delivery<A> for OverPlane<'_, A::Msg> {
+    /// A broadcast crosses every incident edge, and each inbox receives its
+    /// messages in sender order at every thread count. Messages over down
+    /// edges or to crashed receivers are dropped here, at the single
+    /// expansion point — never delivered, never charged, only counted (`u64`
+    /// addition commutes, so the count is thread-order-free).
     fn deliver(
         &mut self,
-        model: &M,
         _round: usize,
-        senders: &[(NodeId, M::Sent)],
+        senders: &[(NodeId, A::Msg)],
         mask: Option<&SurvivorMask>,
         metrics: &mut Metrics,
     ) -> Result<(), EngineError> {
         let g = self.g;
         let dropped = AtomicU64::new(0);
-        let expand = |v: NodeId, sent: &M::Sent, sink: &mut dyn FnMut(NodeId, EdgeId, M::Msg)| {
-            model.expand(g, v, sent, |e, u, msg| {
+        let expand = |v: NodeId, msg: &A::Msg, sink: &mut dyn FnMut(NodeId, EdgeId, A::Msg)| {
+            for (e, u) in g.incident(v) {
                 if mask.is_some_and(|m| !m.edge_up[e.index()] || !m.node_up[u.index()]) {
                     dropped.fetch_add(1, Ordering::Relaxed);
                 } else {
                     sink(u, e, msg.clone());
                 }
-            });
+            }
         };
         self.plane.deliver(self.cfg, senders, &expand, metrics);
         metrics.dropped_messages += dropped.load(Ordering::Relaxed);
@@ -161,16 +120,16 @@ impl<M: Model> Delivery<M> for OverPlane<'_, M::Msg> {
 
     fn receive_in_order(
         &mut self,
-        states: &mut [M::State],
-        f: impl FnMut(usize, &mut M::State, &[(NodeId, M::Msg)]),
+        states: &mut [A::State],
+        f: impl FnMut(usize, &mut A::State, &[(NodeId, A::Msg)]),
     ) -> bool {
         self.plane.receive_each_seq(states, f)
     }
 
     fn receive(
         &mut self,
-        states: &mut [M::State],
-        f: impl Fn(&mut M::State, &[(NodeId, M::Msg)]) + Sync,
+        states: &mut [A::State],
+        f: impl Fn(&mut A::State, &[(NodeId, A::Msg)]) + Sync,
     ) -> bool {
         self.plane.receive(self.cfg, states, f)
     }
@@ -195,16 +154,15 @@ impl<F, Msg> Transport<F, Msg> {
     }
 }
 
-impl<M, F> Delivery<M> for Transport<F, M::Msg>
+impl<A, F> Delivery<A> for Transport<F, A::Msg>
 where
-    M: Model,
-    F: FnMut(usize, &[(NodeId, M::Sent)], &mut [Vec<(NodeId, M::Msg)>]) -> Result<(), EngineError>,
+    A: BcongestAlgorithm,
+    F: FnMut(usize, &[(NodeId, A::Msg)], &mut [Vec<(NodeId, A::Msg)>]) -> Result<(), EngineError>,
 {
     fn deliver(
         &mut self,
-        _model: &M,
         round: usize,
-        senders: &[(NodeId, M::Sent)],
+        senders: &[(NodeId, A::Msg)],
         _mask: Option<&SurvivorMask>,
         _metrics: &mut Metrics,
     ) -> Result<(), EngineError> {
@@ -222,8 +180,8 @@ where
 
     fn receive_in_order(
         &mut self,
-        states: &mut [M::State],
-        mut f: impl FnMut(usize, &mut M::State, &[(NodeId, M::Msg)]),
+        states: &mut [A::State],
+        mut f: impl FnMut(usize, &mut A::State, &[(NodeId, A::Msg)]),
     ) -> bool {
         for &u in &self.receivers {
             let u = u as usize;
@@ -234,25 +192,25 @@ where
     }
 }
 
-/// Runs `model` on `g` until it quiesces, delivering through `delivery`;
+/// Runs `algo` on `g` until it quiesces, delivering through `delivery`;
 /// returns the final states and the run's [`Metrics`] (`rounds`, `broadcasts`
 /// and whatever the delivery charged).
-pub(crate) fn run<M: Model, D: Delivery<M>>(
-    model: &M,
+pub(crate) fn run<A: BcongestAlgorithm, D: Delivery<A>>(
+    algo: &A,
     g: &Graph,
     weights: Option<&[u64]>,
     opts: &RunOptions,
     delivery: &mut D,
-    mut observer: Option<Observer<'_, M::Msg>>,
-) -> Result<(Vec<M::State>, Metrics), EngineError> {
+    mut observer: Option<Observer<'_, A::Msg>>,
+) -> Result<(Vec<A::State>, Metrics), EngineError> {
     let n = g.n();
     let cfg = &opts.exec;
     let mut metrics = Metrics::new(g.m());
     let init_node = |i: usize| {
         let view = LocalView::new(g, weights, NodeId::new(i), rng::node_seed(opts.seed, i));
-        model.init(&view)
+        algo.init(&view)
     };
-    let mut states: Vec<M::State> =
+    let mut states: Vec<A::State> =
         exec::map_ranges(cfg, n, |range| range.map(init_node).collect::<Vec<_>>())
             .into_iter()
             .flatten()
@@ -265,7 +223,7 @@ pub(crate) fn run<M: Model, D: Delivery<M>>(
     let mut fault_rt: Option<FaultState<'_>> =
         opts.faults.as_ref().map(|plan| FaultState::new(plan, g));
 
-    let base_limit = 4 * model.round_bound(n, g.m()) + 64;
+    let base_limit = 4 * algo.round_bound(n, g.m()) + 64;
     let limit = match &opts.faults {
         // Every fault round can restart the algorithm from scratch, so the
         // guard scales with the number of fault rounds.
@@ -276,14 +234,14 @@ pub(crate) fn run<M: Model, D: Delivery<M>>(
     };
 
     let mut agenda = Agenda::new(n);
-    let mut senders: Vec<(NodeId, M::Sent)> = Vec::new();
+    let mut senders: Vec<(NodeId, A::Msg)> = Vec::new();
     let mut round: usize = 0;
     let mut rounds_used: u64 = 0;
 
     loop {
         if round > limit {
             return Err(EngineError::RoundLimitExceeded {
-                algorithm: model.name(),
+                algorithm: algo.name(),
                 limit,
             });
         }
@@ -312,7 +270,7 @@ pub(crate) fn run<M: Model, D: Delivery<M>>(
                         }
                         for (i, st) in states.iter_mut().enumerate() {
                             if fs.mask.node_up[i] {
-                                model.on_fault(st, round);
+                                algo.on_fault(st, round);
                             }
                         }
                     }
@@ -320,46 +278,43 @@ pub(crate) fn run<M: Model, D: Delivery<M>>(
             }
         }
 
-        // 1. Collect the sends of the nodes scheduled for this round (pure
-        //    reads, chunked over the ascending poll list; concatenating
+        // 1. Collect the broadcasts of the nodes scheduled for this round
+        //    (pure reads, chunked over the ascending poll list; concatenating
         //    per-chunk batches in chunk order reproduces the sequential node
         //    order exactly), then apply send transitions. Crashed nodes send
         //    nothing.
         agenda.begin(round);
         let live = |i: usize| fault_rt.as_ref().is_none_or(|fs| fs.mask.node_up[i]);
         exec::collect_sends(cfg, agenda.poll(), &states, &mut senders, |i, st| {
-            live(i).then(|| model.poll(st, round)).flatten()
+            live(i).then(|| algo.broadcast(st, round)).flatten()
         });
         // The scheduler's soundness rests on `next_activity` never answering
         // late; debug builds check the whole contract every round.
         #[cfg(debug_assertions)]
         for i in agenda.unpolled().filter(|&i| live(i)) {
             assert!(
-                model.poll(&states[i], round).is_none(),
-                "{}: node {i} would {} in round {round} but was not scheduled",
-                model.name(),
-                if M::BROADCASTS { "broadcast" } else { "send" }
+                algo.broadcast(&states[i], round).is_none(),
+                "{}: node {i} would broadcast in round {round} but was not scheduled",
+                algo.name(),
             );
         }
         for (v, _) in &senders {
-            model.on_sent(&mut states[v.index()], round);
+            algo.on_broadcast_sent(&mut states[v.index()], round);
         }
-        if M::BROADCASTS {
-            metrics.broadcasts += senders.len() as u64;
-        }
+        metrics.broadcasts += senders.len() as u64;
 
         // 2. Deliver, then 3. receive: per-node state transitions, sharded
         //    with their inboxes. With an observer attached the phase stays
         //    sequential so the callback sees inboxes in node order.
         let mask = fault_rt.as_ref().map(|fs| &fs.mask);
-        delivery.deliver(model, round, &senders, mask, &mut metrics)?;
+        delivery.deliver(round, &senders, mask, &mut metrics)?;
         let any_received = if let Some(obs) = observer.as_mut() {
             delivery.receive_in_order(&mut states, |i, st, inbox| {
                 obs(NodeId::new(i), round, inbox);
-                model.receive(st, round, inbox);
+                algo.receive(st, round, inbox);
             })
         } else {
-            delivery.receive(&mut states, |st, inbox| model.receive(st, round, inbox))
+            delivery.receive(&mut states, |st, inbox| algo.receive(st, round, inbox))
         };
 
         // 4. Reschedule every node something happened to: one
@@ -367,7 +322,7 @@ pub(crate) fn run<M: Model, D: Delivery<M>>(
         //    (their frozen state may still be "dirty").
         agenda.settle(round, delivery.receivers(), |i| {
             live(i)
-                .then(|| model.next_activity(&states[i], round + 1))
+                .then(|| algo.next_activity(&states[i], round + 1))
                 .flatten()
         });
 

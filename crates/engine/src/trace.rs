@@ -2,11 +2,11 @@
 //! message deliveries, with a JSONL codec, DOT rendering, and a structural
 //! conformance check.
 //!
-//! [`record_bcongest`] / [`record_congest`] wrap the observed runners and
-//! capture every delivered message (packed into its [`WireEncode`] `u32`
-//! lanes, whose width is also its byte charge), every fault event that
-//! fired, the final outputs (as their canonical `Debug` rendering) and the
-//! full [`Metrics`] including the congestion vector. The resulting
+//! [`record_bcongest`] wraps the observed runner and captures every
+//! delivered message (packed into its [`WireEncode`] `u32` lanes, whose width
+//! is also its byte charge), every fault event that fired, the final outputs
+//! (as their canonical `Debug` rendering) and the full [`Metrics`] including
+//! the congestion vector. The resulting
 //! [`TraceLog`] is a value: two runs conform iff their logs are `==`.
 //!
 //! The JSONL codec ([`TraceLog::to_jsonl`] / [`TraceLog::from_jsonl`]) is
@@ -18,11 +18,7 @@
 
 use crate::faults::{FaultEvent, FaultPlan, SurvivorMask};
 use crate::metrics::Metrics;
-use crate::rounds::Observer;
-use crate::{
-    BcongestAlgorithm, BcongestRun, CongestAlgorithm, CongestRun, EngineError, ExecutorConfig,
-    RunOptions, WireEncode,
-};
+use crate::{BcongestAlgorithm, BcongestRun, EngineError, ExecutorConfig, RunOptions, WireEncode};
 use congest_graph::dot::{self, DotOptions, EdgeStyle};
 use congest_graph::{EdgeId, Graph, NodeId};
 
@@ -90,8 +86,9 @@ pub struct TraceLog {
     /// Workload/scenario name (a `congest-workloads` registry name for
     /// replayable traces).
     pub workload: String,
-    /// `"bcongest"`, `"congest"`, or `"composite"` (outcome-level trace of a
-    /// multi-phase workload with no single runner loop).
+    /// `"bcongest"` (a direct run's per-round trace) or `"composite"`
+    /// (outcome-level trace of a multi-phase workload with no single runner
+    /// loop).
     pub kind: String,
     /// Node count of the graph the run executed on.
     pub n: usize,
@@ -446,35 +443,6 @@ fn encode_inbox<M: WireEncode>(
     }
 }
 
-/// The recorder behind [`record_bcongest`] and [`record_congest`]: `run` is an
-/// observed runner, `parts` reads the outputs and metrics off what it returns.
-fn record<M: WireEncode, R, O: std::fmt::Debug>(
-    kind: &str,
-    g: &Graph,
-    opts: &RunOptions,
-    workload: &str,
-    run: impl FnOnce(Observer<'_, M>) -> Result<R, EngineError>,
-    parts: impl FnOnce(&R) -> (&[O], &Metrics),
-) -> Result<(R, TraceLog), EngineError> {
-    let mut captured: Vec<(usize, TraceDelivery)> = Vec::new();
-    let run = run(&mut |to, round, inbox| encode_inbox(&mut captured, to, round, inbox))?;
-    let (outputs, metrics) = parts(&run);
-    let trace = TraceLog {
-        workload: workload.to_string(),
-        kind: kind.to_string(),
-        n: g.n(),
-        m: g.m(),
-        seed: opts.seed,
-        threads: opts.exec.threads,
-        lanes: M::LANES,
-        response: response_label(opts.faults.as_ref()),
-        rounds: assemble_rounds(captured, opts.faults.as_ref(), metrics.rounds),
-        output: format!("{outputs:?}"),
-        metrics: TraceMetrics::from(metrics),
-    };
-    Ok((run, trace))
-}
-
 /// Runs `algo` via [`crate::run_bcongest_observed`] and records the full
 /// trace alongside the run result.
 pub fn record_bcongest<A: BcongestAlgorithm>(
@@ -484,29 +452,24 @@ pub fn record_bcongest<A: BcongestAlgorithm>(
     opts: &RunOptions,
     workload: &str,
 ) -> Result<(BcongestRun<A::Output>, TraceLog), EngineError> {
-    let run = |observe: Observer<'_, A::Msg>| {
-        crate::run_bcongest_observed(algo, g, weights, opts, observe)
+    let mut captured: Vec<(usize, TraceDelivery)> = Vec::new();
+    let run = crate::run_bcongest_observed(algo, g, weights, opts, |to, round, inbox| {
+        encode_inbox(&mut captured, to, round, inbox)
+    })?;
+    let trace = TraceLog {
+        workload: workload.to_string(),
+        kind: "bcongest".to_string(),
+        n: g.n(),
+        m: g.m(),
+        seed: opts.seed,
+        threads: opts.exec.threads,
+        lanes: A::Msg::LANES,
+        response: response_label(opts.faults.as_ref()),
+        rounds: assemble_rounds(captured, opts.faults.as_ref(), run.metrics.rounds),
+        output: format!("{:?}", run.outputs),
+        metrics: TraceMetrics::from(&run.metrics),
     };
-    record("bcongest", g, opts, workload, run, |r| {
-        (&r.outputs, &r.metrics)
-    })
-}
-
-/// Runs `algo` via [`crate::run_congest_observed`] and records the full trace
-/// alongside the run result.
-pub fn record_congest<A: CongestAlgorithm>(
-    algo: &A,
-    g: &Graph,
-    weights: Option<&[u64]>,
-    opts: &RunOptions,
-    workload: &str,
-) -> Result<(CongestRun<A::Output>, TraceLog), EngineError> {
-    let run = |observe: Observer<'_, A::Msg>| {
-        crate::run_congest_observed(algo, g, weights, opts, observe)
-    };
-    record("congest", g, opts, workload, run, |r| {
-        (&r.outputs, &r.metrics)
-    })
+    Ok((run, trace))
 }
 
 // ---------------------------------------------------------------------------

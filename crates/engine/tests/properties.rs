@@ -6,16 +6,16 @@
 //! ones, also after a rejected phase, a tree pass's closed form is the
 //! schedule of its one-word hops, a run is identical —
 //! outputs and `Metrics` — at every thread count, the event-driven round loop
-//! equals, in both models, one that polls every node every round (with and
-//! without faults), and the packed encoding a trace records is injective on
-//! every primitive payload.
+//! equals one that polls every node every round (with and without faults),
+//! and the packed encoding a trace records is injective on every primitive
+//! payload.
 
 use congest_algos::{bfs::Bfs, bfs_collection::BfsCollection};
 use congest_engine::faults::FaultState;
 use congest_engine::{
-    downcast, route_casts, run_bcongest, run_congest, tree_pass, treeops::Forest, upcast,
-    BcongestAlgorithm, Cast, CongestAlgorithm, EngineError, ExecutorConfig, FaultEvent, FaultPlan,
-    FaultResponse, LocalView, Metrics, Router, RunOptions, WireEncode,
+    downcast, route_casts, run_bcongest, tree_pass, treeops::Forest, upcast, BcongestAlgorithm,
+    Cast, EngineError, ExecutorConfig, FaultEvent, FaultPlan, FaultResponse, LocalView, Metrics,
+    Router, RunOptions, WireEncode,
 };
 use congest_graph::{generators, reference, rng, EdgeId, Graph, NodeId};
 use proptest::prelude::*;
@@ -291,222 +291,101 @@ impl BcongestAlgorithm for DelayedFlood {
     }
 }
 
-/// [`DelayedFlood`] point to point: a node announces an improvement to every
-/// neighbour *except the one it came from*, so what it sends differs per edge
-/// and a node whose only neighbour taught it goes quiet without sending.
-struct DelayedRelay;
-
-#[derive(Clone, Debug)]
-struct RelayState {
-    flood: DelayedState,
-    neighbors: Vec<NodeId>,
-    /// Whom the current `best` came from (`None`: it is the node's own id).
-    from: Option<NodeId>,
-}
-
-impl CongestAlgorithm for DelayedRelay {
-    type State = RelayState;
-    type Msg = u32;
-    type Output = u32;
-
-    fn name(&self) -> &'static str {
-        "prop-delayed-relay"
-    }
-    fn init(&self, view: &LocalView<'_>) -> RelayState {
-        RelayState {
-            flood: DelayedFlood.init(view),
-            neighbors: view.neighbors().to_vec(),
-            from: None,
-        }
-    }
-    fn sends(&self, s: &RelayState, round: usize) -> Vec<(NodeId, u32)> {
-        let targets = s.neighbors.iter().filter(|&&u| Some(u) != s.from);
-        match DelayedFlood.broadcast(&s.flood, round) {
-            Some(best) => targets.map(|&u| (u, best)).collect(),
-            None => Vec::new(),
-        }
-    }
-    fn on_sent(&self, s: &mut RelayState, round: usize) {
-        DelayedFlood.on_broadcast_sent(&mut s.flood, round);
-    }
-    fn receive(&self, s: &mut RelayState, _round: usize, msgs: &[(NodeId, u32)]) {
-        for &(from, m) in msgs {
-            if m < s.flood.best {
-                s.flood.best = m;
-                s.from = Some(from);
-                s.flood.dirty = s.neighbors.len() > 1;
-            }
-        }
-    }
-    fn is_done(&self, s: &RelayState) -> bool {
-        DelayedFlood.is_done(&s.flood)
-    }
-    fn output(&self, s: &RelayState) -> u32 {
-        s.flood.best
-    }
-    fn next_activity(&self, s: &RelayState, after: usize) -> Option<usize> {
-        DelayedFlood.next_activity(&s.flood, after)
-    }
-    fn round_bound(&self, n: usize, m: usize) -> usize {
-        DelayedFlood.round_bound(n, m)
-    }
-    fn on_fault(&self, s: &mut RelayState, _round: usize) {
-        s.flood.dirty = true; // self-heal: everyone re-announces, to everyone
-        s.from = None;
-    }
-}
-
-/// The round loop the runners replaced, kept as the reference, once per model
-/// (the two algorithm traits share their method names but no supertrait, so
-/// the one body is a macro): poll **every** live node **every** round, push
-/// messages straight into `Vec` inboxes, and when a round is idle skip to the
-/// `min` over everyone's `next_activity`. `$poll` is the node's send decision
-/// as `Option<Vec<(neighbor, msg)>>`.
-macro_rules! full_scan_run {
-    ($run:ident, $model:ident, $on_sent:ident, broadcasts: $broadcasts:expr,
-     |$algo:ident, $g:ident, $v:ident, $st:ident, $round:ident| $poll:expr) => {
-        fn $run<A: $model>(
-            $algo: &A,
-            $g: &Graph,
-            seed: u64,
-            faults: Option<&FaultPlan>,
-        ) -> (Vec<A::Output>, Metrics) {
-            let (algo, g) = ($algo, $g);
-            let init = |i: usize| {
-                algo.init(&LocalView::new(
-                    g,
-                    None,
-                    NodeId::new(i),
-                    rng::node_seed(seed, i),
-                ))
-            };
-            let mut states: Vec<A::State> = (0..g.n()).map(init).collect();
-            let mut fs = faults.map(|plan| FaultState::new(plan, g));
-            let mut metrics = Metrics::new(g.m());
-            let bytes = 4 * <A::Msg as WireEncode>::LANES as u64;
-            let mut round = 0usize;
-            loop {
-                assert!(round < 100_000, "{} does not quiesce", algo.name());
-                if let Some(fs) = fs.as_mut() {
-                    let fired = fs.apply_due(round);
-                    let heal = fs.response() == FaultResponse::SelfHeal;
-                    for i in (0..g.n()).filter(|&i| !fired.is_empty() && fs.mask.node_up[i]) {
-                        if !heal || fired.contains(&FaultEvent::Recover(NodeId::new(i))) {
-                            states[i] = init(i);
-                        }
-                        if heal {
-                            algo.on_fault(&mut states[i], round);
-                        }
-                    }
-                }
-                let up = |i: usize| fs.as_ref().is_none_or(|fs| fs.mask.node_up[i]);
-                let mut inboxes: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); g.n()];
-                let mut sent = false;
-                for i in (0..g.n()).filter(|&i| up(i)) {
-                    let ($v, $st, $round) = (NodeId::new(i), &states[i], round);
-                    let Some(sends) = $poll else {
-                        continue;
-                    };
-                    algo.$on_sent(&mut states[i], round);
-                    sent = true;
-                    metrics.broadcasts += u64::from($broadcasts);
-                    for (u, msg) in sends {
-                        let e = g
-                            .edge_between(NodeId::new(i), u)
-                            .expect("sends follow edges");
-                        if fs.as_ref().is_some_and(|fs| !fs.mask.edge_up[e.index()])
-                            || !up(u.index())
-                        {
-                            metrics.dropped_messages += 1;
-                        } else {
-                            metrics.add_messages_sized(e, 1, bytes);
-                            inboxes[u.index()].push((NodeId::new(i), msg));
-                        }
-                    }
-                }
-                for (st, inbox) in states.iter_mut().zip(&inboxes) {
-                    if !inbox.is_empty() {
-                        algo.receive(st, round, inbox);
-                    }
-                }
-                if sent {
-                    metrics.rounds = round as u64 + 1;
-                    round += 1;
-                    continue;
-                }
-                let wake = (0..g.n())
-                    .filter(|&i| up(i))
-                    .filter_map(|i| algo.next_activity(&states[i], round + 1));
-                let fault = fs.as_ref().and_then(|fs| fs.next_fault_round());
-                match wake.chain(fault).min() {
-                    Some(r) => round = r.max(round + 1),
-                    None => return (states.iter().map(|s| algo.output(s)).collect(), metrics),
-                }
-            }
-        }
-    };
-}
-
-full_scan_run!(
-    full_scan_bcongest, BcongestAlgorithm, on_broadcast_sent, broadcasts: true,
-    |algo, g, v, st, round| algo.broadcast(st, round).map(|msg| {
-        let copies = g.neighbors(v).iter().map(|&u| (u, msg.clone()));
-        copies.collect::<Vec<_>>()
-    })
-);
-full_scan_run!(
-    full_scan_congest, CongestAlgorithm, on_sent, broadcasts: false,
-    |algo, _g, _v, st, round| Some(algo.sends(st, round)).filter(|sends| !sends.is_empty())
-);
-
-/// An event-driven runner at each of `threads` against its full-scan
-/// `reference`: outputs and every `Metrics` field (rounds and the congestion
-/// vector included).
-fn assert_matches_full_scan<O: PartialEq + std::fmt::Debug>(
-    reference: (Vec<O>, Metrics),
+/// The round loop the runner replaced, kept as the reference: poll **every**
+/// live node **every** round, push messages straight into `Vec` inboxes, and
+/// when a round is idle skip to the `min` over everyone's `next_activity`.
+fn full_scan<A: BcongestAlgorithm>(
+    algo: &A,
+    g: &Graph,
     seed: u64,
     faults: Option<&FaultPlan>,
-    threads: &[usize],
-    run: impl Fn(&RunOptions) -> (Vec<O>, Metrics),
+) -> (Vec<A::Output>, Metrics) {
+    let init = |i: usize| {
+        algo.init(&LocalView::new(
+            g,
+            None,
+            NodeId::new(i),
+            rng::node_seed(seed, i),
+        ))
+    };
+    let mut states: Vec<A::State> = (0..g.n()).map(init).collect();
+    let mut fs = faults.map(|plan| FaultState::new(plan, g));
+    let mut metrics = Metrics::new(g.m());
+    let bytes = 4 * <A::Msg as WireEncode>::LANES as u64;
+    let mut round = 0usize;
+    loop {
+        assert!(round < 100_000, "{} does not quiesce", algo.name());
+        if let Some(fs) = fs.as_mut() {
+            let fired = fs.apply_due(round);
+            let heal = fs.response() == FaultResponse::SelfHeal;
+            for i in (0..g.n()).filter(|&i| !fired.is_empty() && fs.mask.node_up[i]) {
+                if !heal || fired.contains(&FaultEvent::Recover(NodeId::new(i))) {
+                    states[i] = init(i);
+                }
+                if heal {
+                    algo.on_fault(&mut states[i], round);
+                }
+            }
+        }
+        let up = |i: usize| fs.as_ref().is_none_or(|fs| fs.mask.node_up[i]);
+        let mut inboxes: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); g.n()];
+        let mut sent = false;
+        for i in (0..g.n()).filter(|&i| up(i)) {
+            let Some(msg) = algo.broadcast(&states[i], round) else {
+                continue;
+            };
+            algo.on_broadcast_sent(&mut states[i], round);
+            sent = true;
+            metrics.broadcasts += 1;
+            for (e, u) in g.incident(NodeId::new(i)) {
+                if fs.as_ref().is_some_and(|fs| !fs.mask.edge_up[e.index()]) || !up(u.index()) {
+                    metrics.dropped_messages += 1;
+                } else {
+                    metrics.add_messages_sized(e, 1, bytes);
+                    inboxes[u.index()].push((NodeId::new(i), msg.clone()));
+                }
+            }
+        }
+        for (st, inbox) in states.iter_mut().zip(&inboxes) {
+            if !inbox.is_empty() {
+                algo.receive(st, round, inbox);
+            }
+        }
+        if sent {
+            metrics.rounds = round as u64 + 1;
+            round += 1;
+            continue;
+        }
+        let wake = (0..g.n())
+            .filter(|&i| up(i))
+            .filter_map(|i| algo.next_activity(&states[i], round + 1));
+        let fault = fs.as_ref().and_then(|fs| fs.next_fault_round());
+        match wake.chain(fault).min() {
+            Some(r) => round = r.max(round + 1),
+            None => return (states.iter().map(|s| algo.output(s)).collect(), metrics),
+        }
+    }
+}
+
+/// `run_bcongest` at 1, 2 and 4 threads against [`full_scan`]: outputs and
+/// every `Metrics` field (rounds and the congestion vector included).
+fn assert_matches_full_scan<A: BcongestAlgorithm>(
+    algo: &A,
+    g: &Graph,
+    seed: u64,
+    faults: Option<&FaultPlan>,
 ) -> Result<(), TestCaseError> {
-    for &threads in threads {
+    let (outputs, metrics) = full_scan(algo, g, seed, faults);
+    for threads in [1, 2, 4] {
         let opts = RunOptions {
             faults: faults.cloned(),
             ..opts(seed, ExecutorConfig::with_threads(threads))
         };
-        let (outputs, metrics) = run(&opts);
-        prop_assert_eq!(&outputs, &reference.0, "outputs at {} threads", threads);
-        prop_assert_eq!(&metrics, &reference.1, "metrics at {} threads", threads);
+        let run = run_bcongest(algo, g, None, &opts).expect("event-driven run");
+        prop_assert_eq!(&run.outputs, &outputs, "outputs at {} threads", threads);
+        prop_assert_eq!(&run.metrics, &metrics, "metrics at {} threads", threads);
     }
     Ok(())
-}
-
-/// `run_bcongest` at 1, 2 and 4 threads against [`full_scan_bcongest`].
-fn assert_bcongest_matches_full_scan<A: BcongestAlgorithm>(
-    algo: &A,
-    g: &Graph,
-    seed: u64,
-    faults: Option<&FaultPlan>,
-) -> Result<(), TestCaseError> {
-    let reference = full_scan_bcongest(algo, g, seed, faults);
-    assert_matches_full_scan(reference, seed, faults, &[1, 2, 4], |opts| {
-        let run = run_bcongest(algo, g, None, opts).expect("event-driven run");
-        (run.outputs, run.metrics)
-    })
-}
-
-/// `run_congest` at 1 and 2 threads against [`full_scan_congest`].
-fn assert_congest_matches_full_scan<A: CongestAlgorithm>(
-    algo: &A,
-    g: &Graph,
-    seed: u64,
-    faults: Option<&FaultPlan>,
-) -> Result<(), TestCaseError> {
-    let reference = full_scan_congest(algo, g, seed, faults);
-    assert_matches_full_scan(reference, seed, faults, &[1, 2], |opts| {
-        let run = run_congest(algo, g, None, opts).expect("event-driven run");
-        (run.outputs, run.metrics)
-    })
 }
 
 /// Random `gnp`, path or star, by `shape`.
@@ -617,13 +496,12 @@ proptest! {
     fn event_driven_rounds_match_the_full_scan(seed in 0u64..400, shape in 0usize..3,
                                                n in 8usize..40) {
         let g = shaped_graph(shape, n, seed);
-        assert_bcongest_matches_full_scan(&DelayedFlood, &g, seed, None)?;
-        assert_congest_matches_full_scan(&DelayedRelay, &g, seed, None)?;
+        assert_matches_full_scan(&DelayedFlood, &g, seed, None)?;
         let start = seed as usize % 9;
-        assert_bcongest_matches_full_scan(
+        assert_matches_full_scan(
             &Bfs::new(NodeId::new(n / 3)).with_start_round(start), &g, seed, None)?;
         let sources: Vec<NodeId> = g.nodes().step_by(3).collect();
-        assert_bcongest_matches_full_scan(
+        assert_matches_full_scan(
             &BfsCollection::new(sources).with_random_delays(seed), &g, seed, None)?;
     }
 
@@ -635,9 +513,8 @@ proptest! {
         let g = shaped_graph(shape, n, seed);
         for response in [FaultResponse::Restart, FaultResponse::SelfHeal] {
             let plan = hostile_plan(&g, seed, response, recover_at);
-            assert_bcongest_matches_full_scan(&DelayedFlood, &g, seed, Some(&plan))?;
-            assert_congest_matches_full_scan(&DelayedRelay, &g, seed, Some(&plan))?;
-            assert_bcongest_matches_full_scan(
+            assert_matches_full_scan(&DelayedFlood, &g, seed, Some(&plan))?;
+            assert_matches_full_scan(
                 &Bfs::new(NodeId::new(0)).with_start_round(2), &g, seed, Some(&plan))?;
         }
     }

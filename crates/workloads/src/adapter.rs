@@ -5,7 +5,7 @@
 //! (per-node outputs, MST edge sets, LDC decompositions, …) into the
 //! [`RunOutcome`]'s canonical `Debug` rendering, while the oracle closure still
 //! sees the typed value. The helpers in [`crate::catalogue`] specialize this
-//! for the BCONGEST/CONGEST runners; composite algorithms (APSP, MST, LDC)
+//! for the BCONGEST runner; composite algorithms (APSP, MST, LDC)
 //! pass their entry points directly.
 
 use crate::{BuiltInput, MetricsEnvelope, RunOutcome, Workload};
