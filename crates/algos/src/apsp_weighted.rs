@@ -348,7 +348,7 @@ mod tests {
                 &steps,
                 |(from, source, dist)| (NodeId::new(from), WApspMsg { source, dist }),
                 shuffle_seed,
-                receive_reference,
+                |s, _, msgs| receive_reference(s, msgs),
                 |s| (s.queue.clone(), s.rebroadcasts),
             )?;
         }

@@ -510,7 +510,7 @@ mod tests {
                 &steps,
                 |(from, bfs, dist)| (NodeId::new(from), BfsMsg { bfs, dist }),
                 shuffle_seed,
-                |s, msgs| receive_reference(&algo, s, msgs),
+                |s, _, msgs| receive_reference(&algo, s, msgs),
                 |s| (s.queue.clone(), s.rebroadcasts),
             )?;
         }

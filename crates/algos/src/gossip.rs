@@ -1,26 +1,27 @@
-//! One-shot neighborhood gossip in point-to-point CONGEST — the workspace's
-//! canonical *order-sensitive* delivery probe.
+//! One-shot neighborhood gossip — the workspace's delivery probe.
 //!
-//! Every node sends its ID to each neighbor once and folds everything it hears
-//! into a non-commutative checksum, so the output depends on the exact inbox
-//! order the engine delivers. A delivery path that reorders, drops, or
-//! duplicates a message changes some node's checksum — which is why the
+//! Every node broadcasts its ID once and adds everything it hears into a
+//! checksum: a wrapping sum of one hash per received `(sender, payload,
+//! round)`. The sum makes the checksum a function of the inbox *multiset*, as
+//! [`BcongestAlgorithm::receive`] requires; the hash makes it depend on who
+//! sent what, and when. A delivery path that drops, duplicates or
+//! misattributes a message changes some node's checksum — which is why the
 //! workload registry runs this at every thread count.
 //!
-//! Unlike the broadcast algorithms, gossip has a closed-form local oracle:
-//! the engine contract delivers round-`r` inboxes in ascending sender order,
-//! so [`expected_gossip`] replays the fold per node without running the engine
-//! at all. The registry uses it as the differential check.
+//! Inbox *order* is not this probe's to check. The order the message plane
+//! delivers in (ascending senders, at every thread count) is pinned by the
+//! plane's `flat_matches_the_push_loop_at_every_thread_count` test and by the
+//! engine `properties` tests that run the round loop against a full scan.
+//!
+//! Unlike the other broadcast algorithms, gossip has a closed-form local
+//! oracle: [`expected_gossip`] adds up what each node hears without running
+//! the engine at all. The registry uses it as the differential check.
 
 use congest_engine::{BcongestAlgorithm, LocalView, SurvivorMask};
-use congest_graph::{Graph, NodeId};
+use congest_graph::{rng, Graph, NodeId};
 
-/// The checksum multiplier (Knuth's MMIX LCG constant): any fixed odd constant
-/// works, it only has to make the fold order-sensitive.
-const MIX: u64 = 6364136223846793005;
-
-/// One-shot gossip: flood each node's ID one hop with per-neighbor messages,
-/// output an order-sensitive checksum over everything heard.
+/// One-shot gossip: every node broadcasts its ID once and outputs a checksum
+/// over everything it heard.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GossipOnce;
 
@@ -31,12 +32,12 @@ pub struct GossipState {
     heard: u64,
 }
 
-/// Folds one received `(from, payload)` pair into the running checksum.
-/// Shared by the state machine and the local oracle so they cannot drift.
+/// Adds one received `(from, payload)` pair at `round` to the running
+/// checksum. Shared by the state machine and the local oracles so they cannot
+/// drift.
 fn fold(heard: u64, from: NodeId, w: u32, round: usize) -> u64 {
-    heard
-        .wrapping_mul(MIX)
-        .wrapping_add(u64::from(from.raw()) ^ u64::from(w) ^ round as u64)
+    let pair = u64::from(from.raw()) << 32 | u64::from(w);
+    heard.wrapping_add(rng::derive(pair, round as u64))
 }
 
 impl BcongestAlgorithm for GossipOnce {
@@ -61,8 +62,6 @@ impl BcongestAlgorithm for GossipOnce {
         s.pending = false;
     }
     fn receive(&self, s: &mut GossipState, round: usize, msgs: &[(NodeId, u32)]) {
-        // Deliberately order-sensitive fold: a reordered inbox would change
-        // the checksum.
         for &(from, w) in msgs {
             s.heard = fold(s.heard, from, w, round);
         }
@@ -83,17 +82,14 @@ impl BcongestAlgorithm for GossipOnce {
 
 /// The closed-form oracle: what [`GossipOnce`] must output at every node.
 ///
-/// Everyone sends in round 0 and inboxes arrive in ascending sender order
-/// (the engine's delivery contract), so node `v` hears `(u, u)` for each
-/// neighbor `u` in ascending ID order, folded onto its own ID.
+/// Everyone broadcasts in round 0, so node `v` hears `(u, u)` from each
+/// neighbor `u`, added to its own ID.
 pub fn expected_gossip(g: &Graph) -> Vec<u64> {
     g.nodes()
         .map(|v| {
-            let mut senders: Vec<NodeId> = g.neighbors(v).to_vec();
-            senders.sort_unstable();
-            senders
-                .into_iter()
-                .fold(u64::from(v.raw()), |heard, u| fold(heard, u, u.raw(), 0))
+            g.neighbors(v)
+                .iter()
+                .fold(u64::from(v.raw()), |heard, &u| fold(heard, u, u.raw(), 0))
         })
         .collect()
 }
@@ -103,26 +99,21 @@ pub fn expected_gossip(g: &Graph) -> Vec<u64> {
 /// fires at `round`.
 ///
 /// Restart wipes all live state at each fault round, so the final checksum is
-/// exactly one masked exchange folded at the last fault round: node `v` hears
-/// `(u, u)` for each neighbor `u` whose edge the mask
-/// [allows](SurvivorMask::allows), in ascending ID order. Crashed nodes keep
-/// frozen (unspecified) state — the oracle returns `None` for them and the
-/// differential check skips them.
+/// exactly one masked exchange at the last fault round: node `v` hears
+/// `(u, u)` from each neighbor `u` whose edge the mask
+/// [allows](SurvivorMask::allows). Crashed nodes keep frozen (unspecified)
+/// state — the oracle returns `None` for them and the differential check
+/// skips them.
 pub fn expected_gossip_masked(g: &Graph, mask: &SurvivorMask, round: usize) -> Vec<Option<u64>> {
     g.nodes()
         .map(|v| {
-            if !mask.node_up[v.index()] {
-                return None;
-            }
-            let mut senders: Vec<NodeId> = g
-                .incident(v)
-                .filter(|&(e, _)| mask.allows(g, e))
-                .map(|(_, u)| u)
-                .collect();
-            senders.sort_unstable();
-            Some(senders.into_iter().fold(u64::from(v.raw()), |heard, u| {
-                fold(heard, u, u.raw(), round)
-            }))
+            mask.node_up[v.index()].then(|| {
+                g.incident(v)
+                    .filter(|&(e, _)| mask.allows(g, e))
+                    .fold(u64::from(v.raw()), |heard, (_, u)| {
+                        fold(heard, u, u.raw(), round)
+                    })
+            })
         })
         .collect()
 }
@@ -130,8 +121,10 @@ pub fn expected_gossip_masked(g: &Graph, mask: &SurvivorMask, round: usize) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::receive_order;
     use congest_engine::{run_bcongest, RunOptions};
     use congest_graph::generators;
+    use proptest::prelude::*;
 
     #[test]
     fn matches_local_oracle_on_families() {
@@ -181,12 +174,73 @@ mod tests {
         assert_eq!(base, expected_gossip(&g));
     }
 
+    /// The ascending-sender fold the one-pass `receive` must equal.
+    fn receive_reference(s: &mut GossipState, round: usize, msgs: &[(NodeId, u32)]) {
+        let mut sorted = msgs.to_vec();
+        sorted.sort_unstable();
+        for (from, w) in sorted {
+            s.heard = fold(s.heard, from, w, round);
+        }
+    }
+
+    proptest! {
+        /// Same checksum and broadcast as the reference after every call,
+        /// whatever the order of the inbox: repeated senders, repeated
+        /// payloads, payloads that are not the sender's ID, the empty inbox.
+        #[test]
+        fn receive_matches_its_reference_in_any_order(
+            steps in prop::collection::vec(
+                (prop::collection::vec((0usize..6, 0u32..4), 0..8), 0u8..2),
+                1..=6,
+            ),
+            shuffle_seed in 0u64..1000,
+        ) {
+            let g = generators::complete(8);
+            let view = LocalView::new(&g, None, NodeId::new(5), 1);
+            receive_order::check(
+                &GossipOnce,
+                &view,
+                &steps,
+                |(from, w)| (NodeId::new(from), w),
+                shuffle_seed,
+                receive_reference,
+                |s| (s.pending, s.heard),
+            )?;
+        }
+    }
+
     #[test]
-    fn checksum_is_order_sensitive() {
-        // Folding two distinct contributions in swapped order gives a
-        // different sum.
-        let a = fold(fold(7, NodeId::new(1), 5, 0), NodeId::new(2), 9, 0);
-        let b = fold(fold(7, NodeId::new(2), 9, 0), NodeId::new(1), 5, 0);
-        assert_ne!(a, b);
+    fn a_dropped_duplicated_or_misattributed_message_changes_the_checksum() {
+        let g = generators::complete(6);
+        let view = LocalView::new(&g, None, NodeId::new(0), 1);
+        let heard = |round: usize, inbox: &[(NodeId, u32)]| {
+            let mut s = GossipOnce.init(&view);
+            GossipOnce.receive(&mut s, round, inbox);
+            GossipOnce.output(&s)
+        };
+        // What node 0 hears in round 0: each neighbor's ID, from that neighbor.
+        let from = |u: u32| (NodeId::new(u as usize), u);
+        let want = heard(0, &[from(1), from(2), from(3)]);
+        assert_eq!(heard(0, &[from(3), from(1), from(2)]), want, "reordered");
+        for (inbox, what) in [
+            (vec![from(1), from(2)], "dropped"),
+            (vec![from(1), from(2), from(3), from(3)], "duplicated"),
+            (vec![from(1), from(2), from(4)], "another node's broadcast"),
+            (
+                vec![from(1), from(2), (NodeId::new(4), 3)],
+                "another sender",
+            ),
+            (
+                vec![from(1), from(2), (NodeId::new(3), 4)],
+                "another payload",
+            ),
+        ] {
+            assert_ne!(heard(0, &inbox), want, "{what}");
+        }
+        assert_ne!(
+            heard(1, &[from(1), from(2), from(3)]),
+            want,
+            "another round"
+        );
     }
 }

@@ -226,7 +226,7 @@ mod tests {
                 &steps,
                 |(from, leader, dist)| (NodeId::new(from), LeaderMsg { leader, dist }),
                 shuffle_seed,
-                receive_reference,
+                |s, _, msgs| receive_reference(s, msgs),
                 |s| (s.best, s.dist, s.parent, s.dirty),
             )?;
         }

@@ -7,8 +7,8 @@
 //! * [`bfs_collection`] — many BFS under random delays (Theorem 1.4), aggregation-based;
 //! * [`apsp_weighted`] — exact weighted APSP via weight-delayed Dijkstra (the
 //!   Bernstein–Nanongkai substitute for Theorem 1.1);
-//! * [`gossip`] — one-shot point-to-point gossip with an order-sensitive checksum
-//!   (the delivery-order probe of the workload registry);
+//! * [`gossip`] — one-shot gossip with a checksum over who sent what, and when
+//!   (the delivery probe of the workload registry);
 //! * [`leader`] — leader election / BFS tree / node counting (preprocessing);
 //! * [`mis`] — Luby's maximal independent set (a classic broadcast-based algorithm);
 //! * [`matching_maximal`] — Israeli–Itai randomized maximal matching;
@@ -27,8 +27,9 @@ pub mod matching_maximal;
 pub mod mis;
 pub mod mst;
 
-/// The driver of the three "the one-pass `receive` is the sorted one, for any
-/// inbox order" proptests ([`bfs_collection`], [`apsp_weighted`], [`leader`]).
+/// The driver of the four "the one-pass `receive` is the sorted one, for any
+/// inbox order" proptests ([`bfs_collection`], [`apsp_weighted`], [`leader`],
+/// [`gossip`]).
 #[cfg(test)]
 pub(crate) mod receive_order {
     use congest_engine::{BcongestAlgorithm, LocalView};
@@ -43,9 +44,9 @@ pub(crate) mod receive_order {
     pub(crate) type Step<T> = (Vec<T>, u8);
 
     /// Drives two states of `algo` through `steps` (`message` turns a drawn
-    /// tuple into a delivery): one through `reference` on every inbox as
-    /// given, one through `receive` on a permutation of it drawn from
-    /// `shuffle_seed`. After every call the two must agree on all a runner can
+    /// tuple into a delivery): one through `reference(state, round, inbox)`
+    /// on every inbox as given, one through `receive` on a permutation of it
+    /// drawn from `shuffle_seed`. After every call the two must agree on all a runner can
     /// observe and on `queue`, the payload's pending sends.
     pub(crate) fn check<A, T: Copy, Q>(
         algo: &A,
@@ -53,7 +54,7 @@ pub(crate) mod receive_order {
         steps: &[Step<T>],
         message: impl Fn(T) -> (NodeId, A::Msg),
         shuffle_seed: u64,
-        reference: impl Fn(&mut A::State, &[(NodeId, A::Msg)]),
+        reference: impl Fn(&mut A::State, usize, &[(NodeId, A::Msg)]),
         queue: impl Fn(&A::State) -> Q,
     ) -> Result<(), TestCaseError>
     where
@@ -66,7 +67,7 @@ pub(crate) mod receive_order {
         let mut got = algo.init(view);
         for (round, (drawn, send)) in steps.iter().enumerate() {
             let inbox: Vec<(NodeId, A::Msg)> = drawn.iter().copied().map(&message).collect();
-            reference(&mut want, &inbox);
+            reference(&mut want, round, &inbox);
             let mut permuted = inbox.clone();
             permuted.shuffle(&mut shuffle);
             algo.receive(&mut got, round, &permuted);

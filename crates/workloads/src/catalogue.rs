@@ -286,8 +286,8 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
         ));
     }
 
-    // One-shot gossip — the point-to-point delivery-order probe, with its
-    // closed-form local oracle. Exactly one message per edge direction.
+    // One-shot gossip — the delivery probe, with its closed-form local
+    // oracle. Exactly one message per edge direction.
     for &family in &FAMILIES {
         entries.push(crate::make::gossip(
             family.to_string(),

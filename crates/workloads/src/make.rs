@@ -81,9 +81,9 @@ pub fn bfs_collection(
     )
 }
 
-/// One-shot gossip — the point-to-point delivery-order probe, with its
-/// closed-form local oracle. Exactly one message per edge direction, in
-/// exactly 2 rounds (send + the empty settling round).
+/// One-shot gossip — the delivery probe, whose checksum depends on who sent
+/// what, with its closed-form local oracle. One broadcast per node of
+/// non-zero degree, so exactly one message per edge direction, in one round.
 pub fn gossip(
     family: String,
     build: impl Fn() -> BuiltInput + Send + Sync + 'static,
@@ -452,7 +452,7 @@ pub fn bfs_sparse(n: usize, extra_edges: usize, seed: u64) -> Box<dyn Workload> 
 }
 
 /// [`gossip`] on a [`generators::sparse_connected`] graph — the one-shot
-/// point-to-point probe at up to a million nodes.
+/// delivery probe at up to a million nodes.
 pub fn gossip_sparse(n: usize, extra_edges: usize, seed: u64) -> Box<dyn Workload> {
     gossip(
         format!("sparse-{n}"),
