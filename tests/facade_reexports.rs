@@ -39,6 +39,32 @@ fn facade_weighted_apsp_matches_reference_dijkstra() {
     }
 }
 
+/// The gossip surface the benchmark reads: `make::gossip_sparse` through
+/// `run_built` renders its outputs exactly as `format!("{:?}",
+/// expected_gossip(g))` does, stays inside its envelope, and costs one
+/// broadcast per node, one message per edge direction and one round.
+#[test]
+fn gossip_sparse_renders_its_closed_form_through_run_built() {
+    use congest_apsp::algos::gossip::expected_gossip;
+    use congest_apsp::engine::ExecutorConfig;
+    use congest_apsp::workloads::make;
+    for (n, seed) in [(64, 1), (300, 7)] {
+        let w = make::gossip_sparse(n, n / 2, seed);
+        let input = w.build();
+        let g = &input.graph;
+        let run = w
+            .run_built(&input, &ExecutorConfig::default())
+            .expect("gossip run");
+        assert_eq!(run.output, format!("{:?}", expected_gossip(g)), "n = {n}");
+        w.envelope()
+            .check(&run.metrics)
+            .expect("inside the envelope");
+        assert_eq!(run.metrics.broadcasts, n as u64, "n = {n}");
+        assert_eq!(run.metrics.messages, 2 * g.m() as u64, "n = {n}");
+        assert_eq!(run.metrics.rounds, 1, "n = {n}");
+    }
+}
+
 /// Every aliased module re-export referenced by the crate docs resolves and is
 /// usable. A rename or dropped `pub use` in `src/lib.rs` fails this test at
 /// compile time.
