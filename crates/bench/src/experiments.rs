@@ -16,7 +16,7 @@ use congest_decomp::ldc::{build_ldc, LdcDecomposition};
 use congest_decomp::pruning::{max_proper_subtree, prune};
 use congest_decomp::spanner::{measured_stretch, spanner_edges};
 use congest_decomp::Hierarchy;
-use congest_engine::{run_bcongest, run_bcongest_observed, Metrics, RunOptions};
+use congest_engine::{run_bcongest, run_bcongest_observed, RunOptions};
 use congest_graph::reference::bfs_distances;
 use congest_graph::{generators, induced_subgraph_same_ids, Graph, NodeId, WeightedGraph};
 
@@ -94,13 +94,11 @@ pub fn e_t1_2(n: usize, eps: &[f64], seed: u64) -> Table {
             "rounds·msgs",
             "batches",
             "C",
-            "D",
-            "C + D·L",
-            "Σ batch rounds",
+            "⌈C/2⌉",
+            "near rounds",
         ],
     );
     let g = generators::gnp_connected(n, 0.3, seed);
-    let log = u64::from(usize::BITS - n.max(2).leading_zeros());
     for &e in eps {
         let res = tradeoff_apsp(&g, e, seed).expect("tradeoff");
         verify::check_unweighted_apsp(&g, &res.dist).expect("exactness");
@@ -112,8 +110,9 @@ pub fn e_t1_2(n: usize, eps: &[f64], seed: u64) -> Table {
             (res.metrics.rounds as u128 * res.metrics.messages as u128).to_string(),
         ];
         if res.route == Route::BatchedPlusLandmarks {
-            // The route's near part again, with its batches' own accounts:
-            // the depth limit is `tradeoff_apsp`'s ⌈2 n^(1−ε)⌉ (capped at n).
+            // The route's near part again: the depth limit is
+            // `tradeoff_apsp`'s ⌈2 n^(1−ε)⌉ (capped at n), and the sources
+            // split into ⌈n / ⌈n / ζ⌉⌉ batches of ⌈n / ζ⌉.
             let nf = n.max(2) as f64;
             let depth = (2.0 * nf.powf(1.0 - e)).ceil().min(nf) as u32;
             let near = all_bfs_batched(&g, e, depth, seed).expect("near pairs");
@@ -123,30 +122,25 @@ pub fn e_t1_2(n: usize, eps: &[f64], seed: u64) -> Table {
                     "ε = {e}: the route is its near part"
                 );
             }
-            // Run side by side: congestion adds up per edge, rounds take the max.
-            let mut together = Metrics::new(g.m());
-            for batch in &near.batches {
-                together.merge_parallel(batch);
-            }
-            let (c, d) = (together.max_congestion(), together.rounds);
-            let sum: u64 = near.batches.iter().map(|b| b.rounds).sum();
+            let batches = n.div_ceil(n.div_ceil(Ensemble::paper_zeta(n, e).max(1)));
+            let c = near.metrics.max_congestion();
             row.extend([
-                near.batches.len().to_string(),
+                batches.to_string(),
                 c.to_string(),
-                d.to_string(),
-                (c + d * log).to_string(),
-                sum.to_string(),
+                c.div_ceil(2).to_string(),
+                near.metrics.rounds.to_string(),
             ]);
         } else {
-            row.extend(["—"; 5].map(String::from));
+            row.extend(["—"; 4].map(String::from));
         }
         t.row(row);
     }
     t.note("every row is verified exact against sequential all-pairs BFS");
     t.note(
-        "batched rows: C is the busiest edge's messages over all batches, D the slowest batch's rounds, \
-         L = ⌊log₂ n⌋ + 1 the bit length of n; the route charges the smaller of C + D·L (Theorem 1.3) \
-         and Σ (the batches one after another)",
+        "batched rows: the near part (Lemma 3.23) runs its batches in lockstep, payload round r of \
+         every batch routed as one schedule; C is the busiest edge's messages over the near part, \
+         whose batches carry nearly all of it. An edge carries one word each way per round, so the \
+         near part cannot take fewer than ⌈C/2⌉ rounds",
     );
     t
 }

@@ -4,10 +4,12 @@
 //!   (Theorem 1.4), simulated via Theorem 3.10 over one pruned hierarchy —
 //!   `Õ(n^{2-ε})` rounds, `Õ(n^{2+ε})` messages.
 //! * [`all_bfs_batched`] (Lemma 3.23, `ε ∈ (0, 1/2]`): the `n` depth-limited BFS
-//!   split into `⌈n^ε⌉` batches, each simulated via Theorem 3.9 over its own member
-//!   of an ensemble of pruned hierarchies (Lemma 3.8's congestion smoothing), then
-//!   charged as one joint schedule by Theorem 1.3's congestion + dilation bound
-//!   (`compose_batches`).
+//!   split into `⌈n^ε⌉` batches, each over its own member of an ensemble of
+//!   pruned hierarchies (Lemma 3.8's congestion smoothing), all run as one
+//!   Theorem 3.9 simulation that steps the batches in lockstep: payload round
+//!   `r` of every batch is one routed schedule, and so are every batch's
+//!   step-2 upcasts of one level. That joint run is the schedule Theorem 1.3's
+//!   congestion + dilation bound is about, run rather than charged.
 //!
 //! Both charge one network set-up and one shared-randomness distribution
 //! (`shared_randomness`) exactly as the paper prescribes (Õ(n) rounds, Õ(n²)
@@ -15,8 +17,8 @@
 //! again, and in the batched route the distribution carries one delay word per
 //! source, so a single one serves every batch.
 
-use congest_algos::bfs_collection::BfsCollection;
-use congest_algos::leader::setup_network;
+use congest_algos::bfs_collection::{BfsCollection, CollectionOutput};
+use congest_algos::leader::{setup_network, NetworkSetup};
 use congest_decomp::pruning::prune;
 use congest_decomp::{Ensemble, Hierarchy};
 use congest_engine::treeops::tree_pass;
@@ -38,9 +40,6 @@ pub struct BfsForestResult {
     pub metrics: Metrics,
     /// The depth limit used (`u32::MAX` when every distance is within the limit).
     pub depth_limit: u32,
-    /// Each Lemma 3.23 batch's own account, in batch order, before Theorem 1.3
-    /// composes them (empty for [`all_bfs_star`]).
-    pub batches: Vec<Metrics>,
 }
 
 /// Lemma 3.22: `n` full BFS trees for `ε ∈ [1/2, 1]`.
@@ -77,7 +76,6 @@ pub fn all_bfs_star(g: &Graph, epsilon: f64, seed: u64) -> Result<BfsForestResul
             .collect(),
         metrics,
         depth_limit: u32::MAX,
-        batches: Vec::new(),
     })
 }
 
@@ -103,42 +101,19 @@ pub fn all_bfs_batched(
     let n = g.n();
     let mut metrics = Metrics::new(g.m());
 
-    let batches = Ensemble::paper_zeta(n, epsilon).max(1);
+    let zeta = Ensemble::paper_zeta(n, epsilon).max(1);
     let setup = setup_network(g, seed)?;
     metrics.merge_sequential(&setup.metrics);
     // One shared-randomness distribution covers every batch: a source's delay
     // takes one word and each source is in exactly one batch.
     let (_, sr) = shared_randomness(g, &setup.tree, seed);
     metrics.merge_sequential(&sr);
-    let ensemble = Ensemble::build(g, epsilon, batches, seed);
+    let ensemble = Ensemble::build(g, epsilon, zeta, seed);
     metrics.merge_sequential(&ensemble.metrics);
 
-    let sources: Vec<NodeId> = g.nodes().collect();
-    // At least 1: `chunks(0)` panics, and a graph with no nodes has no batch.
-    let chunk = n.div_ceil(batches).max(1);
-    let mut dist: Vec<Vec<Option<u32>>> = vec![vec![None; n]; n];
-    let mut batch_metrics: Vec<Metrics> = Vec::with_capacity(batches);
-
-    for (b, chunk_sources) in sources.chunks(chunk).enumerate() {
-        let h = &ensemble.hierarchies[b % ensemble.len()];
-        let algo = BfsCollection::new(chunk_sources.to_vec())
-            .with_depth_limit(depth_limit)
-            .with_random_delays(rng::derive(seed, 0xba7c_0000 + b as u64));
-        let opts = AggSimOptions {
-            seed: rng::derive(seed, 0x5eed_0000 + b as u64),
-            charge_hierarchy: false, // the ensemble is charged once above
-            ..Default::default()
-        };
-        let sim = simulate_general_with_setup(&algo, g, None, h, &opts, Some(&setup))?;
-        for (v, out) in sim.outputs.iter().enumerate() {
-            for (j, entry) in out.entries.iter().enumerate() {
-                let s = chunk_sources[j].index();
-                dist[v][s] = entry.dist;
-            }
-        }
-        batch_metrics.push(sim.metrics);
-    }
-    metrics.merge_sequential(&compose_batches(g, &batch_metrics));
+    let batches = batches(g, &ensemble, depth_limit, seed);
+    let (dist, joint) = run_batches(g, &batches, &setup, seed)?;
+    metrics.merge_sequential(&joint);
 
     // Any two nodes of one tree are at most `2h` apart through its root, so a
     // limit of `2h` truncates nothing (see DESIGN.md §2).
@@ -151,8 +126,69 @@ pub fn all_bfs_batched(
         dist,
         metrics,
         depth_limit: if exact { u32::MAX } else { depth_limit },
-        batches: batch_metrics,
     })
+}
+
+/// `dist[v][s]`, as in [`BfsForestResult::dist`].
+type Distances = Vec<Vec<Option<u32>>>;
+
+/// One Lemma 3.23 batch: its collection, its hierarchy and its seed.
+type Batch<'e> = (BfsCollection, &'e Hierarchy, u64);
+
+/// Lemma 3.23's batches: the sources in chunks of `⌈n / ζ⌉`, batch `b` a
+/// collection truncated at `depth_limit` under its own random delays, to be
+/// simulated over member `b mod ζ` of `ensemble` with its own seed.
+fn batches<'e>(g: &Graph, ensemble: &'e Ensemble, depth_limit: u32, seed: u64) -> Vec<Batch<'e>> {
+    let sources: Vec<NodeId> = g.nodes().collect();
+    // At least 1: `chunks(0)` panics, and a graph with no nodes has no batch.
+    let chunk = g.n().div_ceil(ensemble.len()).max(1);
+    let chunks = sources.chunks(chunk).enumerate();
+    chunks
+        .map(|(b, chunk_sources)| {
+            let algo = BfsCollection::new(chunk_sources.to_vec())
+                .with_depth_limit(depth_limit)
+                .with_random_delays(rng::derive(seed, 0xba7c_0000 + b as u64));
+            let h = &ensemble.hierarchies[b % ensemble.len()];
+            (algo, h, rng::derive(seed, 0x5eed_0000 + b as u64))
+        })
+        .collect()
+}
+
+/// Runs `batches` in lockstep on the route's `setup`: one Theorem 3.9
+/// simulation of all of them, payload round `r` of every batch routed as one
+/// schedule, which is what Theorem 1.3 bounds. Returns `dist[v][s]` as the
+/// batches found it and what the joint run cost.
+fn run_batches(
+    g: &Graph,
+    batches: &[Batch<'_>],
+    setup: &NetworkSetup,
+    seed: u64,
+) -> Result<(Distances, Metrics), EngineError> {
+    let n = g.n();
+    if batches.is_empty() {
+        return Ok((vec![vec![None; n]; n], Metrics::new(g.m())));
+    }
+    let opts = AggSimOptions {
+        seed,
+        charge_hierarchy: false, // the ensemble is charged once by the route
+        ..Default::default()
+    };
+    let instances: Vec<_> = batches.iter().map(|(algo, h, s)| (algo, *h, *s)).collect();
+    // Each node keeps only its distances, not its parents.
+    let dists = |out: CollectionOutput| -> Vec<Option<u32>> {
+        out.entries.iter().map(|e| e.dist).collect()
+    };
+    let sim = simulate_general_with_setup(&instances, g, None, &opts, Some(setup), dists)?;
+    // Allocated once the batches' states are gone, not beside them.
+    let mut dist = vec![vec![None; n]; n];
+    for (row, outs) in dist.iter_mut().zip(&sim.outputs) {
+        for (out, (algo, ..)) in outs.iter().zip(batches) {
+            for (&d, s) in out.iter().zip(algo.sources()) {
+                row[s.index()] = d;
+            }
+        }
+    }
+    Ok((dist, sim.metrics))
 }
 
 /// Distributes shared randomness from the root of `tree` to every node, as the
@@ -170,27 +206,11 @@ fn shared_randomness(g: &Graph, tree: &Forest, seed: u64) -> (u64, Metrics) {
     (rng::derive(seed, 0x5a5a_0001), metrics)
 }
 
-/// Theorem 1.3 applied as accounting (DESIGN.md §2): the batches' measured runs,
-/// scheduled together, take `C + D·L` rounds, where `C` is the busiest edge's
-/// messages over all batches, `D` the slowest batch's rounds and `L` the bit
-/// length of `n`, `⌊log₂ n⌋ + 1` (10 at n = 512, where `⌈log₂ n⌉` is 9). Running
-/// them one after another, `Σ` batch rounds, is a valid schedule too, so the
-/// charge is the smaller of the two. Messages and per-edge congestion add.
-fn compose_batches(g: &Graph, batches: &[Metrics]) -> Metrics {
-    let mut metrics = Metrics::new(g.m());
-    for b in batches {
-        metrics.merge_parallel(b);
-    }
-    let log = u64::from(usize::BITS - g.n().max(2).leading_zeros());
-    let theorem = metrics.max_congestion() + metrics.rounds * log;
-    metrics.rounds = theorem.min(batches.iter().map(|b| b.rounds).sum());
-    metrics
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_graph::{generators, reference, EdgeId};
+    use crate::tradeoff::near_depth;
+    use congest_graph::{generators, reference};
 
     #[test]
     fn star_route_matches_reference() {
@@ -235,7 +255,6 @@ mod tests {
         let g = Graph::from_edges(0, &[]);
         let res = all_bfs_batched(&g, 0.5, 3, 1).unwrap();
         assert!(res.dist.is_empty());
-        assert!(res.batches.is_empty());
         assert_eq!(res.metrics.messages, 0);
     }
 
@@ -271,31 +290,64 @@ mod tests {
         assert_ne!(seed, shared_randomness(&g, &setup.tree, 4).0);
     }
 
-    /// A batch that runs `rounds` rounds and sends `words` messages over edge
-    /// `edge`.
-    fn batch(g: &Graph, edge: usize, words: u64, rounds: u64) -> Metrics {
-        let mut m = Metrics::new(g.m());
-        m.rounds = rounds;
-        m.add_messages(EdgeId::new(edge), words);
-        m
-    }
-
+    /// Lemma 3.23's lockstep run against its batches run one by one, each
+    /// alone on the route's set-up (the path `simulate_aggregation_general`
+    /// takes, with no set-up to charge). Together they move the same words
+    /// over the same edges and find the same distances, and the joint run
+    /// takes no more rounds than Theorem 1.3's `C + D·L` (`C` the busiest
+    /// edge's messages over all batches, `D` the slowest batch's rounds, `L`
+    /// the bit length of `n`) or than the batches one after another (`Σ`),
+    /// and no fewer than `⌈C/2⌉`: [`Metrics`] counts an edge's two directions
+    /// together, and each carries one word per round. On these graphs the
+    /// FIFO schedule even meets `C + D`, which the batches one after another,
+    /// `Σ`, miss by far.
     #[test]
-    fn compose_batches_charges_the_shorter_schedule() {
-        // One after another wins: two batches on one edge of path(5), L = 3.
-        // C + D·L = 12 + 10 · 3 = 42 against Σ = 10 + 4 = 14.
-        let g = generators::path(5);
-        let c = compose_batches(&g, &[batch(&g, 0, 7, 10), batch(&g, 0, 5, 4)]);
-        assert_eq!((c.rounds, c.messages, c.max_congestion()), (14, 12, 12));
+    fn the_joint_schedule_is_bounded_by_its_batches() {
+        let graphs = [
+            generators::gnp_connected(96, 0.08, 5),
+            generators::caveman(8, 12),
+            generators::grid(8, 12),
+            generators::path(64),
+        ];
+        for g in &graphs {
+            let n = g.n();
+            for eps in [0.25, 0.5] {
+                let seed = 29;
+                let setup = setup_network(g, seed).unwrap();
+                let zeta = Ensemble::paper_zeta(n, eps).max(1);
+                let ensemble = Ensemble::build(g, eps, zeta, seed);
+                let batches = batches(g, &ensemble, near_depth(n, eps), seed);
+                let (dist, joint) = run_batches(g, &batches, &setup, seed).unwrap();
 
-        // Theorem 1.3 wins: eight 10-round batches on the eight disjoint edges
-        // of path(9), L = 4. C + D·L = 10 + 10 · 4 = 50 against Σ = 80.
-        let g = generators::path(9);
-        let parts: Vec<Metrics> = (0..8).map(|e| batch(&g, e, 10, 10)).collect();
-        let c = compose_batches(&g, &parts);
-        assert_eq!((c.rounds, c.messages, c.max_congestion()), (50, 80, 10));
-
-        // No batch costs nothing.
-        assert_eq!(compose_batches(&g, &[]), Metrics::new(g.m()));
+                let mut together = Metrics::new(g.m());
+                let mut sigma = 0;
+                let mut alone_dist = vec![vec![None; n]; n];
+                for batch in &batches {
+                    let (d, alone) =
+                        run_batches(g, std::slice::from_ref(batch), &setup, seed).unwrap();
+                    together.merge_parallel(&alone);
+                    sigma += alone.rounds;
+                    for s in batch.0.sources() {
+                        for (row, d) in alone_dist.iter_mut().zip(&d) {
+                            row[s.index()] = d[s.index()];
+                        }
+                    }
+                }
+                let (c, d) = (together.max_congestion(), together.rounds);
+                let log = u64::from(usize::BITS - n.max(2).leading_zeros());
+                let at = format!("n = {n}, ε = {eps}: C = {c}, D = {d}, Σ = {sigma}");
+                assert!(batches.len() > 1, "{at}");
+                assert_eq!(joint.messages, together.messages, "{at}");
+                assert_eq!(joint.congestion(), together.congestion(), "{at}");
+                assert!(c.div_ceil(2) <= joint.rounds, "{at}: {}", joint.rounds);
+                assert!(
+                    joint.rounds <= (c + d * log).min(sigma),
+                    "{at}: {}",
+                    joint.rounds
+                );
+                assert!(joint.rounds <= c + d, "{at}: {}", joint.rounds);
+                assert_eq!(dist, alone_dist, "{at}");
+            }
+        }
     }
 }

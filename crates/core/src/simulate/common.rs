@@ -42,6 +42,19 @@ impl<O> SimulationRun<O> {
             output_words: payload.output_words,
         }
     }
+
+    /// The same run with every node's output passed through `f`.
+    pub(crate) fn map_outputs<P>(self, f: impl FnMut(O) -> P) -> SimulationRun<P> {
+        SimulationRun {
+            outputs: self.outputs.into_iter().map(f).collect(),
+            metrics: self.metrics,
+            preprocessing: self.preprocessing,
+            simulated_rounds: self.simulated_rounds,
+            simulated_broadcasts: self.simulated_broadcasts,
+            input_words: self.input_words,
+            output_words: self.output_words,
+        }
+    }
 }
 
 /// The payload's [`RunOptions`] under a simulation: same seed as a direct run,

@@ -59,6 +59,9 @@ impl<'h> LevelClusters<'h> {
             by_cluster[start..].sort_unstable();
             offsets.push(by_cluster.len() as u32);
         }
+        // A level's members are a fraction of the graph (none at the top), and
+        // a joint simulation keeps every instance's levels for the whole run.
+        by_cluster.shrink_to_fit();
         Ok(Self {
             level,
             forest,

@@ -118,7 +118,7 @@ pub fn tradeoff_apsp(g: &Graph, epsilon: f64, seed: u64) -> Result<TradeoffResul
 }
 
 /// The near-pair depth limit `⌈2 n^{1-ε}⌉` (capped at `n`) of the middle route.
-fn near_depth(n: usize, epsilon: f64) -> u32 {
+pub(crate) fn near_depth(n: usize, epsilon: f64) -> u32 {
     let nf = n.max(2) as f64;
     (2.0 * nf.powf(1.0 - epsilon)).ceil().min(nf) as u32
 }

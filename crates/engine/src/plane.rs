@@ -41,10 +41,12 @@
 
 use crate::agenda::NodeSet;
 use crate::exec::{self, ExecutorConfig};
+use crate::faults::SurvivorMask;
 use crate::metrics::Metrics;
 use crate::wire::WireEncode;
-use congest_graph::{EdgeId, NodeId};
+use congest_graph::{EdgeId, Graph, NodeId};
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One staged message: `(receiver, sender, edge, msg)`.
 type Staged<M> = (u32, NodeId, EdgeId, M);
@@ -127,23 +129,23 @@ impl<M: WireEncode + Send + Sync> FlatPlane<M> {
         }
     }
 
-    /// Stages, charges and scatters one round of messages.
+    /// Stages, charges and scatters one round of broadcasts.
     ///
-    /// `senders` lists the round's senders **in node order** with their
-    /// per-sender payloads; `expand` turns one sender's payload into
-    /// `(receiver, edge, msg)` emissions (calling the sink once per message,
-    /// in the sender's emission order). Charges each message to `metrics` as
-    /// one word of `4 × LANES` bytes.
-    pub fn deliver<S, F>(
+    /// `senders` lists the round's broadcasts **in node order**; each crosses
+    /// every edge incident to its sender in `g`, in [`Graph::incident`] order.
+    /// A message over an edge `mask` has down, or to a receiver it has
+    /// crashed, is dropped here: never delivered, never charged, only counted
+    /// in `metrics.dropped_messages` (`u64` addition commutes, so the count is
+    /// thread-order-free). Charges each delivered message to `metrics` as one
+    /// word of `4 × LANES` bytes.
+    pub fn deliver(
         &mut self,
         cfg: &ExecutorConfig,
-        senders: &[(NodeId, S)],
-        expand: &F,
+        g: &Graph,
+        senders: &[(NodeId, M)],
+        mask: Option<&SurvivorMask>,
         metrics: &mut Metrics,
-    ) where
-        S: Sync,
-        F: Fn(NodeId, &S, &mut dyn FnMut(NodeId, EdgeId, M)) + Sync,
-    {
+    ) {
         debug_assert_eq!(self.delivered, 0, "deliver twice without receive");
         self.partition(cfg, senders.len());
         let n_parts = self.parts.len();
@@ -151,11 +153,18 @@ impl<M: WireEncode + Send + Sync> FlatPlane<M> {
             self.stages.push(Vec::new());
         }
 
-        // 1. Stage: each partition appends its emissions to its own arena,
+        // 1. Stage: each partition appends its messages to its own arena,
         //    which the last scatter left empty.
-        let stage_into = |arena: &mut Vec<Staged<M>>, mine: &[(NodeId, S)]| {
-            for (v, payload) in mine {
-                expand(*v, payload, &mut |u, e, m| arena.push((u.raw(), *v, e, m)));
+        let dropped = AtomicU64::new(0);
+        let stage_into = |arena: &mut Vec<Staged<M>>, mine: &[(NodeId, M)]| {
+            for (v, msg) in mine {
+                for (e, u) in g.incident(*v) {
+                    if mask.is_some_and(|m| !m.edge_up[e.index()] || !m.node_up[u.index()]) {
+                        dropped.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        arena.push((u.raw(), *v, e, msg.clone()));
+                    }
+                }
             }
         };
         let threads = cfg.effective_threads();
@@ -175,6 +184,7 @@ impl<M: WireEncode + Send + Sync> FlatPlane<M> {
                 }
             });
         }
+        metrics.dropped_messages += dropped.into_inner();
 
         // 2. Count receivers and charge metrics, in global sender order. The
         //    counts are all zero on entry: the last receive zeroed its own.
@@ -336,60 +346,63 @@ mod tests {
         }
     }
 
-    /// The message a sender with payload `p` sends over edge `e`.
-    fn shaped(p: u64, e: EdgeId) -> Shaped {
-        match (p + u64::from(e.raw())) % 3 {
+    /// Sender `p`'s message: the variant cycles with `p`.
+    fn shaped(p: u64) -> Shaped {
+        match p % 3 {
             0 => Shaped::Id(p),
-            1 => Shaped::Pair(p as u32, e),
+            1 => Shaped::Pair(p as u32, EdgeId::new(p as usize)),
             _ => Shaped::Mark,
         }
     }
 
-    /// Every third node floods its ID over each incident edge.
-    fn flood_senders(g: &Graph) -> Vec<(NodeId, u64)> {
+    /// Every third node broadcasts `msg` of its ID.
+    fn flood_senders<M>(g: &Graph, msg: fn(u64) -> M) -> Vec<(NodeId, M)> {
         g.nodes()
             .filter(|v| v.index() % 3 == 0)
-            .map(|v| (v, v.index() as u64))
+            .map(|v| (v, msg(v.index() as u64)))
             .collect()
-    }
-
-    /// Each sender sends `msg(payload, edge)` over each incident edge.
-    fn flood<'g, M: 'g>(
-        g: &'g Graph,
-        msg: fn(u64, EdgeId) -> M,
-    ) -> impl Fn(NodeId, &u64, &mut dyn FnMut(NodeId, EdgeId, M)) + Sync + 'g {
-        move |v, payload, sink| {
-            for (e, u) in g.incident(v) {
-                sink(u, e, msg(*payload, e));
-            }
-        }
     }
 
     /// Dense, sparse (one sender), dense: the middle round leaves most counts
     /// and cursors untouched, and the last one runs over tables the sparse
     /// round zeroed receiver by receiver.
-    fn sender_sets(g: &Graph) -> [Vec<(NodeId, u64)>; 3] {
-        let dense = flood_senders(g);
+    fn sender_sets<M: Clone>(g: &Graph, msg: fn(u64) -> M) -> [Vec<(NodeId, M)>; 3] {
+        let dense = flood_senders(g, msg);
         let lone = NodeId::new(g.n() / 2);
-        [dense.clone(), vec![(lone, 99)], dense]
+        [dense.clone(), vec![(lone, msg(99))], dense]
     }
 
-    /// The reference the plane is pinned against: expand sender by sender and
-    /// push each message straight into its receiver's `Vec` inbox.
+    /// Node 1 crashed and every fifth edge down.
+    fn faulty(g: &Graph) -> SurvivorMask {
+        let mut mask = SurvivorMask::all_up(g);
+        mask.node_up[1] = false;
+        for (e, up) in mask.edge_up.iter_mut().enumerate() {
+            *up = e % 5 != 0;
+        }
+        mask
+    }
+
+    /// The reference the plane is pinned against: sender by sender, push each
+    /// broadcast over every incident edge the mask allows straight into its
+    /// receiver's `Vec` inbox, and count the rest.
     fn reference_rounds<M: WireEncode>(
         g: &Graph,
-        msg: fn(u64, EdgeId) -> M,
+        msg: fn(u64) -> M,
+        mask: Option<&SurvivorMask>,
     ) -> (Metrics, Transcript<M>) {
-        let expand = flood(g, msg);
         let bytes = 4 * M::LANES as u64;
         let mut metrics = Metrics::new(g.m());
         let mut inboxes: Transcript<M> = vec![Vec::new(); g.n()];
-        for senders in sender_sets(g) {
-            for (v, p) in &senders {
-                expand(*v, p, &mut |u, e, m| {
-                    metrics.add_messages_sized(e, 1, bytes);
-                    inboxes[u.index()].push((*v, m));
-                });
+        for senders in sender_sets(g, msg) {
+            for (v, m) in &senders {
+                for (e, u) in g.incident(*v) {
+                    if mask.is_some_and(|k| !k.edge_up[e.index()] || !k.node_up[u.index()]) {
+                        metrics.dropped_messages += 1;
+                    } else {
+                        metrics.add_messages_sized(e, 1, bytes);
+                        inboxes[u.index()].push((*v, m.clone()));
+                    }
+                }
             }
         }
         (metrics, inboxes)
@@ -397,18 +410,20 @@ mod tests {
 
     fn flat_rounds<M: WireEncode + Send + Sync>(
         g: &Graph,
-        msg: fn(u64, EdgeId) -> M,
+        msg: fn(u64) -> M,
+        mask: Option<&SurvivorMask>,
         cfg: &ExecutorConfig,
     ) -> (Metrics, Transcript<M>) {
-        let expand = flood(g, msg);
         let mut metrics = Metrics::new(g.m());
         let mut plane: FlatPlane<M> = FlatPlane::new(g.n());
         let mut transcript: Transcript<M> = vec![Vec::new(); g.n()];
-        for senders in sender_sets(g) {
-            plane.deliver(cfg, &senders, &expand, &mut metrics);
+        for senders in sender_sets(g, msg) {
+            plane.deliver(cfg, g, &senders, mask, &mut metrics);
             let mut addressed: Vec<u32> = senders
                 .iter()
-                .flat_map(|(v, _)| g.incident(*v).map(|(_, u)| u.raw()))
+                .flat_map(|(v, _)| g.incident(*v))
+                .filter(|&(e, u)| mask.is_none_or(|k| k.edge_up[e.index()] && k.node_up[u.index()]))
+                .map(|(_, u)| u.raw())
                 .collect();
             addressed.sort_unstable();
             addressed.dedup();
@@ -420,37 +435,40 @@ mod tests {
         (metrics, transcript)
     }
 
-    fn flat_matches_the_push_loop<M: WireEncode + Send + Sync>(msg: fn(u64, EdgeId) -> M) {
+    fn flat_matches_the_push_loop<M: WireEncode + Send + Sync>(msg: fn(u64) -> M) {
         for g in [
             generators::gnp_connected(30, 0.2, 5),
             generators::star(17),
             generators::path(23),
         ] {
-            let (base_m, base_t) = reference_rounds(&g, msg);
-            for threads in [1, 2, 4, 7] {
-                let (m, t) = flat_rounds(&g, msg, &ExecutorConfig::with_threads(threads));
-                assert_eq!(base_m, m, "metrics at {threads} threads");
-                assert_eq!(base_t, t, "inbox order at {threads} threads");
+            let mask = faulty(&g);
+            for mask in [None, Some(&mask)] {
+                let (base_m, base_t) = reference_rounds(&g, msg, mask);
+                assert_eq!(base_m.dropped_messages > 0, mask.is_some());
+                for threads in [1, 2, 4, 7] {
+                    let cfg = ExecutorConfig::with_threads(threads);
+                    let (m, t) = flat_rounds(&g, msg, mask, &cfg);
+                    assert_eq!(base_m, m, "metrics at {threads} threads");
+                    assert_eq!(base_t, t, "inbox order at {threads} threads");
+                }
             }
         }
     }
 
     #[test]
     fn flat_matches_the_push_loop_at_every_thread_count() {
-        flat_matches_the_push_loop(|p, _| p);
+        flat_matches_the_push_loop(|p| p);
         flat_matches_the_push_loop(shaped);
     }
 
     #[test]
     fn empty_round_is_free_and_receive_reports_false() {
         let cfg = ExecutorConfig::default();
+        let g = generators::path(4);
         let mut plane: FlatPlane<u32> = FlatPlane::new(4);
-        let expand = |_v: NodeId, _p: &u32, _s: &mut dyn FnMut(NodeId, EdgeId, u32)| {
-            panic!("no senders, no expansion")
-        };
         let mut metrics = Metrics::new(3);
-        plane.deliver(&cfg, &[], &expand, &mut metrics);
-        assert_eq!(metrics.messages, 0);
+        plane.deliver(&cfg, &g, &[], None, &mut metrics);
+        assert_eq!(metrics, Metrics::new(3));
         let mut states = vec![0u32; 4];
         assert!(!plane.receive(&cfg, &mut states, |_st, _inbox| panic!(
             "nothing to receive"

@@ -27,8 +27,7 @@ use crate::plane::FlatPlane;
 use crate::view::LocalView;
 use crate::wire::WireEncode;
 use crate::{BcongestAlgorithm, RunOptions};
-use congest_graph::{rng, EdgeId, Graph, NodeId};
-use std::sync::atomic::{AtomicU64, Ordering};
+use congest_graph::{rng, Graph, NodeId};
 
 /// An inbox observer: `observe(node, round, inbox)` for every non-empty inbox.
 pub(crate) type Observer<'a, Msg> = &'a mut dyn FnMut(NodeId, usize, &[(NodeId, Msg)]);
@@ -88,9 +87,8 @@ impl<'a, Msg: WireEncode + Send + Sync> OverPlane<'a, Msg> {
 impl<A: BcongestAlgorithm> Delivery<A> for OverPlane<'_, A::Msg> {
     /// A broadcast crosses every incident edge, and each inbox receives its
     /// messages in sender order at every thread count. Messages over down
-    /// edges or to crashed receivers are dropped here, at the single
-    /// expansion point — never delivered, never charged, only counted (`u64`
-    /// addition commutes, so the count is thread-order-free).
+    /// edges or to crashed receivers are dropped by the plane, at the single
+    /// expansion point — never delivered, never charged, only counted.
     fn deliver(
         &mut self,
         _round: usize,
@@ -98,19 +96,7 @@ impl<A: BcongestAlgorithm> Delivery<A> for OverPlane<'_, A::Msg> {
         mask: Option<&SurvivorMask>,
         metrics: &mut Metrics,
     ) -> Result<(), EngineError> {
-        let g = self.g;
-        let dropped = AtomicU64::new(0);
-        let expand = |v: NodeId, msg: &A::Msg, sink: &mut dyn FnMut(NodeId, EdgeId, A::Msg)| {
-            for (e, u) in g.incident(v) {
-                if mask.is_some_and(|m| !m.edge_up[e.index()] || !m.node_up[u.index()]) {
-                    dropped.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    sink(u, e, msg.clone());
-                }
-            }
-        };
-        self.plane.deliver(self.cfg, senders, &expand, metrics);
-        metrics.dropped_messages += dropped.load(Ordering::Relaxed);
+        self.plane.deliver(self.cfg, self.g, senders, mask, metrics);
         Ok(())
     }
 

@@ -100,9 +100,10 @@ impl Queues {
 /// [`route_casts`](crate::treeops::route_casts) call. The workspace keeps,
 /// across calls: the per-directed-edge FIFO `head`/`tail` tables and the
 /// `planned` and `lead` tables (sized `2m` once), the per-node barrier tables
-/// (sized `n` once), the packet arena, the flat task table and the per-round
-/// `active`/`moving` lists. Nothing `2m`-sized is cleared between calls —
-/// every queue is empty again when a schedule finishes, and `planned` and
+/// (sized `n` once), the packet arena, the flat task table, the per-cast
+/// `waited_for` marks and the per-round `active`/`moving` lists. Nothing
+/// `2m`-sized is cleared between calls — every queue is empty again when a
+/// schedule finishes, and `planned` and
 /// `lead` are zeroed by re-walking what touched them — so a phase costs
 /// `O(tasks + word-hops + Σ_rounds active edges)` work plus the `Θ(m)`
 /// congestion vector of the [`Metrics`] it returns, and a warm workspace
@@ -165,6 +166,9 @@ pub struct Router<'g> {
     waits_at: Vec<u32>,
     barrier_at: Vec<u32>,
     barriers: Vec<u32>,
+    /// Per cast of the call: whether a later cast waits for it, so that its
+    /// items' ends are kept. Marked in one pass over every `after` list.
+    waited_for: Vec<bool>,
     /// Per directed edge: the words of lead hops queued ahead of every task
     /// on it, all zero between calls; and the edges with some, in order of
     /// their first lead hop.
@@ -225,6 +229,7 @@ impl<'g> Router<'g> {
             waits_at: vec![NIL; g.n()],
             barrier_at: vec![NIL; g.n()],
             barriers: Vec::new(),
+            waited_for: Vec::new(),
             lead_edges: Vec::new(),
             pkts: Vec::new(),
             active: Vec::new(),
@@ -259,6 +264,15 @@ impl<'g> Router<'g> {
     /// columns. Either way the workspace is left clean for the next call.
     pub(crate) fn route_casts(&mut self, casts: &[Cast<'_>]) -> Result<Metrics, EngineError> {
         self.begin();
+        // Only the items some later cast waits for need their ends kept. A
+        // cast naming itself or a later one is refused below, when it is added.
+        self.waited_for.clear();
+        self.waited_for.resize(casts.len(), false);
+        for (c, cast) in casts.iter().enumerate() {
+            for &a in cast.after().iter().filter(|&&a| a < c) {
+                self.waited_for[a] = true;
+            }
+        }
         for (c, cast) in casts.iter().enumerate() {
             let after = cast.after();
             if let Some(&a) = after.iter().find(|&&a| a >= c) {
@@ -276,10 +290,7 @@ impl<'g> Router<'g> {
                     self.waits_at[end] = (self.awaited.len() - 1) as u32;
                 }
             }
-            // Only the items some later cast waits for need their ends kept.
-            let awaited = casts[c + 1..]
-                .iter()
-                .any(|later| later.after().contains(&c));
+            let awaited = self.waited_for[c];
             let built = match cast {
                 Cast::Hop {
                     items, up: None, ..
@@ -538,6 +549,7 @@ impl<'g> Router<'g> {
             waits_at: _,
             barrier_at: _,
             barriers: _,
+            waited_for: _,
             lead,
             lead_edges,
             pkts,

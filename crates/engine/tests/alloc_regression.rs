@@ -78,14 +78,9 @@ fn flat_rounds_allocate_nothing() {
     let mut metrics = Metrics::new(g.m());
     let mut states: Vec<u64> = vec![0; g.n()];
 
-    // Identical traffic every round: every node floods a two-lane payload to
-    // all neighbors, so round 2+ exercises exactly the buffers round 1 sized.
-    let senders: Vec<(NodeId, u32)> = g.nodes().map(|v| (v, v.raw())).collect();
-    let expand = |v: NodeId, payload: &u32, sink: &mut dyn FnMut(NodeId, EdgeId, (u32, u32))| {
-        for (e, u) in g.incident(v) {
-            sink(u, e, (*payload, e.raw()));
-        }
-    };
+    // Identical traffic every round: every node broadcasts a two-lane payload
+    // to all neighbors, so round 2+ exercises exactly the buffers round 1 sized.
+    let senders: Vec<(NodeId, (u32, u32))> = g.nodes().map(|v| (v, (v.raw(), 7))).collect();
     let receive = |st: &mut u64, inbox: &[(NodeId, (u32, u32))]| {
         for (from, (a, b)) in inbox {
             *st = st
@@ -97,13 +92,13 @@ fn flat_rounds_allocate_nothing() {
 
     // Warm-up: grows every arena to its steady-state capacity.
     for _ in 0..3 {
-        plane.deliver(&cfg, &senders, &expand, &mut metrics);
+        plane.deliver(&cfg, &g, &senders, None, &mut metrics);
         assert!(plane.receive(&cfg, &mut states, receive));
     }
 
     let before = allocs();
     for _ in 0..5 {
-        plane.deliver(&cfg, &senders, &expand, &mut metrics);
+        plane.deliver(&cfg, &g, &senders, None, &mut metrics);
         assert!(plane.receive(&cfg, &mut states, receive));
     }
     assert_eq!(
@@ -124,7 +119,7 @@ fn flat_rounds_allocate_nothing() {
     addressed.dedup();
     let before = allocs();
     for _ in 0..5 {
-        plane.deliver(&cfg, &pair, &expand, &mut metrics);
+        plane.deliver(&cfg, &g, &pair, None, &mut metrics);
         assert_eq!(plane.receivers(), addressed);
         assert!(plane.receive(&cfg, &mut states, receive));
     }
@@ -139,13 +134,15 @@ fn flat_rounds_allocate_nothing() {
     // the push-loop reference, inbox by inbox (the transcript's capacity is
     // reserved up front, so the round itself still may not allocate).
     let mut want: Vec<Vec<(NodeId, (u32, u32))>> = vec![Vec::new(); g.n()];
-    for (v, payload) in &senders {
-        expand(*v, payload, &mut |u, _e, m| want[u.index()].push((*v, m)));
+    for (v, m) in &senders {
+        for &u in g.neighbors(*v) {
+            want[u.index()].push((*v, *m));
+        }
     }
     let mut got: Vec<Vec<(NodeId, (u32, u32))>> =
         want.iter().map(|w| Vec::with_capacity(w.len())).collect();
     let before = allocs();
-    plane.deliver(&cfg, &senders, &expand, &mut metrics);
+    plane.deliver(&cfg, &g, &senders, None, &mut metrics);
     assert!(plane.receive(&cfg, &mut got, |slot, inbox| {
         slot.extend_from_slice(inbox);
     }));
