@@ -323,13 +323,13 @@ mod tests {
                 let mut sigma = 0;
                 let mut alone_dist = vec![vec![None; n]; n];
                 for batch in &batches {
-                    let (d, alone) =
+                    let (found, alone) =
                         run_batches(g, std::slice::from_ref(batch), &setup, seed).unwrap();
                     together.merge_parallel(&alone);
                     sigma += alone.rounds;
                     for s in batch.0.sources() {
-                        for (row, d) in alone_dist.iter_mut().zip(&d) {
-                            row[s.index()] = d[s.index()];
+                        for (row, theirs) in alone_dist.iter_mut().zip(&found) {
+                            row[s.index()] = theirs[s.index()];
                         }
                     }
                 }
