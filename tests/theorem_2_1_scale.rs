@@ -2,7 +2,8 @@
 //! `tradeoff_apsp` at ε = 0 (Theorem 2.1) on the benchmark's pinned
 //! `gnp_connected(512, 8/512, 20250608)` and on `caveman(16, 32)` at seeds
 //! 20250608 and 1, at ε = ¼ and ε = ½ (Lemma 3.23's batches plus landmarks)
-//! on that gnp-512, and `weighted_apsp` on that gnp-512 under weights `1..=9`
+//! and at ε = ¾ and ε = 1 (Lemma 3.22's star route) on that gnp-512, and
+//! `weighted_apsp` on that gnp-512 under weights `1..=9`
 //! drawn from seed 20250608, at seed 20250608. One line per case in
 //! `tests/golden/theorem_2_1_scale.txt`:
 //!
@@ -10,8 +11,8 @@
 //! <case>/<family>/<n>/s<seed> <messages> <rounds>
 //! ```
 //!
-//! These are the counts `core.tradeoff_eps0_*`, `core.tradeoff_eps05_*` and
-//! `core.weighted_apsp_*` report. The runs take seconds in release and
+//! These are the counts `core.tradeoff_eps0_*`, `core.tradeoff_eps05_*`,
+//! `core.tradeoff_eps1_*` and `core.weighted_apsp_*` report. The runs take seconds in release and
 //! minutes in debug, so the test is ignored by default; run it with
 //! `cargo test --release --test theorem_2_1_scale -- --ignored`. A change that
 //! moves a count on purpose fails here and prints every computed line; paste
@@ -43,7 +44,7 @@ fn theorem_2_1_at_bench_scale_matches_the_golden_file() {
             g.n()
         ));
     }
-    for eps in [0.25, 0.5] {
+    for eps in [0.25, 0.5, 0.75, 1.0] {
         let res = tradeoff_apsp(&gnp, eps, SEED).expect("trade-off");
         check_unweighted_apsp(&gnp, &res.dist).expect("exact distances");
         let (messages, rounds) = (res.metrics.messages, res.metrics.rounds);
