@@ -2,8 +2,11 @@
 //! delays — the executable form of Theorem 1.4, and the workhorse behind the paper's
 //! unweighted-APSP trade-off (Lemmas 3.22/3.23).
 //!
-//! Every node owns one send queue and broadcasts at most one `(bfs, dist)` pair per
-//! round, scheduled by "ideal time" `delay_j + dist` (the random-delay schedule).
+//! Every node owns one send queue and broadcasts at most one `(bfs, dist, delay)`
+//! triple per round, scheduled by "ideal time" `delay_j + dist` (the random-delay
+//! schedule). BFS `j`'s delay is its source's private coin: the source draws it
+//! and every `j`-message carries it, so a node learns it with the message that
+//! reaches it and nobody has to distribute the delays beforehand.
 //! Queueing can delay a wavefront, so a node may first learn a non-shortest distance;
 //! correctness is restored by *re-broadcast on improvement* (a Bellman–Ford safety net
 //! that fires rarely — the tests measure how rarely). The collection is
@@ -15,20 +18,25 @@ use congest_engine::{AggregationAlgorithm, BcongestAlgorithm, LocalView, WireEnc
 use congest_graph::{rng, NodeId};
 use std::collections::BTreeSet;
 
-/// One BFS exploration message: which BFS, and the sender's distance in it.
+/// One BFS exploration message: which BFS, the sender's distance in it, and
+/// that BFS's start delay. Three `O(log n)`-bit fields, so still one word.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BfsMsg {
     /// Index of the BFS instance (into [`BfsCollection::sources`]).
     pub bfs: u32,
     /// The sender's distance from that BFS's source.
     pub dist: u32,
+    /// The start delay that BFS's source drew; every message of one BFS
+    /// carries the same one.
+    pub delay: u32,
 }
 
 impl WireEncode for BfsMsg {
-    const LANES: usize = 2;
+    const LANES: usize = 3;
     fn encode(&self, out: &mut [u32]) {
         out[0] = self.bfs;
         out[1] = self.dist;
+        out[2] = self.delay;
     }
 }
 
@@ -70,8 +78,10 @@ impl BfsCollection {
         }
     }
 
-    /// Assigns each BFS a uniform random delay in `[0, ℓ)` (Theorem 1.4's shared
-    /// randomness; all nodes must use the same `seed`).
+    /// Assigns each BFS a uniform random delay in `[0, ℓ)` (Theorem 1.4). Only
+    /// BFS `j`'s source reads entry `j`, so the entries are the sources'
+    /// private coins: every other node takes the delay from the message that
+    /// reaches it.
     pub fn with_random_delays(mut self, seed: u64) -> Self {
         let mut r = rng::seeded(rng::derive(seed, 0xde1a_5001));
         let l = self.sources.len().max(1);
@@ -128,7 +138,7 @@ pub struct CollectionOutput {
 /// "Unset" in a [`Slot`]: no distance yet, no parent, never broadcast.
 const UNSET: u32 = u32::MAX;
 
-/// One BFS instance at one node (16 B, so a relaxation touches one cache line).
+/// One BFS instance at one node (20 B).
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     dist: u32,
@@ -137,6 +147,16 @@ struct Slot {
     sent_dist: u32,
     /// The `receive` call ([`CollectionState::calls`]) that last lowered `dist`.
     lowered: u32,
+    /// This BFS's start delay: the source's own draw at the source, else the
+    /// one carried by the message that last lowered `dist`.
+    delay: u32,
+}
+
+impl Slot {
+    /// The queue key of this slot as BFS `j`: its ideal round `delay + dist`.
+    fn key(&self, j: u32) -> (usize, u32) {
+        (self.delay as usize + self.dist as usize, j)
+    }
 }
 
 /// Per-node state.
@@ -149,7 +169,7 @@ pub struct CollectionState {
     /// to choose, so the state counts its own calls.
     calls: u32,
     /// Pending broadcasts: (ideal round = delay + dist, bfs index).
-    /// Invariant: `(delay_j + dist, j)` is queued iff slot `j`'s `dist` is set and
+    /// Invariant: slot `j`'s [`Slot::key`] is queued iff its `dist` is set and
     /// differs from its `sent_dist` (and is below the depth limit).
     queue: BTreeSet<(usize, u32)>,
     /// Number of re-broadcasts caused by improvements after a send (statistics).
@@ -157,16 +177,11 @@ pub struct CollectionState {
 }
 
 impl BfsCollection {
-    /// The queue key of BFS `j` at distance `dist`.
-    fn key(&self, j: u32, dist: u32) -> (usize, u32) {
-        (self.delays[j as usize] + dist as usize, j)
-    }
-
-    /// Schedules BFS `j`'s broadcast of `dist`; a node at the depth limit does
+    /// Schedules BFS `j`'s broadcast of `slot`; a node at the depth limit does
     /// not forward.
-    fn enqueue(&self, queue: &mut BTreeSet<(usize, u32)>, j: u32, dist: u32) {
-        if dist < self.depth_limit {
-            queue.insert(self.key(j, dist));
+    fn enqueue(&self, queue: &mut BTreeSet<(usize, u32)>, j: u32, slot: &Slot) {
+        if slot.dist < self.depth_limit {
+            queue.insert(slot.key(j));
         }
     }
 }
@@ -186,6 +201,7 @@ impl BcongestAlgorithm for BfsCollection {
             parent: UNSET,
             sent_dist: UNSET,
             lowered: 0,
+            delay: 0,
         };
         let mut s = CollectionState {
             slots: vec![unset; self.sources.len()],
@@ -195,8 +211,10 @@ impl BcongestAlgorithm for BfsCollection {
         };
         for (j, &src) in self.sources.iter().enumerate() {
             if src == view.node() {
-                s.slots[j].dist = 0;
-                self.enqueue(&mut s.queue, j as u32, 0);
+                let slot = &mut s.slots[j];
+                slot.dist = 0;
+                slot.delay = self.delays[j] as u32;
+                self.enqueue(&mut s.queue, j as u32, slot);
             }
         }
         s
@@ -204,9 +222,11 @@ impl BcongestAlgorithm for BfsCollection {
 
     fn broadcast(&self, s: &CollectionState, round: usize) -> Option<BfsMsg> {
         let &(ready, j) = s.queue.first()?;
-        (ready <= round).then(|| BfsMsg {
+        let slot = &s.slots[j as usize];
+        (ready <= round).then_some(BfsMsg {
             bfs: j,
-            dist: s.slots[j as usize].dist,
+            dist: slot.dist,
+            delay: slot.delay,
         })
     }
 
@@ -233,14 +253,15 @@ impl BcongestAlgorithm for BfsCollection {
             let slot = &mut s.slots[m.bfs as usize];
             if cand < slot.dist {
                 if slot.dist != UNSET {
-                    s.queue.remove(&self.key(m.bfs, slot.dist));
+                    s.queue.remove(&slot.key(m.bfs));
                 }
                 slot.dist = cand;
+                slot.delay = m.delay;
                 slot.parent = from.raw();
                 slot.lowered = s.calls;
                 // (Re-)schedule the broadcast unless this exact distance already went out.
                 if slot.sent_dist != cand {
-                    self.enqueue(&mut s.queue, m.bfs, cand);
+                    self.enqueue(&mut s.queue, m.bfs, slot);
                 }
             } else if cand == slot.dist && slot.lowered == s.calls && from.raw() < slot.parent {
                 // A tie inside the call that lowered the slot: the smaller sender
@@ -272,9 +293,10 @@ impl BcongestAlgorithm for BfsCollection {
     }
 
     fn round_bound(&self, n: usize, _m: usize) -> usize {
-        let max_delay = self.delays.iter().copied().max().unwrap_or(0);
-        // Õ(ℓ + dilation) w.h.p. (Theorem 1.4) plus generous slack for re-broadcasts.
-        8 * (max_delay + self.sources.len() + self.dilation(n)) + 64
+        // Õ(ℓ + dilation) w.h.p. (Theorem 1.4), every delay below ℓ, plus
+        // generous slack for re-broadcasts.
+        let l = self.sources.len();
+        8 * (2 * l + self.dilation(n)) + 64
     }
 
     fn output_words(&self, out: &CollectionOutput) -> usize {
@@ -404,34 +426,44 @@ mod tests {
     #[test]
     fn aggregation_keeps_min_per_bfs() {
         let algo = BfsCollection::new(vec![NodeId::new(0), NodeId::new(1)]);
+        let msg = |bfs, dist| BfsMsg {
+            bfs,
+            dist,
+            delay: 2 * bfs,
+        };
         let mut agg = vec![
-            (NodeId::new(3), BfsMsg { bfs: 0, dist: 5 }),
-            (NodeId::new(2), BfsMsg { bfs: 0, dist: 3 }),
-            (NodeId::new(4), BfsMsg { bfs: 1, dist: 1 }),
-            (NodeId::new(5), BfsMsg { bfs: 0, dist: 3 }),
+            (NodeId::new(3), msg(0, 5)),
+            (NodeId::new(2), msg(0, 3)),
+            (NodeId::new(4), msg(1, 1)),
+            (NodeId::new(5), msg(0, 3)),
         ];
         algo.aggregate(NodeId::new(9), 0, &mut agg);
         assert_eq!(
             agg,
-            vec![
-                (NodeId::new(2), BfsMsg { bfs: 0, dist: 3 }),
-                (NodeId::new(4), BfsMsg { bfs: 1, dist: 1 }),
-            ]
+            vec![(NodeId::new(2), msg(0, 3)), (NodeId::new(4), msg(1, 1))]
         );
     }
 
     /// The `Vec`-in / `Vec`-out aggregate the in-place one replaced.
     fn aggregate_reference(msgs: Vec<(NodeId, BfsMsg)>) -> Vec<(NodeId, BfsMsg)> {
-        let mut best: BTreeMap<u32, (u32, NodeId)> = BTreeMap::new();
+        let mut best: BTreeMap<u32, (u32, NodeId, BfsMsg)> = BTreeMap::new();
         for (from, m) in msgs {
-            let entry = best.entry(m.bfs).or_insert((m.dist, from));
-            if (m.dist, from) < *entry {
-                *entry = (m.dist, from);
+            let entry = best.entry(m.bfs).or_insert((m.dist, from, m));
+            if (m.dist, from) < (entry.0, entry.1) {
+                *entry = (m.dist, from, m);
             }
         }
-        best.into_iter()
-            .map(|(bfs, (dist, from))| (from, BfsMsg { bfs, dist }))
-            .collect()
+        best.into_values().map(|(_, from, m)| (from, m)).collect()
+    }
+
+    /// BFS `bfs`'s message at `dist`, carrying the delay `lanes` gives it:
+    /// every message of one BFS carries one delay.
+    fn lane_msg(lanes: &[u32], bfs: u32, dist: u32) -> BfsMsg {
+        BfsMsg {
+            bfs,
+            dist,
+            delay: lanes[bfs as usize],
+        }
     }
 
     proptest! {
@@ -441,11 +473,12 @@ mod tests {
         #[test]
         fn aggregate_matches_its_reference(
             batch in prop::collection::vec((0usize..6, 0u32..4, 0u32..5), 0..40),
+            lanes in prop::collection::vec(0u32..6, 4),
         ) {
             let algo = BfsCollection::new((0..4).map(NodeId::new).collect());
             let msgs: Vec<(NodeId, BfsMsg)> = batch
                 .into_iter()
-                .map(|(from, bfs, dist)| (NodeId::new(from), BfsMsg { bfs, dist }))
+                .map(|(from, bfs, dist)| (NodeId::new(from), lane_msg(&lanes, bfs, dist)))
                 .collect();
             for msgs in [msgs, Vec::new()] {
                 let mut got = msgs.clone();
@@ -466,12 +499,13 @@ mod tests {
                 continue;
             }
             if slot.dist != UNSET {
-                s.queue.remove(&algo.key(m.bfs, slot.dist));
+                s.queue.remove(&slot.key(m.bfs));
             }
             slot.dist = cand;
+            slot.delay = m.delay;
             slot.parent = from.raw();
             if slot.sent_dist != cand {
-                algo.enqueue(&mut s.queue, m.bfs, cand);
+                algo.enqueue(&mut s.queue, m.bfs, slot);
             }
         }
     }
@@ -485,7 +519,8 @@ mod tests {
         /// Same outputs, queue and broadcasts as the reference after every
         /// call, whatever the order of the inbox: repeated senders, ties on
         /// `(dist, sender)`, several instances (one of them the receiver's
-        /// own), the empty inbox, with and without a depth limit and delays.
+        /// own), the empty inbox, with and without a depth limit and delays,
+        /// and with delay lanes that need not match the table.
         #[test]
         fn receive_matches_its_reference_in_any_order(
             steps in prop::collection::vec(
@@ -494,6 +529,7 @@ mod tests {
             ),
             limited in 0u8..2,
             delay_seed in 0u64..8,
+            lanes in prop::collection::vec(0u32..6, 4),
             shuffle_seed in 0u64..1000,
         ) {
             let sources = [0, 1, 2, 7].map(NodeId::new).to_vec();
@@ -508,7 +544,7 @@ mod tests {
                 &algo,
                 &receiver(&generators::complete(8)),
                 &steps,
-                |(from, bfs, dist)| (NodeId::new(from), BfsMsg { bfs, dist }),
+                |(from, bfs, dist)| (NodeId::new(from), lane_msg(&lanes, bfs, dist)),
                 shuffle_seed,
                 |s, _, msgs| receive_reference(&algo, s, msgs),
                 |s| (s.queue.clone(), s.rebroadcasts),
@@ -519,7 +555,14 @@ mod tests {
     #[test]
     fn a_tie_moves_the_parent_only_inside_the_call_that_lowered_the_slot() {
         let algo = BfsCollection::new(vec![NodeId::new(0)]);
-        let msg = |from| (NodeId::new(from), BfsMsg { bfs: 0, dist: 2 });
+        let msg = |from| {
+            let m = BfsMsg {
+                bfs: 0,
+                dist: 2,
+                delay: 0,
+            };
+            (NodeId::new(from), m)
+        };
         let parent = |s: &CollectionState| algo.output(s).entries[0].parent;
         let mut s = algo.init(&receiver(&generators::complete(8)));
         // The smaller sender arrives later in the same call: sorted order
@@ -537,7 +580,12 @@ mod tests {
         let algo = BfsCollection::new(vec![NodeId::new(0)]);
         for dist in [u32::MAX, u32::MAX - 1] {
             let mut s = algo.init(&receiver(&generators::complete(8)));
-            algo.receive(&mut s, 0, &[(NodeId::new(1), BfsMsg { bfs: 0, dist })]);
+            let m = BfsMsg {
+                bfs: 0,
+                dist,
+                delay: 0,
+            };
+            algo.receive(&mut s, 0, &[(NodeId::new(1), m)]);
             let unreached = BfsEntry {
                 dist: None,
                 parent: None,
@@ -545,6 +593,46 @@ mod tests {
             assert_eq!(algo.output(&s).entries, [unreached]);
             assert!(algo.is_done(&s));
         }
+    }
+
+    /// A node takes a BFS's delay from the message that reaches it, not from
+    /// the table, which only that BFS's source reads: the queue key and the
+    /// re-broadcast follow the lane.
+    #[test]
+    fn the_delay_travels_with_the_message() {
+        let algo = BfsCollection::new(vec![NodeId::new(0), NodeId::new(7)]).with_random_delays(3);
+        let table = algo.delays()[0] as u32;
+        let lane = table + 5;
+        let mut s = algo.init(&receiver(&generators::complete(8)));
+        let m = BfsMsg {
+            bfs: 0,
+            dist: 1,
+            delay: lane,
+        };
+        algo.receive(&mut s, 0, &[(NodeId::new(2), m)]);
+        let key = (lane as usize + 2, 0);
+        assert!(s.queue.contains(&key), "{:?}", s.queue);
+        assert!(!s.queue.contains(&(table as usize + 2, 0)));
+        // The receiver is BFS 1's source: its own delay is the table's.
+        let own = (algo.delays()[1], 1);
+        assert!(s.queue.contains(&own));
+        let mut sent = Vec::new();
+        while let Some(out) = algo.broadcast(&s, usize::MAX) {
+            sent.push(out);
+            algo.on_broadcast_sent(&mut s, usize::MAX);
+        }
+        assert!(sent.contains(&BfsMsg {
+            bfs: 0,
+            dist: 2,
+            delay: lane,
+        }));
+        assert!(sent.contains(&BfsMsg {
+            bfs: 1,
+            dist: 0,
+            delay: algo.delays()[1] as u32,
+        }));
+        assert_eq!(sent.len(), 2);
+        assert!(algo.is_done(&s));
     }
 
     #[test]

@@ -87,7 +87,16 @@ fn relaxations_allocate_what_they_lower() {
     assert_eq!(spent, 1, "a non-source node's 48 instances are one table");
     let inbox: Vec<(NodeId, BfsMsg)> = batch
         .iter()
-        .map(|&(v, bfs, dist)| (v, BfsMsg { bfs, dist }))
+        .map(|&(v, bfs, dist)| {
+            (
+                v,
+                BfsMsg {
+                    bfs,
+                    dist,
+                    delay: 0,
+                },
+            )
+        })
         .collect();
     second_delivery_allocates_nothing(&collection, &mut state, &inbox);
 

@@ -164,8 +164,8 @@ proptest! {
             LeaderMsg { leader: y as u32, dist: w as u32 },
         )?;
         encodes_injectively(
-            BfsMsg { bfs: x as u32, dist: z as u32 },
-            BfsMsg { bfs: y as u32, dist: w as u32 },
+            BfsMsg { bfs: x as u32, dist: z as u32, delay: (z >> 32) as u32 },
+            BfsMsg { bfs: y as u32, dist: w as u32, delay: (w >> 32) as u32 },
         )?;
         encodes_injectively(
             WApspMsg { source: x as u32, dist: z },

@@ -11,18 +11,19 @@
 //!   step-2 upcasts of one level. That joint run is the schedule Theorem 1.3's
 //!   congestion + dilation bound is about, run rather than charged.
 //!
-//! Both charge one network set-up and one shared-randomness distribution
-//! (`shared_randomness`) exactly as the paper prescribes (Õ(n) rounds, Õ(n²)
-//! messages): every simulation runs on the route's set-up instead of electing
-//! again, and in the batched route the distribution carries one delay word per
-//! source, so a single one serves every batch.
+//! Both charge one network set-up (Õ(n) rounds, Õ(n²) messages): every
+//! simulation runs on the route's set-up instead of electing again. Neither
+//! distributes shared randomness first. Theorem 1.4 needs independent uniform
+//! delays, and a source's private coin is one: each BFS's source draws its
+//! delay, and that BFS's messages carry it to every node that acts on it
+//! (see [`BfsCollection::with_random_delays`]).
 
 use congest_algos::bfs_collection::{BfsCollection, CollectionOutput};
 use congest_algos::leader::{setup_network, NetworkSetup};
 use congest_decomp::pruning::prune;
 use congest_decomp::{Ensemble, Hierarchy};
 use congest_engine::treeops::tree_pass;
-use congest_engine::{EngineError, Forest, Metrics};
+use congest_engine::{EngineError, Metrics};
 use congest_graph::{rng, Graph, NodeId};
 
 use crate::ensure_epsilon;
@@ -52,14 +53,13 @@ pub fn all_bfs_star(g: &Graph, epsilon: f64, seed: u64) -> Result<BfsForestResul
     ensure_epsilon(epsilon, (0.5..=1.0).contains(&epsilon), "[1/2, 1]")?;
     let mut metrics = Metrics::new(g.m());
 
-    // Shared randomness for the random delays (Theorem 1.4).
     let setup = setup_network(g, seed)?;
-    let (shared_seed, sr) = shared_randomness(g, &setup.tree, seed);
     metrics.merge_sequential(&setup.metrics);
-    metrics.merge_sequential(&sr);
 
     let h = prune(g, &Hierarchy::build(g, epsilon, seed));
-    let algo = BfsCollection::new(g.nodes().collect()).with_random_delays(shared_seed);
+    // The sources' private coins for the random delays (Theorem 1.4).
+    let delay_seed = rng::derive(seed, 0x5a5a_0001);
+    let algo = BfsCollection::new(g.nodes().collect()).with_random_delays(delay_seed);
     let opts = AggSimOptions {
         seed,
         charge_hierarchy: true,
@@ -104,10 +104,6 @@ pub fn all_bfs_batched(
     let zeta = Ensemble::paper_zeta(n, epsilon).max(1);
     let setup = setup_network(g, seed)?;
     metrics.merge_sequential(&setup.metrics);
-    // One shared-randomness distribution covers every batch: a source's delay
-    // takes one word and each source is in exactly one batch.
-    let (_, sr) = shared_randomness(g, &setup.tree, seed);
-    metrics.merge_sequential(&sr);
     let ensemble = Ensemble::build(g, epsilon, zeta, seed);
     metrics.merge_sequential(&ensemble.metrics);
 
@@ -191,21 +187,6 @@ fn run_batches(
     Ok((dist, sim.metrics))
 }
 
-/// Distributes shared randomness from the root of `tree` to every node, as the
-/// paper does just before Lemma 3.22: the leader's `Θ(n log n)` random bits are
-/// `n` words, pipelined down every tree edge — `n + depth` rounds and `n`
-/// messages per tree edge (`Õ(n)` rounds, `Õ(n²)` messages). Returns the seed
-/// every node then holds, which stands in for the bits, and that cost.
-fn shared_randomness(g: &Graph, tree: &Forest, seed: u64) -> (u64, Metrics) {
-    let words = g.n().max(1) as u64;
-    let mut metrics = Metrics::new(g.m());
-    metrics.rounds = words + u64::from(tree.depth());
-    for &e in tree.tree_edges() {
-        metrics.add_messages(e, words);
-    }
-    (rng::derive(seed, 0x5a5a_0001), metrics)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,19 +256,6 @@ mod tests {
                 })
             ));
         }
-    }
-
-    #[test]
-    fn shared_randomness_pipelines_n_words_down_the_tree() {
-        let g = generators::gnp_connected(30, 0.15, 3);
-        let setup = setup_network(&g, 3).unwrap();
-        let (seed, cost) = shared_randomness(&g, &setup.tree, 3);
-        // n + depth rounds; n words on each of the n − 1 tree edges.
-        assert_eq!(cost.rounds, 30 + u64::from(setup.tree.depth()));
-        assert_eq!(cost.messages, 30 * 29);
-        // Every node derives the same seed from the same master seed.
-        assert_eq!(seed, shared_randomness(&g, &setup.tree, 3).0);
-        assert_ne!(seed, shared_randomness(&g, &setup.tree, 4).0);
     }
 
     /// Lemma 3.23's lockstep run against its batches run one by one, each

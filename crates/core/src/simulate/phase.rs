@@ -299,7 +299,16 @@ mod tests {
         assert!(batch.len() >= 9);
         let bfs: Vec<(NodeId, BfsMsg)> = batch
             .iter()
-            .map(|&(v, bfs, dist)| (v, BfsMsg { bfs, dist }))
+            .map(|&(v, bfs, dist)| {
+                (
+                    v,
+                    BfsMsg {
+                        bfs,
+                        dist,
+                        delay: bfs,
+                    },
+                )
+            })
             .collect();
         let weighted: Vec<(NodeId, WApspMsg)> = batch
             .iter()
