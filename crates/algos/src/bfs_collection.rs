@@ -153,9 +153,11 @@ struct Slot {
 }
 
 impl Slot {
-    /// The queue key of this slot as BFS `j`: its ideal round `delay + dist`.
-    fn key(&self, j: u32) -> (usize, u32) {
-        (self.delay as usize + self.dist as usize, j)
+    /// The queue key of this slot as BFS `j`: its ideal round `delay + dist`
+    /// (saturating: a delay off the wire may be anything, and a round past
+    /// `u32::MAX` is never reached either way).
+    fn key(&self, j: u32) -> (u32, u32) {
+        (self.delay.saturating_add(self.dist), j)
     }
 }
 
@@ -171,7 +173,7 @@ pub struct CollectionState {
     /// Pending broadcasts: (ideal round = delay + dist, bfs index).
     /// Invariant: slot `j`'s [`Slot::key`] is queued iff its `dist` is set and
     /// differs from its `sent_dist` (and is below the depth limit).
-    queue: BTreeSet<(usize, u32)>,
+    queue: BTreeSet<(u32, u32)>,
     /// Number of re-broadcasts caused by improvements after a send (statistics).
     pub rebroadcasts: u64,
 }
@@ -179,7 +181,7 @@ pub struct CollectionState {
 impl BfsCollection {
     /// Schedules BFS `j`'s broadcast of `slot`; a node at the depth limit does
     /// not forward.
-    fn enqueue(&self, queue: &mut BTreeSet<(usize, u32)>, j: u32, slot: &Slot) {
+    fn enqueue(&self, queue: &mut BTreeSet<(u32, u32)>, j: u32, slot: &Slot) {
         if slot.dist < self.depth_limit {
             queue.insert(slot.key(j));
         }
@@ -223,7 +225,7 @@ impl BcongestAlgorithm for BfsCollection {
     fn broadcast(&self, s: &CollectionState, round: usize) -> Option<BfsMsg> {
         let &(ready, j) = s.queue.first()?;
         let slot = &s.slots[j as usize];
-        (ready <= round).then_some(BfsMsg {
+        (ready as usize <= round).then_some(BfsMsg {
             bfs: j,
             dist: slot.dist,
             delay: slot.delay,
@@ -241,7 +243,8 @@ impl BcongestAlgorithm for BfsCollection {
 
     fn receive(&self, s: &mut CollectionState, _round: usize, msgs: &[(NodeId, BfsMsg)]) {
         // One pass, in whatever order the inbox arrives: the outcome is that of
-        // relaxing it in `(bfs, dist, sender)` order (DESIGN.md §3).
+        // relaxing it in `(bfs, dist, sender)` order (DESIGN.md §3), as every
+        // message of one BFS carries that BFS's one delay.
         s.calls = s.calls.wrapping_add(1);
         for &(from, m) in msgs {
             // Lanes come straight off the wire: a distance that would overflow
@@ -289,7 +292,7 @@ impl BcongestAlgorithm for BfsCollection {
     }
 
     fn next_activity(&self, s: &CollectionState, after: usize) -> Option<usize> {
-        s.queue.first().map(|&(ready, _)| after.max(ready))
+        s.queue.first().map(|&(ready, _)| after.max(ready as usize))
     }
 
     fn round_bound(&self, n: usize, _m: usize) -> usize {
@@ -610,11 +613,11 @@ mod tests {
             delay: lane,
         };
         algo.receive(&mut s, 0, &[(NodeId::new(2), m)]);
-        let key = (lane as usize + 2, 0);
+        let key = (lane + 2, 0);
         assert!(s.queue.contains(&key), "{:?}", s.queue);
-        assert!(!s.queue.contains(&(table as usize + 2, 0)));
+        assert!(!s.queue.contains(&(table + 2, 0)));
         // The receiver is BFS 1's source: its own delay is the table's.
-        let own = (algo.delays()[1], 1);
+        let own = (algo.delays()[1] as u32, 1);
         assert!(s.queue.contains(&own));
         let mut sent = Vec::new();
         while let Some(out) = algo.broadcast(&s, usize::MAX) {

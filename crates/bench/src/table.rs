@@ -38,12 +38,14 @@ impl Table {
         self.notes.push(s.into());
     }
 
-    /// Renders as a GitHub-flavoured markdown table.
+    /// Renders as a GitHub-flavoured markdown table, each column as wide in
+    /// chars as its widest cell (`{:<w$}` pads by chars, not bytes).
     pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
+        let chars = |c: &String| c.chars().count();
+        let mut widths: Vec<usize> = self.headers.iter().map(chars).collect();
         for row in &self.rows {
             for (w, c) in widths.iter_mut().zip(row) {
-                *w = (*w).max(c.len());
+                *w = (*w).max(chars(c));
             }
         }
         let mut out = String::new();
@@ -107,6 +109,21 @@ mod tests {
         assert!(s.contains("### T"));
         assert!(s.contains("| 1 | 2  |"));
         assert!(s.contains("> hello"));
+    }
+
+    #[test]
+    fn non_ascii_headers_render_every_line_at_one_width() {
+        let mut t = Table::new("T", &["ε", "⌈C/2⌉"]);
+        t.row(vec!["0.25".into(), "44498".into()]);
+        t.row(vec!["½".into(), "1".into()]);
+        let s = t.render();
+        let widths: Vec<usize> = s
+            .lines()
+            .filter(|l| l.starts_with('|'))
+            .map(|l| l.chars().count())
+            .collect();
+        assert_eq!(widths.len(), 4);
+        assert!(widths.iter().all(|&w| w == widths[0]), "{s}");
     }
 
     #[test]

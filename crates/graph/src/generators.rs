@@ -323,10 +323,18 @@ mod tests {
     use super::*;
     use crate::reference;
 
+    fn is_connected(g: &Graph) -> bool {
+        reference::connected_components(g).1 <= 1
+    }
+
+    fn max_degree(g: &Graph) -> usize {
+        g.nodes().map(|v| g.degree(v)).max().unwrap_or(0)
+    }
+
     #[test]
     fn sparse_connected_is_connected_sparse_and_shallow() {
         let g = sparse_connected(5000, 2500, 3);
-        assert!(reference::is_connected(&g));
+        assert!(is_connected(&g));
         assert!(g.m() >= 4999, "tree backbone survives dedup");
         assert!(g.m() <= 4999 + 2500);
         // The recursive-tree backbone keeps the graph low-diameter: BFS from
@@ -372,18 +380,18 @@ mod tests {
         for seed in 0..5 {
             let t = random_tree(20, seed);
             assert_eq!(t.m(), 19);
-            assert!(reference::is_connected(&t));
+            assert!(is_connected(&t));
         }
         let b = binary_tree(15);
         assert_eq!(b.m(), 14);
-        assert!(reference::is_connected(&b));
+        assert!(is_connected(&b));
     }
 
     #[test]
     fn gnp_connected_is_connected() {
         for seed in 0..5 {
             let g = gnp_connected(40, 0.05, seed);
-            assert!(reference::is_connected(&g));
+            assert!(is_connected(&g));
         }
     }
 
@@ -398,7 +406,7 @@ mod tests {
     fn barbell_shape() {
         let g = barbell(5, 3);
         assert_eq!(g.n(), 13);
-        assert!(reference::is_connected(&g));
+        assert!(is_connected(&g));
         // Diameter is path through the bridge: 1 + (3+1) + 1 = 6? ends of cliques:
         // clique-node -> k-1 (1 hop) -> 3 mid nodes + 1 -> right edge -> clique node.
         assert_eq!(reference::diameter(&g), Some(6));
@@ -408,7 +416,7 @@ mod tests {
     fn caveman_connected() {
         let g = caveman(4, 5);
         assert_eq!(g.n(), 20);
-        assert!(reference::is_connected(&g));
+        assert!(is_connected(&g));
     }
 
     #[test]
@@ -417,14 +425,14 @@ mod tests {
         assert!(reference::bipartition(&g).is_some());
         let gc = random_bipartite_connected(8, 6, 0.4, 3);
         assert!(reference::bipartition(&gc).is_some());
-        assert!(reference::is_connected(&gc));
+        assert!(is_connected(&gc));
     }
 
     #[test]
     fn regularish_degrees_bounded() {
         let g = random_regularish(30, 4, 1);
-        assert!(reference::is_connected(&g));
-        assert!(g.max_degree() <= 6);
+        assert!(is_connected(&g));
+        assert!(max_degree(&g) <= 6);
     }
 
     #[test]
@@ -432,9 +440,9 @@ mod tests {
         for &(n, attach) in &[(56usize, 2usize), (256, 3)] {
             let g = power_law(n, attach, 21);
             assert_eq!(g.n(), n);
-            assert!(reference::is_connected(&g));
+            assert!(is_connected(&g));
             // Heavy tail: the hubbiest node dominates the attachment floor.
-            assert!(g.max_degree() >= 3 * attach);
+            assert!(max_degree(&g) >= 3 * attach);
             assert_eq!(g, power_law(n, attach, 21), "seeded determinism");
         }
         assert_ne!(power_law(56, 2, 21), power_law(56, 2, 22));
@@ -446,7 +454,7 @@ mod tests {
         assert_eq!(g.n(), 4 * 7);
         // Clique edges + one edge per leaf.
         assert_eq!(g.m(), 4 * 3 / 2 + 4 * 6);
-        assert!(reference::is_connected(&g));
+        assert!(is_connected(&g));
         // Every hub carries its clique links plus its share of leaves.
         for h in 0..4 {
             assert_eq!(g.degree(crate::NodeId::new(h)), 3 + 6);
@@ -457,7 +465,7 @@ mod tests {
     #[test]
     fn sparse_bridge_connected() {
         let g = sparse_bridge(6, 4);
-        assert!(reference::is_connected(&g));
+        assert!(is_connected(&g));
         assert_eq!(g.n(), 16);
     }
 }

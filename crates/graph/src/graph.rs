@@ -191,11 +191,6 @@ impl Graph {
             .map(|(i, &(u, v))| (EdgeId::new(i), u, v))
     }
 
-    /// Maximum degree over all nodes.
-    pub fn max_degree(&self) -> usize {
-        self.nodes().map(|v| self.degree(v)).max().unwrap_or(0)
-    }
-
     /// Total input size of the graph in "words" as the simulations account it: each node's
     /// input is its incident edge list, so the total is `Σ_v (deg(v) + O(1)) = 2m + n`.
     pub fn input_words(&self) -> usize {
@@ -225,7 +220,6 @@ mod tests {
         for v in g.nodes() {
             assert_eq!(g.degree(v), 2);
         }
-        assert_eq!(g.max_degree(), 2);
         assert_eq!(g.input_words(), 2 * 3 + 3);
     }
 

@@ -119,11 +119,6 @@ pub fn connected_components(g: &Graph) -> (Vec<usize>, usize) {
     (comp, count)
 }
 
-/// Whether the graph is connected (the empty graph counts as connected).
-pub fn is_connected(g: &Graph) -> bool {
-    g.n() == 0 || connected_components(g).1 == 1
-}
-
 /// Eccentricity of `src` (max hop distance to a reachable node); `None` if some node is
 /// unreachable.
 pub fn eccentricity(g: &Graph, src: NodeId) -> Option<u32> {
@@ -468,7 +463,6 @@ mod tests {
     fn disconnected_diameter_none() {
         let g = Graph::from_edges(4, &[(0, 1)]);
         assert_eq!(diameter(&g), None);
-        assert!(!is_connected(&g));
         assert_eq!(connected_components(&g).1, 3);
     }
 

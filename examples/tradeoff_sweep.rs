@@ -33,6 +33,6 @@ fn main() {
         "\nevery row solved the same exact APSP instance; moving down the table trades\n\
          messages for rounds (paper: Õ(n^(2-ε)) rounds, Õ(n^(2+ε)) messages).\n\
          At laptop-scale n the middle regime carries visible additive polylog overheads\n\
-         (ensembles + per-batch shared randomness); the endpoints show the asymptotic gap."
+         (ensembles and landmarks); the endpoints show the asymptotic gap."
     );
 }
