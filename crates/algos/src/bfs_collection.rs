@@ -613,12 +613,11 @@ mod tests {
             delay: lane,
         };
         algo.receive(&mut s, 0, &[(NodeId::new(2), m)]);
-        let key = (lane + 2, 0);
-        assert!(s.queue.contains(&key), "{:?}", s.queue);
+        assert!(s.queue.contains(&(lane + 2, 0)), "{:?}", s.queue);
         assert!(!s.queue.contains(&(table + 2, 0)));
         // The receiver is BFS 1's source: its own delay is the table's.
-        let own = (algo.delays()[1] as u32, 1);
-        assert!(s.queue.contains(&own));
+        let own = algo.delays()[1] as u32;
+        assert!(s.queue.contains(&(own, 1)));
         let mut sent = Vec::new();
         while let Some(out) = algo.broadcast(&s, usize::MAX) {
             sent.push(out);
@@ -632,7 +631,7 @@ mod tests {
         assert!(sent.contains(&BfsMsg {
             bfs: 1,
             dist: 0,
-            delay: algo.delays()[1] as u32,
+            delay: own,
         }));
         assert_eq!(sent.len(), 2);
         assert!(algo.is_done(&s));
