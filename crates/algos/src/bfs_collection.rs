@@ -102,11 +102,6 @@ impl BfsCollection {
         &self.sources
     }
 
-    /// The per-instance start delays.
-    pub fn delays(&self) -> &[usize] {
-        &self.delays
-    }
-
     /// The shared depth limit.
     pub fn depth_limit(&self) -> u32 {
         self.depth_limit
@@ -262,10 +257,9 @@ impl BcongestAlgorithm for BfsCollection {
                 slot.delay = m.delay;
                 slot.parent = from.raw();
                 slot.lowered = s.calls;
-                // (Re-)schedule the broadcast unless this exact distance already went out.
-                if slot.sent_dist != cand {
-                    self.enqueue(&mut s.queue, m.bfs, slot);
-                }
+                // (Re-)schedule the broadcast: `sent_dist` is an earlier `dist` or
+                // `UNSET`, so `cand < dist <= sent_dist` has not gone out yet.
+                self.enqueue(&mut s.queue, m.bfs, slot);
             } else if cand == slot.dist && slot.lowered == s.calls && from.raw() < slot.parent {
                 // A tie inside the call that lowered the slot: the smaller sender
                 // would have come first in sorted order.
@@ -507,9 +501,7 @@ mod tests {
             slot.dist = cand;
             slot.delay = m.delay;
             slot.parent = from.raw();
-            if slot.sent_dist != cand {
-                algo.enqueue(&mut s.queue, m.bfs, slot);
-            }
+            algo.enqueue(&mut s.queue, m.bfs, slot);
         }
     }
 
@@ -604,7 +596,7 @@ mod tests {
     #[test]
     fn the_delay_travels_with_the_message() {
         let algo = BfsCollection::new(vec![NodeId::new(0), NodeId::new(7)]).with_random_delays(3);
-        let table = algo.delays()[0] as u32;
+        let table = algo.delays[0] as u32;
         let lane = table + 5;
         let mut s = algo.init(&receiver(&generators::complete(8)));
         let m = BfsMsg {
@@ -616,7 +608,7 @@ mod tests {
         assert!(s.queue.contains(&(lane + 2, 0)), "{:?}", s.queue);
         assert!(!s.queue.contains(&(table + 2, 0)));
         // The receiver is BFS 1's source: its own delay is the table's.
-        let own = algo.delays()[1] as u32;
+        let own = algo.delays[1] as u32;
         assert!(s.queue.contains(&(own, 1)));
         let mut sent = Vec::new();
         while let Some(out) = algo.broadcast(&s, usize::MAX) {
@@ -641,6 +633,6 @@ mod tests {
     fn delays_are_deterministic_per_seed() {
         let a = BfsCollection::new((0..10).map(NodeId::new).collect()).with_random_delays(3);
         let b = BfsCollection::new((0..10).map(NodeId::new).collect()).with_random_delays(3);
-        assert_eq!(a.delays(), b.delays());
+        assert_eq!(a.delays, b.delays);
     }
 }

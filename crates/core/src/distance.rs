@@ -10,8 +10,7 @@
 //! while the Theorem 1.1/1.2 matrices are exact everywhere.
 //!
 //! `congest-serve` builds its [`DistanceOracle`] over this trait, and the
-//! [`crate::verify`] checkers validate any source generically
-//! ([`crate::verify::check_distance_source_weighted`] and friends), so new
+//! [`crate::verify`] checkers validate through it generically, so new
 //! distance structures plug into serving and verification by implementing one
 //! trait.
 //!

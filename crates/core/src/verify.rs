@@ -1,11 +1,10 @@
 //! Verification oracles used by tests, examples and the experiment harness.
 //!
 //! Distance answers are checked **generically** through
-//! [`crate::distance::DistanceSource`] — [`check_distance_source_weighted`]
-//! validates any source (exact matrices, landmark sketches, serving oracles)
-//! against sequential all-pairs Dijkstra without pattern-matching concrete
-//! result structs, and a private twin does the same against all-pairs BFS;
-//! the matrix-shaped checkers below are thin adapters over the two.
+//! [`crate::distance::DistanceSource`]: two private checkers validate a source
+//! against sequential all-pairs Dijkstra and all-pairs BFS without
+//! pattern-matching concrete result structs, and the matrix-shaped checkers
+//! below are thin adapters over the two.
 
 use crate::distance::{Distance, DistanceSource, MatrixSource};
 use congest_graph::{reference, EdgeId, Graph, NodeId, WeightedGraph};
@@ -57,12 +56,9 @@ fn check_source(src: &dyn DistanceSource, want: &[Vec<Option<u64>>]) -> Result<(
     Ok(())
 }
 
-/// Checks a [`DistanceSource`] against sequential all-pairs Dijkstra.
-///
-/// # Errors
-///
-/// Returns the first violating `(source, target)` pair.
-pub fn check_distance_source_weighted(
+/// Checks a [`DistanceSource`] against sequential all-pairs Dijkstra; the
+/// first violating `(source, target)` pair is the error.
+fn check_distance_source_weighted(
     wg: &WeightedGraph,
     src: &dyn DistanceSource,
 ) -> Result<(), String> {

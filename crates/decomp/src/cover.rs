@@ -86,11 +86,6 @@ impl NeighborhoodCover {
         self.reps
     }
 
-    /// The per-repetition round window.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
     /// Per-node, per-rep start round (within the window) and tie fraction — pure.
     fn rep_params(&self, seed: u64, rep: usize) -> (usize, u32) {
         let mut r = rng::seeded(rng::derive(seed, 0xc0fe_0000 ^ rep as u64));

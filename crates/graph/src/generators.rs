@@ -74,9 +74,13 @@ pub fn binary_tree(n: usize) -> Graph {
 /// Uniform random labelled tree on `n` nodes (random Prüfer-like attachment: node `i`
 /// attaches to a uniform node in `0..i`).
 pub fn random_tree(n: usize, seed: u64) -> Graph {
+    Graph::from_edges(n, &random_tree_edges(n, seed))
+}
+
+/// The edge list of [`random_tree`].
+fn random_tree_edges(n: usize, seed: u64) -> Vec<(usize, usize)> {
     let mut r = seeded(derive(seed, 0x7265_6531));
-    let edges: Vec<(usize, usize)> = (1..n).map(|i| (i, r.random_range(0..i))).collect();
-    Graph::from_edges(n, &edges)
+    (1..n).map(|i| (i, r.random_range(0..i))).collect()
 }
 
 /// Sparse connected graph in `O(n + extra_edges)` time: a uniform random
@@ -102,6 +106,11 @@ pub fn sparse_connected(n: usize, extra_edges: usize, seed: u64) -> Graph {
 
 /// Erdős–Rényi `G(n, p)` (possibly disconnected).
 pub fn gnp(n: usize, p: f64, seed: u64) -> Graph {
+    Graph::from_edges(n, &gnp_edges(n, p, seed))
+}
+
+/// The edge list of [`gnp`].
+fn gnp_edges(n: usize, p: f64, seed: u64) -> Vec<(usize, usize)> {
     let mut r = seeded(derive(seed, 0x676e_7001));
     let mut edges = Vec::new();
     for u in 0..n {
@@ -111,18 +120,15 @@ pub fn gnp(n: usize, p: f64, seed: u64) -> Graph {
             }
         }
     }
-    Graph::from_edges(n, &edges)
+    edges
 }
 
 /// Connected Erdős–Rényi: `G(n, p)` unioned with a uniform random spanning tree, so the
 /// result is always connected but keeps G(n,p)'s degree/edge statistics for `p ≫ 1/n`.
 pub fn gnp_connected(n: usize, p: f64, seed: u64) -> Graph {
-    let mut b = GraphBuilder::new(n);
-    let gp = gnp(n, p, seed);
-    b.add_edges(gp.edges().map(|(_, u, v)| (u.index(), v.index())));
-    let tree = random_tree(n, derive(seed, 0x676e_7002));
-    b.add_edges(tree.edges().map(|(_, u, v)| (u.index(), v.index())));
-    b.build()
+    let mut edges = gnp_edges(n, p, seed);
+    edges.extend(random_tree_edges(n, derive(seed, 0x676e_7002)));
+    Graph::from_edges(n, &edges)
 }
 
 /// Barbell: two cliques `K_k` joined by a path of `path_len` extra nodes.
@@ -180,6 +186,11 @@ pub fn caveman(cliques: usize, size: usize) -> Graph {
 /// an edge with probability `p`. Isolated nodes are possible (matching algorithms must
 /// handle them).
 pub fn random_bipartite(nl: usize, nr: usize, p: f64, seed: u64) -> Graph {
+    Graph::from_edges(nl + nr, &random_bipartite_edges(nl, nr, p, seed))
+}
+
+/// The edge list of [`random_bipartite`].
+fn random_bipartite_edges(nl: usize, nr: usize, p: f64, seed: u64) -> Vec<(usize, usize)> {
     let mut r = seeded(derive(seed, 0x6269_7001));
     let mut edges = Vec::new();
     for u in 0..nl {
@@ -189,7 +200,7 @@ pub fn random_bipartite(nl: usize, nr: usize, p: f64, seed: u64) -> Graph {
             }
         }
     }
-    Graph::from_edges(nl + nr, &edges)
+    edges
 }
 
 /// Connected random bipartite graph: like [`random_bipartite`] but augmented with a
@@ -197,20 +208,18 @@ pub fn random_bipartite(nl: usize, nr: usize, p: f64, seed: u64) -> Graph {
 /// right `j` — left `j mod nl` chains) so it is connected.
 pub fn random_bipartite_connected(nl: usize, nr: usize, p: f64, seed: u64) -> Graph {
     assert!(nl >= 1 && nr >= 1);
-    let mut b = GraphBuilder::new(nl + nr);
-    let g = random_bipartite(nl, nr, p, seed);
-    b.add_edges(g.edges().map(|(_, u, v)| (u.index(), v.index())));
+    let mut edges = random_bipartite_edges(nl, nr, p, seed);
     // A bipartite double chain: L0-R0-L1-R1-… touches every node.
     let chain = nl.max(nr);
     for i in 0..chain {
         let l = i % nl;
         let rr = i % nr;
-        b.add_edge(l, nl + rr);
+        edges.push((l, nl + rr));
         if i + 1 < chain {
-            b.add_edge((i + 1) % nl, nl + rr);
+            edges.push(((i + 1) % nl, nl + rr));
         }
     }
-    b.build()
+    Graph::from_edges(nl + nr, &edges)
 }
 
 /// Random `d`-regular-ish graph via the configuration model (simple-graph rejection of
@@ -417,6 +426,32 @@ mod tests {
         let g = caveman(4, 5);
         assert_eq!(g.n(), 20);
         assert!(is_connected(&g));
+    }
+
+    /// The connected variants build one edge list, and get the graph they built before as
+    /// the union of a built `gnp` / `random_bipartite` graph and their extra edges.
+    #[test]
+    fn connected_variants_equal_their_unions() {
+        let edge_list = |g: &Graph| -> Vec<(usize, usize)> {
+            g.edges().map(|(_, u, v)| (u.index(), v.index())).collect()
+        };
+        for seed in 0..4 {
+            let mut b = GraphBuilder::new(40);
+            b.add_edges(edge_list(&gnp(40, 0.1, seed)));
+            b.add_edges(edge_list(&random_tree(40, derive(seed, 0x676e_7002))));
+            assert_eq!(gnp_connected(40, 0.1, seed), b.build());
+
+            let (nl, nr) = (9, 6);
+            let mut b = GraphBuilder::new(nl + nr);
+            b.add_edges(edge_list(&random_bipartite(nl, nr, 0.2, seed)));
+            for i in 0..nl {
+                b.add_edge(i, nl + i % nr);
+                if i + 1 < nl {
+                    b.add_edge(i + 1, nl + i % nr);
+                }
+            }
+            assert_eq!(random_bipartite_connected(nl, nr, 0.2, seed), b.build());
+        }
     }
 
     #[test]

@@ -36,73 +36,111 @@ pub struct Graph {
 impl Graph {
     /// Builds a graph with `n` nodes from an edge list given as `(u, v)` index pairs.
     ///
-    /// Duplicate edges (in either orientation) and self-loops are ignored.
+    /// Duplicate edges (in either orientation) and self-loops are ignored. Edge IDs number
+    /// the remaining edges in lexicographic order of their canonical `(min, max)` endpoints,
+    /// and every adjacency list comes out sorted by neighbor.
+    ///
+    /// The build is a counting sort: each edge is bucketed under its smaller endpoint,
+    /// each bucket is sorted and deduped in place, and the CSR rows are filled from the
+    /// resulting edge table. With `m` the length of `edges`, every pass is `O(n + m)`
+    /// except the bucket sorts, `O(d log d)` for a bucket of `d` entries and `O(d)` for one
+    /// that arrives in order, so `O(n + m log Δ)` at worst for maximum degree `Δ`.
     ///
     /// # Panics
     ///
-    /// Panics if an endpoint index is `>= n`.
+    /// Panics if an endpoint index is `>= n`, if `n` exceeds the `u32` node IDs, or if
+    /// `edges` has more entries than the `u32` edge IDs can number.
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
-        let mut canon: Vec<(usize, usize)> = edges
-            .iter()
-            .filter(|&&(u, v)| u != v)
-            .map(|&(u, v)| {
+        assert!(
+            u32::try_from(n).is_ok(),
+            "node count out of range: n={n} exceeds u32 node ids"
+        );
+        assert!(
+            u32::try_from(edges.len()).is_ok(),
+            "edge count out of range: {} entries exceed u32 edge ids",
+            edges.len()
+        );
+
+        // 1. Bucket each non-loop edge's larger endpoint under its smaller one: count into
+        //    `ends[u + 1]`, prefix-sum so `ends[u]` is bucket `u`'s start, then scatter with
+        //    `ends[u]` as the cursor, which leaves `ends[u]` at the bucket's end.
+        let mut ends = vec![0u32; n + 1];
+        for &(u, v) in edges {
+            if u != v {
                 assert!(
                     u < n && v < n,
                     "edge endpoint out of range: ({u},{v}) with n={n}"
                 );
-                if u < v {
-                    (u, v)
-                } else {
-                    (v, u)
+                ends[u.min(v) + 1] += 1;
+            }
+        }
+        let mut acc = 0;
+        for end in &mut ends {
+            acc += *end;
+            *end = acc;
+        }
+        let mut upper = vec![0u32; acc as usize];
+        for &(u, v) in edges {
+            if u != v {
+                let slot = &mut ends[u.min(v)];
+                upper[*slot as usize] = u.max(v) as u32;
+                *slot += 1;
+            }
+        }
+
+        // 2. Sort and dedup each bucket, compacting the column: `ends[u]` becomes the end of
+        //    bucket `u`'s distinct entries, so the column lists the edges in EdgeId order.
+        let mut m = 0;
+        let mut begin = 0;
+        for end in &mut ends[..n] {
+            let bucket = begin..*end as usize;
+            begin = bucket.end;
+            upper[bucket.clone()].sort_unstable();
+            let row = m;
+            for j in bucket {
+                if m == row || upper[m - 1] != upper[j] {
+                    upper[m] = upper[j];
+                    m += 1;
                 }
-            })
-            .collect();
-        canon.sort_unstable();
-        canon.dedup();
-
-        let edges: Vec<(NodeId, NodeId)> = canon
-            .iter()
-            .map(|&(u, v)| (NodeId::new(u), NodeId::new(v)))
-            .collect();
-
-        let mut deg = vec![0usize; n];
-        for &(u, v) in &canon {
-            deg[u] += 1;
-            deg[v] += 1;
+            }
+            *end = m as u32;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for d in &deg {
-            acc += d;
-            offsets.push(acc);
+
+        // The edge table, and each node's degree counted into `offsets[v]`.
+        let mut offsets = vec![0usize; n + 1];
+        let mut table = Vec::with_capacity(m);
+        let mut begin = 0;
+        for (u, &end) in ends[..n].iter().enumerate() {
+            for &w in &upper[begin..end as usize] {
+                offsets[u] += 1;
+                offsets[w as usize] += 1;
+                table.push((NodeId::new(u), NodeId::from(w)));
+            }
+            begin = end as usize;
         }
-        let mut cursor = offsets.clone();
-        let mut adj = vec![NodeId::default(); acc];
-        let mut adj_edge = vec![EdgeId::default(); acc];
-        for (i, &(u, v)) in canon.iter().enumerate() {
+        // Free the scratch before the CSR arrays exist, so the peak is the output's size.
+        drop((ends, upper));
+
+        // 3. Fill the rows back to front. Walking the table from the last EdgeId down,
+        //    a node `v` meets its upper neighbors (bucket `v`) in descending order before any
+        //    lower one (buckets below `v`), also descending; so writing each at its row's
+        //    cursor, which starts at the row's end and steps down, leaves every row sorted:
+        //    lower neighbors, then upper ones. Each cursor ends at its row's start.
+        let mut total = 0;
+        for slot in &mut offsets[..n] {
+            total += *slot;
+            *slot = total;
+        }
+        offsets[n] = total;
+        let mut adj = vec![NodeId::default(); total];
+        let mut adj_edge = vec![EdgeId::default(); total];
+        for (i, &(u, w)) in table.iter().enumerate().rev() {
             let e = EdgeId::new(i);
-            adj[cursor[u]] = NodeId::new(v);
-            adj_edge[cursor[u]] = e;
-            cursor[u] += 1;
-            adj[cursor[v]] = NodeId::new(u);
-            adj_edge[cursor[v]] = e;
-            cursor[v] += 1;
-        }
-        // Canonical edges are sorted by (u, v), so each node's adjacency built this way is
-        // already sorted by neighbor for the `u`-side entries but interleaved for the
-        // `v`-side; sort each list to enable binary search.
-        for v in 0..n {
-            let range = offsets[v]..offsets[v + 1];
-            let mut pairs: Vec<(NodeId, EdgeId)> = adj[range.clone()]
-                .iter()
-                .copied()
-                .zip(adj_edge[range.clone()].iter().copied())
-                .collect();
-            pairs.sort_unstable_by_key(|&(nb, _)| nb);
-            for (k, (nb, e)) in pairs.into_iter().enumerate() {
-                adj[offsets[v] + k] = nb;
-                adj_edge[offsets[v] + k] = e;
+            for (v, nb) in [(u, w), (w, u)] {
+                let cursor = &mut offsets[v.index()];
+                *cursor -= 1;
+                adj[*cursor] = nb;
+                adj_edge[*cursor] = e;
             }
         }
 
@@ -111,7 +149,7 @@ impl Graph {
             offsets,
             adj,
             adj_edge,
-            edges,
+            edges: table,
         }
     }
 
@@ -278,5 +316,11 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_panics() {
         let _ = Graph::from_edges(2, &[(0, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "node count out of range")]
+    fn node_count_beyond_u32_ids_panics() {
+        let _ = Graph::from_edges(u32::MAX as usize + 1, &[]);
     }
 }

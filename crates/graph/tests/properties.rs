@@ -3,6 +3,95 @@
 use congest_graph::{generators, reference, Graph, NodeId, WeightedGraph};
 use proptest::prelude::*;
 
+/// The four CSR arrays `Graph: PartialEq` compares (`offsets`, `adj`, `adj_edge`,
+/// `edges`), as plain indices. `Graph`'s fields are private, so the reference below
+/// returns these and `csr_parts` reads them back through the public accessors.
+type CsrParts = (Vec<usize>, Vec<usize>, Vec<usize>, Vec<(usize, usize)>);
+
+fn csr_parts(g: &Graph) -> CsrParts {
+    let mut offsets = vec![0];
+    let (mut adj, mut adj_edge) = (Vec::new(), Vec::new());
+    for v in g.nodes() {
+        adj.extend(g.neighbors(v).iter().map(|u| u.index()));
+        adj_edge.extend(g.incident_edges(v).iter().map(|e| e.index()));
+        offsets.push(adj.len());
+    }
+    let edges = g.edges().map(|(_, u, v)| (u.index(), v.index())).collect();
+    (offsets, adj, adj_edge, edges)
+}
+
+/// The sort-based construction `Graph::from_edges` used before its counting build:
+/// canonicalize and comparison-sort the whole edge list, dedup it, fill the CSR arrays in
+/// EdgeId order, then sort every adjacency list through a scratch `Vec`.
+fn sort_based_csr(n: usize, edges: &[(usize, usize)]) -> CsrParts {
+    let mut canon: Vec<(usize, usize)> = edges
+        .iter()
+        .filter(|&&(u, v)| u != v)
+        .map(|&(u, v)| (u.min(v), u.max(v)))
+        .collect();
+    canon.sort_unstable();
+    canon.dedup();
+
+    let mut deg = vec![0usize; n];
+    for &(u, v) in &canon {
+        deg[u] += 1;
+        deg[v] += 1;
+    }
+    let mut offsets = vec![0];
+    for d in &deg {
+        offsets.push(offsets.last().unwrap() + d);
+    }
+    let mut cursor = offsets.clone();
+    let mut adj = vec![0; offsets[n]];
+    let mut adj_edge = vec![0; offsets[n]];
+    for (e, &(u, v)) in canon.iter().enumerate() {
+        for (a, b) in [(u, v), (v, u)] {
+            adj[cursor[a]] = b;
+            adj_edge[cursor[a]] = e;
+            cursor[a] += 1;
+        }
+    }
+    for v in 0..n {
+        let range = offsets[v]..offsets[v + 1];
+        let mut pairs: Vec<(usize, usize)> = adj[range.clone()]
+            .iter()
+            .copied()
+            .zip(adj_edge[range.clone()].iter().copied())
+            .collect();
+        pairs.sort_unstable_by_key(|&(nb, _)| nb);
+        for (k, (nb, e)) in pairs.into_iter().enumerate() {
+            adj[offsets[v] + k] = nb;
+            adj_edge[offsets[v] + k] = e;
+        }
+    }
+    (offsets, adj, adj_edge, canon)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The counting build equals the sort-based one on every array, for lists full of
+    /// self-loops (`raw` endpoints reduced mod a small `n` collide often), duplicates and
+    /// both orientations (the first `flipped` pairs are appended again reversed).
+    #[test]
+    fn from_edges_matches_the_sort_based_build(
+        n in 0usize..=64,
+        raw in prop::collection::vec((0usize..64, 0usize..64), 0..=256),
+        flipped in 0usize..=256,
+    ) {
+        let mut edges: Vec<(usize, usize)> = if n == 0 {
+            Vec::new()
+        } else {
+            raw.iter().map(|&(u, v)| (u % n, v % n)).collect()
+        };
+        let again: Vec<(usize, usize)> =
+            edges.iter().take(flipped).map(|&(u, v)| (v, u)).collect();
+        edges.extend(again);
+        let g = Graph::from_edges(n, &edges);
+        prop_assert_eq!(csr_parts(&g), sort_based_csr(n, &edges));
+    }
+}
+
 fn arb_edges(n: usize) -> impl Strategy<Value = Vec<(usize, usize)>> {
     prop::collection::vec((0..n, 0..n), 0..(n * 2))
 }

@@ -8,10 +8,12 @@
 #   scripts/surface.sh -v   ... and the functions behind the middle two and the twins
 #
 # Every `pub fn` line under crates/*/src is one function. Its name is searched
-# as a whole word in every tracked .rs file outside vendor/, skipping the
-# defining file and, in every lib.rs, the lines that only re-export or
-# comment: a `use` statement (through its `;`) and a `//` comment line. The
-# rest of a lib.rs is code like any other file's. A function is
+# as a whole word in every tracked .rs file outside vendor/, in each line's
+# code only: a line is comment from its first `//` on, whole-line, trailing or
+# doc comment (a `//` inside a string literal cuts it there too), and a name
+# seen only there is no reference. The search skips the defining file and, in
+# every lib.rs, the lines that only re-export: a `use` statement (through its
+# `;`). The rest of a lib.rs is code like any other file's. A function is
 # *unreferenced* when that search finds nothing. It has *no non-test caller*
 # when every match is test code and its own file's non-test lines do not name
 # it either. Test code is a file under a tests/ directory, or a line at or
@@ -48,8 +50,7 @@ while IFS=: read -r file line _; do
     [[ -n "${first_test[$file]:-}" ]] || first_test[$file]=$line
 done < <(grep -H -n -F '#[cfg(test)]' "${rust_files[@]}" || true)
 
-# Every lib.rs line that is part of a `use` statement or a `//` comment, as
-# `file:line` keys.
+# Every lib.rs line that is part of a `use` statement, as `file:line` keys.
 declare -A reexport=()
 for file in "${rust_files[@]}"; do
     [[ $file == lib.rs || $file == */lib.rs ]] || continue
@@ -59,10 +60,14 @@ for file in "${rust_files[@]}"; do
         in_use || /^[[:space:]]*(pub(\([a-z]+\))? )?use / {
             print NR
             in_use = !/;/
-            next
-        }
-        /^[[:space:]]*\/\// { print NR }' "$file")
+        }' "$file")
 done
+
+# names_in_code NAME TEXT: whether NAME is a whole word of TEXT before its
+# first `//`.
+names_in_code() {
+    [[ ${2%%//*} =~ (^|[^A-Za-z0-9_])$1([^A-Za-z0-9_]|$) ]]
+}
 
 # is_test FILE LINE: whether line LINE of FILE is test code.
 is_test() {
@@ -92,8 +97,9 @@ while IFS=: read -r file line text; do
     pub_fn_at[$name]="$file:$line"
     referenced=false
     called=false
-    while IFS=: read -r ref_file ref_line _; do
+    while IFS=: read -r ref_file ref_line ref_text; do
         [[ $ref_file == "$file" || -n "${reexport[$ref_file:$ref_line]:-}" ]] && continue
+        names_in_code "$name" "$ref_text" || continue
         referenced=true
         if ! is_test "$ref_file" "$ref_line"; then
             called=true
@@ -101,7 +107,8 @@ while IFS=: read -r file line text; do
         fi
     done < <(git grep -n -w -e "$name" -- '*.rs' ':!vendor' || true)
     if ! $called; then
-        while IFS=: read -r own_line _; do
+        while IFS=: read -r own_line own_text; do
+            names_in_code "$name" "$own_text" || continue
             if ((own_line != line)) && ! is_test "$file" "$own_line"; then
                 called=true
                 break
