@@ -26,6 +26,7 @@ pub mod matching_bipartite;
 pub mod matching_maximal;
 pub mod mis;
 pub mod mst;
+mod send_queue;
 
 /// The driver of the four "the one-pass `receive` is the sorted one, for any
 /// inbox order" proptests ([`bfs_collection`], [`apsp_weighted`], [`leader`],

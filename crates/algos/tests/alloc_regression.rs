@@ -1,10 +1,11 @@
 //! Allocation regression guard for the min-relaxation payloads: `receive`
 //! relaxes an inbox in one pass over packed per-instance slots, so a call that
-//! lowers nothing allocates nothing (a call that lowers something pays only the
-//! send queue's node), and a node's instances are one allocation. Before PR 21
-//! every call copied its inbox into a `Vec<&_>` and sorted it, and a node's
-//! state was three parallel vectors; one stray `collect()` in `receive` brings
-//! that back on every node of every round, and no message count can see it.
+//! lowers nothing allocates nothing (a call that lowers something at most grows
+//! the send queue's one buffer), and a node's instances are one allocation per
+//! column, whatever their number. Before PR 21 every call copied its inbox into
+//! a `Vec<&_>` and sorted it, and a node's state was three parallel vectors;
+//! one stray `collect()` in `receive` brings that back on every node of every
+//! round, and no message count can see it.
 //!
 //! Like the engine's and core's `alloc_regression`, this is its own
 //! integration-test binary with exactly one `#[test]`: the counting
@@ -101,6 +102,20 @@ fn relaxations_allocate_what_they_lower() {
     second_delivery_allocates_nothing(&collection, &mut state, &inbox);
 
     let weighted = WeightedApsp::new(6);
+    let init_allocs = |wg: &WeightedGraph| {
+        let view = LocalView::new(wg.graph(), Some(wg.weights()), receiver, 1);
+        allocs_of(|| weighted.init(&view)).0
+    };
+    let large = generators::gnp_connected(1024, 8.0 / 1024.0, 3);
+    let large = WeightedGraph::random_weights(&large, 1..=6, 3);
+    for wg in [&wg, &large] {
+        assert_eq!(
+            init_allocs(wg),
+            4,
+            "n = {}: the weights, the dist column, the cold slots and the queue's first key",
+            wg.graph().n()
+        );
+    }
     let view = LocalView::new(&g, Some(wg.weights()), receiver, 1);
     let mut state = weighted.init(&view);
     let inbox: Vec<(NodeId, WApspMsg)> = batch
