@@ -9,9 +9,9 @@
 //! workload registry runs this at every thread count.
 //!
 //! Inbox *order* is not this probe's to check. The order the message plane
-//! delivers in (ascending senders, at every thread count) is pinned by the
-//! plane's `flat_matches_the_push_loop_at_every_thread_count` test and by the
-//! engine `properties` tests that run the round loop against a full scan.
+//! delivers in (ascending senders) is pinned by the plane's
+//! `flat_matches_the_push_loop` proptest and by the engine `properties` tests
+//! that run the round loop against a full scan.
 //!
 //! Unlike the other broadcast algorithms, gossip has a closed-form local
 //! oracle: [`expected_gossip`] adds up what each node hears without running

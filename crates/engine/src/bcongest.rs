@@ -40,8 +40,8 @@ use congest_graph::{Graph, NodeId};
 ///   further input* (rounds nobody is scheduled for are skipped, but still counted).
 pub trait BcongestAlgorithm: Sync {
     /// Per-node state. `Send + Sync` here, on [`Msg`](Self::Msg) and on the
-    /// algorithm itself because the per-node phases may run on worker threads
-    /// ([`RunOptions::exec`]).
+    /// algorithm itself because state init and the broadcast poll may run on
+    /// worker threads ([`RunOptions::exec`]).
     type State: Clone + std::fmt::Debug + Send + Sync;
     /// The broadcast message type; must fit in one word (one `O(log n)`-bit
     /// message). The round buffer ([`crate::plane`]) stores it as a value;
@@ -147,9 +147,10 @@ pub trait AggregationAlgorithm: BcongestAlgorithm {
 pub struct RunOptions {
     /// Master seed; per-node seeds are derived from it.
     pub seed: u64,
-    /// How the per-node phases execute. Outputs and [`Metrics`] are
-    /// byte-identical at every thread count; `threads = 1` (the default) is the
-    /// sequential path.
+    /// How state init and the per-round broadcast poll execute; delivery and
+    /// the receive phase always run on the caller's thread. Outputs and
+    /// [`Metrics`] are byte-identical at every thread count; `threads = 1`
+    /// (the default) is the sequential path.
     pub exec: ExecutorConfig,
     /// Optional fault-injection schedule (see [`crate::faults`]). `None`
     /// (the default) runs fault-free. Faulty runs stay byte-identical at
@@ -183,15 +184,14 @@ pub fn run_bcongest<A: BcongestAlgorithm>(
     weights: Option<&[u64]>,
     opts: &RunOptions,
 ) -> Result<BcongestRun<A::Output>, EngineError> {
-    let mut plane = OverPlane::new(g, &opts.exec);
+    let mut plane = OverPlane::new(g);
     run_on(algo, g, weights, opts, &mut plane, None)
 }
 
 /// Like [`run_bcongest`], but invokes `observe(node, round, inbox)` for every non-empty
 /// inbox — used by the Theorem 1.4 experiments to count distinct BFS sources per
-/// node-round. Observers see inboxes in node order: the receive phase runs
-/// sequentially when one is attached (the other phases still honor
-/// [`RunOptions::exec`]).
+/// node-round. Observers see inboxes in node order, each just before its node
+/// receives it.
 pub fn run_bcongest_observed<A, F>(
     algo: &A,
     g: &Graph,
@@ -203,7 +203,7 @@ where
     A: BcongestAlgorithm,
     F: FnMut(NodeId, usize, &[(NodeId, A::Msg)]),
 {
-    let mut plane = OverPlane::new(g, &opts.exec);
+    let mut plane = OverPlane::new(g);
     run_on(algo, g, weights, opts, &mut plane, Some(&mut observe))
 }
 

@@ -1,17 +1,17 @@
 //! Deterministic chunked-parallel execution of per-node phases.
 //!
-//! Each round the BCONGEST round loop polls the nodes its agenda scheduled
-//! (`agenda.rs`: the nodes that might send, not every node) and steps the
-//! nodes that received, and the expensive parts of a round — the pure
-//! [`broadcast`](crate::BcongestAlgorithm::broadcast) polls and the per-node
-//! [`receive`](crate::BcongestAlgorithm::receive) transitions — are
-//! embarrassingly parallel: node `i`'s contribution depends only on node `i`'s
-//! state. This module shards an ascending node list or range into **contiguous
-//! chunks**, runs the chunks on a cached thread pool (the vendored `rayon`
-//! shim), and merges per-chunk results **in fixed chunk order**, so every
-//! quantity the engine reports — outputs, rounds, message counts, per-edge
-//! congestion — is byte-identical at any thread count. The
-//! `tests/parallel_determinism.rs` suite enforces this.
+//! Two phases of the BCONGEST round loop run here: state init, once per run,
+//! and each round's pure [`broadcast`](crate::BcongestAlgorithm::broadcast)
+//! polls of the nodes the agenda scheduled (`agenda.rs`: the nodes that might
+//! send, not every node). Both are embarrassingly parallel: node `i`'s
+//! contribution depends only on node `i`'s state. Delivery and the
+//! [`receive`](crate::BcongestAlgorithm::receive) transitions run on the
+//! caller's thread ([`crate::plane`]). This module shards an ascending node
+//! list or range into **contiguous chunks**, runs the chunks on a cached
+//! thread pool (the vendored `rayon` shim), and merges per-chunk results **in
+//! fixed chunk order**, so every quantity the engine reports — outputs,
+//! rounds, message counts, per-edge congestion — is byte-identical at any
+//! thread count. The `tests/parallel_determinism.rs` suite enforces this.
 //!
 //! [`ExecutorConfig::threads`] is the only execution setting. At `threads = 1`
 //! (the default) the pool is bypassed entirely: the chunk helpers degenerate
@@ -48,9 +48,9 @@ impl ExecutorConfig {
     }
 
     /// The resolved worker count (`0` resolved to the hardware thread count,
-    /// queried once per process — the runners ask every round, and
+    /// queried once per process — the round loop asks every round, and
     /// `available_parallelism` is a syscall).
-    pub fn effective_threads(&self) -> usize {
+    fn effective_threads(&self) -> usize {
         if self.threads == 0 {
             static HARDWARE: OnceLock<usize> = OnceLock::new();
             *HARDWARE.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
@@ -61,17 +61,14 @@ impl ExecutorConfig {
 }
 
 /// Contiguous chunk size for `len` items over `threads` workers: one chunk
-/// per worker. `pub(crate)`: the flat plane ([`crate::plane`]) partitions its
-/// staging arenas with the same boundaries.
-pub(crate) fn chunk_size_for(len: usize, threads: usize) -> usize {
+/// per worker.
+fn chunk_size_for(len: usize, threads: usize) -> usize {
     len.div_ceil(threads).max(1)
 }
 
 /// Cached pools, one per distinct thread count. Runs share pools across rounds
 /// and calls, so the per-round cost is job dispatch, not thread spawning.
-/// `pub(crate)`: the flat plane ([`crate::plane`]) runs its staging and
-/// receive tasks on the same pools.
-pub(crate) fn pool_for(threads: usize) -> Arc<ThreadPool> {
+fn pool_for(threads: usize) -> Arc<ThreadPool> {
     static POOLS: OnceLock<Mutex<HashMap<usize, Arc<ThreadPool>>>> = OnceLock::new();
     let pools = POOLS.get_or_init(|| Mutex::new(HashMap::new()));
     let mut pools = pools.lock().expect("pool cache poisoned");

@@ -22,11 +22,13 @@
 //!   [`tree_pass`], the closed-form charge of a one-word convergecast or
 //!   broadcast;
 //! * [`ExecutorConfig`] — deterministic chunked-parallel execution of the round
-//!   loop's per-node phases (crate-private `exec.rs`); `threads` is the only setting
-//!   (outputs and metrics are byte-identical at every thread count);
+//!   loop's state init and broadcast poll (crate-private `exec.rs`); `threads` is
+//!   the only setting (outputs and metrics are byte-identical at every thread count);
 //! * [`plane`] / [`FlatPlane`] — the round buffer the direct runner delivers through:
-//!   typed message arenas scattered by a stable counting sort over the round's
-//!   receivers only, allocation-free in steady state;
+//!   two passes over the broadcasters' edges count each receiver's messages, then
+//!   write every copy once, in sender order, straight into its receiver's slice of
+//!   one flat inbox; a round touches its receivers only and is allocation-free in
+//!   steady state;
 //! * the agenda (`agenda.rs`, crate-private) — the event-driven schedule of
 //!   that loop: a hot set plus a timer heap fed by `next_activity`, so a
 //!   round polls the nodes that might send and costs `O(polled + received +

@@ -14,13 +14,15 @@
 //!
 //! The loop is event-driven: the agenda (`agenda.rs`) names the nodes to poll
 //! each round and the delivery the nodes that received, so a round costs what
-//! it sends, not `Θ(n)`. Every phase shards its ascending node list into
-//! contiguous chunks via [`exec`] and merges per-chunk results in fixed node
-//! order, so outputs and metrics are byte-identical at every thread count.
+//! it sends, not `Θ(n)`. State init and the broadcast poll shard their
+//! ascending node list into contiguous chunks via [`exec`] and merge
+//! per-chunk results in fixed node order; delivery and the receive phase run
+//! on the caller's thread in node order. So outputs and metrics are
+//! byte-identical at every thread count.
 
 use crate::agenda::Agenda;
 use crate::error::EngineError;
-use crate::exec::{self, ExecutorConfig};
+use crate::exec;
 use crate::faults::{FaultEvent, FaultResponse, FaultState, SurvivorMask};
 use crate::metrics::Metrics;
 use crate::plane::FlatPlane;
@@ -50,35 +52,23 @@ pub(crate) trait Delivery<A: BcongestAlgorithm> {
 
     /// Applies `f(node, state, inbox)` to every receiver, in node order, and
     /// empties the inboxes. Returns whether any node received.
-    fn receive_in_order(
+    fn receive(
         &mut self,
         states: &mut [A::State],
         f: impl FnMut(usize, &mut A::State, &[(NodeId, A::Msg)]),
     ) -> bool;
-
-    /// [`receive_in_order`](Self::receive_in_order) without the order
-    /// promise, so an implementation may shard the receivers over threads.
-    fn receive(
-        &mut self,
-        states: &mut [A::State],
-        f: impl Fn(&mut A::State, &[(NodeId, A::Msg)]) + Sync,
-    ) -> bool {
-        self.receive_in_order(states, |_, st, inbox| f(st, inbox))
-    }
 }
 
 /// Delivery over the graph's own edges, through the flat message plane.
 pub(crate) struct OverPlane<'a, Msg: WireEncode> {
     g: &'a Graph,
-    cfg: &'a ExecutorConfig,
     plane: FlatPlane<Msg>,
 }
 
-impl<'a, Msg: WireEncode + Send + Sync> OverPlane<'a, Msg> {
-    pub(crate) fn new(g: &'a Graph, cfg: &'a ExecutorConfig) -> Self {
+impl<'a, Msg: WireEncode> OverPlane<'a, Msg> {
+    pub(crate) fn new(g: &'a Graph) -> Self {
         Self {
             g,
-            cfg,
             plane: FlatPlane::new(g.n()),
         }
     }
@@ -86,9 +76,9 @@ impl<'a, Msg: WireEncode + Send + Sync> OverPlane<'a, Msg> {
 
 impl<A: BcongestAlgorithm> Delivery<A> for OverPlane<'_, A::Msg> {
     /// A broadcast crosses every incident edge, and each inbox receives its
-    /// messages in sender order at every thread count. Messages over down
-    /// edges or to crashed receivers are dropped by the plane, at the single
-    /// expansion point — never delivered, never charged, only counted.
+    /// messages in sender order. Messages over down edges or to crashed
+    /// receivers are dropped by the plane, at the single expansion point —
+    /// never delivered, never charged, only counted.
     fn deliver(
         &mut self,
         _round: usize,
@@ -96,7 +86,7 @@ impl<A: BcongestAlgorithm> Delivery<A> for OverPlane<'_, A::Msg> {
         mask: Option<&SurvivorMask>,
         metrics: &mut Metrics,
     ) -> Result<(), EngineError> {
-        self.plane.deliver(self.cfg, self.g, senders, mask, metrics);
+        self.plane.deliver(self.g, senders, mask, metrics);
         Ok(())
     }
 
@@ -104,20 +94,12 @@ impl<A: BcongestAlgorithm> Delivery<A> for OverPlane<'_, A::Msg> {
         self.plane.receivers()
     }
 
-    fn receive_in_order(
+    fn receive(
         &mut self,
         states: &mut [A::State],
         f: impl FnMut(usize, &mut A::State, &[(NodeId, A::Msg)]),
     ) -> bool {
-        self.plane.receive_each_seq(states, f)
-    }
-
-    fn receive(
-        &mut self,
-        states: &mut [A::State],
-        f: impl Fn(&mut A::State, &[(NodeId, A::Msg)]) + Sync,
-    ) -> bool {
-        self.plane.receive(self.cfg, states, f)
+        self.plane.receive(states, f)
     }
 }
 
@@ -164,7 +146,7 @@ where
         &self.receivers
     }
 
-    fn receive_in_order(
+    fn receive(
         &mut self,
         states: &mut [A::State],
         mut f: impl FnMut(usize, &mut A::State, &[(NodeId, A::Msg)]),
@@ -289,19 +271,17 @@ pub(crate) fn run<A: BcongestAlgorithm, D: Delivery<A>>(
         }
         metrics.broadcasts += senders.len() as u64;
 
-        // 2. Deliver, then 3. receive: per-node state transitions, sharded
-        //    with their inboxes. With an observer attached the phase stays
-        //    sequential so the callback sees inboxes in node order.
+        // 2. Deliver, then 3. receive: per-node state transitions in node
+        //    order, each inbox shown to the observer first when one is
+        //    attached.
         let mask = fault_rt.as_ref().map(|fs| &fs.mask);
         delivery.deliver(round, &senders, mask, &mut metrics)?;
-        let any_received = if let Some(obs) = observer.as_mut() {
-            delivery.receive_in_order(&mut states, |i, st, inbox| {
+        let any_received = delivery.receive(&mut states, |i, st, inbox| {
+            if let Some(obs) = observer.as_mut() {
                 obs(NodeId::new(i), round, inbox);
-                algo.receive(st, round, inbox);
-            })
-        } else {
-            delivery.receive(&mut states, |st, inbox| algo.receive(st, round, inbox))
-        };
+            }
+            algo.receive(st, round, inbox);
+        });
 
         // 4. Reschedule every node something happened to: one
         //    `next_activity` question each. Crashed nodes claim no activity

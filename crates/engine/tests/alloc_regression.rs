@@ -1,8 +1,9 @@
 //! Allocation regression guard for the round path: once warm, a steady-state
 //! deliver/receive round of the flat message plane performs **zero heap
-//! allocations** — every arena, count and cursor table, the receiver list and
-//! the grow-only inbox are reused — whether the round is
-//! dense, sparse, or dense again after a sparse one; and a whole
+//! allocations** — the count and cursor tables, the receiver list and the
+//! grow-only inbox are reused — whether the round is
+//! dense, sparse, or dense again after a sparse one; a round that outgrows a
+//! warm plane grows the inbox and the receiver list and nothing else; and a whole
 //! `run_bcongest` round adds none on top: the agenda's poll list, timer heap
 //! and `due` table and the runner's sender buffer are reused the same way.
 //! The routing workspace keeps the same promise one level up: a warm
@@ -28,8 +29,8 @@
 //! harness threads are quiescent (this binary has exactly one `#[test]`).
 
 use congest_engine::{
-    downcast, route_casts, run_bcongest, upcast, BcongestAlgorithm, Cast, ExecutorConfig,
-    FlatPlane, Forest, LocalView, Metrics, Router, RunOptions,
+    downcast, route_casts, run_bcongest, upcast, BcongestAlgorithm, Cast, FlatPlane, Forest,
+    LocalView, Metrics, Router, RunOptions,
 };
 use congest_graph::{generators, reference, EdgeId, Graph, NodeId};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -66,6 +67,7 @@ fn allocs() -> u64 {
 #[test]
 fn steady_state_rounds_allocate_nothing() {
     flat_rounds_allocate_nothing();
+    outgrowing_round_grows_only_the_inbox_and_receivers();
     runner_rounds_allocate_nothing();
     warm_tree_casts_allocate_only_what_they_return();
     warm_phases_allocate_only_what_they_return();
@@ -73,7 +75,6 @@ fn steady_state_rounds_allocate_nothing() {
 
 fn flat_rounds_allocate_nothing() {
     let g = generators::gnp_connected(200, 0.05, 11);
-    let cfg = ExecutorConfig::default();
     let mut plane: FlatPlane<(u32, u32)> = FlatPlane::new(g.n());
     let mut metrics = Metrics::new(g.m());
     let mut states: Vec<u64> = vec![0; g.n()];
@@ -81,7 +82,7 @@ fn flat_rounds_allocate_nothing() {
     // Identical traffic every round: every node broadcasts a two-lane payload
     // to all neighbors, so round 2+ exercises exactly the buffers round 1 sized.
     let senders: Vec<(NodeId, (u32, u32))> = g.nodes().map(|v| (v, (v.raw(), 7))).collect();
-    let receive = |st: &mut u64, inbox: &[(NodeId, (u32, u32))]| {
+    let receive = |_: usize, st: &mut u64, inbox: &[(NodeId, (u32, u32))]| {
         for (from, (a, b)) in inbox {
             *st = st
                 .wrapping_add(u64::from(from.raw()))
@@ -90,16 +91,17 @@ fn flat_rounds_allocate_nothing() {
         }
     };
 
-    // Warm-up: grows every arena to its steady-state capacity.
+    // Warm-up: grows the inbox and the receiver list to their steady-state
+    // capacity.
     for _ in 0..3 {
-        plane.deliver(&cfg, &g, &senders, None, &mut metrics);
-        assert!(plane.receive(&cfg, &mut states, receive));
+        plane.deliver(&g, &senders, None, &mut metrics);
+        assert!(plane.receive(&mut states, receive));
     }
 
     let before = allocs();
     for _ in 0..5 {
-        plane.deliver(&cfg, &g, &senders, None, &mut metrics);
-        assert!(plane.receive(&cfg, &mut states, receive));
+        plane.deliver(&g, &senders, None, &mut metrics);
+        assert!(plane.receive(&mut states, receive));
     }
     assert_eq!(
         allocs() - before,
@@ -119,9 +121,9 @@ fn flat_rounds_allocate_nothing() {
     addressed.dedup();
     let before = allocs();
     for _ in 0..5 {
-        plane.deliver(&cfg, &g, &pair, None, &mut metrics);
+        plane.deliver(&g, &pair, None, &mut metrics);
         assert_eq!(plane.receivers(), addressed);
-        assert!(plane.receive(&cfg, &mut states, receive));
+        assert!(plane.receive(&mut states, receive));
     }
     assert_eq!(
         allocs() - before,
@@ -142,8 +144,8 @@ fn flat_rounds_allocate_nothing() {
     let mut got: Vec<Vec<(NodeId, (u32, u32))>> =
         want.iter().map(|w| Vec::with_capacity(w.len())).collect();
     let before = allocs();
-    plane.deliver(&cfg, &g, &senders, None, &mut metrics);
-    assert!(plane.receive(&cfg, &mut got, |slot, inbox| {
+    plane.deliver(&g, &senders, None, &mut metrics);
+    assert!(plane.receive(&mut got, |_, slot, inbox| {
         slot.extend_from_slice(inbox);
     }));
     assert_eq!(
@@ -157,6 +159,41 @@ fn flat_rounds_allocate_nothing() {
     // round, one per incident edge of each sparse sender).
     let sparse: u64 = pair.iter().map(|(v, _)| g.degree(*v) as u64).sum();
     assert_eq!(metrics.messages, 9 * 2 * g.m() as u64 + 5 * sparse);
+}
+
+/// A round with every node broadcasting, on a plane warmed by rounds of its
+/// first 8 nodes only: the inbox outgrows its capacity once, and so does the
+/// receiver list (100 receivers warm, all 200 now). Those two
+/// reallocations are the whole cost; the earlier plane, which staged every
+/// copy in a per-thread arena before moving it into the inbox, paid 7 here
+/// (the arena's own growth on top). The next identical round pays nothing.
+fn outgrowing_round_grows_only_the_inbox_and_receivers() {
+    let g = generators::gnp_connected(200, 0.05, 11);
+    let mut plane: FlatPlane<(u32, u32)> = FlatPlane::new(g.n());
+    let mut metrics = Metrics::new(g.m());
+    let mut states: Vec<u64> = vec![0; g.n()];
+    let senders: Vec<(NodeId, (u32, u32))> = g.nodes().map(|v| (v, (v.raw(), 7))).collect();
+    let receive = |_: usize, st: &mut u64, inbox: &[(NodeId, (u32, u32))]| {
+        *st = st.wrapping_add(inbox.len() as u64);
+    };
+    for _ in 0..3 {
+        plane.deliver(&g, &senders[..8], None, &mut metrics);
+        assert!(plane.receive(&mut states, receive));
+    }
+    let warm_receivers = plane.receivers().len();
+    let before = allocs();
+    plane.deliver(&g, &senders, None, &mut metrics);
+    assert!(plane.receive(&mut states, receive));
+    assert_eq!(
+        allocs() - before,
+        2,
+        "an outgrowing round grows the inbox and the receiver list only"
+    );
+    assert_eq!((warm_receivers, plane.receivers().len()), (100, 200));
+    let before = allocs();
+    plane.deliver(&g, &senders, None, &mut metrics);
+    assert!(plane.receive(&mut states, receive));
+    assert_eq!(allocs() - before, 0, "the round after it is warm");
 }
 
 /// A pulse bouncing between the ends of a path: whoever hears a new pulse
